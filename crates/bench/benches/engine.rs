@@ -1,5 +1,6 @@
-//! Engine-level benchmarks: the symbolic/numeric LU split that every warm
-//! Newton iteration rides on, and the pooled batch engine over a corpus.
+//! Engine-level benchmarks: the symbolic/numeric LU split and the stamp
+//! plan that every warm Newton iteration rides on, and the pooled batch
+//! engine over a corpus.
 //!
 //! The `symbolic_reuse` group is the acceptance check for the split: on the
 //! largest suite circuit (`fadd32`, 132 unknowns) a numeric-only
@@ -13,28 +14,34 @@ use rlpta_circuits::by_name;
 use rlpta_core::{DcEngine, PtaKind, PtaSolver, SimpleStepping};
 use rlpta_devices::EvalCtx;
 use rlpta_linalg::{CsrMatrix, LuWorkspace, SparseLu, Triplet};
+use rlpta_mna::{Circuit, StampPlan};
 
-/// The Jacobian of the largest suite circuit at its DC operating point —
-/// the exact matrix the warm iterations of a PTA march keep refactorizing.
-fn largest_jacobian() -> CsrMatrix {
-    let bench = by_name("fadd32").expect("known benchmark");
-    let c = &bench.circuit;
+/// A suite circuit and its DC operating point.
+fn operating_point(name: &str) -> (Circuit, Vec<f64>) {
+    let circuit = by_name(name).expect("known benchmark").circuit;
     let sol = DcEngine::builder()
         .robust()
         .budget(robust_budget())
         .build()
-        .solve(c)
-        .expect("fadd32 solves");
+        .solve(&circuit)
+        .expect("benchmark circuit solves");
+    (circuit, sol.x)
+}
+
+/// An empty triplet builder sized for `c`'s Newton system.
+fn triplet_for(c: &Circuit) -> Triplet {
     let dim = c.dim();
-    let mut jac = Triplet::with_capacity(dim, dim, 16 * c.devices().len() + 2 * dim);
-    let mut res = vec![0.0; dim];
-    let mut state = c.seeded_state(&sol.x);
-    let ctx = EvalCtx {
-        x: &sol.x,
-        gmin: EvalCtx::DEFAULT_GMIN,
-        source_scale: 1.0,
-    };
-    c.assemble_into(&ctx, &mut jac, &mut res, &mut state);
+    Triplet::with_capacity(dim, dim, 16 * c.devices().len() + 2 * dim)
+}
+
+/// The Jacobian of the largest suite circuit at its DC operating point —
+/// the exact matrix the warm iterations of a PTA march keep refactorizing.
+fn largest_jacobian() -> CsrMatrix {
+    let (c, x) = operating_point("fadd32");
+    let mut jac = triplet_for(&c);
+    let mut res = vec![0.0; c.dim()];
+    let mut state = c.seeded_state(&x);
+    c.assemble_into(&EvalCtx::dc(&x), &mut jac, &mut res, &mut state);
     jac.to_csr()
 }
 
@@ -132,33 +139,40 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The assembly-pipeline counterpart of `symbolic_reuse`: the same solve
-/// driven through the precompiled stamp-plan path (resolve once, then
-/// slot-table writes into a persistent CSR buffer) versus the triplet
-/// reference path (rebuild the COO list and re-sort to CSR every
-/// iteration). The two are bit-identical by contract, so the gap between
-/// the bars is pure assembly overhead — what the plan path banks on every
-/// Newton iteration after the first.
+/// The assembly-layer counterpart of `symbolic_reuse`: one Newton system at
+/// the DC operating point, written through the precompiled stamp plan
+/// (slot-table scatter into a persistent CSR buffer) versus the triplet
+/// reference (rebuild the COO list, then sort and dedup it into CSR). The
+/// two are bit-identical by contract, so the gap between the bars is the
+/// pure assembly overhead the plan path saves on every Newton iteration.
 fn bench_assembly(c: &mut Criterion) {
     let mut group = c.benchmark_group("assembly");
-    group.sample_size(20);
     for name in ["gm1", "fadd32"] {
-        let circuit = by_name(name).expect("known benchmark").circuit;
-        for (label, mode) in [
-            ("plan", rlpta_core::AssemblyMode::Plan),
-            ("triplet", rlpta_core::AssemblyMode::Triplet),
-        ] {
-            let engine = DcEngine::builder()
-                .robust()
-                .budget(robust_budget())
-                .assembly(mode)
-                .build();
-            group.bench_with_input(
-                BenchmarkId::new(label, name),
-                &engine,
-                |b, engine| b.iter(|| engine.solve(&circuit).unwrap()),
-            );
-        }
+        let (circuit, x) = operating_point(name);
+        let ctx = EvalCtx::dc(&x);
+        let mut res = vec![0.0; circuit.dim()];
+        let mut state = circuit.seeded_state(&x);
+        let plan = StampPlan::resolve(&circuit, &mut |_| {});
+        let mut matrix = plan.new_matrix();
+        group.bench_function(BenchmarkId::new("plan_eval_into", name), |b| {
+            b.iter(|| {
+                plan.eval_into(
+                    &circuit,
+                    &ctx,
+                    &mut matrix,
+                    &mut res,
+                    &mut state,
+                    &mut |_| {},
+                )
+            })
+        });
+        let mut jac = triplet_for(&circuit);
+        group.bench_function(BenchmarkId::new("assemble_into_to_csr", name), |b| {
+            b.iter(|| {
+                circuit.assemble_into(&ctx, &mut jac, &mut res, &mut state);
+                jac.to_csr()
+            })
+        });
     }
     group.finish();
 }

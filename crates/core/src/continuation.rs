@@ -1,12 +1,11 @@
 //! Classic continuation baselines: Gmin stepping and source stepping.
 
-use crate::assembly::AssemblyWorkspace;
+use crate::assembly::NewtonWorkspace;
 use crate::error::SolvePhase;
 use crate::newton::{newton_iterate, NewtonConfig};
 use crate::recovery::{BudgetMeter, SolveBudget};
 use crate::telemetry::{Payload, StatsFold, Tele};
 use crate::{Solution, SolveError};
-use rlpta_linalg::LuWorkspace;
 use rlpta_mna::Circuit;
 
 /// Gmin stepping: solve with a large junction shunt conductance, then relax
@@ -107,8 +106,7 @@ impl GminStepping {
         // One LU pattern serves the whole ramp: Gmin only rescales the
         // diagonal stamps. Likewise one stamp plan: the ramp changes values,
         // never structure.
-        let mut lu_ws = LuWorkspace::new();
-        let mut asm = AssemblyWorkspace::new();
+        let mut ws = NewtonWorkspace::new();
         loop {
             meter.charge_step(1)?;
             let cfg = NewtonConfig {
@@ -122,8 +120,7 @@ impl GminStepping {
                 &mut state,
                 &mut |_, _| {},
                 meter,
-                &mut lu_ws,
-                &mut asm,
+                &mut ws,
                 &tele,
             )?;
             tele.emit(Payload::StageStep {
@@ -230,8 +227,7 @@ impl SourceStepping {
         let mut dl = self.initial_increment;
         // The source ramp scales right-hand sides, not the Jacobian pattern:
         // every stage replays one symbolic analysis and reuses one stamp plan.
-        let mut lu_ws = LuWorkspace::new();
-        let mut asm = AssemblyWorkspace::new();
+        let mut ws = NewtonWorkspace::new();
         while lambda < 1.0 {
             meter.charge_step(1)?;
             let next = (lambda + dl).min(1.0);
@@ -247,8 +243,7 @@ impl SourceStepping {
                 &mut state,
                 &mut |_, _| {},
                 meter,
-                &mut lu_ws,
-                &mut asm,
+                &mut ws,
                 &tele,
             )?;
             tele.emit(Payload::StageStep {

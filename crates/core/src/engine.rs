@@ -53,7 +53,9 @@
 //! carry, so its iterate (not its correctness) can differ from the serial
 //! ladder. Batches and sweeps never use the raced path internally.
 
-use crate::assembly::{AssemblyMode, AssemblyWorkspace};
+#[allow(deprecated)]
+use crate::assembly::AssemblyMode;
+use crate::assembly::NewtonWorkspace;
 use crate::certify::{certify_into, HealthGrade};
 use crate::error::{SolveError, SolvePhase};
 use crate::newton::{newton_iterate, NewtonConfig, NewtonRaphson};
@@ -271,28 +273,15 @@ impl DcEngineBuilder {
         self
     }
 
-    /// Assembly mode for **every** Newton loop the engine runs: the direct
-    /// Newton strategy, the PTA inner loops, sweep points and each rung of
-    /// a robust ladder (applied to the current strategy — set the ladder
-    /// first). Results are bit-identical across modes; this is a
-    /// performance knob kept public for A/B verification.
+    /// Ignored v1 shim: plan assembly is the only Newton path, so every
+    /// mode builds the same engine.
+    #[deprecated(
+        since = "0.1.0",
+        note = "plan assembly is the only Newton path; this setting is ignored"
+    )]
+    #[allow(deprecated)]
     #[must_use]
-    pub fn assembly(mut self, mode: AssemblyMode) -> Self {
-        self.newton.assembly = mode;
-        self.config.newton.assembly = mode;
-        if let Strategy::Robust(stages) = &mut self.strategy {
-            for stage in stages {
-                match stage {
-                    LadderStage::DampedNewton(cfg) => cfg.assembly = mode,
-                    LadderStage::GminStepping(gs) => gs.newton.assembly = mode,
-                    LadderStage::SourceStepping(ss) => ss.newton.assembly = mode,
-                    LadderStage::Cepta(pc) | LadderStage::Dpta(pc) => {
-                        pc.newton.assembly = mode;
-                    }
-                    LadderStage::NewtonHomotopy(nh) => nh.newton.assembly = mode,
-                }
-            }
-        }
+    pub fn assembly(self, _mode: AssemblyMode) -> Self {
         self
     }
 
@@ -576,14 +565,13 @@ impl DcEngine {
         {
             let tele = Tele::root(&*self.telemetry, Span::default());
             let mut work = circuit.clone();
-            let mut lu_ws = LuWorkspace::new();
-            let mut asm = AssemblyWorkspace::new();
+            let mut ws = NewtonWorkspace::new();
             let mut last_good: Option<Vec<f64>> = None;
             for k in 0..n_chunks {
                 let index = k * chunk;
                 work.set_source_dc(source, values[index]);
                 let (result, attempts) = self.solve_with_retries(|| {
-                    self.solve_sweep_point(&work, last_good.as_deref(), &mut lu_ws, &mut asm, &tele)
+                    self.solve_sweep_point(&work, last_good.as_deref(), &mut ws, &tele)
                 });
                 match result {
                     Ok(sol) => {
@@ -625,8 +613,7 @@ impl DcEngine {
                         let tele = Tele::root(&*self.telemetry, Span::for_job(k));
                         let hi = ((k + 1) * chunk).min(values.len());
                         let mut work = circuit.clone();
-                        let mut lu_ws = LuWorkspace::new();
-                        let mut asm = AssemblyWorkspace::new();
+                        let mut ws = NewtonWorkspace::new();
                         let mut prev: Option<Vec<f64>> = match boundary {
                             Ok(sol) => Some(sol.x.clone()),
                             Err(_) => None,
@@ -637,13 +624,7 @@ impl DcEngine {
                             let index = k * chunk + 1 + off;
                             work.set_source_dc(source, v);
                             let (result, attempts) = self.solve_with_retries(|| {
-                                self.solve_sweep_point(
-                                    &work,
-                                    prev.as_deref(),
-                                    &mut lu_ws,
-                                    &mut asm,
-                                    &tele,
-                                )
+                                self.solve_sweep_point(&work, prev.as_deref(), &mut ws, &tele)
                             });
                             match result {
                                 Ok(sol) => {
@@ -749,8 +730,9 @@ impl DcEngine {
         warm: Option<&[f64]>,
         lu_ws: &mut LuWorkspace,
     ) -> Result<Solution, SolveError> {
-        let mut asm = AssemblyWorkspace::new();
-        let out = self.solve_warm_with_assembly(circuit, warm, lu_ws, &mut asm, Span::default());
+        let mut ws = NewtonWorkspace::seeded(std::mem::take(lu_ws), None);
+        let out = self.solve_warm_in(circuit, warm, &mut ws, Span::default());
+        *lu_ws = ws.into_lu();
         if let Err(e) = &out {
             self.note_solve_failure(Span::default(), e);
             self.telemetry.finish();
@@ -758,22 +740,21 @@ impl DcEngine {
         out
     }
 
-    /// [`DcEngine::solve_warm`] with a caller-managed [`AssemblyWorkspace`]
-    /// as well — the hook the service layer uses to carry resolved stamp
-    /// plans across requests alongside the symbolic LU pattern.
-    pub(crate) fn solve_warm_with_assembly(
+    /// [`DcEngine::solve_warm`] over a caller-managed [`NewtonWorkspace`]
+    /// — the hook the service layer uses to carry resolved stamp plans
+    /// across requests alongside the symbolic LU pattern.
+    pub(crate) fn solve_warm_in(
         &self,
         circuit: &Circuit,
         warm: Option<&[f64]>,
-        lu_ws: &mut LuWorkspace,
-        asm: &mut AssemblyWorkspace,
+        ws: &mut NewtonWorkspace,
         span: Span,
     ) -> Result<Solution, SolveError> {
         #[cfg(feature = "faults")]
         let _guard = self.install_faults();
         let tele = Tele::root(&*self.telemetry, span);
         let out = self
-            .solve_with_retries(|| self.solve_sweep_point(circuit, warm, lu_ws, asm, &tele))
+            .solve_with_retries(|| self.solve_sweep_point(circuit, warm, ws, &tele))
             .0;
         self.telemetry.finish();
         out
@@ -1040,7 +1021,7 @@ impl DcEngine {
         }
     }
 
-    /// One sweep point: warm-started damped Newton with the shared LU
+    /// One sweep point: warm-started damped Newton on the chain's shared
     /// workspace; a region crossing that defeats Newton falls back to the
     /// serial escalation ladder (the engine's own stages when the strategy
     /// is robust, the default ladder otherwise).
@@ -1048,8 +1029,7 @@ impl DcEngine {
         &self,
         work: &Circuit,
         warm: Option<&[f64]>,
-        lu_ws: &mut LuWorkspace,
-        asm: &mut AssemblyWorkspace,
+        ws: &mut NewtonWorkspace,
         tele: &Tele<'_>,
     ) -> Result<Solution, SolveError> {
         let zeros;
@@ -1072,8 +1052,7 @@ impl DcEngine {
             &mut state,
             &mut |_, _| {},
             &mut meter,
-            lu_ws,
-            asm,
+            ws,
             &point_tele,
         );
         match attempt {
@@ -1363,6 +1342,18 @@ mod tests {
         assert_eq!(report.points.len(), 21);
         assert!(report.stats.converged);
         assert!(report.stats.nr_iterations > 0);
+    }
+
+    #[test]
+    fn solve_warm_hands_the_recorded_pattern_back() {
+        let c = diode_clamp();
+        let engine = DcEngine::builder().build();
+        let mut ws = LuWorkspace::new();
+        let first = engine.solve_warm(&c, None, &mut ws).unwrap();
+        assert!(ws.symbolic().is_some(), "pattern returned to the caller");
+        let full = ws.stats().full_factorizations;
+        engine.solve_warm(&c, Some(&first.x), &mut ws).unwrap();
+        assert_eq!(ws.stats().full_factorizations, full, "second call replays it");
     }
 
     #[test]

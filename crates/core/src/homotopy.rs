@@ -13,7 +13,7 @@
 //! the curve turns, the step shrinks and the run may fail, which is exactly
 //! the weakness the paper ascribes to homotopy methods.
 
-use crate::assembly::AssemblyWorkspace;
+use crate::assembly::NewtonWorkspace;
 use crate::error::SolvePhase;
 use crate::newton::{newton_iterate, NewtonConfig};
 use crate::recovery::{BudgetMeter, SolveBudget};
@@ -130,8 +130,7 @@ impl NewtonHomotopy {
         // The deformation touches only the residual, never the Jacobian
         // pattern: one symbolic analysis and one stamp plan serve every λ
         // stage.
-        let mut lu_ws = rlpta_linalg::LuWorkspace::new();
-        let mut asm = AssemblyWorkspace::new();
+        let mut ws = NewtonWorkspace::new();
         while lambda < 1.0 {
             meter.charge_step(1)?;
             let next = (lambda + dl).min(1.0);
@@ -152,8 +151,7 @@ impl NewtonHomotopy {
                 &mut state,
                 &mut deform,
                 meter,
-                &mut lu_ws,
-                &mut asm,
+                &mut ws,
                 &tele,
             )?;
             tele.emit(Payload::StageStep {

@@ -86,6 +86,7 @@ mod trace;
 mod transient;
 
 pub use ac::{AcPoint, AcStimulus, AcSweep};
+#[allow(deprecated)]
 pub use assembly::AssemblyMode;
 pub use certify::{certify, HealthGrade, HealthReport};
 pub use config::EngineConfig;
@@ -109,9 +110,8 @@ pub use solution::{Solution, SolveStats};
 pub use stepping::{SerStepping, SimpleStepping, StepController, StepObservation};
 pub use sweep::{DcSweep, QuarantinedPoint, SweepPoint, SweepReport};
 pub use telemetry::{
-    Collector, CounterSink, DerivedRates, Event, FanoutSink, FlightRecorder, Histogram,
-    HistogramSummary, IncidentReport, JsonlSink, MetricsRegistry, NullSink, Payload, Phase, Sink,
-    Span, Trigger,
+    Collector, DerivedRates, Event, FanoutSink, FlightRecorder, Histogram, HistogramSummary,
+    IncidentReport, JsonlSink, MetricsRegistry, NullSink, Payload, Phase, Sink, Span, Trigger,
 };
 pub use trace::{TraceController, TraceEntry};
 pub use transient::{Stimulus, Transient, TransientPoint, Waveform};
@@ -134,6 +134,7 @@ pub use transient::{Stimulus, Transient, TransientPoint, Waveform};
 /// # }
 /// ```
 pub mod prelude {
+    #[allow(deprecated)]
     pub use crate::assembly::AssemblyMode;
     pub use crate::certify::{HealthGrade, HealthReport};
     pub use crate::config::EngineConfig;

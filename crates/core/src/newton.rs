@@ -1,15 +1,16 @@
 //! Damped Newton–Raphson with SPICE convergence criteria.
 
-use crate::assembly::{AssemblyMode, AssemblyWorkspace};
+#[allow(deprecated)]
+use crate::assembly::AssemblyMode;
+use crate::assembly::NewtonWorkspace;
 use crate::error::SolvePhase;
 use crate::recovery::{BudgetMeter, SolveBudget};
 use crate::telemetry::timing::time_phase;
 use crate::telemetry::{Payload, Phase, StatsFold, Tele};
 use crate::{Solution, SolveError};
 use rlpta_devices::{EvalCtx, Stamper};
-use rlpta_linalg::{norms, LuOp, LuWorkspace, Triplet};
+use rlpta_linalg::{norms, LuOp};
 use rlpta_mna::{Circuit, StampPlan};
-use std::sync::Arc;
 
 /// Extra-stamp hook: `(x, stamper)` — the PTA engine injects pseudo-element
 /// companion models through it. The hook must push a fixed Jacobian target
@@ -40,12 +41,16 @@ pub struct NewtonConfig {
     /// Per-iteration clamp on node-voltage updates, in volts; `0.0`
     /// disables global damping (device-level limiting still applies).
     pub max_voltage_step: f64,
-    /// How the Newton system is assembled each iteration (precompiled
-    /// stamp plan vs the reference triplet path); results are bit-identical
-    /// either way.
+    /// Ignored v1 shim: plan assembly is the only Newton path.
+    #[deprecated(
+        since = "0.1.0",
+        note = "plan assembly is the only Newton path; this field is ignored"
+    )]
+    #[allow(deprecated)]
     pub assembly: AssemblyMode,
 }
 
+#[allow(deprecated)]
 impl Default for NewtonConfig {
     fn default() -> Self {
         Self {
@@ -94,10 +99,10 @@ pub(crate) struct NrOutcome {
 /// [`SolveBudget`] (`meter` charges one unit per iteration, so wall-clock
 /// deadlines are honored to within a single assembly + factorization).
 ///
-/// `lu_ws` caches the symbolic LU pattern across factorizations; callers
-/// that solve repeatedly on one circuit (PTA steps, continuation stages,
-/// sweep points) pass a persistent workspace so every iteration after the
-/// first replays the pattern instead of redoing the symbolic analysis.
+/// `ws` carries the stamp plan and the symbolic LU pattern across runs;
+/// callers that solve repeatedly on one circuit (PTA steps, continuation
+/// stages, sweep points) pass a persistent workspace so every iteration
+/// after the first is a pure write pass plus a pattern replay.
 ///
 /// `tele` receives one `NrIteration` per budget-cleared iteration, one
 /// `LuFactorized`/`LuReplayed` per factorization attempt (read off the
@@ -113,14 +118,12 @@ pub(crate) fn newton_iterate(
     state: &mut [f64],
     extra: &mut ExtraStamps<'_>,
     meter: &mut BudgetMeter,
-    lu_ws: &mut LuWorkspace,
-    asm: &mut AssemblyWorkspace,
+    ws: &mut NewtonWorkspace,
     tele: &Tele<'_>,
 ) -> Result<NrOutcome, SolveError> {
     let dim = circuit.dim();
     debug_assert_eq!(x0.len(), dim, "x0 dimension mismatch");
     let num_nodes = circuit.num_nodes();
-    let mode = config.assembly;
     // Whole-run timing span; the guard emits on every exit path, error
     // returns included.
     let _nr_span = tele.time(Phase::NewtonSolve);
@@ -129,34 +132,19 @@ pub(crate) fn newton_iterate(
     // Last iterate whose stamps evaluated finite — the rollback anchor for
     // the non-finite guard below.
     let mut x_prev: Option<Vec<f64>> = None;
-    // Reference-path buffers; zero-allocation placeholders in plan mode.
-    let mut jac = match mode {
-        AssemblyMode::Triplet => {
-            Triplet::with_capacity(dim, dim, 16 * circuit.devices().len() + 2 * dim)
-        }
-        AssemblyMode::Plan => Triplet::new(dim, dim),
-    };
     let mut res = vec![0.0; dim];
     let mut lu_full = 0usize;
     let mut lu_replay = 0usize;
     let mut last_residual = f64::INFINITY;
 
-    if mode == AssemblyMode::Plan {
-        // A workspace recycled across circuits of different dimension (the
-        // engine's sweep loop does this) cannot keep its plan.
-        if asm.plan().is_some_and(|p| p.dim() != dim) {
-            asm.reset();
-        }
-        // Resolve once per structure; a service-seeded plan skips this.
-        if asm.plan().is_none() {
-            let resolved = time_phase!(
-                tele,
-                Phase::StampResolve,
-                StampPlan::resolve(circuit, &mut |st| extra(&x, st))
-            );
-            asm.set_plan(Arc::new(resolved));
-        }
-    }
+    // Resolve once per structure; a service-seeded plan skips this.
+    ws.ensure_plan(dim, || {
+        time_phase!(
+            tele,
+            Phase::StampResolve,
+            StampPlan::resolve(circuit, &mut |st| extra(&x, st))
+        )
+    });
 
     for iter in 1..=config.max_iterations {
         meter.charge_nr(1)?;
@@ -166,22 +154,11 @@ pub(crate) fn newton_iterate(
             gmin: config.gmin,
             source_scale: config.source_scale,
         };
-        let stamps_finite = time_phase!(tele, Phase::StampWrite, {
-            match mode {
-                AssemblyMode::Triplet => {
-                    circuit.assemble_into(&ctx, &mut jac, &mut res, state);
-                    let mut st = Stamper::new(&mut jac, &mut res);
-                    extra(&x, &mut st);
-                    jac.all_finite()
-                }
-                AssemblyMode::Plan => {
-                    let (plan, matrix) = asm.plan_and_matrix();
-                    plan.eval_into(circuit, &ctx, matrix, &mut res, state, &mut |st| {
-                        extra(&x, st)
-                    })
-                }
-            }
-        });
+        let stamps_finite = time_phase!(
+            tele,
+            Phase::StampWrite,
+            ws.eval(circuit, &ctx, &mut res, state, &mut |st| extra(&x, st))
+        );
         #[cfg(feature = "faults")]
         crate::recovery::perturb_residual(&mut res);
 
@@ -190,8 +167,8 @@ pub(crate) fn newton_iterate(
         // must not reach the factorization. Retreat halfway toward the last
         // clean iterate and retry; each retreat consumes an iteration, so
         // the loop still terminates. With no clean iterate to retreat to,
-        // the poison is structural — fail. Both assembly modes check the
-        // same thing: every *raw* stamp finite, every residual entry finite.
+        // the poison is structural — fail. The check covers every *raw*
+        // stamp and every residual entry.
         if !(stamps_finite && res.iter().all(|v| v.is_finite())) {
             match &x_prev {
                 Some(prev) => {
@@ -211,47 +188,20 @@ pub(crate) fn newton_iterate(
         last_residual = norms::inf_norm(&res);
 
         // Factorize, escalating a diagonal Gmin shunt on singularity. The
-        // plan path escalates on a lazily-built (pattern ∪ diagonals)
-        // companion matrix with the same cumulative summation order as the
-        // triplet path's appended pushes — the factorized values are
-        // bit-identical between modes at every bump level.
+        // escalation runs on a lazily-built (pattern ∪ diagonals) companion
+        // matrix whose cumulative summation order matches appending the
+        // shunts to the triplet list (the `rlpta-mna::plan` oracle).
         let mut factorized = None;
         for bump in 0..4 {
             if bump > 0 {
-                let gshunt = 1e-9 * 100f64.powi(bump);
-                match mode {
-                    AssemblyMode::Triplet => {
-                        for i in 0..num_nodes {
-                            jac.push(i, i, gshunt);
-                        }
-                    }
-                    AssemblyMode::Plan => {
-                        let (bp, bumped, base) = asm.bump_and_base(num_nodes);
-                        if bump == 1 {
-                            bp.scatter_base(base, bumped);
-                        }
-                        bp.add_diag(bumped, gshunt);
-                    }
-                }
+                ws.add_gmin_bump(bump, num_nodes);
             }
             // Deferred timer: full factorize vs symbolic replay is only
             // known after the call, read off the workspace's `last_op`.
             let lu_timer = tele.timer();
-            let attempt = match mode {
-                AssemblyMode::Triplet => lu_ws.factorize(&jac.to_csr()),
-                AssemblyMode::Plan => {
-                    if bump == 0 {
-                        let (_, matrix) = asm.plan_and_matrix();
-                        lu_ws.factorize(matrix)
-                    } else {
-                        let (_, bumped, _) = asm.bump_and_base(num_nodes);
-                        lu_ws.factorize(bumped)
-                    }
-                }
-            };
-            match attempt {
+            match ws.factorize(bump > 0) {
                 Ok(f) => {
-                    if lu_ws.last_op() == Some(LuOp::Replay) {
+                    if ws.last_op() == Some(LuOp::Replay) {
                         lu_replay += 1;
                         lu_timer.finish(tele, Phase::LuReplay);
                         tele.emit(Payload::LuReplayed { dim });
@@ -346,21 +296,11 @@ pub(crate) fn newton_iterate(
                 gmin: config.gmin,
                 source_scale: config.source_scale,
             };
-            time_phase!(tele, Phase::StampWrite, {
-                match mode {
-                    AssemblyMode::Triplet => {
-                        circuit.assemble_into(&ctx, &mut jac, &mut res, state);
-                        let mut st = Stamper::new(&mut jac, &mut res);
-                        extra(&x, &mut st);
-                    }
-                    AssemblyMode::Plan => {
-                        let (plan, matrix) = asm.plan_and_matrix();
-                        plan.eval_into(circuit, &ctx, matrix, &mut res, state, &mut |st| {
-                            extra(&x, st)
-                        });
-                    }
-                }
-            });
+            time_phase!(
+                tele,
+                Phase::StampWrite,
+                ws.eval(circuit, &ctx, &mut res, state, &mut |st| extra(&x, st))
+            );
             #[cfg(feature = "faults")]
             crate::recovery::perturb_residual(&mut res);
             // `inf_norm` folds with `f64::max`, which *discards* NaN — a
@@ -497,36 +437,54 @@ impl NewtonRaphson {
         meter: &mut BudgetMeter,
         tele: &Tele<'_>,
     ) -> Result<Solution, SolveError> {
-        let fold = StatsFold::default();
-        let tele = tele.child(&fold);
-        let mut state = circuit.seeded_state(x0);
-        let mut lu_ws = LuWorkspace::new();
-        let mut asm = AssemblyWorkspace::new();
-        let out = newton_iterate(
-            circuit,
-            &self.config,
-            x0,
-            &mut state,
-            &mut |_, _| {},
-            meter,
-            &mut lu_ws,
-            &mut asm,
-            &tele,
-        )?;
-        tele.emit(Payload::SolveDone {
-            converged: out.converged,
-        });
-        // The returned counters are the fold of the events just emitted.
-        let stats = fold.snapshot();
-        if out.converged {
+        newton_solve(circuit, &self.config, x0, meter, tele).0
+    }
+}
+
+/// One Newton solve on a fresh workspace: seeded limiter state, the run,
+/// its `SolveDone`, then a [`Solution`] or [`SolveError::NonConvergent`]
+/// whose counters fold the events just emitted. Also returns the final
+/// iterate of a non-converged run when it is finite — the warm start the
+/// escalation ladder's Newton rung carries forward.
+pub(crate) fn newton_solve(
+    circuit: &Circuit,
+    config: &NewtonConfig,
+    x0: &[f64],
+    meter: &mut BudgetMeter,
+    tele: &Tele<'_>,
+) -> (Result<Solution, SolveError>, Option<Vec<f64>>) {
+    let fold = StatsFold::default();
+    let tele = tele.child(&fold);
+    let mut state = circuit.seeded_state(x0);
+    let out = match newton_iterate(
+        circuit,
+        config,
+        x0,
+        &mut state,
+        &mut |_, _| {},
+        meter,
+        &mut NewtonWorkspace::new(),
+        &tele,
+    ) {
+        Ok(out) => out,
+        Err(e) => return (Err(e), None),
+    };
+    tele.emit(Payload::SolveDone {
+        converged: out.converged,
+    });
+    let stats = fold.snapshot();
+    if out.converged {
+        (
             Ok(Solution {
                 x: out.x,
                 stats,
                 health: None,
-            })
-        } else {
-            Err(SolveError::NonConvergent { stats })
-        }
+            }),
+            None,
+        )
+    } else {
+        let carry = out.x.iter().all(|v| v.is_finite()).then_some(out.x);
+        (Err(SolveError::NonConvergent { stats }), carry)
     }
 }
 

@@ -24,7 +24,7 @@
 
 #![allow(clippy::needless_range_loop)]
 
-use crate::assembly::AssemblyWorkspace;
+use crate::assembly::NewtonWorkspace;
 use crate::error::SolvePhase;
 use crate::newton::{newton_iterate, NewtonConfig};
 use crate::recovery::{BudgetMeter, SolveBudget};
@@ -333,8 +333,7 @@ impl<C: StepController> PtaSolver<C> {
         // constant across the whole transient: one symbolic analysis serves
         // every Newton iteration of every time point. The pseudo targets are
         // likewise fixed, so one stamp plan serves the whole transient.
-        let mut lu_ws = rlpta_linalg::LuWorkspace::new();
-        let mut asm = AssemblyWorkspace::new();
+        let mut ws = NewtonWorkspace::new();
 
         for _ in 0..self.config.max_steps {
             meter.charge_step(1)?;
@@ -394,8 +393,7 @@ impl<C: StepController> PtaSolver<C> {
                 &mut dev_state,
                 &mut pseudo,
                 meter,
-                &mut lu_ws,
-                &mut asm,
+                &mut ws,
                 &tele,
             )?;
 

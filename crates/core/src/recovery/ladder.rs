@@ -12,7 +12,7 @@ use crate::certify::{certify_into, HealthGrade};
 use crate::continuation::{GminStepping, SourceStepping};
 use crate::error::{SolveError, SolvePhase};
 use crate::homotopy::NewtonHomotopy;
-use crate::newton::{newton_iterate, NewtonConfig};
+use crate::newton::{newton_solve, NewtonConfig};
 use crate::pta::{PtaConfig, PtaKind, PtaParams, PtaSolver};
 use crate::recovery::budget::{BudgetMeter, SolveBudget};
 use crate::telemetry::{Payload, Phase, StatsFold, Tele};
@@ -291,43 +291,7 @@ fn run_stage(
     match stage {
         LadderStage::DampedNewton(cfg) => {
             meter.set_phase(SolvePhase::Newton);
-            let mut state = circuit.seeded_state(x0);
-            let mut lu_ws = rlpta_linalg::LuWorkspace::new();
-            let mut asm = crate::assembly::AssemblyWorkspace::new();
-            let fold = StatsFold::default();
-            let tele = tele.child(&fold);
-            match newton_iterate(
-                circuit,
-                cfg,
-                x0,
-                &mut state,
-                &mut |_, _| {},
-                meter,
-                &mut lu_ws,
-                &mut asm,
-                &tele,
-            ) {
-                Ok(out) => {
-                    tele.emit(Payload::SolveDone {
-                        converged: out.converged,
-                    });
-                    let stats = fold.snapshot();
-                    if out.converged {
-                        (
-                            Ok(Solution {
-                                x: out.x,
-                                stats,
-                                health: None,
-                            }),
-                            None,
-                        )
-                    } else {
-                        let carry = out.x.iter().all(|v| v.is_finite()).then_some(out.x);
-                        (Err(SolveError::NonConvergent { stats }), carry)
-                    }
-                }
-                Err(e) => (Err(e), None),
-            }
+            newton_solve(circuit, cfg, x0, meter, tele)
         }
         LadderStage::GminStepping(gm) => {
             meter.set_phase(SolvePhase::Continuation);

@@ -85,7 +85,7 @@ pub mod observe;
 
 pub use observe::{HeartbeatLine, ServiceMonitor, ServiceSnapshot};
 
-use crate::assembly::AssemblyWorkspace;
+use crate::assembly::NewtonWorkspace;
 use crate::engine::DcEngine;
 use crate::error::SolveError;
 use crate::recovery::SolveBudget;
@@ -381,8 +381,8 @@ pub struct CacheStats {
     /// Lookups whose entry also carried a stamp plan still compatible with
     /// the circuit — the group skips stamp resolution entirely.
     pub plan_hits: u64,
-    /// Lookups that had to (re-)resolve a stamp plan: a cold structure, an
-    /// entry predating plan capture, or a plan that failed re-verification.
+    /// Lookups that had to (re-)resolve a stamp plan: a cold structure or a
+    /// cached plan that failed re-verification.
     pub plan_misses: u64,
 }
 
@@ -400,10 +400,9 @@ impl CacheStats {
 
 struct CacheEntry {
     symbolic: Arc<SymbolicLu>,
-    /// Resolved stamp plan for this structure (shared with the assembly
-    /// workspaces that scatter through it); `None` for entries recorded by
-    /// a triplet-mode engine.
-    plan: Option<Arc<StampPlan>>,
+    /// Resolved stamp plan for this structure (shared with the Newton
+    /// workspaces that scatter through it).
+    plan: Arc<StampPlan>,
     /// Last certified operating point for this structure, reusable as a
     /// warm start by the next job with the same key.
     warm: Option<Vec<f64>>,
@@ -504,9 +503,8 @@ impl PlanCache {
             let entry = &shard.entries[key];
             let plan = entry
                 .plan
-                .as_ref()
-                .filter(|p| p.compatible_with(circuit))
-                .map(Arc::clone);
+                .compatible_with(circuit)
+                .then(|| Arc::clone(&entry.plan));
             let seed = CacheSeed {
                 symbolic: Arc::clone(&entry.symbolic),
                 plan,
@@ -551,13 +549,13 @@ impl PlanCache {
         &self,
         key: StructureKey,
         symbolic: Arc<SymbolicLu>,
-        plan: Option<Arc<StampPlan>>,
+        plan: Arc<StampPlan>,
         warm: Option<Vec<f64>>,
         tele: &Tele<'_>,
     ) {
         let tick = self.next_tick();
         let bytes = symbolic.approx_bytes()
-            + plan.as_ref().map_or(0, |p| p.approx_bytes())
+            + plan.approx_bytes()
             + warm.as_ref().map_or(0, |w| w.len() * std::mem::size_of::<f64>());
         let mut shard = lock(self.shard(&key));
         if let Some(old) = shard.entries.insert(
@@ -939,46 +937,9 @@ impl SimService {
                 capacity: self.queue_capacity,
             });
         }
-        if let Some(deadline) = ticket.deadline {
-            if deadline.is_zero() {
-                self.monitor.counters.rejected_deadline += 1;
-                return Err(ServiceError::DeadlineUnmeetable {
-                    deadline,
-                    detail: "deadline is zero".to_string(),
-                });
-            }
-            let wall = ticket
-                .budget
-                .as_ref()
-                .map_or(self.engine.budget().wall_clock, |b| b.wall_clock);
-            if let Some(wall) = wall {
-                if wall > deadline {
-                    self.monitor.counters.rejected_deadline += 1;
-                    return Err(ServiceError::DeadlineUnmeetable {
-                        deadline,
-                        detail: format!(
-                            "the job's wall-clock solve budget ({wall:?}) alone exceeds it"
-                        ),
-                    });
-                }
-            }
-        }
-        let (key, pattern) = StructureKey::with_matrix(&circuit);
-        let seq = self.next_id;
-        self.next_id += 1;
-        self.monitor.counters.submitted[priority_index(ticket.priority)] += 1;
-        if let Some(rec) = &self.recorder {
-            rec.annotate(Some(seq), circuit.title(), Some(key.hash));
-        }
-        self.queue.push(QueuedJob {
-            seq,
-            circuit,
-            ticket,
-            submitted: Instant::now(),
-            key,
-            pattern,
-            watchdog_flagged: false,
-        });
+        let job = self.admit(circuit, ticket)?;
+        let seq = job.seq;
+        self.queue.push(job);
         let sink = self.engine.telemetry();
         Tele::root(&*sink, Span::default()).emit(Payload::JobQueued {
             job: seq,
@@ -989,15 +950,55 @@ impl SimService {
         Ok(seq)
     }
 
+    /// Admission control shared by [`SimService::submit`] and
+    /// [`SimService::solve`]: refuses (and counts) a ticket whose deadline
+    /// is zero or shorter than the job's own wall-clock solve budget, then
+    /// analyzes the circuit's structure and assigns the job its id.
+    fn admit(&mut self, circuit: Circuit, ticket: JobTicket) -> Result<QueuedJob, ServiceError> {
+        if let Some(deadline) = ticket.deadline {
+            let wall = ticket
+                .budget
+                .as_ref()
+                .map_or(self.engine.budget().wall_clock, |b| b.wall_clock);
+            let detail = if deadline.is_zero() {
+                Some("deadline is zero".to_string())
+            } else {
+                wall.filter(|wall| *wall > deadline).map(|wall| {
+                    format!("the job's wall-clock solve budget ({wall:?}) alone exceeds it")
+                })
+            };
+            if let Some(detail) = detail {
+                self.monitor.counters.rejected_deadline += 1;
+                return Err(ServiceError::DeadlineUnmeetable { deadline, detail });
+            }
+        }
+        let (key, pattern) = StructureKey::with_matrix(&circuit);
+        let seq = self.next_id;
+        self.next_id += 1;
+        self.monitor.counters.submitted[priority_index(ticket.priority)] += 1;
+        if let Some(rec) = &self.recorder {
+            rec.annotate(Some(seq), circuit.title(), Some(key.hash));
+        }
+        Ok(QueuedJob {
+            seq,
+            circuit,
+            ticket,
+            submitted: Instant::now(),
+            key,
+            pattern,
+            watchdog_flagged: false,
+        })
+    }
+
     /// Executes every queued job and returns `(id, result)` pairs in
     /// submission order.
     ///
     /// Jobs are ordered by ([`Priority`] descending, submission order),
     /// then grouped by [`StructureKey`]; each group runs as one job on the
-    /// engine's thread pool, sharing a single pre-seeded [`LuWorkspace`]
-    /// and (when enabled) a warm-start chain. After the pool completes,
-    /// each group's final symbolic plan and last certified operating point
-    /// refresh the cache.
+    /// engine's thread pool, sharing a single pre-seeded Newton workspace
+    /// (symbolic LU pattern and stamp plan) and (when enabled) a
+    /// warm-start chain. After the pool completes, each group's final
+    /// plans and last certified operating point refresh the cache.
     pub fn drain(&mut self) -> Vec<(JobId, Result<Solution, ServiceError>)> {
         let mut jobs = std::mem::take(&mut self.queue);
         if jobs.is_empty() {
@@ -1060,20 +1061,7 @@ impl SimService {
         let mut out: Vec<(JobId, Result<Solution, ServiceError>)> = Vec::new();
         for slot in pooled {
             match slot {
-                Ok((key, group)) => {
-                    self.monitor.counters.watchdog_fires += group.watchdog_fires;
-                    self.monitor.counters.deadline_misses += group.deadline_misses;
-                    if let Some(symbolic) = group.symbolic {
-                        self.cache.insert(
-                            key,
-                            Arc::new(symbolic),
-                            group.plan,
-                            if self.warm_starts { group.warm } else { None },
-                            &tele,
-                        );
-                    }
-                    out.extend(group.results);
-                }
+                Ok((key, group)) => out.extend(self.write_back(key, group, &tele)),
                 Err(panic) => {
                     // The pool isolates the panic to this group; its jobs'
                     // ids are unrecoverable from the closure, so the
@@ -1110,39 +1098,16 @@ impl SimService {
         circuit: &Circuit,
         ticket: JobTicket,
     ) -> Result<Solution, ServiceError> {
-        if let Some(deadline) = ticket.deadline {
-            if deadline.is_zero() {
-                self.monitor.counters.rejected_deadline += 1;
-                return Err(ServiceError::DeadlineUnmeetable {
-                    deadline,
-                    detail: "deadline is zero".to_string(),
-                });
-            }
-        }
-        let (key, pattern) = StructureKey::with_matrix(circuit);
-        let seq = self.next_id;
-        self.next_id += 1;
-        self.monitor.counters.submitted[priority_index(ticket.priority)] += 1;
-        if let Some(rec) = &self.recorder {
-            rec.annotate(Some(seq), circuit.title(), Some(key.hash));
-        }
+        let job = self.admit(circuit.clone(), ticket)?;
+        let key = job.key;
         let sink = self.engine.telemetry();
         let tele = Tele::root(&*sink, Span::default());
-        let seed = self.cache.lookup(&key, &pattern, circuit, &tele);
+        let seed = self.cache.lookup(&key, &job.pattern, &job.circuit, &tele);
         tele.emit(Payload::JobAdmitted {
-            job: seq,
+            job: job.seq,
             key: key.hash,
         });
-        let job = QueuedJob {
-            seq,
-            circuit: circuit.clone(),
-            ticket,
-            submitted: Instant::now(),
-            key,
-            pattern,
-            watchdog_flagged: false,
-        };
-        let mut group = run_group(
+        let group = run_group(
             &self.engine,
             self.policy.as_ref(),
             self.warm_starts,
@@ -1150,18 +1115,7 @@ impl SimService {
             seed,
             self.monitor.watchdog_factor,
         );
-        self.monitor.counters.watchdog_fires += group.watchdog_fires;
-        self.monitor.counters.deadline_misses += group.deadline_misses;
-        if let Some(symbolic) = group.symbolic {
-            self.cache.insert(
-                key,
-                Arc::new(symbolic),
-                group.plan,
-                if self.warm_starts { group.warm } else { None },
-                &tele,
-            );
-        }
-        let result = match group.results.pop() {
+        let result = match self.write_back(key, group, &tele).pop() {
             Some((_, result)) => result,
             None => Err(ServiceError::Solve(SolveError::WorkerPanic {
                 detail: "service group produced no result".to_string(),
@@ -1171,16 +1125,40 @@ impl SimService {
         self.tick();
         result
     }
+
+    /// Folds one finished group back into the service — shared by
+    /// [`SimService::drain`] and [`SimService::solve`]: counts its watchdog
+    /// fires and deadline misses, caches its recorded plans (plus, with
+    /// warm starts on, its last certified point) under `key`, and returns
+    /// its per-job results.
+    fn write_back(
+        &mut self,
+        key: StructureKey,
+        group: GroupOutcome,
+        tele: &Tele<'_>,
+    ) -> Vec<(JobId, Result<Solution, ServiceError>)> {
+        self.monitor.counters.watchdog_fires += group.watchdog_fires;
+        self.monitor.counters.deadline_misses += group.deadline_misses;
+        if let Some((symbolic, plan)) = group.recorded {
+            self.cache.insert(
+                key,
+                Arc::new(symbolic),
+                plan,
+                if self.warm_starts { group.warm } else { None },
+                tele,
+            );
+        }
+        group.results
+    }
 }
 
 /// What one structure group hands back to the drain loop.
 struct GroupOutcome {
     results: Vec<(JobId, Result<Solution, ServiceError>)>,
-    /// The workspace's recorded plan after the chain — refreshes the cache.
-    symbolic: Option<SymbolicLu>,
-    /// The assembly workspace's resolved stamp plan after the chain —
-    /// cached beside the symbolic analysis under the same key.
-    plan: Option<Arc<StampPlan>>,
+    /// The workspace's symbolic LU pattern and resolved stamp plan after
+    /// the chain — refresh the cache. `None` when no Newton run recorded
+    /// them (every job expired in the queue before a cold seed).
+    recorded: Option<(SymbolicLu, Arc<StampPlan>)>,
     /// Last certified operating point of the chain.
     warm: Option<Vec<f64>>,
     /// In-flight watchdog flags raised inside the group (for the monitor's
@@ -1191,7 +1169,7 @@ struct GroupOutcome {
 }
 
 /// Runs one structure group: a warm-start chain over jobs sharing a
-/// [`StructureKey`], all replaying one [`LuWorkspace`]. Never panics on
+/// [`StructureKey`], all sharing one Newton workspace. Never panics on
 /// solver failures — every error comes back as a value in its job's slot,
 /// and every failed slot is marked with exactly one
 /// [`Payload::SolveFailed`] on the job's span (the flight-recorder
@@ -1204,15 +1182,14 @@ fn run_group(
     seed: Option<CacheSeed>,
     watchdog_factor: Option<f64>,
 ) -> GroupOutcome {
-    let mut ws = match &seed {
-        Some(seed) => LuWorkspace::with_symbolic((*seed.symbolic).clone()),
-        None => LuWorkspace::new(),
-    };
     // A cache-shared stamp plan makes the whole chain a pure write pass:
     // the first Newton run skips stamp resolution.
-    let mut asm = match seed.as_ref().and_then(|s| s.plan.clone()) {
-        Some(plan) => AssemblyWorkspace::with_plan(plan),
-        None => AssemblyWorkspace::new(),
+    let mut ws = match &seed {
+        Some(seed) => NewtonWorkspace::seeded(
+            LuWorkspace::with_symbolic((*seed.symbolic).clone()),
+            seed.plan.clone(),
+        ),
+        None => NewtonWorkspace::new(),
     };
     let mut warm: Option<Vec<f64>> = match (&seed, warm_starts) {
         (Some(seed), true) => seed.warm.clone(),
@@ -1261,23 +1238,22 @@ fn run_group(
             None => engine,
         };
         let warm_ref = warm.as_deref().filter(|w| w.len() == job.circuit.dim());
-        let solved =
-            match eng.solve_warm_with_assembly(&job.circuit, warm_ref, &mut ws, &mut asm, span) {
-                Ok(sol) => Ok(sol),
-                Err(first) => match policy {
-                    // The shared frozen policy gets one RL-steered PTA attempt
-                    // before the failure surfaces; it cannot make the outcome
-                    // worse (the original error is kept when it also fails).
-                    Some(p) if job.circuit.is_nonlinear() => {
-                        let tele = Tele::root(&*sink, span);
-                        match eng.solve_once_with(&job.circuit, (**p).clone(), &tele) {
-                            Ok(sol) => Ok(sol),
-                            Err(_) => Err(first),
-                        }
+        let solved = match eng.solve_warm_in(&job.circuit, warm_ref, &mut ws, span) {
+            Ok(sol) => Ok(sol),
+            Err(first) => match policy {
+                // The shared frozen policy gets one RL-steered PTA attempt
+                // before the failure surfaces; it cannot make the outcome
+                // worse (the original error is kept when it also fails).
+                Some(p) if job.circuit.is_nonlinear() => {
+                    let tele = Tele::root(&*sink, span);
+                    match eng.solve_once_with(&job.circuit, (**p).clone(), &tele) {
+                        Ok(sol) => Ok(sol),
+                        Err(_) => Err(first),
                     }
-                    _ => Err(first),
-                },
-            };
+                }
+                _ => Err(first),
+            },
+        };
         if let Some(deadline) = job.ticket.deadline {
             let elapsed = job.submitted.elapsed();
             if elapsed > deadline {
@@ -1315,8 +1291,7 @@ fn run_group(
     }
     GroupOutcome {
         results,
-        symbolic: ws.symbolic().cloned(),
-        plan: asm.plan().cloned(),
+        recorded: ws.lu().symbolic().cloned().zip(ws.plan().cloned()),
         warm,
         watchdog_fires,
         deadline_misses,
@@ -1511,6 +1486,28 @@ mod tests {
             other => panic!("wrong error: {other:?}"),
         }
         assert_eq!(service.queue_depth(), 0);
+    }
+
+    #[test]
+    fn solve_applies_the_same_deadline_admission_as_submit() {
+        // Regression: `solve` used to refuse only zero deadlines, so it ran
+        // a ticket `submit` refuses — one whose budget exceeds its deadline.
+        let mut service = SimService::builder(DcEngine::builder().build()).build();
+        let budget = SolveBudget {
+            wall_clock: Some(Duration::from_secs(60)),
+            ..SolveBudget::UNLIMITED
+        };
+        let ticket = JobTicket::default()
+            .with_deadline(Duration::from_millis(1))
+            .with_budget(budget);
+        let err = service
+            .solve(&divider("1k"), ticket)
+            .expect_err("budget exceeds deadline");
+        assert!(matches!(err, ServiceError::DeadlineUnmeetable { .. }), "{err:?}");
+        let snap = service.snapshot();
+        assert_eq!(snap.rejected_deadline, 1);
+        assert_eq!(snap.completed, 0);
+        assert_eq!(service.cache_stats().misses, 0, "refused before lookup");
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! dropped; the hot-path cost is bounded by constructing a small POD
 //! payload), [`Collector`] (in-memory, for inspection and tests),
 //! [`JsonlSink`] (std-only line-JSON writer with deterministic job-ordered
-//! flushing), [`CounterSink`] (per-kind occurrence counts),
-//! [`MetricsRegistry`] (streaming per-phase histograms, see [`metrics`])
+//! flushing), [`MetricsRegistry`] (streaming per-phase histograms and
+//! per-kind occurrence counts, see [`metrics`])
 //! and [`FanoutSink`] (tee to several sinks).
 //!
 //! On top of the deterministic stream sits an *out-of-band* timing layer
@@ -317,7 +317,8 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Stable kind name (used by [`CounterSink`] and the JSON encoding).
+    /// Stable kind name (used by [`MetricsRegistry::kind_count`] and the
+    /// JSON encoding).
     pub fn kind(&self) -> &'static str {
         match self {
             Payload::LuFactorized { .. } => "LuFactorized",
@@ -505,50 +506,6 @@ impl Collector {
 impl Sink for Collector {
     fn emit(&self, event: &Event) {
         self.events.lock().expect("collector lock").push(event.clone());
-    }
-}
-
-/// Counts events per payload kind — the cheapest "what happened" summary.
-#[derive(Debug, Default)]
-pub struct CounterSink {
-    counts: Mutex<BTreeMap<&'static str, u64>>,
-}
-
-impl CounterSink {
-    /// An empty counter sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Occurrence counts keyed by [`Payload::kind`], sorted by kind name.
-    pub fn counts(&self) -> Vec<(&'static str, u64)> {
-        self.counts
-            .lock()
-            .expect("counter lock")
-            .iter()
-            .map(|(k, v)| (*k, *v))
-            .collect()
-    }
-
-    /// Count for one kind (0 if never seen).
-    pub fn count(&self, kind: &str) -> u64 {
-        self.counts
-            .lock()
-            .expect("counter lock")
-            .get(kind)
-            .copied()
-            .unwrap_or(0)
-    }
-}
-
-impl Sink for CounterSink {
-    fn emit(&self, event: &Event) {
-        *self
-            .counts
-            .lock()
-            .expect("counter lock")
-            .entry(event.payload.kind())
-            .or_insert(0) += 1;
     }
 }
 
@@ -1829,30 +1786,18 @@ mod tests {
         let null_only = FanoutSink::new().with(std::sync::Arc::new(NullSink));
         assert!(!null_only.wants_timing());
         let collector = std::sync::Arc::new(Collector::new());
-        let counter = std::sync::Arc::new(CounterSink::new());
+        let registry = std::sync::Arc::new(MetricsRegistry::new());
         let fan = FanoutSink::new()
             .with(std::sync::Arc::new(NullSink))
             .with(collector.clone())
-            .with(counter.clone());
+            .with(registry.clone());
         assert!(fan.wants_timing(), "collector opts in");
         assert_eq!(fan.len(), 3);
         assert!(!fan.is_empty());
         fan.emit(&ev(Payload::SolveDone { converged: true }));
         fan.finish();
         assert_eq!(collector.len(), 1);
-        assert_eq!(counter.count("SolveDone"), 1);
-    }
-
-    #[test]
-    fn counter_sink_counts_by_kind() {
-        let c = CounterSink::new();
-        c.emit(&ev(Payload::NrIteration { iteration: 1 }));
-        c.emit(&ev(Payload::NrIteration { iteration: 2 }));
-        c.emit(&ev(Payload::SolveDone { converged: true }));
-        assert_eq!(c.count("NrIteration"), 2);
-        assert_eq!(c.count("SolveDone"), 1);
-        assert_eq!(c.count("PtaStep"), 0);
-        assert_eq!(c.counts().len(), 2);
+        assert_eq!(registry.kind_count("SolveDone"), 1);
     }
 
     #[test]

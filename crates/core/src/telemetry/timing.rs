@@ -32,8 +32,8 @@ pub enum Phase {
     /// Stamp-plan resolution: the structural declare pass binding every
     /// device's `(row, col)` targets to nnz slots (once per structure).
     StampResolve,
-    /// MNA matrix stamping: one numeric assembly pass over the devices —
-    /// a slot-table scatter on the plan path, a triplet pass otherwise.
+    /// MNA matrix stamping: one numeric assembly pass over the devices,
+    /// a slot-table scatter through the stamp plan.
     StampWrite,
     /// A full (symbolic + numeric) sparse LU factorization.
     LuFactorize,

@@ -7,6 +7,7 @@
 //! companion models (now with *physical* C/L values rather than pseudo
 //! elements) and the time-varying sources are added on top.
 
+use crate::assembly::NewtonWorkspace;
 use crate::newton::{newton_iterate, NewtonConfig};
 use crate::recovery::BudgetMeter;
 use crate::telemetry::{Payload, StatsFold, Tele};
@@ -247,8 +248,7 @@ impl Transient {
         // Companion-model stamps keep a fixed pattern across time steps
         // (only conductance values track the step size), so every point
         // replays one symbolic analysis and reuses one stamp plan.
-        let mut lu_ws = rlpta_linalg::LuWorkspace::new();
-        let mut asm = crate::assembly::AssemblyWorkspace::new();
+        let mut ws = NewtonWorkspace::new();
         // Stop when the remaining interval is a negligible fraction of the
         // nominal step: float accumulation otherwise leaves a ~1e-19 s
         // sliver whose companion conductance C/h overflows any tolerance.
@@ -299,8 +299,7 @@ impl Transient {
                 &mut state,
                 &mut companion,
                 &mut meter,
-                &mut lu_ws,
-                &mut asm,
+                &mut ws,
                 &tele,
             )?;
             let accepted = out.converged;

@@ -1,42 +1,22 @@
-//! Bit-identity of the precompiled stamp-plan assembly pipeline against the
-//! triplet reference path.
+//! Assembly-layer identity of the precompiled stamp plan against the
+//! triplet reference.
 //!
-//! Both assembly modes drive the same device `stamp` bodies through
-//! different sinks, so every value, every summation order and every fault
-//! draw must line up exactly. These properties pin that down: for a family
-//! of generated circuits (linear ladders, diode clamps, BJT bias chains,
-//! MOSFET inverters), plan-stamped solves must be **bitwise** equal to
-//! triplet-path solves — including under seeded NaN-stamp fault injection,
-//! where the non-finite guard has to trip at the same iteration and produce
-//! the same outcome.
+//! Every Newton run assembles through [`StampPlan::eval_into`] into a
+//! persistent CSR buffer and escalates singular systems through a
+//! [`BumpPlan`]. The reference — [`Circuit::assemble_into`], the solver's
+//! extra pushes, appended Gmin-shunt pushes and [`Triplet::to_csr`] — stays
+//! as the oracle. Both drive the same device `stamp` bodies through
+//! different sinks, so for a generated family (linear ladders, diode
+//! clamps, BJT bias chains, MOSFET inverters), at random iterates and at the
+//! engine's converged operating point, with a PTA-shaped extra hook and
+//! Gmin-bump levels 1–3, the two must agree bit for bit: pattern, values
+//! (signed zeros included), residual, limiter state and finiteness flag.
 
 use proptest::prelude::*;
-use rlpta_core::{AssemblyMode, DcEngine, DcSweep, Solution, SolveError};
-use rlpta_mna::Circuit;
-
-/// Zeroes the wall-clock `elapsed` fields inside escalation-ladder error
-/// trails: they are the only nondeterministic payload in a [`SolveError`],
-/// and identity is claimed modulo timing.
-fn strip_timing(e: SolveError) -> SolveError {
-    match e {
-        SolveError::AllStrategiesFailed { mut attempts } => {
-            for a in &mut attempts {
-                a.elapsed = std::time::Duration::ZERO;
-                *a.error = strip_timing((*a.error).clone());
-            }
-            SolveError::AllStrategiesFailed { attempts }
-        }
-        other => other,
-    }
-}
-
-/// Result comparison for both-mode runs: bitwise on success, structural
-/// (modulo wall-clock) on failure.
-fn normalize(
-    r: Result<Solution, SolveError>,
-) -> Result<Solution, SolveError> {
-    r.map_err(strip_timing)
-}
+use rlpta_core::DcEngine;
+use rlpta_devices::{Device, EvalCtx, Stamper};
+use rlpta_linalg::{CsrMatrix, Triplet};
+use rlpta_mna::{Circuit, StampPlan};
 
 /// A small generated family exercising every stamp shape: resistor
 /// ladders (linear), diode clamps (two-terminal nonlinear), BJT bias
@@ -69,168 +49,268 @@ fn parse(kind: usize, v: f64, r: f64, n: usize) -> Circuit {
     rlpta_netlist::parse(&deck(kind, v, r, n)).expect("generated deck parses")
 }
 
-/// Solves the same circuit through both assembly modes with an otherwise
-/// identical engine and returns both results.
-fn solve_both(
-    c: &Circuit,
-    robust: bool,
-) -> (
-    Result<Solution, SolveError>,
-    Result<Solution, SolveError>,
-) {
-    let build = |mode: AssemblyMode| {
-        let b = DcEngine::builder().assembly(mode);
-        let b = if robust { b.robust() } else { b.newton() };
-        b.build()
-    };
-    (
-        build(AssemblyMode::Plan).solve(c),
-        build(AssemblyMode::Triplet).solve(c),
-    )
+/// A deterministic pseudo-random vector in `[-span, span]` (SplitMix64).
+fn random_vec(seed: u64, len: usize, span: f64) -> Vec<f64> {
+    let mut z = seed;
+    (0..len)
+        .map(|_| {
+            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut h = z;
+            h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            h ^= h >> 31;
+            span * (2.0 * (h >> 11) as f64 / (1u64 << 53) as f64 - 1.0)
+        })
+        .collect()
 }
 
-/// `PartialEq` on `f64` treats `0.0 == -0.0`; bit-identity is stricter.
-fn assert_bits_equal(a: &Solution, b: &Solution) {
-    assert_eq!(a.x.len(), b.x.len());
-    for (i, (pa, pb)) in a.x.iter().zip(&b.x).enumerate() {
-        assert_eq!(
-            pa.to_bits(),
-            pb.to_bits(),
-            "entry {i} differs bitwise: {pa:?} vs {pb:?}"
-        );
+/// The pseudo-element shape the PTA solver injects: node-diagonal
+/// companions and source-branch pseudo-inductors, with values that depend
+/// on the current iterate (targets never do).
+struct PtaExtra {
+    num_nodes: usize,
+    vsrc_branches: Vec<usize>,
+    x_ref: Vec<f64>,
+    g_node: f64,
+    g_branch: f64,
+}
+
+impl PtaExtra {
+    fn new(c: &Circuit, seed: u64) -> Self {
+        Self {
+            num_nodes: c.num_nodes(),
+            vsrc_branches: c
+                .devices()
+                .iter()
+                .filter_map(|d| match d {
+                    Device::Vsource(v) => Some(v.branch()),
+                    _ => None,
+                })
+                .collect(),
+            x_ref: random_vec(seed ^ 0xA5A5, c.dim(), 1.0),
+            g_node: 1e-3 * (1 + seed % 7) as f64,
+            g_branch: 0.5,
+        }
     }
-    assert_eq!(a.stats, b.stats, "run statistics diverged between modes");
+
+    fn stamp(&self, x: &[f64], st: &mut Stamper<'_>) {
+        for (i, (xi, ri)) in x.iter().zip(&self.x_ref).take(self.num_nodes).enumerate() {
+            st.res_raw(i, self.g_node * (xi - ri));
+            st.jac_raw(i, i, self.g_node * (1.0 + xi.abs()));
+        }
+        for &br in &self.vsrc_branches {
+            let r_t = 1e-2 * x[br].abs();
+            st.res_raw(
+                br,
+                -(self.g_branch * (x[br] - self.x_ref[br]) + r_t * x[br]),
+            );
+            st.jac_raw(br, br, -(self.g_branch + r_t));
+        }
+    }
+}
+
+/// One side's assembled system: the plain matrix, the bumped matrices at
+/// Gmin-bump levels 1–3, the residual, the limiter state after the pass,
+/// and the finiteness flag.
+struct Assembled {
+    matrix: CsrMatrix,
+    bumped: Vec<CsrMatrix>,
+    residual: Vec<f64>,
+    state: Vec<f64>,
+    finite: bool,
+}
+
+/// The shunt Newton adds on every node diagonal at bump `level`.
+fn gshunt(level: i32) -> f64 {
+    1e-9 * 100f64.powi(level)
+}
+
+/// Reference side: triplet assembly, extra pushes, appended shunt pushes.
+fn via_triplet(c: &Circuit, x: &[f64], extra: &PtaExtra) -> Assembled {
+    let dim = c.dim();
+    let mut jac = Triplet::new(dim, dim);
+    let mut residual = vec![0.0; dim];
+    let mut state = c.seeded_state(x);
+    c.assemble_into(&EvalCtx::dc(x), &mut jac, &mut residual, &mut state);
+    extra.stamp(x, &mut Stamper::new(&mut jac, &mut residual));
+    let finite = jac.all_finite();
+    let matrix = jac.to_csr();
+    let bumped = (1..=3)
+        .map(|level| {
+            for i in 0..c.num_nodes() {
+                jac.push(i, i, gshunt(level));
+            }
+            jac.to_csr()
+        })
+        .collect();
+    Assembled {
+        matrix,
+        bumped,
+        residual,
+        state,
+        finite,
+    }
+}
+
+/// Newton's side: plan scatter into a persistent buffer, bump companion.
+fn via_plan(c: &Circuit, plan: &StampPlan, x: &[f64], extra: &PtaExtra) -> Assembled {
+    let mut matrix = plan.new_matrix();
+    let mut residual = vec![0.0; c.dim()];
+    let mut state = c.seeded_state(x);
+    let finite = plan.eval_into(
+        c,
+        &EvalCtx::dc(x),
+        &mut matrix,
+        &mut residual,
+        &mut state,
+        &mut |st| extra.stamp(x, st),
+    );
+    let bump = plan.bump_plan(c.num_nodes());
+    let mut work = bump.new_matrix();
+    bump.scatter_base(&matrix, &mut work);
+    let bumped = (1..=3)
+        .map(|level| {
+            bump.add_diag(&mut work, gshunt(level));
+            work.clone()
+        })
+        .collect();
+    Assembled {
+        matrix,
+        bumped,
+        residual,
+        state,
+        finite,
+    }
+}
+
+fn resolve(c: &Circuit, extra: &PtaExtra) -> StampPlan {
+    let x0 = vec![0.0; c.dim()];
+    StampPlan::resolve(c, &mut |st| extra.stamp(&x0, st))
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn assert_same_matrix(a: &CsrMatrix, b: &CsrMatrix, what: &str) {
+    assert!(a.same_pattern(b), "{what}: pattern differs");
+    assert_eq!(bits(a.values()), bits(b.values()), "{what}: values differ");
+}
+
+fn assert_identical(reference: &Assembled, plan: &Assembled) {
+    assert_same_matrix(&reference.matrix, &plan.matrix, "matrix");
+    for (level, (a, b)) in reference.bumped.iter().zip(&plan.bumped).enumerate() {
+        assert_same_matrix(a, b, &format!("gmin bump level {}", level + 1));
+    }
+    assert_eq!(
+        bits(&reference.residual),
+        bits(&plan.residual),
+        "residual differs"
+    );
+    assert_eq!(
+        bits(&reference.state),
+        bits(&plan.state),
+        "limiter state differs"
+    );
+    assert_eq!(reference.finite, plan.finite, "finiteness flag differs");
+}
+
+/// Compares both sides at `x` with one plan resolved up front.
+fn check_at(c: &Circuit, x: &[f64], seed: u64) {
+    let extra = PtaExtra::new(c, seed);
+    let plan = resolve(c, &extra);
+    assert_identical(&via_triplet(c, x, &extra), &via_plan(c, &plan, x, &extra));
 }
 
 proptest! {
-    /// Plain Newton solves are bit-identical between the plan and triplet
-    /// assembly paths across the generated circuit family.
+    /// Random iterates, including far-from-solution ones that drive the
+    /// junction limiters, assemble identically through both paths.
     #[test]
-    fn plan_newton_bit_identical_to_triplet(
+    fn plan_matches_triplet_at_random_iterates(
         kind in 0usize..4,
         v in 0.5f64..15.0,
         r in 50.0f64..50_000.0,
         n in 1usize..8,
+        seed in any::<u64>(),
+        decade in -1i32..2,
     ) {
         let c = parse(kind, v, r, n);
-        let (plan, triplet) = solve_both(&c, false);
-        match (plan, triplet) {
-            (Ok(a), Ok(b)) => assert_bits_equal(&a, &b),
-            (a, b) => prop_assert_eq!(normalize(a), normalize(b), "outcomes diverged between modes"),
-        }
+        check_at(&c, &random_vec(seed, c.dim(), 10f64.powi(decade)), seed);
     }
 
-    /// The full escalation ladder — gmin bumps, continuation, PTA rungs —
-    /// stays bit-identical too: the bump-plan diagonal replay and the
-    /// solver extra-stamp hooks reproduce the triplet summation order.
+    /// The engine's converged operating point — the system every warm
+    /// Newton iteration re-assembles — is identical through both paths.
     #[test]
-    fn plan_robust_ladder_bit_identical_to_triplet(
+    fn plan_matches_triplet_at_converged_point(
         kind in 0usize..4,
-        v in 0.5f64..30.0,
-        r in 1.0f64..1e6,
+        v in 0.5f64..15.0,
+        r in 50.0f64..50_000.0,
         n in 1usize..6,
+        seed in any::<u64>(),
     ) {
         let c = parse(kind, v, r, n);
-        let (plan, triplet) = solve_both(&c, true);
-        match (plan, triplet) {
-            (Ok(a), Ok(b)) => assert_bits_equal(&a, &b),
-            (a, b) => prop_assert_eq!(normalize(a), normalize(b), "outcomes diverged between modes"),
-        }
+        let sol = DcEngine::builder().build().solve(&c).expect("generated deck solves");
+        check_at(&c, &sol.x, seed);
     }
 
-    /// Sweeps re-stamp one persistent matrix across the warm-start chain;
-    /// every point of a plan-assembled sweep — serial or chunked parallel —
-    /// must match the triplet sweep bitwise.
+    /// A persistent buffer re-evaluated at a second iterate holds exactly
+    /// what a fresh triplet assembly there produces: plan writes overwrite,
+    /// they never accumulate across Newton iterations.
     #[test]
-    fn plan_sweep_bit_identical_to_triplet(
-        n_points in 2usize..12,
-        chunk in 1usize..6,
-        threads in 1usize..5,
-        v_stop in 0.5f64..5.0,
+    fn persistent_buffer_matches_fresh_triplet(
+        kind in 0usize..4,
+        v in 0.5f64..15.0,
+        n in 1usize..6,
+        seed in any::<u64>(),
     ) {
-        let c = rlpta_netlist::parse(
-            "t\nV1 in 0 0\nR1 in a 100\nD1 a 0 DX\n.model DX D(IS=1e-14)\n",
-        )
-        .expect("parses");
-        let values: Vec<f64> = (0..n_points)
-            .map(|i| v_stop * i as f64 / (n_points - 1) as f64)
-            .collect();
-        let sweep = DcSweep::new("V1", values).expect("valid sweep");
-        let run = |mode: AssemblyMode| {
-            DcEngine::builder()
-                .assembly(mode)
-                .threads(threads)
-                .sweep_chunk(chunk)
-                .build()
-                .sweep(&c, &sweep)
-                .expect("sweep solves")
-        };
-        prop_assert_eq!(run(AssemblyMode::Plan), run(AssemblyMode::Triplet));
+        let c = parse(kind, v, 1_000.0, n);
+        let extra = PtaExtra::new(&c, seed);
+        let plan = resolve(&c, &extra);
+        let x1 = random_vec(seed, c.dim(), 1.0);
+        let x2 = random_vec(seed.wrapping_add(1), c.dim(), 1.0);
+        let mut matrix = plan.new_matrix();
+        let mut residual = vec![0.0; c.dim()];
+        for x in [&x1, &x2] {
+            let mut state = c.seeded_state(x);
+            plan.eval_into(&c, &EvalCtx::dc(x), &mut matrix, &mut residual, &mut state, &mut |st| {
+                extra.stamp(x, st)
+            });
+        }
+        let reference = via_triplet(&c, &x2, &extra);
+        assert_same_matrix(&reference.matrix, &matrix, "reused buffer");
+        prop_assert_eq!(bits(&reference.residual), bits(&residual));
     }
 }
 
 #[cfg(feature = "faults")]
-mod under_faults {
+mod faults {
     use super::*;
     use rlpta_core::FaultPlan;
 
     proptest! {
-        /// Seeded NaN-stamp injection draws the same fault sequence in both
-        /// modes (the plan's declare pass consumes zero draws), so the
-        /// non-finite guard trips at the same iteration and the outcome —
-        /// success, error, or recovered retry — is identical bit for bit.
+        /// Seeded NaN-stamp injection draws the same fault sequence on both
+        /// sides (resolving the plan consumes no draws), so the same
+        /// entries are poisoned and both report the system non-finite.
         #[test]
-        fn plan_matches_triplet_under_nan_stamps(
+        fn nan_stamps_poison_the_same_entries(
             seed in any::<u64>(),
             period in 1u64..10,
             kind in 0usize..4,
             v in 1.0f64..15.0,
         ) {
             let c = parse(kind, v, 1_000.0, 3);
-            let run = |mode: AssemblyMode| {
-                DcEngine::builder()
-                    .assembly(mode)
-                    .robust()
-                    .fault_plan(FaultPlan::seeded(seed).nan_stamps(period))
-                    .build()
-                    .solve(&c)
-            };
-            let plan = run(AssemblyMode::Plan);
-            let triplet = run(AssemblyMode::Triplet);
-            match (plan, triplet) {
-                (Ok(a), Ok(b)) => assert_bits_equal(&a, &b),
-                (a, b) => prop_assert_eq!(normalize(a), normalize(b), "fault outcomes diverged"),
-            }
-        }
-
-        /// Mixed singular-pivot plus NaN-stamp chaos: totality and
-        /// bit-identity hold together.
-        #[test]
-        fn plan_matches_triplet_under_mixed_faults(
-            seed in any::<u64>(),
-            period in 2u64..8,
-            v in 1.0f64..12.0,
-            r in 100.0f64..10_000.0,
-        ) {
-            let c = parse(1, v, r, 1);
-            let run = |mode: AssemblyMode| {
-                DcEngine::builder()
-                    .assembly(mode)
-                    .robust()
-                    .fault_plan(
-                        FaultPlan::seeded(seed)
-                            .singular_pivots(period)
-                            .nan_stamps(period * 3),
-                    )
-                    .build()
-                    .solve(&c)
-            };
-            let plan = run(AssemblyMode::Plan);
-            let triplet = run(AssemblyMode::Triplet);
-            match (plan, triplet) {
-                (Ok(a), Ok(b)) => assert_bits_equal(&a, &b),
-                (a, b) => prop_assert_eq!(normalize(a), normalize(b), "fault outcomes diverged"),
-            }
+            let x = random_vec(seed, c.dim(), 1.0);
+            let extra = PtaExtra::new(&c, seed);
+            let plan = resolve(&c, &extra);
+            let faults = FaultPlan::seeded(seed).nan_stamps(period);
+            faults.install();
+            let reference = via_triplet(&c, &x, &extra);
+            faults.install();
+            let planned = via_plan(&c, &plan, &x, &extra);
+            FaultPlan::clear();
+            let poisoned = |m: &CsrMatrix| m.values().iter().map(|v| v.is_nan()).collect::<Vec<_>>();
+            prop_assert_eq!(poisoned(&reference.matrix), poisoned(&planned.matrix));
+            assert_identical(&reference, &planned);
         }
     }
 }
