@@ -54,7 +54,22 @@ fn bench_symbolic_reuse(c: &mut Criterion) {
     let mut ws = LuWorkspace::new();
     ws.factorize(&a).unwrap(); // record the symbolic pattern once
     group.bench_function("refactorize_fadd32", |b| {
-        b.iter(|| ws.factorize(&a).unwrap())
+        b.iter(|| {
+            ws.factorize(&a).unwrap();
+        })
+    });
+    // One warm Newton step's linear algebra: a replay into the
+    // workspace's numeric shell plus an in-place solve.
+    let rhs = vec![1.0; a.rows()];
+    let (mut x, mut scratch) = (rhs.clone(), Vec::new());
+    group.bench_function("refactorize_solve_into_fadd32", |b| {
+        b.iter(|| {
+            x.copy_from_slice(&rhs);
+            ws.factorize(&a)
+                .unwrap()
+                .solve_into(&mut x, &mut scratch)
+                .unwrap();
+        })
     });
     group.finish();
 }

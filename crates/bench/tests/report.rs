@@ -72,6 +72,16 @@ fn sample_report() -> BenchReport {
                 p90_nanos: 7_700,
                 p99_nanos: 48_000,
             },
+            PhaseStat {
+                phase: "lu_solve".to_string(),
+                count: 1240,
+                sum_nanos: 1_240_000,
+                min_nanos: 300,
+                max_nanos: 20_000,
+                p50_nanos: 900,
+                p90_nanos: 2_000,
+                p99_nanos: 15_000,
+            },
         ],
     }
 }

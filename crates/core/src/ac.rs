@@ -242,8 +242,9 @@ impl AcSweep {
         // The real-equivalent 2n×2n pattern is frequency-independent: only
         // the susceptance values scale with ω. Resolve the push sequence to
         // nnz slots once, then every frequency is an in-place value rewrite
-        // into one persistent matrix (no triplet allocation, no sort) and a
-        // symbolic-LU replay after the first full factorization.
+        // into one persistent matrix (no triplet allocation, no sort), a
+        // symbolic-LU replay into the workspace's numeric shell after the
+        // first full factorization, and an in-place solve.
         let g_entries: Vec<(usize, usize, f64)> = g.to_csr().iter().collect();
         let mut targets = Vec::with_capacity(2 * g_entries.len() + 2 * b_pattern.len());
         for &(i, j, _) in &g_entries {
@@ -259,6 +260,9 @@ impl AcSweep {
         let mut rhs = Vec::with_capacity(2 * n);
         rhs.extend_from_slice(&u_re);
         rhs.extend_from_slice(&u_im);
+        // Solved in place each point: `sol` starts as a copy of `rhs`.
+        let mut sol = vec![0.0; 2 * n];
+        let mut solve_scratch = Vec::with_capacity(2 * n);
 
         let mut points = Vec::with_capacity(self.frequencies.len());
         for &f in &self.frequencies {
@@ -274,8 +278,10 @@ impl AcSweep {
                 w.write(b);
             }
             w.finish();
-            let lu = lu_ws.factorize(&sys)?;
-            let sol = lu.solve(&rhs)?;
+            sol.copy_from_slice(&rhs);
+            lu_ws
+                .factorize(&sys)?
+                .solve_into(&mut sol, &mut solve_scratch)?;
             points.push(AcPoint {
                 frequency: f,
                 re: sol[..n].to_vec(),

@@ -8,7 +8,7 @@
 //! compare against.
 
 use rlpta_devices::{EvalCtx, Stamper};
-use rlpta_linalg::{CsrMatrix, LinalgError, LuOp, LuWorkspace, SparseLu};
+use rlpta_linalg::{CsrMatrix, LinalgError, LuOp, LuWorkspace};
 use rlpta_mna::{BumpPlan, Circuit, StampPlan};
 use std::sync::Arc;
 
@@ -34,14 +34,16 @@ pub enum AssemblyMode {
 
 /// Everything one chain of Newton runs on one circuit structure (PTA
 /// steps, continuation stages, sweep points, a service group) carries from
-/// iteration to iteration: the symbolic LU pattern, the resolved stamp
-/// plan (possibly shared from the service plan cache), the working CSR
-/// buffer the plan scatters into, and the lazily-built Gmin-bump
-/// companion.
+/// iteration to iteration: the LU workspace (symbolic pattern plus the
+/// numeric shell replays rewrite), the resolved stamp plan (possibly
+/// shared from the service plan cache), the working CSR buffer the plan
+/// scatters into, the lazily-built Gmin-bump companion and the iterate
+/// buffers.
 ///
 /// Created by whoever owns the chain and threaded through every
 /// `newton_iterate` call of it, so the plan resolves once and every later
-/// iteration is a pure write pass plus a symbolic replay.
+/// iteration is a pure write pass, a symbolic replay and an in-place solve
+/// with no allocation.
 #[derive(Debug, Default)]
 pub(crate) struct NewtonWorkspace {
     lu: LuWorkspace,
@@ -51,6 +53,47 @@ pub(crate) struct NewtonWorkspace {
     /// Gmin-bump escalation state (pattern ∪ node diagonals), built on
     /// first singular factorization and reused after.
     bump: Option<(BumpPlan, CsrMatrix)>,
+    /// The per-iteration vectors of `newton_iterate`.
+    pub(crate) bufs: NewtonBuffers,
+}
+
+/// The vectors one Newton iteration works in, kept across iterations and
+/// runs of a chain. `newton_iterate` sizes them to the system at the start
+/// of a run; after that nothing in the loop allocates.
+#[derive(Debug, Default)]
+pub(crate) struct NewtonBuffers {
+    /// `F(x)` of the latest assembly.
+    pub(crate) res: Vec<f64>,
+    /// The Newton update: `−F(x)` going into the solve, `Δx` after it.
+    pub(crate) dx: Vec<f64>,
+    /// The candidate iterate `x + Δx`.
+    pub(crate) x_new: Vec<f64>,
+    /// The last iterate whose stamps evaluated finite (the rollback
+    /// anchor), when `has_prev`.
+    pub(crate) x_prev: Vec<f64>,
+    pub(crate) has_prev: bool,
+    /// Device state before the convergence re-evaluation.
+    pub(crate) state_before: Vec<f64>,
+    /// Triangular-solve scratch for [`rlpta_linalg::SparseLu::solve_into`].
+    pub(crate) solve_scratch: Vec<f64>,
+}
+
+impl NewtonBuffers {
+    /// Sizes every vector to a `dim`-unknown system with `state_len`
+    /// limiter slots (a no-op after the first run on one structure) and
+    /// forgets the rollback anchor.
+    pub(crate) fn start_run(&mut self, dim: usize, state_len: usize) {
+        for v in [
+            &mut self.res,
+            &mut self.dx,
+            &mut self.x_new,
+            &mut self.x_prev,
+        ] {
+            v.resize(dim, 0.0);
+        }
+        self.state_before.resize(state_len, 0.0);
+        self.has_prev = false;
+    }
 }
 
 impl NewtonWorkspace {
@@ -67,8 +110,7 @@ impl NewtonWorkspace {
         Self {
             lu,
             plan,
-            matrix: None,
-            bump: None,
+            ..Self::default()
         }
     }
 
@@ -100,7 +142,7 @@ impl NewtonWorkspace {
     }
 
     /// Assembles the system at `ctx` through the plan into the working
-    /// matrix and `residual`; returns whether every raw Jacobian stamp was
+    /// matrix and `bufs.res`; returns whether every raw Jacobian stamp was
     /// finite (see [`StampPlan::eval_into`]).
     ///
     /// # Panics
@@ -110,7 +152,6 @@ impl NewtonWorkspace {
         &mut self,
         circuit: &Circuit,
         ctx: &EvalCtx<'_>,
-        residual: &mut [f64],
         state: &mut [f64],
         extra: &mut dyn FnMut(&mut Stamper<'_>),
     ) -> bool {
@@ -119,7 +160,7 @@ impl NewtonWorkspace {
             .as_ref()
             .expect("Newton workspace used before plan resolution");
         let matrix = self.matrix.get_or_insert_with(|| plan.new_matrix());
-        plan.eval_into(circuit, ctx, matrix, residual, state, extra)
+        plan.eval_into(circuit, ctx, matrix, &mut self.bufs.res, state, extra)
     }
 
     /// Escalates the Gmin-bump companion to `level` (1, 2, 3, … in order):
@@ -151,12 +192,14 @@ impl NewtonWorkspace {
     }
 
     /// Factorizes the working matrix (or, when `bumped`, its Gmin-bump
-    /// companion), replaying the recorded symbolic pattern when it fits.
+    /// companion), replaying the recorded symbolic pattern into the LU
+    /// workspace's numeric shell when it fits; returns how the call was
+    /// serviced.
     ///
     /// # Panics
     ///
     /// Panics if the requested matrix has not been assembled yet.
-    pub(crate) fn factorize(&mut self, bumped: bool) -> Result<SparseLu, LinalgError> {
+    pub(crate) fn factorize(&mut self, bumped: bool) -> Result<LuOp, LinalgError> {
         let matrix = if bumped {
             &self
                 .bump
@@ -166,11 +209,26 @@ impl NewtonWorkspace {
         } else {
             self.matrix.as_ref().expect("factorization before assembly")
         };
-        self.lu.factorize(matrix)
+        self.lu.factorize(matrix)?;
+        Ok(self.lu.last_op().unwrap_or(LuOp::Full))
     }
 
-    /// How the most recent successful factorization was serviced.
-    pub(crate) fn last_op(&self) -> Option<LuOp> {
-        self.lu.last_op()
+    /// Solves `J·Δx = −F` on the latest factorization into `bufs.dx`, in
+    /// place. Bit-identical to negating `bufs.res` and calling
+    /// [`rlpta_linalg::SparseLu::solve`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the latest [`NewtonWorkspace::factorize`] succeeded.
+    pub(crate) fn solve_step(&mut self) -> Result<(), LinalgError> {
+        let lu = self
+            .lu
+            .factorization()
+            .expect("Newton step solved without a factorization");
+        let bufs = &mut self.bufs;
+        for (d, r) in bufs.dx.iter_mut().zip(&bufs.res) {
+            *d = -r;
+        }
+        lu.solve_into(&mut bufs.dx, &mut bufs.solve_scratch)
     }
 }

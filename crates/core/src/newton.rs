@@ -129,10 +129,7 @@ pub(crate) fn newton_iterate(
     let _nr_span = tele.time(Phase::NewtonSolve);
 
     let mut x = x0.to_vec();
-    // Last iterate whose stamps evaluated finite — the rollback anchor for
-    // the non-finite guard below.
-    let mut x_prev: Option<Vec<f64>> = None;
-    let mut res = vec![0.0; dim];
+    ws.bufs.start_run(dim, state.len());
     let mut lu_full = 0usize;
     let mut lu_replay = 0usize;
     let mut last_residual = f64::INFINITY;
@@ -157,10 +154,10 @@ pub(crate) fn newton_iterate(
         let stamps_finite = time_phase!(
             tele,
             Phase::StampWrite,
-            ws.eval(circuit, &ctx, &mut res, state, &mut |st| extra(&x, st))
+            ws.eval(circuit, &ctx, state, &mut |st| extra(&x, st))
         );
         #[cfg(feature = "faults")]
-        crate::recovery::perturb_residual(&mut res);
+        crate::recovery::perturb_residual(&mut ws.bufs.res);
 
         // Non-finite guard on stamps: a NaN/Inf in the assembled system
         // (device model evaluated out of range, overflowing exponential…)
@@ -169,48 +166,42 @@ pub(crate) fn newton_iterate(
         // the loop still terminates. With no clean iterate to retreat to,
         // the poison is structural — fail. The check covers every *raw*
         // stamp and every residual entry.
-        if !(stamps_finite && res.iter().all(|v| v.is_finite())) {
-            match &x_prev {
-                Some(prev) => {
-                    for (xi, pi) in x.iter_mut().zip(prev) {
-                        *xi = 0.5 * (*xi + *pi);
-                    }
-                    last_residual = f64::INFINITY;
-                    continue;
-                }
-                None => {
-                    return Err(SolveError::NonFinite {
-                        phase: SolvePhase::DeviceStamp,
-                    })
-                }
+        if !(stamps_finite && ws.bufs.res.iter().all(|v| v.is_finite())) {
+            if !ws.bufs.has_prev {
+                return Err(SolveError::NonFinite {
+                    phase: SolvePhase::DeviceStamp,
+                });
             }
+            for (xi, pi) in x.iter_mut().zip(&ws.bufs.x_prev) {
+                *xi = 0.5 * (*xi + *pi);
+            }
+            last_residual = f64::INFINITY;
+            continue;
         }
-        last_residual = norms::inf_norm(&res);
+        last_residual = norms::inf_norm(&ws.bufs.res);
 
         // Factorize, escalating a diagonal Gmin shunt on singularity. The
         // escalation runs on a lazily-built (pattern ∪ diagonals) companion
         // matrix whose cumulative summation order matches appending the
         // shunts to the triplet list (the `rlpta-mna::plan` oracle).
-        let mut factorized = None;
         for bump in 0..4 {
             if bump > 0 {
                 ws.add_gmin_bump(bump, num_nodes);
             }
             // Deferred timer: full factorize vs symbolic replay is only
-            // known after the call, read off the workspace's `last_op`.
+            // known after the call.
             let lu_timer = tele.timer();
             match ws.factorize(bump > 0) {
-                Ok(f) => {
-                    if ws.last_op() == Some(LuOp::Replay) {
-                        lu_replay += 1;
-                        lu_timer.finish(tele, Phase::LuReplay);
-                        tele.emit(Payload::LuReplayed { dim });
-                    } else {
-                        lu_full += 1;
-                        lu_timer.finish(tele, Phase::LuFactorize);
-                        tele.emit(Payload::LuFactorized { dim });
-                    }
-                    factorized = Some(f);
+                Ok(LuOp::Replay) => {
+                    lu_replay += 1;
+                    lu_timer.finish(tele, Phase::LuReplay);
+                    tele.emit(Payload::LuReplayed { dim });
+                    break;
+                }
+                Ok(LuOp::Full) => {
+                    lu_full += 1;
+                    lu_timer.finish(tele, Phase::LuFactorize);
+                    tele.emit(Payload::LuFactorized { dim });
                     break;
                 }
                 // A failed call always went through the full path (replay
@@ -220,7 +211,6 @@ pub(crate) fn newton_iterate(
                     lu_full += 1;
                     lu_timer.finish(tele, Phase::LuFactorize);
                     tele.emit(Payload::LuFactorized { dim });
-                    continue;
                 }
                 Err(e) => {
                     // The local counter feeds only the NrOutcome payload,
@@ -232,25 +222,13 @@ pub(crate) fn newton_iterate(
                 }
             }
         }
-        let lu = match factorized {
-            Some(f) => f,
-            // Unreachable: the loop above either breaks with a factorization
-            // or returns the final error. Kept as a structured error rather
-            // than a panic path.
-            None => {
-                return Err(SolveError::Singular(rlpta_linalg::LinalgError::Singular {
-                    step: 0,
-                    pivot: 0.0,
-                }))
-            }
-        };
 
-        let neg_res: Vec<f64> = res.iter().map(|v| -v).collect();
-        let mut dx = lu.solve(&neg_res)?;
+        time_phase!(tele, Phase::LuSolve, ws.solve_step())?;
+        let bufs = &mut ws.bufs;
         // Non-finite guard on the update: a finite but near-singular system
         // can still produce Inf/NaN through the triangular solves. No
         // damping recovers a direction from NaN — fail structurally.
-        if !dx.iter().all(|v| v.is_finite()) {
+        if !bufs.dx.iter().all(|v| v.is_finite()) {
             return Err(SolveError::NonFinite {
                 phase: SolvePhase::NewtonUpdate,
             });
@@ -259,20 +237,25 @@ pub(crate) fn newton_iterate(
         // Global damping on node voltages — only meaningful for nonlinear
         // circuits (a linear solve is exact in one full step).
         if config.max_voltage_step > 0.0 && circuit.is_nonlinear() {
-            let max_dv = dx[..num_nodes].iter().map(|v| v.abs()).fold(0.0, f64::max);
+            let max_dv = bufs.dx[..num_nodes]
+                .iter()
+                .map(|v| v.abs())
+                .fold(0.0, f64::max);
             if max_dv > config.max_voltage_step {
                 let scale = config.max_voltage_step / max_dv;
-                for d in dx.iter_mut() {
+                for d in bufs.dx.iter_mut() {
                     *d *= scale;
                 }
             }
         }
 
-        let x_new: Vec<f64> = x.iter().zip(&dx).map(|(a, b)| a + b).collect();
+        for ((n, a), b) in bufs.x_new.iter_mut().zip(&x).zip(&bufs.dx) {
+            *n = a + b;
+        }
 
         // SPICE per-unknown convergence: voltages against VNTOL, branch
         // currents against ABSTOL.
-        let dx_ok = x_new.iter().zip(&x).enumerate().all(|(i, (n, o))| {
+        let dx_ok = bufs.x_new.iter().zip(&x).enumerate().all(|(i, (n, o))| {
             let atol = if i < num_nodes {
                 config.vntol
             } else {
@@ -281,7 +264,11 @@ pub(crate) fn newton_iterate(
             (n - o).abs() <= config.reltol * n.abs().max(o.abs()) + atol
         });
 
-        x_prev = Some(std::mem::replace(&mut x, x_new));
+        // Rotate buffers: the old iterate becomes the rollback anchor, the
+        // candidate becomes the iterate.
+        std::mem::swap(&mut x, &mut bufs.x_new);
+        std::mem::swap(&mut bufs.x_prev, &mut bufs.x_new);
+        bufs.has_prev = true;
 
         if dx_ok {
             // Re-evaluate the residual at the accepted point to reject
@@ -290,7 +277,7 @@ pub(crate) fn newton_iterate(
             // small while the *true* residual is astronomical, so a point
             // only counts as converged when the limiter state has stopped
             // moving as well (SPICE's "icheck" semantics).
-            let state_before = state.to_vec();
+            bufs.state_before.copy_from_slice(state);
             let ctx = EvalCtx {
                 x: &x,
                 gmin: config.gmin,
@@ -299,23 +286,24 @@ pub(crate) fn newton_iterate(
             time_phase!(
                 tele,
                 Phase::StampWrite,
-                ws.eval(circuit, &ctx, &mut res, state, &mut |st| extra(&x, st))
+                ws.eval(circuit, &ctx, state, &mut |st| extra(&x, st))
             );
+            let bufs = &mut ws.bufs;
             #[cfg(feature = "faults")]
-            crate::recovery::perturb_residual(&mut res);
+            crate::recovery::perturb_residual(&mut bufs.res);
             // `inf_norm` folds with `f64::max`, which *discards* NaN — a
             // poisoned residual would read as 0.0 and convergence-check
             // true. Scan for finiteness first; a poisoned point is simply
             // not converged (the guard at the top of the next iteration
             // handles the retreat).
-            if !res.iter().all(|v| v.is_finite()) {
+            if !bufs.res.iter().all(|v| v.is_finite()) {
                 last_residual = f64::INFINITY;
                 continue;
             }
-            last_residual = norms::inf_norm(&res);
+            last_residual = norms::inf_norm(&bufs.res);
             let limiting_active = state
                 .iter()
-                .zip(&state_before)
+                .zip(&bufs.state_before)
                 .any(|(a, b)| (a - b).abs() > 1e-9);
             if !limiting_active && last_residual <= config.residual_tol {
                 tele.emit(Payload::NrOutcome {

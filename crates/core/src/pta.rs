@@ -32,7 +32,7 @@ use crate::telemetry::{Payload, Phase, StatsFold, Tele};
 use crate::{Solution, SolveError, StepController, StepObservation};
 use rlpta_devices::{Device, Stamper};
 use rlpta_linalg::norms;
-use rlpta_mna::Circuit;
+use rlpta_mna::{Circuit, ResidualScratch};
 
 /// The inserted pseudo-element values — the `z` vector the IPP stage of the
 /// paper predicts: pseudo-capacitance, pseudo-inductance and the CEPTA time
@@ -319,8 +319,17 @@ impl<C: StepController> PtaSolver<C> {
             PtaKind::Damped(d) => d.initial_damping.max(1.0),
             _ => 1.0,
         };
-        let mut prev_dx: Option<Vec<f64>> = None;
+        // DPTA oscillation detector: this and the previous accepted
+        // step's update (`prev_dx` valid once `has_prev_dx`).
+        let mut dx = vec![0.0; dim];
+        let mut prev_dx = vec![0.0; dim];
+        let mut has_prev_dx = false;
         let mut stalled_rejects = 0usize;
+        // Per-step buffers, reused across every time point: the limiter
+        // history to roll back to and the steady-state residual.
+        let mut saved_state = dev_state.clone();
+        let mut res_orig_vec = vec![0.0; dim];
+        let mut res_scratch = ResidualScratch::default();
 
         self.controller.reset();
         let mut h = self
@@ -385,7 +394,7 @@ impl<C: StepController> PtaSolver<C> {
             if let PtaKind::Ramping(r) = self.kind {
                 newton_cfg.source_scale = ((t + h) / r.ramp_time).min(1.0);
             }
-            let saved_state = dev_state.clone();
+            saved_state.copy_from_slice(&dev_state);
             let out = newton_iterate(
                 circuit,
                 &newton_cfg,
@@ -403,9 +412,9 @@ impl<C: StepController> PtaSolver<C> {
             // garbage point is declared the operating point. A non-finite
             // original residual demotes the step to a rejection.
             let res_orig = if out.converged {
-                let rvec = circuit.residual(&out.x);
-                if rvec.iter().all(|v| v.is_finite()) {
-                    Some(norms::inf_norm(&rvec))
+                circuit.residual_into(&out.x, &mut res_orig_vec, &mut res_scratch);
+                if res_orig_vec.iter().all(|v| v.is_finite()) {
+                    Some(norms::inf_norm(&res_orig_vec))
                 } else {
                     None
                 }
@@ -426,16 +435,19 @@ impl<C: StepController> PtaSolver<C> {
                     }
                 }
                 if let PtaKind::Damped(d) = self.kind {
-                    let dx: Vec<f64> = out.x.iter().zip(&x_time).map(|(a, b)| a - b).collect();
-                    if let Some(prev) = &prev_dx {
-                        let dot: f64 = dx.iter().zip(prev).map(|(a, b)| a * b).sum();
+                    for ((di, a), b) in dx.iter_mut().zip(&out.x).zip(&x_time) {
+                        *di = a - b;
+                    }
+                    if has_prev_dx {
+                        let dot: f64 = dx.iter().zip(&prev_dx).map(|(a, b)| a * b).sum();
                         if dot < 0.0 {
                             alpha = (alpha * d.boost).min(d.max_damping);
                         } else {
                             alpha = (alpha * d.decay).max(1.0);
                         }
                     }
-                    prev_dx = Some(dx);
+                    std::mem::swap(&mut dx, &mut prev_dx);
+                    has_prev_dx = true;
                 }
                 x_time = out.x;
 
@@ -475,7 +487,7 @@ impl<C: StepController> PtaSolver<C> {
                 h = h_next.clamp(self.config.h_min, self.config.h_max);
             } else {
                 // Roll back the limiter history along with the solution.
-                dev_state = saved_state;
+                dev_state.copy_from_slice(&saved_state);
                 if h <= self.config.h_min * 1.000_001 {
                     stalled_rejects += 1;
                     if stalled_rejects >= self.config.max_stalled_rejects {

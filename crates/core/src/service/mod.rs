@@ -1142,7 +1142,7 @@ impl SimService {
         if let Some((symbolic, plan)) = group.recorded {
             self.cache.insert(
                 key,
-                Arc::new(symbolic),
+                symbolic,
                 plan,
                 if self.warm_starts { group.warm } else { None },
                 tele,
@@ -1158,7 +1158,7 @@ struct GroupOutcome {
     /// The workspace's symbolic LU pattern and resolved stamp plan after
     /// the chain — refresh the cache. `None` when no Newton run recorded
     /// them (every job expired in the queue before a cold seed).
-    recorded: Option<(SymbolicLu, Arc<StampPlan>)>,
+    recorded: Option<(Arc<SymbolicLu>, Arc<StampPlan>)>,
     /// Last certified operating point of the chain.
     warm: Option<Vec<f64>>,
     /// In-flight watchdog flags raised inside the group (for the monitor's
@@ -1186,7 +1186,7 @@ fn run_group(
     // the first Newton run skips stamp resolution.
     let mut ws = match &seed {
         Some(seed) => NewtonWorkspace::seeded(
-            LuWorkspace::with_symbolic((*seed.symbolic).clone()),
+            LuWorkspace::with_symbolic(Arc::clone(&seed.symbolic)),
             seed.plan.clone(),
         ),
         None => NewtonWorkspace::new(),
@@ -1291,7 +1291,7 @@ fn run_group(
     }
     GroupOutcome {
         results,
-        recorded: ws.lu().symbolic().cloned().zip(ws.plan().cloned()),
+        recorded: ws.lu().shared_symbolic().cloned().zip(ws.plan().cloned()),
         warm,
         watchdog_fires,
         deadline_misses,

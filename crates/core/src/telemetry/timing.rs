@@ -39,6 +39,8 @@ pub enum Phase {
     LuFactorize,
     /// A numeric-only scatter-plan LU replay.
     LuReplay,
+    /// The forward/backward triangular solve of one Newton step.
+    LuSolve,
     /// One complete Newton–Raphson run (all iterations).
     NewtonSolve,
     /// One attempted pseudo-transient time point, accepted or rejected.
@@ -57,11 +59,12 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in canonical (declaration) order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 12] = [
         Phase::StampResolve,
         Phase::StampWrite,
         Phase::LuFactorize,
         Phase::LuReplay,
+        Phase::LuSolve,
         Phase::NewtonSolve,
         Phase::PtaStep,
         Phase::LadderStage,
@@ -78,6 +81,7 @@ impl Phase {
             Phase::StampWrite => "stamp_write",
             Phase::LuFactorize => "lu_factorize",
             Phase::LuReplay => "lu_replay",
+            Phase::LuSolve => "lu_solve",
             Phase::NewtonSolve => "nr_solve",
             Phase::PtaStep => "pta_step",
             Phase::LadderStage => "ladder_stage",
@@ -96,9 +100,11 @@ impl Phase {
     /// The phase this one nominally nests inside (`None` for roots).
     pub fn parent(self) -> Option<Phase> {
         match self {
-            Phase::StampResolve | Phase::StampWrite | Phase::LuFactorize | Phase::LuReplay => {
-                Some(Phase::NewtonSolve)
-            }
+            Phase::StampResolve
+            | Phase::StampWrite
+            | Phase::LuFactorize
+            | Phase::LuReplay
+            | Phase::LuSolve => Some(Phase::NewtonSolve),
             Phase::NewtonSolve | Phase::RlInference | Phase::RlTrain => Some(Phase::PtaStep),
             Phase::PtaStep | Phase::LadderStage | Phase::GpFit | Phase::GpAcquisition => None,
         }

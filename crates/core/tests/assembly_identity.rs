@@ -11,12 +11,17 @@
 //! engine's converged operating point, with a PTA-shaped extra hook and
 //! Gmin-bump levels 1–3, the two must agree bit for bit: pattern, values
 //! (signed zeros included), residual, limiter state and finiteness flag.
+//!
+//! The residual-only sink behind [`Circuit::residual_into`] and
+//! [`Circuit::seeded_state_into`] is held to the same standard: its
+//! residual and limiter state equal a triplet assembly's bit for bit, and
+//! it consumes fault-injection draws exactly like one.
 
 use proptest::prelude::*;
 use rlpta_core::DcEngine;
 use rlpta_devices::{Device, EvalCtx, Stamper};
 use rlpta_linalg::{CsrMatrix, Triplet};
-use rlpta_mna::{Circuit, StampPlan};
+use rlpta_mna::{Circuit, ResidualScratch, StampPlan};
 
 /// A small generated family exercising every stamp shape: resistor
 /// ladders (linear), diode clamps (two-terminal nonlinear), BJT bias
@@ -183,6 +188,42 @@ fn via_plan(c: &Circuit, plan: &StampPlan, x: &[f64], extra: &PtaExtra) -> Assem
     }
 }
 
+/// One device pass at `x` from `state` through `st`, limiter state
+/// updated in place (the circuit's own per-device state layout).
+fn stamp_devices(c: &Circuit, x: &[f64], st: &mut Stamper<'_>, state: &mut [f64]) {
+    let ctx = EvalCtx::dc(x);
+    let mut off = 0;
+    for d in c.devices() {
+        let len = d.state_len();
+        d.stamp(&ctx, st, &mut state[off..off + len]);
+        off += len;
+    }
+}
+
+/// The triplet reference of [`Circuit::residual`]: limiter walk to a
+/// seeded state, then one more pass, all through triplet assembly.
+fn triplet_residual(c: &Circuit, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let dim = c.dim();
+    let mut jac = Triplet::new(dim, dim);
+    let mut r = vec![0.0; dim];
+    let mut s = c.new_state();
+    for _ in 0..64 {
+        let before = s.clone();
+        c.assemble_into(&EvalCtx::dc(x), &mut jac, &mut r, &mut s);
+        let moved = s
+            .iter()
+            .zip(&before)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        if moved < 1e-12 {
+            break;
+        }
+    }
+    let seeded = s.clone();
+    c.assemble_into(&EvalCtx::dc(x), &mut jac, &mut r, &mut s);
+    (r, seeded)
+}
+
 fn resolve(c: &Circuit, extra: &PtaExtra) -> StampPlan {
     let x0 = vec![0.0; c.dim()];
     StampPlan::resolve(c, &mut |st| extra.stamp(&x0, st))
@@ -282,6 +323,58 @@ proptest! {
     }
 }
 
+proptest! {
+    /// One residual-only pass from an arbitrary limiter state leaves the
+    /// residual and the state exactly where a triplet pass leaves them.
+    #[test]
+    fn residual_only_pass_matches_triplet_pass(
+        kind in 0usize..4,
+        v in 0.5f64..15.0,
+        n in 1usize..6,
+        seed in any::<u64>(),
+        decade in -1i32..2,
+    ) {
+        let c = parse(kind, v, 1_000.0, n);
+        let x = random_vec(seed, c.dim(), 10f64.powi(decade));
+        let state0 = random_vec(seed ^ 0x5EED, c.state_len(), 1.0);
+        let mut jac = Triplet::new(c.dim(), c.dim());
+        let (mut r_t, mut s_t) = (vec![0.0; c.dim()], state0.clone());
+        c.assemble_into(&EvalCtx::dc(&x), &mut jac, &mut r_t, &mut s_t);
+        let (mut r_r, mut s_r) = (vec![0.0; c.dim()], state0);
+        stamp_devices(&c, &x, &mut Stamper::residual_only(&mut r_r), &mut s_r);
+        prop_assert_eq!(bits(&r_t), bits(&r_r));
+        prop_assert_eq!(bits(&s_t), bits(&s_r));
+    }
+
+    /// `residual`/`seeded_state` and their buffer-reusing variants equal
+    /// the triplet reference bit for bit, with one scratch carried across
+    /// circuits of different shapes.
+    #[test]
+    fn residual_into_matches_triplet_reference(
+        kind in 0usize..4,
+        v in 0.5f64..15.0,
+        n in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let mut scratch = ResidualScratch::default();
+        for (k, c) in [parse(kind, v, 1_000.0, n), parse(kind + 1, v, 470.0, n + 1)]
+            .iter()
+            .enumerate()
+        {
+            let x = random_vec(seed.wrapping_add(k as u64), c.dim(), 2.0);
+            let (want_r, want_s) = triplet_residual(c, &x);
+            prop_assert_eq!(bits(&c.residual(&x)), bits(&want_r));
+            prop_assert_eq!(bits(&c.seeded_state(&x)), bits(&want_s));
+            let mut r = vec![f64::NAN; c.dim()];
+            c.residual_into(&x, &mut r, &mut scratch);
+            prop_assert_eq!(bits(&r), bits(&want_r));
+            let mut s = vec![f64::NAN; c.state_len()];
+            c.seeded_state_into(&x, &mut s, &mut scratch);
+            prop_assert_eq!(bits(&s), bits(&want_s));
+        }
+    }
+}
+
 #[cfg(feature = "faults")]
 mod faults {
     use super::*;
@@ -311,6 +404,54 @@ mod faults {
             let poisoned = |m: &CsrMatrix| m.values().iter().map(|v| v.is_nan()).collect::<Vec<_>>();
             prop_assert_eq!(poisoned(&reference.matrix), poisoned(&planned.matrix));
             assert_identical(&reference, &planned);
+        }
+
+        /// A residual-only pass draws the NaN sequence exactly like a
+        /// triplet pass: its residual matches, and the triplet assembly
+        /// that follows poisons the same entries either way.
+        #[test]
+        fn residual_only_pass_keeps_the_nan_sequence(
+            seed in any::<u64>(),
+            period in 1u64..10,
+            kind in 0usize..4,
+            v in 1.0f64..15.0,
+        ) {
+            let c = parse(kind, v, 1_000.0, 3);
+            let x = random_vec(seed, c.dim(), 1.0);
+            let dim = c.dim();
+            let faults = FaultPlan::seeded(seed).nan_stamps(period);
+            let follow = || {
+                let mut jac = Triplet::new(dim, dim);
+                let mut r = vec![0.0; dim];
+                let mut s = c.new_state();
+                c.assemble_into(&EvalCtx::dc(&x), &mut jac, &mut r, &mut s);
+                jac.to_csr()
+            };
+
+            faults.install();
+            let mut jac = Triplet::new(dim, dim);
+            let (mut r_t, mut s_t) = (vec![0.0; dim], c.new_state());
+            c.assemble_into(&EvalCtx::dc(&x), &mut jac, &mut r_t, &mut s_t);
+            let after_triplet = follow();
+
+            faults.install();
+            let (mut r_r, mut s_r) = (vec![0.0; dim], c.new_state());
+            stamp_devices(&c, &x, &mut Stamper::residual_only(&mut r_r), &mut s_r);
+            let after_residual_only = follow();
+
+            faults.install();
+            let via_residual = c.residual(&x);
+            let after_residual = follow();
+            faults.install();
+            let (want_r, _) = triplet_residual(&c, &x);
+            let after_reference = follow();
+            FaultPlan::clear();
+
+            prop_assert_eq!(bits(&r_t), bits(&r_r));
+            prop_assert_eq!(bits(&via_residual), bits(&want_r));
+            let poisoned = |m: &CsrMatrix| m.values().iter().map(|v| v.is_nan()).collect::<Vec<_>>();
+            prop_assert_eq!(poisoned(&after_triplet), poisoned(&after_residual_only));
+            prop_assert_eq!(poisoned(&after_reference), poisoned(&after_residual));
         }
     }
 }

@@ -5,9 +5,11 @@
 //! routed to a [`Triplet`] (the reference path), recorded as structural
 //! `(row, col)` targets (the resolve half of a precompiled stamp plan), or
 //! scattered straight into the nnz slots of a frozen CSR pattern via a
-//! [`SlotWriter`] (the write half). Because one code path drives all three
-//! sinks, the plan-based pipeline is bit-identical to triplet assembly by
-//! construction — same stamps, same order, same per-slot summation.
+//! [`SlotWriter`] (the write half), or dropped altogether when only the
+//! residual is wanted. Because one code path drives every sink, the
+//! plan-based pipeline is bit-identical to triplet assembly by
+//! construction — same stamps, same order, same per-slot summation — and a
+//! residual-only pass computes exactly the triplet pass's residual.
 
 use crate::Node;
 use rlpta_linalg::{SlotWriter, Triplet};
@@ -68,6 +70,8 @@ enum Sink<'a> {
     /// Numeric write pass: values stream through a precompiled slot table
     /// into a frozen CSR pattern.
     Scatter(SlotWriter<'a>),
+    /// Residual-only pass: Jacobian values are dropped.
+    Discard,
 }
 
 /// Accumulates device contributions into the Newton system `J·Δx = −F`.
@@ -125,6 +129,18 @@ impl<'a> Stamper<'a> {
         }
     }
 
+    /// Residual-only mode: devices evaluate and accumulate `F(x)` into
+    /// `residual` as in every other mode, and Jacobian pushes are dropped.
+    /// Fault-injection draws are consumed exactly as in triplet mode, so a
+    /// residual-only pass keeps the seeded NaN sequence of later
+    /// evaluations where a triplet pass would have left it.
+    pub fn residual_only(residual: &'a mut [f64]) -> Self {
+        Self {
+            sink: Sink::Discard,
+            residual,
+        }
+    }
+
     /// Ends a scatter pass: checks the full declared sequence was written
     /// and returns whether every raw stamp was finite. In the other modes
     /// this is a no-op returning `true` (triplet finiteness is checked via
@@ -137,7 +153,7 @@ impl<'a> Stamper<'a> {
     pub fn finish(self) -> bool {
         match self.sink {
             Sink::Scatter(w) => w.finish(),
-            Sink::Triplet(_) | Sink::Declare(_) => true,
+            Sink::Triplet(_) | Sink::Declare(_) | Sink::Discard => true,
         }
     }
 
@@ -153,6 +169,7 @@ impl<'a> Stamper<'a> {
             Sink::Triplet(t) => t.push(row, col, v),
             Sink::Declare(targets) => targets.push((row, col)),
             Sink::Scatter(w) => w.write(v),
+            Sink::Discard => {}
         }
     }
 

@@ -9,6 +9,16 @@
 
 use crate::DenseMatrix;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of process-unique generation ids: [`CsrMatrix`] structures and
+/// recorded [`crate::SymbolicLu`] patterns. Ids start at 1 (0 means "none")
+/// and are never reused within a process.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+pub(crate) fn next_generation() -> u64 {
+    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Coordinate-format (COO) sparse matrix builder.
 ///
@@ -136,6 +146,7 @@ impl Triplet {
             row_ptr: counts,
             col_indices,
             values,
+            structure_id: next_generation(),
         }
     }
 }
@@ -150,14 +161,29 @@ impl Extend<(usize, usize, f64)> for Triplet {
 
 /// Compressed sparse row matrix.
 ///
-/// Immutable once built; produced from [`Triplet::to_csr`].
-#[derive(Debug, Clone, PartialEq)]
+/// Structurally immutable once built (only values can be rewritten, via
+/// [`CsrMatrix::values_mut`]); produced from [`Triplet::to_csr`].
+#[derive(Debug, Clone)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
     row_ptr: Vec<usize>,
     col_indices: Vec<usize>,
     values: Vec<f64>,
+    /// Generation of the structure: drawn fresh by every constructor and
+    /// copied by `clone`, so equal ids imply equal `row_ptr`/`col_indices`
+    /// (the converse need not hold). Not part of equality.
+    structure_id: u64,
+}
+
+impl PartialEq for CsrMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.row_ptr == other.row_ptr
+            && self.col_indices == other.col_indices
+            && self.values == other.values
+    }
 }
 
 impl CsrMatrix {
@@ -181,6 +207,7 @@ impl CsrMatrix {
             row_ptr,
             col_indices,
             values: vec![0.0; nnz],
+            structure_id: next_generation(),
         }
     }
 
@@ -192,6 +219,7 @@ impl CsrMatrix {
             row_ptr: (0..=n).collect(),
             col_indices: (0..n).collect(),
             values: vec![1.0; n],
+            structure_id: next_generation(),
         }
     }
 
@@ -232,6 +260,14 @@ impl CsrMatrix {
     /// its precomputed scatter plan.
     pub fn row_ptr(&self) -> &[usize] {
         &self.row_ptr
+    }
+
+    /// Process-unique generation of this matrix's structure. Matrices that
+    /// share an id (one is a clone of the other) are structurally
+    /// identical, which lets [`crate::SymbolicLu`] skip the slice compare
+    /// on repeat replays of one working matrix.
+    pub(crate) fn structure_id(&self) -> u64 {
+        self.structure_id
     }
 
     /// The raw column-index array, in row-major entry order.

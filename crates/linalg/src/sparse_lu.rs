@@ -71,6 +71,11 @@ pub struct SparseLu {
     pub(crate) row_scale: Option<Vec<f64>>,
     /// Column equilibration scales `C`.
     pub(crate) col_scale: Option<Vec<f64>>,
+    /// Id of the [`crate::SymbolicLu`] whose pattern this factorization's
+    /// index arrays currently hold, so a replay can rewrite the values in
+    /// place; 0 for an unbound factorization (see
+    /// [`crate::SymbolicLu::refactorize_into`]).
+    pub(crate) shell_of: u64,
 }
 
 /// Outcome of iterated refinement ([`SparseLu::solve_refined_capped`]): the
@@ -154,6 +159,7 @@ impl SparseLu {
             max_abs_a: max_abs(a.values()),
             row_scale: None,
             col_scale: None,
+            shell_of: 0,
         };
         lu.l_ptr.push(0);
         lu.u_ptr.push(0);
@@ -416,35 +422,71 @@ impl SparseLu {
         self.l_vals.len() + self.u_vals.len() + self.n
     }
 
-    /// Solves `A x = b`.
+    /// An unbound, zero-dimensional factorization: the starting shell a
+    /// [`crate::SymbolicLu::refactorize_into`] replay reshapes to its
+    /// pattern.
+    pub(crate) fn empty() -> Self {
+        SparseLu {
+            n: 0,
+            l_ptr: Vec::new(),
+            l_rows: Vec::new(),
+            l_vals: Vec::new(),
+            u_ptr: Vec::new(),
+            u_rows: Vec::new(),
+            u_vals: Vec::new(),
+            u_diag: Vec::new(),
+            p: Vec::new(),
+            q: Vec::new(),
+            max_abs_a: 0.0,
+            row_scale: None,
+            col_scale: None,
+            shell_of: 0,
+        }
+    }
+
+    /// Solves `A x = b`. Allocating wrapper over [`SparseLu::solve_into`].
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if b.len() != self.n {
+        let mut x = b.to_vec();
+        self.solve_into(&mut x, &mut Vec::new())?;
+        Ok(x)
+    }
+
+    /// Solves `A x = b` in place: `x` holds `b` on entry and the solution
+    /// on return. `work` is scratch, resized to [`SparseLu::dim`] (so a
+    /// reused buffer makes the solve allocation-free). Bit-identical to
+    /// [`SparseLu::solve`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.dim()`.
+    pub fn solve_into(&self, x: &mut [f64], work: &mut Vec<f64>) -> Result<(), LinalgError> {
+        if x.len() != self.n {
             return Err(LinalgError::DimensionMismatch {
-                found: format!("rhs length {}", b.len()),
+                found: format!("rhs length {}", x.len()),
                 expected: format!("length {}", self.n),
             });
         }
-        // work[orig_row] starts as b and is progressively eliminated. Under
+        // `x[orig_row]` starts as b and is progressively eliminated. Under
         // equilibration the factorization holds R·A·C, so solve
         // (R·A·C)·z = R·b and return x = C·z.
-        let mut work = b.to_vec();
         if let Some(r) = &self.row_scale {
-            for (wi, ri) in work.iter_mut().zip(r) {
-                *wi *= ri;
+            for (xi, ri) in x.iter_mut().zip(r) {
+                *xi *= ri;
             }
         }
-        let mut y = vec![0.0; self.n];
+        work.resize(self.n, 0.0);
+        let y = &mut work[..];
         // Forward: L y = P b (unit diagonal).
         for j in 0..self.n {
-            let yj = work[self.p[j]];
+            let yj = x[self.p[j]];
             y[j] = yj;
             if yj != 0.0 {
                 for k in self.l_ptr[j]..self.l_ptr[j + 1] {
-                    work[self.l_rows[k]] -= self.l_vals[k] * yj;
+                    x[self.l_rows[k]] -= self.l_vals[k] * yj;
                 }
             }
         }
@@ -458,8 +500,8 @@ impl SparseLu {
                 }
             }
         }
-        // Undo the column permutation: x[q[j]] = z[j].
-        let mut x = vec![0.0; self.n];
+        // Undo the column permutation: x[q[j]] = z[j] (q is a permutation,
+        // so every entry of x is overwritten).
         for j in 0..self.n {
             x[self.q[j]] = y[j];
         }
@@ -468,7 +510,7 @@ impl SparseLu {
                 *xi *= ci;
             }
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Solves `Aᵀ x = b` on the existing factorization — no transpose is

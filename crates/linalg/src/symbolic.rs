@@ -15,6 +15,8 @@
 //! left-looking pass inside the recorded pattern — no DFS, no pivot search —
 //! and produces a [`SparseLu`] that is bit-identical to what the full
 //! factorization would compute, at a fraction of the cost.
+//! [`SymbolicLu::refactorize_into`] writes that result into an existing
+//! numeric shell instead, so a replay loop allocates nothing.
 //!
 //! Refactorization is *guarded*: if the new matrix has an entry outside the
 //! recorded pattern (e.g. a Gmin bump added diagonal entries), or a recorded
@@ -22,9 +24,12 @@
 //! column maximum, it fails with [`LinalgError::PatternChanged`] and the
 //! caller redoes the full factorization (which re-pivots). [`LuWorkspace`]
 //! packages that retry policy: call [`LuWorkspace::factorize`] every
-//! iteration and it transparently uses the cheap path when it can.
+//! iteration and it transparently uses the cheap path when it can, over one
+//! persistent numeric shell.
 
+use crate::sparse::next_generation;
 use crate::{CsrMatrix, LinalgError, SparseLu};
+use std::sync::Arc;
 
 const EMPTY: usize = usize::MAX;
 
@@ -104,6 +109,10 @@ impl CsrMatrix {
 /// full factorization (plain index vectors, no graph work).
 #[derive(Debug, Clone)]
 pub struct SymbolicLu {
+    /// Process-unique id of this recorded pattern (clones share it, and
+    /// their patterns are identical): the tag a numeric shell carries while
+    /// its index arrays hold this pattern.
+    id: u64,
     n: usize,
     /// `p[j]` = original row pivoted at step `j`.
     p: Vec<usize>,
@@ -132,9 +141,12 @@ pub struct SymbolicLu {
 /// Precomputed column-major traversal of the recorded `A` structure: where
 /// every raw CSR value of `A` lands in the dense replay workspace. Valid
 /// only while `A`'s structure matches the recorded `row_ptr`/`col_indices`
-/// arrays exactly, which the replay verifies with two slice compares.
+/// arrays exactly, which the replay verifies by structure generation (a
+/// clone of the recorded matrix) or else with two slice compares.
 #[derive(Debug, Clone)]
 struct ScatterPlan {
+    /// Structure generation of the recorded matrix.
+    source_id: u64,
     a_row_ptr: Vec<usize>,
     a_col_indices: Vec<usize>,
     /// Per processing column `j`: entries `csc_ptr[j]..csc_ptr[j + 1]` of
@@ -167,6 +179,7 @@ impl SparseLu {
         }
         let l_pos: Vec<usize> = self.l_rows.iter().map(|&r| pinv[r]).collect();
         let mut sym = SymbolicLu {
+            id: next_generation(),
             n,
             p: self.p.clone(),
             q: self.q.clone(),
@@ -239,7 +252,8 @@ impl SymbolicLu {
         }
         match &self.plan {
             Some(plan) => {
-                plan.a_row_ptr == a.row_ptr() && plan.a_col_indices == a.col_indices()
+                plan.source_id == a.structure_id()
+                    || (plan.a_row_ptr == a.row_ptr() && plan.a_col_indices == a.col_indices())
             }
             None => false,
         }
@@ -268,21 +282,47 @@ impl SymbolicLu {
     }
 
     /// Numeric-only factorization of `a` inside the recorded pattern.
+    /// Allocating wrapper over [`SymbolicLu::refactorize_into`] with a
+    /// fresh shell.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SymbolicLu::refactorize_into`].
+    pub fn refactorize(&self, a: &CsrMatrix) -> Result<SparseLu, LinalgError> {
+        let mut lu = SparseLu::empty();
+        self.refactorize_into(a, &mut lu, &mut Vec::new())?;
+        Ok(lu)
+    }
+
+    /// Numeric-only factorization of `a` inside the recorded pattern,
+    /// written into `lu` in place.
     ///
     /// Replays the recorded pivot sequence and fill pattern with the values
     /// of `a`; given the matrix the pattern was recorded from, the result is
     /// bit-identical to [`SparseLu::factorize`] (same operations in the same
     /// order) at a fraction of the cost.
     ///
-    /// When `a` is structurally identical to the recorded matrix (two slice
-    /// compares against the recorded `row_ptr`/`col_indices`), the replay
-    /// runs through a precomputed scatter plan: no transpose, no per-entry
-    /// pattern checks, no permutation lookups in the inner loop — only the
-    /// numeric work and the pivot-decay guard. Otherwise (an entry dropped,
-    /// or no plan was recordable) a guarded general replay checks every
-    /// entry against the pattern.
+    /// `lu` is the numeric shell: any [`SparseLu`] (typically the previous
+    /// replay's). A shell already holding this pattern only has its values
+    /// rewritten; any other is first reshaped to the pattern, reusing its
+    /// allocations. `scratch` is the dense replay workspace, resized to the
+    /// dimension. With a warm shell and scratch the replay allocates
+    /// nothing on the exact path.
+    ///
+    /// When `a` is structurally identical to the recorded matrix
+    /// ([`SymbolicLu::compatible_with`]: a clone of it, or equal
+    /// `row_ptr`/`col_indices`), the replay runs through a precomputed
+    /// scatter plan: no transpose, no per-entry pattern checks, no
+    /// permutation lookups in the inner loop — only the numeric work and
+    /// the pivot-decay guard. Otherwise (an entry dropped, or no plan was
+    /// recordable) a guarded general replay checks every entry against the
+    /// pattern.
     ///
     /// # Errors
+    ///
+    /// On any error `lu` holds no usable factorization: it is unbound and
+    /// its pivots are poisoned with NaN, so a half-written replay can never
+    /// pass for a result.
     ///
     /// * [`LinalgError::DimensionMismatch`] — `a` is not `n × n`.
     /// * [`LinalgError::PatternChanged`] — `a` has an entry outside the
@@ -291,7 +331,28 @@ impl SymbolicLu {
     ///   Recoverable: redo [`SparseLu::factorize`], which re-pivots.
     /// * [`LinalgError::Singular`] — only under the `faults` feature, via
     ///   the same seeded injection hook as the full factorization.
-    pub fn refactorize(&self, a: &CsrMatrix) -> Result<SparseLu, LinalgError> {
+    pub fn refactorize_into(
+        &self,
+        a: &CsrMatrix,
+        lu: &mut SparseLu,
+        scratch: &mut Vec<f64>,
+    ) -> Result<(), LinalgError> {
+        let out = self.replay(a, lu, scratch);
+        if out.is_err() {
+            lu.shell_of = 0;
+            lu.u_diag.fill(f64::NAN);
+        }
+        out
+    }
+
+    /// [`SymbolicLu::refactorize_into`] before the poisoning of a failed
+    /// shell.
+    fn replay(
+        &self,
+        a: &CsrMatrix,
+        lu: &mut SparseLu,
+        scratch: &mut Vec<f64>,
+    ) -> Result<(), LinalgError> {
         if a.rows() != self.n || a.cols() != self.n {
             return Err(LinalgError::DimensionMismatch {
                 found: format!("{}x{}", a.rows(), a.cols()),
@@ -307,37 +368,43 @@ impl SymbolicLu {
                 pivot: 0.0,
             });
         }
-        if let Some(plan) = &self.plan {
-            if plan.a_row_ptr == a.row_ptr() && plan.a_col_indices == a.col_indices() {
-                return self.replay_exact(a, plan);
-            }
+        self.bind(lu);
+        // The pivot-growth denominator, so replayed factorizations report
+        // [`SparseLu::pivot_growth`] just like full ones.
+        lu.max_abs_a = a.values().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        // Dense workspace indexed by *pivot position*. Stale entries are
+        // harmless: every column clears its recorded pattern before use,
+        // and nothing outside it is read.
+        scratch.resize(self.n, 0.0);
+        match &self.plan {
+            Some(plan) if self.compatible_with(a) => self.replay_exact(a, plan, lu, scratch),
+            _ => self.replay_general(a, lu, scratch),
         }
-        self.replay_general(a)
     }
 
-    /// An empty numeric shell over the recorded pattern, ready for a replay
-    /// to fill in. `a` is the matrix about to be replayed; its largest entry
-    /// seeds the pivot-growth denominator so replayed factorizations report
-    /// [`SparseLu::pivot_growth`] just like full ones.
-    fn empty_lu(&self, a: &CsrMatrix) -> SparseLu {
-        SparseLu {
-            n: self.n,
-            l_ptr: self.l_ptr.clone(),
-            l_rows: self.l_rows.clone(),
-            l_vals: vec![0.0; self.l_rows.len()],
-            u_ptr: self.u_ptr.clone(),
-            u_rows: self.u_rows.clone(),
-            u_vals: vec![0.0; self.u_rows.len()],
-            u_diag: vec![0.0; self.n],
-            p: self.p.clone(),
-            q: self.q.clone(),
-            max_abs_a: a
-                .values()
-                .iter()
-                .fold(0.0f64, |m, &v| m.max(v.abs())),
-            row_scale: None,
-            col_scale: None,
+    /// Makes `lu`'s index arrays hold this pattern (reusing their
+    /// allocations) unless they already do. Values are left for the replay
+    /// to overwrite: a successful replay writes every one of them.
+    fn bind(&self, lu: &mut SparseLu) {
+        if lu.shell_of == self.id {
+            return;
         }
+        lu.n = self.n;
+        lu.l_ptr.clone_from(&self.l_ptr);
+        lu.l_rows.clone_from(&self.l_rows);
+        lu.u_ptr.clone_from(&self.u_ptr);
+        lu.u_rows.clone_from(&self.u_rows);
+        lu.p.clone_from(&self.p);
+        lu.q.clone_from(&self.q);
+        lu.l_vals.clear();
+        lu.l_vals.resize(self.l_rows.len(), 0.0);
+        lu.u_vals.clear();
+        lu.u_vals.resize(self.u_rows.len(), 0.0);
+        lu.u_diag.clear();
+        lu.u_diag.resize(self.n, 0.0);
+        lu.row_scale = None;
+        lu.col_scale = None;
+        lu.shell_of = self.id;
     }
 
     /// Checks the recorded pivot for column `j` against the decay
@@ -373,22 +440,24 @@ impl SymbolicLu {
 
     /// The hot path: structure already verified equal to the recorded
     /// matrix, so scatter through the plan and run the bare numeric loop.
-    fn replay_exact(&self, a: &CsrMatrix, plan: &ScatterPlan) -> Result<SparseLu, LinalgError> {
-        let n = self.n;
+    fn replay_exact(
+        &self,
+        a: &CsrMatrix,
+        plan: &ScatterPlan,
+        lu: &mut SparseLu,
+        x: &mut [f64],
+    ) -> Result<(), LinalgError> {
         let vals = a.values();
-        let mut lu = self.empty_lu(a);
-        // Dense workspace indexed by *pivot position*.
-        let mut x = vec![0.0; n];
-        for j in 0..n {
-            let ul = lu.u_ptr[j];
-            let uh = lu.u_ptr[j + 1];
-            let ll = lu.l_ptr[j];
-            let lh = lu.l_ptr[j + 1];
+        for j in 0..self.n {
+            let ul = self.u_ptr[j];
+            let uh = self.u_ptr[j + 1];
+            let ll = self.l_ptr[j];
+            let lh = self.l_ptr[j + 1];
 
             // Clear the recorded pattern of this column, then scatter
             // A(:, q[j]) through the precomputed positions.
             for k in ul..uh {
-                x[lu.u_rows[k]] = 0.0;
+                x[self.u_rows[k]] = 0.0;
             }
             x[j] = 0.0;
             for k in ll..lh {
@@ -404,44 +473,46 @@ impl SymbolicLu {
             // factorization's DFS-ordered solve. The plan's closure check
             // guarantees every update lands inside the cleared pattern.
             for k in ul..uh {
-                let pos = lu.u_rows[k];
+                let pos = self.u_rows[k];
                 let xj = x[pos];
                 lu.u_vals[k] = xj;
                 if xj != 0.0 {
-                    for m in lu.l_ptr[pos]..lu.l_ptr[pos + 1] {
+                    for m in self.l_ptr[pos]..self.l_ptr[pos + 1] {
                         x[self.l_pos[m]] -= lu.l_vals[m] * xj;
                     }
                 }
             }
 
-            self.commit_column(&mut lu, &x, j, ll, lh)?;
+            self.commit_column(lu, x, j, ll, lh)?;
         }
-        Ok(lu)
+        Ok(())
     }
 
     /// The guarded path for matrices whose structure deviates from the
     /// recorded one (an entry dropped to structural zero, or no plan):
     /// every scatter and every update is checked against the pattern.
-    fn replay_general(&self, a: &CsrMatrix) -> Result<SparseLu, LinalgError> {
+    fn replay_general(
+        &self,
+        a: &CsrMatrix,
+        lu: &mut SparseLu,
+        x: &mut [f64],
+    ) -> Result<(), LinalgError> {
         let n = self.n;
         let at = a.transpose();
-        let mut lu = self.empty_lu(a);
-
-        // Dense workspace indexed by *pivot position*, plus a per-column
-        // stamp marking which positions belong to the recorded pattern.
-        let mut x = vec![0.0; n];
+        // Per-column stamp marking which positions belong to the recorded
+        // pattern.
         let mut mark = vec![EMPTY; n];
 
         for j in 0..n {
-            let ul = lu.u_ptr[j];
-            let uh = lu.u_ptr[j + 1];
-            let ll = lu.l_ptr[j];
-            let lh = lu.l_ptr[j + 1];
+            let ul = self.u_ptr[j];
+            let uh = self.u_ptr[j + 1];
+            let ll = self.l_ptr[j];
+            let lh = self.l_ptr[j + 1];
 
             // Mark and clear the recorded pattern of this column.
             for k in ul..uh {
-                mark[lu.u_rows[k]] = j;
-                x[lu.u_rows[k]] = 0.0;
+                mark[self.u_rows[k]] = j;
+                x[self.u_rows[k]] = 0.0;
             }
             mark[j] = j;
             x[j] = 0.0;
@@ -464,11 +535,11 @@ impl SymbolicLu {
             // Checked left-looking triangular solve (same operation order
             // as the exact replay and the full factorization).
             for k in ul..uh {
-                let pos = lu.u_rows[k];
+                let pos = self.u_rows[k];
                 let xj = x[pos];
                 lu.u_vals[k] = xj;
                 if xj != 0.0 {
-                    for m in lu.l_ptr[pos]..lu.l_ptr[pos + 1] {
+                    for m in self.l_ptr[pos]..self.l_ptr[pos + 1] {
                         let target = self.l_pos[m];
                         if mark[target] != j {
                             // Update lands outside the recorded pattern —
@@ -480,9 +551,9 @@ impl SymbolicLu {
                 }
             }
 
-            self.commit_column(&mut lu, &x, j, ll, lh)?;
+            self.commit_column(lu, x, j, ll, lh)?;
         }
-        Ok(lu)
+        Ok(())
     }
 
     /// Builds the exact-structure replay plan: column-major traversal of
@@ -540,6 +611,7 @@ impl SymbolicLu {
             }
         }
         Some(ScatterPlan {
+            source_id: a.structure_id(),
             a_row_ptr: row_ptr.to_vec(),
             a_col_indices: col_indices.to_vec(),
             csc_ptr,
@@ -586,6 +658,14 @@ pub enum LuOp {
 /// numeric pass, transparently falling back to a full factorization (and
 /// re-recording the pattern) when the matrix outgrows it.
 ///
+/// The workspace owns one numeric [`SparseLu`] shell over the recorded
+/// pattern: every replay rewrites its values in place
+/// ([`SymbolicLu::refactorize_into`]) and [`LuWorkspace::factorize`] lends
+/// it out, so a replay followed by [`SparseLu::solve_into`] on reused
+/// buffers allocates nothing. The pattern itself sits behind an [`Arc`],
+/// so caches can share one recorded analysis across workspaces without
+/// copying it.
+///
 /// The workspace is single-circuit state: reuse it across iterations, steps
 /// and sweep points of one circuit, and use one workspace per thread — it is
 /// `Send` but deliberately not shared.
@@ -597,6 +677,7 @@ pub enum LuOp {
 ///
 /// # fn main() -> Result<(), rlpta_linalg::LinalgError> {
 /// let mut ws = LuWorkspace::new();
+/// let (mut x, mut scratch) = (Vec::new(), Vec::new());
 /// for scale in [1.0, 2.0, 3.0] {
 ///     let mut t = Triplet::new(2, 2);
 ///     t.push(0, 0, 4.0 * scale);
@@ -604,7 +685,9 @@ pub enum LuOp {
 ///     t.push(1, 0, 1.0);
 ///     t.push(1, 1, 3.0 * scale);
 ///     let lu = ws.factorize(&t.to_csr())?;
-///     let _x = lu.solve(&[1.0, 2.0])?;
+///     x.clear();
+///     x.extend_from_slice(&[1.0, 2.0]);
+///     lu.solve_into(&mut x, &mut scratch)?;
 /// }
 /// // One full factorization, two pattern replays.
 /// assert_eq!(ws.stats().full_factorizations, 1);
@@ -612,11 +695,32 @@ pub enum LuOp {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LuWorkspace {
-    symbolic: Option<SymbolicLu>,
+    symbolic: Option<Arc<SymbolicLu>>,
+    /// The latest factorization, bound to `symbolic`'s pattern after a
+    /// success; replays rewrite it in place. Lent out only while `valid`.
+    numeric: SparseLu,
+    /// Whether the latest [`LuWorkspace::factorize`] call succeeded, i.e.
+    /// `numeric` is the factorization of the matrix it was given.
+    valid: bool,
+    /// Dense replay workspace, reused by every replay.
+    scratch: Vec<f64>,
     stats: LuStats,
     last_op: Option<LuOp>,
+}
+
+impl Default for LuWorkspace {
+    fn default() -> Self {
+        Self {
+            symbolic: None,
+            numeric: SparseLu::empty(),
+            valid: false,
+            scratch: Vec::new(),
+            stats: LuStats::default(),
+            last_op: None,
+        }
+    }
 }
 
 impl LuWorkspace {
@@ -630,6 +734,7 @@ impl LuWorkspace {
     /// cross-request reuse hook: a cache that kept the [`SymbolicLu`] of an
     /// earlier solve hands it to a fresh workspace so the *first*
     /// factorization of the new solve is already a cheap numeric replay.
+    /// Accepts an owned pattern or a shared `Arc` (no copy).
     ///
     /// Safety against staleness is inherited from
     /// [`LuWorkspace::factorize`]: a seeded pattern that no longer matches
@@ -637,52 +742,67 @@ impl LuWorkspace {
     /// a full, re-recorded factorization (visible as a `fallbacks` bump in
     /// [`LuWorkspace::stats`]) — a stale seed can cost one wasted attempt,
     /// never a wrong result.
-    pub fn with_symbolic(symbolic: SymbolicLu) -> Self {
-        Self {
-            symbolic: Some(symbolic),
-            stats: LuStats::default(),
-            last_op: None,
-        }
+    pub fn with_symbolic(symbolic: impl Into<Arc<SymbolicLu>>) -> Self {
+        let mut ws = Self::new();
+        ws.preload(symbolic);
+        ws
     }
 
     /// Replaces the recorded pattern in place (same semantics as
     /// [`LuWorkspace::with_symbolic`] for an existing workspace). Counters
     /// and `last_op` are preserved.
-    pub fn preload(&mut self, symbolic: SymbolicLu) {
-        self.symbolic = Some(symbolic);
+    pub fn preload(&mut self, symbolic: impl Into<Arc<SymbolicLu>>) {
+        self.symbolic = Some(symbolic.into());
     }
 
-    /// Factorizes `a`, reusing the recorded symbolic pattern when possible.
+    /// Factorizes `a`, reusing the recorded symbolic pattern when possible,
+    /// and lends out the result: the workspace's numeric shell, valid until
+    /// the next call.
     ///
     /// # Errors
     ///
     /// Same as [`SparseLu::factorize`]; [`LinalgError::PatternChanged`] is
     /// never surfaced (it triggers the internal fallback).
-    pub fn factorize(&mut self, a: &CsrMatrix) -> Result<SparseLu, LinalgError> {
-        if let Some(sym) = &self.symbolic {
-            if sym.dim() == a.rows() && a.rows() == a.cols() {
-                match sym.refactorize(a) {
-                    Ok(lu) => {
-                        self.stats.refactorizations += 1;
-                        self.last_op = Some(LuOp::Replay);
-                        return Ok(lu);
-                    }
+    pub fn factorize(&mut self, a: &CsrMatrix) -> Result<&SparseLu, LinalgError> {
+        self.valid = false;
+        let replayed = match &self.symbolic {
+            Some(sym) if sym.dim() == a.rows() && a.rows() == a.cols() => {
+                match sym.refactorize_into(a, &mut self.numeric, &mut self.scratch) {
+                    Ok(()) => true,
                     Err(LinalgError::PatternChanged { .. })
                     | Err(LinalgError::Singular { .. }) => {
                         // Pattern outgrown or pivot decayed (or an injected
                         // singular under the `faults` feature): re-pivot
                         // from scratch below.
                         self.stats.fallbacks += 1;
+                        false
                     }
                     Err(e) => return Err(e),
                 }
             }
+            _ => false,
+        };
+        if replayed {
+            self.stats.refactorizations += 1;
+            self.last_op = Some(LuOp::Replay);
+        } else {
+            let mut lu = SparseLu::factorize(a)?;
+            let sym = lu.symbolic(a);
+            lu.shell_of = sym.id;
+            self.numeric = lu;
+            self.symbolic = Some(Arc::new(sym));
+            self.stats.full_factorizations += 1;
+            self.last_op = Some(LuOp::Full);
         }
-        let lu = SparseLu::factorize(a)?;
-        self.stats.full_factorizations += 1;
-        self.last_op = Some(LuOp::Full);
-        self.symbolic = Some(lu.symbolic(a));
-        Ok(lu)
+        self.valid = true;
+        Ok(&self.numeric)
+    }
+
+    /// The factorization the latest [`LuWorkspace::factorize`] call lent
+    /// out, again — `None` before the first call and after a failed one,
+    /// so a half-written replay is never visible.
+    pub fn factorization(&self) -> Option<&SparseLu> {
+        self.valid.then_some(&self.numeric)
     }
 
     /// How the most recent *successful* [`LuWorkspace::factorize`] call was
@@ -700,6 +820,12 @@ impl LuWorkspace {
 
     /// The recorded pattern, if any.
     pub fn symbolic(&self) -> Option<&SymbolicLu> {
+        self.symbolic.as_deref()
+    }
+
+    /// The recorded pattern as the shared handle a cache keeps (cloning
+    /// it is a reference-count bump, not a copy).
+    pub fn shared_symbolic(&self) -> Option<&Arc<SymbolicLu>> {
         self.symbolic.as_ref()
     }
 
@@ -849,13 +975,16 @@ mod tests {
         // Grow the pattern (like a Gmin bump adding coupling): fallback.
         t.push(0, 2, -0.5);
         t.push(2, 0, -0.5);
-        let lu = ws.factorize(&t.to_csr()).unwrap();
+        let x = ws
+            .factorize(&t.to_csr())
+            .unwrap()
+            .solve(&[1.0, 2.0, 3.0])
+            .unwrap();
         assert_eq!(ws.stats().fallbacks, 1);
         assert_eq!(ws.stats().full_factorizations, 2);
         // The grown pattern is now the recorded one.
         ws.factorize(&t.to_csr()).unwrap();
         assert_eq!(ws.stats().refactorizations, 2);
-        let x = lu.solve(&[1.0, 2.0, 3.0]).unwrap();
         assert!(x.iter().all(|v| v.is_finite()));
     }
 
@@ -874,9 +1003,13 @@ mod tests {
         let mut t2 = Triplet::new(2, 2);
         t2.push(0, 0, 4.0);
         t2.push(1, 1, 3.0);
-        let lu = ws.factorize(&t2.to_csr()).unwrap();
+        let x = ws
+            .factorize(&t2.to_csr())
+            .unwrap()
+            .solve(&[4.0, 3.0])
+            .unwrap();
         assert_eq!(ws.stats().refactorizations, 1);
-        assert_eq!(lu.solve(&[4.0, 3.0]).unwrap(), vec![1.0, 1.0]);
+        assert_eq!(x, vec![1.0, 1.0]);
     }
 
     #[test]
@@ -964,13 +1097,13 @@ mod tests {
         let (a, b) = random_system(&mut rng, 20);
         let sym = SparseLu::factorize(&a).unwrap().symbolic(&a);
         let mut ws = LuWorkspace::with_symbolic(sym);
-        let lu = ws.factorize(&a).unwrap();
+        let x = ws.factorize(&a).unwrap().solve(&b).unwrap();
         assert_eq!(ws.stats().full_factorizations, 0);
         assert_eq!(ws.stats().refactorizations, 1);
         assert_eq!(ws.last_op(), Some(LuOp::Replay));
         // Bit-identical to an uncached full factorization.
         let cold = SparseLu::factorize(&a).unwrap();
-        assert_eq!(lu.solve(&b).unwrap(), cold.solve(&b).unwrap());
+        assert_eq!(x, cold.solve(&b).unwrap());
     }
 
     #[test]
@@ -985,15 +1118,114 @@ mod tests {
         t.push(2, 0, -1.0);
         let grown = t.to_csr();
         let mut ws = LuWorkspace::with_symbolic(sym);
-        let lu = ws.factorize(&grown).unwrap();
+        let x = ws
+            .factorize(&grown)
+            .unwrap()
+            .solve(&[1.0, 2.0, 3.0])
+            .unwrap();
         assert_eq!(ws.stats().fallbacks, 1);
         assert_eq!(ws.stats().full_factorizations, 1);
         assert_eq!(ws.last_op(), Some(LuOp::Full));
-        let x = lu.solve(&[1.0, 2.0, 3.0]).unwrap();
         assert!(x.iter().all(|v| v.is_finite()));
         // The grown pattern was re-recorded: the next call replays.
         ws.factorize(&grown).unwrap();
         assert_eq!(ws.stats().refactorizations, 1);
+    }
+
+    /// A replay that fails after committing some columns leaves a poisoned,
+    /// unbound shell — never a plausible half-written factorization — and
+    /// the next successful replay into the same shell is bit-identical to
+    /// a fresh one.
+    #[test]
+    fn failed_replay_mid_column_never_leaks_half_written_shell() {
+        let mut t = Triplet::new(3, 3);
+        for (r, c, v) in [
+            (0, 0, 2.0),
+            (0, 1, -1.0),
+            (1, 0, -1.0),
+            (1, 1, 2.0),
+            (1, 2, -1.0),
+            (2, 1, -1.0),
+            (2, 2, 2.0),
+        ] {
+            t.push(r, c, v);
+        }
+        let good = t.to_csr();
+        let sym = SparseLu::factorize(&good).unwrap().symbolic(&good);
+        // Poison the densest column, which the ascending-count ordering
+        // eliminates last.
+        let mut bad = good.clone();
+        let k = (0..bad.nnz())
+            .find(|&k| bad.iter().nth(k).is_some_and(|(r, c, _)| (r, c) == (1, 1)))
+            .unwrap();
+        bad.values_mut()[k] = f64::NAN;
+
+        let mut shell = SparseLu::factorize(&good).unwrap();
+        let mut scratch = Vec::new();
+        match sym.refactorize_into(&bad, &mut shell, &mut scratch) {
+            Err(LinalgError::PatternChanged { step }) => assert!(step > 0, "failed at {step}"),
+            other => panic!("expected a mid-column failure, got {other:?}"),
+        }
+        let x = shell.solve(&[1.0, 2.0, 3.0]).unwrap();
+        assert!(
+            x.iter().all(|v| !v.is_finite()),
+            "poisoned shell solved to {x:?}"
+        );
+
+        sym.refactorize_into(&good, &mut shell, &mut scratch)
+            .unwrap();
+        let b = [1.0, 2.0, 3.0];
+        let fresh = sym.refactorize(&good).unwrap();
+        assert_eq!(shell.solve(&b).unwrap(), fresh.solve(&b).unwrap());
+        assert_eq!(
+            shell.solve(&b).unwrap(),
+            SparseLu::factorize(&good).unwrap().solve(&b).unwrap()
+        );
+
+        // Through the workspace: a failed call lends nothing out.
+        let mut singular = Triplet::new(3, 3);
+        singular.push(0, 0, 1.0);
+        let mut ws = LuWorkspace::with_symbolic(sym);
+        assert!(ws.factorize(&singular.to_csr()).is_err());
+        assert!(ws.factorization().is_none());
+        let x = ws.factorize(&good).unwrap().solve(&b).unwrap();
+        assert_eq!(x, fresh.solve(&b).unwrap());
+        assert!(ws.factorization().is_some());
+    }
+
+    /// Matrices sharing a structure generation take the exact path without
+    /// a slice compare; a different structure never does, whatever its
+    /// generation history.
+    #[test]
+    fn structure_generation_gates_the_exact_path() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let (a, b) = random_system(&mut rng, 15);
+        let sym = SparseLu::factorize(&a).unwrap().symbolic(&a);
+        let mut clone = a.clone();
+        assert_eq!(clone.structure_id(), a.structure_id());
+        for v in clone.values_mut() {
+            *v *= 1.5;
+        }
+        assert!(sym.compatible_with(&clone));
+        // Same structure rebuilt from scratch: new generation, still
+        // compatible through the slice compare.
+        let mut t = Triplet::new(15, 15);
+        for (r, c, v) in a.iter() {
+            t.push(r, c, v);
+        }
+        let rebuilt = t.to_csr();
+        assert_ne!(rebuilt.structure_id(), a.structure_id());
+        assert!(sym.compatible_with(&rebuilt));
+        let mut ws = LuWorkspace::with_symbolic(sym.clone());
+        let x = ws.factorize(&rebuilt).unwrap().solve(&b).unwrap();
+        assert_eq!(x, SparseLu::factorize(&a).unwrap().solve(&b).unwrap());
+        // A grown structure is rejected by the exact check.
+        t.push(0, 14, 0.25);
+        t.push(14, 0, 0.25);
+        let grown = t.to_csr();
+        if grown.nnz() != a.nnz() {
+            assert!(!sym.compatible_with(&grown));
+        }
     }
 
     #[test]

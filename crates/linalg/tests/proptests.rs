@@ -1,7 +1,62 @@
 //! Property-based tests for the linear-algebra kernels.
 
 use proptest::prelude::*;
-use rlpta_linalg::{norms, CsrMatrix, DenseMatrix, SparseLu, Triplet};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rlpta_linalg::{
+    norms, CsrMatrix, DenseMatrix, LinalgError, LuOp, LuWorkspace, SparseLu, SymbolicLu, Triplet,
+};
+
+/// A random MNA-like entry list: strong diagonal plus a few off-diagonal
+/// couplings.
+fn random_entries(rng: &mut StdRng, n: usize) -> Vec<(usize, usize, f64)> {
+    let mut es = Vec::new();
+    for i in 0..n {
+        es.push((i, i, 4.0 + rng.gen::<f64>()));
+        for _ in 0..2 {
+            let j = rng.gen_range(0..n);
+            if j != i {
+                es.push((i, j, rng.gen_range(-1.0..1.0)));
+            }
+        }
+    }
+    es
+}
+
+fn csr_of(n: usize, es: &[(usize, usize, f64)]) -> CsrMatrix {
+    let mut t = Triplet::new(n, n);
+    for &(r, c, v) in es {
+        t.push(r, c, v);
+    }
+    t.to_csr()
+}
+
+/// The retry policy of [`LuWorkspace::factorize`] with a fresh allocation
+/// for every factorization — the oracle the persistent shell must match.
+struct FreshOracle {
+    symbolic: Option<SymbolicLu>,
+}
+
+impl FreshOracle {
+    fn factorize(&mut self, a: &CsrMatrix) -> Result<(SparseLu, LuOp), LinalgError> {
+        if let Some(sym) = &self.symbolic {
+            if sym.dim() == a.rows() {
+                match sym.refactorize(a) {
+                    Ok(lu) => return Ok((lu, LuOp::Replay)),
+                    Err(LinalgError::PatternChanged { .. } | LinalgError::Singular { .. }) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        let lu = SparseLu::factorize(a)?;
+        self.symbolic = Some(lu.symbolic(a));
+        Ok((lu, LuOp::Full))
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
 
 /// Strategy: a random diagonally-dominant sparse square system of size 2..=20
 /// together with a right-hand side.
@@ -107,5 +162,112 @@ proptest! {
         let b: Vec<f64> = a.iter().map(|v| v * 0.5 - 1.0).collect();
         let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
         prop_assert!(norms::inf_norm(&sum) <= norms::inf_norm(&a) + norms::inf_norm(&b) + 1e-9);
+    }
+
+    /// One persistent workspace (numeric shell rewritten in place, replays
+    /// that fail mid-column included) solves every matrix of a random
+    /// sequence bit-identically to fresh allocations under the same retry
+    /// policy: value drift on one working matrix, pattern growth, pattern
+    /// shrinkage, pivot decay, NaN entries, patterns seeded from elsewhere
+    /// and dimension switches.
+    #[test]
+    fn workspace_shell_reuse_matches_fresh_allocation(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut n = rng.gen_range(2..12);
+        let mut es = random_entries(&mut rng, n);
+        let mut a = csr_of(n, &es);
+        let base: Vec<f64> = a.values().to_vec();
+        let mut ws = LuWorkspace::new();
+        let mut oracle = FreshOracle { symbolic: None };
+        let (mut x, mut scratch) = (Vec::new(), Vec::new());
+        for _ in 0..24 {
+            match rng.gen_range(0..7) {
+                // Drift the values of the working matrix in place.
+                0 if a.nnz() == base.len() => {
+                    let s = rng.gen_range(0.5..2.0);
+                    for (v, b) in a.values_mut().iter_mut().zip(&base) {
+                        *v = b * s;
+                    }
+                }
+                // Grow the pattern.
+                1 => {
+                    es.push((rng.gen_range(0..n), rng.gen_range(0..n), 0.5));
+                    a = csr_of(n, &es);
+                }
+                // Shrink it: drop an off-diagonal entry.
+                2 => {
+                    if let Some(k) = es.iter().position(|&(r, c, _)| r != c) {
+                        es.remove(k);
+                    }
+                    a = csr_of(n, &es);
+                }
+                // Decay a pivot.
+                3 => {
+                    let i = rng.gen_range(0..n);
+                    let mut decayed = es.clone();
+                    for e in decayed.iter_mut().filter(|e| e.0 == i && e.1 == i) {
+                        e.2 = 1e-9;
+                    }
+                    a = csr_of(n, &decayed);
+                }
+                // Poison an entry.
+                4 => {
+                    let mut poisoned = a.clone();
+                    let k = rng.gen_range(0..poisoned.nnz());
+                    poisoned.values_mut()[k] = f64::NAN;
+                    a = poisoned;
+                }
+                // Seed a pattern recorded elsewhere (a service cache hit):
+                // a superset of the working structure with other values,
+                // so the stale shell must be rebound to it and the working
+                // matrix re-verified against it.
+                5 => {
+                    let mut wider = es.clone();
+                    wider.push((rng.gen_range(0..n), rng.gen_range(0..n), 0.25));
+                    for e in &mut wider {
+                        e.2 *= rng.gen_range(0.5..2.0);
+                    }
+                    let w = csr_of(n, &wider);
+                    if let Ok(lu) = SparseLu::factorize(&w) {
+                        let sym = lu.symbolic(&w);
+                        ws.preload(sym.clone());
+                        oracle.symbolic = Some(sym);
+                    }
+                }
+                // Switch dimension.
+                _ => {
+                    n = rng.gen_range(2..12);
+                    es = random_entries(&mut rng, n);
+                    a = csr_of(n, &es);
+                }
+            }
+            let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+            let want = oracle.factorize(&a);
+            let got = ws.factorize(&a);
+            match (got, want) {
+                (Ok(lu), Ok((fresh, op))) => {
+                    x.clear();
+                    x.extend_from_slice(&b);
+                    lu.solve_into(&mut x, &mut scratch).unwrap();
+                    prop_assert_eq!(bits(&x), bits(&fresh.solve(&b).unwrap()));
+                    prop_assert_eq!(ws.last_op(), Some(op));
+                    if op == LuOp::Full {
+                        let cold = SparseLu::factorize(&a).unwrap().solve(&b).unwrap();
+                        prop_assert_eq!(bits(&x), bits(&cold));
+                    }
+                }
+                (Err(e), Err(f)) => {
+                    prop_assert_eq!(e, f);
+                    prop_assert!(ws.factorization().is_none());
+                }
+                (got, want) => {
+                    return Err(TestCaseError::fail(format!(
+                        "workspace {:?} vs oracle {:?}",
+                        got.map(|_| ()),
+                        want.map(|_| ())
+                    )));
+                }
+            }
+        }
     }
 }

@@ -170,43 +170,106 @@ impl Circuit {
 
     /// Evaluates only the residual `F(x)` of the *original* system (default
     /// gmin, full sources) — the steady-state test used by the PTA loop.
-    ///
-    /// Junction limiting is bypassed by pre-seeding the throwaway state with
-    /// the actual junction voltages, so the returned residual is the true
-    /// `F(x)` rather than a limited linearization.
+    /// Allocating wrapper over [`Circuit::residual_into`].
     pub fn residual(&self, x: &[f64]) -> Vec<f64> {
-        let ctx = EvalCtx::dc(x);
-        let mut j = Triplet::with_capacity(self.dim(), self.dim(), 8 * self.devices.len());
         let mut r = vec![0.0; self.dim()];
-        let mut s = self.seeded_state(x);
-        self.assemble_into(&ctx, &mut j, &mut r, &mut s);
+        self.residual_into(x, &mut r, &mut ResidualScratch::default());
         r
+    }
+
+    /// Writes the residual `F(x)` of the *original* system (default gmin,
+    /// full sources) into `residual`, reusing `scratch` (so repeat calls
+    /// allocate nothing).
+    ///
+    /// Junction limiting is bypassed by pre-seeding a throwaway state with
+    /// the actual junction voltages ([`Circuit::seeded_state_into`]), so the
+    /// result is the true `F(x)` rather than a limited linearization. The
+    /// passes run through a residual-only [`Stamper`], so no Jacobian is
+    /// built; the residual is bit-identical to a triplet assembly's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `residual` is not of length [`Circuit::dim`].
+    pub fn residual_into(&self, x: &[f64], residual: &mut [f64], scratch: &mut ResidualScratch) {
+        let ResidualScratch {
+            state,
+            before,
+            residual: walk,
+        } = scratch;
+        state.resize(self.state_len, 0.0);
+        self.seed_state(x, state, before, walk);
+        self.eval_residual(&EvalCtx::dc(x), residual, state);
     }
 
     /// Builds a state vector whose limited junction voltages equal the
     /// actual junction voltages at `x`, so the next evaluation at `x` is
-    /// limit-free. Achieved by evaluating twice: the limiter walk converges
-    /// to the true voltage once the state is close.
+    /// limit-free. Allocating wrapper over [`Circuit::seeded_state_into`].
     pub fn seeded_state(&self, x: &[f64]) -> Vec<f64> {
         let mut s = self.new_state();
+        self.seeded_state_into(x, &mut s, &mut ResidualScratch::default());
+        s
+    }
+
+    /// Overwrites `state` with limited junction voltages equal to the
+    /// actual junction voltages at `x`, reusing `scratch`. Achieved by
+    /// evaluating repeatedly from a zeroed state: the limiter walk
+    /// converges to the true voltage once the state is close.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not of length [`Circuit::dim`] or `state` not of
+    /// length [`Circuit::state_len`].
+    pub fn seeded_state_into(&self, x: &[f64], state: &mut [f64], scratch: &mut ResidualScratch) {
+        self.seed_state(x, state, &mut scratch.before, &mut scratch.residual);
+    }
+
+    /// The limiter walk behind [`Circuit::seeded_state_into`], with
+    /// `before` and `walk` as reusable scratch.
+    fn seed_state(&self, x: &[f64], state: &mut [f64], before: &mut Vec<f64>, walk: &mut Vec<f64>) {
         let ctx = EvalCtx::dc(x);
-        let mut j = Triplet::new(self.dim(), self.dim());
-        let mut r = vec![0.0; self.dim()];
+        state.fill(0.0);
+        walk.resize(self.dim(), 0.0);
         // A handful of walks is enough for any realistic bias point.
         for _ in 0..64 {
-            let before = s.clone();
-            self.assemble_into(&ctx, &mut j, &mut r, &mut s);
-            let moved = s
+            before.clear();
+            before.extend_from_slice(state);
+            self.eval_residual(&ctx, walk, state);
+            let moved = state
                 .iter()
-                .zip(&before)
+                .zip(before.iter())
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0, f64::max);
             if moved < 1e-12 {
                 break;
             }
         }
-        s
     }
+
+    /// One residual-only evaluation pass: `residual` ← `F(x)` at `ctx`,
+    /// device limiter state updated in `state`, Jacobian discarded.
+    fn eval_residual(&self, ctx: &EvalCtx<'_>, residual: &mut [f64], state: &mut [f64]) {
+        assert_eq!(residual.len(), self.dim(), "residual dimension mismatch");
+        assert_eq!(state.len(), self.state_len, "state dimension mismatch");
+        residual.fill(0.0);
+        let mut stamper = Stamper::residual_only(residual);
+        for (d, &off) in self.devices.iter().zip(&self.state_offsets) {
+            d.stamp(ctx, &mut stamper, &mut state[off..off + d.state_len()]);
+        }
+    }
+}
+
+/// Reusable buffers for [`Circuit::residual_into`] and
+/// [`Circuit::seeded_state_into`]. Start from `default()`; the buffers size
+/// themselves on first use and are kept by later calls on circuits of the
+/// same shape.
+#[derive(Debug, Clone, Default)]
+pub struct ResidualScratch {
+    /// Seeded limiter state of [`Circuit::residual_into`].
+    state: Vec<f64>,
+    /// Limiter state before the latest seeding walk.
+    before: Vec<f64>,
+    /// Throwaway residual of the seeding walks.
+    residual: Vec<f64>,
 }
 
 impl fmt::Display for Circuit {

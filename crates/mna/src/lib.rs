@@ -44,6 +44,6 @@ mod features;
 mod plan;
 
 pub use builder::{BuildCircuitError, CircuitBuilder};
-pub use circuit::Circuit;
+pub use circuit::{Circuit, ResidualScratch};
 pub use features::CircuitFeatures;
 pub use plan::{BumpPlan, StampPlan};
