@@ -6,14 +6,16 @@
 //! largest suite circuit (`fadd32`, 132 unknowns) a numeric-only
 //! `refactorize` replay must beat a from-scratch `factorize` of the same
 //! Jacobian — that gap is what the engine banks at every Newton iteration
-//! after the first.
+//! after the first. The `certify_lu` group prices the same gap for
+//! certification: a from-scratch factorization against the pivot-verified
+//! fresh-equivalent replay a warm certification workspace runs instead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlpta_bench::{experiment_config, robust_budget};
 use rlpta_circuits::by_name;
 use rlpta_core::{DcEngine, PtaKind, PtaSolver, SimpleStepping};
 use rlpta_devices::EvalCtx;
-use rlpta_linalg::{CsrMatrix, LuWorkspace, SparseLu, Triplet};
+use rlpta_linalg::{CsrMatrix, LuOp, LuWorkspace, SparseLu, Triplet};
 use rlpta_mna::{Circuit, StampPlan};
 
 /// A suite circuit and its DC operating point.
@@ -34,10 +36,11 @@ fn triplet_for(c: &Circuit) -> Triplet {
     Triplet::with_capacity(dim, dim, 16 * c.devices().len() + 2 * dim)
 }
 
-/// The Jacobian of the largest suite circuit at its DC operating point —
-/// the exact matrix the warm iterations of a PTA march keep refactorizing.
-fn largest_jacobian() -> CsrMatrix {
-    let (c, x) = operating_point("fadd32");
+/// The Jacobian of a suite circuit at its DC operating point — the exact
+/// matrix the warm iterations of a PTA march keep refactorizing, and the
+/// one certification factorizes.
+fn jacobian_at_operating_point(name: &str) -> CsrMatrix {
+    let (c, x) = operating_point(name);
     let mut jac = triplet_for(&c);
     let mut res = vec![0.0; c.dim()];
     let mut state = c.seeded_state(&x);
@@ -46,7 +49,7 @@ fn largest_jacobian() -> CsrMatrix {
 }
 
 fn bench_symbolic_reuse(c: &mut Criterion) {
-    let a = largest_jacobian();
+    let a = jacobian_at_operating_point("fadd32");
     let mut group = c.benchmark_group("symbolic_reuse");
     group.bench_function("full_factorize_fadd32", |b| {
         b.iter(|| SparseLu::factorize(&a).unwrap())
@@ -71,6 +74,32 @@ fn bench_symbolic_reuse(c: &mut Criterion) {
                 .unwrap();
         })
     });
+    group.finish();
+}
+
+/// Certification's factorization, cold versus warm: `SparseLu::factorize`
+/// against a fresh-equivalent `LuWorkspace` replay of the same Jacobian
+/// (bitwise the same factorization, each recorded pivot re-verified
+/// against the full factorization's rule), on a mid-size and the largest
+/// suite circuit.
+fn bench_certify_lu(c: &mut Criterion) {
+    let mut group = c.benchmark_group("certify_lu");
+    for name in ["gm6", "fadd32"] {
+        let a = jacobian_at_operating_point(name);
+        group.bench_function(BenchmarkId::new("factorize", name), |b| {
+            b.iter(|| SparseLu::factorize(&a).unwrap())
+        });
+        // The pattern records on the second sighting of the structure.
+        let mut ws = LuWorkspace::fresh_equivalent();
+        ws.factorize(&a).unwrap();
+        ws.factorize(&a).unwrap();
+        assert_eq!(ws.last_op(), Some(LuOp::Replay));
+        group.bench_function(BenchmarkId::new("fresh_equivalent_replay", name), |b| {
+            b.iter(|| {
+                ws.factorize(&a).unwrap();
+            })
+        });
+    }
     group.finish();
 }
 
@@ -195,6 +224,7 @@ fn bench_assembly(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_symbolic_reuse,
+    bench_certify_lu,
     bench_batch_engine,
     bench_telemetry_overhead,
     bench_assembly

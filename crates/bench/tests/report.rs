@@ -82,6 +82,16 @@ fn sample_report() -> BenchReport {
                 p90_nanos: 2_000,
                 p99_nanos: 15_000,
             },
+            PhaseStat {
+                phase: "certify".to_string(),
+                count: 2,
+                sum_nanos: 40_000,
+                min_nanos: 15_000,
+                max_nanos: 25_000,
+                p50_nanos: 15_000,
+                p90_nanos: 25_000,
+                p99_nanos: 25_000,
+            },
         ],
     }
 }

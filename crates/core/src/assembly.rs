@@ -7,9 +7,10 @@
 //! certification re-assembles with and the plan bit-identity tests
 //! compare against.
 
+use crate::certify::CertifyWorkspace;
 use rlpta_devices::{EvalCtx, Stamper};
 use rlpta_linalg::{CsrMatrix, LinalgError, LuOp, LuWorkspace};
-use rlpta_mna::{BumpPlan, Circuit, StampPlan};
+use rlpta_mna::{BumpPlan, Circuit, ResidualScratch, StampPlan};
 use std::sync::Arc;
 
 /// How Newton systems were assembled each iteration.
@@ -38,7 +39,8 @@ pub enum AssemblyMode {
 /// numeric shell replays rewrite), the resolved stamp plan (possibly
 /// shared from the service plan cache), the working CSR buffer the plan
 /// scatters into, the lazily-built Gmin-bump companion and the iterate
-/// buffers.
+/// buffers, plus the start-point buffers and the certification workspace
+/// of a sweep-point chain.
 ///
 /// Created by whoever owns the chain and threaded through every
 /// `newton_iterate` call of it, so the plan resolves once and every later
@@ -55,6 +57,22 @@ pub(crate) struct NewtonWorkspace {
     bump: Option<(BumpPlan, CsrMatrix)>,
     /// The per-iteration vectors of `newton_iterate`.
     pub(crate) bufs: NewtonBuffers,
+    /// Per-point start buffers of a sweep-point chain.
+    pub(crate) start: StartBuffers,
+    /// Certification's own workspace for the chain's returned points,
+    /// built on the first certification (chains inside a PTA solve never
+    /// certify). It shares nothing with the Newton state above: its reports
+    /// are bitwise [`crate::certify::certify`]'s.
+    pub(crate) certify: Option<CertifyWorkspace>,
+}
+
+/// The start of one warm Newton run: the zero iterate used when no warm
+/// start is given and the limiter state seeded at the start iterate.
+#[derive(Debug, Default)]
+pub(crate) struct StartBuffers {
+    pub(crate) zeros: Vec<f64>,
+    pub(crate) state: Vec<f64>,
+    pub(crate) seed: ResidualScratch,
 }
 
 /// The vectors one Newton iteration works in, kept across iterations and

@@ -31,14 +31,26 @@
 //! Every certified solve emits one [`Payload::Certified`] telemetry event
 //! (after any rescue) and each rescue correction emits
 //! [`Payload::RefinementStep`], so the metrics registry counts grades and
-//! rescue work per run with no extra bookkeeping.
+//! rescue work per run with no extra bookkeeping. The whole gate runs under
+//! one [`Phase::Certify`] timing span.
+//!
+//! # Warm certification
+//!
+//! A `CertifyWorkspace` carries certification's own buffers from one call
+//! to the next: the triplet assembly, the CSR it converts into, a
+//! fresh-equivalent [`LuWorkspace`] and the Hager scratch. Its LU pattern is
+//! recorded from its own full factorization, never read from the Newton
+//! workspace, and a replay is accepted only when every recorded pivot is
+//! the one [`SparseLu::factorize`] would choose on the new values — so the
+//! replayed factorization is bitwise the fresh one, and a workspace report
+//! equals [`certify`]'s whatever the workspace saw before.
 
 use crate::error::SolveError;
-use crate::telemetry::{Payload, Tele};
+use crate::telemetry::{Payload, Phase, Tele};
 use crate::Solution;
 use rlpta_devices::EvalCtx;
-use rlpta_linalg::{norms, SparseLu, Triplet};
-use rlpta_mna::Circuit;
+use rlpta_linalg::{norms, CondScratch, CsrMatrix, LuWorkspace, SparseLu, Triplet};
+use rlpta_mna::{Circuit, ResidualScratch};
 
 /// Residual infinity-norm at or below which a solution can be graded
 /// [`HealthGrade::Certified`] — matches the plain Newton solver's default
@@ -134,51 +146,97 @@ fn grade_of(residual_norm: f64, cond: f64, growth: f64) -> HealthGrade {
     }
 }
 
-/// One limiter-free assembly at `x`: returns `(J(x) triplets, F(x))`.
-fn assemble_at(circuit: &Circuit, x: &[f64]) -> (Triplet, Vec<f64>) {
-    let n = circuit.dim();
-    let ctx = EvalCtx::dc(x);
-    let mut jac = Triplet::with_capacity(n, n, 8 * circuit.devices().len());
-    let mut res = vec![0.0; n];
-    let mut state = circuit.seeded_state(x);
-    circuit.assemble_into(&ctx, &mut jac, &mut res, &mut state);
-    (jac, res)
+/// Certification's reusable state: its own assembly buffers, the CSR the
+/// Jacobian converts into, a fresh-equivalent LU workspace and the Hager
+/// scratch (see the module docs). Reports do not depend on what the
+/// workspace certified before.
+#[derive(Debug)]
+pub(crate) struct CertifyWorkspace {
+    jac: Triplet,
+    res: Vec<f64>,
+    state: Vec<f64>,
+    seed: ResidualScratch,
+    csr: CsrMatrix,
+    lu: LuWorkspace,
+    cond: CondScratch,
+}
+
+impl Default for CertifyWorkspace {
+    fn default() -> Self {
+        Self {
+            jac: Triplet::default(),
+            res: Vec::new(),
+            state: Vec::new(),
+            seed: ResidualScratch::default(),
+            csr: CsrMatrix::default(),
+            lu: LuWorkspace::fresh_equivalent(),
+            cond: CondScratch::default(),
+        }
+    }
+}
+
+impl CertifyWorkspace {
+    /// One limiter-free assembly at `x` into `jac` (triplets) and `res`
+    /// (`F(x)`).
+    fn assemble(&mut self, circuit: &Circuit, x: &[f64]) {
+        let n = circuit.dim();
+        if self.jac.rows() != n {
+            self.jac = Triplet::with_capacity(n, n, 8 * circuit.devices().len());
+        }
+        self.res.resize(n, 0.0);
+        self.state.resize(circuit.state_len(), 0.0);
+        circuit.seeded_state_into(x, &mut self.state, &mut self.seed);
+        circuit.assemble_into(
+            &EvalCtx::dc(x),
+            &mut self.jac,
+            &mut self.res,
+            &mut self.state,
+        );
+    }
+
+    /// [`certify`] on this workspace's buffers; bitwise the same report.
+    pub(crate) fn certify(&mut self, circuit: &Circuit, x: &[f64]) -> HealthReport {
+        if x.len() != circuit.dim() || !x.iter().all(|v| v.is_finite()) {
+            return HealthReport {
+                residual_norm: f64::INFINITY,
+                cond_estimate: f64::INFINITY,
+                pivot_growth: f64::INFINITY,
+                grade: HealthGrade::Rejected,
+            };
+        }
+        self.assemble(circuit, x);
+        // `inf_norm` folds with `f64::max`, which discards NaN — scan first
+        // so a poisoned residual rejects instead of reading as 0.0.
+        let residual_norm = if self.res.iter().all(|v| v.is_finite()) {
+            norms::inf_norm(&self.res)
+        } else {
+            f64::INFINITY
+        };
+        self.jac.to_csr_into(&mut self.csr);
+        let (cond_estimate, pivot_growth) = match self.lu.factorize(&self.csr) {
+            Ok(lu) => (
+                sanitize(
+                    lu.cond_estimate_with(&self.csr, &mut self.cond)
+                        .unwrap_or(f64::INFINITY),
+                ),
+                sanitize(lu.pivot_growth()),
+            ),
+            Err(_) => (f64::INFINITY, f64::INFINITY),
+        };
+        HealthReport {
+            residual_norm: sanitize(residual_norm),
+            cond_estimate,
+            pivot_growth,
+            grade: grade_of(residual_norm, cond_estimate, pivot_growth),
+        }
+    }
 }
 
 /// Independently certifies an operating point: re-assembles the residual
 /// and Jacobian at `x` from the circuit alone (no solver state) and grades
 /// the result. Pure — same circuit and `x` always produce the same report.
 pub fn certify(circuit: &Circuit, x: &[f64]) -> HealthReport {
-    if x.len() != circuit.dim() || !x.iter().all(|v| v.is_finite()) {
-        return HealthReport {
-            residual_norm: f64::INFINITY,
-            cond_estimate: f64::INFINITY,
-            pivot_growth: f64::INFINITY,
-            grade: HealthGrade::Rejected,
-        };
-    }
-    let (jac, res) = assemble_at(circuit, x);
-    // `inf_norm` folds with `f64::max`, which discards NaN — scan first so a
-    // poisoned residual rejects instead of reading as 0.0.
-    let residual_norm = if res.iter().all(|v| v.is_finite()) {
-        norms::inf_norm(&res)
-    } else {
-        f64::INFINITY
-    };
-    let a = jac.to_csr();
-    let (cond_estimate, pivot_growth) = match SparseLu::factorize(&a) {
-        Ok(lu) => (
-            sanitize(lu.cond_estimate(&a).unwrap_or(f64::INFINITY)),
-            sanitize(lu.pivot_growth()),
-        ),
-        Err(_) => (f64::INFINITY, f64::INFINITY),
-    };
-    HealthReport {
-        residual_norm: sanitize(residual_norm),
-        cond_estimate,
-        pivot_growth,
-        grade: grade_of(residual_norm, cond_estimate, pivot_growth),
-    }
+    CertifyWorkspace::default().certify(circuit, x)
 }
 
 /// One rescue pass: up to [`RESCUE_STEPS`] Newton corrections at the
@@ -186,6 +244,7 @@ pub fn certify(circuit: &Circuit, x: &[f64]) -> HealthReport {
 /// plateau. Mutates `x` only with strictly improving steps; returns the
 /// best report seen.
 fn rescue_pass(
+    ws: &mut CertifyWorkspace,
     circuit: &Circuit,
     x: &mut Vec<f64>,
     equilibrate: bool,
@@ -193,23 +252,23 @@ fn rescue_pass(
     tele: &Tele<'_>,
 ) -> HealthReport {
     for step in 1..=RESCUE_STEPS {
-        let (jac, res) = assemble_at(circuit, x);
-        if !res.iter().all(|v| v.is_finite()) {
+        ws.assemble(circuit, x);
+        if !ws.res.iter().all(|v| v.is_finite()) {
             break;
         }
-        let a = jac.to_csr();
+        let a = ws.jac.to_csr();
         let lu = if equilibrate {
             SparseLu::factorize_equilibrated(&a)
         } else {
             SparseLu::factorize(&a)
         };
         let Ok(lu) = lu else { break };
-        let neg_f: Vec<f64> = res.iter().map(|v| -v).collect();
+        let neg_f: Vec<f64> = ws.res.iter().map(|v| -v).collect();
         let Ok(refined) = lu.solve_refined_capped(&a, &neg_f, RESCUE_REFINEMENT_CAP) else {
             break;
         };
         let candidate: Vec<f64> = x.iter().zip(&refined.x).map(|(a, b)| a + b).collect();
-        let report = certify(circuit, &candidate);
+        let report = ws.certify(circuit, &candidate);
         tele.emit(Payload::RefinementStep {
             step,
             residual: report.residual_norm,
@@ -229,22 +288,29 @@ fn rescue_pass(
     best
 }
 
-/// Certifies `solution` in place: grades it, attempts the refinement rescue
-/// when the grade is [`HealthGrade::Rejected`] (plain corrections first,
-/// then equilibrated refactorization), attaches the final [`HealthReport`]
-/// and emits one [`Payload::Certified`] event. Returns the final grade; the
-/// caller decides what a surviving `Rejected` means (the ladder demotes it,
-/// the engine surfaces [`SolveError::CertificationFailed`]).
+/// Certifies `solution` in place on `ws`: grades it, attempts the
+/// refinement rescue when the grade is [`HealthGrade::Rejected`] (plain
+/// corrections first, then equilibrated refactorization), attaches the
+/// final [`HealthReport`] and emits one [`Payload::Certified`] event, all
+/// under one [`Phase::Certify`] span. Returns the final grade; the caller
+/// decides what a surviving `Rejected` means (the ladder demotes it, the
+/// engine surfaces [`SolveError::CertificationFailed`]).
 pub(crate) fn certify_into(
+    ws: &mut CertifyWorkspace,
     circuit: &Circuit,
     solution: &mut Solution,
     tele: &Tele<'_>,
 ) -> HealthGrade {
-    let mut report = certify(circuit, &solution.x);
+    let _span = tele.time(Phase::Certify);
+    let mut report = ws.certify(circuit, &solution.x);
+    // The workspace's history must never show in a report. (Not under
+    // `faults`: the cold re-grade would take an extra injection draw.)
+    #[cfg(all(debug_assertions, not(feature = "faults")))]
+    debug_assert_eq!(report, certify(circuit, &solution.x));
     if report.grade == HealthGrade::Rejected && solution.x.iter().all(|v| v.is_finite()) {
         let mut x = solution.x.clone();
         for equilibrate in [false, true] {
-            report = rescue_pass(circuit, &mut x, equilibrate, report, tele);
+            report = rescue_pass(ws, circuit, &mut x, equilibrate, report, tele);
             if report.grade != HealthGrade::Rejected {
                 break;
             }
@@ -340,7 +406,7 @@ mod tests {
         let mut sol = exact.clone();
         sol.x[0] += 2.0;
         assert_eq!(certify(&c, &sol.x).grade, HealthGrade::Rejected);
-        let grade = certify_into(&c, &mut sol, &tele);
+        let grade = certify_into(&mut CertifyWorkspace::default(), &c, &mut sol, &tele);
         assert_eq!(grade, HealthGrade::Certified, "{:?}", sol.health);
         for (got, want) in sol.x.iter().zip(&exact.x) {
             assert!((got - want).abs() < 1e-9, "{got} vs {want}");
@@ -361,7 +427,7 @@ mod tests {
         let mut sol = NewtonRaphson::default().solve(&c).unwrap();
         let collector = Arc::new(Collector::default());
         let tele = Tele::root(&*collector, Span::default());
-        let grade = certify_into(&c, &mut sol, &tele);
+        let grade = certify_into(&mut CertifyWorkspace::default(), &c, &mut sol, &tele);
         assert_eq!(grade, HealthGrade::Certified);
         let health = sol.health.expect("attached");
         assert_eq!(health.grade, HealthGrade::Certified);
@@ -373,6 +439,87 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    /// A report's fields as bits.
+    fn report_bits(r: &HealthReport) -> (u64, u64, u64, HealthGrade) {
+        (
+            r.residual_norm.to_bits(),
+            r.cond_estimate.to_bits(),
+            r.pivot_growth.to_bits(),
+            r.grade,
+        )
+    }
+
+    /// Along chains of jittered points on one structure, entered after
+    /// other structures and dimensions, a long-lived workspace reports
+    /// bitwise what the cold [`certify`] reports — and its warm
+    /// certifications do replay.
+    #[test]
+    fn workspace_reports_equal_cold_certify_bitwise() {
+        use rand::prelude::*;
+        let mut circuits: Vec<Circuit> = ["gm1", "bias", "D10", "gm6"]
+            .iter()
+            .map(|n| rlpta_circuits::by_name(n).expect("known circuit").circuit)
+            .collect();
+        circuits.push(diode_clamp());
+        circuits.push(
+            rlpta_netlist::parse("t\nV1 a 0 10\nV2 b 0 3\nR1 a c 2k\nR2 b c 3k\nR3 c 0 1k\n")
+                .unwrap(),
+        );
+        let engine = crate::DcEngine::builder().build();
+        let points: Vec<Vec<f64>> = circuits
+            .iter()
+            .map(|c| engine.solve(c).expect("operating point").x)
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut ws = CertifyWorkspace::default();
+        for _ in 0..24 {
+            let i = rng.gen_range(0..circuits.len());
+            // Mostly small jitter (a warm chain); now and then a far point.
+            let spread = if rng.gen_bool(0.8) { 1e-4 } else { 0.5 };
+            for _ in 0..rng.gen_range(1..8) {
+                let x: Vec<f64> = points[i]
+                    .iter()
+                    .map(|v| v * (1.0 + spread * rng.gen_range(-1.0..1.0)))
+                    .collect();
+                let warm = ws.certify(&circuits[i], &x);
+                let cold = certify(&circuits[i], &x);
+                assert_eq!(report_bits(&warm), report_bits(&cold), "circuit {i}");
+            }
+        }
+        let stats = ws.lu.stats();
+        assert!(stats.refactorizations > 0, "no warm replay: {stats:?}");
+    }
+
+    /// Under `faults`, one certification takes exactly one singular-pivot
+    /// draw — cold or warm — and a fired draw fails its factorization
+    /// (infinite condition and growth) with no full-factorization retry:
+    /// the fired sequence is the one plain factorizations see.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn one_certification_takes_exactly_one_singular_draw() {
+        let c = diode_clamp();
+        let x = NewtonRaphson::default().solve(&c).unwrap().x;
+        let (seed, period, calls) = (5, 3, 60);
+        rlpta_linalg::faults::arm_singular(seed, period);
+        let mut ws = CertifyWorkspace::default();
+        let fired: Vec<bool> = (0..calls)
+            .map(|_| {
+                let r = ws.certify(&c, &x);
+                assert_ne!(r.grade, HealthGrade::Rejected);
+                r.cond_estimate == f64::INFINITY && r.pivot_growth == f64::INFINITY
+            })
+            .collect();
+        rlpta_linalg::faults::arm_singular(seed, period);
+        let id = rlpta_linalg::CsrMatrix::identity(2);
+        let want: Vec<bool> = (0..calls)
+            .map(|_| SparseLu::factorize(&id).is_err())
+            .collect();
+        rlpta_linalg::faults::disarm();
+        assert_eq!(fired, want);
+        assert!(fired.contains(&true) && fired.contains(&false));
+        assert!(ws.lu.stats().refactorizations > 0, "warm calls replayed");
     }
 
     #[test]

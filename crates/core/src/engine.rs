@@ -56,7 +56,7 @@
 #[allow(deprecated)]
 use crate::assembly::AssemblyMode;
 use crate::assembly::NewtonWorkspace;
-use crate::certify::{certify_into, HealthGrade};
+use crate::certify::{certify_into, CertifyWorkspace, HealthGrade};
 use crate::error::{SolveError, SolvePhase};
 use crate::newton::{newton_iterate, NewtonConfig, NewtonRaphson};
 use crate::pta::{PtaConfig, PtaKind, PtaSolver};
@@ -896,7 +896,10 @@ impl DcEngine {
         tele: &Tele<'_>,
     ) -> Result<Solution, SolveError> {
         let mut sol = result?;
-        if sol.health.is_none() && certify_into(circuit, &mut sol, tele) == HealthGrade::Rejected {
+        if sol.health.is_none()
+            && certify_into(&mut CertifyWorkspace::default(), circuit, &mut sol, tele)
+                == HealthGrade::Rejected
+        {
             let residual_norm = sol
                 .health
                 .as_ref()
@@ -1032,29 +1035,31 @@ impl DcEngine {
         ws: &mut NewtonWorkspace,
         tele: &Tele<'_>,
     ) -> Result<Solution, SolveError> {
-        let zeros;
-        let x0: &[f64] = match warm {
-            Some(x) => x,
-            None => {
-                zeros = vec![0.0; work.dim()];
-                &zeros
-            }
-        };
+        // The start buffers leave the workspace for the run (Newton borrows
+        // the rest of it) and return right after.
+        let mut start = std::mem::take(&mut ws.start);
+        if warm.is_none() {
+            start.zeros.clear();
+            start.zeros.resize(work.dim(), 0.0);
+        }
+        let x0: &[f64] = warm.unwrap_or(&start.zeros);
         let mut meter = self.budget.start();
         meter.set_phase(SolvePhase::Newton);
-        let mut state = work.seeded_state(x0);
+        start.state.resize(work.state_len(), 0.0);
+        work.seeded_state_into(x0, &mut start.state, &mut start.seed);
         let fold = StatsFold::default();
         let point_tele = tele.child(&fold);
         let attempt = newton_iterate(
             work,
             &self.newton,
             x0,
-            &mut state,
+            &mut start.state,
             &mut |_, _| {},
             &mut meter,
             ws,
             &point_tele,
         );
+        ws.start = start;
         match attempt {
             Ok(out) if out.converged => {
                 point_tele.emit(Payload::SolveDone { converged: true });
@@ -1066,7 +1071,8 @@ impl DcEngine {
                 // A warm iterate that fails independent certification (even
                 // after the rescue) is treated like any other Newton defeat:
                 // fall through to the escalation ladder below.
-                if certify_into(work, &mut sol, &point_tele) != HealthGrade::Rejected {
+                let certify_ws = ws.certify.get_or_insert_with(CertifyWorkspace::default);
+                if certify_into(certify_ws, work, &mut sol, &point_tele) != HealthGrade::Rejected {
                     return Ok(sol);
                 }
             }

@@ -8,7 +8,7 @@
 //! configurable object with a global [`SolveBudget`] and a machine-readable
 //! failure trail ([`AttemptReport`]).
 
-use crate::certify::{certify_into, HealthGrade};
+use crate::certify::{certify_into, CertifyWorkspace, HealthGrade};
 use crate::continuation::{GminStepping, SourceStepping};
 use crate::error::{SolveError, SolvePhase};
 use crate::homotopy::NewtonHomotopy;
@@ -219,7 +219,9 @@ impl RobustDcSolver {
                     // convergence is demoted like any other failure when the
                     // re-evaluated residual rejects the point (after the
                     // refinement rescue inside `certify_into`).
-                    if certify_into(circuit, &mut sol, &tele) == HealthGrade::Rejected {
+                    if certify_into(&mut CertifyWorkspace::default(), circuit, &mut sol, &tele)
+                        == HealthGrade::Rejected
+                    {
                         let stats = stage_fold.snapshot();
                         let e = match &sol.health {
                             Some(report) => crate::certify::rejection_error(report),

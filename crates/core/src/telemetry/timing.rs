@@ -47,6 +47,9 @@ pub enum Phase {
     PtaStep,
     /// One rung of the robust escalation ladder.
     LadderStage,
+    /// Independent certification of a returned operating point (re-assembly,
+    /// factorization, condition estimate and any refinement rescue).
+    Certify,
     /// One RL actor forward pass proposing the next step size.
     RlInference,
     /// One TD3 training step (critic + actor + target updates).
@@ -59,7 +62,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in canonical (declaration) order.
-    pub const ALL: [Phase; 12] = [
+    pub const ALL: [Phase; 13] = [
         Phase::StampResolve,
         Phase::StampWrite,
         Phase::LuFactorize,
@@ -68,6 +71,7 @@ impl Phase {
         Phase::NewtonSolve,
         Phase::PtaStep,
         Phase::LadderStage,
+        Phase::Certify,
         Phase::RlInference,
         Phase::RlTrain,
         Phase::GpFit,
@@ -85,6 +89,7 @@ impl Phase {
             Phase::NewtonSolve => "nr_solve",
             Phase::PtaStep => "pta_step",
             Phase::LadderStage => "ladder_stage",
+            Phase::Certify => "certify",
             Phase::RlInference => "rl_inference",
             Phase::RlTrain => "rl_train",
             Phase::GpFit => "gp_fit",
@@ -106,7 +111,11 @@ impl Phase {
             | Phase::LuReplay
             | Phase::LuSolve => Some(Phase::NewtonSolve),
             Phase::NewtonSolve | Phase::RlInference | Phase::RlTrain => Some(Phase::PtaStep),
-            Phase::PtaStep | Phase::LadderStage | Phase::GpFit | Phase::GpAcquisition => None,
+            Phase::PtaStep
+            | Phase::LadderStage
+            | Phase::Certify
+            | Phase::GpFit
+            | Phase::GpAcquisition => None,
         }
     }
 }

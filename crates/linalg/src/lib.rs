@@ -57,5 +57,5 @@ pub use error::LinalgError;
 pub use ordering::ColumnOrdering;
 pub use slots::{SlotWriter, StampSlots};
 pub use sparse::{CsrMatrix, Triplet};
-pub use sparse_lu::{Refinement, SparseLu};
-pub use symbolic::{FnvHasher, LuOp, LuStats, LuWorkspace, SymbolicLu};
+pub use sparse_lu::{CondScratch, Refinement, SparseLu};
+pub use symbolic::{FnvHasher, LuOp, LuStats, LuWorkspace, ReplayScratch, SymbolicLu};

@@ -37,11 +37,20 @@ pub(crate) fn next_generation() -> u64 {
 /// assert_eq!(a.get(0, 0), 3.0);
 /// assert_eq!(a.nnz(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct Triplet {
     rows: usize,
     cols: usize,
     entries: Vec<(usize, usize, f64)>,
+    /// Sort scratch of [`Triplet::to_csr_into`]: `(row, col, push index)`
+    /// per entry. Not part of equality.
+    order: Vec<(usize, usize, usize)>,
+}
+
+impl PartialEq for Triplet {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows && self.cols == other.cols && self.entries == other.entries
+    }
 }
 
 impl Triplet {
@@ -51,6 +60,7 @@ impl Triplet {
             rows,
             cols,
             entries: Vec::new(),
+            order: Vec::new(),
         }
     }
 
@@ -60,6 +70,7 @@ impl Triplet {
             rows,
             cols,
             entries: Vec::with_capacity(cap),
+            order: Vec::new(),
         }
     }
 
@@ -112,42 +123,105 @@ impl Triplet {
     /// that result from cancellation only when the summed value is exactly 0
     /// *and* no entry was pushed there (structural zeros are never created;
     /// summed-to-zero entries are kept so the sparsity pattern is stable
-    /// across Newton iterations).
+    /// across Newton iterations). Allocating wrapper over
+    /// [`Triplet::to_csr_into`].
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.rows + 1];
-        // Stable sort: duplicates of one position keep push order, so each
-        // slot's value is the left-to-right sum of its stamps *in stamping
-        // order*. [`crate::StampSlots`] scatters with the same order, which
-        // is what makes plan-based assembly bit-identical to this path.
-        let mut sorted: Vec<(usize, usize, f64)> = self.entries.clone();
-        sorted.sort_by_key(|a| (a.0, a.1));
-
-        let mut col_indices = Vec::with_capacity(sorted.len());
-        let mut values = Vec::with_capacity(sorted.len());
-        let mut last: Option<(usize, usize)> = None;
-        for (r, c, v) in sorted {
-            // `last` is only `Some` after at least one push, so `last_mut`
-            // matching it implies `values` is nonempty.
-            if let (true, Some(tail)) = (last == Some((r, c)), values.last_mut()) {
-                *tail += v;
-            } else {
-                counts[r + 1] += 1;
-                col_indices.push(c);
-                values.push(v);
-                last = Some((r, c));
-            }
-        }
-        for i in 0..self.rows {
-            counts[i + 1] += counts[i];
-        }
-        CsrMatrix {
+        let mut out = CsrMatrix {
             rows: self.rows,
             cols: self.cols,
-            row_ptr: counts,
-            col_indices,
-            values,
-            structure_id: next_generation(),
+            row_ptr: Vec::with_capacity(self.rows + 1),
+            col_indices: Vec::with_capacity(self.entries.len()),
+            values: Vec::with_capacity(self.entries.len()),
+            // No generation yet: the fill draws a fresh one.
+            structure_id: 0,
+        };
+        fill_csr(
+            self.rows,
+            self.cols,
+            &self.entries,
+            &mut Vec::with_capacity(self.entries.len()),
+            &mut out,
+        );
+        out
+    }
+
+    /// [`Triplet::to_csr`] into an existing matrix, reusing its storage and
+    /// this builder's sort scratch: once both have grown to the entry
+    /// count, a conversion allocates nothing. When the converted structure
+    /// equals the one `out` already held, `out` keeps its structure
+    /// generation, so a [`crate::SymbolicLu`] recorded from it still takes
+    /// the exact replay on an id compare. Bit-identical to
+    /// [`Triplet::to_csr`].
+    pub fn to_csr_into(&mut self, out: &mut CsrMatrix) {
+        fill_csr(self.rows, self.cols, &self.entries, &mut self.order, out);
+    }
+}
+
+/// The conversion behind [`Triplet::to_csr_into`]: sorts `(row, col, push
+/// index)` keys (unique, so an unstable sort orders exactly like a stable
+/// sort by position), sums each position's stamps left to right *in
+/// stamping order* — [`crate::StampSlots`] scatters with the same order,
+/// which is what makes plan-based assembly bit-identical to this path —
+/// and writes the result over `out`, comparing the structure as it goes.
+fn fill_csr(
+    rows: usize,
+    cols: usize,
+    entries: &[(usize, usize, f64)],
+    order: &mut Vec<(usize, usize, usize)>,
+    out: &mut CsrMatrix,
+) {
+    order.clear();
+    order.extend(entries.iter().enumerate().map(|(k, &(r, c, _))| (r, c, k)));
+    order.sort_unstable();
+
+    let mut same = out.structure_id != 0 && out.rows == rows && out.cols == cols;
+    if !same {
+        out.rows = rows;
+        out.cols = cols;
+        out.row_ptr.clear();
+        out.row_ptr.resize(rows + 1, 0);
+    }
+    out.values.clear();
+    let mut nnz = 0;
+    // Rows `0..done` are complete: their end pointers are written.
+    let mut done = 0;
+    let mut last: Option<(usize, usize)> = None;
+    for &(r, c, k) in order.iter() {
+        let v = entries[k].2;
+        if let (true, Some(tail)) = (last == Some((r, c)), out.values.last_mut()) {
+            *tail += v;
+            continue;
         }
+        last = Some((r, c));
+        while done < r {
+            done += 1;
+            same &= out.row_ptr[done] == nnz;
+            out.row_ptr[done] = nnz;
+        }
+        match out.col_indices.get_mut(nnz) {
+            Some(slot) => {
+                same &= *slot == c;
+                *slot = c;
+            }
+            None => {
+                same = false;
+                out.col_indices.push(c);
+            }
+        }
+        out.values.push(v);
+        nnz += 1;
+    }
+    while done < rows {
+        done += 1;
+        same &= out.row_ptr[done] == nnz;
+        out.row_ptr[done] = nnz;
+    }
+    if out.col_indices.len() != nnz {
+        same = false;
+        out.col_indices.truncate(nnz);
+    }
+    if !same {
+        out.structure_id = next_generation();
     }
 }
 
@@ -174,6 +248,14 @@ pub struct CsrMatrix {
     /// copied by `clone`, so equal ids imply equal `row_ptr`/`col_indices`
     /// (the converse need not hold). Not part of equality.
     structure_id: u64,
+}
+
+impl Default for CsrMatrix {
+    /// The empty `0 × 0` matrix: a starting buffer for
+    /// [`Triplet::to_csr_into`] and the in-place transpose.
+    fn default() -> Self {
+        Self::from_pattern(0, 0, vec![0], Vec::new())
+    }
 }
 
 impl PartialEq for CsrMatrix {
@@ -342,15 +424,47 @@ impl CsrMatrix {
     }
 
     /// Returns the transpose as a new CSR matrix (i.e. CSC view of `self`).
+    /// Allocating wrapper over `CsrMatrix::transpose_into`.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut t = Triplet::with_capacity(self.cols, self.rows, self.nnz());
+        let mut out = CsrMatrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Writes the transpose over `out`, reusing its storage (a counting
+    /// sort by column: each transposed row lists its entries in increasing
+    /// original row order, exactly as [`Triplet::to_csr`] would sort them).
+    /// `out` always receives a fresh structure generation.
+    pub(crate) fn transpose_into(&self, out: &mut CsrMatrix) {
+        out.rows = self.cols;
+        out.cols = self.rows;
+        out.row_ptr.clear();
+        out.row_ptr.resize(self.cols + 1, 0);
+        for &c in &self.col_indices {
+            out.row_ptr[c + 1] += 1;
+        }
+        for c in 0..self.cols {
+            out.row_ptr[c + 1] += out.row_ptr[c];
+        }
+        out.col_indices.clear();
+        out.col_indices.resize(self.nnz(), 0);
+        out.values.clear();
+        out.values.resize(self.nnz(), 0.0);
+        // `row_ptr[c]` doubles as the insertion cursor of transposed row
+        // `c`; afterwards it holds the row's end, so shift it back.
         for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            for (c, v) in cols.iter().zip(vals) {
-                t.push(*c, i, *v);
+            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
+                let slot = &mut out.row_ptr[self.col_indices[k]];
+                out.col_indices[*slot] = i;
+                out.values[*slot] = self.values[k];
+                *slot += 1;
             }
         }
-        t.to_csr()
+        for c in (1..=self.cols).rev() {
+            out.row_ptr[c] = out.row_ptr[c - 1];
+        }
+        out.row_ptr[0] = 0;
+        out.structure_id = next_generation();
     }
 
     /// Iterates over `(row, col, value)` entries in row-major order.
@@ -490,6 +604,56 @@ mod tests {
         let a = t.to_csr();
         assert_eq!(a.nnz(), 1);
         assert_eq!(a.get(0, 0), 0.0);
+    }
+
+    fn triplet_of(rows: usize, cols: usize, es: &[(usize, usize, f64)]) -> Triplet {
+        let mut t = Triplet::new(rows, cols);
+        t.extend(es.iter().copied());
+        t
+    }
+
+    #[test]
+    fn to_csr_into_keeps_the_generation_only_for_an_unchanged_structure() {
+        // Duplicates summed in push order, rows out of order, an empty row.
+        let es = [(2, 1, 1e16), (0, 0, 1.0), (2, 1, 1.0), (2, 1, -1e16), (0, 2, 3.0)];
+        let mut t = triplet_of(3, 3, &es);
+        let mut out = CsrMatrix::default();
+        t.to_csr_into(&mut out);
+        assert_eq!(out, t.to_csr());
+        assert_eq!(out.get(2, 1), (1e16 + 1.0) - 1e16, "stamping order");
+        let id = out.structure_id();
+        // Same structure, other values: the generation survives.
+        let mut t2 = triplet_of(3, 3, &[(0, 2, 7.0), (2, 1, 2.0), (0, 0, -1.0)]);
+        t2.to_csr_into(&mut out);
+        assert_eq!(out, t2.to_csr());
+        assert_eq!(out.structure_id(), id);
+        // One entry more, one less, another shape: a new generation each.
+        for es in [
+            &[(0, 0, 1.0), (0, 2, 1.0), (1, 1, 1.0), (2, 1, 1.0)][..],
+            &[(0, 0, 1.0), (2, 1, 1.0)][..],
+        ] {
+            let mut t = triplet_of(3, 3, es);
+            let before = out.structure_id();
+            t.to_csr_into(&mut out);
+            assert_eq!(out, t.to_csr());
+            assert_ne!(out.structure_id(), before);
+        }
+        let mut wide = triplet_of(2, 4, &[(0, 0, 1.0), (1, 3, 1.0)]);
+        let before = out.structure_id();
+        wide.to_csr_into(&mut out);
+        assert_eq!(out, wide.to_csr());
+        assert_ne!(out.structure_id(), before);
+    }
+
+    #[test]
+    fn transpose_into_matches_the_triplet_transpose() {
+        let es = [(0, 1, 5.0), (1, 2, -2.0), (1, 0, 4.0), (0, 2, 1.5)];
+        let a = triplet_of(2, 3, &es).to_csr();
+        let swapped: Vec<_> = es.iter().map(|&(r, c, v)| (c, r, v)).collect();
+        let mut out = CsrMatrix::identity(5);
+        a.transpose_into(&mut out);
+        assert_eq!(out, triplet_of(3, 2, &swapped).to_csr());
+        assert_eq!(a.transpose(), out);
     }
 
     #[test]

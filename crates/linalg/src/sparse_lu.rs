@@ -19,6 +19,34 @@ use crate::{ColumnOrdering, CsrMatrix, LinalgError, Triplet};
 
 const EMPTY: usize = usize::MAX;
 
+/// `Err(DimensionMismatch)` unless `a` is square.
+pub(crate) fn check_square(a: &CsrMatrix) -> Result<(), LinalgError> {
+    if a.rows() == a.cols() {
+        Ok(())
+    } else {
+        Err(LinalgError::DimensionMismatch {
+            found: format!("{}x{}", a.rows(), a.cols()),
+            expected: "square matrix".into(),
+        })
+    }
+}
+
+/// The seeded singular-pivot fault hook (a no-op without the `faults`
+/// feature): consumes one injection draw and fails when it fires, so the
+/// callers' recovery paths run without a genuinely defective matrix. Every
+/// factorization entry point takes exactly one draw.
+#[inline]
+pub(crate) fn singular_fault() -> Result<(), LinalgError> {
+    #[cfg(feature = "faults")]
+    if crate::faults::fire_singular() {
+        return Err(LinalgError::Singular {
+            step: 0,
+            pivot: 0.0,
+        });
+    }
+    Ok(())
+}
+
 /// Largest absolute value in `vals`; NaN entries are ignored (`f64::max`
 /// keeps the running maximum when the candidate is NaN).
 fn max_abs(vals: &[f64]) -> f64 {
@@ -93,6 +121,16 @@ pub struct Refinement {
     pub steps: usize,
 }
 
+/// Reusable vectors of [`SparseLu::cond_estimate_with`]. Start from
+/// `default()`; the buffers size themselves on first use.
+#[derive(Debug, Clone, Default)]
+pub struct CondScratch {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+    work: Vec<f64>,
+}
+
 impl SparseLu {
     /// Relative threshold for keeping the diagonal pivot. A diagonal entry is
     /// accepted whenever `|a_jj| >= PIVOT_THRESHOLD * max_i |a_ij|`; this is
@@ -125,20 +163,24 @@ impl SparseLu {
     ///
     /// Same as [`SparseLu::factorize`].
     pub fn factorize_with(a: &CsrMatrix, ordering: ColumnOrdering) -> Result<Self, LinalgError> {
-        if a.rows() != a.cols() {
-            return Err(LinalgError::DimensionMismatch {
-                found: format!("{}x{}", a.rows(), a.cols()),
-                expected: "square matrix".into(),
-            });
-        }
-        // Injected fault: a seeded fraction of factorizations report a
-        // singular pivot, exercising the callers' recovery paths.
-        #[cfg(feature = "faults")]
-        if crate::faults::fire_singular() {
-            return Err(LinalgError::Singular {
-                step: 0,
-                pivot: 0.0,
-            });
+        check_square(a)?;
+        singular_fault()?;
+        Self::factorize_ranked(a, ordering, None)
+    }
+
+    /// The factorization behind [`SparseLu::factorize_with`], without the
+    /// fault hook. When `ranks` is given it receives, per column, the
+    /// pivot's rank among the column's not-yet-pivoted rows in topological
+    /// order — the position the first-strict-maximum tie-break saw it at,
+    /// which a fresh-equivalent [`crate::LuWorkspace`] replay re-checks.
+    pub(crate) fn factorize_ranked(
+        a: &CsrMatrix,
+        ordering: ColumnOrdering,
+        mut ranks: Option<&mut Vec<usize>>,
+    ) -> Result<Self, LinalgError> {
+        check_square(a)?;
+        if let Some(ranks) = ranks.as_deref_mut() {
+            ranks.clear();
         }
         let n = a.rows();
         let q = ordering.permutation(a);
@@ -279,6 +321,9 @@ impl SparseLu {
                 let v = x[r];
                 x[r] = 0.0;
                 if r == pivot_row {
+                    if let Some(ranks) = ranks.as_deref_mut() {
+                        ranks.push(lu.l_rows.len() - lu.l_ptr[j]);
+                    }
                     continue;
                 }
                 let pos = pinv[r];
@@ -514,81 +559,113 @@ impl SparseLu {
     }
 
     /// Solves `Aᵀ x = b` on the existing factorization — no transpose is
-    /// formed. With `P·A·Q = L·U` this is `Uᵀ y = Qᵀ b` (forward, since `Uᵀ`
-    /// is lower triangular), `Lᵀ w = y` (backward, unit diagonal), then
-    /// `x = Pᵀ w`. The certification layer's Hager condition estimator needs
-    /// exactly this `A⁻ᵀ` action.
+    /// formed. Allocating wrapper over [`SparseLu::solve_transposed_into`].
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
     pub fn solve_transposed(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if b.len() != self.n {
+        let mut x = b.to_vec();
+        self.solve_transposed_into(&mut x, &mut Vec::new())?;
+        Ok(x)
+    }
+
+    /// Solves `Aᵀ x = b` in place: `x` holds `b` on entry and the solution
+    /// on return; `work` is scratch, resized to [`SparseLu::dim`]. With
+    /// `P·A·Q = L·U` this is `Uᵀ y = Qᵀ b` (forward, since `Uᵀ` is lower
+    /// triangular), `Lᵀ w = y` (backward, unit diagonal), then `x = Pᵀ w`.
+    /// The backward pass writes `w` straight into original-row order, so
+    /// no inverse permutation is needed. The certification layer's Hager
+    /// condition estimator needs exactly this `A⁻ᵀ` action.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.dim()`.
+    pub fn solve_transposed_into(
+        &self,
+        x: &mut [f64],
+        work: &mut Vec<f64>,
+    ) -> Result<(), LinalgError> {
+        if x.len() != self.n {
             return Err(LinalgError::DimensionMismatch {
-                found: format!("rhs length {}", b.len()),
+                found: format!("rhs length {}", x.len()),
                 expected: format!("length {}", self.n),
             });
         }
         // Under equilibration the factorization holds B = R·A·C, so
         // Bᵀ = C·Aᵀ·R: solve Bᵀ z = C·b and return x = R·z.
-        let mut v: Vec<f64> = (0..self.n).map(|j| b[self.q[j]]).collect();
-        if let Some(c) = &self.col_scale {
-            for (j, vj) in v.iter_mut().enumerate() {
-                *vj = b[self.q[j]] * c[self.q[j]];
-            }
+        work.resize(self.n, 0.0);
+        let y = &mut work[..];
+        for (j, yj) in y.iter_mut().enumerate() {
+            let qj = self.q[j];
+            *yj = match &self.col_scale {
+                Some(c) => x[qj] * c[qj],
+                None => x[qj],
+            };
         }
-        // Forward: Uᵀ y = v. Row j of Uᵀ is column j of U (entries above the
-        // diagonal at pivot positions < j, plus the diagonal).
-        let mut y = vec![0.0; self.n];
+        // Forward: Uᵀ y = v, in place. Row j of Uᵀ is column j of U
+        // (entries above the diagonal at pivot positions < j, plus the
+        // diagonal).
         for j in 0..self.n {
-            let mut s = v[j];
+            let mut s = y[j];
             for k in self.u_ptr[j]..self.u_ptr[j + 1] {
                 s -= self.u_vals[k] * y[self.u_rows[k]];
             }
             y[j] = s / self.u_diag[j];
         }
-        // Backward: Lᵀ w = y (unit diagonal). L's row indices are original
-        // row ids; map them to pivot positions via pinv.
-        let mut pinv = vec![EMPTY; self.n];
-        for (j, &row) in self.p.iter().enumerate() {
-            pinv[row] = j;
-        }
+        // Backward: Lᵀ w = y (unit diagonal), storing w[j] at x[p[j]]. L's
+        // row indices are original row ids pivoted after j, whose entries
+        // of x this loop has already overwritten.
         for j in (0..self.n).rev() {
             let mut s = y[j];
             for k in self.l_ptr[j]..self.l_ptr[j + 1] {
-                s -= self.l_vals[k] * y[pinv[self.l_rows[k]]];
+                s -= self.l_vals[k] * x[self.l_rows[k]];
             }
-            y[j] = s;
-        }
-        // Undo the row permutation: x[p[j]] = w[j].
-        let mut x = vec![0.0; self.n];
-        for j in 0..self.n {
-            x[self.p[j]] = y[j];
+            x[self.p[j]] = s;
         }
         if let Some(r) = &self.row_scale {
             for (xi, ri) in x.iter_mut().zip(r) {
                 *xi *= ri;
             }
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Hager-style estimate of the 1-norm condition number `κ₁(A) =
-    /// ‖A‖₁·‖A⁻¹‖₁`, using a handful of [`SparseLu::solve`] /
-    /// [`SparseLu::solve_transposed`] pairs to lower-bound `‖A⁻¹‖₁` — never
-    /// more than five, typically two. `a` must be the matrix this
-    /// factorization was computed from (pre-equilibration); its explicit
-    /// 1-norm supplies the `‖A‖₁` factor.
-    ///
-    /// The estimate is a lower bound that is almost always within a small
-    /// factor of the truth — exactly the fidelity certification grading
-    /// needs (decades matter, digits do not).
+    /// ‖A‖₁·‖A⁻¹‖₁`. Allocating wrapper over
+    /// [`SparseLu::cond_estimate_with`].
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `a` disagrees with the
     /// factorized dimension.
     pub fn cond_estimate(&self, a: &CsrMatrix) -> Result<f64, LinalgError> {
+        self.cond_estimate_with(a, &mut CondScratch::default())
+    }
+
+    /// Hager-style estimate of the 1-norm condition number `κ₁(A) =
+    /// ‖A‖₁·‖A⁻¹‖₁`, using a handful of [`SparseLu::solve_into`] /
+    /// [`SparseLu::solve_transposed_into`] pairs to lower-bound `‖A⁻¹‖₁` —
+    /// never more than five, typically two. `a` must be the matrix this
+    /// factorization was computed from (pre-equilibration); its explicit
+    /// 1-norm supplies the `‖A‖₁` factor. `scratch` holds the iteration
+    /// vectors, so a reused one makes the estimate allocation-free.
+    ///
+    /// The estimate is a lower bound that is almost always within a small
+    /// factor of the truth — exactly the fidelity certification grading
+    /// needs (decades matter, digits do not). A non-finite `‖A‖₁` or a
+    /// non-finite entry in any Hager solve yields `INFINITY`: a NaN inverse
+    /// is never read as perfectly conditioned.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `a` disagrees with the
+    /// factorized dimension.
+    pub fn cond_estimate_with(
+        &self,
+        a: &CsrMatrix,
+        scratch: &mut CondScratch,
+    ) -> Result<f64, LinalgError> {
         if a.rows() != self.n || a.cols() != self.n {
             return Err(LinalgError::DimensionMismatch {
                 found: format!("{}x{}", a.rows(), a.cols()),
@@ -598,31 +675,40 @@ impl SparseLu {
         if self.n == 0 {
             return Ok(1.0);
         }
-        // ‖A‖₁ = max column sum of |A|.
-        let mut col_sum = vec![0.0f64; self.n];
+        let n = self.n;
+        let CondScratch { x, y, z, work } = scratch;
+        // ‖A‖₁ = max column sum of |A| (`y` holds the column sums).
+        y.clear();
+        y.resize(n, 0.0);
         for (_, c, v) in a.iter() {
-            col_sum[c] += v.abs();
+            y[c] += v.abs();
         }
-        let a_norm = col_sum.iter().fold(0.0f64, |m, &s| m.max(s));
+        if !y.iter().all(|s| s.is_finite()) {
+            return Ok(f64::INFINITY);
+        }
+        let a_norm = y.iter().fold(0.0f64, |m, &s| m.max(s));
 
         // Hager's algorithm on A⁻¹: maximize ‖A⁻¹ x‖₁ over ‖x‖₁ = 1.
-        let n = self.n;
         let nf = n as f64;
-        let mut x = vec![1.0 / nf; n];
+        x.clear();
+        x.resize(n, 1.0 / nf);
         let mut inv_norm = 0.0f64;
         let mut last_j = EMPTY;
         for _ in 0..5 {
-            let y = self.solve(&x)?;
+            y.clear();
+            y.extend_from_slice(x);
+            self.solve_into(y, work)?;
             let y_norm: f64 = y.iter().map(|v| v.abs()).sum();
-            inv_norm = inv_norm.max(y_norm);
             if !y_norm.is_finite() {
-                break;
+                return Ok(f64::INFINITY);
             }
-            let xi: Vec<f64> = y
-                .iter()
-                .map(|&v| if v >= 0.0 { 1.0 } else { -1.0 })
-                .collect();
-            let z = self.solve_transposed(&xi)?;
+            inv_norm = inv_norm.max(y_norm);
+            z.clear();
+            z.extend(y.iter().map(|&v| if v >= 0.0 { 1.0 } else { -1.0 }));
+            self.solve_transposed_into(z, work)?;
+            if !z.iter().all(|v| v.is_finite()) {
+                return Ok(f64::INFINITY);
+            }
             let (j, z_max) = z
                 .iter()
                 .enumerate()
@@ -633,7 +719,7 @@ impl SparseLu {
                         (bj, bm)
                     }
                 });
-            let ztx: f64 = z.iter().zip(&x).map(|(zi, xi)| zi * xi).sum();
+            let ztx: f64 = z.iter().zip(x.iter()).map(|(zi, xi)| zi * xi).sum();
             if z_max <= ztx || j == last_j {
                 break;
             }
@@ -1005,6 +1091,105 @@ mod tests {
         let i = CsrMatrix::identity(4);
         let k = SparseLu::factorize(&i).unwrap().cond_estimate(&i).unwrap();
         assert!((k - 1.0).abs() < 1e-12);
+    }
+
+    /// `[[1, 0], [NaN, 2]]` factorizes (the NaN only reaches `U`), but
+    /// every solve through it is NaN: the estimate must read that as
+    /// infinitely ill-conditioned, never as `1.0`.
+    #[test]
+    fn cond_estimate_reads_a_nan_inverse_as_infinite() {
+        let mut t = Triplet::new(2, 2);
+        t.push(0, 0, 1.0);
+        t.push(1, 0, f64::NAN);
+        t.push(1, 1, 2.0);
+        let a = t.to_csr();
+        let lu = SparseLu::factorize(&a).unwrap();
+        assert!(lu.solve(&[1.0, 1.0]).unwrap().iter().any(|v| v.is_nan()));
+        assert_eq!(lu.cond_estimate(&a).unwrap(), f64::INFINITY);
+        let mut scratch = CondScratch::default();
+        assert_eq!(lu.cond_estimate_with(&a, &mut scratch).unwrap(), f64::INFINITY);
+        // The scratch carries no state into the next estimate.
+        let i = CsrMatrix::identity(2);
+        let k = SparseLu::factorize(&i).unwrap().cond_estimate_with(&i, &mut scratch);
+        assert_eq!(k.unwrap(), 1.0);
+    }
+
+    /// The transposed solve as first written: `Uᵀ` forward, `Lᵀ` backward
+    /// through an explicit inverse row permutation, then `x = Pᵀ w`.
+    fn solve_transposed_reference(lu: &SparseLu, b: &[f64]) -> Vec<f64> {
+        let n = lu.n;
+        let mut v: Vec<f64> = (0..n).map(|j| b[lu.q[j]]).collect();
+        if let Some(c) = &lu.col_scale {
+            for (j, vj) in v.iter_mut().enumerate() {
+                *vj = b[lu.q[j]] * c[lu.q[j]];
+            }
+        }
+        let mut y = vec![0.0; n];
+        for j in 0..n {
+            let mut s = v[j];
+            for k in lu.u_ptr[j]..lu.u_ptr[j + 1] {
+                s -= lu.u_vals[k] * y[lu.u_rows[k]];
+            }
+            y[j] = s / lu.u_diag[j];
+        }
+        let mut pinv = vec![0; n];
+        for (j, &row) in lu.p.iter().enumerate() {
+            pinv[row] = j;
+        }
+        for j in (0..n).rev() {
+            let mut s = y[j];
+            for k in lu.l_ptr[j]..lu.l_ptr[j + 1] {
+                s -= lu.l_vals[k] * y[pinv[lu.l_rows[k]]];
+            }
+            y[j] = s;
+        }
+        let mut x = vec![0.0; n];
+        for j in 0..n {
+            x[lu.p[j]] = y[j];
+        }
+        if let Some(r) = &lu.row_scale {
+            for (xi, ri) in x.iter_mut().zip(r) {
+                *xi *= ri;
+            }
+        }
+        x
+    }
+
+    /// The in-place transposed solve (which writes `Lᵀ`'s unknowns straight
+    /// into original-row order) is bitwise the reference formulation, and
+    /// a Hager scratch reused across factorizations carries no state from
+    /// one estimate into the next.
+    #[test]
+    fn scratch_forms_are_bitwise_the_reference_ones() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let (mut work, mut scratch) = (Vec::new(), CondScratch::default());
+        for trial in 0..20 {
+            let n = rng.gen_range(2..30);
+            let mut t = Triplet::new(n, n);
+            for i in 0..n {
+                t.push(i, i, 1e-3 + rng.gen::<f64>());
+                for _ in 0..3 {
+                    t.push(i, rng.gen_range(0..n), rng.gen_range(-2.0..2.0));
+                }
+            }
+            let a = t.to_csr();
+            let lu = if trial % 2 == 0 {
+                SparseLu::factorize(&a)
+            } else {
+                SparseLu::factorize_equilibrated(&a)
+            };
+            let Ok(lu) = lu else { continue };
+            let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut x = b.clone();
+            lu.solve_transposed_into(&mut x, &mut work).unwrap();
+            let want = solve_transposed_reference(&lu, &b);
+            assert_eq!(
+                x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+            let k = lu.cond_estimate_with(&a, &mut scratch).unwrap();
+            assert_eq!(k.to_bits(), lu.cond_estimate(&a).unwrap().to_bits());
+        }
     }
 
     #[test]

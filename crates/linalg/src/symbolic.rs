@@ -28,7 +28,8 @@
 //! persistent numeric shell.
 
 use crate::sparse::next_generation;
-use crate::{CsrMatrix, LinalgError, SparseLu};
+use crate::sparse_lu::{check_square, singular_fault};
+use crate::{ColumnOrdering, CsrMatrix, LinalgError, SparseLu};
 use std::sync::Arc;
 
 const EMPTY: usize = usize::MAX;
@@ -290,7 +291,7 @@ impl SymbolicLu {
     /// Same as [`SymbolicLu::refactorize_into`].
     pub fn refactorize(&self, a: &CsrMatrix) -> Result<SparseLu, LinalgError> {
         let mut lu = SparseLu::empty();
-        self.refactorize_into(a, &mut lu, &mut Vec::new())?;
+        self.refactorize_into(a, &mut lu, &mut ReplayScratch::default())?;
         Ok(lu)
     }
 
@@ -305,9 +306,10 @@ impl SymbolicLu {
     /// `lu` is the numeric shell: any [`SparseLu`] (typically the previous
     /// replay's). A shell already holding this pattern only has its values
     /// rewritten; any other is first reshaped to the pattern, reusing its
-    /// allocations. `scratch` is the dense replay workspace, resized to the
-    /// dimension. With a warm shell and scratch the replay allocates
-    /// nothing on the exact path.
+    /// allocations. `scratch` holds the dense replay workspace (resized to
+    /// the dimension) and the general path's transpose and pattern marks.
+    /// With a warm shell and scratch the replay allocates nothing, on the
+    /// exact and the general path alike.
     ///
     /// When `a` is structurally identical to the recorded matrix
     /// ([`SymbolicLu::compatible_with`]: a clone of it, or equal
@@ -335,9 +337,40 @@ impl SymbolicLu {
         &self,
         a: &CsrMatrix,
         lu: &mut SparseLu,
-        scratch: &mut Vec<f64>,
+        scratch: &mut ReplayScratch,
     ) -> Result<(), LinalgError> {
-        let out = self.replay(a, lu, scratch);
+        // Injected fault, mirroring `SparseLu::factorize_with`: the numeric
+        // path must exercise the same recovery ladders as the full path.
+        let out = self
+            .check_dim(a)
+            .and_then(|()| singular_fault())
+            .and_then(|()| self.replay(a, lu, scratch, None));
+        Self::poison_on_error(lu, out)
+    }
+
+    /// The fresh-equivalent replay of a [`LuWorkspace::fresh_equivalent`]
+    /// workspace: exact-structure only, and every column's recorded pivot
+    /// (at `ranks[j]` among the column's unpivoted rows in topological
+    /// order) must be the one [`SparseLu::factorize`] would pick on these
+    /// values. Takes no fault draw; the workspace takes one per call.
+    fn refactorize_fresh_into(
+        &self,
+        a: &CsrMatrix,
+        lu: &mut SparseLu,
+        scratch: &mut ReplayScratch,
+        ranks: &[usize],
+    ) -> Result<(), LinalgError> {
+        let out = if self.compatible_with(a) {
+            self.replay(a, lu, scratch, Some(ranks))
+        } else {
+            Err(LinalgError::PatternChanged { step: 0 })
+        };
+        Self::poison_on_error(lu, out)
+    }
+
+    /// On error, unbinds `lu` and poisons its pivots with NaN, so a
+    /// half-written replay can never pass for a result.
+    fn poison_on_error(lu: &mut SparseLu, out: Result<(), LinalgError>) -> Result<(), LinalgError> {
         if out.is_err() {
             lu.shell_of = 0;
             lu.u_diag.fill(f64::NAN);
@@ -345,29 +378,27 @@ impl SymbolicLu {
         out
     }
 
-    /// [`SymbolicLu::refactorize_into`] before the poisoning of a failed
-    /// shell.
-    fn replay(
-        &self,
-        a: &CsrMatrix,
-        lu: &mut SparseLu,
-        scratch: &mut Vec<f64>,
-    ) -> Result<(), LinalgError> {
+    /// `Err(DimensionMismatch)` unless `a` is `n × n`.
+    fn check_dim(&self, a: &CsrMatrix) -> Result<(), LinalgError> {
         if a.rows() != self.n || a.cols() != self.n {
             return Err(LinalgError::DimensionMismatch {
                 found: format!("{}x{}", a.rows(), a.cols()),
                 expected: format!("{n}x{n}", n = self.n),
             });
         }
-        // Injected fault, mirroring `SparseLu::factorize_with`: the numeric
-        // path must exercise the same recovery ladders as the full path.
-        #[cfg(feature = "faults")]
-        if crate::faults::fire_singular() {
-            return Err(LinalgError::Singular {
-                step: 0,
-                pivot: 0.0,
-            });
-        }
+        Ok(())
+    }
+
+    /// The numeric replay into a dimension-checked `a`. `ranks` selects the
+    /// pivot rule: `None` is the Newton decay guard, `Some` the
+    /// fresh-equivalent rule (see [`SymbolicLu::commit_column`]).
+    fn replay(
+        &self,
+        a: &CsrMatrix,
+        lu: &mut SparseLu,
+        scratch: &mut ReplayScratch,
+        ranks: Option<&[usize]>,
+    ) -> Result<(), LinalgError> {
         self.bind(lu);
         // The pivot-growth denominator, so replayed factorizations report
         // [`SparseLu::pivot_growth`] just like full ones.
@@ -375,9 +406,11 @@ impl SymbolicLu {
         // Dense workspace indexed by *pivot position*. Stale entries are
         // harmless: every column clears its recorded pattern before use,
         // and nothing outside it is read.
-        scratch.resize(self.n, 0.0);
+        scratch.x.resize(self.n, 0.0);
         match &self.plan {
-            Some(plan) if self.compatible_with(a) => self.replay_exact(a, plan, lu, scratch),
+            Some(plan) if self.compatible_with(a) => {
+                self.replay_exact(a, plan, lu, &mut scratch.x, ranks)
+            }
             _ => self.replay_general(a, lu, scratch),
         }
     }
@@ -407,8 +440,11 @@ impl SymbolicLu {
         lu.shell_of = self.id;
     }
 
-    /// Checks the recorded pivot for column `j` against the decay
-    /// threshold, then commits the pivot and the scaled `L` column.
+    /// Checks the recorded pivot for column `j`, then commits the pivot and
+    /// the scaled `L` column. Without `rank` the check is the Newton decay
+    /// guard ([`SymbolicLu::REFACTOR_PIVOT_THRESHOLD`]); with the pivot's
+    /// recorded `rank` it is the fresh-equivalent rule
+    /// ([`SymbolicLu::fresh_pivot_holds`]).
     #[inline]
     fn commit_column(
         &self,
@@ -417,18 +453,24 @@ impl SymbolicLu {
         j: usize,
         ll: usize,
         lh: usize,
+        rank: Option<usize>,
     ) -> Result<(), LinalgError> {
         let pivot = x[j];
-        let mut max_abs = pivot.abs();
-        for k in ll..lh {
-            max_abs = max_abs.max(x[self.l_pos[k]].abs());
-        }
-        let pivot_safe = pivot.is_finite()
-            && pivot.abs() >= f64::MIN_POSITIVE
-            && pivot.abs() >= Self::REFACTOR_PIVOT_THRESHOLD * max_abs;
-        if !pivot_safe {
-            // NaN/Inf pivots and NaN column maxima fail the comparisons
-            // and land here too.
+        let pivot_ok = match rank {
+            Some(rank) => self.fresh_pivot_holds(x, j, ll, lh, rank),
+            None => {
+                let mut max_abs = pivot.abs();
+                for k in ll..lh {
+                    max_abs = max_abs.max(x[self.l_pos[k]].abs());
+                }
+                // NaN/Inf pivots and NaN column maxima fail the
+                // comparisons.
+                pivot.is_finite()
+                    && pivot.abs() >= f64::MIN_POSITIVE
+                    && pivot.abs() >= Self::REFACTOR_PIVOT_THRESHOLD * max_abs
+            }
+        };
+        if !pivot_ok {
             return Err(LinalgError::PatternChanged { step: j });
         }
         lu.u_diag[j] = pivot;
@@ -436,6 +478,42 @@ impl SymbolicLu {
             lu.l_vals[k] = x[self.l_pos[k]] / pivot;
         }
         Ok(())
+    }
+
+    /// Whether [`SparseLu::factorize`]'s own pivot rule picks position `j`
+    /// in column `j`. The column's candidates are its unpivoted rows in
+    /// the full factorization's topological order: the recorded `L` rows
+    /// with the pivot inserted at `rank`. The rule, comparison for
+    /// comparison: the first strict maximum of `|x|` (NaN never wins), the
+    /// diagonal row `q[j]` kept when it is a candidate with
+    /// `|x| >= PIVOT_THRESHOLD · max`, and a maximum below `MIN_POSITIVE`
+    /// refused (the full factorization reports it singular).
+    fn fresh_pivot_holds(&self, x: &[f64], j: usize, ll: usize, lh: usize, rank: usize) -> bool {
+        let diag = self.pinv[self.q[j]];
+        let candidates = self.l_pos[ll..ll + rank]
+            .iter()
+            .chain(std::iter::once(&j))
+            .chain(&self.l_pos[ll + rank..lh]);
+        let (mut max_abs, mut max_pos, mut diag_abs) = (0.0f64, EMPTY, 0.0f64);
+        for &pos in candidates {
+            let v = x[pos].abs();
+            if v > max_abs {
+                max_abs = v;
+                max_pos = pos;
+            }
+            if pos == diag {
+                diag_abs = v;
+            }
+        }
+        if max_pos == EMPTY || max_abs < f64::MIN_POSITIVE {
+            return false;
+        }
+        let chosen = if diag_abs >= SparseLu::PIVOT_THRESHOLD * max_abs {
+            diag
+        } else {
+            max_pos
+        };
+        chosen == j
     }
 
     /// The hot path: structure already verified equal to the recorded
@@ -446,6 +524,7 @@ impl SymbolicLu {
         plan: &ScatterPlan,
         lu: &mut SparseLu,
         x: &mut [f64],
+        ranks: Option<&[usize]>,
     ) -> Result<(), LinalgError> {
         let vals = a.values();
         for j in 0..self.n {
@@ -483,25 +562,30 @@ impl SymbolicLu {
                 }
             }
 
-            self.commit_column(lu, x, j, ll, lh)?;
+            self.commit_column(lu, x, j, ll, lh, ranks.map(|r| r[j]))?;
         }
         Ok(())
     }
 
     /// The guarded path for matrices whose structure deviates from the
     /// recorded one (an entry dropped to structural zero, or no plan):
-    /// every scatter and every update is checked against the pattern.
+    /// every scatter and every update is checked against the pattern. Runs
+    /// under the Newton decay guard only (fresh-equivalent replays are
+    /// exact-structure by construction).
     fn replay_general(
         &self,
         a: &CsrMatrix,
         lu: &mut SparseLu,
-        x: &mut [f64],
+        scratch: &mut ReplayScratch,
     ) -> Result<(), LinalgError> {
         let n = self.n;
-        let at = a.transpose();
+        let ReplayScratch { x, at, mark } = scratch;
+        let at = at.get_or_insert_with(CsrMatrix::default);
+        a.transpose_into(at);
         // Per-column stamp marking which positions belong to the recorded
         // pattern.
-        let mut mark = vec![EMPTY; n];
+        mark.clear();
+        mark.resize(n, EMPTY);
 
         for j in 0..n {
             let ul = self.u_ptr[j];
@@ -551,7 +635,7 @@ impl SymbolicLu {
                 }
             }
 
-            self.commit_column(lu, x, j, ll, lh)?;
+            self.commit_column(lu, x, j, ll, lh, None)?;
         }
         Ok(())
     }
@@ -621,6 +705,18 @@ impl SymbolicLu {
     }
 }
 
+/// Reusable buffers of a [`SymbolicLu::refactorize_into`] replay: the
+/// dense workspace indexed by pivot position, plus the transpose of `A`
+/// and the per-column pattern marks the guarded general path works in.
+/// Start from `default()`; the buffers size themselves on first use.
+#[derive(Debug, Clone, Default)]
+pub struct ReplayScratch {
+    x: Vec<f64>,
+    /// Built on the first general replay (most workspaces never take one).
+    at: Option<CsrMatrix>,
+    mark: Vec<usize>,
+}
+
 /// Counters describing how a [`LuWorkspace`] serviced its factorization
 /// requests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -670,6 +766,24 @@ pub enum LuOp {
 /// and sweep points of one circuit, and use one workspace per thread — it is
 /// `Send` but deliberately not shared.
 ///
+/// # Fresh-equivalent workspaces
+///
+/// [`LuWorkspace::new`] replays under the Newton decay guard: a replay may
+/// keep a recorded pivot the full factorization would no longer pick, which
+/// is numerically safe but not bit-identical to [`SparseLu::factorize`].
+/// [`LuWorkspace::fresh_equivalent`] builds a workspace whose every result
+/// *is* bitwise what [`SparseLu::factorize`] returns on the same matrix. It
+/// records its own pattern (never a preloaded one), replays only a matrix
+/// of exactly the recorded structure, and accepts a replay only when each
+/// column's recorded pivot is the one the full factorization's rule picks
+/// on the new values. Same structure and same pivots give the same
+/// topological order and the same operations, so the replay equals the
+/// fresh factorization bit for bit; anything else falls back to the full
+/// factorization. It records the pattern on the second sighting of a
+/// structure, so a one-shot use costs no more than the plain
+/// factorization. Under the `faults` feature it takes exactly one
+/// injection draw per call, and a fired draw fails the call.
+///
 /// # Example
 ///
 /// ```
@@ -698,25 +812,44 @@ pub enum LuOp {
 #[derive(Debug, Clone)]
 pub struct LuWorkspace {
     symbolic: Option<Arc<SymbolicLu>>,
+    /// Pivot-rule data of a fresh-equivalent workspace; `None` for a
+    /// Newton-path workspace.
+    fresh: Option<FreshRule>,
     /// The latest factorization, bound to `symbolic`'s pattern after a
     /// success; replays rewrite it in place. Lent out only while `valid`.
     numeric: SparseLu,
     /// Whether the latest [`LuWorkspace::factorize`] call succeeded, i.e.
     /// `numeric` is the factorization of the matrix it was given.
     valid: bool,
-    /// Dense replay workspace, reused by every replay.
-    scratch: Vec<f64>,
+    /// Replay buffers, reused by every replay.
+    scratch: ReplayScratch,
     stats: LuStats,
     last_op: Option<LuOp>,
+}
+
+/// What a fresh-equivalent [`LuWorkspace`] knows about its latest full
+/// factorization.
+#[derive(Debug, Clone, Default)]
+struct FreshRule {
+    /// Per column, the pivot's rank among the unpivoted rows in
+    /// topological order ([`SparseLu::factorize_ranked`]).
+    ranks: Vec<usize>,
+    /// Id of the pattern recorded from the factorization `ranks` describe;
+    /// 0 before it is recorded.
+    pattern: u64,
+    /// Structure generation of the matrix that factorization ran on while
+    /// its pattern is not yet recorded; 0 otherwise.
+    pending: u64,
 }
 
 impl Default for LuWorkspace {
     fn default() -> Self {
         Self {
             symbolic: None,
+            fresh: None,
             numeric: SparseLu::empty(),
             valid: false,
-            scratch: Vec::new(),
+            scratch: ReplayScratch::default(),
             stats: LuStats::default(),
             last_op: None,
         }
@@ -728,6 +861,16 @@ impl LuWorkspace {
     /// the pattern.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty fresh-equivalent workspace: every factorization it lends
+    /// out is bitwise what [`SparseLu::factorize`] returns on the same
+    /// matrix (see the type-level docs).
+    pub fn fresh_equivalent() -> Self {
+        Self {
+            fresh: Some(FreshRule::default()),
+            ..Self::default()
+        }
     }
 
     /// A workspace pre-seeded with a previously recorded pattern — the
@@ -765,37 +908,82 @@ impl LuWorkspace {
     /// never surfaced (it triggers the internal fallback).
     pub fn factorize(&mut self, a: &CsrMatrix) -> Result<&SparseLu, LinalgError> {
         self.valid = false;
-        let replayed = match &self.symbolic {
-            Some(sym) if sym.dim() == a.rows() && a.rows() == a.cols() => {
+        let op = match self.fresh.take() {
+            Some(mut rule) => {
+                let op = self.factorize_fresh(a, &mut rule);
+                self.fresh = Some(rule);
+                op?
+            }
+            None => self.factorize_guarded(a)?,
+        };
+        match op {
+            LuOp::Replay => self.stats.refactorizations += 1,
+            LuOp::Full => self.stats.full_factorizations += 1,
+        }
+        self.last_op = Some(op);
+        self.valid = true;
+        Ok(&self.numeric)
+    }
+
+    /// The Newton-path policy: replay under the decay guard, re-pivot and
+    /// re-record on any refusal.
+    fn factorize_guarded(&mut self, a: &CsrMatrix) -> Result<LuOp, LinalgError> {
+        if let Some(sym) = &self.symbolic {
+            if sym.dim() == a.rows() && a.rows() == a.cols() {
                 match sym.refactorize_into(a, &mut self.numeric, &mut self.scratch) {
-                    Ok(()) => true,
-                    Err(LinalgError::PatternChanged { .. })
-                    | Err(LinalgError::Singular { .. }) => {
-                        // Pattern outgrown or pivot decayed (or an injected
-                        // singular under the `faults` feature): re-pivot
-                        // from scratch below.
+                    Ok(()) => return Ok(LuOp::Replay),
+                    // Pattern outgrown or pivot decayed (or an injected
+                    // singular under the `faults` feature): re-pivot from
+                    // scratch below.
+                    Err(LinalgError::PatternChanged { .. } | LinalgError::Singular { .. }) => {
                         self.stats.fallbacks += 1;
-                        false
                     }
                     Err(e) => return Err(e),
                 }
             }
-            _ => false,
-        };
-        if replayed {
-            self.stats.refactorizations += 1;
-            self.last_op = Some(LuOp::Replay);
-        } else {
-            let mut lu = SparseLu::factorize(a)?;
-            let sym = lu.symbolic(a);
-            lu.shell_of = sym.id;
-            self.numeric = lu;
-            self.symbolic = Some(Arc::new(sym));
-            self.stats.full_factorizations += 1;
-            self.last_op = Some(LuOp::Full);
         }
-        self.valid = true;
-        Ok(&self.numeric)
+        let mut lu = SparseLu::factorize(a)?;
+        let sym = lu.symbolic(a);
+        lu.shell_of = sym.id;
+        self.numeric = lu;
+        self.symbolic = Some(Arc::new(sym));
+        Ok(LuOp::Full)
+    }
+
+    /// The fresh-equivalent policy (see the type-level docs): one fault
+    /// draw, then a pivot-verified exact replay of this workspace's own
+    /// pattern, else a full factorization that records its pivot ranks.
+    fn factorize_fresh(
+        &mut self,
+        a: &CsrMatrix,
+        rule: &mut FreshRule,
+    ) -> Result<LuOp, LinalgError> {
+        check_square(a)?;
+        singular_fault()?;
+        // Second sighting of the structure the latest full factorization
+        // ran on: record its pattern now (the structure is the same, so
+        // `a` serves as the recording matrix).
+        if rule.pending != 0 && rule.pending == a.structure_id() {
+            let sym = self.numeric.symbolic(a);
+            self.numeric.shell_of = sym.id;
+            rule.pattern = sym.id;
+            rule.pending = 0;
+            self.symbolic = Some(Arc::new(sym));
+        }
+        let own = self.symbolic.as_ref().filter(|s| s.id == rule.pattern);
+        if let Some(sym) = own.filter(|s| s.compatible_with(a)) {
+            match sym.refactorize_fresh_into(a, &mut self.numeric, &mut self.scratch, &rule.ranks) {
+                Ok(()) => return Ok(LuOp::Replay),
+                Err(_) => self.stats.fallbacks += 1,
+            }
+        }
+        rule.pattern = 0;
+        rule.pending = 0;
+        self.symbolic = None;
+        self.numeric =
+            SparseLu::factorize_ranked(a, ColumnOrdering::default(), Some(&mut rule.ranks))?;
+        rule.pending = a.structure_id();
+        Ok(LuOp::Full)
     }
 
     /// The factorization the latest [`LuWorkspace::factorize`] call lent
@@ -839,6 +1027,7 @@ impl LuWorkspace {
 mod tests {
     use super::*;
     use crate::Triplet;
+    use proptest::prelude::*;
     use rand::prelude::*;
 
     fn residual_inf(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
@@ -1161,7 +1350,7 @@ mod tests {
         bad.values_mut()[k] = f64::NAN;
 
         let mut shell = SparseLu::factorize(&good).unwrap();
-        let mut scratch = Vec::new();
+        let mut scratch = ReplayScratch::default();
         match sym.refactorize_into(&bad, &mut shell, &mut scratch) {
             Err(LinalgError::PatternChanged { step }) => assert!(step > 0, "failed at {step}"),
             other => panic!("expected a mid-column failure, got {other:?}"),
@@ -1245,5 +1434,154 @@ mod tests {
         }
         assert_eq!(ws.stats().full_factorizations, 1);
         assert_eq!(ws.stats().refactorizations, 49);
+    }
+
+    /// Every field a solve or a report reads, as bits.
+    fn fingerprint(lu: &SparseLu) -> Vec<Vec<u64>> {
+        let idx = |v: &[usize]| v.iter().map(|&i| i as u64).collect::<Vec<_>>();
+        let val = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        vec![
+            vec![lu.n as u64, lu.max_abs_a.to_bits()],
+            idx(&lu.p),
+            idx(&lu.q),
+            idx(&lu.l_ptr),
+            idx(&lu.l_rows),
+            val(&lu.l_vals),
+            idx(&lu.u_ptr),
+            idx(&lu.u_rows),
+            val(&lu.u_vals),
+            val(&lu.u_diag),
+        ]
+    }
+
+    /// An MNA-shaped system: `k` nodes with conductance stamps and `m`
+    /// voltage-source branches whose rows and columns carry exact `±1`
+    /// incidence entries and no diagonal — the pivot ties and missing
+    /// diagonals a fresh-equivalent replay must honour.
+    fn mna_entries(rng: &mut StdRng, k: usize, m: usize) -> Vec<(usize, usize, f64)> {
+        let mut es = Vec::new();
+        for i in 0..k {
+            es.push((i, i, 1e-3 * rng.gen_range(0.5..2.0)));
+            let j = rng.gen_range(0..k);
+            if j != i {
+                let g: f64 = rng.gen_range(0.1..10.0);
+                es.extend([(i, i, g), (j, j, g), (i, j, -g), (j, i, -g)]);
+            }
+        }
+        for b in 0..m {
+            let (row, i) = (k + b, rng.gen_range(0..k));
+            es.extend([(i, row, 1.0), (row, i, 1.0)]);
+            let j = rng.gen_range(0..k);
+            if j != i {
+                es.extend([(j, row, -1.0), (row, j, -1.0)]);
+            }
+        }
+        es
+    }
+
+    proptest! {
+        /// A fresh-equivalent workspace either lends out bitwise what
+        /// [`SparseLu::factorize`] returns or fails exactly as it does —
+        /// across value jitter on one structure (converted in place, so the
+        /// structure generation survives), rebuilt and grown structures,
+        /// decayed diagonals, NaN/Inf entries, singular columns and
+        /// dimension switches — and replays whenever it can.
+        #[test]
+        fn fresh_equivalent_replay_is_bitwise_a_fresh_factorization(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut k, mut m) = (rng.gen_range(2..8), rng.gen_range(0..3));
+            let mut es = mna_entries(&mut rng, k, m);
+            let mut vals: Vec<f64> = es.iter().map(|e| e.2).collect();
+            let mut t = Triplet::new(k + m, k + m);
+            let mut a = CsrMatrix::default();
+            let mut ws = LuWorkspace::fresh_equivalent();
+            let mut replays = 0;
+            for step in 0..40 {
+                match rng.gen_range(0..12) {
+                    // Grow the pattern.
+                    0 => {
+                        let n = k + m;
+                        es.push((rng.gen_range(0..n), rng.gen_range(0..n), 0.5));
+                        vals.push(0.5);
+                    }
+                    // Decay a diagonal by decades.
+                    1 => {
+                        let i = rng.gen_range(0..k);
+                        for (e, v) in es.iter().zip(vals.iter_mut()) {
+                            if e.0 == i && e.1 == i {
+                                *v *= 1e-6;
+                            }
+                        }
+                    }
+                    // Poison one stamp with NaN or Inf.
+                    2 => {
+                        let s = rng.gen_range(0..vals.len());
+                        vals[s] = if rng.gen() { f64::NAN } else { f64::INFINITY };
+                    }
+                    // Zero a whole column: singular.
+                    3 => {
+                        let c = rng.gen_range(0..k + m);
+                        for (e, v) in es.iter().zip(vals.iter_mut()) {
+                            if e.1 == c {
+                                *v = 0.0;
+                            }
+                        }
+                    }
+                    // Switch dimension (and structure).
+                    4 => {
+                        k = rng.gen_range(2..8);
+                        m = rng.gen_range(0..3);
+                        es = mna_entries(&mut rng, k, m);
+                        vals = es.iter().map(|e| e.2).collect();
+                        t = Triplet::new(k + m, k + m);
+                    }
+                    // Restore clean values, then jitter the conductances
+                    // (the `±1` incidence entries keep their ties).
+                    _ => {
+                        for (e, v) in es.iter().zip(vals.iter_mut()) {
+                            *v = if e.2.abs() == 1.0 {
+                                e.2
+                            } else {
+                                e.2 * (1.0 + 0.05 * rng.gen_range(-1.0..1.0))
+                            };
+                        }
+                    }
+                }
+                t.clear();
+                for (e, &v) in es.iter().zip(&vals) {
+                    t.push(e.0, e.1, v);
+                }
+                if step % 7 == 6 {
+                    // A rebuilt matrix: new generation, same structure.
+                    a = t.to_csr();
+                } else {
+                    t.to_csr_into(&mut a);
+                }
+                let want = SparseLu::factorize(&a);
+                let got = ws.factorize(&a);
+                match (got, want) {
+                    (Ok(lu), Ok(fresh)) => {
+                        prop_assert_eq!(fingerprint(lu), fingerprint(&fresh));
+                        if ws.last_op() == Some(LuOp::Replay) {
+                            replays += 1;
+                        }
+                    }
+                    (Err(e), Err(f)) => {
+                        prop_assert_eq!(e, f);
+                        prop_assert!(ws.factorization().is_none());
+                    }
+                    (got, want) => {
+                        return Err(TestCaseError::fail(format!(
+                            "workspace {:?} vs factorize {:?}",
+                            got.map(|_| ()),
+                            want.map(|_| ())
+                        )));
+                    }
+                }
+            }
+            let stats = ws.stats();
+            prop_assert_eq!(stats.refactorizations, replays);
+            prop_assert!(replays > 0, "no replay in 40 steps: {:?}", stats);
+        }
     }
 }

@@ -4,12 +4,15 @@
 //! [`SparseLu::solve_into`] on reused buffers performs **zero** heap
 //! allocations — the replay rewrites the shell's values, the dense replay
 //! workspace and the solve scratch are reused, and the structure check is a
-//! generation compare.
+//! generation compare. The same holds for the guarded general replay of a
+//! structure that is a strict subset of the recorded one, and for the
+//! certification chain: [`Triplet::to_csr_into`], a fresh-equivalent
+//! replay and [`SparseLu::cond_estimate_with`].
 //!
 //! One test only: the counting allocator is process-global, so a second
 //! concurrently running test would pollute the count.
 
-use rlpta_linalg::{LuOp, LuWorkspace, SparseLu, Triplet};
+use rlpta_linalg::{CondScratch, CsrMatrix, LuOp, LuWorkspace, SparseLu, Triplet};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -31,8 +34,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap allocations made by `f`.
+fn allocations(f: impl FnOnce()) -> usize {
+    let before = ALLOCS.load(Ordering::SeqCst);
+    f();
+    ALLOCS.load(Ordering::SeqCst) - before
+}
+
 #[test]
 fn replay_and_solve_into_allocate_nothing_in_steady_state() {
+    exact_replay_and_solve_into();
+    general_replay_of_a_subset_structure();
+    certification_chain();
+}
+
+fn exact_replay_and_solve_into() {
     // An MNA-shaped 40×40 system: strong diagonal, a ring of couplings and
     // a few long-range entries, so the factors carry fill-in.
     let n = 40;
@@ -89,4 +105,110 @@ fn replay_and_solve_into_allocate_nothing_in_steady_state() {
     let fresh = SparseLu::factorize(&a).unwrap().solve(&rhs).unwrap();
     assert_eq!(x, fresh);
     assert!(checksum.is_finite());
+}
+
+/// A structure that is a strict subset of the recorded one replays through
+/// the guarded general path — transpose and pattern marks come from the
+/// workspace's scratch, so it allocates nothing either.
+fn general_replay_of_a_subset_structure() {
+    let n = 30;
+    let mut full = Triplet::new(n, n);
+    let mut subset = Triplet::new(n, n);
+    for i in 0..n {
+        for t in [&mut full, &mut subset] {
+            t.push(i, i, 4.0);
+            t.push(i, (i + 1) % n, -1.0);
+        }
+        full.push((i + 1) % n, i, -1.0);
+        if i % 2 == 0 {
+            subset.push((i + 1) % n, i, -1.0);
+        }
+    }
+    let mut ws = LuWorkspace::new();
+    ws.factorize(&full.to_csr()).unwrap();
+    let mut a = subset.to_csr();
+    let base = a.values().to_vec();
+    let (mut x, mut scratch) = (vec![0.0; n], Vec::new());
+    ws.factorize(&a)
+        .unwrap()
+        .solve_into(&mut x, &mut scratch)
+        .unwrap();
+    let mut checksum = 0.0;
+    let count = allocations(|| {
+        for step in 0..100 {
+            let scale = 1.0 + 0.001 * step as f64;
+            for (v, b) in a.values_mut().iter_mut().zip(&base) {
+                *v = b * scale;
+            }
+            x.fill(1.0);
+            let lu = ws.factorize(&a).unwrap();
+            lu.solve_into(&mut x, &mut scratch).unwrap();
+            checksum += x[0];
+            assert_eq!(ws.last_op(), Some(LuOp::Replay));
+        }
+    });
+    assert_eq!(count, 0, "general replays must not allocate");
+    assert_eq!(ws.stats().fallbacks, 0);
+    assert!(checksum.is_finite());
+}
+
+/// Certification's chain on a reused workspace: re-stamp the triplets,
+/// convert in place, replay fresh-equivalently, estimate the condition
+/// number. The MNA-shaped system has well over 170 triplet entries, so the
+/// conversion cannot lean on a stable sort's small-input stack buffer, and
+/// voltage-source branches with exact `±1` entries and no diagonal.
+fn certification_chain() {
+    let (k, m) = (48, 4);
+    let n = k + m;
+    let mut es: Vec<(usize, usize, f64)> = Vec::new();
+    for i in 0..k {
+        es.push((i, i, 1e-3));
+        for j in [(i + 1) % k, (i * 7 + 3) % k] {
+            if j != i {
+                let g = 1.0 + (i % 5) as f64;
+                es.extend([(i, i, g), (j, j, g), (i, j, -g), (j, i, -g)]);
+            }
+        }
+    }
+    for b in 0..m {
+        let (row, p, q) = (k + b, b * 5, b * 5 + 2);
+        es.extend([(p, row, 1.0), (row, p, 1.0), (q, row, -1.0), (row, q, -1.0)]);
+    }
+    assert!(es.len() > 170);
+    let stamp = |t: &mut Triplet, scale: f64| {
+        t.clear();
+        for &(r, c, v) in &es {
+            t.push(r, c, if v.abs() == 1.0 { v } else { v * scale });
+        }
+    };
+    let mut t = Triplet::new(n, n);
+    let mut a = CsrMatrix::default();
+    let mut ws = LuWorkspace::fresh_equivalent();
+    let mut cond = CondScratch::default();
+    // Warm-up: a full factorization, then the pattern records on the
+    // second sighting and replays from the third.
+    for step in 0..3 {
+        stamp(&mut t, 1.0 + 0.01 * step as f64);
+        t.to_csr_into(&mut a);
+        let lu = ws.factorize(&a).unwrap();
+        lu.cond_estimate_with(&a, &mut cond).unwrap();
+    }
+    let mut last = (0.0, 0.0);
+    let count = allocations(|| {
+        for step in 0..100 {
+            stamp(&mut t, 1.0 + 0.001 * step as f64);
+            t.to_csr_into(&mut a);
+            let lu = ws.factorize(&a).unwrap();
+            last = (
+                lu.cond_estimate_with(&a, &mut cond).unwrap(),
+                lu.pivot_growth(),
+            );
+            assert_eq!(ws.last_op(), Some(LuOp::Replay));
+        }
+    });
+    assert_eq!(count, 0, "the warm certification chain must not allocate");
+    // And it measured what a cold factorization measures, bit for bit.
+    let cold = SparseLu::factorize(&t.to_csr()).unwrap();
+    assert_eq!(last.0.to_bits(), cold.cond_estimate(&a).unwrap().to_bits());
+    assert_eq!(last.1.to_bits(), cold.pivot_growth().to_bits());
 }
