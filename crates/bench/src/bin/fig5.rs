@@ -2,7 +2,9 @@
 //! strategies (simple and adaptive) for **CEPTA**, on 27 circuits.
 //!
 //! The output prints the two bar series of the figure (RL-S vs adaptive and
-//! RL-S vs simple, NR-iteration ratios) plus an ASCII rendition.
+//! RL-S vs simple, NR-iteration ratios) plus an ASCII rendition, then the
+//! wall time of each stepping column and RL-S's wall-clock speed-up (RL-S
+//! pays for its online training there, which NR iterations do not show).
 //!
 //! Pass `--threads N` (or set `RLPTA_THREADS`) to evaluate the corpus on a
 //! worker pool; the numbers are identical at any width. Pass
@@ -40,14 +42,18 @@ fn main() {
     );
 
     let benches = fig5();
-    let simple = run_simple_batch(&benches, kind, threads);
-    let adaptive = run_adaptive_batch(&benches, kind, threads);
-    let rls = run_rl_batch(&benches, kind, &rl, threads);
+    let timed = |run: &dyn Fn() -> Vec<SolveStats>| {
+        let start = Instant::now();
+        (run(), start.elapsed())
+    };
+    let (simple, wall_simple) = timed(&|| run_simple_batch(&benches, kind, threads));
+    let (adaptive, wall_adaptive) = timed(&|| run_adaptive_batch(&benches, kind, threads));
+    let (rls, wall_rls) = timed(&|| run_rl_batch(&benches, kind, &rl, threads));
 
     let mut vs_adaptive = Vec::new();
     let mut vs_simple = Vec::new();
     for (((bench, s), a), r) in benches.iter().zip(&simple).zip(&adaptive).zip(&rls) {
-        let ratio = |b: &rlpta_core::SolveStats| {
+        let ratio = |b: &SolveStats| {
             if b.converged && r.converged && r.nr_iterations > 0 {
                 Some(b.nr_iterations as f64 / r.nr_iterations as f64)
             } else {
@@ -97,6 +103,20 @@ fn main() {
     };
     summary("adaptive", &vs_adaptive, 3.77);
     summary("simple", &vs_simple, 2.71);
+    // Wall time per stepping column, next to the NR-iteration ratios above
+    // (RL-S includes its online training).
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    println!(
+        "# wall: simple {:.1} ms, adaptive {:.1} ms, rl-s {:.1} ms",
+        ms(wall_simple),
+        ms(wall_adaptive),
+        ms(wall_rls)
+    );
+    println!(
+        "# wall: RL-S wall-clock speed-up {:.2}X vs adaptive, {:.2}X vs simple",
+        ms(wall_adaptive) / ms(wall_rls),
+        ms(wall_simple) / ms(wall_rls)
+    );
     let rows: Vec<_> = benches
         .iter()
         .zip(&rls)

@@ -6,7 +6,7 @@ use crate::telemetry::{Event, Payload, Phase, Sink, Span};
 use crate::{StepController, StepObservation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rlpta_rl::{ActScratch, PrioritizedReplay, Td3Agent, Td3Config, TrainWorkspace, Transition};
+use rlpta_rl::{ActScratch, PrioritizedReplay, Td3Agent, Td3Config, TrainWorkspace, TransitionRef};
 use std::sync::Arc;
 
 /// Which of the dual agents produced an action.
@@ -101,7 +101,7 @@ pub struct RlStepping {
     rng: StdRng,
     h: f64,
     /// Last emitted `(state, action, role)` awaiting its outcome.
-    pending: Option<(Vec<f64>, Vec<f64>, AgentRole)>,
+    pending: Option<([f64; Self::STATE_DIM], f64, AgentRole)>,
     /// Greedy mode: exploration and training disabled (evaluation runs).
     frozen: bool,
     transitions_seen: usize,
@@ -116,7 +116,7 @@ pub struct RlStepping {
     /// Ping-pong scratch for the zero-allocation policy inference path.
     act_scratch: ActScratch,
     /// Reused output row for [`Td3Agent::act_into`].
-    action_buf: Vec<f64>,
+    action_buf: [f64; 1],
     /// Reused index lists for replay sampling (private / public halves).
     idx_private: Vec<usize>,
     idx_public: Vec<usize>,
@@ -165,7 +165,7 @@ impl RlStepping {
             telemetry: None,
             workspace,
             act_scratch,
-            action_buf: vec![0.0; td3.action_dim],
+            action_buf: [0.0],
             idx_private: Vec::with_capacity(half),
             idx_public: Vec::with_capacity(half),
             config,
@@ -247,13 +247,13 @@ impl RlStepping {
     /// Encodes Table 1's simulation state into the normalized state vector.
     /// A rejected step carries no Γ (there is no new solution to compare);
     /// its slot encodes the worst case `1.0` — "no measurable progress".
-    fn encode(obs: &StepObservation) -> Vec<f64> {
+    fn encode(obs: &StepObservation) -> [f64; Self::STATE_DIM] {
         let iters = (obs.nr_iterations as f64 / 30.0).clamp(0.0, 1.0);
         let res = ((obs.residual.max(1e-16).log10() + 16.0) / 20.0).clamp(0.0, 1.0);
         let gamma = obs
             .gamma
             .map_or(1.0, |g| ((g.max(1e-12).log10() + 12.0) / 14.0).clamp(0.0, 1.0));
-        vec![
+        [
             iters,
             res,
             gamma,
@@ -428,15 +428,16 @@ impl StepController for RlStepping {
     fn next_step(&mut self, obs: &StepObservation) -> f64 {
         let s_next = Self::encode(obs);
 
-        // Close out the pending transition with the observed outcome.
+        // Close out the pending transition with the observed outcome. The
+        // buffers copy it into their slabs, so nothing here allocates.
         if let Some((s, a, role)) = self.pending.take() {
             if !self.frozen {
                 let r = self.reward(&s, &s_next, obs);
-                let t = Transition {
-                    state: s.clone(),
-                    action: a,
+                let t = TransitionRef {
+                    state: &s,
+                    action: std::slice::from_ref(&a),
                     reward: r,
-                    next_state: s_next.clone(),
+                    next_state: &s_next,
                     done: obs.pta_converged,
                 };
                 // Collaborative learning (§4.3): convergence-flag flips
@@ -444,8 +445,8 @@ impl StepController for RlStepping {
                 // buffer too — both agents profit from boundary samples.
                 let crossed = s[3] != s_next[3];
                 match role {
-                    AgentRole::Forward => self.forward_buffer.push(t.clone()),
-                    AgentRole::Backward => self.backward_buffer.push(t.clone()),
+                    AgentRole::Forward => self.forward_buffer.push(t),
+                    AgentRole::Backward => self.backward_buffer.push(t),
                 }
                 if crossed {
                     self.public_buffer.push(t);
@@ -486,11 +487,11 @@ impl StepController for RlStepping {
                 );
             }
         }
-        let action = self.action_buf.clone();
+        let [action] = self.action_buf;
         self.finish_phase(infer_timer, Phase::RlInference);
         let factor = match role {
-            AgentRole::Forward => self.forward_factor(action[0]),
-            AgentRole::Backward => self.backward_factor(action[0]),
+            AgentRole::Forward => self.forward_factor(action),
+            AgentRole::Backward => self.backward_factor(action),
         };
         self.h *= factor;
         self.pending = Some((s_next, action, role));

@@ -1,52 +1,171 @@
-//! Cache-blocked, row-major batched matmul micro-kernels and the
+//! Register-blocked, row-major batched matmul micro-kernels and the
 //! preallocated activation storage behind the batched [`Mlp`] paths.
 //!
 //! The three GEMM shapes below are exactly the ones one dense layer needs:
 //!
 //! * forward:       `Z[B×out]  = A[B×in] · W[out×in]ᵀ`   → [`gemm_nt`]
 //! * input grads:   `Gx[B×in]  = Δ[B×out] · W[out×in]`   → [`gemm_nn`]
+//!   (or only some of its columns → [`gemm_nn_cols`])
 //! * weight grads:  `Gw[out×in] += Δ[B×out]ᵀ · A[B×in]`  → [`gemm_tn_acc`]
 //!
 //! All operands are dense row-major `&[f64]` slabs; nothing here allocates.
-//! The shared `k` dimension is walked in [`KC`]-wide panels so panel
-//! operands stay cache-resident, and every kernel register-blocks four
-//! independent accumulation chains: [`gemm_nt`] computes four output
-//! *columns* per pass over a left row (each column itself four-lane),
-//! [`gemm_nn`]/[`gemm_tn_acc`] fold four rank-1 updates into each pass
-//! over an output row (4× fewer load/store sweeps of the accumulator than
-//! one-axpy-per-row).
 //!
-//! Every kernel exists twice via a `const FMA: bool` parameter: a portable
-//! scalar build, and an `avx2,fma` build selected once per call through
-//! `is_x86_feature_detected!`. The FMA build uses `f64::mul_add`, which
-//! LLVM turns into 4-wide `vfmadd` under `#[target_feature]`; the fallback
-//! sticks to mul-then-add so it never hits the libm `fma` soft fallback.
-//! Fused results differ from unfused in final ulps, so kernel output is
+//! Every kernel is written once over a four-lane `Quad` and built twice:
+//! a portable build (plain mul-then-add, so it never hits the libm `fma`
+//! soft fallback) and an `avx2,fma` build (explicit 256-bit `vfmadd`),
+//! selected once per call through `is_x86_feature_detected!`. Fused
+//! results differ from unfused in final ulps, so kernel output is
 //! reproducible per machine (and across thread counts), not across CPU
 //! generations — the same caveat the rest of the engine carries for wall
-//! times, and why the batched MLP paths are verified against the scalar
-//! reference under a tight *relative* tolerance rather than bitwise
-//! (see `crates/rl/tests/kernel_props.rs`).
+//! times.
 //!
-//! One order contract is bitwise, per machine: every [`gemm_nt`] output
-//! element accumulates four lanes over `k` summed `(s0+s1)+(s2+s3)+tail`,
-//! whether computed in a four-column block or alone, which keeps the
-//! single-row inference path (a `m = 1` [`gemm_nt`]) bit-identical to the
-//! matching batched row.
+//! # Order contract
+//!
+//! Within one build each output element is computed by one fixed sequence
+//! of floating-point operations, whatever block shape the kernel picks for
+//! it. That makes every path below bitwise interchangeable, which the
+//! oracle tests in this module pin against the previous (one row, four or
+//! eight columns at a time) kernels on NaN, ±∞ and signed-zero inputs:
+//!
+//! * [`gemm_nt`]: over each `KC`-deep depth panel, four lane sums
+//!   `s_q = Σ a[l]·b[l]` for `l ≡ q (mod 4)` in depth order, then
+//!   `out += ((s0 + s1) + (s2 + s3)) + tail` with `tail` the scalar sum of
+//!   the `k mod 4` leftover products, into a zero-filled output.
+//!   *Small-k path* (`m ≥ 4`, `k < 8`: the input layers): four output
+//!   columns per vector through a transposed weight panel on the stack, so
+//!   no output pays a horizontal reduction; a single row is faster without
+//!   it. *Register-blocked path* (`m ≥ 2`): two rows by four columns per
+//!   block, each operand load feeding two or four accumulators.
+//!   *Single-row path* (`m = 1`, inference): eight then four columns per
+//!   pass over the row — the same bits as the matching batched row.
+//! * [`gemm_nn`] / [`gemm_tn_acc`]: for each depth quad `d..d+4` (input
+//!   unit for `gemm_nn`, sample for `gemm_tn_acc`) whose four coefficients
+//!   are not all zero, `o = c0·b0 + (c1·b1 + (c2·b2 + (c3·b3 + o)))`, then
+//!   `o = c·b + o` per leftover depth with `c ≠ 0`. The all-zero skip (a
+//!   ReLU-killed quad) is part of the contract: it decides how `-0.0`,
+//!   NaN and ∞ propagate. Output rows at least 16 wide are held in
+//!   registers, 32 then 16 columns at a time, across the whole depth.
+//!   Narrower rows take the same fold one quad and one column at a time,
+//!   except in [`gemm_tn_acc`], whose narrow outputs (the input layers'
+//!   weight gradients) run vectors across four output rows, a per-lane
+//!   select standing in for the skip.
+//!
+//! NaN payloads (which NaN an operation with two NaN operands returns) are
+//! outside the contract: x86 picks it by instruction operand order, which
+//! the compiler chooses.
 
 use crate::Mlp;
+use std::ops::Range;
 
-/// Depth-block size: the shared `k` dimension is walked in panels this
-/// wide so both panel operands fit comfortably in L1/L2.
+/// Depth-block size of [`gemm_nt`]: the shared `k` dimension is walked in
+/// panels this wide so both panel operands fit comfortably in L1/L2.
 const KC: usize = 256;
 
-/// `acc + x·y`, fused when the surrounding kernel was built for FMA.
-#[inline(always)]
-fn madd<const FMA: bool>(x: f64, y: f64, acc: f64) -> f64 {
-    if FMA {
-        x.mul_add(y, acc)
-    } else {
+/// Columns of a gradient-kernel output row held in registers across the
+/// whole depth (four quads).
+const CHUNK: usize = 16;
+
+/// Four `f64` lanes plus the scalar multiply-add of the same build. Every
+/// kernel body is generic over this, so the portable and the AVX builds
+/// share one operation order.
+trait Quad: Copy {
+    /// All lanes zero.
+    fn zero() -> Self;
+    /// `c` in every lane.
+    fn splat(c: f64) -> Self;
+    /// The first four values of `s`.
+    fn load(s: &[f64]) -> Self;
+    /// Writes the lanes over the first four values of `s`.
+    fn store(self, s: &mut [f64]);
+    /// Lane-wise `acc + x·y`, fused in the FMA build.
+    fn madd(x: Self, y: Self, acc: Self) -> Self;
+    /// Lane-wise `self + o`.
+    fn add(self, o: Self) -> Self;
+    /// Scalar `acc + x·y`, fused exactly when [`Quad::madd`] is.
+    fn madd1(x: f64, y: f64, acc: f64) -> f64;
+    /// Per-lane flags for [`Quad::select`].
+    type Mask: Copy;
+    /// Lanes where any of `c` is not `== 0.0` (NaN counts as nonzero).
+    fn nonzero(c: &[Self]) -> Self::Mask;
+    /// `yes` in the lanes `mask` flags, `no` elsewhere.
+    fn select(mask: Self::Mask, yes: Self, no: Self) -> Self;
+
+    /// The lanes as an array.
+    #[inline(always)]
+    fn lanes(self) -> [f64; 4] {
+        let mut q = [0.0; 4];
+        self.store(&mut q);
+        q
+    }
+
+    /// `[(v₀₀ + v₀₁) + (v₀₂ + v₀₃), …, (v₃₀ + v₃₁) + (v₃₂ + v₃₃)]`: the
+    /// lane sums of four [`gemm_nt`] accumulators, one per output column.
+    #[inline(always)]
+    fn fold_lanes(v: [Self; 4]) -> Self {
+        let s = v.map(|q| {
+            let l = q.lanes();
+            (l[0] + l[1]) + (l[2] + l[3])
+        });
+        Self::load(&s)
+    }
+}
+
+/// The portable build: four scalar lanes, mul-then-add.
+#[derive(Clone, Copy)]
+struct Portable([f64; 4]);
+
+impl Quad for Portable {
+    #[inline(always)]
+    fn zero() -> Self {
+        Self([0.0; 4])
+    }
+
+    #[inline(always)]
+    fn splat(c: f64) -> Self {
+        Self([c; 4])
+    }
+
+    #[inline(always)]
+    fn load(s: &[f64]) -> Self {
+        Self(s[..4].try_into().expect("quad"))
+    }
+
+    #[inline(always)]
+    fn store(self, s: &mut [f64]) {
+        s[..4].copy_from_slice(&self.0);
+    }
+
+    #[inline(always)]
+    fn madd(x: Self, y: Self, acc: Self) -> Self {
+        Self(std::array::from_fn(|l| acc.0[l] + x.0[l] * y.0[l]))
+    }
+
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        Self(std::array::from_fn(|l| self.0[l] + o.0[l]))
+    }
+
+    #[inline(always)]
+    fn madd1(x: f64, y: f64, acc: f64) -> f64 {
         acc + x * y
+    }
+
+    type Mask = [bool; 4];
+
+    #[inline(always)]
+    fn nonzero(c: &[Self]) -> [bool; 4] {
+        std::array::from_fn(|l| c.iter().any(|q| q.0[l] != 0.0))
+    }
+
+    #[inline(always)]
+    fn select(mask: [bool; 4], yes: Self, no: Self) -> Self {
+        Self(std::array::from_fn(|l| {
+            if mask[l] {
+                yes.0[l]
+            } else {
+                no.0[l]
+            }
+        }))
     }
 }
 
@@ -63,198 +182,258 @@ fn fma_enabled() -> bool {
     }
 }
 
-/// 256-bit wrappers for the `FMA = true` kernel builds. Lane for lane each
-/// computes exactly what four [`madd::<true>`] calls compute — swapping
-/// them in changes codegen, never numerics — but they guarantee 4-wide
-/// `vfmadd`: LLVM's SLP pass was observed pairing the portable lane loops
-/// into 128-bit ops at half throughput. Only reachable through the
-/// feature-detected dispatch in the public kernels, which is what makes
-/// executing AVX instructions sound; the `unsafe` blocks below discharge
-/// the raw-pointer obligations locally via the `[f64; 4]` argument types.
+/// The `avx2,fma` build: one 256-bit register per [`Quad`]. Lane for lane
+/// each operation computes what four scalar `mul_add`s or adds compute;
+/// the explicit intrinsics guarantee 4-wide `vfmadd` (LLVM's SLP pass was
+/// observed pairing portable lane loops into 128-bit ops at half
+/// throughput). Only reachable through the feature-detected dispatch in
+/// the public kernels, which is what makes executing AVX instructions
+/// sound; the `unsafe` blocks below discharge the raw-pointer obligations
+/// locally through bounds-checked four-element slices.
 #[cfg(target_arch = "x86_64")]
 mod avx {
     #![allow(unsafe_code)]
+    use super::Quad;
     use std::arch::x86_64::{
-        __m256d, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd,
+        __m256d, _mm256_add_pd, _mm256_blendv_pd, _mm256_cmp_pd, _mm256_fmadd_pd, _mm256_hadd_pd,
+        _mm256_loadu_pd, _mm256_or_pd, _mm256_permute2f128_pd, _mm256_set1_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd, _CMP_NEQ_UQ,
     };
 
-    /// All four lanes zero.
-    #[inline(always)]
-    pub(super) fn zero() -> __m256d {
-        // SAFETY: value-only intrinsic; the dispatch layer guarantees AVX.
-        unsafe { _mm256_setzero_pd() }
-    }
+    #[derive(Clone, Copy)]
+    pub(super) struct Avx(__m256d);
 
-    /// `c` in every lane.
-    #[inline(always)]
-    pub(super) fn splat(c: f64) -> __m256d {
-        // SAFETY: value-only intrinsic; the dispatch layer guarantees AVX.
-        unsafe { _mm256_set1_pd(c) }
-    }
+    impl Quad for Avx {
+        #[inline(always)]
+        fn zero() -> Self {
+            // SAFETY: value-only intrinsic; the dispatch layer guarantees AVX.
+            Self(unsafe { _mm256_setzero_pd() })
+        }
 
-    /// Lane-wise `acc + x·y`, fused.
-    #[inline(always)]
-    pub(super) fn fmadd(x: __m256d, y: __m256d, acc: __m256d) -> __m256d {
-        // SAFETY: value-only intrinsic; the dispatch layer guarantees FMA.
-        unsafe { _mm256_fmadd_pd(x, y, acc) }
-    }
+        #[inline(always)]
+        fn splat(c: f64) -> Self {
+            // SAFETY: value-only intrinsic; the dispatch layer guarantees AVX.
+            Self(unsafe { _mm256_set1_pd(c) })
+        }
 
-    /// The four values of `q` as lanes.
-    #[inline(always)]
-    pub(super) fn load4(q: &[f64; 4]) -> __m256d {
-        // SAFETY: a `[f64; 4]` spans exactly the 32 bytes read; the
-        // unaligned load form has no alignment requirement.
-        unsafe { _mm256_loadu_pd(q.as_ptr()) }
-    }
+        #[inline(always)]
+        fn load(s: &[f64]) -> Self {
+            let q: &[f64; 4] = s[..4].try_into().expect("quad");
+            // SAFETY: `q` spans exactly the 32 bytes read; the unaligned
+            // load form has no alignment requirement.
+            Self(unsafe { _mm256_loadu_pd(q.as_ptr()) })
+        }
 
-    /// Writes the lanes of `v` over `q`.
-    #[inline(always)]
-    pub(super) fn store4(q: &mut [f64; 4], v: __m256d) {
-        // SAFETY: a `[f64; 4]` spans exactly the 32 bytes written.
-        unsafe { _mm256_storeu_pd(q.as_mut_ptr(), v) }
-    }
-}
+        #[inline(always)]
+        fn store(self, s: &mut [f64]) {
+            let q: &mut [f64; 4] = (&mut s[..4]).try_into().expect("quad");
+            // SAFETY: `q` spans exactly the 32 bytes written.
+            unsafe { _mm256_storeu_pd(q.as_mut_ptr(), self.0) }
+        }
 
-/// Extracts `s[at..at + 4]` as a fixed-size quad.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn quad(s: &[f64], at: usize) -> &[f64; 4] {
-    s[at..at + 4].try_into().expect("quad")
-}
+        #[inline(always)]
+        fn madd(x: Self, y: Self, acc: Self) -> Self {
+            // SAFETY: value-only intrinsic; the dispatch layer guarantees FMA.
+            Self(unsafe { _mm256_fmadd_pd(x.0, y.0, acc.0) })
+        }
 
-/// Four-lane dot product of two equal-length slices. Lanes are summed
-/// `(s0 + s1) + (s2 + s3)` plus a scalar tail — the exact per-element
-/// order of one [`gemm_nt`] output column, which is what keeps the
-/// single-row forward path bit-identical to a batched row.
-#[inline(always)]
-fn dot_impl<const FMA: bool>(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut lanes = [0.0f64; 4];
-    let mut ac = a.chunks_exact(4);
-    let mut bc = b.chunks_exact(4);
-    for (ca, cb) in (&mut ac).zip(&mut bc) {
-        for (lane, (x, y)) in lanes.iter_mut().zip(ca.iter().zip(cb)) {
-            *lane = madd::<FMA>(*x, *y, *lane);
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            // SAFETY: value-only intrinsic; the dispatch layer guarantees AVX.
+            Self(unsafe { _mm256_add_pd(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn madd1(x: f64, y: f64, acc: f64) -> f64 {
+            x.mul_add(y, acc)
+        }
+
+        type Mask = __m256d;
+
+        #[inline(always)]
+        fn nonzero(c: &[Self]) -> __m256d {
+            // SAFETY: value-only intrinsics; the dispatch layer guarantees AVX.
+            unsafe {
+                let zero = _mm256_setzero_pd();
+                c.iter().fold(zero, |m, q| {
+                    _mm256_or_pd(m, _mm256_cmp_pd::<_CMP_NEQ_UQ>(q.0, zero))
+                })
+            }
+        }
+
+        #[inline(always)]
+        fn select(mask: __m256d, yes: Self, no: Self) -> Self {
+            // SAFETY: value-only intrinsic; the dispatch layer guarantees AVX.
+            Self(unsafe { _mm256_blendv_pd(no.0, yes.0, mask) })
+        }
+
+        /// `hadd(a, b) = [a0+a1, b0+b1, a2+a3, b2+b3]`; the two 128-bit
+        /// halves of `hadd(a, b)` and `hadd(c, d)` then line up as the
+        /// pair sums `[a0+a1, b0+b1, c0+c1, d0+d1]` and
+        /// `[a2+a3, b2+b3, c2+c3, d2+d3]`, added last — the portable
+        /// order exactly (addition of two non-NaN values commutes bitwise).
+        #[inline(always)]
+        fn fold_lanes(v: [Self; 4]) -> Self {
+            // SAFETY: value-only intrinsics; the dispatch layer guarantees AVX.
+            unsafe {
+                let ab = _mm256_hadd_pd(v[0].0, v[1].0);
+                let cd = _mm256_hadd_pd(v[2].0, v[3].0);
+                let lo = _mm256_permute2f128_pd::<0x20>(ab, cd);
+                let hi = _mm256_permute2f128_pd::<0x31>(ab, cd);
+                Self(_mm256_add_pd(lo, hi))
+            }
         }
     }
-    let mut tail = 0.0;
-    for (x, y) in ac.remainder().iter().zip(bc.remainder()) {
-        tail = madd::<FMA>(*x, *y, tail);
-    }
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
 }
 
-/// One output row of [`gemm_nt`]: `or[j] += ar · b[j]ᵀ` for every weight
-/// row `j`, four columns advancing together so each `ar` load feeds four
-/// independent four-lane chains. Column summation order is exactly
-/// [`dot_impl`]'s.
+/// One `R × C` block of [`gemm_nt`] output over the depth panel
+/// `l0..l0 + len`: rows `i..i + R`, columns `j..j + C`. Each operand quad
+/// is loaded once and feeds `C` (left) or `R` (right) accumulators.
 #[inline(always)]
-fn nt_row<const FMA: bool>(or: &mut [f64], ar: &[f64], b: &[f64], k: usize, l0: usize) {
-    let len = ar.len();
-    let n = or.len();
-    let n4 = n - n % 4;
+#[allow(clippy::too_many_arguments)]
+fn nt_block<V: Quad, const R: usize, const C: usize>(
+    out: &mut [f64],
+    n: usize,
+    a: &[f64],
+    b: &[f64],
+    k: usize,
+    (i, j): (usize, usize),
+    l0: usize,
+    len: usize,
+) {
+    let ar: [&[f64]; R] = std::array::from_fn(|r| &a[(i + r) * k + l0..][..len]);
+    let br: [&[f64]; C] = std::array::from_fn(|c| &b[(j + c) * k + l0..][..len]);
+    let len4 = len & !3;
+    let mut acc = [[V::zero(); C]; R];
+    let mut t = 0;
+    while t < len4 {
+        let av: [V; R] = std::array::from_fn(|r| V::load(&ar[r][t..t + 4]));
+        for c in 0..C {
+            let bv = V::load(&br[c][t..t + 4]);
+            for r in 0..R {
+                acc[r][c] = V::madd(av[r], bv, acc[r][c]);
+            }
+        }
+        t += 4;
+    }
+    let mut tail = [[0.0f64; C]; R];
+    while t < len {
+        for r in 0..R {
+            for c in 0..C {
+                tail[r][c] = V::madd1(ar[r][t], br[c][t], tail[r][c]);
+            }
+        }
+        t += 1;
+    }
+    for r in 0..R {
+        let or = &mut out[(i + r) * n + j..][..C];
+        let (acc, tail) = (&acc[r][..], &tail[r][..]);
+        let mut c = 0;
+        while c + 4 <= C {
+            let s = V::fold_lanes([acc[c], acc[c + 1], acc[c + 2], acc[c + 3]]);
+            let s = s.add(V::load(&tail[c..]));
+            V::load(&or[c..]).add(s).store(&mut or[c..]);
+            c += 4;
+        }
+        while c < C {
+            let l = acc[c].lanes();
+            or[c] += (l[0] + l[1]) + (l[2] + l[3]) + tail[c];
+            c += 1;
+        }
+    }
+}
+
+/// [`gemm_nt`] for `k < 8`: four output columns per vector through a
+/// transposed four-column weight panel, so each lane runs the scalar
+/// element order (at most one depth quad, then the tail) without a
+/// horizontal reduction.
+#[inline(always)]
+fn nt_small_k<V: Quad>(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+    debug_assert!(k < 8);
+    let k4 = k & !3;
     let mut j = 0;
-    // Eight-column panels first (FMA build only): one `ar` chunk load
-    // feeds eight accumulators, so the load ports stop being the
-    // bottleneck. Per column the accumulation order is identical to the
-    // four-column and single-column forms below.
-    #[cfg(target_arch = "x86_64")]
-    if FMA {
-        let len4 = len & !3;
-        while j + 8 <= n {
-            let rows: [&[f64]; 8] = core::array::from_fn(|c| &b[(j + c) * k + l0..][..len]);
-            let mut acc = [avx::zero(); 8];
-            let mut t = 0;
-            while t < len4 {
-                let av = avx::load4(quad(ar, t));
-                for (a, row) in acc.iter_mut().zip(rows) {
-                    *a = avx::fmadd(av, avx::load4(quad(row, t)), *a);
+    while j + 4 <= n {
+        let mut wt = [V::zero(); 8];
+        for (l, w) in wt.iter_mut().enumerate().take(k) {
+            *w = V::load(&[
+                b[j * k + l],
+                b[(j + 1) * k + l],
+                b[(j + 2) * k + l],
+                b[(j + 3) * k + l],
+            ]);
+        }
+        for i in 0..m {
+            let ar = &a[i * k..(i + 1) * k];
+            let mut s = [V::zero(); 4];
+            if k4 == 4 {
+                for q in 0..4 {
+                    s[q] = V::madd(V::splat(ar[q]), wt[q], s[q]);
                 }
-                t += 4;
             }
-            let mut tails = [0.0f64; 8];
-            while t < len {
-                let x = ar[t];
-                for (tl, row) in tails.iter_mut().zip(rows) {
-                    *tl = madd::<FMA>(x, row[t], *tl);
-                }
-                t += 1;
+            let mut tail = V::zero();
+            for l in k4..k {
+                tail = V::madd(V::splat(ar[l]), wt[l], tail);
             }
-            for c in 0..8 {
-                let mut lane = [0.0f64; 4];
-                avx::store4(&mut lane, acc[c]);
-                or[j + c] += (lane[0] + lane[1]) + (lane[2] + lane[3]) + tails[c];
-            }
-            j += 8;
-        }
-    }
-    while j < n4 {
-        let b0 = &b[j * k + l0..j * k + l0 + len];
-        let b1 = &b[(j + 1) * k + l0..(j + 1) * k + l0 + len];
-        let b2 = &b[(j + 2) * k + l0..(j + 2) * k + l0 + len];
-        let b3 = &b[(j + 3) * k + l0..(j + 3) * k + l0 + len];
-        let mut lanes = [[0.0f64; 4]; 4];
-        let len4 = len & !3;
-        let mut t = 0;
-        #[cfg(target_arch = "x86_64")]
-        if FMA {
-            let mut acc = [avx::zero(); 4];
-            while t < len4 {
-                let av = avx::load4(quad(ar, t));
-                acc[0] = avx::fmadd(av, avx::load4(quad(b0, t)), acc[0]);
-                acc[1] = avx::fmadd(av, avx::load4(quad(b1, t)), acc[1]);
-                acc[2] = avx::fmadd(av, avx::load4(quad(b2, t)), acc[2]);
-                acc[3] = avx::fmadd(av, avx::load4(quad(b3, t)), acc[3]);
-                t += 4;
-            }
-            for (lane, a) in lanes.iter_mut().zip(acc) {
-                avx::store4(lane, a);
-            }
-        }
-        if !FMA || cfg!(not(target_arch = "x86_64")) {
-            while t < len4 {
-                let ca: &[f64; 4] = ar[t..t + 4].try_into().expect("quad");
-                let cb0: &[f64; 4] = b0[t..t + 4].try_into().expect("quad");
-                let cb1: &[f64; 4] = b1[t..t + 4].try_into().expect("quad");
-                let cb2: &[f64; 4] = b2[t..t + 4].try_into().expect("quad");
-                let cb3: &[f64; 4] = b3[t..t + 4].try_into().expect("quad");
-                for i in 0..4 {
-                    lanes[0][i] = madd::<FMA>(ca[i], cb0[i], lanes[0][i]);
-                    lanes[1][i] = madd::<FMA>(ca[i], cb1[i], lanes[1][i]);
-                    lanes[2][i] = madd::<FMA>(ca[i], cb2[i], lanes[2][i]);
-                    lanes[3][i] = madd::<FMA>(ca[i], cb3[i], lanes[3][i]);
-                }
-                t += 4;
-            }
-        }
-        let mut tails = [0.0f64; 4];
-        while t < len {
-            let x = ar[t];
-            tails[0] = madd::<FMA>(x, b0[t], tails[0]);
-            tails[1] = madd::<FMA>(x, b1[t], tails[1]);
-            tails[2] = madd::<FMA>(x, b2[t], tails[2]);
-            tails[3] = madd::<FMA>(x, b3[t], tails[3]);
-            t += 1;
-        }
-        for c in 0..4 {
-            or[j + c] += (lanes[c][0] + lanes[c][1]) + (lanes[c][2] + lanes[c][3]) + tails[c];
+            let sum = s[0].add(s[1]).add(s[2].add(s[3])).add(tail);
+            let or = &mut out[i * n + j..i * n + j + 4];
+            V::load(or).add(sum).store(or);
         }
         j += 4;
     }
-    for (jj, o) in or.iter_mut().enumerate().skip(n4) {
-        *o += dot_impl::<FMA>(ar, &b[jj * k + l0..jj * k + l0 + len]);
+    for jj in j..n {
+        for i in 0..m {
+            nt_block::<V, 1, 1>(out, n, a, b, k, (i, jj), 0, k);
+        }
+    }
+}
+
+/// The `R` rows starting at `i` over one depth panel: four-column blocks
+/// (eight for the single-row inference path), then single columns.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn nt_rows<V: Quad, const R: usize>(
+    out: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    k: usize,
+    n: usize,
+    i: usize,
+    l0: usize,
+    len: usize,
+) {
+    let mut j = 0;
+    if R == 1 {
+        while j + 8 <= n {
+            nt_block::<V, R, 8>(out, n, a, b, k, (i, j), l0, len);
+            j += 8;
+        }
+    }
+    while j + 4 <= n {
+        nt_block::<V, R, 4>(out, n, a, b, k, (i, j), l0, len);
+        j += 4;
+    }
+    while j < n {
+        nt_block::<V, R, 1>(out, n, a, b, k, (i, j), l0, len);
+        j += 1;
     }
 }
 
 #[inline(always)]
-fn gemm_nt_impl<const FMA: bool>(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+fn gemm_nt_impl<V: Quad>(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
     out[..m * n].fill(0.0);
+    if m >= 4 && k < 8 {
+        nt_small_k::<V>(out, a, b, m, k, n);
+        return;
+    }
     for l0 in (0..k).step_by(KC) {
         let len = (l0 + KC).min(k) - l0;
-        for i in 0..m {
-            let ar = &a[i * k + l0..i * k + l0 + len];
-            nt_row::<FMA>(&mut out[i * n..(i + 1) * n], ar, b, k, l0);
+        let mut i = 0;
+        while i + 2 <= m {
+            nt_rows::<V, 2>(out, a, b, k, n, i, l0, len);
+            i += 2;
+        }
+        if i < m {
+            nt_rows::<V, 1>(out, a, b, k, n, i, l0, len);
         }
     }
 }
@@ -262,7 +441,7 @@ fn gemm_nt_impl<const FMA: bool>(out: &mut [f64], a: &[f64], b: &[f64], m: usize
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn gemm_nt_avx(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    gemm_nt_impl::<true>(out, a, b, m, k, n);
+    gemm_nt_impl::<avx::Avx>(out, a, b, m, k, n);
 }
 
 /// `out[m×n] = a[m×k] · b[n×k]ᵀ` — the forward-pass shape, with the right
@@ -271,206 +450,334 @@ fn gemm_nt_avx(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usi
 ///
 /// # Panics
 ///
-/// Panics (debug) if any slice is shorter than its `m·k`/`n·k`/`m·n` shape.
+/// Panics if any slice is shorter than its `m·k`/`n·k`/`m·n` shape.
 pub fn gemm_nt(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    debug_assert!(a.len() >= m * k && b.len() >= n * k && out.len() >= m * n);
+    assert!(
+        a.len() >= m * k && b.len() >= n * k && out.len() >= m * n,
+        "operand shorter than its shape"
+    );
     #[cfg(target_arch = "x86_64")]
     if fma_enabled() {
         // SAFETY: avx2+fma presence checked at runtime just above.
         #[allow(unsafe_code)]
         return unsafe { gemm_nt_avx(out, a, b, m, k, n) };
     }
-    gemm_nt_impl::<false>(out, a, b, m, k, n);
+    gemm_nt_impl::<Portable>(out, a, b, m, k, n);
 }
 
-/// The shared rank-4 row update of the gradient kernels:
-/// `or[j] = c0·b0[j] + (c1·b1[j] + (c2·b2[j] + (c3·b3[j] + or[j])))` for
-/// every `j`. The FMA build runs it 4-wide; per element both builds nest
-/// the fused adds identically, so vector and scalar tails agree bitwise.
+/// Runs the gradient fold of the module docs over `depth` depth rows for
+/// the `4·W` output values in `or`, held in `W` registers throughout and
+/// starting from `or` (`accumulate`) or from zero. Depth `d` contributes
+/// `coef(d)` times row `d` of `b` (`b[d·n..]`, already offset to the
+/// chunk's first column).
 #[inline(always)]
-fn fold4<const FMA: bool>(
+fn fold_chunk<V: Quad, const W: usize>(
     or: &mut [f64],
-    c: [f64; 4],
-    b0: &[f64],
-    b1: &[f64],
-    b2: &[f64],
-    b3: &[f64],
+    accumulate: bool,
+    coef: impl Fn(usize) -> f64,
+    b: &[f64],
+    n: usize,
+    depth: usize,
 ) {
-    let n = or.len();
-    debug_assert!(b0.len() == n && b1.len() == n && b2.len() == n && b3.len() == n);
-    let mut j = 0;
-    #[cfg(target_arch = "x86_64")]
-    if FMA {
-        let cv = [avx::splat(c[0]), avx::splat(c[1]), avx::splat(c[2]), avx::splat(c[3])];
-        let n4 = n & !3;
-        // Two independent quad chains per iteration so the four-deep FMA
-        // dependency chain on `v` overlaps with its neighbor. Per-element
-        // arithmetic order is unchanged.
-        while j + 8 <= n4 {
-            let mut v = avx::load4(quad(or, j));
-            let mut w = avx::load4(quad(or, j + 4));
-            v = avx::fmadd(cv[3], avx::load4(quad(b3, j)), v);
-            w = avx::fmadd(cv[3], avx::load4(quad(b3, j + 4)), w);
-            v = avx::fmadd(cv[2], avx::load4(quad(b2, j)), v);
-            w = avx::fmadd(cv[2], avx::load4(quad(b2, j + 4)), w);
-            v = avx::fmadd(cv[1], avx::load4(quad(b1, j)), v);
-            w = avx::fmadd(cv[1], avx::load4(quad(b1, j + 4)), w);
-            v = avx::fmadd(cv[0], avx::load4(quad(b0, j)), v);
-            w = avx::fmadd(cv[0], avx::load4(quad(b0, j + 4)), w);
-            avx::store4((&mut or[j..j + 4]).try_into().expect("quad"), v);
-            avx::store4((&mut or[j + 4..j + 8]).try_into().expect("quad"), w);
-            j += 8;
+    let mut acc: [V; W] = std::array::from_fn(|w| {
+        if accumulate {
+            V::load(&or[4 * w..])
+        } else {
+            V::zero()
         }
-        while j < n4 {
-            let mut v = avx::load4(quad(or, j));
-            v = avx::fmadd(cv[3], avx::load4(quad(b3, j)), v);
-            v = avx::fmadd(cv[2], avx::load4(quad(b2, j)), v);
-            v = avx::fmadd(cv[1], avx::load4(quad(b1, j)), v);
-            v = avx::fmadd(cv[0], avx::load4(quad(b0, j)), v);
-            avx::store4((&mut or[j..j + 4]).try_into().expect("quad"), v);
-            j += 4;
+    });
+    let d4 = depth & !3;
+    let mut d = 0;
+    while d < d4 {
+        let c: [f64; 4] = std::array::from_fn(|q| coef(d + q));
+        if c[0] != 0.0 || c[1] != 0.0 || c[2] != 0.0 || c[3] != 0.0 {
+            let cv = c.map(V::splat);
+            let rows: [&[f64]; 4] = std::array::from_fn(|q| &b[(d + q) * n..][..4 * W]);
+            for (w, acc) in acc.iter_mut().enumerate() {
+                for q in (0..4).rev() {
+                    *acc = V::madd(cv[q], V::load(&rows[q][4 * w..]), *acc);
+                }
+            }
+        }
+        d += 4;
+    }
+    while d < depth {
+        let c = coef(d);
+        if c != 0.0 {
+            let cv = V::splat(c);
+            let row = &b[d * n..][..4 * W];
+            for (w, acc) in acc.iter_mut().enumerate() {
+                *acc = V::madd(cv, V::load(&row[4 * w..]), *acc);
+            }
+        }
+        d += 1;
+    }
+    for (w, acc) in acc.iter().enumerate() {
+        acc.store(&mut or[4 * w..]);
+    }
+}
+
+/// [`fold_chunk`] for one output value.
+#[inline(always)]
+fn fold_one<V: Quad>(
+    o: &mut f64,
+    accumulate: bool,
+    coef: impl Fn(usize) -> f64,
+    b: &[f64],
+    n: usize,
+    depth: usize,
+) {
+    let d4 = depth & !3;
+    let mut v = if accumulate { *o } else { 0.0 };
+    let mut d = 0;
+    while d < d4 {
+        let c: [f64; 4] = std::array::from_fn(|q| coef(d + q));
+        if c[0] != 0.0 || c[1] != 0.0 || c[2] != 0.0 || c[3] != 0.0 {
+            for q in (0..4).rev() {
+                v = V::madd1(c[q], b[(d + q) * n], v);
+            }
+        }
+        d += 4;
+    }
+    while d < depth {
+        let c = coef(d);
+        if c != 0.0 {
+            v = V::madd1(c, b[d * n], v);
+        }
+        d += 1;
+    }
+    *o = v;
+}
+
+/// The gradient fold over columns `cols` of one output row: register
+/// chunks of 32, then [`CHUNK`] columns when the row is at least
+/// [`CHUNK`] wide, else one quad at a time; leftover columns one at a time.
+#[inline(always)]
+fn fold_row<V: Quad>(
+    or: &mut [f64],
+    cols: Range<usize>,
+    accumulate: bool,
+    coef: impl Fn(usize) -> f64 + Copy,
+    b: &[f64],
+    n: usize,
+    depth: usize,
+) {
+    let mut j = cols.start;
+    if n >= CHUNK {
+        while j + 2 * CHUNK <= cols.end {
+            fold_chunk::<V, { CHUNK / 2 }>(&mut or[j..], accumulate, coef, &b[j..], n, depth);
+            j += 2 * CHUNK;
+        }
+        while j + CHUNK <= cols.end {
+            fold_chunk::<V, { CHUNK / 4 }>(&mut or[j..], accumulate, coef, &b[j..], n, depth);
+            j += CHUNK;
         }
     }
-    while j < n {
-        or[j] = madd::<FMA>(
-            c[0],
-            b0[j],
-            madd::<FMA>(c[1], b1[j], madd::<FMA>(c[2], b2[j], madd::<FMA>(c[3], b3[j], or[j]))),
+    while j + 4 <= cols.end {
+        fold_chunk::<V, 1>(&mut or[j..], accumulate, coef, &b[j..], n, depth);
+        j += 4;
+    }
+    while j < cols.end {
+        fold_one::<V>(&mut or[j], accumulate, coef, &b[j..], n, depth);
+        j += 1;
+    }
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_nn_impl<V: Quad>(
+    out: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    cols: Range<usize>,
+) {
+    for i in 0..m {
+        let ar = &a[i * k..(i + 1) * k];
+        fold_row::<V>(
+            &mut out[i * n..(i + 1) * n],
+            cols.clone(),
+            false,
+            |d| ar[d],
+            b,
+            n,
+            k,
         );
-        j += 1;
-    }
-}
-
-/// Rank-1 row update `or[j] += c·br[j]`, 4-wide in the FMA build.
-#[inline(always)]
-fn fold1<const FMA: bool>(or: &mut [f64], c: f64, br: &[f64]) {
-    let n = or.len();
-    debug_assert_eq!(br.len(), n);
-    let mut j = 0;
-    #[cfg(target_arch = "x86_64")]
-    if FMA {
-        let cv = avx::splat(c);
-        let n4 = n & !3;
-        while j < n4 {
-            let v = avx::fmadd(cv, avx::load4(quad(br, j)), avx::load4(quad(or, j)));
-            avx::store4((&mut or[j..j + 4]).try_into().expect("quad"), v);
-            j += 4;
-        }
-    }
-    while j < n {
-        or[j] = madd::<FMA>(c, br[j], or[j]);
-        j += 1;
-    }
-}
-
-#[inline(always)]
-fn gemm_nn_impl<const FMA: bool>(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    out[..m * n].fill(0.0);
-    for l0 in (0..k).step_by(KC) {
-        let l1 = (l0 + KC).min(k);
-        let len4 = (l1 - l0) - (l1 - l0) % 4;
-        for i in 0..m {
-            let or = &mut out[i * n..(i + 1) * n];
-            let mut l = l0;
-            while l < l0 + len4 {
-                let c0 = a[i * k + l];
-                let c1 = a[i * k + l + 1];
-                let c2 = a[i * k + l + 2];
-                let c3 = a[i * k + l + 3];
-                if c0 != 0.0 || c1 != 0.0 || c2 != 0.0 || c3 != 0.0 {
-                    fold4::<FMA>(
-                        or,
-                        [c0, c1, c2, c3],
-                        &b[l * n..l * n + n],
-                        &b[(l + 1) * n..(l + 1) * n + n],
-                        &b[(l + 2) * n..(l + 2) * n + n],
-                        &b[(l + 3) * n..(l + 3) * n + n],
-                    );
-                }
-                l += 4;
-            }
-            while l < l1 {
-                let c = a[i * k + l];
-                if c != 0.0 {
-                    fold1::<FMA>(or, c, &b[l * n..l * n + n]);
-                }
-                l += 1;
-            }
-        }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn gemm_nn_avx(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    gemm_nn_impl::<true>(out, a, b, m, k, n);
+fn gemm_nn_avx(
+    out: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    cols: Range<usize>,
+) {
+    gemm_nn_impl::<avx::Avx>(out, a, b, m, k, n, cols);
 }
 
 /// `out[m×n] = a[m×k] · b[k×n]` — the input-gradient shape
-/// (`Gx = Δ · W`). Four rank-1 updates fold into each pass over an output
-/// row; all-zero delta quads (ReLU-killed units) skip theirs.
+/// (`Gx = Δ · W`). All-zero delta quads (ReLU-killed units) skip theirs.
+///
+/// # Panics
+///
+/// Panics if any slice is shorter than its `m·k`/`k·n`/`m·n` shape.
 pub fn gemm_nn(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    debug_assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
+    gemm_nn_cols(out, a, b, m, k, n, 0..n);
+}
+
+/// [`gemm_nn`] restricted to the output columns `cols`: those are written
+/// with exactly the bits [`gemm_nn`] gives them, every other column of
+/// `out` is left untouched. An empty range does no work.
+///
+/// # Panics
+///
+/// Panics if `cols` reaches past `n` or any slice is shorter than its
+/// shape.
+pub fn gemm_nn_cols(
+    out: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    cols: Range<usize>,
+) {
+    assert!(
+        cols.start <= cols.end && cols.end <= n,
+        "column range outside the output"
+    );
+    assert!(
+        a.len() >= m * k && b.len() >= k * n && out.len() >= m * n,
+        "operand shorter than its shape"
+    );
+    if cols.is_empty() {
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     if fma_enabled() {
         // SAFETY: avx2+fma presence checked at runtime just above.
         #[allow(unsafe_code)]
-        return unsafe { gemm_nn_avx(out, a, b, m, k, n) };
+        return unsafe { gemm_nn_avx(out, a, b, m, k, n, cols) };
     }
-    gemm_nn_impl::<false>(out, a, b, m, k, n);
+    gemm_nn_impl::<Portable>(out, a, b, m, k, n, cols);
 }
 
+/// Output rows `i..i + 4`, columns `j..j + C` of a narrow
+/// [`gemm_tn_acc`]. Vectors run across the four rows — four adjacent
+/// coefficients of one sample — so each lane is one output element's
+/// fold. A lane whose quad of coefficients is all zero keeps its value
+/// through a select, exactly as the row form skips the quad.
 #[inline(always)]
-fn gemm_tn_impl<const FMA: bool>(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    let m4 = m - m % 4;
+#[allow(clippy::too_many_arguments)]
+fn tn_rows4<V: Quad, const C: usize>(
+    out: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+) {
+    let at = |c: usize, r: usize| (i + r) * n + j + c;
+    let mut acc: [V; C] =
+        std::array::from_fn(|c| V::load(&std::array::from_fn::<f64, 4, _>(|r| out[at(c, r)])));
+    let m4 = m & !3;
     let mut s = 0;
     while s < m4 {
-        let b0 = &b[s * n..s * n + n];
-        let b1 = &b[(s + 1) * n..(s + 1) * n + n];
-        let b2 = &b[(s + 2) * n..(s + 2) * n + n];
-        let b3 = &b[(s + 3) * n..(s + 3) * n + n];
-        for i in 0..k {
-            let c0 = a[s * k + i];
-            let c1 = a[(s + 1) * k + i];
-            let c2 = a[(s + 2) * k + i];
-            let c3 = a[(s + 3) * k + i];
-            if c0 != 0.0 || c1 != 0.0 || c2 != 0.0 || c3 != 0.0 {
-                fold4::<FMA>(&mut out[i * n..(i + 1) * n], [c0, c1, c2, c3], b0, b1, b2, b3);
+        let cq: [V; 4] = std::array::from_fn(|q| V::load(&a[(s + q) * k + i..]));
+        let live = V::nonzero(&cq);
+        for (c, acc) in acc.iter_mut().enumerate() {
+            let mut v = *acc;
+            for q in (0..4).rev() {
+                v = V::madd(cq[q], V::splat(b[(s + q) * n + j + c]), v);
             }
+            *acc = V::select(live, v, *acc);
         }
         s += 4;
     }
     while s < m {
-        let br = &b[s * n..s * n + n];
-        let ar = &a[s * k..(s + 1) * k];
-        for (i, &c) in ar.iter().enumerate() {
-            if c != 0.0 {
-                fold1::<FMA>(&mut out[i * n..(i + 1) * n], c, br);
-            }
+        let cv = V::load(&a[s * k + i..]);
+        let live = V::nonzero(&[cv]);
+        for (c, acc) in acc.iter_mut().enumerate() {
+            *acc = V::select(live, V::madd(cv, V::splat(b[s * n + j + c]), *acc), *acc);
         }
         s += 1;
+    }
+    for (c, acc) in acc.iter().enumerate() {
+        for (r, v) in acc.lanes().into_iter().enumerate() {
+            out[at(c, r)] = v;
+        }
+    }
+}
+
+#[inline(always)]
+fn gemm_tn_impl<V: Quad>(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+    let mut i0 = 0;
+    if n < CHUNK {
+        // Narrow rows hold too few columns to keep a register chunk busy:
+        // run four rows per vector instead.
+        while i0 + 4 <= k {
+            let mut j = 0;
+            while j + 4 <= n {
+                tn_rows4::<V, 4>(out, a, b, m, k, n, i0, j);
+                j += 4;
+            }
+            while j + 2 <= n {
+                tn_rows4::<V, 2>(out, a, b, m, k, n, i0, j);
+                j += 2;
+            }
+            if j < n {
+                tn_rows4::<V, 1>(out, a, b, m, k, n, i0, j);
+            }
+            i0 += 4;
+        }
+    }
+    for i in i0..k {
+        fold_row::<V>(
+            &mut out[i * n..(i + 1) * n],
+            0..n,
+            true,
+            |s| a[s * k + i],
+            b,
+            n,
+            m,
+        );
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn gemm_tn_avx(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    gemm_tn_impl::<true>(out, a, b, m, k, n);
+    gemm_tn_impl::<avx::Avx>(out, a, b, m, k, n);
 }
 
 /// `out[k×n] += a[m×k]ᵀ · b[m×n]` — the weight-gradient shape
-/// (`Gw += Δᵀ · A_in`), accumulating like the scalar backward does. Four
-/// samples fold into each pass over an output row; all-zero delta quads
-/// (ReLU-killed units) skip theirs.
+/// (`Gw += Δᵀ · A_in`), accumulating like the scalar backward does.
+/// All-zero delta quads (ReLU-killed units) skip theirs.
+///
+/// # Panics
+///
+/// Panics if any slice is shorter than its `m·k`/`m·n`/`k·n` shape.
 pub fn gemm_tn_acc(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    debug_assert!(a.len() >= m * k && b.len() >= m * n && out.len() >= k * n);
+    assert!(
+        a.len() >= m * k && b.len() >= m * n && out.len() >= k * n,
+        "operand shorter than its shape"
+    );
     #[cfg(target_arch = "x86_64")]
     if fma_enabled() {
         // SAFETY: avx2+fma presence checked at runtime just above.
         #[allow(unsafe_code)]
         return unsafe { gemm_tn_avx(out, a, b, m, k, n) };
     }
-    gemm_tn_impl::<false>(out, a, b, m, k, n);
+    gemm_tn_impl::<Portable>(out, a, b, m, k, n);
 }
 
 /// Hoisted per-step scalars of one fused Adam walk ([`adam_walk`]).
@@ -491,7 +798,12 @@ pub(crate) struct AdamScalars {
 
 #[inline(always)]
 fn adam_walk_impl(s: AdamScalars, params: &mut [f64], grads: &[f64], m: &mut [f64], v: &mut [f64]) {
-    for (((p, &g), mi), vi) in params.iter_mut().zip(grads).zip(m.iter_mut()).zip(v.iter_mut()) {
+    for (((p, &g), mi), vi) in params
+        .iter_mut()
+        .zip(grads)
+        .zip(m.iter_mut())
+        .zip(v.iter_mut())
+    {
         *mi = s.beta1 * *mi + s.nbeta1 * g;
         *vi = s.beta2 * *vi + s.nbeta2 * g * g;
         let m_hat = *mi / s.bias1;
@@ -514,8 +826,16 @@ fn adam_walk_avx(s: AdamScalars, params: &mut [f64], grads: &[f64], m: &mut [f64
 /// # Panics
 ///
 /// Panics (debug) if slab lengths disagree.
-pub(crate) fn adam_walk(s: AdamScalars, params: &mut [f64], grads: &[f64], m: &mut [f64], v: &mut [f64]) {
-    debug_assert!(grads.len() == params.len() && m.len() == params.len() && v.len() == params.len());
+pub(crate) fn adam_walk(
+    s: AdamScalars,
+    params: &mut [f64],
+    grads: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+) {
+    debug_assert!(
+        grads.len() == params.len() && m.len() == params.len() && v.len() == params.len()
+    );
     #[cfg(target_arch = "x86_64")]
     if fma_enabled() {
         // SAFETY: avx2+fma presence checked at runtime just above.
@@ -661,9 +981,463 @@ impl ActScratch {
     }
 }
 
+/// The previous kernels — one output row per pass, four or eight columns
+/// at a time for [`gemm_nt`], rank-4 folds streamed through memory for the
+/// gradient shapes — kept verbatim as the bitwise oracle of the order
+/// contract. Test-only: nothing on the hot path calls them.
+#[cfg(test)]
+mod reference {
+    use super::{fma_enabled, KC};
+
+    /// `acc + x·y`, fused when the surrounding kernel was built for FMA.
+    #[inline(always)]
+    fn madd<const FMA: bool>(x: f64, y: f64, acc: f64) -> f64 {
+        if FMA {
+            x.mul_add(y, acc)
+        } else {
+            acc + x * y
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    mod avx {
+        #![allow(unsafe_code)]
+        use std::arch::x86_64::{
+            __m256d, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_set1_pd, _mm256_setzero_pd,
+            _mm256_storeu_pd,
+        };
+
+        #[inline(always)]
+        pub(super) fn zero() -> __m256d {
+            // SAFETY: value-only intrinsic; the dispatch layer guarantees AVX.
+            unsafe { _mm256_setzero_pd() }
+        }
+
+        #[inline(always)]
+        pub(super) fn splat(c: f64) -> __m256d {
+            // SAFETY: value-only intrinsic; the dispatch layer guarantees AVX.
+            unsafe { _mm256_set1_pd(c) }
+        }
+
+        #[inline(always)]
+        pub(super) fn fmadd(x: __m256d, y: __m256d, acc: __m256d) -> __m256d {
+            // SAFETY: value-only intrinsic; the dispatch layer guarantees FMA.
+            unsafe { _mm256_fmadd_pd(x, y, acc) }
+        }
+
+        #[inline(always)]
+        pub(super) fn load4(q: &[f64; 4]) -> __m256d {
+            // SAFETY: a `[f64; 4]` spans exactly the 32 bytes read.
+            unsafe { _mm256_loadu_pd(q.as_ptr()) }
+        }
+
+        #[inline(always)]
+        pub(super) fn store4(q: &mut [f64; 4], v: __m256d) {
+            // SAFETY: a `[f64; 4]` spans exactly the 32 bytes written.
+            unsafe { _mm256_storeu_pd(q.as_mut_ptr(), v) }
+        }
+    }
+
+    /// Extracts `s[at..at + 4]` as a fixed-size quad.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn quad(s: &[f64], at: usize) -> &[f64; 4] {
+        s[at..at + 4].try_into().expect("quad")
+    }
+
+    /// Four-lane dot product of two equal-length slices. Lanes are summed
+    /// `(s0 + s1) + (s2 + s3)` plus a scalar tail — the exact per-element
+    /// order of one [`gemm_nt`] output column, which is what keeps the
+    /// single-row forward path bit-identical to a batched row.
+    #[inline(always)]
+    fn dot_impl<const FMA: bool>(a: &[f64], b: &[f64]) -> f64 {
+        debug_assert_eq!(a.len(), b.len());
+        let mut lanes = [0.0f64; 4];
+        let mut ac = a.chunks_exact(4);
+        let mut bc = b.chunks_exact(4);
+        for (ca, cb) in (&mut ac).zip(&mut bc) {
+            for (lane, (x, y)) in lanes.iter_mut().zip(ca.iter().zip(cb)) {
+                *lane = madd::<FMA>(*x, *y, *lane);
+            }
+        }
+        let mut tail = 0.0;
+        for (x, y) in ac.remainder().iter().zip(bc.remainder()) {
+            tail = madd::<FMA>(*x, *y, tail);
+        }
+        (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+    }
+
+    /// One output row of [`gemm_nt`]: `or[j] += ar · b[j]ᵀ` for every weight
+    /// row `j`, four columns advancing together so each `ar` load feeds four
+    /// independent four-lane chains. Column summation order is exactly
+    /// [`dot_impl`]'s.
+    #[inline(always)]
+    fn nt_row<const FMA: bool>(or: &mut [f64], ar: &[f64], b: &[f64], k: usize, l0: usize) {
+        let len = ar.len();
+        let n = or.len();
+        let n4 = n - n % 4;
+        let mut j = 0;
+        // Eight-column panels first (FMA build only): one `ar` chunk load
+        // feeds eight accumulators, so the load ports stop being the
+        // bottleneck. Per column the accumulation order is identical to the
+        // four-column and single-column forms below.
+        #[cfg(target_arch = "x86_64")]
+        if FMA {
+            let len4 = len & !3;
+            while j + 8 <= n {
+                let rows: [&[f64]; 8] = core::array::from_fn(|c| &b[(j + c) * k + l0..][..len]);
+                let mut acc = [avx::zero(); 8];
+                let mut t = 0;
+                while t < len4 {
+                    let av = avx::load4(quad(ar, t));
+                    for (a, row) in acc.iter_mut().zip(rows) {
+                        *a = avx::fmadd(av, avx::load4(quad(row, t)), *a);
+                    }
+                    t += 4;
+                }
+                let mut tails = [0.0f64; 8];
+                while t < len {
+                    let x = ar[t];
+                    for (tl, row) in tails.iter_mut().zip(rows) {
+                        *tl = madd::<FMA>(x, row[t], *tl);
+                    }
+                    t += 1;
+                }
+                for c in 0..8 {
+                    let mut lane = [0.0f64; 4];
+                    avx::store4(&mut lane, acc[c]);
+                    or[j + c] += (lane[0] + lane[1]) + (lane[2] + lane[3]) + tails[c];
+                }
+                j += 8;
+            }
+        }
+        while j < n4 {
+            let b0 = &b[j * k + l0..j * k + l0 + len];
+            let b1 = &b[(j + 1) * k + l0..(j + 1) * k + l0 + len];
+            let b2 = &b[(j + 2) * k + l0..(j + 2) * k + l0 + len];
+            let b3 = &b[(j + 3) * k + l0..(j + 3) * k + l0 + len];
+            let mut lanes = [[0.0f64; 4]; 4];
+            let len4 = len & !3;
+            let mut t = 0;
+            #[cfg(target_arch = "x86_64")]
+            if FMA {
+                let mut acc = [avx::zero(); 4];
+                while t < len4 {
+                    let av = avx::load4(quad(ar, t));
+                    acc[0] = avx::fmadd(av, avx::load4(quad(b0, t)), acc[0]);
+                    acc[1] = avx::fmadd(av, avx::load4(quad(b1, t)), acc[1]);
+                    acc[2] = avx::fmadd(av, avx::load4(quad(b2, t)), acc[2]);
+                    acc[3] = avx::fmadd(av, avx::load4(quad(b3, t)), acc[3]);
+                    t += 4;
+                }
+                for (lane, a) in lanes.iter_mut().zip(acc) {
+                    avx::store4(lane, a);
+                }
+            }
+            if !FMA || cfg!(not(target_arch = "x86_64")) {
+                while t < len4 {
+                    let ca: &[f64; 4] = ar[t..t + 4].try_into().expect("quad");
+                    let cb0: &[f64; 4] = b0[t..t + 4].try_into().expect("quad");
+                    let cb1: &[f64; 4] = b1[t..t + 4].try_into().expect("quad");
+                    let cb2: &[f64; 4] = b2[t..t + 4].try_into().expect("quad");
+                    let cb3: &[f64; 4] = b3[t..t + 4].try_into().expect("quad");
+                    for i in 0..4 {
+                        lanes[0][i] = madd::<FMA>(ca[i], cb0[i], lanes[0][i]);
+                        lanes[1][i] = madd::<FMA>(ca[i], cb1[i], lanes[1][i]);
+                        lanes[2][i] = madd::<FMA>(ca[i], cb2[i], lanes[2][i]);
+                        lanes[3][i] = madd::<FMA>(ca[i], cb3[i], lanes[3][i]);
+                    }
+                    t += 4;
+                }
+            }
+            let mut tails = [0.0f64; 4];
+            while t < len {
+                let x = ar[t];
+                tails[0] = madd::<FMA>(x, b0[t], tails[0]);
+                tails[1] = madd::<FMA>(x, b1[t], tails[1]);
+                tails[2] = madd::<FMA>(x, b2[t], tails[2]);
+                tails[3] = madd::<FMA>(x, b3[t], tails[3]);
+                t += 1;
+            }
+            for c in 0..4 {
+                or[j + c] += (lanes[c][0] + lanes[c][1]) + (lanes[c][2] + lanes[c][3]) + tails[c];
+            }
+            j += 4;
+        }
+        for (jj, o) in or.iter_mut().enumerate().skip(n4) {
+            *o += dot_impl::<FMA>(ar, &b[jj * k + l0..jj * k + l0 + len]);
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn gemm_nt_impl<const FMA: bool>(
+        out: &mut [f64],
+        a: &[f64],
+        b: &[f64],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        out[..m * n].fill(0.0);
+        for l0 in (0..k).step_by(KC) {
+            let len = (l0 + KC).min(k) - l0;
+            for i in 0..m {
+                let ar = &a[i * k + l0..i * k + l0 + len];
+                nt_row::<FMA>(&mut out[i * n..(i + 1) * n], ar, b, k, l0);
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    fn gemm_nt_avx(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+        gemm_nt_impl::<true>(out, a, b, m, k, n);
+    }
+
+    /// `out[m×n] = a[m×k] · b[n×k]ᵀ` — the forward-pass shape, with the right
+    /// operand stored row-major as `n` rows of length `k` (an MLP weight
+    /// matrix, one row per output unit).
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if any slice is shorter than its `m·k`/`n·k`/`m·n` shape.
+    pub(super) fn gemm_nt(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+        debug_assert!(a.len() >= m * k && b.len() >= n * k && out.len() >= m * n);
+        #[cfg(target_arch = "x86_64")]
+        if fma_enabled() {
+            // SAFETY: avx2+fma presence checked at runtime just above.
+            #[allow(unsafe_code)]
+            return unsafe { gemm_nt_avx(out, a, b, m, k, n) };
+        }
+        gemm_nt_impl::<false>(out, a, b, m, k, n);
+    }
+    /// The shared rank-4 row update of the gradient kernels:
+    /// `or[j] = c0·b0[j] + (c1·b1[j] + (c2·b2[j] + (c3·b3[j] + or[j])))` for
+    /// every `j`. The FMA build runs it 4-wide; per element both builds nest
+    /// the fused adds identically, so vector and scalar tails agree bitwise.
+    #[inline(always)]
+    fn fold4<const FMA: bool>(
+        or: &mut [f64],
+        c: [f64; 4],
+        b0: &[f64],
+        b1: &[f64],
+        b2: &[f64],
+        b3: &[f64],
+    ) {
+        let n = or.len();
+        debug_assert!(b0.len() == n && b1.len() == n && b2.len() == n && b3.len() == n);
+        let mut j = 0;
+        #[cfg(target_arch = "x86_64")]
+        if FMA {
+            let cv = [
+                avx::splat(c[0]),
+                avx::splat(c[1]),
+                avx::splat(c[2]),
+                avx::splat(c[3]),
+            ];
+            let n4 = n & !3;
+            // Two independent quad chains per iteration so the four-deep FMA
+            // dependency chain on `v` overlaps with its neighbor. Per-element
+            // arithmetic order is unchanged.
+            while j + 8 <= n4 {
+                let mut v = avx::load4(quad(or, j));
+                let mut w = avx::load4(quad(or, j + 4));
+                v = avx::fmadd(cv[3], avx::load4(quad(b3, j)), v);
+                w = avx::fmadd(cv[3], avx::load4(quad(b3, j + 4)), w);
+                v = avx::fmadd(cv[2], avx::load4(quad(b2, j)), v);
+                w = avx::fmadd(cv[2], avx::load4(quad(b2, j + 4)), w);
+                v = avx::fmadd(cv[1], avx::load4(quad(b1, j)), v);
+                w = avx::fmadd(cv[1], avx::load4(quad(b1, j + 4)), w);
+                v = avx::fmadd(cv[0], avx::load4(quad(b0, j)), v);
+                w = avx::fmadd(cv[0], avx::load4(quad(b0, j + 4)), w);
+                avx::store4((&mut or[j..j + 4]).try_into().expect("quad"), v);
+                avx::store4((&mut or[j + 4..j + 8]).try_into().expect("quad"), w);
+                j += 8;
+            }
+            while j < n4 {
+                let mut v = avx::load4(quad(or, j));
+                v = avx::fmadd(cv[3], avx::load4(quad(b3, j)), v);
+                v = avx::fmadd(cv[2], avx::load4(quad(b2, j)), v);
+                v = avx::fmadd(cv[1], avx::load4(quad(b1, j)), v);
+                v = avx::fmadd(cv[0], avx::load4(quad(b0, j)), v);
+                avx::store4((&mut or[j..j + 4]).try_into().expect("quad"), v);
+                j += 4;
+            }
+        }
+        while j < n {
+            or[j] = madd::<FMA>(
+                c[0],
+                b0[j],
+                madd::<FMA>(
+                    c[1],
+                    b1[j],
+                    madd::<FMA>(c[2], b2[j], madd::<FMA>(c[3], b3[j], or[j])),
+                ),
+            );
+            j += 1;
+        }
+    }
+
+    /// Rank-1 row update `or[j] += c·br[j]`, 4-wide in the FMA build.
+    #[inline(always)]
+    fn fold1<const FMA: bool>(or: &mut [f64], c: f64, br: &[f64]) {
+        let n = or.len();
+        debug_assert_eq!(br.len(), n);
+        let mut j = 0;
+        #[cfg(target_arch = "x86_64")]
+        if FMA {
+            let cv = avx::splat(c);
+            let n4 = n & !3;
+            while j < n4 {
+                let v = avx::fmadd(cv, avx::load4(quad(br, j)), avx::load4(quad(or, j)));
+                avx::store4((&mut or[j..j + 4]).try_into().expect("quad"), v);
+                j += 4;
+            }
+        }
+        while j < n {
+            or[j] = madd::<FMA>(c, br[j], or[j]);
+            j += 1;
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn gemm_nn_impl<const FMA: bool>(
+        out: &mut [f64],
+        a: &[f64],
+        b: &[f64],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        out[..m * n].fill(0.0);
+        for l0 in (0..k).step_by(KC) {
+            let l1 = (l0 + KC).min(k);
+            let len4 = (l1 - l0) - (l1 - l0) % 4;
+            for i in 0..m {
+                let or = &mut out[i * n..(i + 1) * n];
+                let mut l = l0;
+                while l < l0 + len4 {
+                    let c0 = a[i * k + l];
+                    let c1 = a[i * k + l + 1];
+                    let c2 = a[i * k + l + 2];
+                    let c3 = a[i * k + l + 3];
+                    if c0 != 0.0 || c1 != 0.0 || c2 != 0.0 || c3 != 0.0 {
+                        fold4::<FMA>(
+                            or,
+                            [c0, c1, c2, c3],
+                            &b[l * n..l * n + n],
+                            &b[(l + 1) * n..(l + 1) * n + n],
+                            &b[(l + 2) * n..(l + 2) * n + n],
+                            &b[(l + 3) * n..(l + 3) * n + n],
+                        );
+                    }
+                    l += 4;
+                }
+                while l < l1 {
+                    let c = a[i * k + l];
+                    if c != 0.0 {
+                        fold1::<FMA>(or, c, &b[l * n..l * n + n]);
+                    }
+                    l += 1;
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    fn gemm_nn_avx(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+        gemm_nn_impl::<true>(out, a, b, m, k, n);
+    }
+
+    /// `out[m×n] = a[m×k] · b[k×n]` — the input-gradient shape
+    /// (`Gx = Δ · W`). Four rank-1 updates fold into each pass over an output
+    /// row; all-zero delta quads (ReLU-killed units) skip theirs.
+    pub(super) fn gemm_nn(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+        debug_assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
+        #[cfg(target_arch = "x86_64")]
+        if fma_enabled() {
+            // SAFETY: avx2+fma presence checked at runtime just above.
+            #[allow(unsafe_code)]
+            return unsafe { gemm_nn_avx(out, a, b, m, k, n) };
+        }
+        gemm_nn_impl::<false>(out, a, b, m, k, n);
+    }
+
+    #[inline(always)]
+    pub(super) fn gemm_tn_impl<const FMA: bool>(
+        out: &mut [f64],
+        a: &[f64],
+        b: &[f64],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let m4 = m - m % 4;
+        let mut s = 0;
+        while s < m4 {
+            let b0 = &b[s * n..s * n + n];
+            let b1 = &b[(s + 1) * n..(s + 1) * n + n];
+            let b2 = &b[(s + 2) * n..(s + 2) * n + n];
+            let b3 = &b[(s + 3) * n..(s + 3) * n + n];
+            for i in 0..k {
+                let c0 = a[s * k + i];
+                let c1 = a[(s + 1) * k + i];
+                let c2 = a[(s + 2) * k + i];
+                let c3 = a[(s + 3) * k + i];
+                if c0 != 0.0 || c1 != 0.0 || c2 != 0.0 || c3 != 0.0 {
+                    fold4::<FMA>(
+                        &mut out[i * n..(i + 1) * n],
+                        [c0, c1, c2, c3],
+                        b0,
+                        b1,
+                        b2,
+                        b3,
+                    );
+                }
+            }
+            s += 4;
+        }
+        while s < m {
+            let br = &b[s * n..s * n + n];
+            let ar = &a[s * k..(s + 1) * k];
+            for (i, &c) in ar.iter().enumerate() {
+                if c != 0.0 {
+                    fold1::<FMA>(&mut out[i * n..(i + 1) * n], c, br);
+                }
+            }
+            s += 1;
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    fn gemm_tn_avx(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+        gemm_tn_impl::<true>(out, a, b, m, k, n);
+    }
+
+    /// `out[k×n] += a[m×k]ᵀ · b[m×n]` — the weight-gradient shape
+    /// (`Gw += Δᵀ · A_in`), accumulating like the scalar backward does. Four
+    /// samples fold into each pass over an output row; all-zero delta quads
+    /// (ReLU-killed units) skip theirs.
+    pub(super) fn gemm_tn_acc(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+        debug_assert!(a.len() >= m * k && b.len() >= m * n && out.len() >= k * n);
+        #[cfg(target_arch = "x86_64")]
+        if fma_enabled() {
+            // SAFETY: avx2+fma presence checked at runtime just above.
+            #[allow(unsafe_code)]
+            return unsafe { gemm_tn_avx(out, a, b, m, k, n) };
+        }
+        gemm_tn_impl::<false>(out, a, b, m, k, n);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn naive_nt(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) -> Vec<f64> {
         let mut out = vec![0.0; m * n];
@@ -688,7 +1462,9 @@ mod tests {
     }
 
     fn ramp(len: usize, scale: f64) -> Vec<f64> {
-        (0..len).map(|i| ((i * 37 % 101) as f64 - 50.0) * scale).collect()
+        (0..len)
+            .map(|i| ((i * 37 % 101) as f64 - 50.0) * scale)
+            .collect()
     }
 
     #[test]
@@ -737,6 +1513,189 @@ mod tests {
         let mut out = vec![1.5; k * n];
         gemm_tn_acc(&mut out, &a, &b, m, k, n);
         close(&out, &naive);
+    }
+
+    /// Depths and widths the oracle covers: every small-k shape, both
+    /// sides of the four-lane and 16-column boundaries, and a depth that
+    /// spans two [`KC`] panels.
+    const KS: [usize; 13] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 257];
+    const NS: [usize; 20] = [
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64, 65, 128,
+    ];
+
+    /// Operands mixing ordinary values with whole zero quads, `-0.0`, ±∞
+    /// and NaN. `density` picks how often the non-finite values appear (never,
+    /// rarely, often), so some cases keep most outputs finite.
+    fn operand(len: usize, density: usize, rng: &mut StdRng) -> Vec<f64> {
+        let odds = [0, 512, 24][density];
+        let mut v: Vec<f64> = (0..len)
+            .map(|_| {
+                if odds > 0 && rng.gen_range(0..odds) == 0 {
+                    [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.gen_range(0..3usize)]
+                } else {
+                    match rng.gen_range(0..12) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-2.0..2.0),
+                    }
+                }
+            })
+            .collect();
+        for q in v.chunks_mut(4) {
+            match rng.gen_range(0..6) {
+                0 => q.fill(0.0),
+                1 => q.fill(-0.0),
+                _ => {}
+            }
+        }
+        v
+    }
+
+    /// Bitwise equality, any NaN matching any NaN (payloads are outside
+    /// the order contract).
+    fn same_bits(got: &[f64], want: &[f64]) -> Result<(), String> {
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            if !(x.is_nan() && y.is_nan()) && x.to_bits() != y.to_bits() {
+                return Err(format!(
+                    "entry {i}: {x:e} ({:#x}) vs {y:e} ({:#x})",
+                    x.to_bits(),
+                    y.to_bits()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    type Kernel = fn(&mut [f64], &[f64], &[f64], usize, usize, usize);
+
+    /// The new kernels next to their references, for the dispatched build
+    /// (FMA where the host has it) and for the portable build.
+    fn builds(which: usize) -> [(Kernel, Kernel); 2] {
+        match which {
+            0 => [
+                (gemm_nt, reference::gemm_nt),
+                (gemm_nt_impl::<Portable>, reference::gemm_nt_impl::<false>),
+            ],
+            1 => [
+                (gemm_nn, reference::gemm_nn),
+                (
+                    |o, a, b, m, k, n| gemm_nn_impl::<Portable>(o, a, b, m, k, n, 0..n),
+                    reference::gemm_nn_impl::<false>,
+                ),
+            ],
+            _ => [
+                (gemm_tn_acc, reference::gemm_tn_acc),
+                (gemm_tn_impl::<Portable>, reference::gemm_tn_impl::<false>),
+            ],
+        }
+    }
+
+    /// Runs kernel `which` (0 = nt, 1 = nn, 2 = tn) on one shape in both
+    /// builds and compares every output bit with the reference.
+    fn check_oracle(
+        which: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+        density: usize,
+        seed: u64,
+    ) -> Result<(), String> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (a_len, b_len, out_len) = match which {
+            0 => (m * k, n * k, m * n),
+            1 => (m * k, k * n, m * n),
+            _ => (m * k, m * n, k * n),
+        };
+        let a = operand(a_len, density, &mut rng);
+        let b = operand(b_len, density, &mut rng);
+        // gemm_tn_acc accumulates, so it starts from arbitrary contents;
+        // the overwriting kernels must ignore whatever is there.
+        let init = operand(out_len, density, &mut rng);
+        for (build, (new, old)) in builds(which).into_iter().enumerate() {
+            let (mut got, mut want) = (init.clone(), init.clone());
+            new(&mut got, &a, &b, m, k, n);
+            old(&mut want, &a, &b, m, k, n);
+            same_bits(&got, &want)
+                .map_err(|e| format!("kernel {which} build {build} m={m} k={k} n={n}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Random shapes from the oracle grid, every kernel, both builds.
+        #[test]
+        fn kernels_match_reference_bitwise(
+            which in 0usize..3,
+            m in 1usize..40,
+            ki in 0usize..KS.len(),
+            ni in 0usize..NS.len(),
+            density in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let r = check_oracle(which, m, KS[ki], NS[ni], density, seed);
+            prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+        }
+
+        /// Column-restricted input gradients carry exactly the full
+        /// kernel's bits on the columns they compute and leave the rest alone.
+        #[test]
+        fn gemm_nn_cols_matches_full_kernel(
+            m in 1usize..40,
+            ki in 0usize..KS.len(),
+            ni in 0usize..NS.len(),
+            lo in 0usize..128,
+            width in 0usize..128,
+            seed in any::<u64>(),
+        ) {
+            let (k, n) = (KS[ki], NS[ni]);
+            let start = lo % (n + 1);
+            let cols = start..start + width % (n - start + 1);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = operand(m * k, 1, &mut rng);
+            let b = operand(k * n, 1, &mut rng);
+            let mut full = vec![0.0; m * n];
+            gemm_nn(&mut full, &a, &b, m, k, n);
+            let mut part = vec![7.5; m * n];
+            gemm_nn_cols(&mut part, &a, &b, m, k, n, cols.clone());
+            for (i, (p, f)) in part.iter().zip(&full).enumerate() {
+                let want = if cols.contains(&(i % n)) { *f } else { 7.5 };
+                prop_assert!(
+                    (p.is_nan() && want.is_nan()) || p.to_bits() == want.to_bits(),
+                    "m={m} k={k} n={n} cols={cols:?} entry {i}: {p} vs {want}"
+                );
+            }
+        }
+    }
+
+    /// Degenerate shapes: empty depth, rows or columns.
+    #[test]
+    fn kernels_match_reference_on_empty_dimensions() {
+        for which in 0..3 {
+            for (m, k, n) in [(0, 3, 4), (5, 0, 4), (5, 3, 0), (4, 0, 16), (0, 0, 0)] {
+                if let Err(e) = check_oracle(which, m, k, n, 1, 7) {
+                    panic!("{e}");
+                }
+            }
+        }
+    }
+
+    /// Every `k × n` of the oracle grid at row counts on both sides of the
+    /// row-block, small-k and single-row thresholds.
+    #[test]
+    fn kernels_match_reference_on_the_whole_grid() {
+        let mut seed = 0;
+        for which in 0..3 {
+            for m in [1, 2, 3, 4, 5, 32, 39] {
+                for k in KS {
+                    for n in NS {
+                        seed += 1;
+                        if let Err(e) = check_oracle(which, m, k, n, (seed % 3) as usize, seed) {
+                            panic!("{e}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

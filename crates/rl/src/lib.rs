@@ -13,7 +13,9 @@
 //! * [`Td3Agent`] — twin critics, target networks, delayed policy update,
 //!   target-policy smoothing (Algorithm 2),
 //! * [`ReplayBuffer`] — uniform ring buffer,
-//! * [`SumTree`]/[`PrioritizedReplay`] — TD-error priority sampling (§4.4),
+//! * [`SumTree`]/[`PrioritizedReplay`] — TD-error priority sampling (§4.4);
+//!   both buffers store transitions as one contiguous slab per field and
+//!   lend them out as [`TransitionRef`] views,
 //! * the public/shared buffer for dual-agent collaborative learning (§4.3)
 //!   is composed from these primitives in `rlpta-core`.
 //!
@@ -56,7 +58,7 @@ mod sumtree;
 mod td3;
 
 pub use adam::Adam;
-pub use buffer::{ReplayBuffer, Transition};
+pub use buffer::{AsTransition, ReplayBuffer, Transition, TransitionRef};
 pub use kernel::{ActScratch, BatchCache};
 pub use mlp::{Activation, Mlp};
 pub use priority::PrioritizedReplay;

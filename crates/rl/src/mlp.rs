@@ -10,10 +10,13 @@
 //!   [`Mlp::backward_batch_into`], [`Mlp::forward_into`]) — one GEMM per
 //!   layer over a whole `[batch × dim]` minibatch into preallocated
 //!   [`BatchCache`] storage, the hot path of TD3 training and of the
-//!   per-PTA-step policy inference.
+//!   per-PTA-step policy inference. [`Mlp::backward_batch_partial_into`]
+//!   skips the parameter gradients and the input-gradient columns a caller
+//!   discards.
 
 use crate::kernel::{self, ActScratch, BatchCache};
 use rand::Rng;
+use std::ops::Range;
 
 /// Activation function applied between layers or at the output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -413,9 +416,41 @@ impl Mlp {
         grads: &mut [f64],
         grad_input: &mut [f64],
     ) {
+        self.backward_batch_partial_into(
+            cache,
+            batch,
+            grad_output,
+            Some(grads),
+            grad_input,
+            0..self.input_dim(),
+        );
+    }
+
+    /// [`Mlp::backward_batch_into`] for callers that discard part of its
+    /// output: parameter gradients are accumulated only when `grads` is
+    /// `Some`, and only the input-gradient columns `input_cols` are
+    /// written (the rest of `grad_input` is left untouched; an empty range
+    /// skips the first layer's input-gradient GEMM). Whatever is computed
+    /// carries exactly the bits the full pass gives it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch between the network, cache and buffers,
+    /// or if `input_cols` reaches past the input dimension.
+    pub fn backward_batch_partial_into(
+        &self,
+        cache: &mut BatchCache,
+        batch: usize,
+        grad_output: &[f64],
+        mut grads: Option<&mut [f64]>,
+        grad_input: &mut [f64],
+        input_cols: Range<usize>,
+    ) {
         assert_eq!(cache.dims(), self.dims.as_slice(), "cache shape mismatch");
         assert!(batch <= cache.max_batch(), "batch exceeds cache capacity");
-        assert_eq!(grads.len(), self.num_params(), "gradient buffer mismatch");
+        if let Some(g) = &grads {
+            assert_eq!(g.len(), self.num_params(), "gradient buffer mismatch");
+        }
         assert!(
             grad_output.len() >= batch * self.output_dim(),
             "output gradient slab shorter than batch"
@@ -423,6 +458,10 @@ impl Mlp {
         assert!(
             grad_input.len() >= batch * self.input_dim(),
             "input gradient slab shorter than batch"
+        );
+        assert!(
+            input_cols.start <= input_cols.end && input_cols.end <= self.input_dim(),
+            "input gradient columns outside the input"
         );
         let n_layers = self.dims.len() - 1;
         let (acts, delta_a, delta_b) = cache.parts_mut();
@@ -445,26 +484,30 @@ impl Mlp {
             let delta = &g[..batch * fan_out];
             let w_off = self.layer_offset(l);
             let b_off = w_off + fan_in * fan_out;
-            // Weight gradients: Gw += δᵀ · A_in.
-            kernel::gemm_tn_acc(
-                &mut grads[w_off..b_off],
-                delta,
-                a_in,
-                batch,
-                fan_out,
-                fan_in,
-            );
-            // Bias gradients: column sums of δ.
-            for row in delta.chunks_exact(fan_out) {
-                for (gb, di) in grads[b_off..b_off + fan_out].iter_mut().zip(row) {
-                    *gb += di;
+            if let Some(grads) = grads.as_deref_mut() {
+                // Weight gradients: Gw += δᵀ · A_in.
+                kernel::gemm_tn_acc(
+                    &mut grads[w_off..b_off],
+                    delta,
+                    a_in,
+                    batch,
+                    fan_out,
+                    fan_in,
+                );
+                // Bias gradients: column sums of δ.
+                for row in delta.chunks_exact(fan_out) {
+                    for (gb, di) in grads[b_off..b_off + fan_out].iter_mut().zip(row) {
+                        *gb += di;
+                    }
                 }
             }
             // Propagate: G_prev = δ · W.
             let w = &self.params[w_off..b_off];
-            let dest = if l == 0 { &mut grad_input[..] } else { &mut g_next[..] };
-            kernel::gemm_nn(dest, delta, w, batch, fan_out, fan_in);
-            if l != 0 {
+            if l == 0 {
+                let cols = input_cols.clone();
+                kernel::gemm_nn_cols(grad_input, delta, w, batch, fan_out, fan_in, cols);
+            } else {
+                kernel::gemm_nn(g_next, delta, w, batch, fan_out, fan_in);
                 std::mem::swap(&mut g, &mut g_next);
             }
         }

@@ -1,6 +1,7 @@
 //! TD-error prioritized experience replay (§4.4 of the paper).
 
-use crate::{SumTree, Transition};
+use crate::buffer::Slab;
+use crate::{AsTransition, SumTree, Transition, TransitionRef};
 use rand::Rng;
 
 /// Replay buffer whose sampling probability is proportional to each
@@ -11,11 +12,14 @@ use rand::Rng;
 /// each critic update via [`PrioritizedReplay::update_priority`]. A small
 /// floor keeps low-error samples alive, which is the paper's "does not
 /// completely eliminate beneficial small-weight samples" property.
+///
+/// Transitions live in one contiguous array per field, so cloning a buffer
+/// (the per-circuit copy of a pretrained RL-S controller) costs a handful
+/// of allocations however many transitions it holds.
 #[derive(Debug, Clone)]
 pub struct PrioritizedReplay {
     tree: SumTree,
-    items: Vec<Transition>,
-    head: usize,
+    slab: Slab,
     max_priority: f64,
 }
 
@@ -31,39 +35,35 @@ impl PrioritizedReplay {
     pub fn new(capacity: usize) -> Self {
         Self {
             tree: SumTree::new(capacity),
-            items: Vec::new(),
-            head: 0,
+            slab: Slab::new(capacity),
             max_priority: 1.0,
         }
     }
 
     /// Number of stored transitions.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.slab.len()
     }
 
     /// Returns `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.slab.len() == 0
     }
 
     /// Maximum number of transitions.
     pub fn capacity(&self) -> usize {
-        self.tree.capacity()
+        self.slab.capacity()
     }
 
-    /// Appends a transition at the current max priority, evicting FIFO when
-    /// full.
-    pub fn push(&mut self, t: Transition) {
-        let idx = if self.items.len() < self.capacity() {
-            self.items.push(t);
-            self.items.len() - 1
-        } else {
-            let idx = self.head;
-            self.items[idx] = t;
-            self.head = (self.head + 1) % self.capacity();
-            idx
-        };
+    /// Copies a transition in at the current max priority, evicting FIFO
+    /// when full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if its state or action width differs from the stored
+    /// transitions'.
+    pub fn push(&mut self, t: impl AsTransition) {
+        let idx = self.slab.push(t.view());
         self.tree.set(idx, self.max_priority);
     }
 
@@ -73,12 +73,14 @@ impl PrioritizedReplay {
     /// empty.
     ///
     /// Thin wrapper over [`PrioritizedReplay::sample_indices_into`] that
-    /// clones each drawn transition; the training hot path samples indices
-    /// and gathers straight into its workspace instead.
+    /// copies each drawn transition out; the training hot path samples
+    /// indices and gathers straight into its workspace instead.
     pub fn sample(&self, n: usize, rng: &mut impl Rng) -> Vec<(usize, Transition)> {
         let mut idx = Vec::with_capacity(n);
         self.sample_indices_into(n, rng, &mut idx);
-        idx.into_iter().map(|i| (i, self.items[i].clone())).collect()
+        idx.into_iter()
+            .map(|i| (i, self.slab.get(i).to_transition()))
+            .collect()
     }
 
     /// Draws `n` priority-proportional slot indices into `out` (cleared
@@ -87,22 +89,22 @@ impl PrioritizedReplay {
     /// and refreshes priorities by index after training.
     pub fn sample_indices_into(&self, n: usize, rng: &mut impl Rng, out: &mut Vec<usize>) {
         out.clear();
-        if self.items.is_empty() || self.tree.total() <= 0.0 {
+        if self.is_empty() || self.tree.total() <= 0.0 {
             return;
         }
         out.extend((0..n).map(|_| {
             let v = rng.gen_range(0.0..self.tree.total());
-            self.tree.find(v).min(self.items.len() - 1)
+            self.tree.find(v).min(self.slab.len() - 1)
         }));
     }
 
-    /// The transition in slot `index`.
+    /// The transition in slot `index`, borrowed from the slabs.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
-    pub fn get(&self, index: usize) -> &Transition {
-        &self.items[index]
+    pub fn get(&self, index: usize) -> TransitionRef<'_> {
+        self.slab.get(index)
     }
 
     /// Refreshes the priority of buffer slot `index` with a new |TD-error|.
@@ -111,7 +113,7 @@ impl PrioritizedReplay {
     ///
     /// Panics if `index` is out of bounds or `td_error` is non-finite.
     pub fn update_priority(&mut self, index: usize, td_error: f64) {
-        assert!(index < self.items.len(), "index out of bounds");
+        assert!(index < self.slab.len(), "index out of bounds");
         assert!(td_error.is_finite(), "TD error must be finite");
         let p = td_error.abs() + Self::PRIORITY_FLOOR;
         self.max_priority = self.max_priority.max(p);
@@ -119,8 +121,8 @@ impl PrioritizedReplay {
     }
 
     /// Iterates over stored transitions in slot order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Transition> {
-        self.items.iter()
+    pub fn iter(&self) -> impl Iterator<Item = TransitionRef<'_>> + '_ {
+        self.slab.iter()
     }
 }
 

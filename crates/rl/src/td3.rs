@@ -3,7 +3,7 @@
 
 use self::rand_distr_free::sample_standard_normal;
 use crate::kernel::{ActScratch, BatchCache};
-use crate::{Activation, Adam, Mlp, Transition};
+use crate::{Activation, Adam, AsTransition, Mlp, Transition};
 use rand::Rng;
 
 /// Minimal Box–Muller standard normal sampler so we only depend on `rand`'s
@@ -79,8 +79,9 @@ impl Td3Config {
 ///
 /// The workflow is: [`TrainWorkspace::clear`], then one
 /// [`TrainWorkspace::push`] per sampled transition (gathering straight out
-/// of a replay buffer via `get`), then [`Td3Agent::train_batched`], then
-/// read [`TrainWorkspace::td_errors`] for priority refreshes.
+/// of a replay buffer's slabs via `get`), then
+/// [`Td3Agent::train_batched`], then read [`TrainWorkspace::td_errors`]
+/// for priority refreshes.
 #[derive(Debug, Clone)]
 pub struct TrainWorkspace {
     state_dim: usize,
@@ -106,7 +107,8 @@ pub struct TrainWorkspace {
     td: Vec<f64>,
     /// `[batch × action_dim]` output-gradient rows (critics use width 1).
     grad_out: Vec<f64>,
-    /// `[batch × (state_dim + action_dim)]` input-gradient rows.
+    /// `[batch × (state_dim + action_dim)]` input-gradient rows; only the
+    /// action columns are ever written (by the actor-loss critic pass).
     grad_in: Vec<f64>,
     /// Activation storage shared by the actor and its target.
     actor_cache: BatchCache,
@@ -116,7 +118,7 @@ pub struct TrainWorkspace {
     critic2_cache: BatchCache,
     /// Actor gradient slab.
     g_actor: Vec<f64>,
-    /// Critic-1 gradient slab (reused as scratch for the actor's Q pass).
+    /// Critic-1 gradient slab.
     g_critic1: Vec<f64>,
     /// Critic-2 gradient slab.
     g_critic2: Vec<f64>,
@@ -188,14 +190,17 @@ impl TrainWorkspace {
         self.len = 0;
     }
 
-    /// Gathers one transition into the next minibatch row, scattering its
-    /// fields into the state/action/reward slabs without cloning.
+    /// Gathers one transition — owned, borrowed, or a
+    /// [`TransitionRef`](crate::TransitionRef) straight out of a replay
+    /// buffer's slabs — into the next minibatch row, scattering its fields
+    /// into the state/action/reward slabs.
     ///
     /// # Panics
     ///
     /// Panics if the workspace is full or the transition's dimensions
     /// disagree with the configured shape.
-    pub fn push(&mut self, t: &Transition) {
+    pub fn push(&mut self, t: impl AsTransition) {
+        let t = t.view();
         assert!(self.len < self.max_batch, "workspace full");
         assert_eq!(t.state.len(), self.state_dim, "state dimension mismatch");
         assert_eq!(t.action.len(), self.action_dim, "action dimension mismatch");
@@ -206,13 +211,13 @@ impl TrainWorkspace {
         );
         let (sd, ad) = (self.state_dim, self.action_dim);
         let r = self.len;
-        self.states[r * sd..(r + 1) * sd].copy_from_slice(&t.state);
-        self.next_states[r * sd..(r + 1) * sd].copy_from_slice(&t.next_state);
+        self.states[r * sd..(r + 1) * sd].copy_from_slice(t.state);
+        self.next_states[r * sd..(r + 1) * sd].copy_from_slice(t.next_state);
         self.rewards[r] = t.reward;
         self.not_done[r] = if t.done { 0.0 } else { 1.0 };
         let row = &mut self.sa[r * (sd + ad)..(r + 1) * (sd + ad)];
-        row[..sd].copy_from_slice(&t.state);
-        row[sd..].copy_from_slice(&t.action);
+        row[..sd].copy_from_slice(t.state);
+        row[sd..].copy_from_slice(t.action);
         self.len += 1;
     }
 
@@ -319,7 +324,9 @@ impl Td3Agent {
         &self.config
     }
 
-    /// Number of [`Td3Agent::train_on_batch`] calls so far.
+    /// Number of training steps so far: [`Td3Agent::train_batched`] calls
+    /// on a non-empty workspace, [`Td3Agent::train_on_batch`] included
+    /// (it wraps one), plus the counter a stored policy was loaded with.
     pub fn train_steps(&self) -> u64 {
         self.train_steps
     }
@@ -547,13 +554,15 @@ impl Td3Agent {
                 *go = 2.0 * (q - y) / n;
             }
         }
+        // The critic updates need no input gradients.
         ws.g_critic1.fill(0.0);
-        self.critic1.backward_batch_into(
+        self.critic1.backward_batch_partial_into(
             &mut ws.critic1_cache,
             b,
             &ws.grad_out[..b],
-            &mut ws.g_critic1,
+            Some(&mut ws.g_critic1),
             &mut ws.grad_in,
+            0..0,
         );
         {
             let q2 = ws.critic2_cache.output(b);
@@ -562,12 +571,13 @@ impl Td3Agent {
             }
         }
         ws.g_critic2.fill(0.0);
-        self.critic2.backward_batch_into(
+        self.critic2.backward_batch_partial_into(
             &mut ws.critic2_cache,
             b,
             &ws.grad_out[..b],
-            &mut ws.g_critic2,
+            Some(&mut ws.g_critic2),
             &mut ws.grad_in,
+            0..0,
         );
         self.critic1_opt
             .step(self.critic1.params_mut(), &ws.g_critic1);
@@ -590,17 +600,17 @@ impl Td3Agent {
             }
             self.critic1
                 .forward_batch_into(&ws.sa2, b, &mut ws.critic1_cache);
-            // Maximize Q ⇒ minimize −Q. The critic's parameter gradients
-            // are scratch here (only ∂(−Q̄)/∂input matters), so the
-            // critic-1 slab — already applied above — is reused.
+            // Maximize Q ⇒ minimize −Q. Only ∂(−Q̄)/∂action matters here:
+            // no parameter gradients, and only the action columns of the
+            // input gradient.
             ws.grad_out[..b].fill(-1.0 / n);
-            ws.g_critic1.fill(0.0);
-            self.critic1.backward_batch_into(
+            self.critic1.backward_batch_partial_into(
                 &mut ws.critic1_cache,
                 b,
                 &ws.grad_out[..b],
-                &mut ws.g_critic1,
+                None,
                 &mut ws.grad_in,
+                sd..sad,
             );
             // Actor output gradients: the action slice of each input row.
             for r in 0..b {
@@ -609,12 +619,13 @@ impl Td3Agent {
                     .copy_from_slice(&gin[r * sad + sd..(r + 1) * sad]);
             }
             ws.g_actor.fill(0.0);
-            self.actor.backward_batch_into(
+            self.actor.backward_batch_partial_into(
                 &mut ws.actor_cache,
                 b,
                 &ws.grad_out[..b * ad],
-                &mut ws.g_actor,
+                Some(&mut ws.g_actor),
                 &mut ws.grad_in,
+                0..0,
             );
             self.actor_opt.step(self.actor.params_mut(), &ws.g_actor);
             self.actor_target.soft_update_from(&self.actor, tau);
@@ -909,8 +920,8 @@ mod tests {
     fn workspace_rejects_overfill() {
         let cfg = Td3Config::new(1, 1);
         let mut ws = TrainWorkspace::new(&cfg, 1);
-        ws.push(&transition(0.0, 0.0, 0.0, 0.0));
-        ws.push(&transition(0.0, 0.0, 0.0, 0.0));
+        ws.push(transition(0.0, 0.0, 0.0, 0.0));
+        ws.push(transition(0.0, 0.0, 0.0, 0.0));
     }
 
     #[test]
@@ -918,7 +929,7 @@ mod tests {
     fn workspace_rejects_wrong_state_dim() {
         let cfg = Td3Config::new(2, 1);
         let mut ws = TrainWorkspace::new(&cfg, 1);
-        ws.push(&transition(0.0, 0.0, 0.0, 0.0));
+        ws.push(transition(0.0, 0.0, 0.0, 0.0));
     }
 
     #[test]

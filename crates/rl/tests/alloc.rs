@@ -3,14 +3,16 @@
 //! [`Td3Agent::act_exploring_into`]) and batched training
 //! ([`Td3Agent::train_batched`] over a reused [`TrainWorkspace`]) perform
 //! **zero** heap allocations — every slab is preallocated, and the GEMM
-//! kernels, Adam steps and Polyak updates all work in place.
+//! kernels, Adam steps and Polyak updates all work in place. So does a
+//! backward pass that skips parameter gradients or input-gradient columns
+//! ([`Mlp::backward_batch_partial_into`]).
 //!
 //! One test only: the counting allocator is process-global, so a second
 //! concurrently running test would pollute the count.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rlpta_rl::{Td3Agent, Td3Config, TrainWorkspace, Transition};
+use rlpta_rl::{Activation, BatchCache, Mlp, Td3Agent, Td3Config, TrainWorkspace, Transition};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -60,6 +62,19 @@ fn act_and_train_allocate_nothing_in_steady_state() {
     agent.train_batched(&mut ws, &mut rng);
     agent.act_into(&transitions[0].state, &mut action, &mut scratch);
     agent.act_exploring_into(&transitions[0].state, &mut action, &mut scratch, &mut rng);
+    // A critic-shaped network for the column-restricted backward: the
+    // actor-loss pass (action column only, no parameter gradients) and the
+    // critic-update pass (parameter gradients, no input gradients).
+    let critic = Mlp::new(&[6, 64, 64, 1], Activation::Linear, &mut rng);
+    let mut cache = BatchCache::for_mlp(&critic, batch);
+    let sa: Vec<f64> = (0..batch * 6)
+        .map(|i| (i % 13) as f64 / 13.0 - 0.5)
+        .collect();
+    let go = vec![-1.0 / batch as f64; batch];
+    let mut grads = vec![0.0; critic.num_params()];
+    let mut grad_in = vec![0.0; batch * 6];
+    critic.forward_batch_into(&sa, batch, &mut cache);
+    critic.backward_batch_partial_into(&mut cache, batch, &go, None, &mut grad_in, 5..6);
 
     let before = ALLOCS.load(Ordering::SeqCst);
     // 50 training rounds cover both the critic-only and the delayed
@@ -75,17 +90,23 @@ fn act_and_train_allocate_nothing_in_steady_state() {
         let s = &transitions[round % transitions.len()].state;
         agent.act_into(s, &mut action, &mut scratch);
         agent.act_exploring_into(s, &mut action, &mut scratch, &mut rng);
+        critic.forward_batch_into(&sa, batch, &mut cache);
+        critic.backward_batch_partial_into(&mut cache, batch, &go, None, &mut grad_in, 5..6);
+        critic.forward_batch_into(&sa, batch, &mut cache);
+        let g = Some(&mut grads[..]);
+        critic.backward_batch_partial_into(&mut cache, batch, &go, g, &mut grad_in, 0..0);
     }
     let after = ALLOCS.load(Ordering::SeqCst);
 
     assert_eq!(
         after - before,
         0,
-        "RL hot path allocated {} time(s) over 50 train/inference rounds",
+        "RL hot path allocated {} time(s) over 50 train/inference/backward rounds",
         after - before
     );
     // The rounds really trained: the step counter advanced and the action
     // is a finite bounded value.
     assert_eq!(agent.train_steps(), 51);
+    assert!(grad_in.iter().skip(5).step_by(6).any(|g| *g != 0.0));
     assert!(action[0].is_finite() && (-1.0..=1.0).contains(&action[0]));
 }
