@@ -9,14 +9,18 @@
 //! after the first. The `certify_lu` group prices the same gap for
 //! certification: a from-scratch factorization against the pivot-verified
 //! fresh-equivalent replay a warm certification workspace runs instead.
+//! The `devices` group times one stamp per device kind and the
+//! steady-state residual with its limiter-only seeding.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlpta_bench::{experiment_config, robust_budget};
 use rlpta_circuits::by_name;
 use rlpta_core::{DcEngine, PtaKind, PtaSolver, SimpleStepping};
-use rlpta_devices::EvalCtx;
+use rlpta_devices::{
+    Bjt, BjtModel, Device, Diode, DiodeModel, EvalCtx, MosModel, Mosfet, Node, Resistor, Stamper,
+};
 use rlpta_linalg::{CsrMatrix, LuOp, LuWorkspace, SparseLu, Triplet};
-use rlpta_mna::{Circuit, StampPlan};
+use rlpta_mna::{Circuit, ResidualScratch, StampPlan};
 
 /// A suite circuit and its DC operating point.
 fn operating_point(name: &str) -> (Circuit, Vec<f64>) {
@@ -221,12 +225,74 @@ fn bench_assembly(c: &mut Criterion) {
     group.finish();
 }
 
+/// Per-device-kind evidence for the Newton layer: one stamp of a lone
+/// diode, BJT, MOSFET and resistor at a forward bias (limiter state
+/// already settled, so no limiting fires), then the PTA steady-state test
+/// `residual_into` and the limiter-only `seeded_state_into` it starts with
+/// on two large suite circuits at their operating points.
+fn bench_devices(c: &mut Criterion) {
+    let mut group = c.benchmark_group("devices");
+    let n = Node::new;
+    let devices: [(&str, Device, Vec<f64>); 4] = [
+        (
+            "diode",
+            Diode::new("D1", n(0), Node::GROUND, DiodeModel::default()).into(),
+            vec![0.65],
+        ),
+        (
+            "bjt",
+            Bjt::new("Q1", n(0), n(1), n(2), BjtModel::default()).into(),
+            vec![5.0, 0.7, 0.0],
+        ),
+        (
+            "mosfet",
+            Mosfet::new("M1", n(0), n(1), n(2), n(2), MosModel::default(), 10.0).into(),
+            vec![3.0, 2.0, 0.0],
+        ),
+        (
+            "resistor",
+            Resistor::new("R1", n(0), n(1), 1e3).into(),
+            vec![1.0, 0.0],
+        ),
+    ];
+    for (kind, device, x) in &devices {
+        let ctx = EvalCtx::dc(x);
+        let mut jac = Triplet::with_capacity(x.len(), x.len(), 32);
+        let mut res = vec![0.0; x.len()];
+        let mut state = vec![0.0; device.state_len()];
+        for _ in 0..64 {
+            device.limit_state(x, &mut state);
+        }
+        group.bench_function(BenchmarkId::new("stamp", kind), |b| {
+            b.iter(|| {
+                jac.clear();
+                res.fill(0.0);
+                device.stamp(&ctx, &mut Stamper::new(&mut jac, &mut res), &mut state);
+            })
+        });
+    }
+    for name in ["fadd32", "voter25"] {
+        let (circuit, x) = operating_point(name);
+        let mut scratch = ResidualScratch::default();
+        let mut res = vec![0.0; circuit.dim()];
+        group.bench_function(BenchmarkId::new("residual_into", name), |b| {
+            b.iter(|| circuit.residual_into(&x, &mut res, &mut scratch))
+        });
+        let mut state = circuit.new_state();
+        group.bench_function(BenchmarkId::new("seeded_state_into", name), |b| {
+            b.iter(|| circuit.seeded_state_into(&x, &mut state, &mut scratch))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_symbolic_reuse,
     bench_certify_lu,
     bench_batch_engine,
     bench_telemetry_overhead,
-    bench_assembly
+    bench_assembly,
+    bench_devices
 );
 criterion_main!(benches);

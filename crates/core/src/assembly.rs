@@ -181,6 +181,28 @@ impl NewtonWorkspace {
         plan.eval_into(circuit, ctx, matrix, &mut self.bufs.res, state, extra)
     }
 
+    /// Evaluates `F(x)` at `ctx` into `bufs.res` and updates `state` with
+    /// no Jacobian: bit for bit [`NewtonWorkspace::eval`]'s residual, state
+    /// and fault draws (see [`StampPlan::eval_residual_into`]), leaving the
+    /// working matrix untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no plan is installed.
+    pub(crate) fn eval_residual(
+        &mut self,
+        circuit: &Circuit,
+        ctx: &EvalCtx<'_>,
+        state: &mut [f64],
+        extra: &mut dyn FnMut(&mut Stamper<'_>),
+    ) {
+        let plan = self
+            .plan
+            .as_ref()
+            .expect("Newton workspace used before plan resolution");
+        plan.eval_residual_into(circuit, ctx, &mut self.bufs.res, state, extra);
+    }
+
     /// Escalates the Gmin-bump companion to `level` (1, 2, 3, … in order):
     /// level 1 reloads the base values, and every level adds its shunt
     /// `1e-9·100^level` on every node diagonal on top of the previous

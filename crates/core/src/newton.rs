@@ -276,7 +276,9 @@ pub(crate) fn newton_iterate(
             // stamped (linearized-at-the-limited-point) residual can look
             // small while the *true* residual is astronomical, so a point
             // only counts as converged when the limiter state has stopped
-            // moving as well (SPICE's "icheck" semantics).
+            // moving as well (SPICE's "icheck" semantics). The next
+            // iteration re-assembles before it factorizes, so this pass
+            // builds no Jacobian.
             bufs.state_before.copy_from_slice(state);
             let ctx = EvalCtx {
                 x: &x,
@@ -286,7 +288,7 @@ pub(crate) fn newton_iterate(
             time_phase!(
                 tele,
                 Phase::StampWrite,
-                ws.eval(circuit, &ctx, state, &mut |st| extra(&x, st))
+                ws.eval_residual(circuit, &ctx, state, &mut |st| extra(&x, st))
             );
             let bufs = &mut ws.bufs;
             #[cfg(feature = "faults")]

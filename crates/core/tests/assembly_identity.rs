@@ -12,10 +12,13 @@
 //! Gmin-bump levels 1–3, the two must agree bit for bit: pattern, values
 //! (signed zeros included), residual, limiter state and finiteness flag.
 //!
-//! The residual-only sink behind [`Circuit::residual_into`] and
-//! [`Circuit::seeded_state_into`] is held to the same standard: its
-//! residual and limiter state equal a triplet assembly's bit for bit, and
-//! it consumes fault-injection draws exactly like one.
+//! The residual-only sink behind [`Circuit::residual_into`] and Newton's
+//! convergence re-evaluation is held to the same standard: its residual
+//! and limiter state equal a triplet assembly's bit for bit, and it
+//! consumes fault-injection draws exactly like one. The limiter-only
+//! seeding behind [`Circuit::seeded_state_into`] reaches the state of the
+//! evaluate-until-still triplet walk bit for bit, on generated decks and on
+//! every named benchmark circuit, and consumes no draws.
 
 use proptest::prelude::*;
 use rlpta_core::DcEngine;
@@ -200,14 +203,40 @@ fn stamp_devices(c: &Circuit, x: &[f64], st: &mut Stamper<'_>, state: &mut [f64]
     }
 }
 
-/// The triplet reference of [`Circuit::residual`]: limiter walk to a
-/// seeded state, then one more pass, all through triplet assembly.
-fn triplet_residual(c: &Circuit, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+/// One plan pass at `x` from `state0` with `extra`, through
+/// [`StampPlan::eval_into`] or, when `residual_only`, through
+/// [`StampPlan::eval_residual_into`]. Returns the residual and the state.
+fn plan_pass(
+    c: &Circuit,
+    plan: &StampPlan,
+    x: &[f64],
+    state0: &[f64],
+    extra: &PtaExtra,
+    residual_only: bool,
+) -> (Vec<f64>, Vec<f64>) {
+    let ctx = EvalCtx::dc(x);
+    let mut residual = vec![0.0; c.dim()];
+    let mut state = state0.to_vec();
+    let mut hook = |st: &mut Stamper<'_>| extra.stamp(x, st);
+    if residual_only {
+        plan.eval_residual_into(c, &ctx, &mut residual, &mut state, &mut hook);
+    } else {
+        let mut matrix = plan.new_matrix();
+        plan.eval_into(c, &ctx, &mut matrix, &mut residual, &mut state, &mut hook);
+    }
+    (residual, state)
+}
+
+/// The evaluate-until-still limiter walk [`Circuit::seeded_state`] is
+/// held to: from a zeroed state, full triplet assemblies at `x` until no
+/// slot moves by `1e-12` or more, at most 64 of them. Returns the state
+/// and the number of assemblies run.
+fn walk_reference(c: &Circuit, x: &[f64]) -> (Vec<f64>, usize) {
     let dim = c.dim();
     let mut jac = Triplet::new(dim, dim);
     let mut r = vec![0.0; dim];
     let mut s = c.new_state();
-    for _ in 0..64 {
+    for pass in 1..=64 {
         let before = s.clone();
         c.assemble_into(&EvalCtx::dc(x), &mut jac, &mut r, &mut s);
         let moved = s
@@ -216,12 +245,27 @@ fn triplet_residual(c: &Circuit, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         if moved < 1e-12 {
-            break;
+            return (s, pass);
         }
     }
-    let seeded = s.clone();
-    c.assemble_into(&EvalCtx::dc(x), &mut jac, &mut r, &mut s);
-    (r, seeded)
+    (s, 64)
+}
+
+/// One triplet assembly at `x` from `state`; returns the residual.
+fn triplet_pass(c: &Circuit, x: &[f64], mut state: Vec<f64>) -> Vec<f64> {
+    let dim = c.dim();
+    let mut jac = Triplet::new(dim, dim);
+    let mut r = vec![0.0; dim];
+    c.assemble_into(&EvalCtx::dc(x), &mut jac, &mut r, &mut state);
+    r
+}
+
+/// The triplet reference of [`Circuit::residual`]: the limiter walk to a
+/// seeded state, then one more triplet pass. Returns the residual and the
+/// seeded state.
+fn triplet_residual(c: &Circuit, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let (seeded, _) = walk_reference(c, x);
+    (triplet_pass(c, x, seeded.clone()), seeded)
 }
 
 fn resolve(c: &Circuit, extra: &PtaExtra) -> StampPlan {
@@ -346,6 +390,28 @@ proptest! {
         prop_assert_eq!(bits(&s_t), bits(&s_r));
     }
 
+    /// The plan's residual-only pass — Newton's convergence re-evaluation —
+    /// leaves the residual and the limiter state exactly where a full
+    /// [`StampPlan::eval_into`] with the same extra hook leaves them.
+    #[test]
+    fn plan_residual_pass_matches_eval_into(
+        kind in 0usize..4,
+        v in 0.5f64..15.0,
+        n in 1usize..6,
+        seed in any::<u64>(),
+        decade in -1i32..2,
+    ) {
+        let c = parse(kind, v, 1_000.0, n);
+        let extra = PtaExtra::new(&c, seed);
+        let plan = resolve(&c, &extra);
+        let x = random_vec(seed, c.dim(), 10f64.powi(decade));
+        let state0 = random_vec(seed ^ 0x5EED, c.state_len(), 1.0);
+        let (r_e, s_e) = plan_pass(&c, &plan, &x, &state0, &extra, false);
+        let (r_r, s_r) = plan_pass(&c, &plan, &x, &state0, &extra, true);
+        prop_assert_eq!(bits(&r_e), bits(&r_r));
+        prop_assert_eq!(bits(&s_e), bits(&s_r));
+    }
+
     /// `residual`/`seeded_state` and their buffer-reusing variants equal
     /// the triplet reference bit for bit, with one scratch carried across
     /// circuits of different shapes.
@@ -406,9 +472,51 @@ mod faults {
             assert_identical(&reference, &planned);
         }
 
+        /// Under NaN-stamp injection the plan's residual-only pass still
+        /// matches [`StampPlan::eval_into`]'s residual and state, and draws
+        /// exactly as many faults: the assembly that follows poisons the
+        /// same entries either way.
+        #[test]
+        fn plan_residual_pass_draws_like_eval_into(
+            seed in any::<u64>(),
+            period in 1u64..10,
+            kind in 0usize..4,
+            v in 1.0f64..15.0,
+        ) {
+            let c = parse(kind, v, 1_000.0, 3);
+            let x = random_vec(seed, c.dim(), 1.0);
+            let extra = PtaExtra::new(&c, seed);
+            let plan = resolve(&c, &extra);
+            let state0 = random_vec(seed ^ 0x5EED, c.state_len(), 1.0);
+            let faults = FaultPlan::seeded(seed).nan_stamps(period);
+            let follow = || {
+                let mut matrix = plan.new_matrix();
+                let mut r = vec![0.0; c.dim()];
+                let mut s = c.new_state();
+                plan.eval_into(&c, &EvalCtx::dc(&x), &mut matrix, &mut r, &mut s, &mut |st| {
+                    extra.stamp(&x, st)
+                });
+                matrix
+            };
+            faults.install();
+            let (r_e, s_e) = plan_pass(&c, &plan, &x, &state0, &extra, false);
+            let after_eval = follow();
+            faults.install();
+            let (r_r, s_r) = plan_pass(&c, &plan, &x, &state0, &extra, true);
+            let after_residual = follow();
+            FaultPlan::clear();
+            prop_assert_eq!(bits(&r_e), bits(&r_r));
+            prop_assert_eq!(bits(&s_e), bits(&s_r));
+            let poisoned = |m: &CsrMatrix| m.values().iter().map(|v| v.is_nan()).collect::<Vec<_>>();
+            prop_assert_eq!(poisoned(&after_eval), poisoned(&after_residual));
+        }
+
         /// A residual-only pass draws the NaN sequence exactly like a
         /// triplet pass: its residual matches, and the triplet assembly
-        /// that follows poisons the same entries either way.
+        /// that follows poisons the same entries either way. Seeding draws
+        /// nothing, so [`Circuit::residual`] draws exactly one pass: the
+        /// reference seeds with faults cleared, then makes one triplet
+        /// pass under the installed plan.
         #[test]
         fn residual_only_pass_keeps_the_nan_sequence(
             seed in any::<u64>(),
@@ -442,9 +550,20 @@ mod faults {
             faults.install();
             let via_residual = c.residual(&x);
             let after_residual = follow();
+
+            FaultPlan::clear();
+            let (seeded, _) = walk_reference(&c, &x);
             faults.install();
-            let (want_r, _) = triplet_residual(&c, &x);
+            let want_r = triplet_pass(&c, &x, seeded);
             let after_reference = follow();
+
+            faults.install();
+            let mut scratch = ResidualScratch::default();
+            let mut s = c.new_state();
+            c.seeded_state_into(&x, &mut s, &mut scratch);
+            let after_seeding = follow();
+            faults.install();
+            let untouched = follow();
             FaultPlan::clear();
 
             prop_assert_eq!(bits(&r_t), bits(&r_r));
@@ -452,6 +571,62 @@ mod faults {
             let poisoned = |m: &CsrMatrix| m.values().iter().map(|v| v.is_nan()).collect::<Vec<_>>();
             prop_assert_eq!(poisoned(&after_triplet), poisoned(&after_residual_only));
             prop_assert_eq!(poisoned(&after_reference), poisoned(&after_residual));
+            prop_assert_eq!(poisoned(&untouched), poisoned(&after_seeding));
         }
     }
+}
+
+/// Draws per scale and circuit in [`seeding_matches_the_walk_on_every_named_circuit`].
+const DRAWS_PER_SCALE: usize = 20;
+
+/// On every named benchmark circuit (Tables 2 and 3, the training corpus
+/// and the stress suite), at iterates drawn ±0.01, ±1, ±10 and ±50 V
+/// around the engine's operating point, the limiter-only seeding reaches
+/// the evaluate-until-still walk's state bit for bit. The widest draws
+/// drive the walk to its 64-pass cap, which the test requires to happen.
+#[test]
+fn seeding_matches_the_walk_on_every_named_circuit() {
+    let mut benches = rlpta_circuits::table2();
+    benches.extend(rlpta_circuits::table3());
+    benches.extend(rlpta_circuits::training_corpus());
+    benches.extend(rlpta_circuits::stress());
+    let engine = DcEngine::builder()
+        .robust()
+        .budget(rlpta_core::EngineConfig::experiment().budget())
+        .build();
+    let mut scratch = ResidualScratch::default();
+    let (mut points, mut capped) = (0usize, 0usize);
+    for (k, bench) in benches.iter().enumerate() {
+        let c = &bench.circuit;
+        let op = engine
+            .solve(c)
+            .map_or_else(|_| vec![0.0; c.dim()], |sol| sol.x);
+        for (j, span) in [0.01, 1.0, 10.0, 50.0].into_iter().enumerate() {
+            for draw in 0..DRAWS_PER_SCALE {
+                let seed = ((k * 4 + j) * DRAWS_PER_SCALE + draw) as u64;
+                let x: Vec<f64> = op
+                    .iter()
+                    .zip(random_vec(seed, c.dim(), span))
+                    .map(|(o, d)| o + d)
+                    .collect();
+                let (want, passes) = walk_reference(c, &x);
+                let mut state = vec![f64::NAN; c.state_len()];
+                c.seeded_state_into(&x, &mut state, &mut scratch);
+                assert_eq!(
+                    bits(&state),
+                    bits(&want),
+                    "{} at span {span}, draw {draw}",
+                    bench.name
+                );
+                points += 1;
+                capped += usize::from(passes == 64);
+            }
+        }
+    }
+    assert_eq!(points, benches.len() * 4 * DRAWS_PER_SCALE);
+    assert!(capped > 0, "no draw reached the 64-pass cap");
+    eprintln!(
+        "{points} points on {} circuits, {capped} at the 64-pass cap",
+        benches.len()
+    );
 }

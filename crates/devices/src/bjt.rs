@@ -95,6 +95,8 @@ pub struct Bjt {
     base: Node,
     emitter: Node,
     model: BjtModel,
+    /// `model.vcrit()`, computed once at construction.
+    vcrit: f64,
 }
 
 impl Bjt {
@@ -106,12 +108,14 @@ impl Bjt {
         emitter: Node,
         model: BjtModel,
     ) -> Self {
+        let vcrit = model.vcrit();
         Self {
             name: name.into(),
             collector,
             base,
             emitter,
             model,
+            vcrit,
         }
     }
 
@@ -167,22 +171,37 @@ impl Bjt {
         }
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+    /// Polarity-adjusted junction voltages `(vbe, vbc)` at `x`.
+    fn junction_voltages(&self, x: &[f64]) -> (f64, f64) {
         let s = self.model.polarity.sign();
+        let vb = self.base.voltage(x);
+        let vc = self.collector.voltage(x);
+        let ve = self.emitter.voltage(x);
+        (s * (vb - ve), s * (vb - vc))
+    }
+
+    /// Limits both junction voltages against the last *evaluated* (limited)
+    /// ones carried in `state` and stores the results there.
+    fn limit(&self, vbe: f64, vbc: f64, state: &mut [f64]) -> (f64, f64) {
         let vt = THERMAL_VOLTAGE;
-        let vcrit = self.model.vcrit();
-
-        let vb = self.base.voltage(ctx.x);
-        let vc = self.collector.voltage(ctx.x);
-        let ve = self.emitter.voltage(ctx.x);
-        let vbe = s * (vb - ve);
-        let vbc = s * (vb - vc);
-
-        // `state` carries the last *evaluated* (limited) junction voltages.
-        let (vbe_l, _) = pnjlim(vbe, state[0], vt, vcrit);
-        let (vbc_l, _) = pnjlim(vbc, state[1], vt, vcrit);
+        let (vbe_l, _) = pnjlim(vbe, state[0], vt, self.vcrit);
+        let (vbc_l, _) = pnjlim(vbc, state[1], vt, self.vcrit);
         state[0] = vbe_l;
         state[1] = vbc_l;
+        (vbe_l, vbc_l)
+    }
+
+    /// The limiter update of [`Bjt::stamp`] alone: `state` ends exactly
+    /// where a stamp at `x` leaves it, with no device evaluation.
+    pub(crate) fn limit_state(&self, x: &[f64], state: &mut [f64]) {
+        let (vbe, vbc) = self.junction_voltages(x);
+        self.limit(vbe, vbc, state);
+    }
+
+    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+        let s = self.model.polarity.sign();
+        let (vbe, vbc) = self.junction_voltages(ctx.x);
+        let (vbe_l, vbc_l) = self.limit(vbe, vbc, state);
 
         let op = self.eval(vbe_l, vbc_l, ctx.gmin);
         // First-order correction back to the unlimited voltages keeps the

@@ -149,6 +149,26 @@ impl Device {
         }
     }
 
+    /// Applies only the junction limiting of [`Device::stamp`] at `x`:
+    /// `state` ends bit for bit where a stamp at `x` from the same state
+    /// would leave it, but no device equation is evaluated, nothing is
+    /// stamped and no fault-injection draw is consumed. A no-op for devices
+    /// without state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state.len() != self.state_len()`.
+    pub fn limit_state(&self, x: &[f64], state: &mut [f64]) {
+        assert_eq!(state.len(), self.state_len(), "device state slice mismatch");
+        match self {
+            Device::Diode(d) => d.limit_state(x, state),
+            Device::Bjt(d) => d.limit_state(x, state),
+            Device::Mosfet(d) => d.limit_state(x, state),
+            Device::Jfet(d) => d.limit_state(x, state),
+            _ => {}
+        }
+    }
+
     /// Structural half of the split stamping interface: records this
     /// device's ground-filtered `(row, col)` Jacobian targets, in push
     /// order, without producing numbers.

@@ -56,16 +56,20 @@ pub struct Diode {
     anode: Node,
     cathode: Node,
     model: DiodeModel,
+    /// `model.vcrit()`, computed once at construction.
+    vcrit: f64,
 }
 
 impl Diode {
     /// Creates a diode from `anode` to `cathode` with the given model.
     pub fn new(name: impl Into<String>, anode: Node, cathode: Node, model: DiodeModel) -> Self {
+        let vcrit = model.vcrit();
         Self {
             name: name.into(),
             anode,
             cathode,
             model,
+            vcrit,
         }
     }
 
@@ -107,13 +111,29 @@ impl Diode {
         (i, g)
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
-        let vd = self.anode.voltage(ctx.x) - self.cathode.voltage(ctx.x);
-        // `state[0]` holds the junction voltage the device was last
-        // *evaluated* at (already limited) — the SPICE state-vector trick
-        // that keeps pnjlim stable across iterations.
-        let (vlim, _) = pnjlim(vd, state[0], self.model.nvt(), self.model.vcrit());
+    /// Junction voltage `v(anode) − v(cathode)` at `x`.
+    fn junction_voltage(&self, x: &[f64]) -> f64 {
+        self.anode.voltage(x) - self.cathode.voltage(x)
+    }
+
+    /// Limits `vd` against the last evaluated junction voltage in
+    /// `state[0]` and stores the result there — the SPICE state-vector
+    /// trick that keeps pnjlim stable across iterations.
+    fn limit(&self, vd: f64, state: &mut [f64]) -> f64 {
+        let (vlim, _) = pnjlim(vd, state[0], self.model.nvt(), self.vcrit);
         state[0] = vlim;
+        vlim
+    }
+
+    /// The limiter update of [`Diode::stamp`] alone: `state` ends exactly
+    /// where a stamp at `x` leaves it, with no device evaluation.
+    pub(crate) fn limit_state(&self, x: &[f64], state: &mut [f64]) {
+        self.limit(self.junction_voltage(x), state);
+    }
+
+    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+        let vd = self.junction_voltage(ctx.x);
+        let vlim = self.limit(vd, state);
         let (i0, g) = self.eval(vlim, ctx.gmin);
         // Linearize at the limited voltage: i(vd) ≈ i(vlim) + g·(vd − vlim).
         let i = i0 + g * (vd - vlim);

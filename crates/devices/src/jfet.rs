@@ -89,6 +89,20 @@ pub struct Jfet {
     gate: Node,
     source: Node,
     model: JfetModel,
+    /// Gate-junction critical voltage for `pnjlim`, computed once at
+    /// construction.
+    vcrit: f64,
+}
+
+/// Polarity-normalized terminal voltages at one iterate: the channel frame
+/// (source and drain swapped when needed so `vds ≥ 0`) and the two gate
+/// junctions.
+struct JfetBias {
+    vgs: f64,
+    vds: f64,
+    reversed: bool,
+    /// Gate–source and gate–drain junction voltages (state slots 0 and 1).
+    junctions: [f64; 2],
 }
 
 impl Jfet {
@@ -105,6 +119,7 @@ impl Jfet {
             drain,
             gate,
             source,
+            vcrit: junction_vcrit(THERMAL_VOLTAGE, model.is),
             model,
         }
     }
@@ -136,7 +151,11 @@ impl Jfet {
 
     /// Evaluates the square-law channel in the normalized frame.
     pub fn eval_channel(&self, vgs: f64, vds: f64) -> JfetOperatingPoint {
-        debug_assert!(vds >= 0.0, "normalized frame requires vds >= 0");
+        // A NaN iterate passes through to the solvers' non-finite guards.
+        debug_assert!(
+            vds >= 0.0 || vds.is_nan(),
+            "normalized frame requires vds >= 0"
+        );
         let m = &self.model;
         let vov = vgs - m.vto;
         if vov <= 0.0 {
@@ -167,22 +186,54 @@ impl Jfet {
         (i, g)
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+    /// Normalized bias at `x`.
+    fn bias(&self, x: &[f64]) -> JfetBias {
         let s = self.model.polarity.sign();
-        let vd = self.drain.voltage(ctx.x);
-        let vg = self.gate.voltage(ctx.x);
-        let vs = self.source.voltage(ctx.x);
+        let vd = self.drain.voltage(x);
+        let vg = self.gate.voltage(x);
+        let vs = self.source.voltage(x);
 
         let vgs_raw = s * (vg - vs);
         let vds_raw = s * (vd - vs);
         let reversed = vds_raw < 0.0;
-        let (vgs_n, vds_n) = if reversed {
+        let (vgs, vds) = if reversed {
             (vgs_raw - vds_raw, -vds_raw)
         } else {
             (vgs_raw, vds_raw)
         };
+        JfetBias {
+            vgs,
+            vds,
+            reversed,
+            junctions: [s * (vg - vs), s * (vg - vd)],
+        }
+    }
 
-        let op = self.eval_channel(vgs_n, vds_n);
+    /// Limits both gate junctions (`pnjlim`) against the last evaluated
+    /// (limited) values carried in `state` and stores the results there.
+    fn limit(&self, bias: &JfetBias, state: &mut [f64]) -> [f64; 2] {
+        let mut junctions_l = [0.0; 2];
+        for (k, &v) in bias.junctions.iter().enumerate() {
+            let (v_l, _) = pnjlim(v, state[k], THERMAL_VOLTAGE, self.vcrit);
+            state[k] = v_l;
+            junctions_l[k] = v_l;
+        }
+        junctions_l
+    }
+
+    /// The limiter update of [`Jfet::stamp`] alone: `state` ends exactly
+    /// where a stamp at `x` leaves it, with no device evaluation.
+    pub(crate) fn limit_state(&self, x: &[f64], state: &mut [f64]) {
+        self.limit(&self.bias(x), state);
+    }
+
+    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+        let s = self.model.polarity.sign();
+        let bias = self.bias(ctx.x);
+        let reversed = bias.reversed;
+        let junctions_l = self.limit(&bias, state);
+
+        let op = self.eval_channel(bias.vgs, bias.vds);
         let (d_eff, s_eff) = if reversed {
             (self.source, self.drain)
         } else {
@@ -207,12 +258,11 @@ impl Jfet {
 
         // Gate junctions (gate→source and gate→drain for N-channel), with
         // stateful pnjlim like every junction in this engine.
-        let vt = THERMAL_VOLTAGE;
-        let vcrit = junction_vcrit(vt, self.model.is);
-        for (slot, other) in [(0usize, self.source), (1usize, self.drain)] {
-            let v = s * (vg - other.voltage(ctx.x));
-            let (v_l, _) = pnjlim(v, state[slot], vt, vcrit);
-            state[slot] = v_l;
+        for ((other, v), v_l) in [self.source, self.drain]
+            .into_iter()
+            .zip(bias.junctions)
+            .zip(junctions_l)
+        {
             let (i0, g) = self.gate_junction(v_l, ctx.gmin);
             let i = i0 + g * (v - v_l);
             st.current(self.gate, other, s * i);

@@ -97,6 +97,21 @@ pub struct Mosfet {
     model: MosModel,
     /// Width/length ratio multiplying `KP`.
     w_over_l: f64,
+    /// Bulk-junction critical voltage for `pnjlim`, computed once at
+    /// construction.
+    vcrit: f64,
+}
+
+/// Polarity-normalized terminal voltages at one iterate: the channel frame
+/// (source and drain swapped when needed so `vds ≥ 0`) and the two bulk
+/// junctions.
+struct MosBias {
+    vgs: f64,
+    vds: f64,
+    vbs: f64,
+    reversed: bool,
+    /// Bulk–drain and bulk–source junction voltages (state slots 1 and 2).
+    junctions: [f64; 2],
 }
 
 impl Mosfet {
@@ -125,6 +140,7 @@ impl Mosfet {
             gate,
             source,
             bulk,
+            vcrit: junction_vcrit(THERMAL_VOLTAGE, model.is),
             model,
             w_over_l,
         }
@@ -180,7 +196,11 @@ impl Mosfet {
 
     /// Evaluates the channel in the normalized (NMOS, `vds ≥ 0`) frame.
     pub fn eval_channel(&self, vgs: f64, vds: f64, vbs: f64) -> MosOperatingPoint {
-        debug_assert!(vds >= 0.0, "normalized frame requires vds >= 0");
+        // A NaN iterate passes through to the solvers' non-finite guards.
+        debug_assert!(
+            vds >= 0.0 || vds.is_nan(),
+            "normalized frame requires vds >= 0"
+        );
         let m = &self.model;
         let beta = m.kp * self.w_over_l;
         let vth = self.vth(vbs);
@@ -222,12 +242,13 @@ impl Mosfet {
         (i, g)
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+    /// Normalized bias at `x`.
+    fn bias(&self, x: &[f64]) -> MosBias {
         let s = self.model.polarity.sign();
-        let vd = self.drain.voltage(ctx.x);
-        let vg = self.gate.voltage(ctx.x);
-        let vs = self.source.voltage(ctx.x);
-        let vb = self.bulk.voltage(ctx.x);
+        let vd = self.drain.voltage(x);
+        let vg = self.gate.voltage(x);
+        let vs = self.source.voltage(x);
+        let vb = self.bulk.voltage(x);
 
         // Normalized terminal voltages.
         let vgs_raw = s * (vg - vs);
@@ -236,20 +257,50 @@ impl Mosfet {
 
         // Source/drain swap so the channel is always evaluated with vds >= 0.
         let reversed = vds_raw < 0.0;
-        let (vgs_n, vds_n, vbs_n) = if reversed {
+        let (vgs, vds, vbs) = if reversed {
             (vgs_raw - vds_raw, -vds_raw, vbs_raw - vds_raw)
         } else {
             (vgs_raw, vds_raw, vbs_raw)
         };
+        MosBias {
+            vgs,
+            vds,
+            vbs,
+            reversed,
+            junctions: [s * (vb - vd), s * (vb - vs)],
+        }
+    }
 
-        // Gate-voltage limiting against the last evaluated (limited) value,
-        // carried in the device state (slots: vgs, vbd, vbs).
-        let (vgs_l, _) = fetlim(vgs_n, state[0], self.model.vto);
+    /// Limits the gate voltage (`fetlim`) and both bulk junctions
+    /// (`pnjlim`) against the last evaluated (limited) values carried in
+    /// `state` (slots: vgs, vbd, vbs) and stores the results there.
+    fn limit(&self, bias: &MosBias, state: &mut [f64]) -> (f64, [f64; 2]) {
+        let (vgs_l, _) = fetlim(bias.vgs, state[0], self.model.vto);
         state[0] = vgs_l;
+        let mut junctions_l = [0.0; 2];
+        for (k, &v) in bias.junctions.iter().enumerate() {
+            let (v_l, _) = pnjlim(v, state[k + 1], THERMAL_VOLTAGE, self.vcrit);
+            state[k + 1] = v_l;
+            junctions_l[k] = v_l;
+        }
+        (vgs_l, junctions_l)
+    }
 
-        let op = self.eval_channel(vgs_l, vds_n, vbs_n.min(self.model.phi - 1e-3));
+    /// The limiter update of [`Mosfet::stamp`] alone: `state` ends exactly
+    /// where a stamp at `x` leaves it, with no device evaluation.
+    pub(crate) fn limit_state(&self, x: &[f64], state: &mut [f64]) {
+        self.limit(&self.bias(x), state);
+    }
+
+    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+        let s = self.model.polarity.sign();
+        let bias = self.bias(ctx.x);
+        let reversed = bias.reversed;
+        let (vgs_l, junctions_l) = self.limit(&bias, state);
+
+        let op = self.eval_channel(vgs_l, bias.vds, bias.vbs.min(self.model.phi - 1e-3));
         // Consistent first-order correction for the limited vgs.
-        let ids = op.ids + op.gm * (vgs_n - vgs_l);
+        let ids = op.ids + op.gm * (bias.vgs - vgs_l);
 
         // Map back to the original orientation: in reversed mode the channel
         // current flows source→drain.
@@ -294,12 +345,11 @@ impl Mosfet {
 
         // Bulk junction diodes (bulk→drain and bulk→source for NMOS),
         // normally reverse-biased; they keep the bulk node well connected.
-        let vt = THERMAL_VOLTAGE;
-        let vcrit = junction_vcrit(vt, self.model.is);
-        for (slot, other) in [(1usize, self.drain), (2usize, self.source)] {
-            let v = s * (vb - other.voltage(ctx.x));
-            let (v_l, _) = pnjlim(v, state[slot], vt, vcrit);
-            state[slot] = v_l;
+        for ((other, v), v_l) in [self.drain, self.source]
+            .into_iter()
+            .zip(bias.junctions)
+            .zip(junctions_l)
+        {
             let (i0, g) = self.bulk_junction(v_l, ctx.gmin);
             let i = i0 + g * (v - v_l);
             st.current(self.bulk, other, s * i);

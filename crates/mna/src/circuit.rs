@@ -19,6 +19,8 @@ pub struct Circuit {
     /// Per-device offsets into the junction-limiting state vector.
     state_offsets: Vec<usize>,
     state_len: usize,
+    /// Indices of the devices that carry limiter state, in device order.
+    limited: Vec<usize>,
 }
 
 impl Circuit {
@@ -31,9 +33,13 @@ impl Circuit {
     ) -> Self {
         let mut state_offsets = Vec::with_capacity(devices.len());
         let mut state_len = 0;
-        for d in &devices {
+        let mut limited = Vec::new();
+        for (i, d) in devices.iter().enumerate() {
             state_offsets.push(state_len);
             state_len += d.state_len();
+            if d.state_len() > 0 {
+                limited.push(i);
+            }
         }
         Self {
             title,
@@ -43,6 +49,7 @@ impl Circuit {
             num_branches,
             state_offsets,
             state_len,
+            limited,
         }
     }
 
@@ -184,21 +191,26 @@ impl Circuit {
     /// Junction limiting is bypassed by pre-seeding a throwaway state with
     /// the actual junction voltages ([`Circuit::seeded_state_into`]), so the
     /// result is the true `F(x)` rather than a limited linearization. The
-    /// passes run through a residual-only [`Stamper`], so no Jacobian is
-    /// built; the residual is bit-identical to a triplet assembly's.
+    /// seeding evaluates no device; the residual then takes one device pass
+    /// through a residual-only [`Stamper`], so no Jacobian is built and the
+    /// residual is bit-identical to a triplet assembly's from the seeded
+    /// state. Under fault injection that pass consumes exactly one
+    /// assembly's worth of draws, and the seeding none.
     ///
     /// # Panics
     ///
     /// Panics if `x` or `residual` is not of length [`Circuit::dim`].
     pub fn residual_into(&self, x: &[f64], residual: &mut [f64], scratch: &mut ResidualScratch) {
-        let ResidualScratch {
-            state,
-            before,
-            residual: walk,
-        } = scratch;
+        assert_eq!(residual.len(), self.dim(), "residual dimension mismatch");
+        let ResidualScratch { state, before } = scratch;
         state.resize(self.state_len, 0.0);
-        self.seed_state(x, state, before, walk);
-        self.eval_residual(&EvalCtx::dc(x), residual, state);
+        self.seed_state(x, state, before);
+        let ctx = EvalCtx::dc(x);
+        residual.fill(0.0);
+        let mut stamper = Stamper::residual_only(residual);
+        for (d, &off) in self.devices.iter().zip(&self.state_offsets) {
+            d.stamp(&ctx, &mut stamper, &mut state[off..off + d.state_len()]);
+        }
     }
 
     /// Builds a state vector whose limited junction voltages equal the
@@ -211,29 +223,38 @@ impl Circuit {
     }
 
     /// Overwrites `state` with limited junction voltages equal to the
-    /// actual junction voltages at `x`, reusing `scratch`. Achieved by
-    /// evaluating repeatedly from a zeroed state: the limiter walk
-    /// converges to the true voltage once the state is close.
+    /// actual junction voltages at `x`, reusing `scratch`.
+    ///
+    /// Starting from a zeroed state, the junction limiters (`pnjlim`,
+    /// `fetlim`) are applied at `x` pass after pass until no slot moves by
+    /// `1e-12` or more, at most 64 passes: once the state is close, the
+    /// limiter walk lands on the true voltage. Each pass is
+    /// [`Device::limit_state`](rlpta_devices::Device::limit_state) on every
+    /// device with state, so the result is bit for bit the state repeated
+    /// stamps at `x` would reach, yet no device equation is evaluated and
+    /// no fault-injection draw is consumed.
     ///
     /// # Panics
     ///
     /// Panics if `x` is not of length [`Circuit::dim`] or `state` not of
     /// length [`Circuit::state_len`].
     pub fn seeded_state_into(&self, x: &[f64], state: &mut [f64], scratch: &mut ResidualScratch) {
-        self.seed_state(x, state, &mut scratch.before, &mut scratch.residual);
+        self.seed_state(x, state, &mut scratch.before);
     }
 
     /// The limiter walk behind [`Circuit::seeded_state_into`], with
-    /// `before` and `walk` as reusable scratch.
-    fn seed_state(&self, x: &[f64], state: &mut [f64], before: &mut Vec<f64>, walk: &mut Vec<f64>) {
-        let ctx = EvalCtx::dc(x);
+    /// `before` as reusable scratch.
+    fn seed_state(&self, x: &[f64], state: &mut [f64], before: &mut Vec<f64>) {
+        assert_eq!(state.len(), self.state_len, "state dimension mismatch");
         state.fill(0.0);
-        walk.resize(self.dim(), 0.0);
         // A handful of walks is enough for any realistic bias point.
         for _ in 0..64 {
             before.clear();
             before.extend_from_slice(state);
-            self.eval_residual(&ctx, walk, state);
+            for &i in &self.limited {
+                let (d, off) = (&self.devices[i], self.state_offsets[i]);
+                d.limit_state(x, &mut state[off..off + d.state_len()]);
+            }
             let moved = state
                 .iter()
                 .zip(before.iter())
@@ -244,32 +265,18 @@ impl Circuit {
             }
         }
     }
-
-    /// One residual-only evaluation pass: `residual` ← `F(x)` at `ctx`,
-    /// device limiter state updated in `state`, Jacobian discarded.
-    fn eval_residual(&self, ctx: &EvalCtx<'_>, residual: &mut [f64], state: &mut [f64]) {
-        assert_eq!(residual.len(), self.dim(), "residual dimension mismatch");
-        assert_eq!(state.len(), self.state_len, "state dimension mismatch");
-        residual.fill(0.0);
-        let mut stamper = Stamper::residual_only(residual);
-        for (d, &off) in self.devices.iter().zip(&self.state_offsets) {
-            d.stamp(ctx, &mut stamper, &mut state[off..off + d.state_len()]);
-        }
-    }
 }
 
-/// Reusable buffers for [`Circuit::residual_into`] and
-/// [`Circuit::seeded_state_into`]. Start from `default()`; the buffers size
-/// themselves on first use and are kept by later calls on circuits of the
-/// same shape.
+/// Reusable buffers for [`Circuit::residual_into`] (the seeded state and
+/// the seeding's per-pass snapshot) and [`Circuit::seeded_state_into`]
+/// (the snapshot). Start from `default()`; the buffers size themselves on
+/// first use and are kept by later calls on circuits of the same shape.
 #[derive(Debug, Clone, Default)]
 pub struct ResidualScratch {
     /// Seeded limiter state of [`Circuit::residual_into`].
     state: Vec<f64>,
-    /// Limiter state before the latest seeding walk.
+    /// Limiter state before the latest seeding pass.
     before: Vec<f64>,
-    /// Throwaway residual of the seeding walks.
-    residual: Vec<f64>,
 }
 
 impl fmt::Display for Circuit {

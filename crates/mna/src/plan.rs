@@ -171,11 +171,47 @@ impl StampPlan {
         assert_eq!(state.len(), self.state_len, "state dimension mismatch");
         residual.fill(0.0);
         let mut st = Stamper::scatter(self.slots.writer(matrix), residual);
-        for (d, &off) in circuit.devices().iter().zip(circuit.state_offsets()) {
-            d.eval_into(ctx, &mut st, &mut state[off..off + d.state_len()]);
-        }
-        extra(&mut st);
+        Self::replay(circuit, ctx, &mut st, state, extra);
         st.finish()
+    }
+
+    /// Residual-only twin of [`StampPlan::eval_into`]: the same device
+    /// loop and `extra` hook, with Jacobian values dropped instead of
+    /// scattered. `residual` and `state` end bit for bit where `eval_into`
+    /// leaves them, and fault-injection draws are consumed exactly as
+    /// there, so either pass leaves the seeded NaN sequence in the same
+    /// place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `residual`/`state` have the wrong length.
+    pub fn eval_residual_into(
+        &self,
+        circuit: &Circuit,
+        ctx: &EvalCtx<'_>,
+        residual: &mut [f64],
+        state: &mut [f64],
+        extra: &mut dyn FnMut(&mut Stamper<'_>),
+    ) {
+        assert_eq!(residual.len(), self.dim, "residual dimension mismatch");
+        assert_eq!(state.len(), self.state_len, "state dimension mismatch");
+        residual.fill(0.0);
+        let mut st = Stamper::residual_only(residual);
+        Self::replay(circuit, ctx, &mut st, state, extra);
+    }
+
+    /// One evaluation of every device and then `extra` through `st`.
+    fn replay(
+        circuit: &Circuit,
+        ctx: &EvalCtx<'_>,
+        st: &mut Stamper<'_>,
+        state: &mut [f64],
+        extra: &mut dyn FnMut(&mut Stamper<'_>),
+    ) {
+        for (d, &off) in circuit.devices().iter().zip(circuit.state_offsets()) {
+            d.eval_into(ctx, st, &mut state[off..off + d.state_len()]);
+        }
+        extra(st);
     }
 
     /// Builds the Gmin-bump companion: the frozen pattern united with every
