@@ -261,29 +261,18 @@ fn eval_engine(kind: PtaKind, threads: usize) -> DcEngine {
 }
 
 /// Runs one benchmark through the full escalation ladder under
-/// [`robust_budget`]. The returned stats accumulate every stage that ran;
-/// `converged == false` marks total failure (all strategies or budget).
-pub fn run_robust(bench: &Benchmark) -> SolveStats {
-    run_robust_batch(std::slice::from_ref(bench), 1).remove(0)
-}
-
-/// [`run_robust`] over a whole suite on `threads` pooled workers. Stats
-/// come back in input order and are identical at any thread count.
-pub fn run_robust_batch(benches: &[Benchmark], threads: usize) -> Vec<SolveStats> {
-    run_robust_graded_batch(benches, threads)
-        .into_iter()
-        .map(|(stats, _)| stats)
-        .collect()
-}
-
-/// [`run_robust`] that also reports the certification grade attached to
-/// the solution — the `health` column of the stress table.
+/// [`robust_budget`] and reports the certification grade attached to the
+/// solution — the `health` column of the stress table. The returned stats
+/// accumulate every stage that ran; `converged == false` marks total
+/// failure (all strategies or budget).
 pub fn run_robust_graded(bench: &Benchmark) -> (SolveStats, String) {
     run_robust_graded_batch(std::slice::from_ref(bench), 1).remove(0)
 }
 
-/// [`run_robust_batch`] with each row's certification grade (`certified`
-/// or `suspect`; `-` marks a failed solve that produced nothing to grade).
+/// [`run_robust_graded`] over a whole suite on `threads` pooled workers,
+/// with each row's certification grade (`certified` or `suspect`; `-`
+/// marks a failed solve that produced nothing to grade). Rows come back
+/// in input order and are identical at any thread count.
 pub fn run_robust_graded_batch(
     benches: &[Benchmark],
     threads: usize,
@@ -523,9 +512,10 @@ mod tests {
     #[test]
     fn run_robust_on_small_circuit() {
         let b = rlpta_circuits::by_name("gm1").expect("known");
-        let s = run_robust(&b);
+        let (s, grade) = run_robust_graded(&b);
         assert!(s.converged);
         assert!(s.nr_iterations > 0);
+        assert_ne!(grade, "-");
     }
 
     #[test]
@@ -539,8 +529,8 @@ mod tests {
         assert_eq!(run_simple_batch(&benches, kind, 3), serial);
         let serial: Vec<_> = benches.iter().map(|b| run_adaptive(b, kind)).collect();
         assert_eq!(run_adaptive_batch(&benches, kind, 3), serial);
-        let serial: Vec<_> = benches.iter().map(run_robust).collect();
-        assert_eq!(run_robust_batch(&benches, 3), serial);
+        let serial: Vec<_> = benches.iter().map(run_robust_graded).collect();
+        assert_eq!(run_robust_graded_batch(&benches, 3), serial);
     }
 
     /// The acceptance check behind `fig5 --threads 4`: a pooled batch run

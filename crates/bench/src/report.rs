@@ -4,10 +4,12 @@
 //! The schema is versioned ([`SCHEMA_VERSION`]); the golden-file test in
 //! `tests/report.rs` pins the exact serialized form, so widening the schema
 //! requires an explicit version bump alongside the golden update. Encoding
-//! is hand-rolled (stable field order, `{:?}` floats that round-trip
-//! exactly); parsing uses a small recursive JSON reader since reports nest
-//! arrays of objects, unlike the flat telemetry event lines.
+//! is hand-rolled (stable field order, floats that round-trip exactly)
+//! with the core telemetry writers; parsing goes through the same nested
+//! reader as telemetry events and incident files
+//! ([`rlpta_core::telemetry::json`]).
 
+use rlpta_core::telemetry::json::{self, push_f64, push_json_str};
 use rlpta_core::{HistogramSummary, MetricsRegistry, Phase, SolveStats};
 use std::fmt::Write as _;
 
@@ -170,13 +172,18 @@ impl BenchReport {
     /// Serializes with stable field order and 2-space indentation.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
+        let str_line = |s: &mut String, key: &str, v: &str| {
+            let _ = write!(s, "  \"{key}\": ");
+            push_json_str(s, v);
+            s.push_str(",\n");
+        };
         s.push_str("{\n");
         let _ = writeln!(s, "  \"schema_version\": {},", self.schema_version);
-        let _ = writeln!(s, "  \"bench\": {},", json_str(&self.bench));
-        let _ = writeln!(s, "  \"strategy\": {},", json_str(&self.strategy));
-        let _ = writeln!(s, "  \"stepping\": {},", json_str(&self.stepping));
+        str_line(&mut s, "bench", &self.bench);
+        str_line(&mut s, "strategy", &self.strategy);
+        str_line(&mut s, "stepping", &self.stepping);
         let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"git_rev\": {},", json_str(&self.git_rev));
+        str_line(&mut s, "git_rev", &self.git_rev);
         let _ = writeln!(s, "  \"wall_nanos\": {},", self.wall_nanos);
         let _ = writeln!(s, "  \"circuits\": {},", self.circuits);
         let _ = writeln!(s, "  \"converged\": {},", self.converged);
@@ -188,19 +195,18 @@ impl BenchReport {
             "  \"lu_refactorizations\": {},",
             self.lu_refactorizations
         );
-        let _ = writeln!(
-            s,
-            "  \"refactorize_hit_rate\": {:?},",
-            self.refactorize_hit_rate
-        );
+        s.push_str("  \"refactorize_hit_rate\": ");
+        push_f64(&mut s, self.refactorize_hit_rate);
+        s.push_str(",\n");
         s.push_str("  \"rows\": [");
         for (i, r) in self.rows.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
+            s.push_str(if i == 0 { "\n" } else { ",\n" });
+            s.push_str("    {\"circuit\": ");
+            push_json_str(&mut s, &r.circuit);
             let _ = write!(
                 s,
-                "{sep}    {{\"circuit\": {}, \"converged\": {}, \"nr_iterations\": {}, \
+                ", \"converged\": {}, \"nr_iterations\": {}, \
                  \"pta_steps\": {}, \"lu_factorizations\": {}, \"lu_refactorizations\": {}}}",
-                json_str(&r.circuit),
                 r.converged,
                 r.nr_iterations,
                 r.pta_steps,
@@ -214,12 +220,13 @@ impl BenchReport {
         s.push_str("],\n");
         s.push_str("  \"phases\": [");
         for (i, p) in self.phases.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
+            s.push_str(if i == 0 { "\n" } else { ",\n" });
+            s.push_str("    {\"phase\": ");
+            push_json_str(&mut s, &p.phase);
             let _ = write!(
                 s,
-                "{sep}    {{\"phase\": {}, \"count\": {}, \"sum_nanos\": {}, \"min_nanos\": {}, \
+                ", \"count\": {}, \"sum_nanos\": {}, \"min_nanos\": {}, \
                  \"max_nanos\": {}, \"p50_nanos\": {}, \"p90_nanos\": {}, \"p99_nanos\": {}}}",
-                json_str(&p.phase),
                 p.count,
                 p.sum_nanos,
                 p.min_nanos,
@@ -244,61 +251,54 @@ impl BenchReport {
     ///
     /// A human-readable description of the first malformed construct.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
-        let v = JsonVal::parse(text)?;
-        let obj = v.as_obj("report")?;
-        let phases = match obj_get(obj, "phases") {
-            Some(v) => v
-                .as_arr("phases")?
-                .iter()
-                .map(|p| {
-                    let o = p.as_obj("phase entry")?;
-                    Ok(PhaseStat {
-                        phase: get_str(o, "phase")?,
-                        count: get_u64(o, "count")?,
-                        sum_nanos: get_u64(o, "sum_nanos")?,
-                        min_nanos: get_u64(o, "min_nanos")?,
-                        max_nanos: get_u64(o, "max_nanos")?,
-                        p50_nanos: get_u64(o, "p50_nanos")?,
-                        p90_nanos: get_u64(o, "p90_nanos")?,
-                        p99_nanos: get_u64(o, "p99_nanos")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            None => Vec::new(),
+        let obj = json::parse_object(text)?;
+        let items = |key: &str| match obj.get(key) {
+            Some(_) => obj.arr_field(key),
+            None => Ok(&[][..]),
         };
-        let rows = match obj_get(obj, "rows") {
-            Some(v) => v
-                .as_arr("rows")?
-                .iter()
-                .map(|p| {
-                    let o = p.as_obj("row entry")?;
-                    Ok(CircuitRow {
-                        circuit: get_str(o, "circuit")?,
-                        converged: get_bool(o, "converged")?,
-                        nr_iterations: get_u64(o, "nr_iterations")?,
-                        pta_steps: get_u64(o, "pta_steps")?,
-                        lu_factorizations: get_u64(o, "lu_factorizations")?,
-                        lu_refactorizations: get_u64(o, "lu_refactorizations")?,
-                    })
+        let phases = items("phases")?
+            .iter()
+            .map(|o| {
+                Ok(PhaseStat {
+                    phase: o.str_field("phase")?,
+                    count: o.u64_field("count")?,
+                    sum_nanos: o.u64_field("sum_nanos")?,
+                    min_nanos: o.u64_field("min_nanos")?,
+                    max_nanos: o.u64_field("max_nanos")?,
+                    p50_nanos: o.u64_field("p50_nanos")?,
+                    p90_nanos: o.u64_field("p90_nanos")?,
+                    p99_nanos: o.u64_field("p99_nanos")?,
                 })
-                .collect::<Result<Vec<_>, String>>()?,
-            None => Vec::new(),
-        };
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let rows = items("rows")?
+            .iter()
+            .map(|o| {
+                Ok(CircuitRow {
+                    circuit: o.str_field("circuit")?,
+                    converged: o.bool_field("converged")?,
+                    nr_iterations: o.u64_field("nr_iterations")?,
+                    pta_steps: o.u64_field("pta_steps")?,
+                    lu_factorizations: o.u64_field("lu_factorizations")?,
+                    lu_refactorizations: o.u64_field("lu_refactorizations")?,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(BenchReport {
-            schema_version: get_u64(obj, "schema_version")? as u32,
-            bench: get_str(obj, "bench")?,
-            strategy: get_str(obj, "strategy")?,
-            stepping: get_str(obj, "stepping")?,
-            threads: get_u64(obj, "threads")? as usize,
-            git_rev: get_str(obj, "git_rev")?,
-            wall_nanos: get_u64(obj, "wall_nanos")?,
-            circuits: get_u64(obj, "circuits")? as usize,
-            converged: get_u64(obj, "converged")? as usize,
-            nr_iterations: get_u64(obj, "nr_iterations")?,
-            pta_steps: get_u64(obj, "pta_steps")?,
-            lu_factorizations: get_u64(obj, "lu_factorizations")?,
-            lu_refactorizations: get_u64(obj, "lu_refactorizations")?,
-            refactorize_hit_rate: get_f64(obj, "refactorize_hit_rate")?,
+            schema_version: obj.u64_field("schema_version")? as u32,
+            bench: obj.str_field("bench")?,
+            strategy: obj.str_field("strategy")?,
+            stepping: obj.str_field("stepping")?,
+            threads: obj.usize_field("threads")?,
+            git_rev: obj.str_field("git_rev")?,
+            wall_nanos: obj.u64_field("wall_nanos")?,
+            circuits: obj.usize_field("circuits")?,
+            converged: obj.usize_field("converged")?,
+            nr_iterations: obj.u64_field("nr_iterations")?,
+            pta_steps: obj.u64_field("pta_steps")?,
+            lu_factorizations: obj.u64_field("lu_factorizations")?,
+            lu_refactorizations: obj.u64_field("lu_refactorizations")?,
+            refactorize_hit_rate: obj.f64_field("refactorize_hit_rate")?,
             rows,
             phases,
         })
@@ -346,294 +346,4 @@ pub fn git_rev() -> String {
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-// ---------------------------------------------------------------------------
-// A minimal recursive JSON reader (objects, arrays, scalars) for report
-// files. The telemetry crate's parser is flat by design; reports nest.
-// Public: incident reports and bench reports share this reader in tests.
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value: the minimal recursive model (`null`, booleans,
-/// `f64` numbers, strings, arrays, objects as ordered key/value lists)
-/// every nested report in this workspace round-trips through — bench
-/// reports, perfdiff inputs and the flight recorder's incident files.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonVal {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string with escapes resolved.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonVal>),
-    /// An object, keys in document order (duplicates keep the first).
-    Obj(Vec<(String, JsonVal)>),
-}
-
-/// Borrowed object body: the field list of a [`JsonVal::Obj`].
-pub type Obj = [(String, JsonVal)];
-
-/// Looks up `key` in an object body (first match wins).
-pub fn obj_get<'a>(obj: &'a Obj, key: &str) -> Option<&'a JsonVal> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_u64(obj: &Obj, key: &str) -> Result<u64, String> {
-    match obj_get(obj, key) {
-        Some(JsonVal::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-        other => Err(format!("field {key:?}: expected integer, got {other:?}")),
-    }
-}
-
-fn get_f64(obj: &Obj, key: &str) -> Result<f64, String> {
-    match obj_get(obj, key) {
-        Some(JsonVal::Num(n)) => Ok(*n),
-        other => Err(format!("field {key:?}: expected number, got {other:?}")),
-    }
-}
-
-fn get_bool(obj: &Obj, key: &str) -> Result<bool, String> {
-    match obj_get(obj, key) {
-        Some(JsonVal::Bool(b)) => Ok(*b),
-        other => Err(format!("field {key:?}: expected bool, got {other:?}")),
-    }
-}
-
-fn get_str(obj: &Obj, key: &str) -> Result<String, String> {
-    match obj_get(obj, key) {
-        Some(JsonVal::Str(s)) => Ok(s.clone()),
-        other => Err(format!("field {key:?}: expected string, got {other:?}")),
-    }
-}
-
-impl JsonVal {
-    /// Parses one complete JSON document.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first syntax error (with byte offset) or of
-    /// trailing non-whitespace bytes after the document.
-    pub fn parse(text: &str) -> Result<JsonVal, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// The object body, or an error naming `what` was expected to be one.
-    ///
-    /// # Errors
-    ///
-    /// When the value is not an object.
-    pub fn as_obj(&self, what: &str) -> Result<&Obj, String> {
-        match self {
-            JsonVal::Obj(fields) => Ok(fields),
-            other => Err(format!("{what}: expected object, got {other:?}")),
-        }
-    }
-
-    /// The array items, or an error naming `what` was expected to be one.
-    ///
-    /// # Errors
-    ///
-    /// When the value is not an array.
-    pub fn as_arr(&self, what: &str) -> Result<&[JsonVal], String> {
-        match self {
-            JsonVal::Arr(items) => Ok(items),
-            other => Err(format!("{what}: expected array, got {other:?}")),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.bump() {
-            Some(got) if got == b => Ok(()),
-            got => Err(format!(
-                "offset {}: expected {:?}, got {got:?}",
-                self.pos,
-                b as char
-            )),
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonVal, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonVal::Str(self.string()?)),
-            Some(b't') => self.keyword("true", JsonVal::Bool(true)),
-            Some(b'f') => self.keyword("false", JsonVal::Bool(false)),
-            Some(b'n') => self.keyword("null", JsonVal::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("offset {}: unexpected {other:?}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonVal, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonVal::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let v = self.value()?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(JsonVal::Obj(fields)),
-                other => return Err(format!("object: expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonVal, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonVal::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(JsonVal::Arr(items)),
-                other => return Err(format!("array: expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + (d as char)
-                                    .to_digit(16)
-                                    .ok_or_else(|| format!("bad hex digit {:?}", d as char))?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|e| format!("bad utf-8 in string: {e}"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonVal, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| format!("bad number: {e}"))?;
-        text.parse::<f64>()
-            .map(JsonVal::Num)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-
-    fn keyword(&mut self, kw: &str, value: JsonVal) -> Result<JsonVal, String> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(value)
-        } else {
-            Err(format!("offset {}: expected keyword {kw:?}", self.pos))
-        }
-    }
 }

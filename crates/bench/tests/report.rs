@@ -156,6 +156,16 @@ fn parser_rejects_malformed_reports() {
     assert!(BenchReport::parse(missing).is_err(), "missing fields must error");
 }
 
+/// A hostile file nests arrays far past any report: `perfdiff` gets an
+/// error back instead of overflowing the stack.
+#[test]
+fn parser_rejects_pathological_nesting() {
+    assert!(BenchReport::parse(&"[".repeat(1_000_000)).is_err());
+    let deep = format!("{{\"rows\": {}", "[".repeat(1_000_000));
+    let err = BenchReport::parse(&deep).unwrap_err();
+    assert!(err.contains("nesting"), "{err}");
+}
+
 /// Regenerates the golden file after a deliberate schema change:
 /// `cargo test -p rlpta-bench --test report regen_golden -- --ignored`.
 #[test]

@@ -8,7 +8,7 @@
 //!
 //! * **residual norm** — `‖F(x)‖_∞`, the direct KCL error,
 //! * **condition estimate** — Hager's 1-norm estimate of `κ₁(J)`
-//!   ([`SparseLu::cond_estimate`]), how much of the residual accuracy
+//!   ([`SparseLu::cond_estimate_with`]), how much of the residual accuracy
 //!   survives the linear algebra,
 //! * **pivot growth** — [`SparseLu::pivot_growth`], element growth during
 //!   elimination (the classic backward-stability red flag).
@@ -264,7 +264,7 @@ fn rescue_pass(
         };
         let Ok(lu) = lu else { break };
         let neg_f: Vec<f64> = ws.res.iter().map(|v| -v).collect();
-        let Ok(refined) = lu.solve_refined_capped(&a, &neg_f, RESCUE_REFINEMENT_CAP) else {
+        let Ok(refined) = lu.solve_refined(&a, &neg_f, RESCUE_REFINEMENT_CAP) else {
             break;
         };
         let candidate: Vec<f64> = x.iter().zip(&refined.x).map(|(a, b)| a + b).collect();

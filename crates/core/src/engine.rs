@@ -568,36 +568,10 @@ impl DcEngine {
             let mut ws = NewtonWorkspace::new();
             let mut last_good: Option<Vec<f64>> = None;
             for k in 0..n_chunks {
-                let index = k * chunk;
-                work.set_source_dc(source, values[index]);
-                let (result, attempts) = self.solve_with_retries(|| {
-                    self.solve_sweep_point(&work, last_good.as_deref(), &mut ws, &tele)
-                });
-                match result {
-                    Ok(sol) => {
-                        tele.emit(Payload::SweepPoint {
-                            index,
-                            value: values[index],
-                            stats: sol.stats,
-                        });
-                        last_good = Some(sol.x.clone());
-                        boundaries.push(Ok(sol));
-                    }
-                    Err(e) => {
-                        let error = e.to_string();
-                        tele.emit(Payload::Quarantined {
-                            index,
-                            value: values[index],
-                            error: error.clone(),
-                        });
-                        boundaries.push(Err(QuarantinedPoint {
-                            index,
-                            value: values[index],
-                            error,
-                            attempts,
-                        }));
-                    }
-                }
+                let (index, value) = (k * chunk, values[k * chunk]);
+                work.set_source_dc(source, value);
+                let warm = &mut last_good;
+                boundaries.push(self.sweep_chain_point(&work, index, value, warm, &mut ws, &tele));
             }
         }
 
@@ -623,33 +597,10 @@ impl DcEngine {
                         for (off, &v) in values[k * chunk + 1..hi].iter().enumerate() {
                             let index = k * chunk + 1 + off;
                             work.set_source_dc(source, v);
-                            let (result, attempts) = self.solve_with_retries(|| {
-                                self.solve_sweep_point(&work, prev.as_deref(), &mut ws, &tele)
-                            });
-                            match result {
-                                Ok(sol) => {
-                                    tele.emit(Payload::SweepPoint {
-                                        index,
-                                        value: v,
-                                        stats: sol.stats,
-                                    });
-                                    prev = Some(sol.x.clone());
-                                    points.push(SweepPoint { value: v, solution: sol });
-                                }
-                                Err(e) => {
-                                    let error = e.to_string();
-                                    tele.emit(Payload::Quarantined {
-                                        index,
-                                        value: v,
-                                        error: error.clone(),
-                                    });
-                                    quarantined.push(QuarantinedPoint {
-                                        index,
-                                        value: v,
-                                        error,
-                                        attempts,
-                                    });
-                                }
+                            match self.sweep_chain_point(&work, index, v, &mut prev, &mut ws, &tele)
+                            {
+                                Ok(solution) => points.push(SweepPoint { value: v, solution }),
+                                Err(q) => quarantined.push(q),
                             }
                         }
                         Ok((points, quarantined))
@@ -1021,6 +972,50 @@ impl DcEngine {
         match budget_hit {
             Some(e) => Err(e),
             None => Err(SolveError::AllStrategiesFailed { attempts }),
+        }
+    }
+
+    /// One point of a sweep's warm-start chain, the body the boundary
+    /// chain and every chunk interior share: solves `work` (its swept
+    /// source already set to `value`) with retries from `warm`. On success
+    /// it emits [`Payload::SweepPoint`] and advances `warm` to the
+    /// solution; on failure it emits [`Payload::Quarantined`] and returns
+    /// the quarantine record, leaving `warm` at the last surviving point.
+    fn sweep_chain_point(
+        &self,
+        work: &Circuit,
+        index: usize,
+        value: f64,
+        warm: &mut Option<Vec<f64>>,
+        ws: &mut NewtonWorkspace,
+        tele: &Tele<'_>,
+    ) -> Result<Solution, QuarantinedPoint> {
+        let (result, attempts) =
+            self.solve_with_retries(|| self.solve_sweep_point(work, warm.as_deref(), ws, tele));
+        match result {
+            Ok(sol) => {
+                tele.emit(Payload::SweepPoint {
+                    index,
+                    value,
+                    stats: sol.stats,
+                });
+                *warm = Some(sol.x.clone());
+                Ok(sol)
+            }
+            Err(e) => {
+                let error = e.to_string();
+                tele.emit(Payload::Quarantined {
+                    index,
+                    value,
+                    error: error.clone(),
+                });
+                Err(QuarantinedPoint {
+                    index,
+                    value,
+                    error,
+                    attempts,
+                })
+            }
         }
     }
 

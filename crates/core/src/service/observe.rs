@@ -28,9 +28,10 @@
 //! determinism contract only covers configurations that do not.
 
 use super::{Priority, SimService};
+use crate::telemetry::json::{self, push_f64};
 use crate::telemetry::metrics::HistogramSummary;
 use crate::telemetry::timing::Phase;
-use crate::telemetry::{parse_object, push_f64, MetricsRegistry, Payload, Span, Tele};
+use crate::telemetry::{MetricsRegistry, Payload, Span, Tele};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -608,7 +609,7 @@ impl HeartbeatLine {
     ///
     /// A description of the first malformed or missing field.
     pub fn parse(line: &str) -> Result<Self, String> {
-        let fields = parse_object(line)?;
+        let fields = json::parse_object(line)?;
         let mut queue_by_priority = [0usize; 4];
         let mut submitted = [0u64; 4];
         for (i, p) in PRIORITIES.iter().enumerate() {

@@ -40,6 +40,7 @@
 //! the whole layer is disabled — no clock reads at all — unless the root
 //! sink opts in via [`Sink::wants_timing`].
 
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod timing;
@@ -51,6 +52,7 @@ pub use timing::Phase;
 use crate::solution::SolveStats;
 use crate::stepping::StepObservation;
 use crate::trace::TraceEntry;
+use json::{push_f64, push_json_str};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -602,37 +604,6 @@ impl Drop for JsonlSink {
 // JSON encoding
 // ---------------------------------------------------------------------------
 
-pub(crate) fn push_json_str(buf: &mut String, s: &str) {
-    buf.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(buf, "\\u{:04x}", c as u32);
-            }
-            c => buf.push(c),
-        }
-    }
-    buf.push('"');
-}
-
-pub(crate) fn push_f64(buf: &mut String, v: f64) {
-    if v.is_finite() {
-        // `{:?}` is the shortest representation that round-trips exactly.
-        let _ = write!(buf, "{v:?}");
-    } else if v.is_nan() {
-        buf.push_str("\"NaN\"");
-    } else if v > 0.0 {
-        buf.push_str("\"inf\"");
-    } else {
-        buf.push_str("\"-inf\"");
-    }
-}
-
 fn push_field_usize(buf: &mut String, key: &str, v: usize) {
     let _ = write!(buf, ",\"{key}\":{v}");
 }
@@ -846,14 +817,16 @@ impl Event {
     /// Returns a human-readable description on malformed input or an
     /// unknown event kind.
     pub fn parse_json(line: &str) -> Result<Event, String> {
-        let fields = parse_object(line)?;
+        let fields = json::parse_object(line)?;
         let kind = fields.str_field("event")?;
         let job = match fields.get("job") {
-            Some(JsonValue::Null) | None => None,
-            Some(JsonValue::Num(n)) => Some(*n as usize),
-            Some(v) => return Err(format!("bad job field: {v:?}")),
+            Some(v) if !v.is_null() => Some(fields.usize_field("job")?),
+            _ => None,
         };
-        let worker = fields.usize_field("worker").unwrap_or(0);
+        let worker = match fields.get("worker") {
+            Some(_) => fields.usize_field("worker")?,
+            None => 0,
+        };
         let payload = match kind.as_str() {
             "LuFactorized" => Payload::LuFactorized {
                 dim: fields.usize_field("dim")?,
@@ -876,8 +849,8 @@ impl Event {
                 h: fields.f64_field("h")?,
                 h_next: fields.f64_field("h_next")?,
                 gamma: match fields.get("gamma") {
-                    Some(JsonValue::Null) | None => None,
-                    _ => Some(fields.f64_field("gamma")?),
+                    Some(v) if !v.is_null() => Some(fields.f64_field("gamma")?),
+                    _ => None,
                 },
                 nr_iterations: fields.usize_field("nr_iterations")?,
                 residual: fields.f64_field("residual")?,
@@ -891,7 +864,7 @@ impl Event {
             "LadderAttempt" => Payload::LadderAttempt {
                 strategy: fields.str_field("strategy")?,
                 error: fields.str_field("error")?,
-                stats: fields.stats()?,
+                stats: stats_of(&fields)?,
             },
             "TrainStep" => Payload::TrainStep {
                 role: fields.str_field("role")?,
@@ -908,7 +881,7 @@ impl Event {
             "SweepPoint" => Payload::SweepPoint {
                 index: fields.usize_field("index")?,
                 value: fields.f64_field("value")?,
-                stats: fields.stats()?,
+                stats: stats_of(&fields)?,
             },
             "BatchJob" => Payload::BatchJob {
                 job: fields.usize_field("index")?,
@@ -978,230 +951,16 @@ impl Event {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-}
-
-pub(crate) struct JsonFields(Vec<(String, JsonValue)>);
-
-impl JsonFields {
-    pub(crate) fn get(&self, key: &str) -> Option<&JsonValue> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub(crate) fn f64_field(&self, key: &str) -> Result<f64, String> {
-        match self.get(key) {
-            Some(JsonValue::Num(n)) => Ok(*n),
-            Some(JsonValue::Str(s)) => match s.as_str() {
-                "NaN" => Ok(f64::NAN),
-                "inf" => Ok(f64::INFINITY),
-                "-inf" => Ok(f64::NEG_INFINITY),
-                other => Err(format!("field {key:?}: non-numeric string {other:?}")),
-            },
-            other => Err(format!("field {key:?}: expected number, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn usize_field(&self, key: &str) -> Result<usize, String> {
-        match self.get(key) {
-            Some(JsonValue::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
-            other => Err(format!("field {key:?}: expected integer, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn u64_field(&self, key: &str) -> Result<u64, String> {
-        match self.get(key) {
-            Some(JsonValue::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-            other => Err(format!("field {key:?}: expected integer, got {other:?}")),
-        }
-    }
-
-    /// A full-range u64 serialized as a hex string (structure-key hashes;
-    /// JSON numbers round through f64 above 2^53).
-    fn key_field(&self, key: &str) -> Result<u64, String> {
-        match self.get(key) {
-            Some(JsonValue::Str(s)) => u64::from_str_radix(s, 16)
-                .map_err(|e| format!("field {key:?}: bad hex key {s:?}: {e}")),
-            other => Err(format!("field {key:?}: expected hex string, got {other:?}")),
-        }
-    }
-
-    fn bool_field(&self, key: &str) -> Result<bool, String> {
-        match self.get(key) {
-            Some(JsonValue::Bool(b)) => Ok(*b),
-            other => Err(format!("field {key:?}: expected bool, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn str_field(&self, key: &str) -> Result<String, String> {
-        match self.get(key) {
-            Some(JsonValue::Str(s)) => Ok(s.clone()),
-            other => Err(format!("field {key:?}: expected string, got {other:?}")),
-        }
-    }
-
-    fn stats(&self) -> Result<SolveStats, String> {
-        Ok(SolveStats {
-            nr_iterations: self.usize_field("nr_iterations")?,
-            pta_steps: self.usize_field("pta_steps")?,
-            rejected_steps: self.usize_field("rejected_steps")?,
-            lu_factorizations: self.usize_field("lu_factorizations")?,
-            lu_refactorizations: self.usize_field("lu_refactorizations")?,
-            converged: self.bool_field("converged")?,
-        })
-    }
-}
-
-/// A minimal parser for the flat JSON objects this module writes: string
-/// keys, scalar values (string / number / bool / null), no nesting.
-pub(crate) fn parse_object(line: &str) -> Result<JsonFields, String> {
-    let mut p = Cursor {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.parse_value()?;
-            fields.push((key, value));
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing bytes after object".to_string());
-    }
-    Ok(JsonFields(fields))
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.next() {
-            Some(got) if got == b => Ok(()),
-            got => Err(format!("expected {:?}, got {got:?}", b as char)),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + (d as char)
-                                    .to_digit(16)
-                                    .ok_or_else(|| format!("bad hex digit {:?}", d as char))?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-assemble the UTF-8 sequence starting at `b`.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|e| format!("bad utf-8 in string: {e}"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                while matches!(
-                    self.peek(),
-                    Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-                ) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| format!("bad number: {e}"))?;
-                text.parse::<f64>()
-                    .map(JsonValue::Num)
-                    .map_err(|e| format!("bad number {text:?}: {e}"))
-            }
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn parse_keyword(&mut self, kw: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(value)
-        } else {
-            Err(format!("expected keyword {kw:?}"))
-        }
-    }
+/// The [`SolveStats`] fields [`push_stats`] writes.
+fn stats_of(fields: &json::Value) -> Result<SolveStats, String> {
+    Ok(SolveStats {
+        nr_iterations: fields.usize_field("nr_iterations")?,
+        pta_steps: fields.usize_field("pta_steps")?,
+        rejected_steps: fields.usize_field("rejected_steps")?,
+        lu_factorizations: fields.usize_field("lu_factorizations")?,
+        lu_refactorizations: fields.usize_field("lu_refactorizations")?,
+        converged: fields.bool_field("converged")?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1637,6 +1396,33 @@ mod tests {
         assert!(Event::parse_json("{}").is_err());
         assert!(Event::parse_json("{\"event\":\"NoSuchKind\"}").is_err());
         assert!(Event::parse_json("{\"event\":\"SolveDone\",\"converged\":true} x").is_err());
+    }
+
+    /// `job` must be null, absent or a non-negative whole number, and
+    /// `worker` absent or a non-negative whole number: a negative or
+    /// fractional job and a non-numeric worker are errors, not job 0,
+    /// job 2 or worker 0.
+    #[test]
+    fn parse_rejects_malformed_span_fields() {
+        for line in [
+            r#"{"event":"SolveDone","job":-1,"worker":0,"converged":true}"#,
+            r#"{"event":"SolveDone","job":2.5,"worker":0,"converged":true}"#,
+            r#"{"event":"SolveDone","job":null,"worker":"x","converged":true}"#,
+        ] {
+            assert!(Event::parse_json(line).is_err(), "{line} parsed");
+        }
+        let bare = Event::parse_json(r#"{"event":"SolveDone","converged":true}"#).unwrap();
+        assert_eq!(bare.span, Span::default());
+        let tagged =
+            Event::parse_json(r#"{"event":"SolveDone","job":3,"worker":1,"converged":true}"#)
+                .unwrap();
+        assert_eq!(
+            tagged.span,
+            Span {
+                job: Some(3),
+                worker: 1
+            }
+        );
     }
 
     #[test]

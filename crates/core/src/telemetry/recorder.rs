@@ -28,9 +28,10 @@
 //! counters folded from the stream itself, and — when a
 //! [`MetricsRegistry`] is attached — a per-phase histogram snapshot.
 
+use super::json::{push_f64, push_json_str};
 use super::metrics::MetricsRegistry;
 use super::timing::Phase;
-use super::{push_f64, push_json_str, Event, Payload, Sink};
+use super::{Event, Payload, Sink};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -9,8 +9,9 @@
 //! * [`Triplet`] / [`CsrMatrix`] — coordinate-format assembly (duplicate
 //!   entries are summed, matching MNA "stamping") and compressed sparse row
 //!   storage.
-//! * [`SparseLu`] — Gilbert–Peierls left-looking sparse LU with partial
-//!   pivoting and optional column pre-ordering, the workhorse behind every
+//! * [`SparseLu`] — Gilbert–Peierls left-looking sparse LU with threshold
+//!   partial pivoting (plain or equilibrated) and one solve family; with
+//!   the [`LuWorkspace`] pattern replay, the workhorse behind every
 //!   Newton–Raphson iteration in `rlpta-core`.
 //! * [`norms`] — vector norms and SPICE-style weighted convergence norms.
 //!
@@ -46,7 +47,6 @@ mod error;
 #[cfg(feature = "faults")]
 pub mod faults;
 pub mod norms;
-mod ordering;
 mod slots;
 mod sparse;
 mod sparse_lu;
@@ -54,7 +54,6 @@ mod symbolic;
 
 pub use dense::{Cholesky, DenseLu, DenseMatrix};
 pub use error::LinalgError;
-pub use ordering::ColumnOrdering;
 pub use slots::{SlotWriter, StampSlots};
 pub use sparse::{CsrMatrix, Triplet};
 pub use sparse_lu::{CondScratch, Refinement, SparseLu};

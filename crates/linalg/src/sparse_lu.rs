@@ -15,7 +15,7 @@
 //! actually performed (the Gilbert–Peierls bound), which is what makes
 //! repeated Newton solves on large sparse circuit matrices cheap.
 
-use crate::{ColumnOrdering, CsrMatrix, LinalgError, Triplet};
+use crate::{CsrMatrix, LinalgError, Triplet};
 
 const EMPTY: usize = usize::MAX;
 
@@ -45,6 +45,23 @@ pub(crate) fn singular_fault() -> Result<(), LinalgError> {
         });
     }
     Ok(())
+}
+
+/// The column permutation `q` that eliminates sparse columns first
+/// (ascending nonzero count), so column `q[j]` of `a` is eliminated at step
+/// `j`. MNA matrices are nearly symmetric in pattern, so this cheap
+/// Markowitz-style static ordering captures most of the fill-in benefit.
+/// The sort is stable: equal counts keep natural order, which keeps
+/// diagonals near the front.
+fn ascending_count(a: &CsrMatrix) -> Vec<usize> {
+    let n = a.cols();
+    let mut counts = vec![0usize; n];
+    for (_, c, _) in a.iter() {
+        counts[c] += 1;
+    }
+    let mut q: Vec<usize> = (0..n).collect();
+    q.sort_by_key(|&j| counts[j]);
+    q
 }
 
 /// Largest absolute value in `vals`; NaN entries are ignored (`f64::max`
@@ -106,7 +123,7 @@ pub struct SparseLu {
     pub(crate) shell_of: u64,
 }
 
-/// Outcome of iterated refinement ([`SparseLu::solve_refined_capped`]): the
+/// Outcome of iterated refinement ([`SparseLu::solve_refined`]): the
 /// refined solution together with the achieved backward residual, so callers
 /// (the certification layer in `rlpta-core`) can grade numerical health
 /// without recomputing it.
@@ -137,45 +154,27 @@ impl SparseLu {
     /// the classic SPICE compromise between stability and sparsity.
     pub const PIVOT_THRESHOLD: f64 = 0.1;
 
-    /// Pivot-growth factor above which [`SparseLu::factorize_conditioned`]
-    /// redoes the factorization with row/column equilibration. Growth this
-    /// large means threshold pivoting amplified entries by enough decades to
-    /// eat most of a double's mantissa.
-    pub const EQUILIBRATION_GROWTH_THRESHOLD: f64 = 1e8;
-
-    /// Default refinement-step cap used by [`SparseLu::solve_refined`].
-    pub const DEFAULT_REFINEMENT_CAP: usize = 8;
-
-    /// Factorizes `a` with the default column ordering
-    /// ([`ColumnOrdering::AscendingCount`]).
+    /// Factorizes `a`, eliminating sparse columns first (ascending nonzero
+    /// count, a Markowitz-style static ordering that keeps fill-in low on
+    /// circuit matrices).
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] for a non-square matrix and
     /// [`LinalgError::Singular`] when no usable pivot exists in some column.
     pub fn factorize(a: &CsrMatrix) -> Result<Self, LinalgError> {
-        Self::factorize_with(a, ColumnOrdering::default())
-    }
-
-    /// Factorizes `a` with an explicit column [`ColumnOrdering`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SparseLu::factorize`].
-    pub fn factorize_with(a: &CsrMatrix, ordering: ColumnOrdering) -> Result<Self, LinalgError> {
         check_square(a)?;
         singular_fault()?;
-        Self::factorize_ranked(a, ordering, None)
+        Self::factorize_ranked(a, None)
     }
 
-    /// The factorization behind [`SparseLu::factorize_with`], without the
+    /// The factorization behind [`SparseLu::factorize`], without the
     /// fault hook. When `ranks` is given it receives, per column, the
     /// pivot's rank among the column's not-yet-pivoted rows in topological
     /// order — the position the first-strict-maximum tie-break saw it at,
     /// which a fresh-equivalent [`crate::LuWorkspace`] replay re-checks.
     pub(crate) fn factorize_ranked(
         a: &CsrMatrix,
-        ordering: ColumnOrdering,
         mut ranks: Option<&mut Vec<usize>>,
     ) -> Result<Self, LinalgError> {
         check_square(a)?;
@@ -183,7 +182,7 @@ impl SparseLu {
             ranks.clear();
         }
         let n = a.rows();
-        let q = ordering.permutation(a);
+        let q = ascending_count(a);
         // Column access pattern: work on Aᵀ (CSR of transpose = CSC of A).
         let at = a.transpose();
 
@@ -330,7 +329,7 @@ impl SparseLu {
                 // Exact-zero entries (summed-to-zero MNA stamps, exact
                 // cancellation) stay *structural*: dropping them here would
                 // record a value-dependent pattern that a later
-                // [`SymbolicLu::refactorize`] of the same structure could
+                // [`SymbolicLu::refactorize_into`] of the same structure could
                 // fall outside of. The numeric loops skip zeros anyway.
                 if pos != EMPTY {
                     lu.u_rows.push(pos);
@@ -351,8 +350,8 @@ impl SparseLu {
 
     /// Factorizes `a` after row/column equilibration: the factorization runs
     /// on `R·A·C` where `R` scales every row and `C` every column to unit
-    /// infinity norm, and [`SparseLu::solve`] /
-    /// [`SparseLu::solve_transposed`] undo the scaling transparently — the
+    /// infinity norm, and [`SparseLu::solve_into`] /
+    /// [`SparseLu::solve_transposed_into`] undo the scaling transparently — the
     /// returned factorization still solves the *original* system.
     ///
     /// Equilibration tames pivot growth on badly scaled Jacobians (PTA
@@ -363,24 +362,7 @@ impl SparseLu {
     ///
     /// Same as [`SparseLu::factorize`].
     pub fn factorize_equilibrated(a: &CsrMatrix) -> Result<Self, LinalgError> {
-        Self::factorize_equilibrated_with(a, ColumnOrdering::default())
-    }
-
-    /// [`SparseLu::factorize_equilibrated`] with an explicit column ordering.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SparseLu::factorize`].
-    pub fn factorize_equilibrated_with(
-        a: &CsrMatrix,
-        ordering: ColumnOrdering,
-    ) -> Result<Self, LinalgError> {
-        if a.rows() != a.cols() {
-            return Err(LinalgError::DimensionMismatch {
-                found: format!("{}x{}", a.rows(), a.cols()),
-                expected: "square matrix".into(),
-            });
-        }
+        check_square(a)?;
         let n = a.rows();
         // R: unit infinity norm per row.
         let mut row_scale = vec![1.0f64; n];
@@ -406,30 +388,9 @@ impl SparseLu {
         for (r, c, v) in a.iter() {
             t.push(r, c, row_scale[r] * v * col_scale[c]);
         }
-        let mut lu = Self::factorize_with(&t.to_csr(), ordering)?;
+        let mut lu = Self::factorize(&t.to_csr())?;
         lu.row_scale = Some(row_scale);
         lu.col_scale = Some(col_scale);
-        Ok(lu)
-    }
-
-    /// Factorizes `a`, automatically redoing the factorization with
-    /// row/column equilibration when the plain factorization's
-    /// [`SparseLu::pivot_growth`] crosses
-    /// [`SparseLu::EQUILIBRATION_GROWTH_THRESHOLD`] — the "conditioning
-    /// crossed a threshold" trigger of the certification layer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SparseLu::factorize`]. If the plain factorization succeeds
-    /// but the equilibrated retry fails, the plain factorization is returned
-    /// (equilibration is an accuracy upgrade, not a correctness gate).
-    pub fn factorize_conditioned(a: &CsrMatrix) -> Result<Self, LinalgError> {
-        let lu = Self::factorize(a)?;
-        if lu.pivot_growth() > Self::EQUILIBRATION_GROWTH_THRESHOLD {
-            if let Ok(eq) = Self::factorize_equilibrated(a) {
-                return Ok(eq);
-            }
-        }
         Ok(lu)
     }
 
@@ -558,18 +519,6 @@ impl SparseLu {
         Ok(())
     }
 
-    /// Solves `Aᵀ x = b` on the existing factorization — no transpose is
-    /// formed. Allocating wrapper over [`SparseLu::solve_transposed_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
-    pub fn solve_transposed(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let mut x = b.to_vec();
-        self.solve_transposed_into(&mut x, &mut Vec::new())?;
-        Ok(x)
-    }
-
     /// Solves `Aᵀ x = b` in place: `x` holds `b` on entry and the solution
     /// on return; `work` is scratch, resized to [`SparseLu::dim`]. With
     /// `P·A·Q = L·U` this is `Uᵀ y = Qᵀ b` (forward, since `Uᵀ` is lower
@@ -629,18 +578,6 @@ impl SparseLu {
             }
         }
         Ok(())
-    }
-
-    /// Hager-style estimate of the 1-norm condition number `κ₁(A) =
-    /// ‖A‖₁·‖A⁻¹‖₁`. Allocating wrapper over
-    /// [`SparseLu::cond_estimate_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `a` disagrees with the
-    /// factorized dimension.
-    pub fn cond_estimate(&self, a: &CsrMatrix) -> Result<f64, LinalgError> {
-        self.cond_estimate_with(a, &mut CondScratch::default())
     }
 
     /// Hager-style estimate of the 1-norm condition number `κ₁(A) =
@@ -730,22 +667,6 @@ impl SparseLu {
         Ok((a_norm * inv_norm).max(1.0))
     }
 
-    /// Solves `A x = b` with iterated refinement under the default step cap
-    /// ([`SparseLu::DEFAULT_REFINEMENT_CAP`]), which recovers accuracy lost
-    /// to threshold pivoting on ill-conditioned PTA Jacobians. Convenience
-    /// wrapper over [`SparseLu::solve_refined_capped`] that discards the
-    /// residual diagnostics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if shapes disagree with the
-    /// factorized system.
-    pub fn solve_refined(&self, a: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        Ok(self
-            .solve_refined_capped(a, b, Self::DEFAULT_REFINEMENT_CAP)?
-            .x)
-    }
-
     /// Solves `A x = b` and iterates refinement steps until the backward
     /// residual plateaus, up to `max_steps` correction solves.
     ///
@@ -762,7 +683,7 @@ impl SparseLu {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if shapes disagree with the
     /// factorized system.
-    pub fn solve_refined_capped(
+    pub fn solve_refined(
         &self,
         a: &CsrMatrix,
         b: &[f64],
@@ -824,6 +745,26 @@ mod tests {
             .zip(b)
             .map(|(yi, bi)| (yi - bi).abs())
             .fold(0.0, f64::max)
+    }
+
+    fn transposed_solution(lu: &SparseLu, b: &[f64]) -> Vec<f64> {
+        let mut x = b.to_vec();
+        lu.solve_transposed_into(&mut x, &mut Vec::new()).unwrap();
+        x
+    }
+
+    fn fresh_cond(lu: &SparseLu, a: &CsrMatrix) -> f64 {
+        lu.cond_estimate_with(a, &mut CondScratch::default()).unwrap()
+    }
+
+    #[test]
+    fn ascending_count_orders_by_nnz() {
+        // Column nnz counts: col0 -> 3, col1 -> 1, col2 -> 2.
+        let mut t = Triplet::new(3, 3);
+        for (r, c) in [(0, 0), (1, 0), (2, 0), (1, 1), (0, 2), (2, 2)] {
+            t.push(r, c, 1.0);
+        }
+        assert_eq!(ascending_count(&t.to_csr()), vec![1, 2, 0]);
     }
 
     #[test]
@@ -947,57 +888,13 @@ mod tests {
     }
 
     #[test]
-    fn both_orderings_agree() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let n = 15;
-        let mut t = Triplet::new(n, n);
-        for i in 0..n {
-            t.push(i, i, 4.0 + rng.gen::<f64>());
-            let j = rng.gen_range(0..n);
-            t.push(i, j, rng.gen_range(-1.0..1.0));
-        }
-        let a = t.to_csr();
-        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let x1 = SparseLu::factorize_with(&a, ColumnOrdering::Natural)
-            .unwrap()
-            .solve(&b)
-            .unwrap();
-        let x2 = SparseLu::factorize_with(&a, ColumnOrdering::AscendingCount)
-            .unwrap()
-            .solve(&b)
-            .unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn solve_refined_reduces_residual() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 25;
-        let mut t = Triplet::new(n, n);
-        for i in 0..n {
-            t.push(i, i, 1e-3 + rng.gen::<f64>() * 10.0);
-            for _ in 0..2 {
-                let j = rng.gen_range(0..n);
-                t.push(i, j, rng.gen_range(-2.0..2.0));
-            }
-        }
-        let a = t.to_csr();
-        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let lu = SparseLu::factorize(&a).unwrap();
-        let x_ref = lu.solve_refined(&a, &b).unwrap();
-        assert!(residual_inf(&a, &x_ref, &b) < 1e-8);
-    }
-
-    #[test]
     fn nnz_reports_fill() {
         let lu = SparseLu::factorize(&CsrMatrix::identity(5)).unwrap();
         assert_eq!(lu.nnz(), 5);
     }
 
     #[test]
-    fn solve_refined_capped_reports_residual_and_steps() {
+    fn solve_refined_reports_residual_and_steps() {
         let mut rng = StdRng::seed_from_u64(11);
         let n = 25;
         let mut t = Triplet::new(n, n);
@@ -1011,8 +908,8 @@ mod tests {
         let a = t.to_csr();
         let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let lu = SparseLu::factorize(&a).unwrap();
-        let ref0 = lu.solve_refined_capped(&a, &b, 0).unwrap();
-        let ref8 = lu.solve_refined_capped(&a, &b, 8).unwrap();
+        let ref0 = lu.solve_refined(&a, &b, 0).unwrap();
+        let ref8 = lu.solve_refined(&a, &b, 8).unwrap();
         assert_eq!(ref0.steps, 0);
         assert!(ref8.steps <= 8);
         // The reported residual matches an independent recomputation.
@@ -1037,7 +934,7 @@ mod tests {
             let a = t.to_csr();
             let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
             let lu = SparseLu::factorize(&a).unwrap();
-            let xt = lu.solve_transposed(&b).unwrap();
+            let xt = transposed_solution(&lu, &b);
             // Verify Aᵀ·xt = b: the residual of the transposed system.
             let mut r = b.to_vec();
             for (row, col, v) in a.iter() {
@@ -1071,8 +968,10 @@ mod tests {
         t.push(1, 0, -1.0);
         let a = t.to_csr();
         let full = SparseLu::factorize(&a).unwrap();
-        let replay = full.symbolic(&a).refactorize(&a).unwrap();
-        assert_eq!(full.pivot_growth(), replay.pivot_growth());
+        let mut ws = crate::LuWorkspace::with_symbolic(full.symbolic(&a));
+        let growth = ws.factorize(&a).unwrap().pivot_growth();
+        assert_eq!(ws.last_op(), Some(crate::LuOp::Replay));
+        assert_eq!(full.pivot_growth(), growth);
     }
 
     #[test]
@@ -1084,12 +983,12 @@ mod tests {
         t.push(2, 2, 1.0);
         let a = t.to_csr();
         let lu = SparseLu::factorize(&a).unwrap();
-        let k = lu.cond_estimate(&a).unwrap();
+        let k = fresh_cond(&lu, &a);
         assert!((k / 1e6 - 1.0).abs() < 1e-9, "estimate {k}");
 
         // Identity: perfectly conditioned.
         let i = CsrMatrix::identity(4);
-        let k = SparseLu::factorize(&i).unwrap().cond_estimate(&i).unwrap();
+        let k = fresh_cond(&SparseLu::factorize(&i).unwrap(), &i);
         assert!((k - 1.0).abs() < 1e-12);
     }
 
@@ -1105,7 +1004,6 @@ mod tests {
         let a = t.to_csr();
         let lu = SparseLu::factorize(&a).unwrap();
         assert!(lu.solve(&[1.0, 1.0]).unwrap().iter().any(|v| v.is_nan()));
-        assert_eq!(lu.cond_estimate(&a).unwrap(), f64::INFINITY);
         let mut scratch = CondScratch::default();
         assert_eq!(lu.cond_estimate_with(&a, &mut scratch).unwrap(), f64::INFINITY);
         // The scratch carries no state into the next estimate.
@@ -1188,7 +1086,7 @@ mod tests {
                 want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
             let k = lu.cond_estimate_with(&a, &mut scratch).unwrap();
-            assert_eq!(k.to_bits(), lu.cond_estimate(&a).unwrap().to_bits());
+            assert_eq!(k.to_bits(), fresh_cond(&lu, &a).to_bits());
         }
     }
 
@@ -1212,7 +1110,7 @@ mod tests {
             assert!((u - v).abs() < 1e-9);
         }
         // Transposed solve honours the scaling too.
-        let xt = lu_eq.solve_transposed(&b).unwrap();
+        let xt = transposed_solution(&lu_eq, &b);
         let mut r = b.to_vec();
         for (row, col, v) in a.iter() {
             r[col] -= v * xt[row];
@@ -1251,12 +1149,5 @@ mod tests {
             })
             .fold(0.0, f64::max);
         assert!(scaled_r < 1e-12, "row-scaled residual {scaled_r}");
-    }
-
-    #[test]
-    fn factorize_conditioned_keeps_plain_path_on_healthy_matrix() {
-        let a = CsrMatrix::identity(5);
-        let lu = SparseLu::factorize_conditioned(&a).unwrap();
-        assert!(!lu.is_equilibrated());
     }
 }

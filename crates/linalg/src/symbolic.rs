@@ -11,12 +11,11 @@
 //!
 //! [`SymbolicLu`] records that replayable state (KLU-style): the row/column
 //! permutations `p`/`q` and the exact `L`/`U` pattern of a completed
-//! factorization. [`SymbolicLu::refactorize`] then performs the numeric-only
-//! left-looking pass inside the recorded pattern — no DFS, no pivot search —
-//! and produces a [`SparseLu`] that is bit-identical to what the full
-//! factorization would compute, at a fraction of the cost.
-//! [`SymbolicLu::refactorize_into`] writes that result into an existing
-//! numeric shell instead, so a replay loop allocates nothing.
+//! factorization. [`SymbolicLu::refactorize_into`] then performs the
+//! numeric-only left-looking pass inside the recorded pattern — no DFS, no
+//! pivot search — writing into an existing numeric shell, so a replay loop
+//! allocates nothing; on the recorded matrix the result is bit-identical to
+//! what the full factorization would compute, at a fraction of the cost.
 //!
 //! Refactorization is *guarded*: if the new matrix has an entry outside the
 //! recorded pattern (e.g. a Gmin bump added diagonal entries), or a recorded
@@ -29,7 +28,7 @@
 
 use crate::sparse::next_generation;
 use crate::sparse_lu::{check_square, singular_fault};
-use crate::{ColumnOrdering, CsrMatrix, LinalgError, SparseLu};
+use crate::{CsrMatrix, LinalgError, SparseLu};
 use std::sync::Arc;
 
 const EMPTY: usize = usize::MAX;
@@ -106,7 +105,7 @@ impl CsrMatrix {
 /// plus `L`/`U` sparsity structure, with no numeric values.
 ///
 /// Obtained from [`SparseLu::symbolic`]; consumed by
-/// [`SymbolicLu::refactorize`]. Immutable and cheap to clone relative to a
+/// [`SymbolicLu::refactorize_into`]. Immutable and cheap to clone relative to a
 /// full factorization (plain index vectors, no graph work).
 #[derive(Debug, Clone)]
 pub struct SymbolicLu {
@@ -163,7 +162,7 @@ impl SparseLu {
     /// Extracts the reusable symbolic pattern of this factorization.
     ///
     /// `a` must be the matrix this factorization was computed from; its
-    /// structure is recorded so later [`SymbolicLu::refactorize`] calls on
+    /// structure is recorded so later [`SymbolicLu::refactorize_into`] calls on
     /// structurally identical matrices can replay through a precomputed
     /// scatter plan with no per-entry pattern checks.
     ///
@@ -243,7 +242,7 @@ impl SymbolicLu {
 
     /// Whether `a` is structurally identical to the matrix this pattern was
     /// recorded from — the precondition for the no-checks exact replay.
-    /// Matrices that fail this check can still [`SymbolicLu::refactorize`]
+    /// Matrices that fail this check can still [`SymbolicLu::refactorize_into`]
     /// through the guarded general path (structural *subsets* succeed
     /// there), but a cache layer should treat `false` as a pattern
     /// mismatch and record a fresh analysis rather than replay blind.
@@ -280,19 +279,6 @@ impl SymbolicLu {
                 * W
         });
         std::mem::size_of::<Self>() + own + plan
-    }
-
-    /// Numeric-only factorization of `a` inside the recorded pattern.
-    /// Allocating wrapper over [`SymbolicLu::refactorize_into`] with a
-    /// fresh shell.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SymbolicLu::refactorize_into`].
-    pub fn refactorize(&self, a: &CsrMatrix) -> Result<SparseLu, LinalgError> {
-        let mut lu = SparseLu::empty();
-        self.refactorize_into(a, &mut lu, &mut ReplayScratch::default())?;
-        Ok(lu)
     }
 
     /// Numeric-only factorization of `a` inside the recorded pattern,
@@ -339,7 +325,7 @@ impl SymbolicLu {
         lu: &mut SparseLu,
         scratch: &mut ReplayScratch,
     ) -> Result<(), LinalgError> {
-        // Injected fault, mirroring `SparseLu::factorize_with`: the numeric
+        // Injected fault, mirroring `SparseLu::factorize`: the numeric
         // path must exercise the same recovery ladders as the full path.
         let out = self
             .check_dim(a)
@@ -981,7 +967,7 @@ impl LuWorkspace {
         rule.pending = 0;
         self.symbolic = None;
         self.numeric =
-            SparseLu::factorize_ranked(a, ColumnOrdering::default(), Some(&mut rule.ranks))?;
+            SparseLu::factorize_ranked(a, Some(&mut rule.ranks))?;
         rule.pending = a.structure_id();
         Ok(LuOp::Full)
     }
@@ -1038,6 +1024,13 @@ mod tests {
             .fold(0.0, f64::max)
     }
 
+    /// A replay into a new shell.
+    fn replay_new(sym: &SymbolicLu, a: &CsrMatrix) -> Result<SparseLu, LinalgError> {
+        let mut lu = SparseLu::empty();
+        sym.refactorize_into(a, &mut lu, &mut ReplayScratch::default())?;
+        Ok(lu)
+    }
+
     fn random_system(rng: &mut StdRng, n: usize) -> (CsrMatrix, Vec<f64>) {
         let mut t = Triplet::new(n, n);
         for i in 0..n {
@@ -1060,7 +1053,7 @@ mod tests {
             let n = rng.gen_range(3..40);
             let (a, b) = random_system(&mut rng, n);
             let full = SparseLu::factorize(&a).unwrap();
-            let replay = full.symbolic(&a).refactorize(&a).unwrap();
+            let replay = replay_new(&full.symbolic(&a), &a).unwrap();
             assert_eq!(full.solve(&b).unwrap(), replay.solve(&b).unwrap());
         }
     }
@@ -1078,7 +1071,7 @@ mod tests {
                 t.push(r, c, v * rng.gen_range(0.5..2.0));
             }
             let a2 = t.to_csr();
-            let lu = sym.refactorize(&a2).unwrap();
+            let lu = replay_new(&sym, &a2).unwrap();
             let x = lu.solve(&b).unwrap();
             assert!(residual_inf(&a2, &x, &b) < 1e-8);
         }
@@ -1095,7 +1088,7 @@ mod tests {
         // Add an off-diagonal entry the diagonal pattern cannot hold.
         t.push(2, 0, -1.0);
         assert!(matches!(
-            sym.refactorize(&t.to_csr()),
+            replay_new(&sym, &t.to_csr()),
             Err(LinalgError::PatternChanged { .. })
         ));
     }
@@ -1118,7 +1111,7 @@ mod tests {
         t2.push(0, 1, 1.0);
         t2.push(1, 1, 3.0);
         assert!(matches!(
-            sym.refactorize(&t2.to_csr()),
+            replay_new(&sym, &t2.to_csr()),
             Err(LinalgError::PatternChanged { .. })
         ));
     }
@@ -1134,7 +1127,7 @@ mod tests {
         t2.push(0, 0, f64::NAN);
         t2.push(1, 1, 2.0);
         assert!(matches!(
-            sym.refactorize(&t2.to_csr()),
+            replay_new(&sym, &t2.to_csr()),
             Err(LinalgError::PatternChanged { .. })
         ));
     }
@@ -1145,7 +1138,7 @@ mod tests {
             .unwrap()
             .symbolic(&CsrMatrix::identity(3));
         assert!(matches!(
-            sym.refactorize(&CsrMatrix::identity(4)),
+            replay_new(&sym, &CsrMatrix::identity(4)),
             Err(LinalgError::DimensionMismatch { .. })
         ));
     }
@@ -1364,7 +1357,7 @@ mod tests {
         sym.refactorize_into(&good, &mut shell, &mut scratch)
             .unwrap();
         let b = [1.0, 2.0, 3.0];
-        let fresh = sym.refactorize(&good).unwrap();
+        let fresh = replay_new(&sym, &good).unwrap();
         assert_eq!(shell.solve(&b).unwrap(), fresh.solve(&b).unwrap());
         assert_eq!(
             shell.solve(&b).unwrap(),

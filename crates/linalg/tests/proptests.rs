@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlpta_linalg::{
-    norms, CsrMatrix, DenseMatrix, LinalgError, LuOp, LuWorkspace, SparseLu, SymbolicLu, Triplet,
+    norms, CsrMatrix, DenseMatrix, LinalgError, LuOp, LuWorkspace, ReplayScratch, SparseLu,
+    SymbolicLu, Triplet,
 };
 
 /// A random MNA-like entry list: strong diagonal plus a few off-diagonal
@@ -41,8 +42,10 @@ impl FreshOracle {
     fn factorize(&mut self, a: &CsrMatrix) -> Result<(SparseLu, LuOp), LinalgError> {
         if let Some(sym) = &self.symbolic {
             if sym.dim() == a.rows() {
-                match sym.refactorize(a) {
-                    Ok(lu) => return Ok((lu, LuOp::Replay)),
+                // A new shell and scratch per replay.
+                let mut lu = SparseLu::factorize(&CsrMatrix::identity(1))?;
+                match sym.refactorize_into(a, &mut lu, &mut ReplayScratch::default()) {
+                    Ok(()) => return Ok((lu, LuOp::Replay)),
                     Err(LinalgError::PatternChanged { .. } | LinalgError::Singular { .. }) => {}
                     Err(e) => return Err(e),
                 }

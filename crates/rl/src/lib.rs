@@ -9,9 +9,11 @@
 //!
 //! Components, mapping to §4 of the paper:
 //!
-//! * [`Mlp`]/[`Adam`] — function approximators and optimizer,
+//! * [`Mlp`]/[`Adam`] — function approximators and optimizer, one GEMM
+//!   path ([`kernel`]) for batched training and single-row inference,
 //! * [`Td3Agent`] — twin critics, target networks, delayed policy update,
-//!   target-policy smoothing (Algorithm 2),
+//!   target-policy smoothing (Algorithm 2); steps through
+//!   [`Td3Agent::act_into`], trains through [`Td3Agent::train_batched`],
 //! * [`ReplayBuffer`] — uniform ring buffer,
 //! * [`SumTree`]/[`PrioritizedReplay`] — TD-error priority sampling (§4.4);
 //!   both buffers store transitions as one contiguous slab per field and
@@ -22,21 +24,24 @@
 //! # Example
 //!
 //! ```
-//! use rlpta_rl::{Td3Agent, Td3Config, Transition};
+//! use rlpta_rl::{Td3Agent, Td3Config, TrainWorkspace, Transition};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let mut agent = Td3Agent::new(Td3Config::new(3, 1), &mut rng);
-//! let a = agent.act(&[0.1, -0.2, 0.3]);
+//! let mut scratch = agent.act_scratch();
+//! let mut a = [0.0];
+//! agent.act_into(&[0.1, -0.2, 0.3], &mut a, &mut scratch);
 //! assert!(a[0] >= -1.0 && a[0] <= 1.0); // tanh-bounded action
-//! let t = Transition {
+//! let mut ws = TrainWorkspace::new(agent.config(), 32);
+//! ws.push(&Transition {
 //!     state: vec![0.1, -0.2, 0.3],
-//!     action: a.clone(),
+//!     action: a.to_vec(),
 //!     reward: 1.0,
 //!     next_state: vec![0.0, 0.0, 0.0],
 //!     done: false,
-//! };
-//! let _td_error = agent.train_on_batch(&[t], &mut rng);
+//! });
+//! let _td_errors = agent.train_batched(&mut ws, &mut rng);
 //! ```
 
 // `deny` rather than the workspace-usual `forbid`: the GEMM micro-kernels

@@ -1,22 +1,21 @@
 //! Dense multi-layer perceptron with exact analytic backpropagation.
 //!
-//! Two parallel execution paths share one parameter layout:
-//!
-//! * the original per-sample **scalar reference** ([`Mlp::forward`],
-//!   [`Mlp::forward_cached`], [`Mlp::backward`]) — simple, allocation-heavy,
-//!   kept as the ground truth the batched kernels are property-tested
-//!   against;
-//! * the **batched zero-allocation** path ([`Mlp::forward_batch_into`],
-//!   [`Mlp::backward_batch_into`], [`Mlp::forward_into`]) — one GEMM per
-//!   layer over a whole `[batch × dim]` minibatch into preallocated
-//!   [`BatchCache`] storage, the hot path of TD3 training and of the
-//!   per-PTA-step policy inference. [`Mlp::backward_batch_partial_into`]
-//!   skips the parameter gradients and the input-gradient columns a caller
-//!   discards.
+//! One execution path: one GEMM per layer ([`Mlp::forward_batch_into`],
+//! [`Mlp::backward_batch_into`]) over a whole `[batch × dim]` minibatch
+//! into preallocated [`BatchCache`] storage, the hot path of TD3 training,
+//! and its single-row form [`Mlp::forward_into`], the per-PTA-step policy
+//! inference. [`Mlp::backward_batch_partial_into`] skips the parameter
+//! gradients and the input-gradient columns a caller discards;
+//! [`Mlp::forward`] is an allocating wrapper over [`Mlp::forward_into`].
+//! The per-sample scalar passes the kernels are property-tested against
+//! live in the test-only `reference` module.
 
 use crate::kernel::{self, ActScratch, BatchCache};
 use rand::Rng;
 use std::ops::Range;
+
+#[cfg(test)]
+mod reference;
 
 /// Activation function applied between layers or at the output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,22 +51,6 @@ impl Activation {
             }
             Activation::Tanh => 1.0 - a * a,
         }
-    }
-}
-
-/// Forward-pass cache needed by [`Mlp::backward`]: the input and every
-/// layer's post-activation output.
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    activations: Vec<Vec<f64>>,
-}
-
-impl ForwardCache {
-    /// The network output this cache was produced with.
-    pub fn output(&self) -> &[f64] {
-        self.activations
-            .last()
-            .expect("cache has at least the input")
     }
 }
 
@@ -182,124 +165,15 @@ impl Mlp {
         self.params.copy_from_slice(&src.params);
     }
 
-    /// Forward pass.
+    /// Forward pass. Allocating wrapper over [`Mlp::forward_into`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.input_dim()`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        self.forward_cached(x).output().to_vec()
-    }
-
-    /// Forward pass that retains per-layer activations for
-    /// [`Mlp::backward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.input_dim()`.
-    pub fn forward_cached(&self, x: &[f64]) -> ForwardCache {
-        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
-        let n_layers = self.dims.len() - 1;
-        let mut activations = Vec::with_capacity(n_layers + 1);
-        activations.push(x.to_vec());
-        let mut offset = 0;
-        for l in 0..n_layers {
-            let (fan_in, fan_out) = (self.dims[l], self.dims[l + 1]);
-            let w = &self.params[offset..offset + fan_in * fan_out];
-            let b = &self.params[offset + fan_in * fan_out..offset + fan_in * fan_out + fan_out];
-            offset += fan_in * fan_out + fan_out;
-            let act = if l == n_layers - 1 {
-                self.output
-            } else {
-                Activation::Relu
-            };
-            let prev = &activations[l];
-            let mut out = Vec::with_capacity(fan_out);
-            for i in 0..fan_out {
-                let mut z = b[i];
-                let row = &w[i * fan_in..(i + 1) * fan_in];
-                for (wij, aj) in row.iter().zip(prev) {
-                    z += wij * aj;
-                }
-                out.push(act.apply(z));
-            }
-            activations.push(out);
-        }
-        ForwardCache { activations }
-    }
-
-    /// Backward pass: given `∂L/∂output`, accumulates `∂L/∂θ` into `grads`
-    /// (same layout/length as [`Mlp::params`]) and returns `∂L/∂input`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads.len() != self.num_params()` or the gradient length
-    /// does not match the output dimension.
-    pub fn backward(
-        &self,
-        cache: &ForwardCache,
-        grad_output: &[f64],
-        grads: &mut [f64],
-    ) -> Vec<f64> {
-        assert_eq!(grads.len(), self.num_params(), "gradient buffer mismatch");
-        assert_eq!(
-            grad_output.len(),
-            self.output_dim(),
-            "output gradient mismatch"
-        );
-        let n_layers = self.dims.len() - 1;
-
-        // Layer parameter offsets.
-        let mut offsets = Vec::with_capacity(n_layers);
-        let mut off = 0;
-        for l in 0..n_layers {
-            offsets.push(off);
-            off += self.dims[l] * self.dims[l + 1] + self.dims[l + 1];
-        }
-
-        let mut g = grad_output.to_vec();
-        for l in (0..n_layers).rev() {
-            let (fan_in, fan_out) = (self.dims[l], self.dims[l + 1]);
-            let act = if l == n_layers - 1 {
-                self.output
-            } else {
-                Activation::Relu
-            };
-            let a_out = &cache.activations[l + 1];
-            let a_in = &cache.activations[l];
-            // δ = g ⊙ f'(z), with f' recovered from the cached output.
-            let delta: Vec<f64> = g
-                .iter()
-                .zip(a_out)
-                .map(|(gi, ai)| gi * act.deriv_from_output(*ai))
-                .collect();
-            let w_off = offsets[l];
-            let b_off = w_off + fan_in * fan_out;
-            for i in 0..fan_out {
-                let di = delta[i];
-                if di != 0.0 {
-                    let row = &mut grads[w_off + i * fan_in..w_off + (i + 1) * fan_in];
-                    for (gw, aj) in row.iter_mut().zip(a_in) {
-                        *gw += di * aj;
-                    }
-                }
-                grads[b_off + i] += di;
-            }
-            // Propagate to the previous layer: g_prev[j] = Σ_i W[i,j]·δ[i].
-            let w = &self.params[w_off..w_off + fan_in * fan_out];
-            let mut g_prev = vec![0.0; fan_in];
-            for i in 0..fan_out {
-                let di = delta[i];
-                if di != 0.0 {
-                    let row = &w[i * fan_in..(i + 1) * fan_in];
-                    for (j, wij) in row.iter().enumerate() {
-                        g_prev[j] += wij * di;
-                    }
-                }
-            }
-            g = g_prev;
-        }
-        g
+        let mut out = vec![0.0; self.output_dim()];
+        self.forward_into(x, &mut out, &mut ActScratch::for_mlp(self));
+        out
     }
 
     /// Flat-parameter offset of layer `l`'s weight block (its bias block
@@ -399,8 +273,8 @@ impl Mlp {
 
     /// Batched backward pass over the activations a prior
     /// [`Mlp::forward_batch_into`] left in `cache`: given `batch` rows of
-    /// `∂L/∂output` (row-major, summed-over-batch semantics identical to
-    /// calling the scalar [`Mlp::backward`] once per row), accumulates
+    /// `∂L/∂output` (row-major, summed over the batch: the gradients of
+    /// one per-row backward pass each, added up), accumulates
     /// `∂L/∂θ` into `grads` and writes the `[batch × input_dim]` input
     /// gradients into `grad_input`. One [`kernel::gemm_tn_acc`] +
     /// [`kernel::gemm_nn`] pair per layer, zero heap allocations.
@@ -550,59 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn gradient_check_parameters() {
-        // Analytic ∂L/∂θ vs central finite differences, L = Σ output².
-        let mut m = Mlp::new(&[3, 6, 5, 2], Activation::Tanh, &mut rng());
-        let x = [0.5, -0.3, 0.8];
-        let loss = |m: &Mlp| -> f64 { m.forward(&x).iter().map(|v| v * v).sum() };
-
-        let cache = m.forward_cached(&x);
-        let grad_out: Vec<f64> = cache.output().iter().map(|v| 2.0 * v).collect();
-        let mut grads = vec![0.0; m.num_params()];
-        m.backward(&cache, &grad_out, &mut grads);
-
-        let h = 1e-6;
-        for k in (0..m.num_params()).step_by(7) {
-            let orig = m.params()[k];
-            m.params_mut()[k] = orig + h;
-            let lp = loss(&m);
-            m.params_mut()[k] = orig - h;
-            let lm = loss(&m);
-            m.params_mut()[k] = orig;
-            let fd = (lp - lm) / (2.0 * h);
-            assert!(
-                (fd - grads[k]).abs() < 1e-5 * (1.0 + fd.abs()),
-                "param {k}: fd {fd} vs analytic {}",
-                grads[k]
-            );
-        }
-    }
-
-    #[test]
-    fn gradient_check_inputs() {
-        // ∂L/∂x via backward's return value.
-        let m = Mlp::new(&[4, 8, 1], Activation::Linear, &mut rng());
-        let x = [0.1, 0.7, -0.4, 0.2];
-        let cache = m.forward_cached(&x);
-        let mut grads = vec![0.0; m.num_params()];
-        let gx = m.backward(&cache, &[1.0], &mut grads);
-
-        let h = 1e-6;
-        for k in 0..x.len() {
-            let mut xp = x;
-            xp[k] += h;
-            let mut xm = x;
-            xm[k] -= h;
-            let fd = (m.forward(&xp)[0] - m.forward(&xm)[0]) / (2.0 * h);
-            assert!(
-                (fd - gx[k]).abs() < 1e-6 * (1.0 + fd.abs()),
-                "input {k}: {fd} vs {}",
-                gx[k]
-            );
-        }
-    }
-
-    #[test]
     fn soft_update_interpolates() {
         let a = Mlp::new(&[2, 4, 1], Activation::Linear, &mut rng());
         let mut b = a.clone();
@@ -640,32 +461,13 @@ mod tests {
         a.soft_update_from(&b, 0.5);
     }
 
-    fn batch_inputs(m: &Mlp, batch: usize) -> Vec<f64> {
-        (0..batch * m.input_dim())
-            .map(|i| ((i * 29 % 23) as f64 - 11.0) / 7.0)
-            .collect()
-    }
-
-    #[test]
-    fn batched_forward_matches_scalar_reference() {
-        let m = Mlp::new(&[4, 9, 6, 3], Activation::Tanh, &mut rng());
-        let batch = 17;
-        let x = batch_inputs(&m, batch);
-        let mut cache = BatchCache::for_mlp(&m, batch);
-        m.forward_batch_into(&x, batch, &mut cache);
-        for (r, row) in cache.output(batch).chunks_exact(m.output_dim()).enumerate() {
-            let scalar = m.forward(&x[r * 4..(r + 1) * 4]);
-            for (a, b) in row.iter().zip(&scalar) {
-                assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()), "row {r}: {a} vs {b}");
-            }
-        }
-    }
-
     #[test]
     fn forward_into_is_bitwise_a_batched_row() {
         let m = Mlp::new(&[5, 8, 2], Activation::Linear, &mut rng());
         let batch = 6;
-        let x = batch_inputs(&m, batch);
+        let x: Vec<f64> = (0..batch * m.input_dim())
+            .map(|i| ((i * 29 % 23) as f64 - 11.0) / 7.0)
+            .collect();
         let mut cache = BatchCache::for_mlp(&m, batch);
         m.forward_batch_into(&x, batch, &mut cache);
         let mut scratch = ActScratch::for_mlp(&m);
@@ -673,34 +475,6 @@ mod tests {
         for (r, row) in cache.output(batch).chunks_exact(m.output_dim()).enumerate() {
             m.forward_into(&x[r * 5..(r + 1) * 5], &mut out, &mut scratch);
             assert_eq!(out.as_slice(), row, "row {r} not bit-identical");
-        }
-    }
-
-    #[test]
-    fn batched_backward_matches_scalar_reference() {
-        let m = Mlp::new(&[3, 7, 4, 2], Activation::Tanh, &mut rng());
-        let batch = 11;
-        let x = batch_inputs(&m, batch);
-        // Scalar reference: accumulate per-row backward passes.
-        let mut ref_grads = vec![0.0; m.num_params()];
-        let mut ref_gx = Vec::new();
-        for r in 0..batch {
-            let cache = m.forward_cached(&x[r * 3..(r + 1) * 3]);
-            let go: Vec<f64> = cache.output().iter().map(|v| 0.3 - v).collect();
-            ref_gx.extend(m.backward(&cache, &go, &mut ref_grads));
-        }
-        // Batched pass with the same per-row output gradients.
-        let mut cache = BatchCache::for_mlp(&m, batch);
-        m.forward_batch_into(&x, batch, &mut cache);
-        let go: Vec<f64> = cache.output(batch).iter().map(|v| 0.3 - v).collect();
-        let mut grads = vec![0.0; m.num_params()];
-        let mut gx = vec![0.0; batch * m.input_dim()];
-        m.backward_batch_into(&mut cache, batch, &go, &mut grads, &mut gx);
-        for (k, (a, b)) in grads.iter().zip(&ref_grads).enumerate() {
-            assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()), "grad {k}: {a} vs {b}");
-        }
-        for (k, (a, b)) in gx.iter().zip(&ref_gx).enumerate() {
-            assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()), "gx {k}: {a} vs {b}");
         }
     }
 

@@ -393,16 +393,17 @@ impl Td3Agent {
     }
 
     /// Deterministic policy action, each component in `[−1, 1]`.
+    /// Allocating wrapper over [`Td3Agent::act_into`].
     pub fn act(&self, state: &[f64]) -> Vec<f64> {
-        self.actor.forward(state)
+        let mut out = vec![0.0; self.config.action_dim];
+        self.act_into(state, &mut out, &mut self.act_scratch());
+        out
     }
 
     /// Zero-allocation deterministic policy action into `out`
     /// (`action_dim` long), ping-ponging activations through `scratch`
     /// (shape it with [`Td3Agent::act_scratch`]). Shares the batched
-    /// path's dot kernel, so it is bit-identical to a batched actor row;
-    /// it matches the scalar [`Td3Agent::act`] to tight relative
-    /// tolerance (the kernel's lane split reorders the summation).
+    /// path's dot kernel, so it is bit-identical to a batched actor row.
     ///
     /// # Panics
     ///
@@ -418,19 +419,16 @@ impl Td3Agent {
     }
 
     /// Policy action with Gaussian exploration noise, clipped to `[−1, 1]`.
+    /// Allocating wrapper over [`Td3Agent::act_exploring_into`].
     pub fn act_exploring(&self, state: &[f64], rng: &mut impl Rng) -> Vec<f64> {
-        self.act(state)
-            .into_iter()
-            .map(|a| {
-                (a + self.config.exploration_noise * sample_standard_normal(rng)).clamp(-1.0, 1.0)
-            })
-            .collect()
+        let mut out = vec![0.0; self.config.action_dim];
+        self.act_exploring_into(state, &mut out, &mut self.act_scratch(), rng);
+        out
     }
 
-    /// Zero-allocation [`Td3Agent::act_exploring`]: deterministic action
-    /// into `out`, then per-component clipped Gaussian noise. Draws noise
-    /// in the same order as the allocating variant, so a fixed-seed run is
-    /// unchanged by switching paths.
+    /// Zero-allocation policy action with exploration noise: the
+    /// deterministic action into `out`, then per-component clipped
+    /// Gaussian noise, drawn in component order.
     ///
     /// # Panics
     ///
@@ -447,12 +445,6 @@ impl Td3Agent {
             *a = (*a + self.config.exploration_noise * sample_standard_normal(rng))
                 .clamp(-1.0, 1.0);
         }
-    }
-
-    /// Q-value of `(state, action)` under the first critic.
-    pub fn q_value(&self, state: &[f64], action: &[f64]) -> f64 {
-        let sa = [state, action].concat();
-        self.critic1.forward(&sa)[0]
     }
 
     /// One TD3 training step on a batch (Algorithm 2 lines 9–18). Returns
@@ -639,8 +631,7 @@ impl Td3Agent {
     /// in `ws`, computed with one batched forward per network instead of a
     /// scalar actor + critic pass per row. Reuses the workspace's activation
     /// caches and `s ‖ π(s)` scratch rows; allocation-free and read-only on
-    /// the agent. Row order matches the per-row scalar sum
-    /// `Σ q_value(s, act(s))`, so the result is bit-identical to it.
+    /// the agent. Rows are summed in minibatch order.
     ///
     /// Telemetry helper: training loops report `−mean_actor_objective` as
     /// the actor loss without paying per-row forward passes.
@@ -748,7 +739,7 @@ mod tests {
         for _ in 0..3000 {
             agent.train_on_batch(std::slice::from_ref(&t), &mut r);
         }
-        let q = agent.q_value(&[0.0], &[0.0]);
+        let q = agent.critic1.forward(&[0.0, 0.0])[0];
         assert!((q - 1.0).abs() < 0.15, "Q = {q}");
     }
 
@@ -859,19 +850,19 @@ mod tests {
         assert_eq!(run(true), run(false));
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn act_into_matches_act_tightly() {
-        // The zero-alloc path uses the four-lane dot kernel, whose
-        // summation order differs from the scalar `act`; values agree to
-        // tight relative tolerance.
+        // `act` is a wrapper over `act_into`: the same bits.
         let agent = Td3Agent::new(Td3Config::new(3, 2), &mut rng());
         let mut scratch = agent.act_scratch();
         let mut out = vec![0.0; 2];
         for s in [[0.0, 0.0, 0.0], [0.5, -1.2, 3.0], [-0.1, 0.1, 0.9]] {
             agent.act_into(&s, &mut out, &mut scratch);
-            for (a, b) in out.iter().zip(agent.act(&s)) {
-                assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()), "{a} vs {b}");
-            }
+            assert_eq!(bits(&out), bits(&agent.act(&s)));
         }
     }
 
@@ -887,11 +878,9 @@ mod tests {
             &mut scratch,
             &mut StdRng::seed_from_u64(42),
         );
-        // Same RNG draw order, so the noise is identical; the underlying
-        // forward passes differ only in kernel summation order.
-        for (x, y) in out.iter().zip(&a) {
-            assert!((x - y).abs() < 1e-12 * (1.0 + y.abs()), "{x} vs {y}");
-        }
+        // `act_exploring` is a wrapper over `act_exploring_into`: the same
+        // noise draws and the same bits.
+        assert_eq!(bits(&out), bits(&a));
     }
 
     #[test]
