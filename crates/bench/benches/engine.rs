@@ -9,8 +9,9 @@
 //! after the first. The `certify_lu` group prices the same gap for
 //! certification: a from-scratch factorization against the pivot-verified
 //! fresh-equivalent replay a warm certification workspace runs instead.
-//! The `devices` group times one stamp per device kind and the
-//! steady-state residual with its limiter-only seeding.
+//! The `devices` group times one stamp per device kind, one assembly per
+//! stamp sink (plan write, triplet, residual-only) and the limiter-only
+//! seeding.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlpta_bench::{experiment_config, robust_budget};
@@ -227,9 +228,12 @@ fn bench_assembly(c: &mut Criterion) {
 
 /// Per-device-kind evidence for the Newton layer: one stamp of a lone
 /// diode, BJT, MOSFET and resistor at a forward bias (limiter state
-/// already settled, so no limiting fires), then the PTA steady-state test
-/// `residual_into` and the limiter-only `seeded_state_into` it starts with
-/// on two large suite circuits at their operating points.
+/// already settled, so no limiting fires), then, on two large suite
+/// circuits at their operating points, one case per stamp sink: Newton's
+/// `plan_eval` (slot-writer sink), certification's `triplet_assemble`
+/// (triplet sink, fadd32 only), the PTA steady-state test `residual_into`
+/// (residual-only sink) and the limiter-only `seeded_state_into` it starts
+/// with.
 fn bench_devices(c: &mut Criterion) {
     let mut group = c.benchmark_group("devices");
     let n = Node::new;
@@ -273,12 +277,33 @@ fn bench_devices(c: &mut Criterion) {
     }
     for name in ["fadd32", "voter25"] {
         let (circuit, x) = operating_point(name);
-        let mut scratch = ResidualScratch::default();
+        let ctx = EvalCtx::dc(&x);
         let mut res = vec![0.0; circuit.dim()];
+        let mut state = circuit.seeded_state(&x);
+        let plan = StampPlan::resolve(&circuit, &mut |_| {});
+        let mut matrix = plan.new_matrix();
+        group.bench_function(BenchmarkId::new("plan_eval", name), |b| {
+            b.iter(|| {
+                plan.eval_into(
+                    &circuit,
+                    &ctx,
+                    &mut matrix,
+                    &mut res,
+                    &mut state,
+                    &mut |_| {},
+                )
+            })
+        });
+        if name == "fadd32" {
+            let mut jac = triplet_for(&circuit);
+            group.bench_function(BenchmarkId::new("triplet_assemble", name), |b| {
+                b.iter(|| circuit.assemble_into(&ctx, &mut jac, &mut res, &mut state))
+            });
+        }
+        let mut scratch = ResidualScratch::default();
         group.bench_function(BenchmarkId::new("residual_into", name), |b| {
             b.iter(|| circuit.residual_into(&x, &mut res, &mut scratch))
         });
-        let mut state = circuit.new_state();
         group.bench_function(BenchmarkId::new("seeded_state_into", name), |b| {
             b.iter(|| circuit.seeded_state_into(&x, &mut state, &mut scratch))
         });

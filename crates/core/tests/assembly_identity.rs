@@ -6,11 +6,11 @@
 //! [`BumpPlan`]. The reference — [`Circuit::assemble_into`], the solver's
 //! extra pushes, appended Gmin-shunt pushes and [`Triplet::to_csr`] — stays
 //! as the oracle. Both drive the same device `stamp` bodies through
-//! different sinks, so for a generated family (linear ladders, diode
-//! clamps, BJT bias chains, MOSFET inverters), at random iterates and at the
-//! engine's converged operating point, with a PTA-shaped extra hook and
-//! Gmin-bump levels 1–3, the two must agree bit for bit: pattern, values
-//! (signed zeros included), residual, limiter state and finiteness flag.
+//! different sinks, so for a generated family holding every device kind, at
+//! random iterates and at the engine's converged operating point, with a
+//! PTA-shaped extra hook and Gmin-bump levels 1–3, the two must agree bit
+//! for bit: pattern, values (signed zeros included), residual, limiter
+//! state and finiteness flag.
 //!
 //! The residual-only sink behind [`Circuit::residual_into`] and Newton's
 //! convergence re-evaluation is held to the same standard: its residual
@@ -22,16 +22,23 @@
 
 use proptest::prelude::*;
 use rlpta_core::DcEngine;
-use rlpta_devices::{Device, EvalCtx, Stamper};
+use rlpta_devices::{Device, EvalCtx, JacSink, Stamper};
 use rlpta_linalg::{CsrMatrix, Triplet};
 use rlpta_mna::{Circuit, ResidualScratch, StampPlan};
 
-/// A small generated family exercising every stamp shape: resistor
-/// ladders (linear), diode clamps (two-terminal nonlinear), BJT bias
-/// chains (three-terminal), and a MOSFET inverter (four-terminal with
-/// orientation-dependent operand permutation).
+/// Number of deck kinds [`deck`] generates.
+const KINDS: usize = 9;
+
+/// A small generated family holding every device kind, so every model's
+/// `stamp` body is exercised through every sink: resistor ladders
+/// (linear), diode clamps (two-terminal nonlinear), NPN bias chains
+/// (three-terminal), NMOS inverters (four-terminal with
+/// orientation-dependent operand permutation), N- and P-channel JFET
+/// stages, CMOS inverters (PMOS), PNP bias chains, Zener clamps (`BV` and
+/// `RS`), and a linear deck holding C, L, I and the E/G/F/H controlled
+/// sources.
 fn deck(kind: usize, v: f64, r: f64, n: usize) -> String {
-    match kind % 4 {
+    match kind % KINDS {
         0 => {
             let mut d = format!("ladder\nV1 n0 0 {v}\n");
             for i in 0..n {
@@ -46,15 +53,70 @@ fn deck(kind: usize, v: f64, r: f64, n: usize) -> String {
         2 => format!(
             "bias\nV1 vcc 0 {v}\nR1 vcc b {r}\nR2 b 0 22k\nRC vcc c 4.7k\nRE e 0 1k\nQ1 c b e QN\n.model QN NPN(IS=1e-15 BF=100)\n"
         ),
-        _ => format!(
+        3 => format!(
             "inv\nVDD vdd 0 {v}\nVIN g 0 {}\nRD vdd d {r}\nM1 d g 0 0 NM W=20u L=2u\n.model NM NMOS(VTO=0.7 KP=1e-4)\n",
             v * 0.5
+        ),
+        4 => format!(
+            "jfet\nV1 vdd 0 {v}\nRD vdd d {r}\nJ1 d g s JN\nRS s 0 1k\nRG g 0 100k\nJ2 0 pg ps JP\nRP vdd ps {r}\nRPG pg vdd 100k\n.model JN NJF(VTO=-2 BETA=1e-4)\n.model JP PJF(VTO=-2 BETA=1e-4)\n"
+        ),
+        5 => format!(
+            "cmos\nVDD vdd 0 {v}\nVIN g 0 {}\nM1 d g 0 0 NM W=20u L=2u\nM2 d g vdd vdd PM W=40u L=2u\nRL d 0 {}\n.model NM NMOS(VTO=0.7 KP=1e-4)\n.model PM PMOS(VTO=-0.7 KP=5e-5)\n",
+            v * 0.3,
+            r * 10.0
+        ),
+        6 => format!(
+            "pnp\nV1 vcc 0 {v}\nR1 b 0 {r}\nR2 vcc b 22k\nRC c 0 4.7k\nRE vcc e 1k\nQ1 c b e QP\n.model QP PNP(IS=1e-15 BF=80)\n"
+        ),
+        7 => format!(
+            "zener\nV1 in 0 {v}\nR1 in out {r}\nD1 0 out DZ\nR2 out 0 10k\n.model DZ D(IS=1e-14 BV=3.3 IBV=1m RS=5)\n"
+        ),
+        _ => format!(
+            "ctrl\nV1 a 0 {v}\nVS a b 0\nR1 b 0 {r}\nL1 b c 1m\nR2 c 0 {r}\nC1 c 0 1u\nI1 0 c 1m\nE1 e 0 c 0 2\nRE e 0 1k\nG1 0 g c 0 1m\nRG g 0 1k\nF1 0 f VS 0.5\nRF f 0 1k\nH1 h 0 VS 100\nRH h 0 1k\n"
         ),
     }
 }
 
 fn parse(kind: usize, v: f64, r: f64, n: usize) -> Circuit {
     rlpta_netlist::parse(&deck(kind, v, r, n)).expect("generated deck parses")
+}
+
+/// The family holds every device kind, both polarities of every
+/// transistor and a diode with breakdown, so the properties below reach
+/// every model's `stamp` body.
+#[test]
+fn deck_family_covers_every_device_kind() {
+    use rlpta_devices::{BjtPolarity, JfetPolarity, MosPolarity};
+    let mut seen = std::collections::BTreeSet::new();
+    for kind in 0..KINDS {
+        for d in parse(kind, 5.0, 1_000.0, 2).devices() {
+            seen.insert(match d {
+                Device::Resistor(_) => "R",
+                Device::Capacitor(_) => "C",
+                Device::Inductor(_) => "L",
+                Device::Vsource(_) => "V",
+                Device::Isource(_) => "I",
+                Device::Vcvs(_) => "E",
+                Device::Vccs(_) => "G",
+                Device::Cccs(_) => "F",
+                Device::Ccvs(_) => "H",
+                Device::Diode(x) if x.model().bv > 0.0 => "D(BV)",
+                Device::Diode(_) => "D",
+                Device::Bjt(q) if q.model().polarity == BjtPolarity::Npn => "NPN",
+                Device::Bjt(_) => "PNP",
+                Device::Mosfet(m) if m.model().polarity == MosPolarity::Nmos => "NMOS",
+                Device::Mosfet(_) => "PMOS",
+                Device::Jfet(j) if j.model().polarity == JfetPolarity::Njf => "NJF",
+                Device::Jfet(_) => "PJF",
+                _ => "unknown",
+            });
+        }
+    }
+    let want = [
+        "R", "C", "L", "V", "I", "E", "G", "F", "H", "D", "D(BV)", "NPN", "PNP", "NMOS", "PMOS",
+        "NJF", "PJF",
+    ];
+    assert_eq!(seen, want.into_iter().collect());
 }
 
 /// A deterministic pseudo-random vector in `[-span, span]` (SplitMix64).
@@ -101,7 +163,7 @@ impl PtaExtra {
         }
     }
 
-    fn stamp(&self, x: &[f64], st: &mut Stamper<'_>) {
+    fn stamp<S: JacSink>(&self, x: &[f64], st: &mut Stamper<'_, S>) {
         for (i, (xi, ri)) in x.iter().zip(&self.x_ref).take(self.num_nodes).enumerate() {
             st.res_raw(i, self.g_node * (xi - ri));
             st.jac_raw(i, i, self.g_node * (1.0 + xi.abs()));
@@ -193,7 +255,7 @@ fn via_plan(c: &Circuit, plan: &StampPlan, x: &[f64], extra: &PtaExtra) -> Assem
 
 /// One device pass at `x` from `state` through `st`, limiter state
 /// updated in place (the circuit's own per-device state layout).
-fn stamp_devices(c: &Circuit, x: &[f64], st: &mut Stamper<'_>, state: &mut [f64]) {
+fn stamp_devices<S: JacSink>(c: &Circuit, x: &[f64], st: &mut Stamper<'_, S>, state: &mut [f64]) {
     let ctx = EvalCtx::dc(x);
     let mut off = 0;
     for d in c.devices() {
@@ -312,7 +374,7 @@ proptest! {
     /// junction limiters, assemble identically through both paths.
     #[test]
     fn plan_matches_triplet_at_random_iterates(
-        kind in 0usize..4,
+        kind in 0usize..KINDS,
         v in 0.5f64..15.0,
         r in 50.0f64..50_000.0,
         n in 1usize..8,
@@ -327,7 +389,7 @@ proptest! {
     /// Newton iteration re-assembles — is identical through both paths.
     #[test]
     fn plan_matches_triplet_at_converged_point(
-        kind in 0usize..4,
+        kind in 0usize..KINDS,
         v in 0.5f64..15.0,
         r in 50.0f64..50_000.0,
         n in 1usize..6,
@@ -343,7 +405,7 @@ proptest! {
     /// they never accumulate across Newton iterations.
     #[test]
     fn persistent_buffer_matches_fresh_triplet(
-        kind in 0usize..4,
+        kind in 0usize..KINDS,
         v in 0.5f64..15.0,
         n in 1usize..6,
         seed in any::<u64>(),
@@ -372,7 +434,7 @@ proptest! {
     /// residual and the state exactly where a triplet pass leaves them.
     #[test]
     fn residual_only_pass_matches_triplet_pass(
-        kind in 0usize..4,
+        kind in 0usize..KINDS,
         v in 0.5f64..15.0,
         n in 1usize..6,
         seed in any::<u64>(),
@@ -395,7 +457,7 @@ proptest! {
     /// [`StampPlan::eval_into`] with the same extra hook leaves them.
     #[test]
     fn plan_residual_pass_matches_eval_into(
-        kind in 0usize..4,
+        kind in 0usize..KINDS,
         v in 0.5f64..15.0,
         n in 1usize..6,
         seed in any::<u64>(),
@@ -417,7 +479,7 @@ proptest! {
     /// circuits of different shapes.
     #[test]
     fn residual_into_matches_triplet_reference(
-        kind in 0usize..4,
+        kind in 0usize..KINDS,
         v in 0.5f64..15.0,
         n in 1usize..6,
         seed in any::<u64>(),
@@ -448,23 +510,26 @@ mod faults {
 
     proptest! {
         /// Seeded NaN-stamp injection draws the same fault sequence on both
-        /// sides (resolving the plan consumes no draws), so the same
-        /// entries are poisoned and both report the system non-finite.
+        /// sides, so the same entries are poisoned and both report the
+        /// system non-finite. The plan side resolves and re-verifies its
+        /// plan under the armed injection: declare passes consume no
+        /// draws.
         #[test]
         fn nan_stamps_poison_the_same_entries(
             seed in any::<u64>(),
             period in 1u64..10,
-            kind in 0usize..4,
+            kind in 0usize..KINDS,
             v in 1.0f64..15.0,
         ) {
             let c = parse(kind, v, 1_000.0, 3);
             let x = random_vec(seed, c.dim(), 1.0);
             let extra = PtaExtra::new(&c, seed);
-            let plan = resolve(&c, &extra);
             let faults = FaultPlan::seeded(seed).nan_stamps(period);
             faults.install();
             let reference = via_triplet(&c, &x, &extra);
             faults.install();
+            let plan = resolve(&c, &extra);
+            prop_assert!(plan.compatible_with(&c));
             let planned = via_plan(&c, &plan, &x, &extra);
             FaultPlan::clear();
             let poisoned = |m: &CsrMatrix| m.values().iter().map(|v| v.is_nan()).collect::<Vec<_>>();
@@ -480,7 +545,7 @@ mod faults {
         fn plan_residual_pass_draws_like_eval_into(
             seed in any::<u64>(),
             period in 1u64..10,
-            kind in 0usize..4,
+            kind in 0usize..KINDS,
             v in 1.0f64..15.0,
         ) {
             let c = parse(kind, v, 1_000.0, 3);
@@ -521,7 +586,7 @@ mod faults {
         fn residual_only_pass_keeps_the_nan_sequence(
             seed in any::<u64>(),
             period in 1u64..10,
-            kind in 0usize..4,
+            kind in 0usize..KINDS,
             v in 1.0f64..15.0,
         ) {
             let c = parse(kind, v, 1_000.0, 3);

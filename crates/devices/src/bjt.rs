@@ -1,7 +1,7 @@
 //! Ebers–Moll bipolar junction transistor.
 
 use crate::limit::{junction_vcrit, limexp, limexp_deriv, pnjlim};
-use crate::{EvalCtx, Node, Stamper, THERMAL_VOLTAGE};
+use crate::{EvalCtx, JacSink, Node, Stamper, THERMAL_VOLTAGE};
 
 /// BJT polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,6 +97,9 @@ pub struct Bjt {
     model: BjtModel,
     /// `model.vcrit()`, computed once at construction.
     vcrit: f64,
+    /// `is / vt` and `1 + 1 / br`, computed once at construction.
+    is_over_vt: f64,
+    one_plus_inv_br: f64,
 }
 
 impl Bjt {
@@ -114,8 +117,10 @@ impl Bjt {
             collector,
             base,
             emitter,
-            model,
             vcrit,
+            is_over_vt: model.is / THERMAL_VOLTAGE,
+            one_plus_inv_br: 1.0 + 1.0 / model.br,
+            model,
         }
     }
 
@@ -152,20 +157,20 @@ impl Bjt {
         let m = &self.model;
         let ebe = limexp(vbe / vt);
         let ebc = limexp(vbc / vt);
-        let gbe = m.is / vt * limexp_deriv(vbe / vt);
-        let gbc = m.is / vt * limexp_deriv(vbc / vt);
+        let gbe = self.is_over_vt * limexp_deriv(vbe / vt);
+        let gbc = self.is_over_vt * limexp_deriv(vbc / vt);
         let ibe = m.is * (ebe - 1.0);
         let ibc = m.is * (ebc - 1.0);
 
         // Transport model: icc = ibe − ibc; ic = icc − ibc/βr.
-        let ic = ibe - ibc * (1.0 + 1.0 / m.br) + gmin * (vbe - 2.0 * vbc);
+        let ic = ibe - ibc * self.one_plus_inv_br + gmin * (vbe - 2.0 * vbc);
         let ib = ibe / m.bf + ibc / m.br + gmin * (vbe + vbc);
 
         BjtOperatingPoint {
             ic,
             ib,
             dic_dvbe: gbe + gmin,
-            dic_dvbc: -gbc * (1.0 + 1.0 / m.br) - 2.0 * gmin,
+            dic_dvbc: -gbc * self.one_plus_inv_br - 2.0 * gmin,
             dib_dvbe: gbe / m.bf + gmin,
             dib_dvbc: gbc / m.br + gmin,
         }
@@ -198,7 +203,12 @@ impl Bjt {
         self.limit(vbe, vbc, state);
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+    pub(crate) fn stamp<S: JacSink>(
+        &self,
+        ctx: &EvalCtx<'_>,
+        st: &mut Stamper<'_, S>,
+        state: &mut [f64],
+    ) {
         let s = self.model.polarity.sign();
         let (vbe, vbc) = self.junction_voltages(ctx.x);
         let (vbe_l, vbc_l) = self.limit(vbe, vbc, state);

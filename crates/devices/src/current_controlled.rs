@@ -4,7 +4,7 @@
 //! SPICE idiom — a 0 V source acts as an ammeter). The control branch index
 //! is resolved by the MNA builder after branch assignment.
 
-use crate::{EvalCtx, Node, Stamper};
+use crate::{EvalCtx, JacSink, Node, Stamper};
 
 /// Current-controlled current source (SPICE `F` element): current
 /// `gain · i(V_ctrl)` flows from `out_p` to `out_n`.
@@ -83,7 +83,7 @@ impl Cccs {
         self.ctrl_branch
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>) {
+    pub(crate) fn stamp<S: JacSink>(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_, S>) {
         let br = self.ctrl_branch();
         let i = self.gain * ctx.x[br];
         st.current(self.out_p, self.out_n, i);
@@ -177,7 +177,7 @@ impl Ccvs {
         self.ctrl_branch
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>) {
+    pub(crate) fn stamp<S: JacSink>(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_, S>) {
         let br = self.branch();
         let cbr = self.ctrl_branch();
         let i = ctx.x[br];
@@ -206,7 +206,7 @@ mod tests {
         let mut j = Triplet::new(n, n);
         let mut r = vec![0.0; n];
         let ctx = EvalCtx::dc(x);
-        f(&ctx, &mut Stamper::new(&mut j, &mut r));
+        f(&ctx, &mut Stamper::new(&mut j, &mut r).erased());
         (j.to_csr(), r)
     }
 

@@ -1,8 +1,8 @@
 //! The device sum type dispatched by the MNA assembler.
 
 use crate::{
-    Bjt, Capacitor, Cccs, Ccvs, Diode, EvalCtx, Inductor, Isource, Jfet, Mosfet, Node, Resistor,
-    Stamper, Vccs, Vcvs, Vsource,
+    Bjt, Capacitor, Cccs, Ccvs, Diode, EvalCtx, Inductor, Isource, JacSink, Jfet, Mosfet, Node,
+    Resistor, Stamper, Vccs, Vcvs, Vsource,
 };
 
 /// Any circuit element the simulator understands.
@@ -117,7 +117,8 @@ impl Device {
     }
 
     /// Stamps this device's Jacobian and residual contributions at the
-    /// operating point in `ctx`.
+    /// operating point in `ctx`, through whichever sink `st` carries (the
+    /// body is compiled once per sink type).
     ///
     /// `state` is this device's slice of the circuit state vector (length
     /// [`Device::state_len`]); nonlinear devices read their previously
@@ -130,7 +131,7 @@ impl Device {
     /// Panics if `state.len() != self.state_len()` or a branch-owning device
     /// has not had [`Device::set_branch`] called (the MNA builder always
     /// does).
-    pub fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+    pub fn stamp<S: JacSink>(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_, S>, state: &mut [f64]) {
         assert_eq!(state.len(), self.state_len(), "device state slice mismatch");
         match self {
             Device::Resistor(d) => d.stamp(ctx, st),
@@ -191,12 +192,18 @@ impl Device {
 
     /// Numeric half of the split stamping interface: evaluates the device
     /// at `ctx` and writes values through a scatter-mode [`Stamper`]
-    /// (slot-table writes, no hashing or searching) plus the residual.
+    /// (slot-table writes, no hashing or searching) or a residual-only one,
+    /// plus the residual.
     ///
     /// Delegates to the same `stamp` body as the triplet reference path —
     /// that single code path is what guarantees plan-based assembly is
     /// bit-identical to triplet assembly.
-    pub fn eval_into(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+    pub fn eval_into<S: JacSink>(
+        &self,
+        ctx: &EvalCtx<'_>,
+        st: &mut Stamper<'_, S>,
+        state: &mut [f64],
+    ) {
         self.stamp(ctx, st, state);
     }
 }

@@ -1,7 +1,7 @@
 //! Shockley junction diode.
 
 use crate::limit::{junction_vcrit, limexp, limexp_deriv, pnjlim};
-use crate::{EvalCtx, Node, Stamper, THERMAL_VOLTAGE};
+use crate::{EvalCtx, JacSink, Node, Stamper, THERMAL_VOLTAGE};
 
 /// Diode model parameters (`.model ... D(...)`).
 #[derive(Debug, Clone, PartialEq)]
@@ -58,18 +58,27 @@ pub struct Diode {
     model: DiodeModel,
     /// `model.vcrit()`, computed once at construction.
     vcrit: f64,
+    /// `model.nvt()`, `is / nvt` and `ibv / nvt`, computed once at
+    /// construction.
+    nvt: f64,
+    is_over_nvt: f64,
+    ibv_over_nvt: f64,
 }
 
 impl Diode {
     /// Creates a diode from `anode` to `cathode` with the given model.
     pub fn new(name: impl Into<String>, anode: Node, cathode: Node, model: DiodeModel) -> Self {
         let vcrit = model.vcrit();
+        let nvt = model.nvt();
         Self {
             name: name.into(),
             anode,
             cathode,
-            model,
             vcrit,
+            nvt,
+            is_over_nvt: model.is / nvt,
+            ibv_over_nvt: model.ibv / nvt,
+            model,
         }
     }
 
@@ -97,16 +106,16 @@ impl Diode {
     /// `vd` (no limiting). Includes the reverse-breakdown branch when the
     /// model sets `BV > 0`.
     pub fn eval(&self, vd: f64, gmin: f64) -> (f64, f64) {
-        let nvt = self.model.nvt();
+        let nvt = self.nvt;
         let arg = vd / nvt;
         let mut i = self.model.is * (limexp(arg) - 1.0) + gmin * vd;
-        let mut g = self.model.is / nvt * limexp_deriv(arg) + gmin;
+        let mut g = self.is_over_nvt * limexp_deriv(arg) + gmin;
         if self.model.bv > 0.0 {
             // Zener branch anchored at the knee: i = −IBV·e^{−(v+BV)/nvt},
             // so the device carries IBV at exactly v = −BV.
             let zarg = -(vd + self.model.bv) / nvt;
             i -= self.model.ibv * limexp(zarg);
-            g += self.model.ibv / nvt * limexp_deriv(zarg);
+            g += self.ibv_over_nvt * limexp_deriv(zarg);
         }
         (i, g)
     }
@@ -120,7 +129,7 @@ impl Diode {
     /// `state[0]` and stores the result there — the SPICE state-vector
     /// trick that keeps pnjlim stable across iterations.
     fn limit(&self, vd: f64, state: &mut [f64]) -> f64 {
-        let (vlim, _) = pnjlim(vd, state[0], self.model.nvt(), self.vcrit);
+        let (vlim, _) = pnjlim(vd, state[0], self.nvt, self.vcrit);
         state[0] = vlim;
         vlim
     }
@@ -131,7 +140,12 @@ impl Diode {
         self.limit(self.junction_voltage(x), state);
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+    pub(crate) fn stamp<S: JacSink>(
+        &self,
+        ctx: &EvalCtx<'_>,
+        st: &mut Stamper<'_, S>,
+        state: &mut [f64],
+    ) {
         let vd = self.junction_voltage(ctx.x);
         let vlim = self.limit(vd, state);
         let (i0, g) = self.eval(vlim, ctx.gmin);

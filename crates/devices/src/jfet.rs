@@ -6,7 +6,7 @@
 //! Newton customer than an insulated-gate FET.
 
 use crate::limit::{junction_vcrit, limexp, limexp_deriv, pnjlim};
-use crate::{EvalCtx, Node, Stamper, THERMAL_VOLTAGE};
+use crate::{EvalCtx, JacSink, Node, Stamper, THERMAL_VOLTAGE};
 
 /// JFET polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,6 +92,8 @@ pub struct Jfet {
     /// Gate-junction critical voltage for `pnjlim`, computed once at
     /// construction.
     vcrit: f64,
+    /// The gate junctions' `is / vt`, computed once at construction.
+    is_over_vt: f64,
 }
 
 /// Polarity-normalized terminal voltages at one iterate: the channel frame
@@ -120,6 +122,7 @@ impl Jfet {
             gate,
             source,
             vcrit: junction_vcrit(THERMAL_VOLTAGE, model.is),
+            is_over_vt: model.is / THERMAL_VOLTAGE,
             model,
         }
     }
@@ -182,7 +185,7 @@ impl Jfet {
     fn gate_junction(&self, v: f64, gmin: f64) -> (f64, f64) {
         let vt = THERMAL_VOLTAGE;
         let i = self.model.is * (limexp(v / vt) - 1.0) + gmin * v;
-        let g = self.model.is / vt * limexp_deriv(v / vt) + gmin;
+        let g = self.is_over_vt * limexp_deriv(v / vt) + gmin;
         (i, g)
     }
 
@@ -227,7 +230,12 @@ impl Jfet {
         self.limit(&self.bias(x), state);
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+    pub(crate) fn stamp<S: JacSink>(
+        &self,
+        ctx: &EvalCtx<'_>,
+        st: &mut Stamper<'_, S>,
+        state: &mut [f64],
+    ) {
         let s = self.model.polarity.sign();
         let bias = self.bias(ctx.x);
         let reversed = bias.reversed;

@@ -64,7 +64,7 @@ pub use mosfet::{MosModel, MosPolarity, Mosfet};
 pub use node::Node;
 pub use passive::{Capacitor, Inductor, Resistor};
 pub use source::{Isource, Vccs, Vcvs, Vsource};
-pub use stamp::{EvalCtx, Stamper};
+pub use stamp::{Discard, EvalCtx, JacSink, Stamper};
 
 /// Thermal voltage `kT/q` at 300.15 K, in volts.
 pub const THERMAL_VOLTAGE: f64 = 0.02585;

@@ -1,7 +1,7 @@
 //! Shichman–Hodges (SPICE level-1) MOSFET.
 
 use crate::limit::{fetlim, junction_vcrit, limexp, limexp_deriv, pnjlim};
-use crate::{EvalCtx, Node, Stamper, THERMAL_VOLTAGE};
+use crate::{EvalCtx, JacSink, Node, Stamper, THERMAL_VOLTAGE};
 
 /// MOSFET polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,6 +100,10 @@ pub struct Mosfet {
     /// Bulk-junction critical voltage for `pnjlim`, computed once at
     /// construction.
     vcrit: f64,
+    /// `kp · w_over_l` and the bulk junctions' `is / vt`, computed once at
+    /// construction.
+    beta: f64,
+    is_over_vt: f64,
 }
 
 /// Polarity-normalized terminal voltages at one iterate: the channel frame
@@ -141,6 +145,8 @@ impl Mosfet {
             source,
             bulk,
             vcrit: junction_vcrit(THERMAL_VOLTAGE, model.is),
+            beta: model.kp * w_over_l,
+            is_over_vt: model.is / THERMAL_VOLTAGE,
             model,
             w_over_l,
         }
@@ -202,7 +208,7 @@ impl Mosfet {
             "normalized frame requires vds >= 0"
         );
         let m = &self.model;
-        let beta = m.kp * self.w_over_l;
+        let beta = self.beta;
         let vth = self.vth(vbs);
         let vov = vgs - vth;
         if vov <= 0.0 {
@@ -238,7 +244,7 @@ impl Mosfet {
     fn bulk_junction(&self, v: f64, gmin: f64) -> (f64, f64) {
         let vt = THERMAL_VOLTAGE;
         let i = self.model.is * (limexp(v / vt) - 1.0) + gmin * v;
-        let g = self.model.is / vt * limexp_deriv(v / vt) + gmin;
+        let g = self.is_over_vt * limexp_deriv(v / vt) + gmin;
         (i, g)
     }
 
@@ -292,7 +298,12 @@ impl Mosfet {
         self.limit(&self.bias(x), state);
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+    pub(crate) fn stamp<S: JacSink>(
+        &self,
+        ctx: &EvalCtx<'_>,
+        st: &mut Stamper<'_, S>,
+        state: &mut [f64],
+    ) {
         let s = self.model.polarity.sign();
         let bias = self.bias(ctx.x);
         let reversed = bias.reversed;

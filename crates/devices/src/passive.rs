@@ -1,6 +1,6 @@
 //! Passive two-terminal elements: resistor, capacitor, inductor.
 
-use crate::{EvalCtx, Node, Stamper};
+use crate::{EvalCtx, JacSink, Node, Stamper};
 
 /// A linear resistor.
 ///
@@ -12,6 +12,8 @@ pub struct Resistor {
     a: Node,
     b: Node,
     resistance: f64,
+    /// `1 / resistance`, computed once at construction.
+    conductance: f64,
 }
 
 impl Resistor {
@@ -30,6 +32,7 @@ impl Resistor {
             a,
             b,
             resistance,
+            conductance: 1.0 / resistance,
         }
     }
 
@@ -53,8 +56,8 @@ impl Resistor {
         self.resistance
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>) {
-        let g = 1.0 / self.resistance;
+    pub(crate) fn stamp<S: JacSink>(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_, S>) {
+        let g = self.conductance;
         st.conductance(self.a, self.b, g);
         let i = g * (self.a.voltage(ctx.x) - self.b.voltage(ctx.x));
         st.current(self.a, self.b, i);
@@ -113,7 +116,7 @@ impl Capacitor {
         self.capacitance
     }
 
-    pub(crate) fn stamp(&self, _ctx: &EvalCtx<'_>, _st: &mut Stamper<'_>) {
+    pub(crate) fn stamp<S: JacSink>(&self, _ctx: &EvalCtx<'_>, _st: &mut Stamper<'_, S>) {
         // DC: open circuit, no contribution.
     }
 }
@@ -187,7 +190,7 @@ impl Inductor {
         self.branch = branch;
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>) {
+    pub(crate) fn stamp<S: JacSink>(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_, S>) {
         let br = self.branch();
         let i = ctx.x[br];
         // KCL: branch current leaves a, enters b.
@@ -214,7 +217,7 @@ mod tests {
         let mut j = Triplet::new(n, n);
         let mut r = vec![0.0; n];
         let ctx = EvalCtx::dc(x);
-        dev(&ctx, &mut Stamper::new(&mut j, &mut r));
+        dev(&ctx, &mut Stamper::new(&mut j, &mut r).erased());
         (j.to_csr(), r)
     }
 

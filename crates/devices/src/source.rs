@@ -1,6 +1,6 @@
 //! Independent and controlled sources.
 
-use crate::{EvalCtx, Node, Stamper};
+use crate::{EvalCtx, JacSink, Node, Stamper};
 
 /// Independent DC voltage source with a branch-current unknown.
 ///
@@ -73,7 +73,7 @@ impl Vsource {
         self.branch = branch;
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>) {
+    pub(crate) fn stamp<S: JacSink>(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_, S>) {
         let br = self.branch();
         let i = ctx.x[br];
         st.current(self.pos, self.neg, i);
@@ -144,7 +144,7 @@ impl Isource {
         self.dc = dc;
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>) {
+    pub(crate) fn stamp<S: JacSink>(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_, S>) {
         // SPICE convention: positive current flows from pos, through the
         // source, to neg — i.e. it leaves the pos node.
         st.current(self.pos, self.neg, ctx.source_scale * self.dc);
@@ -211,7 +211,7 @@ impl Vcvs {
         self.branch = branch;
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>) {
+    pub(crate) fn stamp<S: JacSink>(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_, S>) {
         let br = self.branch();
         let i = ctx.x[br];
         st.current(self.out_p, self.out_n, i);
@@ -271,7 +271,7 @@ impl Vccs {
         self.gm
     }
 
-    pub(crate) fn stamp(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>) {
+    pub(crate) fn stamp<S: JacSink>(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_, S>) {
         let v_ctl = self.ctl_p.voltage(ctx.x) - self.ctl_n.voltage(ctx.x);
         st.current(self.out_p, self.out_n, self.gm * v_ctl);
         st.transconductance(self.out_p, self.out_n, self.ctl_p, self.ctl_n, self.gm);
@@ -292,7 +292,7 @@ mod tests {
         let mut j = Triplet::new(n, n);
         let mut r = vec![0.0; n];
         let ctx = EvalCtx::dc(x).with_source_scale(scale);
-        f(&ctx, &mut Stamper::new(&mut j, &mut r));
+        f(&ctx, &mut Stamper::new(&mut j, &mut r).erased());
         (j.to_csr(), r)
     }
 

@@ -1,18 +1,34 @@
 //! Evaluation context and MNA stamping interface.
 //!
-//! [`Stamper`] is the single funnel every device model stamps through, and
-//! it is *mode-backed*: the same ordered push sequence a model emits can be
-//! routed to a [`Triplet`] (the reference path), recorded as structural
-//! `(row, col)` targets (the resolve half of a precompiled stamp plan), or
-//! scattered straight into the nnz slots of a frozen CSR pattern via a
-//! [`SlotWriter`] (the write half), or dropped altogether when only the
-//! residual is wanted. Because one code path drives every sink, the
-//! plan-based pipeline is bit-identical to triplet assembly by
-//! construction — same stamps, same order, same per-slot summation — and a
-//! residual-only pass computes exactly the triplet pass's residual.
+//! [`Stamper`] is the single funnel every device model stamps through. It
+//! is generic over its [`JacSink`], the place Jacobian pushes land, so the
+//! same ordered push sequence a model emits is compiled once per assembly
+//! mode:
+//!
+//! * `&mut Triplet` ([`Stamper::new`]): raw COO pushes, the reference path
+//!   (`Circuit::assemble_into`, which certification re-assembles with);
+//! * `&mut Vec<(usize, usize)>` ([`Stamper::declare`]): the ground-filtered
+//!   `(row, col)` targets in push order, the resolve half of a precompiled
+//!   stamp plan (`StampPlan::resolve`, `compatible_with`);
+//! * [`SlotWriter`] ([`Stamper::scatter`]): values written straight into the
+//!   nnz slots of a frozen CSR pattern, the write half
+//!   (`StampPlan::eval_into`);
+//! * [`Discard`] ([`Stamper::residual_only`]): Jacobian values dropped when
+//!   only the residual is wanted (`StampPlan::eval_residual_into`,
+//!   `Circuit::residual_into`).
+//!
+//! A caller runs its device loop on the concrete sink, so every push is a
+//! direct call with no per-push dispatch. `Stamper<'_>` without a sink
+//! parameter is the type-erased form over `&mut dyn JacSink`; solver
+//! extra-stamp hooks take that one, and [`Stamper::erased`] hands a concrete
+//! stamper's sink and residual to them. Because one body per device drives
+//! every sink, the plan-based pipeline is bit-identical to triplet assembly
+//! by construction — same stamps, same order, same per-slot summation — and
+//! a residual-only pass computes exactly the triplet pass's residual.
 
 use crate::Node;
 use rlpta_linalg::{SlotWriter, Triplet};
+use std::fmt;
 
 /// Read-only context a device sees when it evaluates and stamps itself.
 ///
@@ -59,32 +75,89 @@ impl<'a> EvalCtx<'a> {
     }
 }
 
-/// Where a [`Stamper`]'s Jacobian pushes land — one sink per assembly mode.
-#[derive(Debug)]
-enum Sink<'a> {
-    /// Reference path: raw COO pushes, duplicates summed in `to_csr`.
-    Triplet(&'a mut Triplet),
-    /// Structural resolve pass: record the ground-filtered `(row, col)`
-    /// target of every push in order; values are ignored.
-    Declare(&'a mut Vec<(usize, usize)>),
-    /// Numeric write pass: values stream through a precompiled slot table
-    /// into a frozen CSR pattern.
-    Scatter(SlotWriter<'a>),
-    /// Residual-only pass: Jacobian values are dropped.
-    Discard,
+/// Where a [`Stamper`]'s Jacobian pushes land — one implementation per
+/// assembly mode (see the module docs for which caller uses which).
+pub trait JacSink: fmt::Debug {
+    /// Takes one resolved (never-ground) Jacobian entry.
+    fn push(&mut self, row: usize, col: usize, v: f64);
+
+    /// Whether device stamps through this sink consume fault-injection
+    /// draws (under the `faults` feature). Only the declare sink does not:
+    /// a plan resolve happens once per structure, and drawing from the
+    /// seeded NaN stream there would desynchronize every later evaluation
+    /// from the triplet reference path.
+    #[inline]
+    fn draws_faults(&self) -> bool {
+        true
+    }
 }
 
-/// Accumulates device contributions into the Newton system `J·Δx = −F`.
+/// Reference path: raw COO pushes, duplicates summed in `to_csr`.
+impl JacSink for Triplet {
+    #[inline]
+    fn push(&mut self, row: usize, col: usize, v: f64) {
+        Triplet::push(self, row, col, v);
+    }
+}
+
+/// Structural resolve pass: records the `(row, col)` target of every push
+/// in order; values are ignored and no fault draws are consumed.
+impl JacSink for Vec<(usize, usize)> {
+    #[inline]
+    fn push(&mut self, row: usize, col: usize, _v: f64) {
+        Vec::push(self, (row, col));
+    }
+
+    #[inline]
+    fn draws_faults(&self) -> bool {
+        false
+    }
+}
+
+/// Numeric write pass: values stream through a precompiled slot table into
+/// a frozen CSR pattern.
+impl JacSink for SlotWriter<'_> {
+    #[inline]
+    fn push(&mut self, _row: usize, _col: usize, v: f64) {
+        self.write(v);
+    }
+}
+
+/// The residual-only sink: Jacobian values are dropped, fault draws are
+/// consumed as in triplet mode.
+#[derive(Debug, Clone, Copy)]
+pub struct Discard;
+
+impl JacSink for Discard {
+    #[inline]
+    fn push(&mut self, _row: usize, _col: usize, _v: f64) {}
+}
+
+impl<S: JacSink + ?Sized> JacSink for &mut S {
+    #[inline]
+    fn push(&mut self, row: usize, col: usize, v: f64) {
+        (**self).push(row, col, v);
+    }
+
+    #[inline]
+    fn draws_faults(&self) -> bool {
+        (**self).draws_faults()
+    }
+}
+
+/// Accumulates device contributions into the Newton system `J·Δx = −F`,
+/// routing Jacobian entries to the sink `S`.
 ///
 /// Rows/columns belonging to the ground node are dropped, implementing the
-/// usual MNA ground elimination.
+/// usual MNA ground elimination. `Stamper<'_>` is the type-erased form the
+/// solvers' extra-stamp hooks take.
 #[derive(Debug)]
-pub struct Stamper<'a> {
-    sink: Sink<'a>,
+pub struct Stamper<'a, S: JacSink = &'a mut dyn JacSink> {
+    sink: S,
     residual: &'a mut [f64],
 }
 
-impl<'a> Stamper<'a> {
+impl<'a> Stamper<'a, &'a mut Triplet> {
     /// Wraps a Jacobian triplet builder and a residual vector — the
     /// reference assembly mode.
     ///
@@ -100,11 +173,13 @@ impl<'a> Stamper<'a> {
             "jacobian/residual mismatch"
         );
         Self {
-            sink: Sink::Triplet(jacobian),
+            sink: jacobian,
             residual,
         }
     }
+}
 
+impl<'a> Stamper<'a, &'a mut Vec<(usize, usize)>> {
     /// Structural resolve mode: every Jacobian push appends its
     /// ground-filtered `(row, col)` target to `targets` in push order;
     /// values are discarded. `residual` is scratch of the system dimension
@@ -114,21 +189,37 @@ impl<'a> Stamper<'a> {
     /// must not shift the seeded NaN sequence of subsequent evaluations.
     pub fn declare(targets: &'a mut Vec<(usize, usize)>, residual: &'a mut [f64]) -> Self {
         Self {
-            sink: Sink::Declare(targets),
+            sink: targets,
             residual,
         }
     }
+}
 
+impl<'a> Stamper<'a, SlotWriter<'a>> {
     /// Numeric write mode: Jacobian pushes stream through `writer`'s slot
     /// table into the frozen pattern it was built over. Push count and
     /// order must match the declare pass that resolved the plan.
     pub fn scatter(writer: SlotWriter<'a>, residual: &'a mut [f64]) -> Self {
         Self {
-            sink: Sink::Scatter(writer),
+            sink: writer,
             residual,
         }
     }
 
+    /// Ends a scatter pass: checks the full declared sequence was written
+    /// and returns whether every raw stamp was finite (triplet finiteness
+    /// is checked via `Triplet::all_finite`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when fewer pushes arrived than the plan declared (structure
+    /// drift since resolve).
+    pub fn finish(self) -> bool {
+        self.sink.finish()
+    }
+}
+
+impl<'a> Stamper<'a, Discard> {
     /// Residual-only mode: devices evaluate and accumulate `F(x)` into
     /// `residual` as in every other mode, and Jacobian pushes are dropped.
     /// Fault-injection draws are consumed exactly as in triplet mode, so a
@@ -136,24 +227,20 @@ impl<'a> Stamper<'a> {
     /// evaluations where a triplet pass would have left it.
     pub fn residual_only(residual: &'a mut [f64]) -> Self {
         Self {
-            sink: Sink::Discard,
+            sink: Discard,
             residual,
         }
     }
+}
 
-    /// Ends a scatter pass: checks the full declared sequence was written
-    /// and returns whether every raw stamp was finite. In the other modes
-    /// this is a no-op returning `true` (triplet finiteness is checked via
-    /// `Triplet::all_finite`).
-    ///
-    /// # Panics
-    ///
-    /// Panics in scatter mode when fewer pushes arrived than the plan
-    /// declared (structure drift since resolve).
-    pub fn finish(self) -> bool {
-        match self.sink {
-            Sink::Scatter(w) => w.finish(),
-            Sink::Triplet(_) | Sink::Declare(_) | Sink::Discard => true,
+impl<S: JacSink> Stamper<'_, S> {
+    /// The type-erased stamper over this one's sink and residual, for
+    /// hooks that take `&mut Stamper<'_>` (the solvers' extra stamps). Its
+    /// pushes continue this stamper's sequence.
+    pub fn erased(&mut self) -> Stamper<'_> {
+        Stamper {
+            sink: &mut self.sink,
+            residual: &mut *self.residual,
         }
     }
 
@@ -162,45 +249,27 @@ impl<'a> Stamper<'a> {
         self.residual.len()
     }
 
-    /// Routes one resolved (never-ground) Jacobian entry to the active sink.
-    #[inline]
-    fn push(&mut self, row: usize, col: usize, v: f64) {
-        match &mut self.sink {
-            Sink::Triplet(t) => t.push(row, col, v),
-            Sink::Declare(targets) => targets.push((row, col)),
-            Sink::Scatter(w) => w.write(v),
-            Sink::Discard => {}
-        }
-    }
-
-    /// Whether the active mode consumes fault-injection draws. Declare
-    /// passes must not: a plan resolve happens once per structure, and
-    /// drawing from the seeded NaN stream there would desynchronize every
-    /// later evaluation from the triplet reference path.
-    #[cfg(feature = "faults")]
-    fn draws_faults(&self) -> bool {
-        !matches!(self.sink, Sink::Declare(_))
-    }
-
     /// Adds `g` to the Jacobian between two node unknowns (either may be
     /// ground, in which case the contribution is dropped).
+    #[inline]
     pub fn jac_nodes(&mut self, row: Node, col: Node, g: f64) {
         if let (Some(r), Some(c)) = (row.index(), col.index()) {
             // Injected fault: a seeded fraction of stamps is poisoned with
             // NaN, standing in for a device model evaluated out of range.
             // Short-circuit keeps declare passes from consuming draws.
             #[cfg(feature = "faults")]
-            let g = if self.draws_faults() && crate::faults::fire_nan() {
+            let g = if self.sink.draws_faults() && crate::faults::fire_nan() {
                 f64::NAN
             } else {
                 g
             };
-            self.push(r, c, g);
+            self.sink.push(r, c, g);
         }
     }
 
     /// Adds the classic two-terminal conductance stamp
     /// (`+g` on the diagonals, `−g` on the off-diagonals).
+    #[inline]
     pub fn conductance(&mut self, a: Node, b: Node, g: f64) {
         self.jac_nodes(a, a, g);
         self.jac_nodes(b, b, g);
@@ -210,6 +279,7 @@ impl<'a> Stamper<'a> {
 
     /// Adds a transconductance stamp: current `gm·(v_cp − v_cn)` flowing from
     /// `out_p` to `out_n`.
+    #[inline]
     pub fn transconductance(&mut self, out_p: Node, out_n: Node, cp: Node, cn: Node, gm: f64) {
         self.jac_nodes(out_p, cp, gm);
         self.jac_nodes(out_p, cn, -gm);
@@ -218,39 +288,45 @@ impl<'a> Stamper<'a> {
     }
 
     /// Adds to the Jacobian at `(node row, branch col)`.
+    #[inline]
     pub fn jac_node_branch(&mut self, row: Node, branch: usize, v: f64) {
         if let Some(r) = row.index() {
-            self.push(r, branch, v);
+            self.sink.push(r, branch, v);
         }
     }
 
     /// Adds to the Jacobian at `(branch row, node col)`.
+    #[inline]
     pub fn jac_branch_node(&mut self, branch: usize, col: Node, v: f64) {
         if let Some(c) = col.index() {
-            self.push(branch, c, v);
+            self.sink.push(branch, c, v);
         }
     }
 
     /// Adds to the Jacobian at `(branch row, branch col)`.
+    #[inline]
     pub fn jac_branches(&mut self, row: usize, col: usize, v: f64) {
-        self.push(row, col, v);
+        self.sink.push(row, col, v);
     }
 
     /// Adds to the Jacobian at raw, already-resolved matrix indices — no
     /// ground filtering, no fault injection. Solver-level extra stamps
     /// (PTA pseudo-elements, transient companions, Gmin shunts) use this:
     /// their indices come from the solver, not from device netlists.
+    #[inline]
     pub fn jac_raw(&mut self, row: usize, col: usize, v: f64) {
-        self.push(row, col, v);
+        self.sink.push(row, col, v);
     }
 
     /// Adds to the residual at a raw, already-resolved index.
+    #[inline]
     pub fn res_raw(&mut self, index: usize, v: f64) {
         self.residual[index] += v;
     }
 
     /// Adds `i` to the KCL residual of `node` (current *leaving* the node is
     /// positive). Ground contributions are dropped.
+    #[inline]
     pub fn res_node(&mut self, node: Node, i: f64) {
         if let Some(r) = node.index() {
             self.residual[r] += i;
@@ -258,12 +334,14 @@ impl<'a> Stamper<'a> {
     }
 
     /// Adds current `i` flowing from `a` to `b` into both KCL residuals.
+    #[inline]
     pub fn current(&mut self, a: Node, b: Node, i: f64) {
         self.res_node(a, i);
         self.res_node(b, -i);
     }
 
     /// Adds `v` to a branch-equation residual.
+    #[inline]
     pub fn res_branch(&mut self, branch: usize, v: f64) {
         self.residual[branch] += v;
     }
@@ -276,7 +354,7 @@ mod tests {
     fn with_stamper<F: FnOnce(&mut Stamper<'_>)>(n: usize, f: F) -> (Triplet, Vec<f64>) {
         let mut j = Triplet::new(n, n);
         let mut r = vec![0.0; n];
-        f(&mut Stamper::new(&mut j, &mut r));
+        f(&mut Stamper::new(&mut j, &mut r).erased());
         (j, r)
     }
 

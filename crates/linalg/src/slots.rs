@@ -182,12 +182,11 @@ impl SlotWriter<'_> {
         let r = self.refs[self.cursor];
         self.cursor += 1;
         self.saw_nonfinite |= !v.is_finite();
-        let slot = (r >> 1) as usize;
-        if r & 1 == 1 {
-            self.values[slot] = v;
-        } else {
-            self.values[slot] += v;
-        }
+        // A select rather than a branch: the first-touch pattern is
+        // irregular enough to defeat branch prediction, and both forms
+        // store the same value.
+        let slot = &mut self.values[(r >> 1) as usize];
+        *slot = if r & 1 == 1 { v } else { *slot + v };
     }
 
     /// Pushes consumed so far.

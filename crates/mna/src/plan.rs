@@ -10,12 +10,14 @@
 //!
 //! Bit-identity with [`Circuit::assemble_into`] followed by
 //! [`Triplet::to_csr`] is the contract: the same device code runs in both
-//! modes (the [`Stamper`] sink is what differs), the frozen pattern is the
-//! same stable sort, and each slot accumulates its duplicates in push
-//! order. See `rlpta-linalg::StampSlots` for the mechanics.
+//! modes (the [`Stamper`] sink is what differs — a `SlotWriter` here, the
+//! triplet there, each compiled into its own device loop), the frozen
+//! pattern is the same stable sort, and each slot accumulates its
+//! duplicates in push order. See `rlpta-linalg::StampSlots` for the
+//! mechanics.
 
 use crate::Circuit;
-use rlpta_devices::{EvalCtx, Stamper};
+use rlpta_devices::{EvalCtx, JacSink, Stamper};
 use rlpta_linalg::{CsrMatrix, StampSlots, Triplet};
 
 /// A resolved assembly plan for one circuit structure (and one solver
@@ -67,10 +69,7 @@ impl StampPlan {
             );
         }
         let device_pushes = targets.len();
-        {
-            let mut st = Stamper::declare(&mut targets, &mut scratch_res);
-            extra(&mut st);
-        }
+        extra(&mut Stamper::declare(&mut targets, &mut scratch_res).erased());
         let (template, slots) = StampSlots::build(dim, dim, &targets);
         StampPlan {
             slots,
@@ -200,18 +199,19 @@ impl StampPlan {
         Self::replay(circuit, ctx, &mut st, state, extra);
     }
 
-    /// One evaluation of every device and then `extra` through `st`.
-    fn replay(
+    /// One evaluation of every device through `st`'s concrete sink, then
+    /// `extra` through the type-erased stamper over the same sink.
+    fn replay<S: JacSink>(
         circuit: &Circuit,
         ctx: &EvalCtx<'_>,
-        st: &mut Stamper<'_>,
+        st: &mut Stamper<'_, S>,
         state: &mut [f64],
         extra: &mut dyn FnMut(&mut Stamper<'_>),
     ) {
         for (d, &off) in circuit.devices().iter().zip(circuit.state_offsets()) {
             d.eval_into(ctx, st, &mut state[off..off + d.state_len()]);
         }
-        extra(st);
+        extra(&mut st.erased());
     }
 
     /// Builds the Gmin-bump companion: the frozen pattern united with every
