@@ -256,9 +256,10 @@ fn run() -> Result<bool, String> {
         failures,
     );
     println!(
-        "cache: {} hits / {} misses / {} evictions / {} invalidations — {:.1}% hit rate, {} structures resident",
+        "cache: {} hits / {} misses ({} warm) / {} evictions / {} invalidations — {:.1}% hit rate, {} structures resident",
         cache.hits,
         cache.misses,
+        cache.warm_misses,
         cache.evictions,
         cache.invalidations,
         100.0 * cache.hit_rate(),

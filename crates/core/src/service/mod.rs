@@ -5,23 +5,31 @@
 //! deterministic. Production traffic, however, is dominated by *repeats*:
 //! millions of requests share a handful of circuit topologies and differ
 //! only in parameter values. [`SimService`] is the layer that exploits
-//! that, owning three pieces of cross-request state:
+//! that, owning four pieces of cross-request state:
 //!
 //! 1. **A sharded, structure-keyed plan cache.** [`StructureKey`] hashes the
 //!    MNA sparsity pattern together with the device topology (kinds,
 //!    terminal wiring, branch unknowns) — and deliberately *not* parameter
 //!    values, so a 1 kΩ and a 2 kΩ divider share a key. Each entry holds the
 //!    [`SymbolicLu`] scatter plan recorded by an earlier solve (an
-//!    [`Arc`], shared with the workspaces that replay it), the resolved
+//!    [`Arc`], shared with the workspaces that replay it) and the resolved
 //!    [`StampPlan`] (so warm jobs skip stamp resolution and go straight to
-//!    the slot-table write pass) plus the last certified operating point as
-//!    a warm start. Eviction is LRU under a
+//!    the slot-table write pass). Eviction is LRU under a
 //!    byte budget; a cached plan that no longer matches the assembled
 //!    pattern (a hash collision, or a structural change that kept the key)
 //!    is **invalidated and re-recorded, never replayed stale** — and even a
 //!    bypassed check would be caught by [`LuWorkspace`]'s own guarded-replay
 //!    fallback, so staleness can cost time, not correctness.
-//! 2. **A bounded priority job queue with admission control.** Work enters
+//! 2. **A warm-start tier.** Each structure's last certified operating
+//!    point, keyed by [`StructureKey`] under its own LRU order and byte
+//!    meter, so it outlives the eviction of its (far larger) plan. Hits and
+//!    misses alike start Newton from it: a plan miss still resolves its
+//!    plan and factorizes fresh, but from the remembered point instead of
+//!    from zeros ([`CacheStats::warm_misses`]). The warm iterate is
+//!    certified like any other, and falls through to the full recovery
+//!    ladder when Newton fails or certification rejects it. An invalidated
+//!    plan takes its structure's warm vector with it.
+//! 3. **A bounded priority job queue with admission control.** Work enters
 //!    as ([`Circuit`], [`JobTicket`]) pairs; a full queue refuses new work
 //!    with [`ServiceError::QueueFull`] and a ticket whose deadline cannot
 //!    be met refuses with [`ServiceError::DeadlineUnmeetable`] — callers
@@ -30,7 +38,7 @@
 //!    share a [`StructureKey`] into the same worker so a cached plan is
 //!    fetched once and stays core-local for the whole group (the group also
 //!    forms a warm-start chain, like a sweep chunk).
-//! 3. **A shared RL-policy handle.** A frozen, checkpointed
+//! 4. **A shared RL-policy handle.** A frozen, checkpointed
 //!    [`RlStepping`] policy is loaded once at service construction and
 //!    cloned per job that needs it (a cold solve the plain Newton path
 //!    cannot crack), instead of being re-loaded per request.
@@ -384,6 +392,11 @@ pub struct CacheStats {
     /// Lookups that had to (re-)resolve a stamp plan: a cold structure or a
     /// cached plan that failed re-verification.
     pub plan_misses: u64,
+    /// Misses whose structure still had a warm start in the warm-start
+    /// tier: the plan was evicted, but Newton starts from the structure's
+    /// last certified operating point instead of from zeros. A subset of
+    /// `misses`.
+    pub warm_misses: u64,
 }
 
 impl CacheStats {
@@ -403,9 +416,6 @@ struct CacheEntry {
     /// Resolved stamp plan for this structure (shared with the Newton
     /// workspaces that scatter through it).
     plan: Arc<StampPlan>,
-    /// Last certified operating point for this structure, reusable as a
-    /// warm start by the next job with the same key.
-    warm: Option<Vec<f64>>,
     bytes: usize,
     last_used: u64,
 }
@@ -415,20 +425,50 @@ struct Shard {
     bytes: usize,
 }
 
-/// The sharded structure-keyed cache. Shard choice is a pure function of
-/// the key, eviction order is a pure function of the (monotonic) access
-/// ticks, so the cache's behavior is deterministic for a given request
-/// sequence.
+/// One structure's last certified operating point.
+struct WarmEntry {
+    x: Vec<f64>,
+    last_used: u64,
+}
+
+/// The warm-start tier: kept apart from the plan shards, with its own LRU
+/// order and byte meter, so a structure's warm start (tens of bytes)
+/// survives the eviction of its plan (kilobytes).
+#[derive(Default)]
+struct WarmTier {
+    entries: HashMap<StructureKey, WarmEntry>,
+    bytes: usize,
+}
+
+impl WarmTier {
+    fn remove(&mut self, key: &StructureKey) {
+        if let Some(dead) = self.entries.remove(key) {
+            self.bytes -= std::mem::size_of_val(dead.x.as_slice());
+        }
+    }
+}
+
+/// The sharded structure-keyed cache plus its warm-start tier. Shard
+/// choice is a pure function of the key, eviction order is a pure function
+/// of the (monotonic) access ticks, so the cache's behavior is
+/// deterministic for a given request sequence.
 struct PlanCache {
     shards: Vec<Mutex<Shard>>,
-    /// Per-shard byte budget.
+    /// Per-shard byte budget for plans.
     shard_budget: usize,
+    warm: Mutex<WarmTier>,
+    /// Byte budget of the warm-start tier (the whole cache budget).
+    warm_budget: usize,
     tick: Mutex<u64>,
     stats: Mutex<CacheStats>,
 }
 
+/// What a lookup hands the group: the cached plans on a hit, the warm
+/// start whenever the warm tier still holds one.
 struct CacheSeed {
-    symbolic: Arc<SymbolicLu>,
+    symbolic: Option<Arc<SymbolicLu>>,
+    /// Only alongside `symbolic`, and only when still compatible with the
+    /// circuit.
     plan: Option<Arc<StampPlan>>,
     warm: Option<Vec<f64>>,
 }
@@ -446,6 +486,8 @@ impl PlanCache {
                 })
                 .collect(),
             shard_budget: (total_bytes / shards).max(1),
+            warm: Mutex::new(WarmTier::default()),
+            warm_budget: total_bytes,
             tick: Mutex::new(0),
             stats: Mutex::new(CacheStats::default()),
         }
@@ -462,87 +504,82 @@ impl PlanCache {
     }
 
     /// Looks `key` up, verifying the cached plan against the freshly
-    /// assembled pattern. An incompatible entry is removed (invalidation)
-    /// and reported as a miss — the service re-records a fresh analysis
-    /// rather than replaying a stale plan. A cached *stamp plan* is
+    /// assembled pattern. An incompatible entry is removed (invalidation),
+    /// together with the structure's warm start, and reported as a miss —
+    /// the service re-records a fresh analysis rather than replaying a
+    /// stale plan or seeding a foreign point. A cached *stamp plan* is
     /// re-verified against the circuit the same way (a cheap structural
     /// declare pass); a stale plan is dropped from the seed, never
-    /// scattered through.
+    /// scattered through. The warm start comes from the warm tier, on hits
+    /// and misses alike.
     fn lookup(
         &self,
         key: &StructureKey,
         pattern: &CsrMatrix,
         circuit: &Circuit,
         tele: &Tele<'_>,
-    ) -> Option<CacheSeed> {
+    ) -> CacheSeed {
         let tick = self.next_tick();
         let mut shard = lock(self.shard(key));
-        let compatible = match shard.entries.get_mut(key) {
-            Some(entry) => {
-                if entry.symbolic.compatible_with(pattern) {
-                    entry.last_used = tick;
-                    true
-                } else {
-                    false
-                }
-            }
-            None => {
-                drop(shard);
-                let mut stats = lock(&self.stats);
-                stats.misses += 1;
-                stats.plan_misses += 1;
-                drop(stats);
-                tele.emit(Payload::CacheMiss {
-                    key: key.hash,
-                    dim: key.dim,
-                });
-                return None;
-            }
-        };
-        if compatible {
-            let entry = &shard.entries[key];
-            let plan = entry
-                .plan
-                .compatible_with(circuit)
-                .then(|| Arc::clone(&entry.plan));
-            let seed = CacheSeed {
-                symbolic: Arc::clone(&entry.symbolic),
-                plan,
-                warm: entry.warm.clone(),
-            };
-            drop(shard);
-            let mut stats = lock(&self.stats);
-            stats.hits += 1;
-            if seed.plan.is_some() {
-                stats.plan_hits += 1;
-            } else {
-                stats.plan_misses += 1;
-            }
-            drop(stats);
-            tele.emit(Payload::CacheHit {
-                key: key.hash,
-                dim: key.dim,
-            });
-            Some(seed)
-        } else {
+        let invalidated = shard
+            .entries
+            .get(key)
+            .is_some_and(|entry| !entry.symbolic.compatible_with(pattern));
+        let (mut symbolic, mut plan) = (None, None);
+        if invalidated {
             if let Some(dead) = shard.entries.remove(key) {
                 shard.bytes = shard.bytes.saturating_sub(dead.bytes);
             }
-            drop(shard);
-            let mut stats = lock(&self.stats);
-            stats.invalidations += 1;
-            stats.misses += 1;
-            stats.plan_misses += 1;
-            drop(stats);
-            tele.emit(Payload::CacheMiss {
-                key: key.hash,
-                dim: key.dim,
-            });
+        } else if let Some(entry) = shard.entries.get_mut(key) {
+            entry.last_used = tick;
+            symbolic = Some(Arc::clone(&entry.symbolic));
+            plan = entry
+                .plan
+                .compatible_with(circuit)
+                .then(|| Arc::clone(&entry.plan));
+        }
+        drop(shard);
+
+        let mut tier = lock(&self.warm);
+        let warm = if invalidated {
+            tier.remove(key);
             None
+        } else {
+            tier.entries.get_mut(key).map(|entry| {
+                entry.last_used = tick;
+                entry.x.clone()
+            })
+        };
+        drop(tier);
+
+        let mut stats = lock(&self.stats);
+        if symbolic.is_some() {
+            stats.hits += 1;
+        } else {
+            stats.misses += 1;
+            stats.invalidations += u64::from(invalidated);
+            stats.warm_misses += u64::from(warm.is_some());
+        }
+        if plan.is_some() {
+            stats.plan_hits += 1;
+        } else {
+            stats.plan_misses += 1;
+        }
+        drop(stats);
+        let (hash, dim) = (key.hash, key.dim);
+        tele.emit(if symbolic.is_some() {
+            Payload::CacheHit { key: hash, dim }
+        } else {
+            Payload::CacheMiss { key: hash, dim }
+        });
+        CacheSeed {
+            symbolic,
+            plan,
+            warm,
         }
     }
 
-    /// Inserts or refreshes the entry for `key`, then evicts
+    /// Inserts or refreshes the plan entry for `key`, then evicts
     /// least-recently-used entries (never the one just inserted) until the
     /// shard is back under its byte budget.
     fn insert(
@@ -550,20 +587,16 @@ impl PlanCache {
         key: StructureKey,
         symbolic: Arc<SymbolicLu>,
         plan: Arc<StampPlan>,
-        warm: Option<Vec<f64>>,
         tele: &Tele<'_>,
     ) {
         let tick = self.next_tick();
-        let bytes = symbolic.approx_bytes()
-            + plan.approx_bytes()
-            + warm.as_ref().map_or(0, |w| w.len() * std::mem::size_of::<f64>());
+        let bytes = symbolic.approx_bytes() + plan.approx_bytes();
         let mut shard = lock(self.shard(&key));
         if let Some(old) = shard.entries.insert(
             key,
             CacheEntry {
                 symbolic,
                 plan,
-                warm,
                 bytes,
                 last_used: tick,
             },
@@ -600,12 +633,39 @@ impl PlanCache {
         }
     }
 
+    /// Stores `x` as `key`'s warm start, evicting least-recently-used warm
+    /// starts until it fits the tier's budget. Unlike a plan shard, the
+    /// tier never exceeds its budget: a vector larger than the whole
+    /// budget is not kept.
+    fn insert_warm(&self, key: StructureKey, x: Vec<f64>) {
+        let tick = self.next_tick();
+        let bytes = std::mem::size_of_val(x.as_slice());
+        let mut tier = lock(&self.warm);
+        tier.remove(&key);
+        if bytes > self.warm_budget {
+            return;
+        }
+        while tier.bytes + bytes > self.warm_budget {
+            // Unique ticks, as for the plan shards.
+            let Some((&victim, _)) = tier.entries.iter().min_by_key(|(_, e)| e.last_used) else {
+                break;
+            };
+            tier.remove(&victim);
+        }
+        tier.bytes += bytes;
+        tier.entries.insert(key, WarmEntry { x, last_used: tick });
+    }
+
     fn stats(&self) -> CacheStats {
         *lock(&self.stats)
     }
 
     fn len(&self) -> usize {
         self.shards.iter().map(|s| lock(s).entries.len()).sum()
+    }
+
+    fn warm_bytes(&self) -> usize {
+        lock(&self.warm).bytes
     }
 }
 
@@ -651,8 +711,19 @@ impl SimServiceBuilder {
         self
     }
 
-    /// Total byte budget for cached symbolic plans and warm-start vectors,
-    /// split evenly across the shards. Default 8 MiB.
+    /// Byte budget of the cache. Default 8 MiB. It bounds two tiers
+    /// separately:
+    ///
+    /// * the plan shards (symbolic LU pattern plus stamp plan per
+    ///   structure) share it, split evenly across the shards; a shard
+    ///   always keeps its newest plan, even one larger than its share;
+    /// * the warm-start tier (one last certified operating point per
+    ///   structure, 8 bytes per unknown) gets the whole figure to itself
+    ///   and never exceeds it.
+    ///
+    /// Warm vectors are small next to plans (all 62 structures of a mixed
+    /// 91-circuit corpus take ~7 KiB), so a budget that churns plans can
+    /// still keep every warm start resident.
     #[must_use]
     pub fn cache_bytes(mut self, bytes: usize) -> Self {
         self.cache_bytes = bytes;
@@ -667,11 +738,12 @@ impl SimServiceBuilder {
         self
     }
 
-    /// Whether cached last-certified operating points seed subsequent
-    /// solves of the same structure (default `true`). Disable to make
-    /// every service solve start from zeros — cached-plan replay alone is
-    /// bit-identical to a cold solve, which is what the bit-identity
-    /// proptests pin down.
+    /// Whether each structure's last certified operating point is kept in
+    /// the warm-start tier and seeds subsequent solves of the same
+    /// structure, on plan hits and plan misses alike (default `true`).
+    /// Disable to make every service solve start from zeros — cached-plan
+    /// replay alone is bit-identical to a cold solve, which is what the
+    /// bit-identity proptests pin down.
     #[must_use]
     pub fn warm_starts(mut self, enabled: bool) -> Self {
         self.warm_starts = enabled;
@@ -915,9 +987,16 @@ impl SimService {
         self.cache.stats()
     }
 
-    /// Number of structures currently cached.
+    /// Number of structures whose plans are currently cached (the
+    /// warm-start tier is not counted).
     pub fn cached_structures(&self) -> usize {
         self.cache.len()
+    }
+
+    /// Bytes currently held by the warm-start tier; never more than the
+    /// [`cache_bytes`](SimServiceBuilder::cache_bytes) budget.
+    pub fn warm_start_bytes(&self) -> usize {
+        self.cache.warm_bytes()
     }
 
     /// Admits one job into the queue, returning its [`JobId`].
@@ -996,9 +1075,10 @@ impl SimService {
     /// Jobs are ordered by ([`Priority`] descending, submission order),
     /// then grouped by [`StructureKey`]; each group runs as one job on the
     /// engine's thread pool, sharing a single pre-seeded Newton workspace
-    /// (symbolic LU pattern and stamp plan) and (when enabled) a
-    /// warm-start chain. After the pool completes, each group's final
-    /// plans and last certified operating point refresh the cache.
+    /// (symbolic LU pattern and stamp plan, when cached) and (when
+    /// enabled) a warm-start chain seeded from the warm-start tier. After
+    /// the pool completes, each group's final plans and last certified
+    /// operating point refresh the cache.
     pub fn drain(&mut self) -> Vec<(JobId, Result<Solution, ServiceError>)> {
         let mut jobs = std::mem::take(&mut self.queue);
         if jobs.is_empty() {
@@ -1024,7 +1104,7 @@ impl SimService {
         // Cache lookups happen serially up front (one per group — the
         // whole group rides one seed), so the drain's cache transitions
         // are independent of worker scheduling.
-        let prepared: Vec<(StructureKey, Vec<QueuedJob>, Option<CacheSeed>)> = groups
+        let prepared: Vec<(StructureKey, Vec<QueuedJob>, CacheSeed)> = groups
             .into_iter()
             .map(|(key, jobs)| {
                 let seed = self
@@ -1128,9 +1208,9 @@ impl SimService {
 
     /// Folds one finished group back into the service — shared by
     /// [`SimService::drain`] and [`SimService::solve`]: counts its watchdog
-    /// fires and deadline misses, caches its recorded plans (plus, with
-    /// warm starts on, its last certified point) under `key`, and returns
-    /// its per-job results.
+    /// fires and deadline misses, caches its recorded plans and (with warm
+    /// starts on) its last certified point under `key`, and returns its
+    /// per-job results.
     fn write_back(
         &mut self,
         key: StructureKey,
@@ -1140,13 +1220,10 @@ impl SimService {
         self.monitor.counters.watchdog_fires += group.watchdog_fires;
         self.monitor.counters.deadline_misses += group.deadline_misses;
         if let Some((symbolic, plan)) = group.recorded {
-            self.cache.insert(
-                key,
-                symbolic,
-                plan,
-                if self.warm_starts { group.warm } else { None },
-                tele,
-            );
+            self.cache.insert(key, symbolic, plan, tele);
+        }
+        if let Some(warm) = group.warm {
+            self.cache.insert_warm(key, warm);
         }
         group.results
     }
@@ -1159,7 +1236,8 @@ struct GroupOutcome {
     /// the chain — refresh the cache. `None` when no Newton run recorded
     /// them (every job expired in the queue before a cold seed).
     recorded: Option<(Arc<SymbolicLu>, Arc<StampPlan>)>,
-    /// Last certified operating point of the chain.
+    /// Last certified operating point of the chain (the seed's, if no job
+    /// succeeded); always `None` with warm starts off.
     warm: Option<Vec<f64>>,
     /// In-flight watchdog flags raised inside the group (for the monitor's
     /// counters — the events themselves already went to the sink).
@@ -1179,22 +1257,22 @@ fn run_group(
     policy: Option<&Arc<RlStepping>>,
     warm_starts: bool,
     jobs: Vec<QueuedJob>,
-    seed: Option<CacheSeed>,
+    seed: CacheSeed,
     watchdog_factor: Option<f64>,
 ) -> GroupOutcome {
     // A cache-shared stamp plan makes the whole chain a pure write pass:
-    // the first Newton run skips stamp resolution.
-    let mut ws = match &seed {
-        Some(seed) => NewtonWorkspace::seeded(
-            LuWorkspace::with_symbolic(Arc::clone(&seed.symbolic)),
-            seed.plan.clone(),
-        ),
+    // the first Newton run skips stamp resolution. A warm-only seed (a plan
+    // miss) resolves and factorizes fresh, from the remembered point.
+    let CacheSeed {
+        symbolic,
+        plan,
+        warm,
+    } = seed;
+    let mut ws = match symbolic {
+        Some(symbolic) => NewtonWorkspace::seeded(LuWorkspace::with_symbolic(symbolic), plan),
         None => NewtonWorkspace::new(),
     };
-    let mut warm: Option<Vec<f64>> = match (&seed, warm_starts) {
-        (Some(seed), true) => seed.warm.clone(),
-        _ => None,
-    };
+    let mut warm = warm.filter(|_| warm_starts);
     let sink = engine.telemetry();
     let mut watchdog_fires = 0u64;
     let mut deadline_misses = 0u64;
@@ -1274,7 +1352,7 @@ fn run_group(
         match solved {
             Ok(sol) => {
                 if warm_starts {
-                    warm = Some(sol.x.clone());
+                    warm.get_or_insert_with(Vec::new).clone_from(&sol.x);
                 }
                 results.push((job.seq, Ok(sol)));
             }
@@ -1420,23 +1498,62 @@ mod tests {
         assert_eq!(queued, 6);
     }
 
+    fn two_stage_clamp(level: &str) -> Circuit {
+        rlpta_netlist::parse(&format!(
+            "clamp2\nV1 in 0 {level}\nR1 in a 1k\nR2 a out 1k\nD1 out 0 DX\n\
+             .model DX D(IS=1e-14)\n"
+        ))
+        .expect("parse")
+    }
+
     #[test]
     fn drain_is_thread_invariant() {
-        let solve_all = |threads: usize| {
+        // Two drains of the same mix: the second runs on cache hits with
+        // the default budget, and on warm-tier misses with a one-shard
+        // budget too small for more than one plan.
+        let solve_all = |threads: usize, small_budget: bool| {
             let engine = DcEngine::builder().threads(threads).build();
-            let mut service = SimService::builder(engine).build();
-            for c in [clamp("5"), divider("1k"), clamp("2"), clamp("7"), divider("9k")] {
-                service.submit(c, JobTicket::default()).expect("admit");
+            let mut builder = SimService::builder(engine);
+            if small_budget {
+                builder = builder.cache_shards(1).cache_bytes(256);
             }
-            service
-                .drain()
-                .into_iter()
-                .map(|(id, r)| (id, r.expect("solves").x))
-                .collect::<Vec<_>>()
+            let mut service = builder.build();
+            let mut solutions = Vec::new();
+            for _ in 0..2 {
+                for c in [
+                    clamp("5"),
+                    divider("1k"),
+                    two_stage_clamp("3"),
+                    clamp("2"),
+                    clamp("7"),
+                    divider("9k"),
+                ] {
+                    service.submit(c, JobTicket::default()).expect("admit");
+                }
+                solutions.extend(
+                    service
+                        .drain()
+                        .into_iter()
+                        .map(|(id, r)| (id, r.expect("solves").x)),
+                );
+            }
+            (solutions, service.cache_stats())
         };
-        let serial = solve_all(1);
-        for threads in [2, 4] {
-            assert_eq!(serial, solve_all(threads), "threads={threads}");
+        for small_budget in [false, true] {
+            let serial = solve_all(1, small_budget);
+            assert_eq!(
+                serial.1.warm_misses > 0,
+                small_budget,
+                "small budget must churn plans: {:?}",
+                serial.1
+            );
+            for threads in [2, 4] {
+                assert_eq!(
+                    serial,
+                    solve_all(threads, small_budget),
+                    "threads={threads} small_budget={small_budget}"
+                );
+            }
         }
     }
 
@@ -1542,6 +1659,38 @@ mod tests {
         let stats = service.cache_stats();
         assert!(stats.evictions >= 1, "expected evictions, got {stats:?}");
         assert_eq!(service.cached_structures(), 1, "budget holds one entry");
+    }
+
+    #[test]
+    fn invalidation_drops_the_warm_start_too() {
+        let mut service = SimService::builder(DcEngine::builder().build()).build();
+        let owner = clamp("5");
+        service.solve(&owner, JobTicket::default()).expect("owner");
+        assert!(service.warm_start_bytes() > 0, "owner left a warm start");
+        // A circuit with another pattern posing under the owner's key: what
+        // a hash collision (or structural drift that kept the key) looks
+        // like to the lookup.
+        let key = StructureKey::of(&owner);
+        let foreign = two_stage_clamp("5");
+        let (_, foreign_pattern) = StructureKey::with_matrix(&foreign);
+        let sink = service.engine().telemetry();
+        let seed = service.cache.lookup(
+            &key,
+            &foreign_pattern,
+            &foreign,
+            &Tele::root(&*sink, Span::default()),
+        );
+        assert!(seed.symbolic.is_none() && seed.plan.is_none());
+        assert!(seed.warm.is_none(), "a foreign point must not seed the job");
+        let stats = service.cache_stats();
+        assert_eq!((stats.invalidations, stats.misses), (1, 2));
+        assert_eq!(stats.warm_misses, 0);
+        assert_eq!(service.cached_structures(), 0);
+        assert_eq!(service.warm_start_bytes(), 0, "the warm start went too");
+        // The owner's next request is a plain cold miss.
+        service.solve(&owner, JobTicket::default()).expect("owner again");
+        let stats = service.cache_stats();
+        assert_eq!((stats.misses, stats.warm_misses), (3, 0));
     }
 
     #[test]

@@ -377,6 +377,17 @@ impl ServiceSnapshot {
         }
         preamble(
             &mut s,
+            "rlpta_service_cache_warm_misses_total",
+            "Cache misses seeded from the warm-start tier.",
+            "counter",
+        );
+        let _ = writeln!(
+            s,
+            "rlpta_service_cache_warm_misses_total {}",
+            self.cache.warm_misses
+        );
+        preamble(
+            &mut s,
             "rlpta_service_cache_evictions_total",
             "Cache entries dropped under the byte budget.",
             "counter",
@@ -794,6 +805,7 @@ mod tests {
                 invalidations: 0,
                 plan_hits: 8,
                 plan_misses: 4,
+                warm_misses: 2,
             },
             cached_structures: 2,
             incidents: 3,
@@ -864,6 +876,9 @@ rlpta_service_health_grades_total{grade=\"rejected\"} 0
 rlpta_service_cache_lookups_total{result=\"hit\"} 9
 rlpta_service_cache_lookups_total{result=\"miss\"} 3
 rlpta_service_cache_lookups_total{result=\"invalidated\"} 0
+# HELP rlpta_service_cache_warm_misses_total Cache misses seeded from the warm-start tier.
+# TYPE rlpta_service_cache_warm_misses_total counter
+rlpta_service_cache_warm_misses_total 2
 # HELP rlpta_service_cache_evictions_total Cache entries dropped under the byte budget.
 # TYPE rlpta_service_cache_evictions_total counter
 rlpta_service_cache_evictions_total 1

@@ -1,10 +1,15 @@
 //! Property-based tests for the service layer: structure keys never
 //! collide across generated circuit families, cached-plan replays are
-//! bit-identical to cold solves, and warm-started cached solves certify
-//! exactly like cold ones — with faults injected where the harness allows.
+//! bit-identical to cold solves, warm-started cached solves certify
+//! exactly like cold ones — with faults injected where the harness allows —
+//! and warm starts outlive the eviction of their structure's plan.
 
 use proptest::prelude::*;
 use rlpta_core::prelude::*;
+use rlpta_core::telemetry::{Collector, Payload};
+use rlpta_devices::Device;
+use rlpta_mna::Circuit;
+use std::sync::Arc;
 
 /// A two-parameter circuit family: an `n`-stage resistor ladder with `d`
 /// diode clamps hanging off its first nodes. The *structure* is exactly
@@ -24,7 +29,7 @@ fn family_deck(n: usize, d: usize, v: f64, r_kohm: f64) -> String {
     deck
 }
 
-fn family_circuit(n: usize, d: usize, v: f64, r_kohm: f64) -> rlpta_mna::Circuit {
+fn family_circuit(n: usize, d: usize, v: f64, r_kohm: f64) -> Circuit {
     rlpta_netlist::parse(&family_deck(n, d, v, r_kohm)).expect("family decks parse")
 }
 
@@ -93,6 +98,99 @@ proptest! {
         prop_assert_eq!(cold_grade, warm_grade);
         prop_assert_eq!(cold_grade, HealthGrade::Certified);
     }
+}
+
+/// `circuit` with every independent source scaled by `scale`: the same
+/// structure, another operating point.
+fn scaled_sources(circuit: &Circuit, scale: f64) -> Circuit {
+    let sources: Vec<(String, f64)> = circuit
+        .devices()
+        .iter()
+        .filter_map(|d| match d {
+            Device::Vsource(v) => Some((v.name().to_string(), v.dc())),
+            Device::Isource(i) => Some((i.name().to_string(), i.dc())),
+            _ => None,
+        })
+        .collect();
+    let mut out = circuit.clone();
+    for (name, dc) in sources {
+        out.set_source_dc(&name, dc * scale);
+    }
+    out
+}
+
+/// Plan eviction must not cost a structure its warm start. With one shard
+/// and a budget below any plan, only the newest plan stays resident, so in
+/// a round-robin over several structures every repeat is a plan miss. The
+/// budget still holds all three warm vectors (96 + 112 + 176 B). Each
+/// of those misses is seeded from the warm-start tier: warm Newton from the
+/// structure's last certified point, with no recovery-ladder attempt,
+/// fewer Newton iterations than the cold solve and the cold solve's grade.
+#[test]
+fn warm_starts_survive_plan_eviction() {
+    // Cold, each of these needs the recovery ladder (at least one failed
+    // rung) to reach a certified point.
+    let structures: Vec<Circuit> = ["TADEGLOW", "nagle", "6stageLimAmp"]
+        .iter()
+        .map(|name| {
+            rlpta_circuits::by_name(name)
+                .expect("named circuit")
+                .circuit
+        })
+        .collect();
+    const BUDGET: usize = 1024;
+    let collector = Arc::new(Collector::new());
+    let engine = DcEngine::builder().telemetry(collector.clone()).build();
+    let mut service = SimService::builder(engine)
+        .cache_shards(1)
+        .cache_bytes(BUDGET)
+        .build();
+    let ladder_attempts = |job: JobId| {
+        collector
+            .events()
+            .iter()
+            .filter(|e| e.span.job == Some(job))
+            .filter(|e| matches!(e.payload, Payload::LadderAttempt { .. }))
+            .count()
+    };
+    let mut cold: Vec<(HealthGrade, usize)> = Vec::new();
+    let mut repeats = 0u64;
+    for round in 0..3 {
+        let scale = 1.0 + 0.004 * round as f64;
+        for (s, structure) in structures.iter().enumerate() {
+            let id = service
+                .submit(scaled_sources(structure, scale), JobTicket::default())
+                .expect("admit");
+            let results = service.drain();
+            assert_eq!(results.len(), 1);
+            let sol = results[0].1.as_ref().expect("solves");
+            let grade = sol.health.as_ref().expect("graded").grade;
+            let iters = sol.stats.nr_iterations;
+            if round == 0 {
+                assert!(
+                    ladder_attempts(id) > 0,
+                    "structure {s}: cold solve needs the ladder"
+                );
+                cold.push((grade, iters));
+            } else {
+                repeats += 1;
+                let (cold_grade, cold_iters) = cold[s];
+                assert_eq!(grade, cold_grade, "structure {s} round {round}");
+                assert_eq!(grade, HealthGrade::Certified);
+                assert_eq!(ladder_attempts(id), 0, "structure {s} round {round}");
+                assert!(
+                    iters < cold_iters,
+                    "structure {s} round {round}: {iters} NR iterations, cold took {cold_iters}"
+                );
+            }
+            assert_eq!(service.cached_structures(), 1, "one plan resident");
+            assert!(service.warm_start_bytes() <= BUDGET);
+        }
+    }
+    let stats = service.cache_stats();
+    assert_eq!(stats.hits, 0, "every lookup after the first wave misses");
+    assert_eq!(stats.warm_misses, repeats);
+    assert_eq!(stats.misses, repeats + structures.len() as u64);
 }
 
 #[cfg(feature = "faults")]
