@@ -11,12 +11,14 @@
 //! fresh-equivalent replay a warm certification workspace runs instead.
 //! The `devices` group times one stamp per device kind, one assembly per
 //! stamp sink (plan write, triplet, residual-only) and the limiter-only
-//! seeding.
+//! seeding. The `service_job` group prices the fixed costs every service
+//! job pays besides Newton: keying its structure, certifying its point on
+//! a cold workspace, and the stamp-plan resolve each of those builds on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlpta_bench::{experiment_config, robust_budget};
 use rlpta_circuits::by_name;
-use rlpta_core::{DcEngine, PtaKind, PtaSolver, SimpleStepping};
+use rlpta_core::{certify, DcEngine, PtaKind, PtaSolver, SimpleStepping, StructureKey};
 use rlpta_devices::{
     Bjt, BjtModel, Device, Diode, DiodeModel, EvalCtx, MosModel, Mosfet, Node, Resistor, Stamper,
 };
@@ -230,8 +232,9 @@ fn bench_assembly(c: &mut Criterion) {
 /// diode, BJT, MOSFET and resistor at a forward bias (limiter state
 /// already settled, so no limiting fires), then, on two large suite
 /// circuits at their operating points, one case per stamp sink: Newton's
-/// `plan_eval` (slot-writer sink), certification's `triplet_assemble`
-/// (triplet sink, fadd32 only), the PTA steady-state test `residual_into`
+/// and certification's `plan_eval` (slot-writer sink), the oracle's
+/// `triplet_assemble` (triplet sink, fadd32 only), the PTA steady-state
+/// test `residual_into`
 /// (residual-only sink) and the limiter-only `seeded_state_into` it starts
 /// with.
 fn bench_devices(c: &mut Criterion) {
@@ -311,6 +314,31 @@ fn bench_devices(c: &mut Criterion) {
     group.finish();
 }
 
+/// The per-job fixed costs outside Newton, on a mid-size and the largest
+/// suite circuit: `structure_key` (one declare pass ordered into the
+/// keyed pattern, plus the topology fold), `certify_cold` (a whole
+/// certification on a fresh workspace: plan resolve, limiter seeding, one
+/// plan evaluation, a full factorization and the condition estimate) and
+/// `plan_resolve` (the declare pass plus the slot-table build).
+fn bench_service_job(c: &mut Criterion) {
+    let mut group = c.benchmark_group("service_job");
+    for name in ["gm6", "fadd32"] {
+        let (circuit, x) = operating_point(name);
+        group.bench_function(BenchmarkId::new("structure_key", name), |b| {
+            b.iter(|| StructureKey::of(&circuit))
+        });
+        group.bench_function(BenchmarkId::new("certify_cold", name), |b| {
+            b.iter(|| certify(&circuit, &x))
+        });
+        if name == "fadd32" {
+            group.bench_function(BenchmarkId::new("plan_resolve", name), |b| {
+                b.iter(|| StampPlan::resolve(&circuit, &mut |_| {}))
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_symbolic_reuse,
@@ -318,6 +346,7 @@ criterion_group!(
     bench_batch_engine,
     bench_telemetry_overhead,
     bench_assembly,
-    bench_devices
+    bench_devices,
+    bench_service_job
 );
 criterion_main!(benches);

@@ -2,10 +2,11 @@
 //!
 //! Every Newton run assembles `J(x)` through a precompiled [`StampPlan`]:
 //! one structural resolve per circuit structure, then a per-iteration
-//! slot-table scatter into a persistent CSR buffer. Newton never uses the
-//! triplet assembler; it stays as the independent oracle that
-//! certification re-assembles with and the plan bit-identity tests
-//! compare against.
+//! slot-table scatter into a persistent CSR buffer. Certification does the
+//! same through a plan of its own, and the service keys structures from a
+//! declare pass, so no solve, certification or service job uses the
+//! triplet assembler. It stays as the oracle the plan bit-identity tests
+//! compare against (and as AC analysis's small-signal assembly).
 
 use crate::certify::CertifyWorkspace;
 use rlpta_devices::{EvalCtx, Stamper};

@@ -36,21 +36,28 @@
 //!
 //! # Warm certification
 //!
-//! A `CertifyWorkspace` carries certification's own buffers from one call
-//! to the next: the triplet assembly, the CSR it converts into, a
-//! fresh-equivalent [`LuWorkspace`] and the Hager scratch. Its LU pattern is
-//! recorded from its own full factorization, never read from the Newton
-//! workspace, and a replay is accepted only when every recorded pivot is
-//! the one [`SparseLu::factorize`] would choose on the new values — so the
-//! replayed factorization is bitwise the fresh one, and a workspace report
-//! equals [`certify`]'s whatever the workspace saw before.
+//! A `CertifyWorkspace` carries certification's own state from one call to
+//! the next: a [`StampPlan`] resolved from its own declare pass (never
+//! Newton's), the CSR buffer the plan scatters into, a fresh-equivalent
+//! [`LuWorkspace`] and the Hager scratch. Every call re-verifies the plan
+//! against the circuit with a declare pass in the workspace's own buffers
+//! and resolves a new plan when the check fails, so a workspace can move
+//! between circuits. Plan assembly is bitwise triplet assembly followed by
+//! `Triplet::to_csr` (the plan ≡ triplet contract the assembly tests pin),
+//! so certification stays independent of the solver while sorting
+//! nothing. Its LU pattern is recorded from its own full factorization,
+//! never read from the Newton workspace, and a replay is accepted only
+//! when every recorded pivot is the one [`SparseLu::factorize`] would
+//! choose on the new values — so the replayed factorization is bitwise the
+//! fresh one, and a workspace report equals [`certify`]'s whatever the
+//! workspace saw before.
 
 use crate::error::SolveError;
 use crate::telemetry::{Payload, Phase, Tele};
 use crate::Solution;
 use rlpta_devices::EvalCtx;
-use rlpta_linalg::{norms, CondScratch, CsrMatrix, LuWorkspace, SparseLu, Triplet};
-use rlpta_mna::{Circuit, ResidualScratch};
+use rlpta_linalg::{norms, CondScratch, CsrMatrix, LuWorkspace, SparseLu};
+use rlpta_mna::{Circuit, DeclareScratch, ResidualScratch, StampPlan};
 
 /// Residual infinity-norm at or below which a solution can be graded
 /// [`HealthGrade::Certified`] — matches the plain Newton solver's default
@@ -146,17 +153,18 @@ fn grade_of(residual_norm: f64, cond: f64, growth: f64) -> HealthGrade {
     }
 }
 
-/// Certification's reusable state: its own assembly buffers, the CSR the
-/// Jacobian converts into, a fresh-equivalent LU workspace and the Hager
-/// scratch (see the module docs). Reports do not depend on what the
-/// workspace certified before.
+/// Certification's reusable state: its own stamp plan and the buffers of
+/// its re-verification, the CSR the plan scatters the Jacobian into, a
+/// fresh-equivalent LU workspace and the Hager scratch (see the module
+/// docs). Reports do not depend on what the workspace certified before.
 #[derive(Debug)]
 pub(crate) struct CertifyWorkspace {
-    jac: Triplet,
+    plan: Option<StampPlan>,
+    declare: DeclareScratch,
+    csr: CsrMatrix,
     res: Vec<f64>,
     state: Vec<f64>,
     seed: ResidualScratch,
-    csr: CsrMatrix,
     lu: LuWorkspace,
     cond: CondScratch,
 }
@@ -164,11 +172,12 @@ pub(crate) struct CertifyWorkspace {
 impl Default for CertifyWorkspace {
     fn default() -> Self {
         Self {
-            jac: Triplet::default(),
+            plan: None,
+            declare: DeclareScratch::default(),
+            csr: CsrMatrix::default(),
             res: Vec::new(),
             state: Vec::new(),
             seed: ResidualScratch::default(),
-            csr: CsrMatrix::default(),
             lu: LuWorkspace::fresh_equivalent(),
             cond: CondScratch::default(),
         }
@@ -176,22 +185,30 @@ impl Default for CertifyWorkspace {
 }
 
 impl CertifyWorkspace {
-    /// One limiter-free assembly at `x` into `jac` (triplets) and `res`
-    /// (`F(x)`).
+    /// One limiter-free assembly at `x` through the workspace's plan into
+    /// `csr` (`J(x)`) and `res` (`F(x)`), after re-verifying the plan
+    /// against `circuit` (a new one is resolved when it does not match).
     fn assemble(&mut self, circuit: &Circuit, x: &[f64]) {
-        let n = circuit.dim();
-        if self.jac.rows() != n {
-            self.jac = Triplet::with_capacity(n, n, 8 * circuit.devices().len());
-        }
-        self.res.resize(n, 0.0);
+        let plan = match self.plan.take() {
+            Some(plan) if plan.verify_with(circuit, &mut self.declare) => plan,
+            _ => {
+                let plan = StampPlan::resolve(circuit, &mut |_| {});
+                self.csr = plan.new_matrix();
+                plan
+            }
+        };
+        self.res.resize(circuit.dim(), 0.0);
         self.state.resize(circuit.state_len(), 0.0);
         circuit.seeded_state_into(x, &mut self.state, &mut self.seed);
-        circuit.assemble_into(
+        plan.eval_into(
+            circuit,
             &EvalCtx::dc(x),
-            &mut self.jac,
+            &mut self.csr,
             &mut self.res,
             &mut self.state,
+            &mut |_| {},
         );
+        self.plan = Some(plan);
     }
 
     /// [`certify`] on this workspace's buffers; bitwise the same report.
@@ -212,7 +229,6 @@ impl CertifyWorkspace {
         } else {
             f64::INFINITY
         };
-        self.jac.to_csr_into(&mut self.csr);
         let (cond_estimate, pivot_growth) = match self.lu.factorize(&self.csr) {
             Ok(lu) => (
                 sanitize(
@@ -256,15 +272,15 @@ fn rescue_pass(
         if !ws.res.iter().all(|v| v.is_finite()) {
             break;
         }
-        let a = ws.jac.to_csr();
+        let a = &ws.csr;
         let lu = if equilibrate {
-            SparseLu::factorize_equilibrated(&a)
+            SparseLu::factorize_equilibrated(a)
         } else {
-            SparseLu::factorize(&a)
+            SparseLu::factorize(a)
         };
         let Ok(lu) = lu else { break };
         let neg_f: Vec<f64> = ws.res.iter().map(|v| -v).collect();
-        let Ok(refined) = lu.solve_refined(&a, &neg_f, RESCUE_REFINEMENT_CAP) else {
+        let Ok(refined) = lu.solve_refined(a, &neg_f, RESCUE_REFINEMENT_CAP) else {
             break;
         };
         let candidate: Vec<f64> = x.iter().zip(&refined.x).map(|(a, b)| a + b).collect();

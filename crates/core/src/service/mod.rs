@@ -14,12 +14,15 @@
 //!    [`SymbolicLu`] scatter plan recorded by an earlier solve (an
 //!    [`Arc`], shared with the workspaces that replay it) and the resolved
 //!    [`StampPlan`] (so warm jobs skip stamp resolution and go straight to
-//!    the slot-table write pass). Eviction is LRU under a
-//!    byte budget; a cached plan that no longer matches the assembled
-//!    pattern (a hash collision, or a structural change that kept the key)
-//!    is **invalidated and re-recorded, never replayed stale** — and even a
-//!    bypassed check would be caught by [`LuWorkspace`]'s own guarded-replay
-//!    fallback, so staleness can cost time, not correctness.
+//!    the slot-table write pass). The key comes from one structural
+//!    declare pass, so admitting a job assembles nothing. Eviction is LRU
+//!    under a byte budget; a cached entry whose stamp plan no longer
+//!    matches the circuit's declare pass, or whose symbolic LU no longer
+//!    matches that plan's pattern (a hash collision, or a structural change
+//!    that kept the key), is **invalidated and re-recorded, never replayed
+//!    stale** — and even a bypassed check would be caught by
+//!    [`LuWorkspace`]'s own guarded-replay fallback, so staleness can cost
+//!    time, not correctness.
 //! 2. **A warm-start tier.** Each structure's last certified operating
 //!    point, keyed by [`StructureKey`] under its own LRU order and byte
 //!    meter, so it outlives the eviction of its (far larger) plan. Hits and
@@ -101,10 +104,11 @@ use crate::rl_stepping::{RlStepping, RlSteppingConfig};
 use crate::telemetry::{FanoutSink, FlightRecorder, MetricsRegistry, Payload, Sink, Span, Tele};
 use crate::Solution;
 use observe::priority_index;
-use rlpta_devices::{Device, EvalCtx};
-use rlpta_linalg::{CsrMatrix, FnvHasher, LuWorkspace, SymbolicLu};
-use rlpta_mna::{Circuit, StampPlan};
+use rlpta_devices::Device;
+use rlpta_linalg::{FnvHasher, LuWorkspace, StampSlots, SymbolicLu};
+use rlpta_mna::{Circuit, DeclareScratch, StampPlan};
 use rlpta_threadpool::ThreadPool;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -127,11 +131,19 @@ pub type JobId = usize;
 /// differ only in component values share a key, which is exactly the
 /// population whose symbolic LU analysis is interchangeable.
 ///
+/// The pattern comes from one structural declare pass
+/// ([`DeclareScratch::declare`]): the declared Jacobian targets, ordered
+/// into CSR by the same routine every triplet conversion uses. No device
+/// equation is evaluated into a matrix, nothing is sorted globally and no
+/// fault-injection draw is taken; the hash is bit for bit the one a
+/// triplet assembly at `x = 0` would give.
+///
 /// The key carries the MNA dimension and pattern entry count alongside the
 /// hash, so two keys are equal only when hash *and* both counts agree;
-/// beyond that, every cache hit re-verifies the cached plan against the
-/// assembled pattern ([`SymbolicLu::compatible_with`]) before replaying —
-/// a collision is detected, counted as an invalidation, and re-analyzed.
+/// beyond that, every cache hit re-verifies the cached stamp plan against
+/// the circuit and the cached symbolic LU against that plan's pattern
+/// before replaying — a collision is detected, counted as an
+/// invalidation, and re-analyzed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StructureKey {
     dim: usize,
@@ -140,22 +152,15 @@ pub struct StructureKey {
 }
 
 impl StructureKey {
-    /// Computes the key for `circuit` (assembling its Jacobian pattern once
-    /// at the zero operating point — device stamps touch the same matrix
-    /// positions at every operating point, so the pattern is
-    /// representative).
+    /// Computes the key for `circuit` from one declare pass: device stamps
+    /// touch the same matrix positions at every operating point, so the
+    /// declared pattern is the circuit's pattern.
     pub fn of(circuit: &Circuit) -> Self {
-        Self::with_matrix(circuit).0
-    }
-
-    /// [`StructureKey::of`] plus the assembled pattern, for callers that
-    /// need the matrix to validate a cached plan without assembling twice.
-    pub(crate) fn with_matrix(circuit: &Circuit) -> (Self, CsrMatrix) {
-        let x0 = vec![0.0; circuit.dim()];
-        let (triplet, _rhs) = circuit.assemble(&EvalCtx::dc(&x0));
-        let csr = triplet.to_csr();
+        let dim = circuit.dim();
+        let mut scratch = DeclareScratch::default();
+        let pattern = StampSlots::pattern_of(dim, dim, scratch.declare(circuit));
         let mut h = FnvHasher::new();
-        h.write_u64(csr.pattern_hash());
+        h.write_u64(pattern.pattern_hash());
         h.write_usize(circuit.num_nodes());
         h.write_usize(circuit.num_branches());
         h.write_usize(circuit.state_len());
@@ -166,12 +171,11 @@ impl StructureKey {
                 h.write_u64(node.index().map_or(u64::MAX, |i| i as u64));
             }
         }
-        let key = Self {
-            dim: circuit.dim(),
-            nnz: csr.nnz(),
+        Self {
+            dim,
+            nnz: pattern.nnz(),
             hash: h.finish(),
-        };
-        (key, csr)
+        }
     }
 
     /// MNA dimension of the keyed structure.
@@ -382,15 +386,17 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped by LRU eviction under the byte budget.
     pub evictions: u64,
-    /// Entries dropped because the cached plan no longer matched the
-    /// assembled pattern (hash collision or structural drift): counted as
-    /// a miss *and* an invalidation.
+    /// Entries dropped because the cached stamp plan no longer matched the
+    /// circuit's declare pass, or the cached symbolic LU the plan's
+    /// pattern (hash collision or structural drift): counted as a miss
+    /// *and* an invalidation.
     pub invalidations: u64,
-    /// Lookups whose entry also carried a stamp plan still compatible with
-    /// the circuit — the group skips stamp resolution entirely.
+    /// Lookups that handed the group a cached stamp plan — the group skips
+    /// stamp resolution entirely. Every hit carries its verified plan, so
+    /// this equals `hits`.
     pub plan_hits: u64,
-    /// Lookups that had to (re-)resolve a stamp plan: a cold structure or a
-    /// cached plan that failed re-verification.
+    /// Lookups that had to resolve a stamp plan: a cold structure or an
+    /// invalidated entry. Equals `misses`.
     pub plan_misses: u64,
     /// Misses whose structure still had a warm start in the warm-start
     /// tier: the plan was evicted, but Newton starts from the structure's
@@ -463,13 +469,11 @@ struct PlanCache {
     stats: Mutex<CacheStats>,
 }
 
-/// What a lookup hands the group: the cached plans on a hit, the warm
-/// start whenever the warm tier still holds one.
+/// What a lookup hands the group: the cached symbolic LU and stamp plan on
+/// a hit (both verified against the circuit), the warm start whenever the
+/// warm tier still holds one.
 struct CacheSeed {
-    symbolic: Option<Arc<SymbolicLu>>,
-    /// Only alongside `symbolic`, and only when still compatible with the
-    /// circuit.
-    plan: Option<Arc<StampPlan>>,
+    cached: Option<(Arc<SymbolicLu>, Arc<StampPlan>)>,
     warm: Option<Vec<f64>>,
 }
 
@@ -503,40 +507,29 @@ impl PlanCache {
         *t
     }
 
-    /// Looks `key` up, verifying the cached plan against the freshly
-    /// assembled pattern. An incompatible entry is removed (invalidation),
-    /// together with the structure's warm start, and reported as a miss —
-    /// the service re-records a fresh analysis rather than replaying a
-    /// stale plan or seeding a foreign point. A cached *stamp plan* is
-    /// re-verified against the circuit the same way (a cheap structural
-    /// declare pass); a stale plan is dropped from the seed, never
-    /// scattered through. The warm start comes from the warm tier, on hits
-    /// and misses alike.
-    fn lookup(
-        &self,
-        key: &StructureKey,
-        pattern: &CsrMatrix,
-        circuit: &Circuit,
-        tele: &Tele<'_>,
-    ) -> CacheSeed {
+    /// Looks `key` up, verifying the cached entry against `circuit`: its
+    /// stamp plan must still match the circuit's declare pass, and its
+    /// symbolic LU the plan's pattern. An entry failing either check is
+    /// removed (invalidation), together with the structure's warm start,
+    /// and reported as a miss — the service re-resolves and re-records
+    /// rather than scattering through a stale plan, replaying a stale
+    /// analysis or seeding a foreign point. The warm start comes from the
+    /// warm tier, on hits and misses alike.
+    fn lookup(&self, key: &StructureKey, circuit: &Circuit, tele: &Tele<'_>) -> CacheSeed {
         let tick = self.next_tick();
         let mut shard = lock(self.shard(key));
-        let invalidated = shard
-            .entries
-            .get(key)
-            .is_some_and(|entry| !entry.symbolic.compatible_with(pattern));
-        let (mut symbolic, mut plan) = (None, None);
+        let invalidated = shard.entries.get(key).is_some_and(|entry| {
+            !(entry.plan.compatible_with(circuit)
+                && entry.symbolic.compatible_with(entry.plan.pattern()))
+        });
+        let mut cached = None;
         if invalidated {
             if let Some(dead) = shard.entries.remove(key) {
                 shard.bytes = shard.bytes.saturating_sub(dead.bytes);
             }
         } else if let Some(entry) = shard.entries.get_mut(key) {
             entry.last_used = tick;
-            symbolic = Some(Arc::clone(&entry.symbolic));
-            plan = entry
-                .plan
-                .compatible_with(circuit)
-                .then(|| Arc::clone(&entry.plan));
+            cached = Some((Arc::clone(&entry.symbolic), Arc::clone(&entry.plan)));
         }
         drop(shard);
 
@@ -553,30 +546,23 @@ impl PlanCache {
         drop(tier);
 
         let mut stats = lock(&self.stats);
-        if symbolic.is_some() {
+        if cached.is_some() {
             stats.hits += 1;
+            stats.plan_hits += 1;
         } else {
             stats.misses += 1;
+            stats.plan_misses += 1;
             stats.invalidations += u64::from(invalidated);
             stats.warm_misses += u64::from(warm.is_some());
         }
-        if plan.is_some() {
-            stats.plan_hits += 1;
-        } else {
-            stats.plan_misses += 1;
-        }
         drop(stats);
         let (hash, dim) = (key.hash, key.dim);
-        tele.emit(if symbolic.is_some() {
+        tele.emit(if cached.is_some() {
             Payload::CacheHit { key: hash, dim }
         } else {
             Payload::CacheMiss { key: hash, dim }
         });
-        CacheSeed {
-            symbolic,
-            plan,
-            warm,
-        }
+        CacheSeed { cached, warm }
     }
 
     /// Inserts or refreshes the plan entry for `key`, then evicts
@@ -918,14 +904,14 @@ impl SimServiceBuilder {
     }
 }
 
-/// One queued job, with its structure analysis done at admission time.
-struct QueuedJob {
+/// One queued job, with its structure keyed at admission time. The queue
+/// owns its circuits; [`SimService::solve`] runs a job over the caller's.
+struct QueuedJob<C = Circuit> {
     seq: JobId,
-    circuit: Circuit,
+    circuit: C,
     ticket: JobTicket,
     submitted: Instant,
     key: StructureKey,
-    pattern: CsrMatrix,
     /// Whether the queue-scan watchdog already flagged this job (each job
     /// fires at most once while queued).
     watchdog_flagged: bool,
@@ -1001,8 +987,8 @@ impl SimService {
 
     /// Admits one job into the queue, returning its [`JobId`].
     ///
-    /// Admission analyzes the circuit's structure once (the analysis is
-    /// reused at drain time) and applies backpressure:
+    /// Admission keys the circuit's structure once (the key groups the job
+    /// at drain time) and applies backpressure:
     ///
     /// # Errors
     ///
@@ -1032,8 +1018,12 @@ impl SimService {
     /// Admission control shared by [`SimService::submit`] and
     /// [`SimService::solve`]: refuses (and counts) a ticket whose deadline
     /// is zero or shorter than the job's own wall-clock solve budget, then
-    /// analyzes the circuit's structure and assigns the job its id.
-    fn admit(&mut self, circuit: Circuit, ticket: JobTicket) -> Result<QueuedJob, ServiceError> {
+    /// keys the circuit's structure and assigns the job its id.
+    fn admit<C: Borrow<Circuit>>(
+        &mut self,
+        circuit: C,
+        ticket: JobTicket,
+    ) -> Result<QueuedJob<C>, ServiceError> {
         if let Some(deadline) = ticket.deadline {
             let wall = ticket
                 .budget
@@ -1051,12 +1041,12 @@ impl SimService {
                 return Err(ServiceError::DeadlineUnmeetable { deadline, detail });
             }
         }
-        let (key, pattern) = StructureKey::with_matrix(&circuit);
+        let key = StructureKey::of(circuit.borrow());
         let seq = self.next_id;
         self.next_id += 1;
         self.monitor.counters.submitted[priority_index(ticket.priority)] += 1;
         if let Some(rec) = &self.recorder {
-            rec.annotate(Some(seq), circuit.title(), Some(key.hash));
+            rec.annotate(Some(seq), circuit.borrow().title(), Some(key.hash));
         }
         Ok(QueuedJob {
             seq,
@@ -1064,7 +1054,6 @@ impl SimService {
             ticket,
             submitted: Instant::now(),
             key,
-            pattern,
             watchdog_flagged: false,
         })
     }
@@ -1107,9 +1096,7 @@ impl SimService {
         let prepared: Vec<(StructureKey, Vec<QueuedJob>, CacheSeed)> = groups
             .into_iter()
             .map(|(key, jobs)| {
-                let seed = self
-                    .cache
-                    .lookup(&key, &jobs[0].pattern, &jobs[0].circuit, &tele);
+                let seed = self.cache.lookup(&key, &jobs[0].circuit, &tele);
                 for job in &jobs {
                     tele.emit(Payload::JobAdmitted {
                         job: job.seq,
@@ -1178,11 +1165,11 @@ impl SimService {
         circuit: &Circuit,
         ticket: JobTicket,
     ) -> Result<Solution, ServiceError> {
-        let job = self.admit(circuit.clone(), ticket)?;
+        let job = self.admit(circuit, ticket)?;
         let key = job.key;
         let sink = self.engine.telemetry();
         let tele = Tele::root(&*sink, Span::default());
-        let seed = self.cache.lookup(&key, &job.pattern, &job.circuit, &tele);
+        let seed = self.cache.lookup(&key, circuit, &tele);
         tele.emit(Payload::JobAdmitted {
             job: job.seq,
             key: key.hash,
@@ -1252,24 +1239,22 @@ struct GroupOutcome {
 /// and every failed slot is marked with exactly one
 /// [`Payload::SolveFailed`] on the job's span (the flight-recorder
 /// trigger).
-fn run_group(
+fn run_group<C: Borrow<Circuit>>(
     engine: &DcEngine,
     policy: Option<&Arc<RlStepping>>,
     warm_starts: bool,
-    jobs: Vec<QueuedJob>,
+    jobs: Vec<QueuedJob<C>>,
     seed: CacheSeed,
     watchdog_factor: Option<f64>,
 ) -> GroupOutcome {
     // A cache-shared stamp plan makes the whole chain a pure write pass:
     // the first Newton run skips stamp resolution. A warm-only seed (a plan
     // miss) resolves and factorizes fresh, from the remembered point.
-    let CacheSeed {
-        symbolic,
-        plan,
-        warm,
-    } = seed;
-    let mut ws = match symbolic {
-        Some(symbolic) => NewtonWorkspace::seeded(LuWorkspace::with_symbolic(symbolic), plan),
+    let CacheSeed { cached, warm } = seed;
+    let mut ws = match cached {
+        Some((symbolic, plan)) => {
+            NewtonWorkspace::seeded(LuWorkspace::with_symbolic(symbolic), Some(plan))
+        }
         None => NewtonWorkspace::new(),
     };
     let mut warm = warm.filter(|_| warm_starts);
@@ -1315,16 +1300,17 @@ fn run_group(
             }
             None => engine,
         };
-        let warm_ref = warm.as_deref().filter(|w| w.len() == job.circuit.dim());
-        let solved = match eng.solve_warm_in(&job.circuit, warm_ref, &mut ws, span) {
+        let circuit = job.circuit.borrow();
+        let warm_ref = warm.as_deref().filter(|w| w.len() == circuit.dim());
+        let solved = match eng.solve_warm_in(circuit, warm_ref, &mut ws, span) {
             Ok(sol) => Ok(sol),
             Err(first) => match policy {
                 // The shared frozen policy gets one RL-steered PTA attempt
                 // before the failure surfaces; it cannot make the outcome
                 // worse (the original error is kept when it also fails).
-                Some(p) if job.circuit.is_nonlinear() => {
+                Some(p) if circuit.is_nonlinear() => {
                     let tele = Tele::root(&*sink, span);
-                    match eng.solve_once_with(&job.circuit, (**p).clone(), &tele) {
+                    match eng.solve_once_with(circuit, (**p).clone(), &tele) {
                         Ok(sol) => Ok(sol),
                         Err(_) => Err(first),
                     }
@@ -1662,6 +1648,33 @@ mod tests {
     }
 
     #[test]
+    fn stale_stamp_plan_is_an_invalidation() {
+        let mut service = SimService::builder(DcEngine::builder().build()).build();
+        let owner = divider("1k");
+        service.solve(&owner, JobTicket::default()).expect("owner");
+        // The same pattern (and node numbering), the devices in another
+        // order: the cached symbolic LU still fits, the stamp sequence
+        // does not. Posing under the owner's key, it must not be a hit.
+        let reordered =
+            rlpta_netlist::parse("div\nV1 in 0 5\nR2 out 0 1k\nR1 in out 1k\n").expect("parse");
+        let plan_of = |c: &Circuit| StampPlan::resolve(c, &mut |_| {});
+        assert!(plan_of(&owner)
+            .pattern()
+            .same_pattern(plan_of(&reordered).pattern()));
+        let key = StructureKey::of(&owner);
+        let sink = service.engine().telemetry();
+        let seed = service
+            .cache
+            .lookup(&key, &reordered, &Tele::root(&*sink, Span::default()));
+        assert!(seed.cached.is_none() && seed.warm.is_none());
+        let stats = service.cache_stats();
+        assert_eq!((stats.invalidations, stats.hits, stats.misses), (1, 0, 2));
+        assert_eq!((stats.plan_hits, stats.plan_misses), (0, 2));
+        assert_eq!(service.cached_structures(), 0);
+        assert_eq!(service.warm_start_bytes(), 0);
+    }
+
+    #[test]
     fn invalidation_drops_the_warm_start_too() {
         let mut service = SimService::builder(DcEngine::builder().build()).build();
         let owner = clamp("5");
@@ -1672,15 +1685,11 @@ mod tests {
         // like to the lookup.
         let key = StructureKey::of(&owner);
         let foreign = two_stage_clamp("5");
-        let (_, foreign_pattern) = StructureKey::with_matrix(&foreign);
         let sink = service.engine().telemetry();
-        let seed = service.cache.lookup(
-            &key,
-            &foreign_pattern,
-            &foreign,
-            &Tele::root(&*sink, Span::default()),
-        );
-        assert!(seed.symbolic.is_none() && seed.plan.is_none());
+        let seed = service
+            .cache
+            .lookup(&key, &foreign, &Tele::root(&*sink, Span::default()));
+        assert!(seed.cached.is_none());
         assert!(seed.warm.is_none(), "a foreign point must not seed the job");
         let stats = service.cache_stats();
         assert_eq!((stats.invalidations, stats.misses), (1, 2));

@@ -1,5 +1,6 @@
 //! Property-based tests for the service layer: structure keys never
-//! collide across generated circuit families, cached-plan replays are
+//! collide across generated circuit families and equal, bit for bit, the
+//! key a triplet assembly of the pattern gives, cached-plan replays are
 //! bit-identical to cold solves, warm-started cached solves certify
 //! exactly like cold ones — with faults injected where the harness allows —
 //! and warm starts outlive the eviction of their structure's plan.
@@ -7,7 +8,8 @@
 use proptest::prelude::*;
 use rlpta_core::prelude::*;
 use rlpta_core::telemetry::{Collector, Payload};
-use rlpta_devices::Device;
+use rlpta_devices::{Device, EvalCtx};
+use rlpta_linalg::FnvHasher;
 use rlpta_mna::Circuit;
 use std::sync::Arc;
 
@@ -33,7 +35,83 @@ fn family_circuit(n: usize, d: usize, v: f64, r_kohm: f64) -> Circuit {
     rlpta_netlist::parse(&family_deck(n, d, v, r_kohm)).expect("family decks parse")
 }
 
+/// The key's `(dim, nnz, hash)` recomputed from the triplet oracle: the
+/// Jacobian assembled at `x = 0`, converted with `Triplet::to_csr` and
+/// hashed with `pattern_hash`, then the topology fold (node and branch
+/// counts, state length, and per device its kind tag, branch count and
+/// terminal indices). Incident and telemetry hashes carry this value, so
+/// it must not move.
+fn triplet_oracle_key(c: &Circuit) -> (usize, usize, u64) {
+    let x0 = vec![0.0; c.dim()];
+    let pattern = c.assemble(&EvalCtx::dc(&x0)).0.to_csr();
+    let mut h = FnvHasher::new();
+    h.write_u64(pattern.pattern_hash());
+    h.write_usize(c.num_nodes());
+    h.write_usize(c.num_branches());
+    h.write_usize(c.state_len());
+    for device in c.devices() {
+        let tag = match device {
+            Device::Resistor(_) => 1,
+            Device::Capacitor(_) => 2,
+            Device::Inductor(_) => 3,
+            Device::Vsource(_) => 4,
+            Device::Isource(_) => 5,
+            Device::Vcvs(_) => 6,
+            Device::Vccs(_) => 7,
+            Device::Cccs(_) => 8,
+            Device::Ccvs(_) => 9,
+            Device::Diode(_) => 10,
+            Device::Bjt(_) => 11,
+            Device::Mosfet(_) => 12,
+            Device::Jfet(_) => 13,
+            _ => u64::MAX,
+        };
+        h.write_u64(tag);
+        h.write_usize(device.branch_count());
+        for node in device.nodes() {
+            h.write_u64(node.index().map_or(u64::MAX, |i| i as u64));
+        }
+    }
+    (c.dim(), pattern.nnz(), h.finish())
+}
+
+fn key_bits(key: StructureKey) -> (usize, usize, u64) {
+    (key.dim(), key.nnz(), key.hash())
+}
+
+/// On all 118 named circuits (Tables 2 and 3, the training corpus, the
+/// stress suite and fig5), the declare-pass key equals the triplet
+/// oracle's bit for bit.
+#[test]
+fn structure_keys_equal_the_triplet_oracle_on_every_named_circuit() {
+    let mut benches = rlpta_circuits::table2();
+    benches.extend(rlpta_circuits::table3());
+    benches.extend(rlpta_circuits::training_corpus());
+    benches.extend(rlpta_circuits::stress());
+    benches.extend(rlpta_circuits::fig5());
+    assert_eq!(benches.len(), 118);
+    for bench in &benches {
+        assert_eq!(
+            key_bits(StructureKey::of(&bench.circuit)),
+            triplet_oracle_key(&bench.circuit),
+            "{}",
+            bench.name
+        );
+    }
+}
+
 proptest! {
+    /// Across the generated family, the declare-pass key equals the
+    /// triplet oracle's bit for bit.
+    #[test]
+    fn structure_keys_equal_the_triplet_oracle(
+        n in 1usize..8, d in 0usize..4,
+        v in 0.5f64..20.0, r in 0.1f64..100.0,
+    ) {
+        let c = family_circuit(n, d, v, r);
+        prop_assert_eq!(key_bits(StructureKey::of(&c)), triplet_oracle_key(&c));
+    }
+
     /// Two circuits from the family share a [`StructureKey`] **iff** they
     /// share the structural parameters — parameter values never enter the
     /// key, topology always does.
@@ -197,6 +275,32 @@ fn warm_starts_survive_plan_eviction() {
 mod under_faults {
     use super::*;
     use rlpta_core::FaultPlan;
+
+    /// Keying a job takes no fault draws: with NaN stamps armed, a triplet
+    /// assembly that follows [`StructureKey::of`] poisons exactly the
+    /// entries it poisons with no key computed before it.
+    #[test]
+    fn structure_key_takes_no_nan_draws() {
+        let c = family_circuit(4, 2, 5.0, 1.0);
+        let x0 = vec![0.0; c.dim()];
+        let poisoned = || -> Vec<bool> {
+            let (jac, _) = c.assemble(&EvalCtx::dc(&x0));
+            jac.to_csr().values().iter().map(|v| v.is_nan()).collect()
+        };
+        let clean = StructureKey::of(&c);
+        for (seed, period) in [(1, 2), (7, 3), (42, 4)] {
+            let faults = FaultPlan::seeded(seed).nan_stamps(period);
+            faults.install();
+            let want = poisoned();
+            faults.install();
+            let key = StructureKey::of(&c);
+            let got = poisoned();
+            FaultPlan::clear();
+            assert!(want.contains(&true), "seed {seed}: nothing poisoned");
+            assert_eq!(got, want, "seed {seed}, period {period}");
+            assert_eq!(key, clean);
+        }
+    }
 
     proptest! {
         /// The certification contract survives fault injection: with

@@ -1,7 +1,7 @@
 //! The device sum type dispatched by the MNA assembler.
 
 use crate::{
-    Bjt, Capacitor, Cccs, Ccvs, Diode, EvalCtx, Inductor, Isource, JacSink, Jfet, Mosfet, Node,
+    Bjt, Capacitor, Cccs, Ccvs, Diode, EvalCtx, Inductor, Isource, JacSink, Jfet, Mosfet, Nodes,
     Resistor, Stamper, Vccs, Vcvs, Vsource,
 };
 
@@ -89,19 +89,22 @@ impl Device {
         )
     }
 
-    /// Terminal nodes of the device, in declaration order.
-    pub fn nodes(&self) -> Vec<Node> {
+    /// Terminal nodes of the device, in declaration order (none for the
+    /// controlled sources). Allocates nothing.
+    pub fn nodes(&self) -> Nodes {
         match self {
-            Device::Resistor(d) => vec![d.node_a(), d.node_b()],
-            Device::Capacitor(d) => vec![d.node_a(), d.node_b()],
-            Device::Inductor(d) => vec![d.node_a(), d.node_b()],
-            Device::Vsource(d) => vec![d.pos(), d.neg()],
-            Device::Isource(d) => vec![d.pos(), d.neg()],
-            Device::Vcvs(_) | Device::Vccs(_) | Device::Cccs(_) | Device::Ccvs(_) => Vec::new(),
-            Device::Diode(d) => vec![d.anode(), d.cathode()],
-            Device::Bjt(d) => vec![d.collector(), d.base(), d.emitter()],
-            Device::Mosfet(d) => vec![d.drain(), d.gate(), d.source(), d.bulk()],
-            Device::Jfet(d) => vec![d.drain(), d.gate(), d.source()],
+            Device::Resistor(d) => Nodes::new(&[d.node_a(), d.node_b()]),
+            Device::Capacitor(d) => Nodes::new(&[d.node_a(), d.node_b()]),
+            Device::Inductor(d) => Nodes::new(&[d.node_a(), d.node_b()]),
+            Device::Vsource(d) => Nodes::new(&[d.pos(), d.neg()]),
+            Device::Isource(d) => Nodes::new(&[d.pos(), d.neg()]),
+            Device::Vcvs(_) | Device::Vccs(_) | Device::Cccs(_) | Device::Ccvs(_) => {
+                Nodes::new(&[])
+            }
+            Device::Diode(d) => Nodes::new(&[d.anode(), d.cathode()]),
+            Device::Bjt(d) => Nodes::new(&[d.collector(), d.base(), d.emitter()]),
+            Device::Mosfet(d) => Nodes::new(&[d.drain(), d.gate(), d.source(), d.bulk()]),
+            Device::Jfet(d) => Nodes::new(&[d.drain(), d.gate(), d.source()]),
         }
     }
 
@@ -289,7 +292,7 @@ impl From<Jfet> for Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BjtModel, DiodeModel};
+    use crate::{BjtModel, DiodeModel, Node};
 
     #[test]
     fn branch_counts() {
@@ -340,6 +343,6 @@ mod tests {
             BjtModel::default(),
         )
         .into();
-        assert_eq!(q.nodes(), vec![Node::new(2), Node::new(1), Node::new(0)]);
+        assert_eq!(q.nodes()[..], [Node::new(2), Node::new(1), Node::new(0)]);
     }
 }

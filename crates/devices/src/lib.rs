@@ -61,7 +61,7 @@ pub use device::Device;
 pub use diode::{Diode, DiodeModel};
 pub use jfet::{Jfet, JfetModel, JfetOperatingPoint, JfetPolarity};
 pub use mosfet::{MosModel, MosPolarity, Mosfet};
-pub use node::Node;
+pub use node::{Node, Nodes};
 pub use passive::{Capacitor, Inductor, Resistor};
 pub use source::{Isource, Vccs, Vcvs, Vsource};
 pub use stamp::{Discard, EvalCtx, JacSink, Stamper};

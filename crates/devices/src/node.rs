@@ -1,6 +1,7 @@
 //! Circuit node handle.
 
 use std::fmt;
+use std::ops::Deref;
 
 /// A node terminal of a device: either the ground reference or an MNA
 /// voltage unknown.
@@ -75,6 +76,57 @@ impl fmt::Display for Node {
     }
 }
 
+/// A device's terminal nodes, in declaration order: at most four, held
+/// inline so listing them allocates nothing. Derefs to `[Node]` and
+/// iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Nodes {
+    buf: [Node; 4],
+    len: usize,
+}
+
+impl Nodes {
+    /// The terminal list `nodes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` holds more than four nodes.
+    pub fn new(nodes: &[Node]) -> Self {
+        let mut buf = [Node::GROUND; 4];
+        buf[..nodes.len()].copy_from_slice(nodes);
+        Self {
+            buf,
+            len: nodes.len(),
+        }
+    }
+}
+
+impl Deref for Nodes {
+    type Target = [Node];
+
+    fn deref(&self) -> &[Node] {
+        &self.buf[..self.len]
+    }
+}
+
+impl IntoIterator for Nodes {
+    type Item = Node;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Node, 4>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.buf.into_iter().take(self.len)
+    }
+}
+
+impl<'a> IntoIterator for &'a Nodes {
+    type Item = &'a Node;
+    type IntoIter = std::slice::Iter<'a, Node>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,6 +146,16 @@ mod tests {
         assert_eq!(n.index(), Some(1));
         assert_eq!(n.voltage(&[1.0, 2.0]), 2.0);
         assert_eq!(Node::from(1), n);
+    }
+
+    #[test]
+    fn nodes_deref_and_iterate_in_order() {
+        let ns = Nodes::new(&[Node::new(2), Node::GROUND, Node::new(0)]);
+        assert_eq!(ns.len(), 3);
+        assert_eq!(ns[1], Node::GROUND);
+        let listed: Vec<Node> = ns.into_iter().collect();
+        assert_eq!(listed, ns.to_vec());
+        assert!(Nodes::new(&[]).is_empty());
     }
 
     #[test]

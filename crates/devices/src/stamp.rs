@@ -6,10 +6,12 @@
 //! mode:
 //!
 //! * `&mut Triplet` ([`Stamper::new`]): raw COO pushes, the reference path
-//!   (`Circuit::assemble_into`, which certification re-assembles with);
+//!   (`Circuit::assemble_into`: the oracle plans are tested against, and
+//!   AC analysis);
 //! * `&mut Vec<(usize, usize)>` ([`Stamper::declare`]): the ground-filtered
 //!   `(row, col)` targets in push order, the resolve half of a precompiled
-//!   stamp plan (`StampPlan::resolve`, `compatible_with`);
+//!   stamp plan (`StampPlan::resolve`, `compatible_with`) and the pattern
+//!   a structure key hashes;
 //! * [`SlotWriter`] ([`Stamper::scatter`]): values written straight into the
 //!   nnz slots of a frozen CSR pattern, the write half
 //!   (`StampPlan::eval_into`);

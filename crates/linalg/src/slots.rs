@@ -9,15 +9,16 @@
 //! hashing, no allocation.
 //!
 //! Bit-identity with [`crate::Triplet::to_csr`] is the design invariant: the
-//! pattern is the same stable `(row, col)` sort, and each slot's value is
+//! pattern comes from the same ordering routine (a counting pass over rows,
+//! then each row sorted by `(col, push)`), and each slot's value is
 //! accumulated in push order (first touch assigns, later touches add),
 //! which is exactly the left-to-right duplicate summation `to_csr`
 //! performs. The first-touch *assignment* (rather than zero-then-add) also
 //! preserves signed zeros.
 
-use crate::sparse::CsrMatrix;
 #[cfg(test)]
 use crate::sparse::Triplet;
+use crate::sparse::{row_order, split_key, CsrMatrix};
 
 /// A frozen map from an ordered stamp sequence to nnz slots of a CSR
 /// pattern.
@@ -65,46 +66,61 @@ impl StampSlots {
     /// Panics on out-of-bounds targets or if the pattern exceeds `2^31`
     /// entries (the slot table packs indices into 31 bits).
     pub fn build(rows: usize, cols: usize, targets: &[(usize, usize)]) -> (CsrMatrix, StampSlots) {
+        let mut refs = vec![0u32; targets.len()];
+        let matrix = Self::walk(rows, cols, targets, |k, slot, first| {
+            assert!(
+                slot < (u32::MAX >> 1) as usize,
+                "pattern too large for slot table"
+            );
+            refs[k] = (slot as u32) << 1 | u32::from(first);
+        });
+        (matrix, StampSlots { rows, cols, refs })
+    }
+
+    /// The pattern [`StampSlots::build`] freezes for `targets`, without the
+    /// slot table: what a [`crate::Triplet`] receiving pushes at exactly
+    /// these positions converts to, all values `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-bounds targets.
+    pub fn pattern_of(rows: usize, cols: usize, targets: &[(usize, usize)]) -> CsrMatrix {
+        Self::walk(rows, cols, targets, |_, _, _| {})
+    }
+
+    /// Orders `targets` as [`crate::Triplet::to_csr`] orders its entries and
+    /// deduplicates the positions into a CSR pattern, calling `visit(push,
+    /// slot, first_touch)` once per push. Within one position the pushes
+    /// arrive in push order, so the first one visited is the slot's first
+    /// touch.
+    fn walk(
+        rows: usize,
+        cols: usize,
+        targets: &[(usize, usize)],
+        mut visit: impl FnMut(usize, usize, bool),
+    ) -> CsrMatrix {
         for &(r, c) in targets {
             assert!(r < rows, "row {r} out of bounds ({rows})");
             assert!(c < cols, "col {c} out of bounds ({cols})");
         }
-        // Stable sort of push indices by position — the same ordering
-        // `Triplet::to_csr` applies, so the deduplicated pattern matches.
-        let mut order: Vec<usize> = (0..targets.len()).collect();
-        order.sort_by_key(|&k| targets[k]);
-
-        let mut counts = vec![0usize; rows + 1];
+        let (mut starts, mut order) = (Vec::new(), Vec::new());
+        row_order(rows, targets.iter().copied(), &mut starts, &mut order);
+        let mut row_ptr = vec![0; rows + 1];
         let mut col_indices = Vec::with_capacity(targets.len());
-        let mut refs = vec![0u32; targets.len()];
-        let mut last: Option<(usize, usize)> = None;
-        for &k in &order {
-            let (r, c) = targets[k];
-            if last != Some((r, c)) {
-                counts[r + 1] += 1;
-                col_indices.push(c);
-                last = Some((r, c));
+        for r in 0..rows {
+            let mut last = None;
+            for &key in &order[starts[r]..starts[r + 1]] {
+                let (c, k) = split_key(key);
+                let first = last != Some(c);
+                if first {
+                    col_indices.push(c);
+                    last = Some(c);
+                }
+                visit(k, col_indices.len() - 1, first);
             }
-            let slot = col_indices.len() - 1;
-            assert!(slot < (u32::MAX >> 1) as usize, "pattern too large for slot table");
-            refs[k] = (slot as u32) << 1;
+            row_ptr[r + 1] = col_indices.len();
         }
-        for i in 0..rows {
-            counts[i + 1] += counts[i];
-        }
-        // Tag each slot's first touch in *push* order.
-        let mut seen = vec![false; col_indices.len()];
-        for r in refs.iter_mut() {
-            let slot = (*r >> 1) as usize;
-            if !seen[slot] {
-                seen[slot] = true;
-                *r |= 1;
-            }
-        }
-        let nnz = col_indices.len();
-        let matrix = CsrMatrix::from_pattern(rows, cols, counts, col_indices);
-        debug_assert_eq!(matrix.nnz(), nnz);
-        (matrix, StampSlots { rows, cols, refs })
+        CsrMatrix::from_pattern(rows, cols, row_ptr, col_indices)
     }
 
     /// Number of pushes the map expects per evaluation.

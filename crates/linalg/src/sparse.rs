@@ -42,9 +42,11 @@ pub struct Triplet {
     rows: usize,
     cols: usize,
     entries: Vec<(usize, usize, f64)>,
-    /// Sort scratch of [`Triplet::to_csr_into`]: `(row, col, push index)`
-    /// per entry. Not part of equality.
-    order: Vec<(usize, usize, usize)>,
+    /// Ordering scratch of [`Triplet::to_csr_into`] (see [`row_order`]):
+    /// row starts and packed `(col, push index)` keys. Not part of
+    /// equality.
+    starts: Vec<usize>,
+    order: Vec<u64>,
 }
 
 impl PartialEq for Triplet {
@@ -60,6 +62,7 @@ impl Triplet {
             rows,
             cols,
             entries: Vec::new(),
+            starts: Vec::new(),
             order: Vec::new(),
         }
     }
@@ -70,6 +73,7 @@ impl Triplet {
             rows,
             cols,
             entries: Vec::with_capacity(cap),
+            starts: Vec::new(),
             order: Vec::new(),
         }
     }
@@ -139,40 +143,107 @@ impl Triplet {
             self.rows,
             self.cols,
             &self.entries,
-            &mut Vec::with_capacity(self.entries.len()),
+            &mut Vec::new(),
+            &mut Vec::new(),
             &mut out,
         );
         out
     }
 
     /// [`Triplet::to_csr`] into an existing matrix, reusing its storage and
-    /// this builder's sort scratch: once both have grown to the entry
+    /// this builder's ordering scratch: once both have grown to the entry
     /// count, a conversion allocates nothing. When the converted structure
     /// equals the one `out` already held, `out` keeps its structure
     /// generation, so a [`crate::SymbolicLu`] recorded from it still takes
     /// the exact replay on an id compare. Bit-identical to
     /// [`Triplet::to_csr`].
     pub fn to_csr_into(&mut self, out: &mut CsrMatrix) {
-        fill_csr(self.rows, self.cols, &self.entries, &mut self.order, out);
+        fill_csr(
+            self.rows,
+            self.cols,
+            &self.entries,
+            &mut self.starts,
+            &mut self.order,
+            out,
+        );
     }
 }
 
-/// The conversion behind [`Triplet::to_csr_into`]: sorts `(row, col, push
-/// index)` keys (unique, so an unstable sort orders exactly like a stable
-/// sort by position), sums each position's stamps left to right *in
-/// stamping order* — [`crate::StampSlots`] scatters with the same order,
-/// which is what makes plan-based assembly bit-identical to this path —
-/// and writes the result over `out`, comparing the structure as it goes.
+/// The row-major order every conversion from a push sequence to CSR walks
+/// ([`Triplet::to_csr`], [`crate::StampSlots::build`] and
+/// [`crate::StampSlots::pattern_of`]): a counting pass buckets the push
+/// indices by row, then each row is sorted by `(col, push index)`. The keys
+/// are unique, so `sort_unstable` orders exactly like a stable sort by
+/// position, and duplicates of one position come out in push order. On
+/// return row `r`'s keys are `order[starts[r]..starts[r + 1]]`, each
+/// `(col, push)` packed into one `u64` (read back with [`split_key`]) so
+/// the row sorts compare plain integers.
+///
+/// Both buffers are reused: once they have grown to the row and push
+/// counts, ordering allocates nothing.
+///
+/// # Panics
+///
+/// Panics if a position's row is not below `rows`, or a column or the
+/// push count does not fit 32 bits.
+pub(crate) fn row_order(
+    rows: usize,
+    positions: impl Iterator<Item = (usize, usize)> + Clone,
+    starts: &mut Vec<usize>,
+    order: &mut Vec<u64>,
+) {
+    starts.clear();
+    starts.resize(rows + 1, 0);
+    let mut len = 0;
+    for (r, _) in positions.clone() {
+        starts[r + 1] += 1;
+        len += 1;
+    }
+    assert!(
+        u32::try_from(len).is_ok(),
+        "{len} pushes exceed the 32-bit key"
+    );
+    // Exclusive prefix sum, shifted one row up: `starts[r + 1]` becomes
+    // row `r`'s first index, the cursor its pushes are placed at. After
+    // placement each cursor sits on its row's end, the next row's start.
+    let mut at = 0;
+    for start in &mut starts[1..] {
+        let count = *start;
+        *start = at;
+        at += count;
+    }
+    order.clear();
+    order.resize(len, 0);
+    for (k, (r, c)) in positions.enumerate() {
+        let c = u32::try_from(c).expect("column exceeds the 32-bit key");
+        order[starts[r + 1]] = u64::from(c) << 32 | k as u64;
+        starts[r + 1] += 1;
+    }
+    for r in 0..rows {
+        order[starts[r]..starts[r + 1]].sort_unstable();
+    }
+}
+
+/// A [`row_order`] key as `(col, push index)`.
+#[inline]
+pub(crate) fn split_key(key: u64) -> (usize, usize) {
+    ((key >> 32) as usize, (key & u64::from(u32::MAX)) as usize)
+}
+
+/// The conversion behind [`Triplet::to_csr_into`]: orders the entries with
+/// [`row_order`], sums each position's stamps left to right *in stamping
+/// order* — [`crate::StampSlots`] scatters with the same order, which is
+/// what makes plan-based assembly bit-identical to this path — and writes
+/// the result over `out`, comparing the structure as it goes.
 fn fill_csr(
     rows: usize,
     cols: usize,
     entries: &[(usize, usize, f64)],
-    order: &mut Vec<(usize, usize, usize)>,
+    starts: &mut Vec<usize>,
+    order: &mut Vec<u64>,
     out: &mut CsrMatrix,
 ) {
-    order.clear();
-    order.extend(entries.iter().enumerate().map(|(k, &(r, c, _))| (r, c, k)));
-    order.sort_unstable();
+    row_order(rows, entries.iter().map(|&(r, c, _)| (r, c)), starts, order);
 
     let mut same = out.structure_id != 0 && out.rows == rows && out.cols == cols;
     if !same {
@@ -183,38 +254,31 @@ fn fill_csr(
     }
     out.values.clear();
     let mut nnz = 0;
-    // Rows `0..done` are complete: their end pointers are written.
-    let mut done = 0;
-    let mut last: Option<(usize, usize)> = None;
-    for &(r, c, k) in order.iter() {
-        let v = entries[k].2;
-        if let (true, Some(tail)) = (last == Some((r, c)), out.values.last_mut()) {
-            *tail += v;
-            continue;
-        }
-        last = Some((r, c));
-        while done < r {
-            done += 1;
-            same &= out.row_ptr[done] == nnz;
-            out.row_ptr[done] = nnz;
-        }
-        match out.col_indices.get_mut(nnz) {
-            Some(slot) => {
-                same &= *slot == c;
-                *slot = c;
+    for r in 0..rows {
+        let mut last = None;
+        for &key in &order[starts[r]..starts[r + 1]] {
+            let (c, k) = split_key(key);
+            let v = entries[k].2;
+            if let (true, Some(tail)) = (last == Some(c), out.values.last_mut()) {
+                *tail += v;
+                continue;
             }
-            None => {
-                same = false;
-                out.col_indices.push(c);
+            last = Some(c);
+            match out.col_indices.get_mut(nnz) {
+                Some(slot) => {
+                    same &= *slot == c;
+                    *slot = c;
+                }
+                None => {
+                    same = false;
+                    out.col_indices.push(c);
+                }
             }
+            out.values.push(v);
+            nnz += 1;
         }
-        out.values.push(v);
-        nnz += 1;
-    }
-    while done < rows {
-        done += 1;
-        same &= out.row_ptr[done] == nnz;
-        out.row_ptr[done] = nnz;
+        same &= out.row_ptr[r + 1] == nnz;
+        out.row_ptr[r + 1] = nnz;
     }
     if out.col_indices.len() != nnz {
         same = false;

@@ -178,22 +178,27 @@ impl SparseLu {
         mut ranks: Option<&mut Vec<usize>>,
     ) -> Result<Self, LinalgError> {
         check_square(a)?;
+        let n = a.rows();
         if let Some(ranks) = ranks.as_deref_mut() {
             ranks.clear();
+            ranks.reserve(n);
         }
-        let n = a.rows();
         let q = ascending_count(a);
         // Column access pattern: work on Aᵀ (CSR of transpose = CSC of A).
         let at = a.transpose();
 
+        // Each factor's off-diagonal part holds at most `nnz(A)` entries
+        // plus fill-in: sized for that up front, a factorization without
+        // fill allocates the same number of times at any dimension.
+        let nnz = a.nnz();
         let mut lu = SparseLu {
             n,
             l_ptr: Vec::with_capacity(n + 1),
-            l_rows: Vec::new(),
-            l_vals: Vec::new(),
+            l_rows: Vec::with_capacity(nnz),
+            l_vals: Vec::with_capacity(nnz),
             u_ptr: Vec::with_capacity(n + 1),
-            u_rows: Vec::new(),
-            u_vals: Vec::new(),
+            u_rows: Vec::with_capacity(nnz),
+            u_vals: Vec::with_capacity(nnz),
             u_diag: vec![0.0; n],
             p: vec![EMPTY; n],
             q,

@@ -6,13 +6,15 @@
 //! workspace and the solve scratch are reused, and the structure check is a
 //! generation compare. The same holds for the guarded general replay of a
 //! structure that is a strict subset of the recorded one, and for the
-//! certification chain: [`Triplet::to_csr_into`], a fresh-equivalent
-//! replay and [`SparseLu::cond_estimate_with`].
+//! certification chain: a [`StampSlots`] scatter into the plan's frozen
+//! pattern, a fresh-equivalent replay and [`SparseLu::cond_estimate_with`].
+//! The triplet oracle's [`Triplet::to_csr_into`] allocates nothing either,
+//! once its ordering scratch and the target matrix have grown.
 //!
 //! One test only: the counting allocator is process-global, so a second
 //! concurrently running test would pollute the count.
 
-use rlpta_linalg::{CondScratch, CsrMatrix, LuOp, LuWorkspace, SparseLu, Triplet};
+use rlpta_linalg::{CondScratch, CsrMatrix, LuOp, LuWorkspace, SparseLu, StampSlots, Triplet};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -46,6 +48,7 @@ fn replay_and_solve_into_allocate_nothing_in_steady_state() {
     exact_replay_and_solve_into();
     general_replay_of_a_subset_structure();
     certification_chain();
+    triplet_conversion();
 }
 
 fn exact_replay_and_solve_into() {
@@ -157,9 +160,11 @@ fn general_replay_of_a_subset_structure() {
 /// number. The MNA-shaped system has well over 170 triplet entries, so the
 /// conversion cannot lean on a stable sort's small-input stack buffer, and
 /// voltage-source branches with exact `±1` entries and no diagonal.
-fn certification_chain() {
+/// A certification-shaped system: `k` nodes on two rings of conductances
+/// with small shunts, and `m` voltage-source branches; every stamp of a
+/// device pushed separately, so positions repeat.
+fn certification_stamps() -> (usize, Vec<(usize, usize, f64)>) {
     let (k, m) = (48, 4);
-    let n = k + m;
     let mut es: Vec<(usize, usize, f64)> = Vec::new();
     for i in 0..k {
         es.push((i, i, 1e-3));
@@ -175,29 +180,43 @@ fn certification_chain() {
         es.extend([(p, row, 1.0), (row, p, 1.0), (q, row, -1.0), (row, q, -1.0)]);
     }
     assert!(es.len() > 170);
-    let stamp = |t: &mut Triplet, scale: f64| {
-        t.clear();
-        for &(r, c, v) in &es {
-            t.push(r, c, if v.abs() == 1.0 { v } else { v * scale });
+    (k + m, es)
+}
+
+/// A stamp's value at `scale`: the conductances move, the ±1 source
+/// incidences do not.
+fn scaled(v: f64, scale: f64) -> f64 {
+    if v.abs() == 1.0 {
+        v
+    } else {
+        v * scale
+    }
+}
+
+fn certification_chain() {
+    let (n, es) = certification_stamps();
+    let targets: Vec<(usize, usize)> = es.iter().map(|&(r, c, _)| (r, c)).collect();
+    let (mut a, slots) = StampSlots::build(n, n, &targets);
+    let stamp = |a: &mut CsrMatrix, scale: f64| {
+        let mut w = slots.writer(a);
+        for &(_, _, v) in &es {
+            w.write(scaled(v, scale));
         }
+        assert!(w.finish());
     };
-    let mut t = Triplet::new(n, n);
-    let mut a = CsrMatrix::default();
     let mut ws = LuWorkspace::fresh_equivalent();
     let mut cond = CondScratch::default();
     // Warm-up: a full factorization, then the pattern records on the
     // second sighting and replays from the third.
     for step in 0..3 {
-        stamp(&mut t, 1.0 + 0.01 * step as f64);
-        t.to_csr_into(&mut a);
+        stamp(&mut a, 1.0 + 0.01 * step as f64);
         let lu = ws.factorize(&a).unwrap();
         lu.cond_estimate_with(&a, &mut cond).unwrap();
     }
     let mut last = (0.0, 0.0);
     let count = allocations(|| {
         for step in 0..100 {
-            stamp(&mut t, 1.0 + 0.001 * step as f64);
-            t.to_csr_into(&mut a);
+            stamp(&mut a, 1.0 + 0.001 * step as f64);
             let lu = ws.factorize(&a).unwrap();
             last = (
                 lu.cond_estimate_with(&a, &mut cond).unwrap(),
@@ -207,9 +226,33 @@ fn certification_chain() {
         }
     });
     assert_eq!(count, 0, "the warm certification chain must not allocate");
-    // And it measured what a cold factorization measures, bit for bit.
+    // And it measured what a cold factorization of the triplet oracle's
+    // matrix measures, bit for bit.
+    let mut t = Triplet::new(n, n);
+    let last_scale = 1.0 + 0.001 * 99.0;
+    t.extend(es.iter().map(|&(r, c, v)| (r, c, scaled(v, last_scale))));
     let cold = SparseLu::factorize(&t.to_csr()).unwrap();
     let cold_cond = cold.cond_estimate_with(&a, &mut CondScratch::default());
     assert_eq!(last.0.to_bits(), cold_cond.unwrap().to_bits());
     assert_eq!(last.1.to_bits(), cold.pivot_growth().to_bits());
+}
+
+fn triplet_conversion() {
+    let (n, es) = certification_stamps();
+    let mut t = Triplet::new(n, n);
+    let mut a = CsrMatrix::default();
+    let stamp = |t: &mut Triplet, scale: f64| {
+        t.clear();
+        t.extend(es.iter().map(|&(r, c, v)| (r, c, scaled(v, scale))));
+    };
+    stamp(&mut t, 1.0);
+    t.to_csr_into(&mut a);
+    let count = allocations(|| {
+        for step in 0..100 {
+            stamp(&mut t, 1.0 + 0.001 * step as f64);
+            t.to_csr_into(&mut a);
+        }
+    });
+    assert_eq!(count, 0, "a warm triplet conversion must not allocate");
+    assert_eq!(a, t.to_csr());
 }

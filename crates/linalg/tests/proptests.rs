@@ -5,8 +5,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlpta_linalg::{
     norms, CsrMatrix, DenseMatrix, LinalgError, LuOp, LuWorkspace, ReplayScratch, SparseLu,
-    SymbolicLu, Triplet,
+    StampSlots, SymbolicLu, Triplet,
 };
+use std::collections::BTreeMap;
 
 /// A random MNA-like entry list: strong diagonal plus a few off-diagonal
 /// couplings.
@@ -272,5 +273,68 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The one ordering routine behind every push-sequence-to-CSR
+    /// conversion, on stamp sequences shaped like the hard cases: many
+    /// duplicates, empty rows, and one row (a supply rail) holding most
+    /// pushes. A plan scatter through [`StampSlots::build`] equals
+    /// [`Triplet::to_csr`] bitwise in pattern and values,
+    /// [`StampSlots::pattern_of`] is the same pattern, and both equal an
+    /// ordered-map oracle that sums each position in push order.
+    #[test]
+    fn slot_scatter_equals_triplet_conversion(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = rng.gen_range(1..24);
+        let cols = rng.gen_range(1..24);
+        let hot = rng.gen_range(0..rows);
+        // Rows that never receive a push.
+        let empty: Vec<bool> = (0..rows).map(|r| r != hot && rng.gen_bool(0.3)).collect();
+        let live: Vec<usize> = (0..rows).filter(|&r| !empty[r]).collect();
+        let pushes = rng.gen_range(0..200);
+        let mut stamps: Vec<(usize, usize, f64)> = Vec::with_capacity(pushes);
+        for _ in 0..pushes {
+            let r = if rng.gen_bool(0.7) { hot } else { live[rng.gen_range(0..live.len())] };
+            let c = if !stamps.is_empty() && rng.gen_bool(0.4) {
+                // Revisit an earlier column of this row when there is one.
+                stamps.iter().rev().find(|e| e.0 == r).map_or(rng.gen_range(0..cols), |e| e.1)
+            } else {
+                rng.gen_range(0..cols)
+            };
+            // Magnitudes far apart and signed zeros, so a wrong summation
+            // order or a zero-then-add shows in the bits.
+            let v = match rng.gen_range(0..4) {
+                0 => -0.0,
+                1 => 1e16 * rng.gen_range(-1.0..1.0),
+                _ => rng.gen_range(-1.0..1.0),
+            };
+            stamps.push((r, c, v));
+        }
+
+        let mut t = Triplet::new(rows, cols);
+        t.extend(stamps.iter().copied());
+        let reference = t.to_csr();
+        let targets: Vec<(usize, usize)> = stamps.iter().map(|&(r, c, _)| (r, c)).collect();
+        let (mut planned, slots) = StampSlots::build(rows, cols, &targets);
+        let mut w = slots.writer(&mut planned);
+        for &(_, _, v) in &stamps {
+            w.write(v);
+        }
+        prop_assert!(w.finish());
+        prop_assert!(reference.same_pattern(&planned));
+        prop_assert_eq!(bits(reference.values()), bits(planned.values()));
+        let pattern = StampSlots::pattern_of(rows, cols, &targets);
+        prop_assert!(reference.same_pattern(&pattern));
+        prop_assert_eq!(pattern.pattern_hash(), reference.pattern_hash());
+
+        let mut oracle: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+        for &(r, c, v) in &stamps {
+            oracle.entry((r, c)).and_modify(|s| *s += v).or_insert(v);
+        }
+        let got: Vec<(usize, usize, u64)> =
+            reference.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+        let want: Vec<(usize, usize, u64)> =
+            oracle.into_iter().map(|((r, c), v)| (r, c, v.to_bits())).collect();
+        prop_assert_eq!(got, want);
     }
 }

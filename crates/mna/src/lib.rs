@@ -8,8 +8,11 @@
 //! `x = [v_0 … v_{N−1}, i_0 … i_{M−1}]`.
 //!
 //! [`Circuit::assemble_into`] produces the Newton system `J(x)·Δx = −F(x)`
-//! by folding every device stamp at the operating point; it is the single
-//! entry point the solvers in `rlpta-core` use.
+//! by folding every device stamp at the operating point into a triplet
+//! list: the reference the solvers' precompiled [`StampPlan`]s are held
+//! bitwise equal to. Newton and certification assemble through plans, and
+//! [`DeclareScratch`] runs the structural declare pass that plans and
+//! structure keys come from.
 //!
 //! [`CircuitFeatures`] extracts the seven netlist statistics (plus the
 //! BJT/MOS type flag) the DAC'22 paper uses to characterize a circuit for
@@ -46,4 +49,4 @@ mod plan;
 pub use builder::{BuildCircuitError, CircuitBuilder};
 pub use circuit::{Circuit, ResidualScratch};
 pub use features::CircuitFeatures;
-pub use plan::{BumpPlan, StampPlan};
+pub use plan::{BumpPlan, DeclareScratch, StampPlan};

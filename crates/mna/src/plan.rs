@@ -9,16 +9,18 @@
 //! sorting, no hashing, just a cursor walk scattering values in place.
 //!
 //! Bit-identity with [`Circuit::assemble_into`] followed by
-//! [`Triplet::to_csr`] is the contract: the same device code runs in both
+//! `Triplet::to_csr` is the contract: the same device code runs in both
 //! modes (the [`Stamper`] sink is what differs — a `SlotWriter` here, the
 //! triplet there, each compiled into its own device loop), the frozen
-//! pattern is the same stable sort, and each slot accumulates its
-//! duplicates in push order. See `rlpta-linalg::StampSlots` for the
+//! pattern comes from the same ordering routine, and each slot accumulates
+//! its duplicates in push order. See `rlpta-linalg::StampSlots` for the
 //! mechanics.
 
 use crate::Circuit;
 use rlpta_devices::{EvalCtx, JacSink, Stamper};
-use rlpta_linalg::{CsrMatrix, StampSlots, Triplet};
+#[cfg(test)]
+use rlpta_linalg::Triplet;
+use rlpta_linalg::{CsrMatrix, StampSlots};
 
 /// A resolved assembly plan for one circuit structure (and one solver
 /// extra-stamp shape).
@@ -55,21 +57,10 @@ impl StampPlan {
     /// contract), so resolving a plan never shifts seeded NaN sequences.
     pub fn resolve(circuit: &Circuit, extra: &mut dyn FnMut(&mut Stamper<'_>)) -> StampPlan {
         let dim = circuit.dim();
-        let x0 = vec![0.0; dim];
-        let ctx = EvalCtx::dc(&x0);
-        let mut scratch_res = vec![0.0; dim];
-        let mut scratch_state = circuit.new_state();
-        let mut targets = Vec::with_capacity(16 * circuit.devices().len() + 2 * dim);
-        for (d, &off) in circuit.devices().iter().zip(circuit.state_offsets()) {
-            d.declare_stamps(
-                &ctx,
-                &mut targets,
-                &mut scratch_res,
-                &mut scratch_state[off..off + d.state_len()],
-            );
-        }
-        let device_pushes = targets.len();
-        extra(&mut Stamper::declare(&mut targets, &mut scratch_res).erased());
+        let mut scratch = DeclareScratch::default();
+        let device_pushes = scratch.declare(circuit).len();
+        extra(&mut Stamper::declare(&mut scratch.targets, &mut scratch.residual).erased());
+        let targets = std::mem::take(&mut scratch.targets);
         let (template, slots) = StampSlots::build(dim, dim, &targets);
         StampPlan {
             slots,
@@ -116,32 +107,28 @@ impl StampPlan {
         self.template.clone()
     }
 
+    /// The frozen CSR pattern (all values zero) the plan scatters into.
+    pub fn pattern(&self) -> &CsrMatrix {
+        &self.template
+    }
+
     /// Cheap structural re-verification, the plan-side analogue of
     /// `SymbolicLu::compatible_with`: re-runs the device declare pass and
     /// compares the target sequence against this plan's device prefix.
     /// Value-only edits (a sweep jittering source values) keep the sequence
-    /// identical; any topology change breaks it.
+    /// identical; any topology change breaks it. Allocating wrapper over
+    /// [`StampPlan::verify_with`].
     pub fn compatible_with(&self, circuit: &Circuit) -> bool {
-        if circuit.dim() != self.dim || circuit.state_len() != self.state_len {
-            return false;
-        }
-        let x0 = vec![0.0; self.dim];
-        let ctx = EvalCtx::dc(&x0);
-        let mut scratch_res = vec![0.0; self.dim];
-        let mut scratch_state = circuit.new_state();
-        let mut fresh = Vec::with_capacity(self.device_pushes);
-        for (d, &off) in circuit.devices().iter().zip(circuit.state_offsets()) {
-            d.declare_stamps(
-                &ctx,
-                &mut fresh,
-                &mut scratch_res,
-                &mut scratch_state[off..off + d.state_len()],
-            );
-            if fresh.len() > self.device_pushes {
-                return false;
-            }
-        }
-        fresh.len() == self.device_pushes && fresh == self.targets[..self.device_pushes]
+        self.verify_with(circuit, &mut DeclareScratch::default())
+    }
+
+    /// [`StampPlan::compatible_with`] in `scratch`'s buffers: once they
+    /// have grown to the circuit, a check allocates nothing. Takes no
+    /// fault-injection draws.
+    pub fn verify_with(&self, circuit: &Circuit, scratch: &mut DeclareScratch) -> bool {
+        circuit.dim() == self.dim
+            && circuit.state_len() == self.state_len
+            && scratch.declare(circuit) == &self.targets[..self.device_pushes]
     }
 
     /// Numeric assembly through the plan: zeroes `residual`, replays every
@@ -149,8 +136,8 @@ impl StampPlan {
     /// values into `matrix`'s slots in place, exactly mirroring
     /// [`Circuit::assemble_into`]. Returns `true` when every raw Jacobian
     /// stamp was finite — the scatter-path equivalent of
-    /// [`Triplet::all_finite`] (the caller checks the residual itself, as
-    /// on the triplet path).
+    /// `Triplet::all_finite` (the caller checks the residual itself, as on
+    /// the triplet path).
     ///
     /// # Panics
     ///
@@ -219,20 +206,14 @@ impl StampPlan {
     /// factorization bit-identically to the triplet path's
     /// `jac.push(i, i, gshunt)` escalation.
     pub fn bump_plan(&self, num_nodes: usize) -> BumpPlan {
-        // Union pattern via the triplet reference machinery — same stable
-        // dedup as everything else.
-        let mut t = Triplet::with_capacity(
-            self.dim,
-            self.dim,
-            self.template.nnz() + num_nodes,
-        );
-        for (r, c, _) in self.template.iter() {
-            t.push(r, c, 0.0);
-        }
-        for i in 0..num_nodes {
-            t.push(i, i, 0.0);
-        }
-        let template = t.to_csr();
+        // Union pattern through the same ordering every pattern takes.
+        let union: Vec<(usize, usize)> = self
+            .template
+            .iter()
+            .map(|(r, c, _)| (r, c))
+            .chain((0..num_nodes).map(|i| (i, i)))
+            .collect();
+        let template = StampSlots::pattern_of(self.dim, self.dim, &union);
         let find = |r: usize, c: usize| -> usize {
             let lo = template.row_ptr()[r];
             let hi = template.row_ptr()[r + 1];
@@ -248,6 +229,48 @@ impl StampPlan {
             base_map,
             diag_slots,
         }
+    }
+}
+
+/// Reusable buffers of a structural declare pass: the zero iterate, the
+/// scratch residual and limiter state the devices stamp into, and the
+/// recorded targets. Start from `default()`; the buffers size themselves
+/// on first use and are kept by later passes.
+#[derive(Debug, Clone, Default)]
+pub struct DeclareScratch {
+    zeros: Vec<f64>,
+    residual: Vec<f64>,
+    state: Vec<f64>,
+    targets: Vec<(usize, usize)>,
+}
+
+impl DeclareScratch {
+    /// Runs every device's structural declare pass over `circuit` (at
+    /// `x = 0`, from a zeroed limiter state) and returns the ground-filtered
+    /// Jacobian targets in push order: the sequence a [`StampPlan`] is
+    /// resolved from, and, through [`StampSlots::pattern_of`], the
+    /// circuit's MNA sparsity pattern. Evaluates no numeric stamp into any
+    /// matrix and takes no fault-injection draws (declare-mode
+    /// [`Stamper`] contract).
+    pub fn declare(&mut self, circuit: &Circuit) -> &[(usize, usize)] {
+        let dim = circuit.dim();
+        self.zeros.resize(dim, 0.0);
+        self.residual.clear();
+        self.residual.resize(dim, 0.0);
+        self.state.clear();
+        self.state.resize(circuit.state_len(), 0.0);
+        self.targets.clear();
+        self.targets.reserve(16 * circuit.devices().len() + 2 * dim);
+        let ctx = EvalCtx::dc(&self.zeros);
+        for (d, &off) in circuit.devices().iter().zip(circuit.state_offsets()) {
+            d.declare_stamps(
+                &ctx,
+                &mut self.targets,
+                &mut self.residual,
+                &mut self.state[off..off + d.state_len()],
+            );
+        }
+        &self.targets
     }
 }
 
