@@ -483,24 +483,15 @@ impl DcEngine {
     where
         C: StepController + Clone + Sync,
     {
-        let kind = self.pta_kind_or_default();
         let out = self.run_jobs(
             circuits
                 .iter()
                 .enumerate()
                 .map(|(i, c)| {
                     move || {
-                        let span = Span::for_job(i);
-                        let tele = Tele::root(&*self.telemetry, span);
+                        let tele = Tele::root(&*self.telemetry, Span::for_job(i));
                         self.solve_with_retries(|| {
-                            let mut ctrl = controller.clone();
-                            ctrl.attach_telemetry(self.telemetry.clone(), span);
-                            let mut solver =
-                                PtaSolver::with_config(kind, ctrl, self.config.clone());
-                            let mut meter = self.budget.start();
-                            meter.set_phase(SolvePhase::PseudoTransient);
-                            let out = solver.solve_metered(c, &mut meter, &tele);
-                            self.certified(c, out, &tele)
+                            self.solve_once_with(c, controller.clone(), &tele)
                         })
                         .0
                     }
@@ -763,8 +754,9 @@ impl DcEngine {
 
     /// One serial PTA solve with a caller-supplied controller through the
     /// certification gate — the single-job body of
-    /// [`DcEngine::solve_batch_with`], used by the service layer to run a
-    /// shared frozen RL policy without spinning up a batch pool.
+    /// [`DcEngine::solve_batch_with`] and of the PTA strategy, used by the
+    /// service layer to run a shared frozen RL policy without spinning up a
+    /// batch pool.
     pub(crate) fn solve_once_with<C>(
         &self,
         circuit: &Circuit,
@@ -820,15 +812,7 @@ impl DcEngine {
                 );
                 self.certified(circuit, out, tele)
             }
-            Strategy::Pta(kind) => {
-                let mut ctrl = self.stepping.controller();
-                ctrl.attach_telemetry(self.telemetry.clone(), tele.span());
-                let mut solver = PtaSolver::with_config(*kind, ctrl, self.config.clone());
-                let mut meter = self.budget.start();
-                meter.set_phase(SolvePhase::PseudoTransient);
-                let out = solver.solve_metered(circuit, &mut meter, tele);
-                self.certified(circuit, out, tele)
-            }
+            Strategy::Pta(_) => self.solve_once_with(circuit, self.stepping.controller(), tele),
             Strategy::Robust(stages) => RobustDcSolver::from_stages(stages.clone())
                 .with_budget(self.budget)
                 .solve_with(circuit, tele),

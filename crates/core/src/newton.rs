@@ -76,10 +76,6 @@ pub(crate) struct NrOutcome {
     pub iterations: usize,
     /// Whether the run converged.
     pub converged: bool,
-    /// Full LU factorizations performed (including failed attempts).
-    pub lu_factorizations: usize,
-    /// Numeric-only LU pattern replays performed.
-    pub lu_refactorizations: usize,
     /// Infinity norm of the (possibly pseudo-augmented) residual at the
     /// final iterate.
     pub residual: f64,
@@ -319,8 +315,6 @@ pub(crate) fn newton_iterate(
                     x,
                     iterations: iter,
                     converged: true,
-                    lu_factorizations: lu_full,
-                    lu_refactorizations: lu_replay,
                     residual: last_residual,
                 });
             }
@@ -337,8 +331,6 @@ pub(crate) fn newton_iterate(
         x,
         iterations: config.max_iterations,
         converged: false,
-        lu_factorizations: lu_full,
-        lu_refactorizations: lu_replay,
         residual: last_residual,
     })
 }

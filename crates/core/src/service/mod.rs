@@ -7,7 +7,7 @@
 //! only in parameter values. [`SimService`] is the layer that exploits
 //! that, owning four pieces of cross-request state:
 //!
-//! 1. **A sharded, structure-keyed plan cache.** [`StructureKey`] hashes the
+//! 1. **A structure-keyed plan cache.** [`StructureKey`] hashes the
 //!    MNA sparsity pattern together with the device topology (kinds,
 //!    terminal wiring, branch unknowns) — and deliberately *not* parameter
 //!    values, so a 1 kΩ and a 2 kΩ divider share a key. Each entry holds the
@@ -16,13 +16,15 @@
 //!    [`StampPlan`] (so warm jobs skip stamp resolution and go straight to
 //!    the slot-table write pass). The key comes from one structural
 //!    declare pass, so admitting a job assembles nothing. Eviction is LRU
-//!    under a byte budget; a cached entry whose stamp plan no longer
-//!    matches the circuit's declare pass, or whose symbolic LU no longer
-//!    matches that plan's pattern (a hash collision, or a structural change
-//!    that kept the key), is **invalidated and re-recorded, never replayed
-//!    stale** — and even a bypassed check would be caught by
-//!    [`LuWorkspace`]'s own guarded-replay fallback, so staleness can cost
-//!    time, not correctness.
+//!    under a byte budget that only the newest plan may exceed alone. The
+//!    service owns the cache and touches it only between pool runs,
+//!    through `&mut self`, so it takes no locks. A cached entry whose
+//!    stamp plan no longer matches the circuit's declare pass, or whose
+//!    symbolic LU no longer matches that plan's pattern (a hash collision,
+//!    or a structural change that kept the key), is **invalidated and
+//!    re-recorded, never replayed stale** — and even a bypassed check
+//!    would be caught by [`LuWorkspace`]'s own guarded-replay fallback, so
+//!    staleness can cost time, not correctness.
 //! 2. **A warm-start tier.** Each structure's last certified operating
 //!    point, keyed by [`StructureKey`] under its own LRU order and byte
 //!    meter, so it outlives the eviction of its (far larger) plan. Hits and
@@ -113,7 +115,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Identifies one submitted job; returned by [`SimService::submit`] and
@@ -417,56 +419,86 @@ impl CacheStats {
     }
 }
 
-struct CacheEntry {
-    symbolic: Arc<SymbolicLu>,
-    /// Resolved stamp plan for this structure (shared with the Newton
-    /// workspaces that scatter through it).
-    plan: Arc<StampPlan>,
+/// One least-recently-used store keyed by structure: each entry carries
+/// its byte size and last-use tick. Ticks come from the owning
+/// [`PlanCache`]'s one counter and are unique, so the LRU victim is unique
+/// and eviction order never depends on `HashMap` iteration order.
+struct Lru<V> {
+    entries: HashMap<StructureKey, LruEntry<V>>,
+    bytes: usize,
+}
+
+struct LruEntry<V> {
+    value: V,
     bytes: usize,
     last_used: u64,
 }
 
-struct Shard {
-    entries: HashMap<StructureKey, CacheEntry>,
-    bytes: usize,
-}
-
-/// One structure's last certified operating point.
-struct WarmEntry {
-    x: Vec<f64>,
-    last_used: u64,
-}
-
-/// The warm-start tier: kept apart from the plan shards, with its own LRU
-/// order and byte meter, so a structure's warm start (tens of bytes)
-/// survives the eviction of its plan (kilobytes).
-#[derive(Default)]
-struct WarmTier {
-    entries: HashMap<StructureKey, WarmEntry>,
-    bytes: usize,
-}
-
-impl WarmTier {
-    fn remove(&mut self, key: &StructureKey) {
-        if let Some(dead) = self.entries.remove(key) {
-            self.bytes -= std::mem::size_of_val(dead.x.as_slice());
+impl<V> Default for Lru<V> {
+    fn default() -> Self {
+        Self {
+            entries: HashMap::new(),
+            bytes: 0,
         }
     }
 }
 
-/// The sharded structure-keyed cache plus its warm-start tier. Shard
-/// choice is a pure function of the key, eviction order is a pure function
-/// of the (monotonic) access ticks, so the cache's behavior is
-/// deterministic for a given request sequence.
+impl<V> Lru<V> {
+    /// The value under `key`, marked as used at `tick`.
+    fn touch(&mut self, key: &StructureKey, tick: u64) -> Option<&V> {
+        let entry = self.entries.get_mut(key)?;
+        entry.last_used = tick;
+        Some(&entry.value)
+    }
+
+    /// Inserts or replaces `key`'s entry. Evicts nothing.
+    fn insert(&mut self, key: StructureKey, value: V, bytes: usize, tick: u64) {
+        self.remove(&key);
+        self.bytes += bytes;
+        self.entries.insert(
+            key,
+            LruEntry {
+                value,
+                bytes,
+                last_used: tick,
+            },
+        );
+    }
+
+    fn remove(&mut self, key: &StructureKey) {
+        if let Some(dead) = self.entries.remove(key) {
+            self.bytes -= dead.bytes;
+        }
+    }
+
+    /// Evicts the least-recently-used entry other than `keep`, returning
+    /// its key and size; `None` when `keep` is all that is left.
+    fn evict_lru_except(&mut self, keep: &StructureKey) -> Option<(StructureKey, usize)> {
+        let victim = self
+            .entries
+            .iter()
+            .filter(|(k, _)| *k != keep)
+            .min_by_key(|(_, e)| e.last_used)
+            .map(|(k, e)| (*k, e.bytes))?;
+        self.remove(&victim.0);
+        Some(victim)
+    }
+}
+
+/// The structure-keyed cache: a plan tier (symbolic LU plus stamp plan per
+/// structure) and a warm-start tier (each structure's last certified
+/// operating point), two [`Lru`] stores under one byte budget each. The
+/// warm tier is metered apart so a structure's warm start (tens of bytes)
+/// survives the eviction of its plan (kilobytes). The service owns the
+/// cache and touches it only between pool runs, so it needs no locks, and
+/// its behavior is a pure function of the request sequence.
 struct PlanCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard byte budget for plans.
-    shard_budget: usize,
-    warm: Mutex<WarmTier>,
-    /// Byte budget of the warm-start tier (the whole cache budget).
-    warm_budget: usize,
-    tick: Mutex<u64>,
-    stats: Mutex<CacheStats>,
+    plans: Lru<(Arc<SymbolicLu>, Arc<StampPlan>)>,
+    warm: Lru<Vec<f64>>,
+    /// Byte budget of each tier.
+    budget: usize,
+    tick: u64,
+    stats: CacheStats,
 }
 
 /// What a lookup hands the group: the cached symbolic LU and stamp plan on
@@ -478,33 +510,19 @@ struct CacheSeed {
 }
 
 impl PlanCache {
-    fn new(total_bytes: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
+    fn new(budget: usize) -> Self {
         Self {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        entries: HashMap::new(),
-                        bytes: 0,
-                    })
-                })
-                .collect(),
-            shard_budget: (total_bytes / shards).max(1),
-            warm: Mutex::new(WarmTier::default()),
-            warm_budget: total_bytes,
-            tick: Mutex::new(0),
-            stats: Mutex::new(CacheStats::default()),
+            plans: Lru::default(),
+            warm: Lru::default(),
+            budget,
+            tick: 0,
+            stats: CacheStats::default(),
         }
     }
 
-    fn shard(&self, key: &StructureKey) -> &Mutex<Shard> {
-        &self.shards[(key.hash as usize) % self.shards.len()]
-    }
-
-    fn next_tick(&self) -> u64 {
-        let mut t = lock(&self.tick);
-        *t += 1;
-        *t
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
     }
 
     /// Looks `key` up, verifying the cached entry against `circuit`: its
@@ -515,37 +533,23 @@ impl PlanCache {
     /// rather than scattering through a stale plan, replaying a stale
     /// analysis or seeding a foreign point. The warm start comes from the
     /// warm tier, on hits and misses alike.
-    fn lookup(&self, key: &StructureKey, circuit: &Circuit, tele: &Tele<'_>) -> CacheSeed {
+    fn lookup(&mut self, key: &StructureKey, circuit: &Circuit, tele: &Tele<'_>) -> CacheSeed {
         let tick = self.next_tick();
-        let mut shard = lock(self.shard(key));
-        let invalidated = shard.entries.get(key).is_some_and(|entry| {
-            !(entry.plan.compatible_with(circuit)
-                && entry.symbolic.compatible_with(entry.plan.pattern()))
+        let invalidated = self.plans.entries.get(key).is_some_and(|entry| {
+            let (symbolic, plan) = &entry.value;
+            !(plan.compatible_with(circuit) && symbolic.compatible_with(plan.pattern()))
         });
-        let mut cached = None;
         if invalidated {
-            if let Some(dead) = shard.entries.remove(key) {
-                shard.bytes = shard.bytes.saturating_sub(dead.bytes);
-            }
-        } else if let Some(entry) = shard.entries.get_mut(key) {
-            entry.last_used = tick;
-            cached = Some((Arc::clone(&entry.symbolic), Arc::clone(&entry.plan)));
+            self.plans.remove(key);
+            self.warm.remove(key);
         }
-        drop(shard);
+        let cached = self
+            .plans
+            .touch(key, tick)
+            .map(|(symbolic, plan)| (Arc::clone(symbolic), Arc::clone(plan)));
+        let warm = self.warm.touch(key, tick).cloned();
 
-        let mut tier = lock(&self.warm);
-        let warm = if invalidated {
-            tier.remove(key);
-            None
-        } else {
-            tier.entries.get_mut(key).map(|entry| {
-                entry.last_used = tick;
-                entry.x.clone()
-            })
-        };
-        drop(tier);
-
-        let mut stats = lock(&self.stats);
+        let stats = &mut self.stats;
         if cached.is_some() {
             stats.hits += 1;
             stats.plan_hits += 1;
@@ -555,7 +559,6 @@ impl PlanCache {
             stats.invalidations += u64::from(invalidated);
             stats.warm_misses += u64::from(warm.is_some());
         }
-        drop(stats);
         let (hash, dim) = (key.hash, key.dim);
         tele.emit(if cached.is_some() {
             Payload::CacheHit { key: hash, dim }
@@ -566,10 +569,11 @@ impl PlanCache {
     }
 
     /// Inserts or refreshes the plan entry for `key`, then evicts
-    /// least-recently-used entries (never the one just inserted) until the
-    /// shard is back under its byte budget.
+    /// least-recently-used plans (never the one just inserted) until the
+    /// tier is back under its budget. The newest plan always stays, even
+    /// one larger than the whole budget.
     fn insert(
-        &self,
+        &mut self,
         key: StructureKey,
         symbolic: Arc<SymbolicLu>,
         plan: Arc<StampPlan>,
@@ -577,90 +581,32 @@ impl PlanCache {
     ) {
         let tick = self.next_tick();
         let bytes = symbolic.approx_bytes() + plan.approx_bytes();
-        let mut shard = lock(self.shard(&key));
-        if let Some(old) = shard.entries.insert(
-            key,
-            CacheEntry {
-                symbolic,
-                plan,
-                bytes,
-                last_used: tick,
-            },
-        ) {
-            shard.bytes = shard.bytes.saturating_sub(old.bytes);
-        }
-        shard.bytes += bytes;
-        let mut evicted = Vec::new();
-        while shard.bytes > self.shard_budget && shard.entries.len() > 1 {
-            // Ticks are unique, so the minimum is unique: eviction order
-            // does not depend on HashMap iteration order.
-            let Some((&victim, _)) = shard
-                .entries
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.last_used)
-            else {
+        self.plans.insert(key, (symbolic, plan), bytes, tick);
+        while self.plans.bytes > self.budget {
+            let Some((victim, bytes)) = self.plans.evict_lru_except(&key) else {
                 break;
             };
-            if let Some(dead) = shard.entries.remove(&victim) {
-                shard.bytes = shard.bytes.saturating_sub(dead.bytes);
-                evicted.push((victim, dead.bytes));
-            }
-        }
-        drop(shard);
-        if !evicted.is_empty() {
-            lock(&self.stats).evictions += evicted.len() as u64;
-            for (victim, bytes) in evicted {
-                tele.emit(Payload::CacheEvicted {
-                    key: victim.hash,
-                    bytes,
-                });
-            }
+            self.stats.evictions += 1;
+            tele.emit(Payload::CacheEvicted {
+                key: victim.hash,
+                bytes,
+            });
         }
     }
 
     /// Stores `x` as `key`'s warm start, evicting least-recently-used warm
-    /// starts until it fits the tier's budget. Unlike a plan shard, the
+    /// starts until it fits the tier's budget. Unlike the plan tier, this
     /// tier never exceeds its budget: a vector larger than the whole
     /// budget is not kept.
-    fn insert_warm(&self, key: StructureKey, x: Vec<f64>) {
+    fn insert_warm(&mut self, key: StructureKey, x: Vec<f64>) {
         let tick = self.next_tick();
         let bytes = std::mem::size_of_val(x.as_slice());
-        let mut tier = lock(&self.warm);
-        tier.remove(&key);
-        if bytes > self.warm_budget {
+        self.warm.remove(&key);
+        if bytes > self.budget {
             return;
         }
-        while tier.bytes + bytes > self.warm_budget {
-            // Unique ticks, as for the plan shards.
-            let Some((&victim, _)) = tier.entries.iter().min_by_key(|(_, e)| e.last_used) else {
-                break;
-            };
-            tier.remove(&victim);
-        }
-        tier.bytes += bytes;
-        tier.entries.insert(key, WarmEntry { x, last_used: tick });
-    }
-
-    fn stats(&self) -> CacheStats {
-        *lock(&self.stats)
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).entries.len()).sum()
-    }
-
-    fn warm_bytes(&self) -> usize {
-        lock(&self.warm).bytes
-    }
-}
-
-/// Mutex lock that survives a poisoned lock (a panicked worker must not
-/// take the whole service down — the cache only holds re-derivable state).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+        self.warm.insert(key, x, bytes, tick);
+        while self.warm.bytes > self.budget && self.warm.evict_lru_except(&key).is_some() {}
     }
 }
 
@@ -675,7 +621,6 @@ pub struct SimServiceBuilder {
     engine: DcEngine,
     queue_capacity: usize,
     cache_bytes: usize,
-    cache_shards: usize,
     warm_starts: bool,
     policy: Option<Arc<RlStepping>>,
     recorder_depth: Option<usize>,
@@ -700,9 +645,9 @@ impl SimServiceBuilder {
     /// Byte budget of the cache. Default 8 MiB. It bounds two tiers
     /// separately:
     ///
-    /// * the plan shards (symbolic LU pattern plus stamp plan per
-    ///   structure) share it, split evenly across the shards; a shard
-    ///   always keeps its newest plan, even one larger than its share;
+    /// * the plan tier (symbolic LU pattern plus stamp plan per
+    ///   structure) stays within it, except that it always keeps its
+    ///   newest plan, even one larger than the whole budget;
     /// * the warm-start tier (one last certified operating point per
     ///   structure, 8 bytes per unknown) gets the whole figure to itself
     ///   and never exceeds it.
@@ -716,11 +661,14 @@ impl SimServiceBuilder {
         self
     }
 
-    /// Number of independent cache shards (each with its own lock and LRU
-    /// order). Default 8; clamped to at least 1.
+    /// Ignored v1 shim: the cache is one LRU store per tier, owned by the
+    /// service, so there are no shards to count.
+    #[deprecated(
+        since = "0.1.0",
+        note = "the plan cache is no longer sharded; this setting is ignored"
+    )]
     #[must_use]
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards.max(1);
+    pub fn cache_shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -885,7 +833,7 @@ impl SimServiceBuilder {
             self.engine
         };
         SimService {
-            cache: PlanCache::new(self.cache_bytes, self.cache_shards),
+            cache: PlanCache::new(self.cache_bytes),
             queue: Vec::new(),
             next_id: 0,
             queue_capacity: self.queue_capacity,
@@ -938,7 +886,6 @@ impl SimService {
             engine,
             queue_capacity: 1024,
             cache_bytes: 8 * 1024 * 1024,
-            cache_shards: 8,
             warm_starts: true,
             policy: None,
             recorder_depth: None,
@@ -970,19 +917,19 @@ impl SimService {
 
     /// Cumulative plan-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.cache.stats
     }
 
     /// Number of structures whose plans are currently cached (the
     /// warm-start tier is not counted).
     pub fn cached_structures(&self) -> usize {
-        self.cache.len()
+        self.cache.plans.entries.len()
     }
 
     /// Bytes currently held by the warm-start tier; never more than the
     /// [`cache_bytes`](SimServiceBuilder::cache_bytes) budget.
     pub fn warm_start_bytes(&self) -> usize {
-        self.cache.warm_bytes()
+        self.cache.warm.bytes
     }
 
     /// Admits one job into the queue, returning its [`JobId`].
@@ -1495,13 +1442,13 @@ mod tests {
     #[test]
     fn drain_is_thread_invariant() {
         // Two drains of the same mix: the second runs on cache hits with
-        // the default budget, and on warm-tier misses with a one-shard
-        // budget too small for more than one plan.
+        // the default budget, and on warm-tier misses with a budget too
+        // small for more than one plan.
         let solve_all = |threads: usize, small_budget: bool| {
             let engine = DcEngine::builder().threads(threads).build();
             let mut builder = SimService::builder(engine);
             if small_budget {
-                builder = builder.cache_shards(1).cache_bytes(256);
+                builder = builder.cache_bytes(256);
             }
             let mut service = builder.build();
             let mut solutions = Vec::new();
@@ -1634,17 +1581,79 @@ mod tests {
     #[test]
     fn byte_budget_evicts_lru_structure() {
         let engine = DcEngine::builder().build();
-        // A budget big enough for roughly one small entry per shard, with
-        // one shard so the LRU order is observable.
-        let mut service = SimService::builder(engine)
-            .cache_shards(1)
-            .cache_bytes(1)
-            .build();
+        // A budget below any plan: only the newest plan stays resident.
+        let mut service = SimService::builder(engine).cache_bytes(1).build();
         service.solve(&divider("1k"), JobTicket::default()).expect("a");
         service.solve(&clamp("5"), JobTicket::default()).expect("b");
         let stats = service.cache_stats();
         assert!(stats.evictions >= 1, "expected evictions, got {stats:?}");
         assert_eq!(service.cached_structures(), 1, "budget holds one entry");
+    }
+
+    /// Bytes of every plan resident in the cache, summed entry by entry.
+    fn resident_plan_bytes(service: &SimService) -> usize {
+        service.cache.plans.entries.values().map(|e| e.bytes).sum()
+    }
+
+    #[test]
+    fn resident_bytes_stay_within_the_budget() {
+        // Twelve named structures, drained in overlapping windows of five
+        // under a budget that holds only a few of their plans at once.
+        const NAMES: [&str; 12] = [
+            "D10", "D11", "D22", "gm1", "gm6", "bias", "SCHMITT", "schmitfast", "TRISTABLE",
+            "latch", "mosamp", "UA733",
+        ];
+        const BUDGET: usize = 16 * 1024;
+        let structures: Vec<Circuit> = NAMES
+            .iter()
+            .map(|name| rlpta_circuits::by_name(name).expect("named circuit").circuit)
+            .collect();
+        let mut service = SimService::builder(DcEngine::builder().build())
+            .cache_bytes(BUDGET)
+            .build();
+        for wave in 0..6 {
+            for j in 0..5 {
+                let circuit = structures[(wave * 5 + j) % NAMES.len()].clone();
+                service.submit(circuit, JobTicket::default()).expect("admit");
+            }
+            service.drain();
+            let resident = resident_plan_bytes(&service);
+            assert!(
+                resident <= BUDGET || service.cached_structures() == 1,
+                "wave {wave}: {resident} B of plans in {} entries over a {BUDGET} B budget",
+                service.cached_structures()
+            );
+            assert!(service.warm_start_bytes() <= BUDGET, "wave {wave}");
+        }
+        assert!(service.cache_stats().evictions > 0, "the budget must churn plans");
+    }
+
+    #[test]
+    #[allow(deprecated)]
+    fn cache_shards_is_an_ignored_shim() {
+        let run = |shards: Option<usize>| {
+            let mut builder = SimService::builder(DcEngine::builder().build()).cache_bytes(256);
+            if let Some(shards) = shards {
+                builder = builder.cache_shards(shards);
+            }
+            let mut service = builder.build();
+            let mut solutions = Vec::new();
+            for _ in 0..2 {
+                for c in [clamp("5"), divider("1k"), two_stage_clamp("3"), clamp("2")] {
+                    service.submit(c, JobTicket::default()).expect("admit");
+                }
+                solutions.extend(
+                    service
+                        .drain()
+                        .into_iter()
+                        .map(|(id, r)| (id, r.expect("solves").x)),
+                );
+            }
+            (solutions, service.cache_stats())
+        };
+        let sharded = run(Some(8));
+        assert!(sharded.1.evictions > 0, "{:?}", sharded.1);
+        assert_eq!(sharded, run(None));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! aggregate locally and merge in deterministic job order.
 
 use super::timing::Phase;
-use super::{Event, Payload, Sink};
+use super::{kind_index_of, Event, Payload, Sink, KIND_NAMES};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -199,7 +199,7 @@ pub struct DerivedRates {
 #[derive(Debug, Default)]
 struct RegistryInner {
     phases: BTreeMap<Phase, Histogram>,
-    kinds: BTreeMap<&'static str, u64>,
+    kinds: [u64; KIND_NAMES.len()],
 }
 
 /// A [`Sink`] folding the event stream into per-phase histograms and
@@ -252,13 +252,8 @@ impl MetricsRegistry {
 
     /// Occurrence count for one event kind (0 if never seen).
     pub fn kind_count(&self, kind: &str) -> u64 {
-        self.inner
-            .lock()
-            .expect("metrics lock")
-            .kinds
-            .get(kind)
-            .copied()
-            .unwrap_or(0)
+        let g = self.inner.lock().expect("metrics lock");
+        kind_index_of(kind).map_or(0, |i| g.kinds[i])
     }
 
     /// Absorbs another registry (a worker shard) into this one. Histogram
@@ -270,8 +265,8 @@ impl MetricsRegistry {
         for (p, h) in &other.phases {
             mine.phases.entry(*p).or_default().merge(h);
         }
-        for (k, n) in &other.kinds {
-            *mine.kinds.entry(k).or_insert(0) += n;
+        for (count, n) in mine.kinds.iter_mut().zip(other.kinds) {
+            *count += n;
         }
     }
 
@@ -287,7 +282,7 @@ impl MetricsRegistry {
                 count as f64 / (nanos as f64 * 1e-9)
             }
         };
-        let kind = |k: &str| g.kinds.get(k).copied().unwrap_or(0);
+        let kind = |k: &str| kind_index_of(k).map_or(0, |i| g.kinds[i]);
         let full = kind("LuFactorized");
         let replay = kind("LuReplayed");
         DerivedRates {
@@ -374,7 +369,7 @@ fn fmt_nanos(nanos: u64) -> String {
 impl Sink for MetricsRegistry {
     fn emit(&self, event: &Event) {
         let mut g = self.inner.lock().expect("metrics lock");
-        *g.kinds.entry(event.payload.kind()).or_insert(0) += 1;
+        g.kinds[event.payload.kind_index()] += 1;
         if let Payload::PhaseTiming { phase, nanos } = event.payload {
             g.phases.entry(phase).or_default().record(nanos);
         }

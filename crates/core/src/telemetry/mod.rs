@@ -318,35 +318,77 @@ pub enum Payload {
     },
 }
 
+/// Stable kind names, index-aligned with [`Payload::kind_index`]. The
+/// counting sinks count into `[u64; KIND_NAMES.len()]` arrays through that
+/// index, which keeps their hot path allocation-free.
+pub(crate) const KIND_NAMES: [&str; 23] = [
+    "LuFactorized",
+    "LuReplayed",
+    "NrIteration",
+    "NrOutcome",
+    "PtaStep",
+    "StageStep",
+    "LadderAttempt",
+    "TrainStep",
+    "AcquisitionRound",
+    "SweepPoint",
+    "BatchJob",
+    "SolveDone",
+    "Certified",
+    "RefinementStep",
+    "Quarantined",
+    "CacheHit",
+    "CacheMiss",
+    "CacheEvicted",
+    "JobQueued",
+    "JobAdmitted",
+    "SolveFailed",
+    "Watchdog",
+    "PhaseTiming",
+];
+
+/// Index of the kind named `kind` into [`KIND_NAMES`] (`None` for a name
+/// no payload carries).
+pub(crate) fn kind_index_of(kind: &str) -> Option<usize> {
+    KIND_NAMES.iter().position(|k| *k == kind)
+}
+
 impl Payload {
+    /// Index of this payload's kind into [`KIND_NAMES`]. Exhaustive on
+    /// purpose: adding a variant fails compilation here until the name
+    /// table grows with it.
+    pub(crate) fn kind_index(&self) -> usize {
+        match self {
+            Payload::LuFactorized { .. } => 0,
+            Payload::LuReplayed { .. } => 1,
+            Payload::NrIteration { .. } => 2,
+            Payload::NrOutcome { .. } => 3,
+            Payload::PtaStep { .. } => 4,
+            Payload::StageStep { .. } => 5,
+            Payload::LadderAttempt { .. } => 6,
+            Payload::TrainStep { .. } => 7,
+            Payload::AcquisitionRound { .. } => 8,
+            Payload::SweepPoint { .. } => 9,
+            Payload::BatchJob { .. } => 10,
+            Payload::SolveDone { .. } => 11,
+            Payload::Certified { .. } => 12,
+            Payload::RefinementStep { .. } => 13,
+            Payload::Quarantined { .. } => 14,
+            Payload::CacheHit { .. } => 15,
+            Payload::CacheMiss { .. } => 16,
+            Payload::CacheEvicted { .. } => 17,
+            Payload::JobQueued { .. } => 18,
+            Payload::JobAdmitted { .. } => 19,
+            Payload::SolveFailed { .. } => 20,
+            Payload::Watchdog { .. } => 21,
+            Payload::PhaseTiming { .. } => 22,
+        }
+    }
+
     /// Stable kind name (used by [`MetricsRegistry::kind_count`] and the
     /// JSON encoding).
     pub fn kind(&self) -> &'static str {
-        match self {
-            Payload::LuFactorized { .. } => "LuFactorized",
-            Payload::LuReplayed { .. } => "LuReplayed",
-            Payload::NrIteration { .. } => "NrIteration",
-            Payload::NrOutcome { .. } => "NrOutcome",
-            Payload::PtaStep { .. } => "PtaStep",
-            Payload::StageStep { .. } => "StageStep",
-            Payload::LadderAttempt { .. } => "LadderAttempt",
-            Payload::TrainStep { .. } => "TrainStep",
-            Payload::AcquisitionRound { .. } => "AcquisitionRound",
-            Payload::SweepPoint { .. } => "SweepPoint",
-            Payload::BatchJob { .. } => "BatchJob",
-            Payload::SolveDone { .. } => "SolveDone",
-            Payload::Certified { .. } => "Certified",
-            Payload::RefinementStep { .. } => "RefinementStep",
-            Payload::Quarantined { .. } => "Quarantined",
-            Payload::CacheHit { .. } => "CacheHit",
-            Payload::CacheMiss { .. } => "CacheMiss",
-            Payload::CacheEvicted { .. } => "CacheEvicted",
-            Payload::JobQueued { .. } => "JobQueued",
-            Payload::JobAdmitted { .. } => "JobAdmitted",
-            Payload::SolveFailed { .. } => "SolveFailed",
-            Payload::Watchdog { .. } => "Watchdog",
-            Payload::PhaseTiming { .. } => "PhaseTiming",
-        }
+        KIND_NAMES[self.kind_index()]
     }
 
     /// Whether this is an out-of-band timing payload — the predicate every

@@ -31,70 +31,10 @@
 use super::json::{push_f64, push_json_str};
 use super::metrics::MetricsRegistry;
 use super::timing::Phase;
-use super::{Event, Payload, Sink};
+use super::{kind_index_of, Event, Payload, Sink, KIND_NAMES};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Stable kind names, index-aligned with [`kind_index`]. Counting into a
-/// fixed array keeps the hot path allocation-free (a `BTreeMap` would
-/// allocate on first sighting of each kind).
-const KIND_NAMES: [&str; 23] = [
-    "LuFactorized",
-    "LuReplayed",
-    "NrIteration",
-    "NrOutcome",
-    "PtaStep",
-    "StageStep",
-    "LadderAttempt",
-    "TrainStep",
-    "AcquisitionRound",
-    "SweepPoint",
-    "BatchJob",
-    "SolveDone",
-    "Certified",
-    "RefinementStep",
-    "Quarantined",
-    "CacheHit",
-    "CacheMiss",
-    "CacheEvicted",
-    "JobQueued",
-    "JobAdmitted",
-    "SolveFailed",
-    "Watchdog",
-    "PhaseTiming",
-];
-
-/// Index of a payload's kind into [`KIND_NAMES`]. Exhaustive on purpose:
-/// adding a `Payload` variant fails compilation here until the name table
-/// above grows with it.
-fn kind_index(p: &Payload) -> usize {
-    match p {
-        Payload::LuFactorized { .. } => 0,
-        Payload::LuReplayed { .. } => 1,
-        Payload::NrIteration { .. } => 2,
-        Payload::NrOutcome { .. } => 3,
-        Payload::PtaStep { .. } => 4,
-        Payload::StageStep { .. } => 5,
-        Payload::LadderAttempt { .. } => 6,
-        Payload::TrainStep { .. } => 7,
-        Payload::AcquisitionRound { .. } => 8,
-        Payload::SweepPoint { .. } => 9,
-        Payload::BatchJob { .. } => 10,
-        Payload::SolveDone { .. } => 11,
-        Payload::Certified { .. } => 12,
-        Payload::RefinementStep { .. } => 13,
-        Payload::Quarantined { .. } => 14,
-        Payload::CacheHit { .. } => 15,
-        Payload::CacheMiss { .. } => 16,
-        Payload::CacheEvicted { .. } => 17,
-        Payload::JobQueued { .. } => 18,
-        Payload::JobAdmitted { .. } => 19,
-        Payload::SolveFailed { .. } => 20,
-        Payload::Watchdog { .. } => 21,
-        Payload::PhaseTiming { .. } => 22,
-    }
-}
 
 /// What froze a window into an incident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -389,13 +329,6 @@ impl JobSlot {
     }
 }
 
-#[derive(Debug, Default)]
-struct CacheCounters {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
 #[derive(Debug)]
 struct RecorderState {
     slots: Vec<JobSlot>,
@@ -409,7 +342,6 @@ struct RecorderState {
     dropped: usize,
     last_path: Option<PathBuf>,
     kind_counts: [u64; KIND_NAMES.len()],
-    cache: CacheCounters,
     write_error: Option<String>,
 }
 
@@ -447,7 +379,6 @@ impl FlightRecorder {
                 dropped: 0,
                 last_path: None,
                 kind_counts: [0; KIND_NAMES.len()],
-                cache: CacheCounters::default(),
                 write_error: None,
             }),
             dir: None,
@@ -648,6 +579,7 @@ impl FlightRecorder {
                     .collect()
             })
             .unwrap_or_default();
+        let kind_count = |kind: &str| kind_index_of(kind).map_or(0, |i| st.kind_counts[i]);
         let report = IncidentReport {
             seq,
             trigger,
@@ -668,7 +600,11 @@ impl FlightRecorder {
                 .enumerate()
                 .map(|(i, k)| (*k, st.kind_counts[i]))
                 .collect(),
-            cache: (st.cache.hits, st.cache.misses, st.cache.evictions),
+            cache: (
+                kind_count("CacheHit"),
+                kind_count("CacheMiss"),
+                kind_count("CacheEvicted"),
+            ),
             histograms,
         };
         if let Some(dir) = &self.dir {
@@ -693,13 +629,7 @@ impl Sink for FlightRecorder {
         let mut st = self.lock();
         st.tick += 1;
         let tick = st.tick;
-        st.kind_counts[kind_index(&event.payload)] += 1;
-        match &event.payload {
-            Payload::CacheHit { .. } => st.cache.hits += 1,
-            Payload::CacheMiss { .. } => st.cache.misses += 1,
-            Payload::CacheEvicted { .. } => st.cache.evictions += 1,
-            _ => {}
-        }
+        st.kind_counts[event.payload.kind_index()] += 1;
         let idx = Self::slot_index(&mut st, event.span.job, tick);
         if let Payload::PhaseTiming { phase, nanos } = &event.payload {
             // Timing stays out of the window (wall-clock data would make

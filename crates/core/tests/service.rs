@@ -197,9 +197,9 @@ fn scaled_sources(circuit: &Circuit, scale: f64) -> Circuit {
     out
 }
 
-/// Plan eviction must not cost a structure its warm start. With one shard
-/// and a budget below any plan, only the newest plan stays resident, so in
-/// a round-robin over several structures every repeat is a plan miss. The
+/// Plan eviction must not cost a structure its warm start. With a budget
+/// below any plan, only the newest plan stays resident, so in a
+/// round-robin over several structures every repeat is a plan miss. The
 /// budget still holds all three warm vectors (96 + 112 + 176 B). Each
 /// of those misses is seeded from the warm-start tier: warm Newton from the
 /// structure's last certified point, with no recovery-ladder attempt,
@@ -219,10 +219,7 @@ fn warm_starts_survive_plan_eviction() {
     const BUDGET: usize = 1024;
     let collector = Arc::new(Collector::new());
     let engine = DcEngine::builder().telemetry(collector.clone()).build();
-    let mut service = SimService::builder(engine)
-        .cache_shards(1)
-        .cache_bytes(BUDGET)
-        .build();
+    let mut service = SimService::builder(engine).cache_bytes(BUDGET).build();
     let ladder_attempts = |job: JobId| {
         collector
             .events()

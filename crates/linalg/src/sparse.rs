@@ -37,22 +37,11 @@ pub(crate) fn next_generation() -> u64 {
 /// assert_eq!(a.get(0, 0), 3.0);
 /// assert_eq!(a.nnz(), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Triplet {
     rows: usize,
     cols: usize,
     entries: Vec<(usize, usize, f64)>,
-    /// Ordering scratch of [`Triplet::to_csr_into`] (see [`row_order`]):
-    /// row starts and packed `(col, push index)` keys. Not part of
-    /// equality.
-    starts: Vec<usize>,
-    order: Vec<u64>,
-}
-
-impl PartialEq for Triplet {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows && self.cols == other.cols && self.entries == other.entries
-    }
 }
 
 impl Triplet {
@@ -62,8 +51,6 @@ impl Triplet {
             rows,
             cols,
             entries: Vec::new(),
-            starts: Vec::new(),
-            order: Vec::new(),
         }
     }
 
@@ -73,8 +60,6 @@ impl Triplet {
             rows,
             cols,
             entries: Vec::with_capacity(cap),
-            starts: Vec::new(),
-            order: Vec::new(),
         }
     }
 
@@ -127,45 +112,43 @@ impl Triplet {
     /// that result from cancellation only when the summed value is exactly 0
     /// *and* no entry was pushed there (structural zeros are never created;
     /// summed-to-zero entries are kept so the sparsity pattern is stable
-    /// across Newton iterations). Allocating wrapper over
-    /// [`Triplet::to_csr_into`].
+    /// across Newton iterations).
+    ///
+    /// The entries are ordered by `row_order` and each position's
+    /// stamps are summed left to right *in stamping order* —
+    /// [`crate::StampSlots`] scatters with the same order, which is what
+    /// makes plan-based assembly bit-identical to this path.
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut out = CsrMatrix {
+        let (mut starts, mut order) = (Vec::new(), Vec::new());
+        let positions = self.entries.iter().map(|&(r, c, _)| (r, c));
+        row_order(self.rows, positions, &mut starts, &mut order);
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        let mut col_indices = Vec::with_capacity(self.entries.len());
+        let mut values: Vec<f64> = Vec::with_capacity(self.entries.len());
+        row_ptr.push(0);
+        for r in 0..self.rows {
+            let mut last = None;
+            for &key in &order[starts[r]..starts[r + 1]] {
+                let (c, k) = split_key(key);
+                let v = self.entries[k].2;
+                if let (true, Some(tail)) = (last == Some(c), values.last_mut()) {
+                    *tail += v;
+                    continue;
+                }
+                last = Some(c);
+                col_indices.push(c);
+                values.push(v);
+            }
+            row_ptr.push(col_indices.len());
+        }
+        CsrMatrix {
             rows: self.rows,
             cols: self.cols,
-            row_ptr: Vec::with_capacity(self.rows + 1),
-            col_indices: Vec::with_capacity(self.entries.len()),
-            values: Vec::with_capacity(self.entries.len()),
-            // No generation yet: the fill draws a fresh one.
-            structure_id: 0,
-        };
-        fill_csr(
-            self.rows,
-            self.cols,
-            &self.entries,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut out,
-        );
-        out
-    }
-
-    /// [`Triplet::to_csr`] into an existing matrix, reusing its storage and
-    /// this builder's ordering scratch: once both have grown to the entry
-    /// count, a conversion allocates nothing. When the converted structure
-    /// equals the one `out` already held, `out` keeps its structure
-    /// generation, so a [`crate::SymbolicLu`] recorded from it still takes
-    /// the exact replay on an id compare. Bit-identical to
-    /// [`Triplet::to_csr`].
-    pub fn to_csr_into(&mut self, out: &mut CsrMatrix) {
-        fill_csr(
-            self.rows,
-            self.cols,
-            &self.entries,
-            &mut self.starts,
-            &mut self.order,
-            out,
-        );
+            row_ptr,
+            col_indices,
+            values,
+            structure_id: next_generation(),
+        }
     }
 }
 
@@ -230,65 +213,6 @@ pub(crate) fn split_key(key: u64) -> (usize, usize) {
     ((key >> 32) as usize, (key & u64::from(u32::MAX)) as usize)
 }
 
-/// The conversion behind [`Triplet::to_csr_into`]: orders the entries with
-/// [`row_order`], sums each position's stamps left to right *in stamping
-/// order* — [`crate::StampSlots`] scatters with the same order, which is
-/// what makes plan-based assembly bit-identical to this path — and writes
-/// the result over `out`, comparing the structure as it goes.
-fn fill_csr(
-    rows: usize,
-    cols: usize,
-    entries: &[(usize, usize, f64)],
-    starts: &mut Vec<usize>,
-    order: &mut Vec<u64>,
-    out: &mut CsrMatrix,
-) {
-    row_order(rows, entries.iter().map(|&(r, c, _)| (r, c)), starts, order);
-
-    let mut same = out.structure_id != 0 && out.rows == rows && out.cols == cols;
-    if !same {
-        out.rows = rows;
-        out.cols = cols;
-        out.row_ptr.clear();
-        out.row_ptr.resize(rows + 1, 0);
-    }
-    out.values.clear();
-    let mut nnz = 0;
-    for r in 0..rows {
-        let mut last = None;
-        for &key in &order[starts[r]..starts[r + 1]] {
-            let (c, k) = split_key(key);
-            let v = entries[k].2;
-            if let (true, Some(tail)) = (last == Some(c), out.values.last_mut()) {
-                *tail += v;
-                continue;
-            }
-            last = Some(c);
-            match out.col_indices.get_mut(nnz) {
-                Some(slot) => {
-                    same &= *slot == c;
-                    *slot = c;
-                }
-                None => {
-                    same = false;
-                    out.col_indices.push(c);
-                }
-            }
-            out.values.push(v);
-            nnz += 1;
-        }
-        same &= out.row_ptr[r + 1] == nnz;
-        out.row_ptr[r + 1] = nnz;
-    }
-    if out.col_indices.len() != nnz {
-        same = false;
-        out.col_indices.truncate(nnz);
-    }
-    if !same {
-        out.structure_id = next_generation();
-    }
-}
-
 impl Extend<(usize, usize, f64)> for Triplet {
     fn extend<I: IntoIterator<Item = (usize, usize, f64)>>(&mut self, iter: I) {
         for (r, c, v) in iter {
@@ -315,8 +239,8 @@ pub struct CsrMatrix {
 }
 
 impl Default for CsrMatrix {
-    /// The empty `0 × 0` matrix: a starting buffer for
-    /// [`Triplet::to_csr_into`] and the in-place transpose.
+    /// The empty `0 × 0` matrix: a starting buffer for the in-place
+    /// transpose.
     fn default() -> Self {
         Self::from_pattern(0, 0, vec![0], Vec::new())
     }
@@ -674,39 +598,6 @@ mod tests {
         let mut t = Triplet::new(rows, cols);
         t.extend(es.iter().copied());
         t
-    }
-
-    #[test]
-    fn to_csr_into_keeps_the_generation_only_for_an_unchanged_structure() {
-        // Duplicates summed in push order, rows out of order, an empty row.
-        let es = [(2, 1, 1e16), (0, 0, 1.0), (2, 1, 1.0), (2, 1, -1e16), (0, 2, 3.0)];
-        let mut t = triplet_of(3, 3, &es);
-        let mut out = CsrMatrix::default();
-        t.to_csr_into(&mut out);
-        assert_eq!(out, t.to_csr());
-        assert_eq!(out.get(2, 1), (1e16 + 1.0) - 1e16, "stamping order");
-        let id = out.structure_id();
-        // Same structure, other values: the generation survives.
-        let mut t2 = triplet_of(3, 3, &[(0, 2, 7.0), (2, 1, 2.0), (0, 0, -1.0)]);
-        t2.to_csr_into(&mut out);
-        assert_eq!(out, t2.to_csr());
-        assert_eq!(out.structure_id(), id);
-        // One entry more, one less, another shape: a new generation each.
-        for es in [
-            &[(0, 0, 1.0), (0, 2, 1.0), (1, 1, 1.0), (2, 1, 1.0)][..],
-            &[(0, 0, 1.0), (2, 1, 1.0)][..],
-        ] {
-            let mut t = triplet_of(3, 3, es);
-            let before = out.structure_id();
-            t.to_csr_into(&mut out);
-            assert_eq!(out, t.to_csr());
-            assert_ne!(out.structure_id(), before);
-        }
-        let mut wide = triplet_of(2, 4, &[(0, 0, 1.0), (1, 3, 1.0)]);
-        let before = out.structure_id();
-        wide.to_csr_into(&mut out);
-        assert_eq!(out, wide.to_csr());
-        assert_ne!(out.structure_id(), before);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! structure that is a strict subset of the recorded one, and for the
 //! certification chain: a [`StampSlots`] scatter into the plan's frozen
 //! pattern, a fresh-equivalent replay and [`SparseLu::cond_estimate_with`].
-//! The triplet oracle's [`Triplet::to_csr_into`] allocates nothing either,
-//! once its ordering scratch and the target matrix have grown.
 //!
 //! One test only: the counting allocator is process-global, so a second
 //! concurrently running test would pollute the count.
@@ -48,7 +46,6 @@ fn replay_and_solve_into_allocate_nothing_in_steady_state() {
     exact_replay_and_solve_into();
     general_replay_of_a_subset_structure();
     certification_chain();
-    triplet_conversion();
 }
 
 fn exact_replay_and_solve_into() {
@@ -235,24 +232,4 @@ fn certification_chain() {
     let cold_cond = cold.cond_estimate_with(&a, &mut CondScratch::default());
     assert_eq!(last.0.to_bits(), cold_cond.unwrap().to_bits());
     assert_eq!(last.1.to_bits(), cold.pivot_growth().to_bits());
-}
-
-fn triplet_conversion() {
-    let (n, es) = certification_stamps();
-    let mut t = Triplet::new(n, n);
-    let mut a = CsrMatrix::default();
-    let stamp = |t: &mut Triplet, scale: f64| {
-        t.clear();
-        t.extend(es.iter().map(|&(r, c, v)| (r, c, scaled(v, scale))));
-    };
-    stamp(&mut t, 1.0);
-    t.to_csr_into(&mut a);
-    let count = allocations(|| {
-        for step in 0..100 {
-            stamp(&mut t, 1.0 + 0.001 * step as f64);
-            t.to_csr_into(&mut a);
-        }
-    });
-    assert_eq!(count, 0, "a warm triplet conversion must not allocate");
-    assert_eq!(a, t.to_csr());
 }
