@@ -9,7 +9,7 @@
 
 use rlpta_bench::{
     bench_threads, experiment_config, finish_run, pretrain_rl, run_adaptive, run_rl,
-    run_robust_graded, run_simple,
+    run_robust_graded_batch, run_simple,
 };
 use rlpta_circuits::stress;
 use rlpta_core::prelude::*;
@@ -29,7 +29,11 @@ fn main() {
     let mut rl_wins = 0;
     let mut robust_ok = 0;
     let mut report_rows = Vec::new();
-    for bench in stress() {
+    // The robust column runs as one pooled batch, so `--threads` reaches
+    // the ladder and its certification; rows are identical at any count.
+    let suite = stress();
+    let graded = run_robust_graded_batch(&suite, bench_threads());
+    for (bench, (robust, health)) in suite.into_iter().zip(graded) {
         let cell = |r: Result<rlpta_core::Solution, rlpta_core::SolveError>| match r {
             Ok(s) => s.stats.nr_iterations.to_string(),
             Err(_) => "FAIL".into(),
@@ -40,7 +44,6 @@ fn main() {
         let simple = run_simple(&bench, PtaKind::dpta());
         let ser = run_adaptive(&bench, PtaKind::dpta());
         let rls = run_rl(&bench, PtaKind::dpta(), &rl);
-        let (robust, health) = run_robust_graded(&bench);
         let stat = |s: &rlpta_core::SolveStats| {
             if s.converged {
                 s.nr_iterations.to_string()

@@ -30,13 +30,14 @@
 //!   training evaluations),
 //! * [`DcEngine::sweep`] — sweep points in fixed-size chunks with
 //!   warm-start handoff at chunk boundaries; output is **bit-identical for
-//!   every thread count** (see below),
-//! * the robust strategy races its ladder rungs concurrently when
-//!   `threads > 1`, picking the lowest-index success.
+//!   every thread count** (see below).
+//!
+//! A single [`DcEngine::solve`] runs its strategy serially on the calling
+//! thread at every thread count.
 //!
 //! # Determinism
 //!
-//! Parallel results must not depend on scheduling. Every batch entry point
+//! Parallel results must not depend on scheduling. Every entry point
 //! upholds: *the same engine configuration produces bitwise-identical
 //! results for every `threads` value*, because
 //!
@@ -47,11 +48,6 @@
 //!   ([`DcEngine::DEFAULT_SWEEP_CHUNK`]), never derived from the worker
 //!   count, and chunk interiors depend only on the serially-computed
 //!   boundary solutions.
-//!
-//! The one *documented* deviation: the robust strategy with `threads > 1`
-//! races cold-started rungs instead of escalating serially with warm-start
-//! carry, so its iterate (not its correctness) can differ from the serial
-//! ladder. Batches and sweeps never use the raced path internally.
 
 #[allow(deprecated)]
 use crate::assembly::AssemblyMode;
@@ -60,7 +56,7 @@ use crate::certify::{certify_into, CertifyWorkspace, HealthGrade};
 use crate::error::{SolveError, SolvePhase};
 use crate::newton::{newton_iterate, NewtonConfig, NewtonRaphson};
 use crate::pta::{PtaConfig, PtaKind, PtaSolver};
-use crate::recovery::{AttemptReport, LadderStage, RobustDcSolver, SolveBudget};
+use crate::recovery::{LadderStage, RobustDcSolver, SolveBudget};
 use crate::rl_stepping::{RlStepping, RlSteppingConfig};
 use crate::stepping::{SerStepping, SimpleStepping, StepController, StepObservation};
 use crate::sweep::{DcSweep, QuarantinedPoint, SweepPoint, SweepReport};
@@ -170,7 +166,7 @@ pub enum Strategy {
     Newton,
     /// One pseudo-transient flavour with the configured [`Stepping`].
     Pta(PtaKind),
-    /// The escalation ladder; raced concurrently when `threads > 1`.
+    /// The escalation ladder, escalated serially with warm-start carry.
     Robust(Vec<LadderStage>),
 }
 
@@ -343,7 +339,7 @@ impl DcEngineBuilder {
     }
 
     /// Installs a deterministic fault-injection plan inside **every** job
-    /// (batch, sweep chunk, raced rung) before it runs, so chaos scenarios
+    /// (batch job, sweep chunk) before it runs, so chaos scenarios
     /// reach pooled workers — [`FaultPlan`](crate::recovery::FaultPlan)
     /// state is thread-local and would otherwise stay on the caller's
     /// thread. Cleared again when each job finishes.
@@ -428,12 +424,12 @@ impl DcEngine {
     ///
     /// The underlying solver's errors ([`SolveError::NonConvergent`],
     /// [`SolveError::Singular`], [`SolveError::AllStrategiesFailed`], …),
-    /// plus [`SolveError::BudgetExhausted`] under a finite budget and
-    /// [`SolveError::WorkerPanic`] if a raced ladder rung panics.
+    /// plus [`SolveError::BudgetExhausted`] under a finite budget.
     pub fn solve(&self, circuit: &Circuit) -> Result<Solution, SolveError> {
         #[cfg(feature = "faults")]
         let _guard = self.install_faults();
-        let out = self.solve_one(circuit);
+        let tele = Tele::root(&*self.telemetry, Span::default());
+        let out = self.solve_serial(circuit, &tele);
         if let Err(e) = &out {
             self.note_solve_failure(Span::default(), e);
         }
@@ -446,9 +442,6 @@ impl DcEngine {
     ///
     /// A panicking job is isolated by the pool and surfaces as
     /// [`SolveError::WorkerPanic`] in its slot only.
-    /// Batch jobs always run their strategy *serially* — the circuits
-    /// themselves are the parallel unit, so racing ladder rungs inside a
-    /// job would multiply work without helping wall-clock time.
     pub fn solve_batch(&self, circuits: &[Circuit]) -> Vec<Result<Solution, SolveError>> {
         let out = self.run_jobs(
             circuits
@@ -782,23 +775,11 @@ impl DcEngine {
         }
     }
 
-    fn solve_one(&self, circuit: &Circuit) -> Result<Solution, SolveError> {
-        match &self.strategy {
-            Strategy::Robust(stages) if self.threads > 1 && stages.len() > 1 => {
-                self.solve_raced(stages, circuit)
-            }
-            _ => {
-                let tele = Tele::root(&*self.telemetry, Span::default());
-                self.solve_serial(circuit, &tele)
-            }
-        }
-    }
-
     /// One circuit through the configured strategy with no intra-solve
-    /// parallelism — the per-job body of every batch entry point. Every
-    /// success leaves with [`Solution::health`] populated: the ladder
-    /// certifies (and demotes) internally, the direct strategies go through
-    /// the [`DcEngine::certified`] gate here.
+    /// parallelism — the body of [`DcEngine::solve`] and of every batch
+    /// job. Every success leaves with [`Solution::health`] populated: the
+    /// ladder certifies (and demotes) internally, the direct strategies go
+    /// through the [`DcEngine::certified`] gate here.
     fn solve_serial(&self, circuit: &Circuit, tele: &Tele<'_>) -> Result<Solution, SolveError> {
         match &self.strategy {
             Strategy::Newton => {
@@ -896,67 +877,6 @@ impl DcEngine {
                 other => other,
             })
             .collect()
-    }
-
-    /// Races every ladder rung concurrently from a cold start, each under
-    /// its own meter from the shared budget. Winner = lowest-index success
-    /// (deterministic for any thread count); the aggregate statistics
-    /// charge the winner plus every lower rung, matching what a serial
-    /// early-exit ladder would have reported.
-    fn solve_raced(
-        &self,
-        stages: &[LadderStage],
-        circuit: &Circuit,
-    ) -> Result<Solution, SolveError> {
-        let results = self.run_jobs(
-            stages
-                .iter()
-                .enumerate()
-                .map(|(i, stage)| {
-                    move || {
-                        // Each raced rung is its own pooled job; its events
-                        // carry the rung index so losers stay attributable.
-                        let tele = Tele::root(&*self.telemetry, Span::for_job(i));
-                        RobustDcSolver::from_stages(vec![stage.clone()])
-                            .with_budget(self.budget)
-                            .solve_with(circuit, &tele)
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
-
-        let mut attempts: Vec<AttemptReport> = Vec::new();
-        let mut budget_hit: Option<SolveError> = None;
-        for result in results {
-            match result {
-                Ok(mut sol) => {
-                    let mut total = SolveStats::default();
-                    for a in &attempts {
-                        total.absorb(&a.stats);
-                    }
-                    total.absorb(&sol.stats);
-                    sol.stats = total;
-                    return Ok(sol);
-                }
-                Err(SolveError::AllStrategiesFailed { attempts: mut a }) => {
-                    // Each rung ran as a single-stage ladder, so its trail
-                    // carries exactly one report.
-                    attempts.append(&mut a);
-                }
-                Err(e @ SolveError::BudgetExhausted { .. }) => {
-                    if budget_hit.is_none() {
-                        budget_hit = Some(e);
-                    }
-                }
-                Err(e) => {
-                    return Err(e);
-                }
-            }
-        }
-        match budget_hit {
-            Some(e) => Err(e),
-            None => Err(SolveError::AllStrategiesFailed { attempts }),
-        }
     }
 
     /// One point of a sweep's warm-start chain, the body the boundary
@@ -1242,48 +1162,68 @@ mod tests {
         }
     }
 
-    #[test]
-    fn raced_robust_matches_serial_winner() {
-        let c = diode_clamp();
-        let stages = RobustDcSolver::default_ladder();
-        let raced = DcEngine::builder()
-            .ladder(stages.clone())
-            .threads(4)
-            .build()
-            .solve(&c)
-            .unwrap();
-        let serial = DcEngine::builder()
-            .ladder(stages)
-            .threads(1)
-            .build()
-            .solve(&c)
-            .unwrap();
-        // Newton (rung 0) wins in both; cold vs warm start is identical for
-        // the first rung, so even the iterates agree.
-        assert_eq!(raced.x, serial.x);
-        assert_eq!(raced.stats, serial.stats);
-    }
+    /// What a robust `solve()` reports, minus wall-clock time: the
+    /// solution and its stats, or the failure trail's strategy, error text
+    /// and stats per rung.
+    type Outcome = Result<(Vec<f64>, SolveStats), Vec<(&'static str, String, SolveStats)>>;
 
+    /// A robust `solve()` is the serial ladder at every thread count: the
+    /// same outcome and the same event stream once timing events are
+    /// dropped and worker ids zeroed (CI's JSONL diff normalization).
     #[test]
-    fn raced_robust_all_failing_collects_ordered_attempts() {
+    fn robust_solve_is_thread_invariant() {
         let c = diode_clamp();
         let doomed = NewtonConfig {
             max_iterations: 1,
             ..NewtonConfig::default()
         };
-        let engine = DcEngine::builder()
-            .ladder(vec![
+        let ladders = [
+            RobustDcSolver::default_ladder(),
+            vec![
                 LadderStage::DampedNewton(doomed.clone()),
                 LadderStage::DampedNewton(doomed),
-            ])
-            .threads(2)
-            .build();
-        match engine.solve(&c) {
-            Err(SolveError::AllStrategiesFailed { attempts }) => {
-                assert_eq!(attempts.len(), 2);
-                assert!(attempts.iter().all(|a| a.strategy == "newton"));
+            ],
+        ];
+        for stages in ladders {
+            let run = |threads: usize| -> (Outcome, Vec<String>) {
+                let sink = Arc::new(crate::telemetry::Collector::new());
+                let out = DcEngine::builder()
+                    .ladder(stages.clone())
+                    .threads(threads)
+                    .telemetry(sink.clone())
+                    .build()
+                    .solve(&c);
+                let outcome = match out {
+                    Ok(sol) => Ok((sol.x, sol.stats)),
+                    Err(SolveError::AllStrategiesFailed { attempts }) => Err(attempts
+                        .into_iter()
+                        .map(|a| (a.strategy, a.error.to_string(), a.stats))
+                        .collect()),
+                    Err(e) => panic!("unexpected {e:?}"),
+                };
+                let events = sink
+                    .events()
+                    .into_iter()
+                    .filter(|e| !e.payload.is_timing())
+                    .map(|mut e| {
+                        e.span.worker = 0;
+                        e.to_json()
+                    })
+                    .collect();
+                (outcome, events)
+            };
+            let serial = run(1);
+            match &serial.0 {
+                Ok((_, stats)) => assert!(stats.converged),
+                Err(trail) => {
+                    assert_eq!(trail.len(), 2);
+                    assert!(trail.iter().all(|a| a.0 == "newton"));
+                }
             }
-            other => panic!("expected AllStrategiesFailed, got {other:?}"),
+            assert!(!serial.1.is_empty());
+            for threads in [2, 4] {
+                assert_eq!(run(threads), serial, "robust solve at {threads} threads");
+            }
         }
     }
 

@@ -25,7 +25,7 @@
 //!   fault-injection harness ([`recovery`]),
 //! * [`DcEngine`] — the single public entry point tying it together:
 //!   strategy selection via a builder, symbolic-LU reuse across Newton
-//!   iterations and batch execution (corpora, sweeps, raced ladders) on a
+//!   iterations and batch execution (corpora, sweeps) on a
 //!   deterministic thread pool ([`engine`](crate::DcEngine)),
 //! * [`telemetry`] — one typed event stream from the LU kernel up to the
 //!   RL trainer, consumed through pluggable [`Sink`]s; the classic report

@@ -64,7 +64,7 @@ use std::sync::Mutex;
 /// worker that produced it.
 ///
 /// `job` is the submission index within a batch (sweep chunk, corpus
-/// circuit, raced ladder rung) and is deterministic — streams grouped by
+/// circuit) and is deterministic — streams grouped by
 /// job id are identical across thread counts. `worker` identifies
 /// *scheduling* and is not deterministic; diff tooling normalizes it away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -239,8 +239,8 @@ pub struct CsrMatrix {
 }
 
 impl Default for CsrMatrix {
-    /// The empty `0 × 0` matrix: a starting buffer for the in-place
-    /// transpose.
+    /// The empty `0 × 0` matrix: a placeholder for a buffer that is
+    /// filled later.
     fn default() -> Self {
         Self::from_pattern(0, 0, vec![0], Vec::new())
     }
@@ -411,48 +411,40 @@ impl CsrMatrix {
         d
     }
 
-    /// Returns the transpose as a new CSR matrix (i.e. CSC view of `self`).
-    /// Allocating wrapper over `CsrMatrix::transpose_into`.
+    /// Returns the transpose as a new CSR matrix (i.e. CSC view of `self`):
+    /// a counting sort by column, so each transposed row lists its entries
+    /// in increasing original row order, exactly as [`Triplet::to_csr`]
+    /// would sort them.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut out = CsrMatrix::default();
-        self.transpose_into(&mut out);
-        out
-    }
-
-    /// Writes the transpose over `out`, reusing its storage (a counting
-    /// sort by column: each transposed row lists its entries in increasing
-    /// original row order, exactly as [`Triplet::to_csr`] would sort them).
-    /// `out` always receives a fresh structure generation.
-    pub(crate) fn transpose_into(&self, out: &mut CsrMatrix) {
-        out.rows = self.cols;
-        out.cols = self.rows;
-        out.row_ptr.clear();
-        out.row_ptr.resize(self.cols + 1, 0);
+        let mut row_ptr = vec![0; self.cols + 1];
         for &c in &self.col_indices {
-            out.row_ptr[c + 1] += 1;
+            row_ptr[c + 1] += 1;
         }
         for c in 0..self.cols {
-            out.row_ptr[c + 1] += out.row_ptr[c];
+            row_ptr[c + 1] += row_ptr[c];
         }
-        out.col_indices.clear();
-        out.col_indices.resize(self.nnz(), 0);
-        out.values.clear();
-        out.values.resize(self.nnz(), 0.0);
+        let mut col_indices = vec![0; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
         // `row_ptr[c]` doubles as the insertion cursor of transposed row
         // `c`; afterwards it holds the row's end, so shift it back.
         for i in 0..self.rows {
             for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let slot = &mut out.row_ptr[self.col_indices[k]];
-                out.col_indices[*slot] = i;
-                out.values[*slot] = self.values[k];
+                let slot = &mut row_ptr[self.col_indices[k]];
+                col_indices[*slot] = i;
+                values[*slot] = self.values[k];
                 *slot += 1;
             }
         }
-        for c in (1..=self.cols).rev() {
-            out.row_ptr[c] = out.row_ptr[c - 1];
+        row_ptr.copy_within(0..self.cols, 1);
+        row_ptr[0] = 0;
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_indices,
+            values,
+            structure_id: next_generation(),
         }
-        out.row_ptr[0] = 0;
-        out.structure_id = next_generation();
     }
 
     /// Iterates over `(row, col, value)` entries in row-major order.
@@ -601,14 +593,11 @@ mod tests {
     }
 
     #[test]
-    fn transpose_into_matches_the_triplet_transpose() {
+    fn transpose_matches_the_triplet_transpose() {
         let es = [(0, 1, 5.0), (1, 2, -2.0), (1, 0, 4.0), (0, 2, 1.5)];
         let a = triplet_of(2, 3, &es).to_csr();
         let swapped: Vec<_> = es.iter().map(|&(r, c, v)| (c, r, v)).collect();
-        let mut out = CsrMatrix::identity(5);
-        a.transpose_into(&mut out);
-        assert_eq!(out, triplet_of(3, 2, &swapped).to_csr());
-        assert_eq!(a.transpose(), out);
+        assert_eq!(a.transpose(), triplet_of(3, 2, &swapped).to_csr());
     }
 
     #[test]

@@ -17,14 +17,15 @@
 //! allocates nothing; on the recorded matrix the result is bit-identical to
 //! what the full factorization would compute, at a fraction of the cost.
 //!
-//! Refactorization is *guarded*: if the new matrix has an entry outside the
-//! recorded pattern (e.g. a Gmin bump added diagonal entries), or a recorded
-//! pivot decays below [`SymbolicLu::REFACTOR_PIVOT_THRESHOLD`] of its
-//! column maximum, it fails with [`LinalgError::PatternChanged`] and the
-//! caller redoes the full factorization (which re-pivots). [`LuWorkspace`]
-//! packages that retry policy: call [`LuWorkspace::factorize`] every
-//! iteration and it transparently uses the cheap path when it can, over one
-//! persistent numeric shell.
+//! Refactorization is *guarded*: it replays only a matrix of exactly the
+//! recorded structure ([`SymbolicLu::compatible_with`]). Any other structure
+//! (diagonal entries added by a Gmin bump, a dropped entry) fails with
+//! [`LinalgError::PatternChanged`], and so does a recorded pivot that decays
+//! below [`SymbolicLu::REFACTOR_PIVOT_THRESHOLD`] of its column maximum; the
+//! caller then redoes the full factorization (which re-pivots).
+//! [`LuWorkspace`] packages that retry policy: call
+//! [`LuWorkspace::factorize`] every iteration and it transparently uses the
+//! cheap path when it can, over one persistent numeric shell.
 
 use crate::sparse::next_generation;
 use crate::sparse_lu::{check_square, singular_fault};
@@ -130,11 +131,12 @@ pub struct SymbolicLu {
     /// topological order for the left-looking triangular solve.
     u_ptr: Vec<usize>,
     u_rows: Vec<usize>,
-    /// Fast replay plan for matrices structurally identical to the one the
+    /// Replay plan for matrices structurally identical to the one the
     /// pattern was recorded from. [`SparseLu::factorize`] keeps exact zeros
     /// structural, so a pattern recorded from the factorization of `a`
-    /// itself always validates; `None` is a defensive fallback to the
-    /// guarded general path.
+    /// itself always validates; `None` (a [`SparseLu::symbolic`] call with
+    /// another matrix) makes every replay fail with
+    /// [`LinalgError::PatternChanged`].
     plan: Option<ScatterPlan>,
 }
 
@@ -211,41 +213,12 @@ impl SymbolicLu {
         self.n
     }
 
-    /// Deterministic hash of the *input* structure this pattern was
-    /// recorded from ([`CsrMatrix::pattern_hash`] of the original matrix),
-    /// falling back to a hash of the `L`/`U` pattern when no scatter plan
-    /// was recordable. Cross-run-stable cache key material: a matrix whose
-    /// `pattern_hash` equals this value will (modulo deliberate hash
-    /// collisions) take the exact-replay fast path.
-    pub fn pattern_hash(&self) -> u64 {
-        let mut h = FnvHasher::new();
-        h.write_usize(self.n);
-        match &self.plan {
-            Some(plan) => {
-                h.write_usize(self.n);
-                h.write_slice(&plan.a_row_ptr);
-                h.write_slice(&plan.a_col_indices);
-            }
-            None => {
-                // No recorded input structure: key on the factorization
-                // pattern itself (permutations + L/U structure).
-                h.write_slice(&self.p);
-                h.write_slice(&self.q);
-                h.write_slice(&self.l_ptr);
-                h.write_slice(&self.l_rows);
-                h.write_slice(&self.u_ptr);
-                h.write_slice(&self.u_rows);
-            }
-        }
-        h.finish()
-    }
-
     /// Whether `a` is structurally identical to the matrix this pattern was
-    /// recorded from — the precondition for the no-checks exact replay.
-    /// Matrices that fail this check can still [`SymbolicLu::refactorize_into`]
-    /// through the guarded general path (structural *subsets* succeed
-    /// there), but a cache layer should treat `false` as a pattern
-    /// mismatch and record a fresh analysis rather than replay blind.
+    /// recorded from — the precondition of every replay. A matrix that
+    /// fails this check, a structural subset included, makes
+    /// [`SymbolicLu::refactorize_into`] fail with
+    /// [`LinalgError::PatternChanged`]; a cache layer should treat `false`
+    /// as a pattern mismatch and record a fresh analysis.
     pub fn compatible_with(&self, a: &CsrMatrix) -> bool {
         if a.rows() != self.n || a.cols() != self.n {
             return false;
@@ -293,18 +266,15 @@ impl SymbolicLu {
     /// replay's). A shell already holding this pattern only has its values
     /// rewritten; any other is first reshaped to the pattern, reusing its
     /// allocations. `scratch` holds the dense replay workspace (resized to
-    /// the dimension) and the general path's transpose and pattern marks.
-    /// With a warm shell and scratch the replay allocates nothing, on the
-    /// exact and the general path alike.
+    /// the dimension). With a warm shell and scratch the replay allocates
+    /// nothing.
     ///
-    /// When `a` is structurally identical to the recorded matrix
+    /// Only a matrix structurally identical to the recorded one
     /// ([`SymbolicLu::compatible_with`]: a clone of it, or equal
-    /// `row_ptr`/`col_indices`), the replay runs through a precomputed
+    /// `row_ptr`/`col_indices`) replays. It runs through a precomputed
     /// scatter plan: no transpose, no per-entry pattern checks, no
     /// permutation lookups in the inner loop — only the numeric work and
-    /// the pivot-decay guard. Otherwise (an entry dropped, or no plan was
-    /// recordable) a guarded general replay checks every entry against the
-    /// pattern.
+    /// the pivot-decay guard.
     ///
     /// # Errors
     ///
@@ -313,8 +283,8 @@ impl SymbolicLu {
     /// pass for a result.
     ///
     /// * [`LinalgError::DimensionMismatch`] — `a` is not `n × n`.
-    /// * [`LinalgError::PatternChanged`] — `a` has an entry outside the
-    ///   recorded pattern, or a pivot decayed below
+    /// * [`LinalgError::PatternChanged`] — `a`'s structure is not the
+    ///   recorded one (`step` 0), or a pivot decayed below
     ///   [`SymbolicLu::REFACTOR_PIVOT_THRESHOLD`] of its column maximum.
     ///   Recoverable: redo [`SparseLu::factorize`], which re-pivots.
     /// * [`LinalgError::Singular`] — only under the `faults` feature, via
@@ -346,11 +316,7 @@ impl SymbolicLu {
         scratch: &mut ReplayScratch,
         ranks: &[usize],
     ) -> Result<(), LinalgError> {
-        let out = if self.compatible_with(a) {
-            self.replay(a, lu, scratch, Some(ranks))
-        } else {
-            Err(LinalgError::PatternChanged { step: 0 })
-        };
+        let out = self.replay(a, lu, scratch, Some(ranks));
         Self::poison_on_error(lu, out)
     }
 
@@ -375,8 +341,9 @@ impl SymbolicLu {
         Ok(())
     }
 
-    /// The numeric replay into a dimension-checked `a`. `ranks` selects the
-    /// pivot rule: `None` is the Newton decay guard, `Some` the
+    /// The numeric replay of a matrix of exactly the recorded structure;
+    /// any other fails with `PatternChanged { step: 0 }`. `ranks` selects
+    /// the pivot rule: `None` is the Newton decay guard, `Some` the
     /// fresh-equivalent rule (see [`SymbolicLu::commit_column`]).
     fn replay(
         &self,
@@ -385,6 +352,10 @@ impl SymbolicLu {
         scratch: &mut ReplayScratch,
         ranks: Option<&[usize]>,
     ) -> Result<(), LinalgError> {
+        let plan = match &self.plan {
+            Some(plan) if self.compatible_with(a) => plan,
+            _ => return Err(LinalgError::PatternChanged { step: 0 }),
+        };
         self.bind(lu);
         // The pivot-growth denominator, so replayed factorizations report
         // [`SparseLu::pivot_growth`] just like full ones.
@@ -393,12 +364,58 @@ impl SymbolicLu {
         // harmless: every column clears its recorded pattern before use,
         // and nothing outside it is read.
         scratch.x.resize(self.n, 0.0);
-        match &self.plan {
-            Some(plan) if self.compatible_with(a) => {
-                self.replay_exact(a, plan, lu, &mut scratch.x, ranks)
+        self.replay_plan(a, plan, lu, &mut scratch.x, ranks)
+    }
+
+    /// The numeric loop: scatter `a` through the plan, then the bare
+    /// left-looking pass with no per-entry pattern checks.
+    fn replay_plan(
+        &self,
+        a: &CsrMatrix,
+        plan: &ScatterPlan,
+        lu: &mut SparseLu,
+        x: &mut [f64],
+        ranks: Option<&[usize]>,
+    ) -> Result<(), LinalgError> {
+        let vals = a.values();
+        for j in 0..self.n {
+            let ul = self.u_ptr[j];
+            let uh = self.u_ptr[j + 1];
+            let ll = self.l_ptr[j];
+            let lh = self.l_ptr[j + 1];
+
+            // Clear the recorded pattern of this column, then scatter
+            // A(:, q[j]) through the precomputed positions.
+            for k in ul..uh {
+                x[self.u_rows[k]] = 0.0;
             }
-            _ => self.replay_general(a, lu, scratch),
+            x[j] = 0.0;
+            for k in ll..lh {
+                x[self.l_pos[k]] = 0.0;
+            }
+            for t in plan.csc_ptr[j]..plan.csc_ptr[j + 1] {
+                x[plan.dst[t]] = vals[plan.src[t]];
+            }
+
+            // Numeric left-looking triangular solve: the recorded U entries
+            // are stored in a valid topological order, so a linear sweep
+            // replays the same floating-point operations as the full
+            // factorization's DFS-ordered solve. The plan's closure check
+            // guarantees every update lands inside the cleared pattern.
+            for k in ul..uh {
+                let pos = self.u_rows[k];
+                let xj = x[pos];
+                lu.u_vals[k] = xj;
+                if xj != 0.0 {
+                    for m in self.l_ptr[pos]..self.l_ptr[pos + 1] {
+                        x[self.l_pos[m]] -= lu.l_vals[m] * xj;
+                    }
+                }
+            }
+
+            self.commit_column(lu, x, j, ll, lh, ranks.map(|r| r[j]))?;
         }
+        Ok(())
     }
 
     /// Makes `lu`'s index arrays hold this pattern (reusing their
@@ -502,143 +519,19 @@ impl SymbolicLu {
         chosen == j
     }
 
-    /// The hot path: structure already verified equal to the recorded
-    /// matrix, so scatter through the plan and run the bare numeric loop.
-    fn replay_exact(
-        &self,
-        a: &CsrMatrix,
-        plan: &ScatterPlan,
-        lu: &mut SparseLu,
-        x: &mut [f64],
-        ranks: Option<&[usize]>,
-    ) -> Result<(), LinalgError> {
-        let vals = a.values();
-        for j in 0..self.n {
-            let ul = self.u_ptr[j];
-            let uh = self.u_ptr[j + 1];
-            let ll = self.l_ptr[j];
-            let lh = self.l_ptr[j + 1];
-
-            // Clear the recorded pattern of this column, then scatter
-            // A(:, q[j]) through the precomputed positions.
-            for k in ul..uh {
-                x[self.u_rows[k]] = 0.0;
-            }
-            x[j] = 0.0;
-            for k in ll..lh {
-                x[self.l_pos[k]] = 0.0;
-            }
-            for t in plan.csc_ptr[j]..plan.csc_ptr[j + 1] {
-                x[plan.dst[t]] = vals[plan.src[t]];
-            }
-
-            // Numeric left-looking triangular solve: the recorded U entries
-            // are stored in a valid topological order, so a linear sweep
-            // replays the same floating-point operations as the full
-            // factorization's DFS-ordered solve. The plan's closure check
-            // guarantees every update lands inside the cleared pattern.
-            for k in ul..uh {
-                let pos = self.u_rows[k];
-                let xj = x[pos];
-                lu.u_vals[k] = xj;
-                if xj != 0.0 {
-                    for m in self.l_ptr[pos]..self.l_ptr[pos + 1] {
-                        x[self.l_pos[m]] -= lu.l_vals[m] * xj;
-                    }
-                }
-            }
-
-            self.commit_column(lu, x, j, ll, lh, ranks.map(|r| r[j]))?;
-        }
-        Ok(())
-    }
-
-    /// The guarded path for matrices whose structure deviates from the
-    /// recorded one (an entry dropped to structural zero, or no plan):
-    /// every scatter and every update is checked against the pattern. Runs
-    /// under the Newton decay guard only (fresh-equivalent replays are
-    /// exact-structure by construction).
-    fn replay_general(
-        &self,
-        a: &CsrMatrix,
-        lu: &mut SparseLu,
-        scratch: &mut ReplayScratch,
-    ) -> Result<(), LinalgError> {
-        let n = self.n;
-        let ReplayScratch { x, at, mark } = scratch;
-        let at = at.get_or_insert_with(CsrMatrix::default);
-        a.transpose_into(at);
-        // Per-column stamp marking which positions belong to the recorded
-        // pattern.
-        mark.clear();
-        mark.resize(n, EMPTY);
-
-        for j in 0..n {
-            let ul = self.u_ptr[j];
-            let uh = self.u_ptr[j + 1];
-            let ll = self.l_ptr[j];
-            let lh = self.l_ptr[j + 1];
-
-            // Mark and clear the recorded pattern of this column.
-            for k in ul..uh {
-                mark[self.u_rows[k]] = j;
-                x[self.u_rows[k]] = 0.0;
-            }
-            mark[j] = j;
-            x[j] = 0.0;
-            for k in ll..lh {
-                let pos = self.l_pos[k];
-                mark[pos] = j;
-                x[pos] = 0.0;
-            }
-
-            // Scatter A(:, q[j]); every entry must land inside the pattern.
-            let (a_rows, a_vals) = at.row(self.q[j]);
-            for (&r, &v) in a_rows.iter().zip(a_vals) {
-                let pos = self.pinv[r];
-                if mark[pos] != j {
-                    return Err(LinalgError::PatternChanged { step: j });
-                }
-                x[pos] = v;
-            }
-
-            // Checked left-looking triangular solve (same operation order
-            // as the exact replay and the full factorization).
-            for k in ul..uh {
-                let pos = self.u_rows[k];
-                let xj = x[pos];
-                lu.u_vals[k] = xj;
-                if xj != 0.0 {
-                    for m in self.l_ptr[pos]..self.l_ptr[pos + 1] {
-                        let target = self.l_pos[m];
-                        if mark[target] != j {
-                            // Update lands outside the recorded pattern —
-                            // not representable, re-pivot from scratch.
-                            return Err(LinalgError::PatternChanged { step: j });
-                        }
-                        x[target] -= lu.l_vals[m] * xj;
-                    }
-                }
-            }
-
-            self.commit_column(lu, x, j, ll, lh, None)?;
-        }
-        Ok(())
-    }
-
     /// Builds the exact-structure replay plan: column-major traversal of
     /// `a`'s raw CSR entries with their workspace destinations. Returns
     /// `None` when the recorded pattern is not closed under the replay's
     /// scatters and updates; since [`SparseLu::factorize`] keeps exact
     /// zeros structural, that cannot happen for the matrix the pattern was
     /// recorded from, and `None` only defends against a caller passing a
-    /// mismatched `a` — those replays take the guarded general path.
+    /// mismatched `a` — such a pattern refuses every replay.
     fn build_plan(&self, a: &CsrMatrix) -> Option<ScatterPlan> {
         let n = self.n;
         let row_ptr = a.row_ptr();
         let col_indices = a.col_indices();
-        // Bucket A's CSR entries by original column, preserving the
-        // increasing-row order the transpose-based path scatters in.
+        // Bucket A's CSR entries by original column, in increasing row
+        // order (the order the full factorization scatters in).
         let mut col_entries: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
         for r in 0..n {
             for idx in row_ptr[r]..row_ptr[r + 1] {
@@ -670,7 +563,7 @@ impl SymbolicLu {
             csc_ptr.push(src.len());
             // Every update target of the triangular pass must land inside
             // the pattern *whatever the values*: validating the closure
-            // here once lets the exact replay skip all per-entry checks.
+            // here once lets the replay skip all per-entry checks.
             for k in self.u_ptr[j]..self.u_ptr[j + 1] {
                 let pos = self.u_rows[k];
                 for m in self.l_ptr[pos]..self.l_ptr[pos + 1] {
@@ -691,16 +584,12 @@ impl SymbolicLu {
     }
 }
 
-/// Reusable buffers of a [`SymbolicLu::refactorize_into`] replay: the
-/// dense workspace indexed by pivot position, plus the transpose of `A`
-/// and the per-column pattern marks the guarded general path works in.
-/// Start from `default()`; the buffers size themselves on first use.
+/// The reusable buffer of a [`SymbolicLu::refactorize_into`] replay: the
+/// dense workspace indexed by pivot position. Start from `default()`; it
+/// sizes itself on first use.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayScratch {
     x: Vec<f64>,
-    /// Built on the first general replay (most workspaces never take one).
-    at: Option<CsrMatrix>,
-    mark: Vec<usize>,
 }
 
 /// Counters describing how a [`LuWorkspace`] serviced its factorization
@@ -738,7 +627,8 @@ pub enum LuOp {
 /// called in a loop: the first call does the full factorization and records
 /// its [`SymbolicLu`]; subsequent calls replay the pattern with the cheap
 /// numeric pass, transparently falling back to a full factorization (and
-/// re-recording the pattern) when the matrix outgrows it.
+/// re-recording the pattern) when the matrix's structure is not the
+/// recorded one or a recorded pivot decays.
 ///
 /// The workspace owns one numeric [`SparseLu`] shell over the recorded
 /// pattern: every replay rewrites its values in place
@@ -918,7 +808,7 @@ impl LuWorkspace {
             if sym.dim() == a.rows() && a.rows() == a.cols() {
                 match sym.refactorize_into(a, &mut self.numeric, &mut self.scratch) {
                     Ok(()) => return Ok(LuOp::Replay),
-                    // Pattern outgrown or pivot decayed (or an injected
+                    // Structure changed or pivot decayed (or an injected
                     // singular under the `faults` feature): re-pivot from
                     // scratch below.
                     Err(LinalgError::PatternChanged { .. } | LinalgError::Singular { .. }) => {
@@ -1170,28 +1060,76 @@ mod tests {
         assert!(x.iter().all(|v| v.is_finite()));
     }
 
+    /// Solution bits of `lu` on a fixed right-hand side.
+    fn solve_bits(lu: &SparseLu) -> Vec<u64> {
+        let b: Vec<f64> = (0..lu.n).map(|i| 1.0 + i as f64).collect();
+        lu.solve(&b).unwrap().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A structure that is a strict subset of the recorded one (an entry
+    /// truly absent, not a stored zero) is not the recorded structure: the
+    /// replay refuses it and the workspace re-pivots.
     #[test]
-    fn workspace_shrunk_pattern_still_replays() {
-        // A value dropping to exactly zero keeps the entry structural in
-        // Triplet, but even a truly absent entry is a subset of the
-        // recorded pattern and must replay fine.
+    fn workspace_shrunk_pattern_repivots() {
         let mut t = Triplet::new(2, 2);
         t.push(0, 0, 4.0);
         t.push(0, 1, 1.0);
         t.push(1, 0, 1.0);
         t.push(1, 1, 3.0);
-        let mut ws = LuWorkspace::new();
-        ws.factorize(&t.to_csr()).unwrap();
+        let base = t.to_csr();
         let mut t2 = Triplet::new(2, 2);
         t2.push(0, 0, 4.0);
         t2.push(1, 1, 3.0);
-        let x = ws
-            .factorize(&t2.to_csr())
-            .unwrap()
-            .solve(&[4.0, 3.0])
-            .unwrap();
+        let subset = t2.to_csr();
+
+        // The bare replay refuses at step 0 and leaves the shell poisoned.
+        let sym = SparseLu::factorize(&base).unwrap().symbolic(&base);
+        let mut shell = SparseLu::factorize(&base).unwrap();
+        assert!(matches!(
+            sym.refactorize_into(&subset, &mut shell, &mut ReplayScratch::default()),
+            Err(LinalgError::PatternChanged { step: 0 })
+        ));
+        let poisoned = shell.solve(&[4.0, 3.0]).unwrap();
+        assert!(poisoned.iter().all(|v| !v.is_finite()));
+
+        // The workspace falls back to one full factorization, bitwise a
+        // fresh one, and then replays the subset exactly.
+        let mut ws = LuWorkspace::new();
+        ws.factorize(&base).unwrap();
+        let got = solve_bits(ws.factorize(&subset).unwrap());
+        assert_eq!(ws.stats().fallbacks, 1);
+        assert_eq!(ws.stats().full_factorizations, 2);
+        assert_eq!(ws.last_op(), Some(LuOp::Full));
+        assert_eq!(got, solve_bits(&SparseLu::factorize(&subset).unwrap()));
+        ws.factorize(&subset).unwrap();
+        assert_eq!(ws.last_op(), Some(LuOp::Replay));
         assert_eq!(ws.stats().refactorizations, 1);
-        assert_eq!(x, vec![1.0, 1.0]);
+
+        // A Gmin bump's sequence in one workspace: base, a superset with
+        // extra entries, base again. Every result is bitwise a fresh
+        // factorization of its matrix.
+        let mut bumped = Triplet::new(3, 3);
+        let mut plain = Triplet::new(3, 3);
+        for (r, c, v) in [
+            (0, 0, 2.0),
+            (0, 1, -1.0),
+            (1, 0, -1.0),
+            (1, 1, 2.0),
+            (2, 2, 1.0),
+        ] {
+            plain.push(r, c, v);
+            bumped.push(r, c, v);
+        }
+        bumped.push(1, 2, -0.5);
+        bumped.push(2, 1, -0.5);
+        let (plain, bumped) = (plain.to_csr(), bumped.to_csr());
+        let mut ws = LuWorkspace::new();
+        for a in [&plain, &bumped, &plain] {
+            let got = solve_bits(ws.factorize(a).unwrap());
+            assert_eq!(got, solve_bits(&SparseLu::factorize(a).unwrap()));
+        }
+        assert_eq!(ws.stats().full_factorizations, 3);
+        assert_eq!(ws.stats().fallbacks, 2);
     }
 
     #[test]
@@ -1252,9 +1190,8 @@ mod tests {
         t2.push(gr, gc, -0.25);
         let grown = t2.to_csr();
         assert_ne!(a.pattern_hash(), grown.pattern_hash());
-        // The recorded symbolic pattern keys on the same hash.
+        // The recorded pattern accepts exactly the matching structure.
         let sym = SparseLu::factorize(&a).unwrap().symbolic(&a);
-        assert_eq!(sym.pattern_hash(), sym.pattern_hash());
         assert!(sym.compatible_with(&a));
         assert!(sym.compatible_with(&scaled));
         assert!(!sym.compatible_with(&grown));
