@@ -317,15 +317,7 @@ pub fn run_with<C: StepController + Clone>(
     controller: C,
 ) -> (SolveStats, C) {
     let mut solver = PtaSolver::with_config(kind, controller, experiment_config());
-    let stats = match solver.solve(&bench.circuit) {
-        Ok(sol) => sol.stats,
-        Err(SolveError::NonConvergent { stats }) => stats,
-        Err(e) => {
-            // Structural failures should not happen on the shipped suites.
-            eprintln!("warning: {} failed structurally: {e}", bench.name);
-            SolveStats::default()
-        }
-    };
+    let stats = stats_of(solver.solve(&bench.circuit), &bench.name);
     let controller = solver.controller_mut().clone();
     (stats, controller)
 }

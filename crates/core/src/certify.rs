@@ -23,10 +23,15 @@
 //!   solution is still returned; downstream consumers decide.
 //! * [`Rejected`](HealthGrade::Rejected) — the independently re-evaluated
 //!   residual is non-finite or far above tolerance. The engine never
-//!   returns such a point as-is: [`certify_into`] first attempts an
-//!   iterative-refinement rescue (plain, then equilibrated), and if the
-//!   point stays rejected the ladder demotes it and escalates to the next
-//!   strategy ([`SolveError::CertificationFailed`]).
+//!   returns such a point as-is.
+//!
+//! Every engine path runs one gate, the crate-private `certified`: grade
+//! the point, attempt an iterative-refinement rescue of a rejected one
+//! (plain, then equilibrated), attach the report, and turn a surviving
+//! rejection into [`SolveError::CertificationFailed`]. What that error
+//! means is the caller's: the ladder demotes the rung and escalates, the
+//! warm sweep/service path falls back to the ladder, and the direct Newton
+//! and PTA strategies return it.
 //!
 //! Every certified solve emits one [`Payload::Certified`] telemetry event
 //! (after any rescue) and each rescue correction emits
@@ -79,7 +84,7 @@ pub const COND_SUSPECT: f64 = 1e12;
 /// factorization itself switches to equilibration.
 pub const GROWTH_SUSPECT: f64 = 1e8;
 
-/// Maximum Newton-correction steps per rescue attempt in [`certify_into`].
+/// Maximum Newton-correction steps per rescue attempt in `certify_into`.
 const RESCUE_STEPS: usize = 3;
 
 /// Refinement-iteration cap per rescue correction.
@@ -308,9 +313,7 @@ fn rescue_pass(
 /// refinement rescue when the grade is [`HealthGrade::Rejected`] (plain
 /// corrections first, then equilibrated refactorization), attaches the
 /// final [`HealthReport`] and emits one [`Payload::Certified`] event, all
-/// under one [`Phase::Certify`] span. Returns the final grade; the caller
-/// decides what a surviving `Rejected` means (the ladder demotes it, the
-/// engine surfaces [`SolveError::CertificationFailed`]).
+/// under one [`Phase::Certify`] span. Returns the final grade.
 pub(crate) fn certify_into(
     ws: &mut CertifyWorkspace,
     circuit: &Circuit,
@@ -346,11 +349,22 @@ pub(crate) fn certify_into(
     grade
 }
 
-/// The [`SolveError`] a surviving rejection maps to.
-pub(crate) fn rejection_error(report: &HealthReport) -> SolveError {
-    SolveError::CertificationFailed {
-        residual_norm: report.residual_norm,
+/// The certification gate (see the module docs): [`certify_into`] on
+/// `ws`, then a surviving [`HealthGrade::Rejected`] becomes
+/// [`SolveError::CertificationFailed`] carrying the final residual.
+pub(crate) fn certified(
+    ws: &mut CertifyWorkspace,
+    circuit: &Circuit,
+    mut solution: Solution,
+    tele: &Tele<'_>,
+) -> Result<Solution, SolveError> {
+    if certify_into(ws, circuit, &mut solution, tele) == HealthGrade::Rejected {
+        let residual_norm = solution
+            .health
+            .map_or(f64::INFINITY, |report| report.residual_norm);
+        return Err(SolveError::CertificationFailed { residual_norm });
     }
+    Ok(solution)
 }
 
 #[cfg(test)]

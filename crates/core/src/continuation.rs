@@ -1,12 +1,15 @@
-//! Classic continuation baselines: Gmin stepping and source stepping.
+//! Classic continuation baselines: Gmin stepping and source stepping, plus
+//! the adaptive λ ramp that source stepping shares with the Newton
+//! homotopy.
 
 use crate::assembly::NewtonWorkspace;
-use crate::error::SolvePhase;
 use crate::newton::{newton_iterate, NewtonConfig};
-use crate::recovery::{BudgetMeter, SolveBudget};
+use crate::recovery::BudgetMeter;
 use crate::telemetry::{Payload, StatsFold, Tele};
 use crate::{Solution, SolveError};
+use rlpta_devices::Stamper;
 use rlpta_mna::Circuit;
+use std::borrow::Cow;
 
 /// Gmin stepping: solve with a large junction shunt conductance, then relax
 /// it geometrically toward the target, warm-starting each stage.
@@ -60,27 +63,6 @@ impl GminStepping {
             circuit,
             &vec![0.0; circuit.dim()],
             &mut BudgetMeter::unlimited(),
-            &Tele::disabled(),
-        )
-    }
-
-    /// Runs the continuation under a resource [`SolveBudget`].
-    ///
-    /// # Errors
-    ///
-    /// See [`GminStepping::solve`], plus [`SolveError::BudgetExhausted`]
-    /// when the budget runs out first.
-    pub fn solve_budgeted(
-        &self,
-        circuit: &Circuit,
-        budget: &SolveBudget,
-    ) -> Result<Solution, SolveError> {
-        let mut meter = budget.start();
-        meter.set_phase(SolvePhase::Continuation);
-        self.solve_metered(
-            circuit,
-            &vec![0.0; circuit.dim()],
-            &mut meter,
             &Tele::disabled(),
         )
     }
@@ -187,27 +169,6 @@ impl SourceStepping {
         )
     }
 
-    /// Runs the continuation under a resource [`SolveBudget`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SourceStepping::solve`], plus [`SolveError::BudgetExhausted`]
-    /// when the budget runs out first.
-    pub fn solve_budgeted(
-        &self,
-        circuit: &Circuit,
-        budget: &SolveBudget,
-    ) -> Result<Solution, SolveError> {
-        let mut meter = budget.start();
-        meter.set_phase(SolvePhase::Continuation);
-        self.solve_metered(
-            circuit,
-            &vec![0.0; circuit.dim()],
-            &mut meter,
-            &Tele::disabled(),
-        )
-    }
-
     pub(crate) fn solve_metered(
         &self,
         circuit: &Circuit,
@@ -215,62 +176,100 @@ impl SourceStepping {
         meter: &mut BudgetMeter,
         tele: &Tele<'_>,
     ) -> Result<Solution, SolveError> {
-        let fold = StatsFold::default();
-        let tele = tele.child(&fold);
-        let mut x = x0.to_vec();
-        let mut state = if x0.iter().any(|v| *v != 0.0) {
-            circuit.seeded_state(x0)
-        } else {
-            circuit.new_state()
+        let steps = RampSteps {
+            initial: self.initial_increment,
+            min: self.min_increment,
+            growth: self.growth,
         };
-        let mut lambda = 0.0_f64;
-        let mut dl = self.initial_increment;
-        // The source ramp scales right-hand sides, not the Jacobian pattern:
-        // every stage replays one symbolic analysis and reuses one stamp plan.
-        let mut ws = NewtonWorkspace::new();
-        while lambda < 1.0 {
-            meter.charge_step(1)?;
-            let next = (lambda + dl).min(1.0);
-            let cfg = NewtonConfig {
-                source_scale: next,
+        // The source ramp scales right-hand sides, not the Jacobian pattern.
+        let newton_at = |lambda| {
+            Cow::Owned(NewtonConfig {
+                source_scale: lambda,
                 ..self.newton.clone()
-            };
-            let saved_state = state.clone();
-            let out = newton_iterate(
-                circuit,
-                &cfg,
-                &x,
-                &mut state,
-                &mut |_, _| {},
-                meter,
-                &mut ws,
-                &tele,
-            )?;
-            tele.emit(Payload::StageStep {
-                accepted: out.converged,
-                control: next,
-            });
-            if out.converged {
-                lambda = next;
-                x = out.x;
-                dl *= self.growth;
-            } else {
-                state = saved_state;
-                dl /= 4.0;
-                if dl < self.min_increment {
-                    return Err(SolveError::NonConvergent {
-                        stats: fold.snapshot(),
-                    });
-                }
+            })
+        };
+        lambda_ramp(circuit, x0, steps, newton_at, |_, _| {}, meter, tele)
+    }
+}
+
+/// Increment control of [`lambda_ramp`].
+pub(crate) struct RampSteps {
+    /// First λ increment.
+    pub initial: f64,
+    /// Smallest increment before the ramp gives up.
+    pub min: f64,
+    /// Increment growth factor after an accepted stage.
+    pub growth: f64,
+}
+
+/// The adaptive λ ramp of source stepping and the Newton homotopy: λ climbs
+/// from 0 to 1 in stages, each a Newton run warm-started from the last
+/// accepted stage with `newton_at(λ)`'s options and `deform(λ, ·)`'s extra
+/// residual stamps. An accepted stage grows the increment by
+/// [`RampSteps::growth`]; a rejected one restores the limiter state and
+/// quarters it, and an increment below [`RampSteps::min`] fails the ramp
+/// with [`SolveError::NonConvergent`]. Each stage charges one budget step
+/// and emits one [`Payload::StageStep`] with its target λ.
+pub(crate) fn lambda_ramp<'n>(
+    circuit: &Circuit,
+    x0: &[f64],
+    steps: RampSteps,
+    newton_at: impl Fn(f64) -> Cow<'n, NewtonConfig>,
+    deform: impl Fn(f64, &mut Stamper<'_>),
+    meter: &mut BudgetMeter,
+    tele: &Tele<'_>,
+) -> Result<Solution, SolveError> {
+    let fold = StatsFold::default();
+    let tele = tele.child(&fold);
+    let mut x = x0.to_vec();
+    let mut state = if x0.iter().any(|v| *v != 0.0) {
+        circuit.seeded_state(x0)
+    } else {
+        circuit.new_state()
+    };
+    let mut lambda = 0.0_f64;
+    let mut dl = steps.initial;
+    // Neither hook touches the Jacobian pattern: every stage replays one
+    // symbolic analysis and reuses one stamp plan.
+    let mut ws = NewtonWorkspace::new();
+    while lambda < 1.0 {
+        meter.charge_step(1)?;
+        let next = (lambda + dl).min(1.0);
+        let saved_state = state.clone();
+        let out = newton_iterate(
+            circuit,
+            &newton_at(next),
+            &x,
+            &mut state,
+            &mut |_, st| deform(next, st),
+            meter,
+            &mut ws,
+            &tele,
+        )?;
+        tele.emit(Payload::StageStep {
+            accepted: out.converged,
+            control: next,
+        });
+        if out.converged {
+            lambda = next;
+            x = out.x;
+            dl *= steps.growth;
+        } else {
+            state = saved_state;
+            dl /= 4.0;
+            if dl < steps.min {
+                return Err(SolveError::NonConvergent {
+                    stats: fold.snapshot(),
+                });
             }
         }
-        tele.emit(Payload::SolveDone { converged: true });
-        Ok(Solution {
-            x,
-            stats: fold.snapshot(),
-            health: None,
-        })
     }
+    tele.emit(Payload::SolveDone { converged: true });
+    Ok(Solution {
+        x,
+        stats: fold.snapshot(),
+        health: None,
+    })
 }
 
 #[cfg(test)]

@@ -52,13 +52,13 @@
 #[allow(deprecated)]
 use crate::assembly::AssemblyMode;
 use crate::assembly::NewtonWorkspace;
-use crate::certify::{certify_into, CertifyWorkspace, HealthGrade};
+use crate::certify::{certified, CertifyWorkspace};
 use crate::error::{SolveError, SolvePhase};
 use crate::newton::{newton_iterate, NewtonConfig, NewtonRaphson};
 use crate::pta::{PtaConfig, PtaKind, PtaSolver};
 use crate::recovery::{LadderStage, RobustDcSolver, SolveBudget};
 use crate::rl_stepping::{RlStepping, RlSteppingConfig};
-use crate::stepping::{SerStepping, SimpleStepping, StepController, StepObservation};
+use crate::stepping::{SerStepping, SimpleStepping, StepController};
 use crate::sweep::{DcSweep, QuarantinedPoint, SweepPoint, SweepReport};
 use crate::telemetry::{NullSink, Payload, Sink, Span, StatsFold, Tele};
 use crate::{Solution, SolveStats};
@@ -99,61 +99,12 @@ impl Stepping {
         }
     }
 
-    fn controller(&self) -> AnyController {
+    /// A fresh controller for this selector, dispatched at run time.
+    fn controller(&self) -> Box<dyn StepController> {
         match self {
-            Stepping::Simple(s) => AnyController::Simple(s.clone()),
-            Stepping::Ser(s) => AnyController::Ser(s.clone()),
-            Stepping::Rl(cfg) => AnyController::Rl(Box::new(RlStepping::new(cfg.clone()))),
-        }
-    }
-}
-
-/// Runtime-dispatched controller behind the [`Stepping`] selector.
-#[derive(Debug, Clone)]
-enum AnyController {
-    Simple(SimpleStepping),
-    Ser(SerStepping),
-    Rl(Box<RlStepping>),
-}
-
-impl StepController for AnyController {
-    fn initial_step(&mut self) -> f64 {
-        match self {
-            AnyController::Simple(c) => c.initial_step(),
-            AnyController::Ser(c) => c.initial_step(),
-            AnyController::Rl(c) => c.initial_step(),
-        }
-    }
-
-    fn next_step(&mut self, obs: &StepObservation) -> f64 {
-        match self {
-            AnyController::Simple(c) => c.next_step(obs),
-            AnyController::Ser(c) => c.next_step(obs),
-            AnyController::Rl(c) => c.next_step(obs),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            AnyController::Simple(c) => c.name(),
-            AnyController::Ser(c) => c.name(),
-            AnyController::Rl(c) => c.name(),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            AnyController::Simple(c) => c.reset(),
-            AnyController::Ser(c) => c.reset(),
-            AnyController::Rl(c) => c.reset(),
-        }
-    }
-
-    fn attach_telemetry(&mut self, sink: Arc<dyn Sink>, span: Span) {
-        match self {
-            AnyController::Simple(c) => c.attach_telemetry(sink, span),
-            AnyController::Ser(c) => c.attach_telemetry(sink, span),
-            AnyController::Rl(c) => c.attach_telemetry(sink, span),
+            Stepping::Simple(s) => Box::new(s.clone()),
+            Stepping::Ser(s) => Box::new(s.clone()),
+            Stepping::Rl(cfg) => Box::new(RlStepping::new(cfg.clone())),
         }
     }
 }
@@ -368,8 +319,12 @@ impl DcEngineBuilder {
     }
 }
 
-/// The batch DC-solve engine. Construct via [`DcEngine::builder`]; see the
-/// [module documentation](self) for the determinism contract.
+/// The batch DC-solve engine. Construct via [`DcEngine::builder`].
+///
+/// Every entry point returns bitwise-identical results for every `threads`
+/// value: jobs share no mutable state, results come back in submission
+/// order, and the sweep chunk layout is fixed by
+/// [`DcEngineBuilder::sweep_chunk`], never by the worker count.
 #[derive(Debug, Clone)]
 pub struct DcEngine {
     strategy: Strategy,
@@ -764,8 +719,8 @@ impl DcEngine {
         let mut solver = PtaSolver::with_config(self.pta_kind_or_default(), ctrl, self.config.clone());
         let mut meter = self.budget.start();
         meter.set_phase(SolvePhase::PseudoTransient);
-        let out = solver.solve_metered(circuit, &mut meter, tele);
-        self.certified(circuit, out, tele)
+        let sol = solver.solve_metered(circuit, &mut meter, tele)?;
+        certified(&mut CertifyWorkspace::default(), circuit, sol, tele)
     }
 
     fn pta_kind_or_default(&self) -> PtaKind {
@@ -777,52 +732,28 @@ impl DcEngine {
 
     /// One circuit through the configured strategy with no intra-solve
     /// parallelism — the body of [`DcEngine::solve`] and of every batch
-    /// job. Every success leaves with [`Solution::health`] populated: the
-    /// ladder certifies (and demotes) internally, the direct strategies go
-    /// through the [`DcEngine::certified`] gate here.
+    /// job. Every success leaves with [`Solution::health`] populated: each
+    /// strategy ends in the certification gate, which for the ladder
+    /// demotes a rejected rung and for the direct strategies returns
+    /// [`SolveError::CertificationFailed`].
     fn solve_serial(&self, circuit: &Circuit, tele: &Tele<'_>) -> Result<Solution, SolveError> {
         match &self.strategy {
             Strategy::Newton => {
                 let mut meter = self.budget.start();
                 meter.set_phase(SolvePhase::Newton);
-                let out = NewtonRaphson::from_config(self.newton.clone()).solve_metered(
+                let sol = NewtonRaphson::from_config(self.newton.clone()).solve_metered(
                     circuit,
                     &vec![0.0; circuit.dim()],
                     &mut meter,
                     tele,
-                );
-                self.certified(circuit, out, tele)
+                )?;
+                certified(&mut CertifyWorkspace::default(), circuit, sol, tele)
             }
             Strategy::Pta(_) => self.solve_once_with(circuit, self.stepping.controller(), tele),
             Strategy::Robust(stages) => RobustDcSolver::from_stages(stages.clone())
                 .with_budget(self.budget)
                 .solve_with(circuit, tele),
         }
-    }
-
-    /// Certification gate for the non-ladder strategies: grades the
-    /// operating point (rescuing a rejected one, see
-    /// [`certify_into`](crate::certify)), attaches the report, and turns a
-    /// surviving rejection into [`SolveError::CertificationFailed`] — the
-    /// direct strategies have no further rung to demote to.
-    fn certified(
-        &self,
-        circuit: &Circuit,
-        result: Result<Solution, SolveError>,
-        tele: &Tele<'_>,
-    ) -> Result<Solution, SolveError> {
-        let mut sol = result?;
-        if sol.health.is_none()
-            && certify_into(&mut CertifyWorkspace::default(), circuit, &mut sol, tele)
-                == HealthGrade::Rejected
-        {
-            let residual_norm = sol
-                .health
-                .as_ref()
-                .map_or(f64::INFINITY, |h| h.residual_norm);
-            return Err(SolveError::CertificationFailed { residual_norm });
-        }
-        Ok(sol)
     }
 
     /// Retry loop used by the batch and sweep entry points: re-runs a solve
@@ -962,7 +893,7 @@ impl DcEngine {
         match attempt {
             Ok(out) if out.converged => {
                 point_tele.emit(Payload::SolveDone { converged: true });
-                let mut sol = Solution {
+                let sol = Solution {
                     x: out.x,
                     stats: fold.snapshot(),
                     health: None,
@@ -971,7 +902,7 @@ impl DcEngine {
                 // after the rescue) is treated like any other Newton defeat:
                 // fall through to the escalation ladder below.
                 let certify_ws = ws.certify.get_or_insert_with(CertifyWorkspace::default);
-                if certify_into(certify_ws, work, &mut sol, &point_tele) != HealthGrade::Rejected {
+                if let Ok(sol) = certified(certify_ws, work, sol, &point_tele) {
                     return Ok(sol);
                 }
             }

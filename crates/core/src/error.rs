@@ -64,8 +64,8 @@ pub enum SolveError {
         detail: String,
     },
     /// A NaN or infinity was detected and could not be recovered by step
-    /// rollback/damping. The poison never reaches a returned [`Solution`]
-    /// (see [`crate::Solution`]).
+    /// rollback/damping. The poison never reaches a returned
+    /// [`Solution`](crate::Solution).
     NonFinite {
         /// Where the non-finite value was caught.
         phase: SolvePhase,
@@ -93,7 +93,7 @@ pub enum SolveError {
         detail: String,
     },
     /// The solver reported convergence but the independent certification
-    /// check (see [`crate::certify`]) rejected the operating point: the
+    /// check (see [`crate::certify`](mod@crate::certify)) rejected the operating point: the
     /// re-evaluated KCL residual was too large even after iterative
     /// refinement and equilibrated refactorization.
     CertificationFailed {

@@ -13,13 +13,15 @@
 //! the curve turns, the step shrinks and the run may fail, which is exactly
 //! the weakness the paper ascribes to homotopy methods.
 
-use crate::assembly::NewtonWorkspace;
+use crate::continuation::{lambda_ramp, RampSteps};
 use crate::error::SolvePhase;
-use crate::newton::{newton_iterate, NewtonConfig};
-use crate::recovery::{BudgetMeter, SolveBudget};
-use crate::telemetry::{Payload, StatsFold, Tele};
+use crate::newton::NewtonConfig;
+use crate::recovery::BudgetMeter;
+use crate::telemetry::Tele;
 use crate::{Solution, SolveError};
+use rlpta_devices::Stamper;
 use rlpta_mna::Circuit;
+use std::borrow::Cow;
 
 /// Newton-homotopy DC solver.
 ///
@@ -80,27 +82,6 @@ impl NewtonHomotopy {
         )
     }
 
-    /// Runs the continuation under a resource [`SolveBudget`].
-    ///
-    /// # Errors
-    ///
-    /// See [`NewtonHomotopy::solve`], plus [`SolveError::BudgetExhausted`]
-    /// when the budget runs out first.
-    pub fn solve_budgeted(
-        &self,
-        circuit: &Circuit,
-        budget: &SolveBudget,
-    ) -> Result<Solution, SolveError> {
-        let mut meter = budget.start();
-        meter.set_phase(SolvePhase::Homotopy);
-        self.solve_metered(
-            circuit,
-            &vec![0.0; circuit.dim()],
-            &mut meter,
-            &Tele::disabled(),
-        )
-    }
-
     pub(crate) fn solve_metered(
         &self,
         circuit: &Circuit,
@@ -116,68 +97,21 @@ impl NewtonHomotopy {
                 phase: SolvePhase::Residual,
             });
         }
-
-        let fold = StatsFold::default();
-        let tele = tele.child(&fold);
-        let mut x = x0.to_vec();
-        let mut state = if x0.iter().any(|v| *v != 0.0) {
-            circuit.seeded_state(x0)
-        } else {
-            circuit.new_state()
+        let steps = RampSteps {
+            initial: self.initial_step,
+            min: self.min_step,
+            growth: self.growth,
         };
-        let mut lambda = 0.0f64;
-        let mut dl = self.initial_step;
-        // The deformation touches only the residual, never the Jacobian
-        // pattern: one symbolic analysis and one stamp plan serve every λ
-        // stage.
-        let mut ws = NewtonWorkspace::new();
-        while lambda < 1.0 {
-            meter.charge_step(1)?;
-            let next = (lambda + dl).min(1.0);
-            let scale = 1.0 - next;
-            let f0_ref = f0.as_slice();
-            // H(x, λ) = F(x) − (1−λ)·F(x₀): subtract the deformation from
-            // the residual; the Jacobian is untouched.
-            let mut deform = move |_x: &[f64], st: &mut rlpta_devices::Stamper<'_>| {
-                for (i, f) in f0_ref.iter().enumerate() {
-                    st.res_raw(i, -(scale * f));
-                }
-            };
-            let saved_state = state.clone();
-            let out = newton_iterate(
-                circuit,
-                &self.newton,
-                &x,
-                &mut state,
-                &mut deform,
-                meter,
-                &mut ws,
-                &tele,
-            )?;
-            tele.emit(Payload::StageStep {
-                accepted: out.converged,
-                control: next,
-            });
-            if out.converged {
-                lambda = next;
-                x = out.x;
-                dl *= self.growth;
-            } else {
-                state = saved_state;
-                dl /= 4.0;
-                if dl < self.min_step {
-                    return Err(SolveError::NonConvergent {
-                        stats: fold.snapshot(),
-                    });
-                }
+        // H(x, λ) = F(x) − (1−λ)·F(x₀): subtract the deformation from the
+        // residual; the Jacobian is untouched.
+        let deform = |lambda: f64, st: &mut Stamper<'_>| {
+            let scale = 1.0 - lambda;
+            for (i, f) in f0.iter().enumerate() {
+                st.res_raw(i, -(scale * f));
             }
-        }
-        tele.emit(Payload::SolveDone { converged: true });
-        Ok(Solution {
-            x,
-            stats: fold.snapshot(),
-            health: None,
-        })
+        };
+        let newton_at = |_| Cow::Borrowed(&self.newton);
+        lambda_ramp(circuit, x0, steps, newton_at, deform, meter, tele)
     }
 }
 

@@ -1,7 +1,8 @@
 //! IPP glue: binds the Gaussian-process active learner of `rlpta-gp` to
 //! real PTA runs (the paper's §3 pipeline).
 
-use crate::telemetry::{Event, Payload, Sink, Span};
+use crate::error::SolvePhase;
+use crate::telemetry::{Event, Payload, Sink, Span, Tele};
 use crate::{PtaConfig, PtaKind, PtaParams, PtaSolver, SimpleStepping, SolveBudget};
 use rlpta_gp::{ActiveLearner, GpError, IterationOracle};
 use rlpta_mna::Circuit;
@@ -101,7 +102,9 @@ fn run_stats(
 ) -> Option<crate::SolveStats> {
     let mut solver = PtaSolver::with_config(kind, SimpleStepping::default(), config.clone())
         .with_params(params);
-    match solver.solve_budgeted(circuit, budget) {
+    let mut meter = budget.start();
+    meter.set_phase(SolvePhase::PseudoTransient);
+    match solver.solve_metered(circuit, &mut meter, &Tele::disabled()) {
         Ok(sol) => Some(sol.stats),
         Err(
             crate::SolveError::NonConvergent { stats }

@@ -4,7 +4,7 @@
 use crate::assembly::AssemblyMode;
 use crate::assembly::NewtonWorkspace;
 use crate::error::SolvePhase;
-use crate::recovery::{BudgetMeter, SolveBudget};
+use crate::recovery::BudgetMeter;
 use crate::telemetry::timing::time_phase;
 use crate::telemetry::{Payload, Phase, StatsFold, Tele};
 use crate::{Solution, SolveError};
@@ -92,8 +92,9 @@ pub(crate) struct NrOutcome {
 /// (the PTA loop treats that as a rollback signal, not an error); `Err` only
 /// on unrecoverable problems: a singular system after Gmin bumps, a
 /// non-finite value that step rollback could not clear, or an exhausted
-/// [`SolveBudget`] (`meter` charges one unit per iteration, so wall-clock
-/// deadlines are honored to within a single assembly + factorization).
+/// [`SolveBudget`](crate::SolveBudget) (`meter` charges one unit per
+/// iteration, so wall-clock deadlines are honored to within a single
+/// assembly + factorization).
 ///
 /// `ws` carries the stamp plan and the symbolic LU pattern across runs;
 /// callers that solve repeatedly on one circuit (PTA steps, continuation
@@ -388,28 +389,6 @@ impl NewtonRaphson {
     /// See [`NewtonRaphson::solve`].
     pub fn solve_from(&self, circuit: &Circuit, x0: &[f64]) -> Result<Solution, SolveError> {
         self.solve_metered(circuit, x0, &mut BudgetMeter::unlimited(), &Tele::disabled())
-    }
-
-    /// Solves under a resource [`SolveBudget`]: the wall-clock deadline and
-    /// iteration caps are checked on every Newton iteration.
-    ///
-    /// # Errors
-    ///
-    /// See [`NewtonRaphson::solve`], plus [`SolveError::BudgetExhausted`]
-    /// when the budget runs out first.
-    pub fn solve_budgeted(
-        &self,
-        circuit: &Circuit,
-        budget: &SolveBudget,
-    ) -> Result<Solution, SolveError> {
-        let mut meter = budget.start();
-        meter.set_phase(SolvePhase::Newton);
-        self.solve_metered(
-            circuit,
-            &vec![0.0; circuit.dim()],
-            &mut meter,
-            &Tele::disabled(),
-        )
     }
 
     pub(crate) fn solve_metered(

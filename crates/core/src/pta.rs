@@ -25,9 +25,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::assembly::NewtonWorkspace;
-use crate::error::SolvePhase;
 use crate::newton::{newton_iterate, NewtonConfig};
-use crate::recovery::{BudgetMeter, SolveBudget};
+use crate::recovery::BudgetMeter;
 use crate::telemetry::{Payload, Phase, StatsFold, Tele};
 use crate::{Solution, SolveError, StepController, StepObservation};
 use rlpta_devices::{Device, Stamper};
@@ -259,24 +258,6 @@ impl<C: StepController> PtaSolver<C> {
     ///   the controller stalls at `h_min`.
     pub fn solve(&mut self, circuit: &Circuit) -> Result<Solution, SolveError> {
         self.solve_metered(circuit, &mut BudgetMeter::unlimited(), &Tele::disabled())
-    }
-
-    /// Runs PTA under a resource [`SolveBudget`]: deadline and iteration
-    /// caps are enforced at every inner Newton iteration, the step cap at
-    /// every pseudo time point.
-    ///
-    /// # Errors
-    ///
-    /// See [`PtaSolver::solve`], plus [`SolveError::BudgetExhausted`] when
-    /// the budget runs out first.
-    pub fn solve_budgeted(
-        &mut self,
-        circuit: &Circuit,
-        budget: &SolveBudget,
-    ) -> Result<Solution, SolveError> {
-        let mut meter = budget.start();
-        meter.set_phase(SolvePhase::PseudoTransient);
-        self.solve_metered(circuit, &mut meter, &Tele::disabled())
     }
 
     /// Runs PTA under an explicit budget meter and telemetry context. The

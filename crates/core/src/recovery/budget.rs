@@ -16,13 +16,14 @@ use std::time::{Duration, Instant};
 /// # Example
 ///
 /// ```
-/// use rlpta_core::{NewtonRaphson, SolveBudget};
+/// use rlpta_core::{DcEngine, SolveBudget};
 /// use std::time::Duration;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let c = rlpta_netlist::parse("t\nV1 a 0 2\nR1 a b 1k\nR2 b 0 3k\n")?;
 /// let budget = SolveBudget::with_deadline(Duration::from_secs(5));
-/// let sol = NewtonRaphson::default().solve_budgeted(&c, &budget)?;
+/// let engine = DcEngine::builder().newton().budget(budget).build();
+/// let sol = engine.solve(&c)?;
 /// assert!(sol.stats.converged);
 /// # Ok(())
 /// # }

@@ -8,7 +8,7 @@
 //! configurable object with a global [`SolveBudget`] and a machine-readable
 //! failure trail ([`AttemptReport`]).
 
-use crate::certify::{certify_into, CertifyWorkspace, HealthGrade};
+use crate::certify::{certified, CertifyWorkspace};
 use crate::continuation::{GminStepping, SourceStepping};
 use crate::error::{SolveError, SolvePhase};
 use crate::homotopy::NewtonHomotopy;
@@ -213,35 +213,13 @@ impl RobustDcSolver {
                 run_stage(stage, circuit, warm.as_deref(), &mut meter, &stage_tele);
             stage_timer.finish(&stage_tele, Phase::LadderStage);
             let elapsed = t0.elapsed();
+            // Independent certification gate: a stage claiming convergence
+            // is demoted like any other failure when the re-evaluated
+            // residual rejects the point (after the refinement rescue).
+            let result = result
+                .and_then(|sol| certified(&mut CertifyWorkspace::default(), circuit, sol, &tele));
             match result {
                 Ok(mut sol) => {
-                    // Independent certification gate: a stage claiming
-                    // convergence is demoted like any other failure when the
-                    // re-evaluated residual rejects the point (after the
-                    // refinement rescue inside `certify_into`).
-                    if certify_into(&mut CertifyWorkspace::default(), circuit, &mut sol, &tele)
-                        == HealthGrade::Rejected
-                    {
-                        let stats = stage_fold.snapshot();
-                        let e = match &sol.health {
-                            Some(report) => crate::certify::rejection_error(report),
-                            None => SolveError::CertificationFailed {
-                                residual_norm: f64::INFINITY,
-                            },
-                        };
-                        tele.emit(Payload::LadderAttempt {
-                            strategy: stage.name().to_string(),
-                            error: e.to_string(),
-                            stats,
-                        });
-                        attempts.push(AttemptReport {
-                            strategy: stage.name(),
-                            error: Box::new(e),
-                            stats,
-                            elapsed,
-                        });
-                        continue;
-                    }
                     sol.stats = total_fold.snapshot();
                     return Ok(sol);
                 }

@@ -14,7 +14,7 @@
 //!    (NaN/Inf in stamps, residuals or updates triggers rollback/damping,
 //!    then [`SolveError::NonFinite`](crate::SolveError::NonFinite) — poison
 //!    never reaches a returned solution).
-//! 3. [`FaultPlan`] (behind the `faults` feature) — deterministic, seeded
+//! 3. `FaultPlan` (behind the `faults` feature) — deterministic, seeded
 //!    injection of singular pivots, NaN device stamps and oscillating
 //!    residuals, so the chaos suite can prove the two guarantees above hold
 //!    under fire.

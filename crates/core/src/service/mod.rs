@@ -51,9 +51,8 @@
 //! Every cache and queue transition is published on the engine's telemetry
 //! stream ([`Payload::CacheHit`], [`Payload::CacheMiss`],
 //! [`Payload::CacheEvicted`], [`Payload::JobQueued`],
-//! [`Payload::JobAdmitted`]), so the existing
-//! [`MetricsRegistry`](crate::telemetry::MetricsRegistry) counts them with
-//! no further wiring.
+//! [`Payload::JobAdmitted`]), so the existing [`MetricsRegistry`] counts
+//! them with no further wiring.
 //!
 //! # Determinism
 //!

@@ -58,6 +58,31 @@ pub trait StepController {
     fn attach_telemetry(&mut self, _sink: Arc<dyn Sink>, _span: Span) {}
 }
 
+/// A boxed controller forwards every call, so a policy chosen at run time
+/// (the engine's [`Stepping`](crate::Stepping) selector) drives the generic
+/// PTA loop like any other.
+impl<C: StepController + ?Sized> StepController for Box<C> {
+    fn initial_step(&mut self) -> f64 {
+        (**self).initial_step()
+    }
+
+    fn next_step(&mut self, obs: &StepObservation) -> f64 {
+        (**self).next_step(obs)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn reset(&mut self) {
+        (**self).reset()
+    }
+
+    fn attach_telemetry(&mut self, sink: Arc<dyn Sink>, span: Span) {
+        (**self).attach_telemetry(sink, span)
+    }
+}
+
 /// The conventional iteration-counting controller (`IMAX`/`IMIN`, §2.1):
 /// grow the step when NR converges quickly, shrink it on rejection.
 ///

@@ -22,7 +22,7 @@
 //! [`TraceEntry`] list, [`fold_attempts`] rebuilds the ladder attempt trail
 //! and [`fold_sweep_stats`] rebuilds a sweep's aggregate counters.
 //! Internally the solvers themselves use the same fold (a per-solve
-//! [`StatsFold`] registered on the emission path), so the counters they
+//! `StatsFold` registered on the emission path), so the counters they
 //! return are definitionally equal to the fold of the events they emitted.
 //!
 //! Sinks shipping with the crate: [`NullSink`] (default — events are
@@ -203,7 +203,7 @@ pub enum Payload {
         converged: bool,
     },
     /// A returned solution was independently certified (see
-    /// [`crate::certify`]). Emitted once per certified solve with the final
+    /// [`crate::certify`](mod@crate::certify)). Emitted once per certified solve with the final
     /// grade after any refinement rescue.
     Certified {
         /// Grade name: `"certified"`, `"suspect"` or `"rejected"`.

@@ -1,7 +1,7 @@
 //! Flight recorder: bounded always-on capture with post-mortem incident
 //! reports.
 //!
-//! [`FlightRecorder`] is a [`Sink`](super::Sink) that keeps only the most
+//! [`FlightRecorder`] is a [`Sink`] that keeps only the most
 //! recent N events per in-flight job in fixed-capacity ring buffers, plus
 //! per-job phase-time accumulators and global event-kind / cache counters.
 //! Unlike [`JsonlSink`](super::JsonlSink) it can stay attached to a

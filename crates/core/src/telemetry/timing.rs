@@ -2,7 +2,7 @@
 //! stream.
 //!
 //! Each instrumented hot boundary is a [`Phase`]. Solvers wrap the phase's
-//! body in a [`TimedGuard`] (via `Tele::time` or the [`time_phase!`]
+//! body in a [`TimedGuard`] (via `Tele::time` or the `time_phase!`
 //! macro); when the guard drops it emits [`super::Payload::PhaseTiming`]
 //! with the elapsed nanoseconds. Timing events ride the same [`super::Sink`]
 //! as the deterministic stream but are *out-of-band*: every determinism

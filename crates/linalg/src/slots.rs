@@ -58,7 +58,7 @@ impl StampSlots {
     /// pattern it induces. Returns the pattern with all values `0.0` plus
     /// the slot map.
     ///
-    /// The returned matrix is structurally identical to what a [`Triplet`]
+    /// The returned matrix is structurally identical to what a [`Triplet`](crate::Triplet)
     /// receiving pushes at exactly these positions converts to.
     ///
     /// # Panics

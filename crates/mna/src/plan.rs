@@ -26,7 +26,7 @@ use rlpta_linalg::{CsrMatrix, StampSlots};
 /// extra-stamp shape).
 ///
 /// Immutable once built — share it via `Arc` across sweep points, PTA
-/// steps, and service jobs with the same [`StructureKey`]-equivalent
+/// steps, and service jobs with the same `StructureKey`-equivalent
 /// structure. Working values buffers come from [`StampPlan::new_matrix`].
 #[derive(Debug, Clone)]
 pub struct StampPlan {

@@ -60,7 +60,7 @@ impl Adam {
 
     /// Applies one Adam update to `params` given `grads`: a single fused
     /// walk of the parameter slab updating moments and parameters together
-    /// ([`crate::kernel::adam_walk`]), with the bias corrections hoisted to
+    /// (`kernel::adam_walk`), with the bias corrections hoisted to
     /// per-step scalars. Allocation-free.
     ///
     /// # Panics
