@@ -24,6 +24,7 @@
 use rlpta_bench::arg_value;
 use rlpta_core::certify::RESIDUAL_CERTIFIED;
 use rlpta_core::prelude::*;
+use rlpta_core::telemetry::json;
 use rlpta_core::{FaultPlan, GminStepping, NewtonHomotopy, SourceStepping};
 use rlpta_mna::Circuit;
 use std::fmt::Write as _;
@@ -348,31 +349,35 @@ fn main() {
 
 fn render_report(t: &Tally, wall: Duration, incidents: usize, dropped: usize) -> String {
     let mut s = String::with_capacity(1024);
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"chaos_soak\",");
-    let _ = writeln!(s, "  \"git_rev\": \"{}\",", rlpta_bench::report::git_rev());
-    let _ = writeln!(s, "  \"wall_nanos\": {},", wall.as_nanos());
-    let _ = writeln!(s, "  \"plans\": {},", t.plans);
-    let _ = writeln!(s, "  \"solves\": {},", t.solves);
-    let _ = writeln!(s, "  \"ok\": {},", t.ok);
-    let _ = writeln!(s, "  \"certified\": {},", t.certified);
-    let _ = writeln!(s, "  \"suspect\": {},", t.suspect);
-    let _ = writeln!(s, "  \"structured_errors\": {},", t.errors);
-    let _ = writeln!(s, "  \"batch_jobs\": {},", t.batch_jobs);
-    let _ = writeln!(s, "  \"batch_failures\": {},", t.batch_failures);
-    let _ = writeln!(s, "  \"sweep_points\": {},", t.sweep_points);
-    let _ = writeln!(s, "  \"sweep_quarantined\": {},", t.sweep_quarantined);
-    let _ = writeln!(s, "  \"expected_incidents\": {},", t.expected_incidents);
-    let _ = writeln!(s, "  \"incidents\": {incidents},");
-    let _ = writeln!(s, "  \"dropped_incidents\": {dropped},");
-    s.push_str("  \"violations\": [");
-    for (i, v) in t.violations.iter().enumerate() {
-        let sep = if i == 0 { "\n" } else { ",\n" };
-        let _ = write!(s, "{sep}    \"{}\"", v.replace('\\', "\\\\").replace('"', "\\\""));
-    }
-    if !t.violations.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("]\n}\n");
+    let _ = write!(
+        s,
+        "{{\n  \"bench\": \"chaos_soak\",\n  \"git_rev\": {},\n  \"wall_nanos\": {},\
+         \n  \"plans\": {},\n  \"solves\": {},\n  \"ok\": {},\n  \"certified\": {},\
+         \n  \"suspect\": {},\n  \"structured_errors\": {},\n  \"batch_jobs\": {},\
+         \n  \"batch_failures\": {},\n  \"sweep_points\": {},\n  \"sweep_quarantined\": {},\
+         \n  \"expected_incidents\": {},\n  \"incidents\": {incidents},\
+         \n  \"dropped_incidents\": {dropped},\n  \"violations\": [",
+        json::string(&rlpta_bench::report::git_rev()),
+        wall.as_nanos(),
+        t.plans,
+        t.solves,
+        t.ok,
+        t.certified,
+        t.suspect,
+        t.errors,
+        t.batch_jobs,
+        t.batch_failures,
+        t.sweep_points,
+        t.sweep_quarantined,
+        t.expected_incidents,
+    );
+    json::push_items(&mut s, &t.violations, |s, v| {
+        let _ = write!(s, "{}", json::string(v));
+    });
+    s.push_str(if t.violations.is_empty() {
+        "]\n}\n"
+    } else {
+        "\n  ]\n}\n"
+    });
     s
 }

@@ -21,10 +21,11 @@
 pub mod report;
 
 use rlpta_circuits::{training_corpus, Benchmark};
+use rlpta_core::telemetry::timing;
 use rlpta_core::{
-    DcEngine, EngineConfig, Event, FanoutSink, JsonlSink, MetricsRegistry, Payload, Phase,
-    PtaConfig, PtaKind, PtaSolver, RlStepping, RlSteppingConfig, SerStepping, SimpleStepping,
-    Sink, Solution, SolveBudget, SolveError, SolveStats, Span, StepController,
+    DcEngine, EngineConfig, FanoutSink, JsonlSink, MetricsRegistry, Phase, PtaConfig, PtaKind,
+    PtaSolver, RlStepping, RlSteppingConfig, SerStepping, SimpleStepping, Sink, Solution,
+    SolveBudget, SolveError, SolveStats, Span, StepController,
 };
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -144,19 +145,10 @@ pub fn metrics_registry() -> Option<Arc<MetricsRegistry>> {
 /// telemetry dependency, so the harness wraps its training entry point).
 /// Without a timing-hungry sink the clock is never sampled.
 pub fn time_gp_fit<T>(body: impl FnOnce() -> T) -> T {
-    let sink = trace_sink().filter(|s| s.wants_timing());
-    let t0 = sink.as_ref().map(|_| Instant::now());
-    let out = body();
-    if let (Some(sink), Some(t0)) = (sink, t0) {
-        sink.emit(&Event {
-            span: Span::default(),
-            payload: Payload::PhaseTiming {
-                phase: Phase::GpFit,
-                nanos: t0.elapsed().as_nanos() as u64,
-            },
-        });
+    match trace_sink() {
+        Some(sink) => timing::time_on(&*sink, Span::default(), Phase::GpFit, body),
+        None => body(),
     }
-    out
 }
 
 /// Standard epilogue for every experiment binary: given the headline

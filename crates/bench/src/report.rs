@@ -9,7 +9,7 @@
 //! reader as telemetry events and incident files
 //! ([`rlpta_core::telemetry::json`]).
 
-use rlpta_core::telemetry::json::{self, push_f64, push_json_str};
+use rlpta_core::telemetry::json::{self, float, push_items, string};
 use rlpta_core::{HistogramSummary, MetricsRegistry, Phase, SolveStats};
 use std::fmt::Write as _;
 
@@ -172,61 +172,53 @@ impl BenchReport {
     /// Serializes with stable field order and 2-space indentation.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
-        let str_line = |s: &mut String, key: &str, v: &str| {
-            let _ = write!(s, "  \"{key}\": ");
-            push_json_str(s, v);
-            s.push_str(",\n");
-        };
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema_version\": {},", self.schema_version);
-        str_line(&mut s, "bench", &self.bench);
-        str_line(&mut s, "strategy", &self.strategy);
-        str_line(&mut s, "stepping", &self.stepping);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        str_line(&mut s, "git_rev", &self.git_rev);
-        let _ = writeln!(s, "  \"wall_nanos\": {},", self.wall_nanos);
-        let _ = writeln!(s, "  \"circuits\": {},", self.circuits);
-        let _ = writeln!(s, "  \"converged\": {},", self.converged);
-        let _ = writeln!(s, "  \"nr_iterations\": {},", self.nr_iterations);
-        let _ = writeln!(s, "  \"pta_steps\": {},", self.pta_steps);
-        let _ = writeln!(s, "  \"lu_factorizations\": {},", self.lu_factorizations);
-        let _ = writeln!(
+        let _ = write!(
             s,
-            "  \"lu_refactorizations\": {},",
-            self.lu_refactorizations
+            "{{\n  \"schema_version\": {},\n  \"bench\": {},\n  \"strategy\": {},\
+             \n  \"stepping\": {},\n  \"threads\": {},\n  \"git_rev\": {},\
+             \n  \"wall_nanos\": {},\n  \"circuits\": {},\n  \"converged\": {},\
+             \n  \"nr_iterations\": {},\n  \"pta_steps\": {},\n  \"lu_factorizations\": {},\
+             \n  \"lu_refactorizations\": {},\n  \"refactorize_hit_rate\": {},\n  \"rows\": [",
+            self.schema_version,
+            string(&self.bench),
+            string(&self.strategy),
+            string(&self.stepping),
+            self.threads,
+            string(&self.git_rev),
+            self.wall_nanos,
+            self.circuits,
+            self.converged,
+            self.nr_iterations,
+            self.pta_steps,
+            self.lu_factorizations,
+            self.lu_refactorizations,
+            float(self.refactorize_hit_rate),
         );
-        s.push_str("  \"refactorize_hit_rate\": ");
-        push_f64(&mut s, self.refactorize_hit_rate);
-        s.push_str(",\n");
-        s.push_str("  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str("    {\"circuit\": ");
-            push_json_str(&mut s, &r.circuit);
+        push_items(&mut s, &self.rows, |s, r| {
             let _ = write!(
                 s,
-                ", \"converged\": {}, \"nr_iterations\": {}, \
+                "{{\"circuit\": {}, \"converged\": {}, \"nr_iterations\": {}, \
                  \"pta_steps\": {}, \"lu_factorizations\": {}, \"lu_refactorizations\": {}}}",
+                string(&r.circuit),
                 r.converged,
                 r.nr_iterations,
                 r.pta_steps,
                 r.lu_factorizations,
                 r.lu_refactorizations,
             );
-        }
-        if !self.rows.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n");
+        });
+        s.push_str(if self.rows.is_empty() {
+            "],\n"
+        } else {
+            "\n  ],\n"
+        });
         s.push_str("  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str("    {\"phase\": ");
-            push_json_str(&mut s, &p.phase);
+        push_items(&mut s, &self.phases, |s, p| {
             let _ = write!(
                 s,
-                ", \"count\": {}, \"sum_nanos\": {}, \"min_nanos\": {}, \
+                "{{\"phase\": {}, \"count\": {}, \"sum_nanos\": {}, \"min_nanos\": {}, \
                  \"max_nanos\": {}, \"p50_nanos\": {}, \"p90_nanos\": {}, \"p99_nanos\": {}}}",
+                string(&p.phase),
                 p.count,
                 p.sum_nanos,
                 p.min_nanos,
@@ -235,11 +227,12 @@ impl BenchReport {
                 p.p90_nanos,
                 p.p99_nanos,
             );
-        }
-        if !self.phases.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
+        });
+        s.push_str(if self.phases.is_empty() {
+            "]\n}\n"
+        } else {
+            "\n  ]\n}\n"
+        });
         s
     }
 

@@ -404,7 +404,7 @@ impl DcEngine {
                 .enumerate()
                 .map(|(i, c)| {
                     move || {
-                        let tele = Tele::root(&*self.telemetry, Span::for_job(i));
+                        let tele = self.announce_job(i, circuits.len());
                         self.solve_with_retries(|| self.solve_serial(c, &tele)).0
                     }
                 })
@@ -437,7 +437,7 @@ impl DcEngine {
                 .enumerate()
                 .map(|(i, c)| {
                     move || {
-                        let tele = Tele::root(&*self.telemetry, Span::for_job(i));
+                        let tele = self.announce_job(i, circuits.len());
                         self.solve_with_retries(|| {
                             self.solve_once_with(c, controller.clone(), &tele)
                         })
@@ -523,7 +523,7 @@ impl DcEngine {
                 .map(|k| {
                     let boundary = &boundaries[k];
                     move || {
-                        let tele = Tele::root(&*self.telemetry, Span::for_job(k));
+                        let tele = self.announce_job(k, n_chunks);
                         let hi = ((k + 1) * chunk).min(values.len());
                         let mut work = circuit.clone();
                         let mut ws = NewtonWorkspace::new();
@@ -662,9 +662,9 @@ impl DcEngine {
     /// Emits the one-per-failure [`Payload::SolveFailed`] boundary marker
     /// for a terminally failed request — the flight recorder's primary
     /// incident trigger. Called exactly once per failed job at the public
-    /// entry points (and by the service layer for warm jobs), never from
-    /// inner ladder rungs, so recorders see one trigger per failure.
-    pub(crate) fn note_solve_failure(&self, span: Span, error: &SolveError) {
+    /// entry points and by the service layer, never from inner ladder
+    /// rungs, so recorders see one trigger per failure.
+    pub(crate) fn note_solve_failure(&self, span: Span, error: &impl std::fmt::Display) {
         Tele::root(&*self.telemetry, span).emit(Payload::SolveFailed {
             error: error.to_string(),
         });
@@ -921,32 +921,35 @@ impl DcEngine {
             .solve_with(work, tele)
     }
 
+    /// Announces pooled job `job` of `of` on the stream ([`Payload::BatchJob`])
+    /// and returns its telemetry root. Called first in every job closure,
+    /// on the worker thread, so the span carries the real worker index.
+    fn announce_job(&self, job: usize, of: usize) -> Tele<'_> {
+        let tele = Tele::root(&*self.telemetry, Span::for_job(job));
+        tele.emit(Payload::BatchJob { job, of });
+        tele
+    }
+
     /// Runs fallible jobs on the pool, mapping pool-level panics to
     /// [`SolveError::WorkerPanic`] per slot. Installs the configured fault
     /// plan inside each job (and clears it after), so injection reaches
-    /// pooled workers whose thread-locals start disarmed.
-    fn run_jobs<T, F>(&self, jobs: Vec<F>) -> Vec<Result<T, SolveError>>
+    /// pooled workers whose thread-locals start disarmed. The one pooled
+    /// executor: batches, sweep chunks and service drains all run here.
+    pub(crate) fn run_jobs<T, F>(&self, jobs: Vec<F>) -> Vec<Result<T, SolveError>>
     where
         T: Send,
         F: FnOnce() -> Result<T, SolveError> + Send,
     {
         #[cfg(feature = "faults")]
         let plan = self.fault_plan;
-        let of = jobs.len();
         let wrapped: Vec<_> = jobs
             .into_iter()
-            .enumerate()
-            .map(|(i, job)| {
+            .map(|job| {
                 move || {
                     #[cfg(feature = "faults")]
                     if let Some(p) = plan {
                         p.install();
                     }
-                    // Announce the pooled job on the stream. The span is
-                    // built on the worker thread so it carries the real
-                    // worker index.
-                    Tele::root(&*self.telemetry, Span::for_job(i))
-                        .emit(Payload::BatchJob { job: i, of });
                     let out = job();
                     #[cfg(feature = "faults")]
                     if plan.is_some() {

@@ -2,7 +2,8 @@
 //! real PTA runs (the paper's §3 pipeline).
 
 use crate::error::SolvePhase;
-use crate::telemetry::{Event, Payload, Sink, Span, Tele};
+use crate::telemetry::timing::time_phase;
+use crate::telemetry::{Payload, Phase, Sink, Span, Tele};
 use crate::{PtaConfig, PtaKind, PtaParams, PtaSolver, SimpleStepping, SolveBudget};
 use rlpta_gp::{ActiveLearner, GpError, IterationOracle};
 use rlpta_mna::Circuit;
@@ -139,48 +140,33 @@ impl IterationOracle for IppOracle<'_> {
     fn evaluate_batch(&mut self, jobs: &[(usize, Vec<f64>)]) -> Vec<f64> {
         self.evaluations += jobs.len();
         self.rounds += 1;
-        // Out-of-band round timing, gated on the sink's appetite so
-        // untimed oracles never read the clock.
-        let round_timer = self
-            .telemetry
-            .as_ref()
-            .filter(|sink| sink.wants_timing())
-            .map(|_| std::time::Instant::now());
-        let pool = rlpta_threadpool::ThreadPool::new(self.threads);
-        let costs: Vec<f64> = pool
-            .map(jobs, |(circuit, w)| {
-                run_stats(
-                    self.kind,
-                    &self.config,
-                    &self.budget,
-                    &self.circuits[*circuit],
-                    PtaParams::from_w(w),
-                )
-            })
-            .into_iter()
-            // A panicked job (impossible under normal operation) counts as a
-            // divergence rather than aborting a long offline training run.
-            .map(|r| stats_cost(r.unwrap_or(None)))
-            .collect();
-        if let Some(sink) = &self.telemetry {
-            if let Some(t0) = round_timer {
-                sink.emit(&Event {
-                    span: Span::default(),
-                    payload: Payload::PhaseTiming {
-                        phase: crate::telemetry::Phase::GpAcquisition,
-                        nanos: t0.elapsed().as_nanos() as u64,
-                    },
-                });
-            }
-            sink.emit(&Event {
-                span: Span::default(),
-                payload: Payload::AcquisitionRound {
-                    round: self.rounds,
-                    evaluations: self.evaluations,
-                    best_cost: costs.iter().copied().fold(f64::INFINITY, f64::min),
-                },
-            });
-        }
+        let tele = match &self.telemetry {
+            Some(sink) => Tele::root(&**sink, Span::default()),
+            None => Tele::disabled(),
+        };
+        let costs: Vec<f64> = time_phase!(tele, Phase::GpAcquisition, {
+            rlpta_threadpool::ThreadPool::new(self.threads)
+                .map(jobs, |(circuit, w)| {
+                    run_stats(
+                        self.kind,
+                        &self.config,
+                        &self.budget,
+                        &self.circuits[*circuit],
+                        PtaParams::from_w(w),
+                    )
+                })
+                .into_iter()
+                // A panicked job (impossible under normal operation) counts
+                // as a divergence rather than aborting a long offline
+                // training run.
+                .map(|r| stats_cost(r.unwrap_or(None)))
+                .collect()
+        });
+        tele.emit(Payload::AcquisitionRound {
+            round: self.rounds,
+            evaluations: self.evaluations,
+            best_cost: costs.iter().copied().fold(f64::INFINITY, f64::min),
+        });
         costs
     }
 }
@@ -262,6 +248,33 @@ mod tests {
         let got = pooled.evaluate_batch(&jobs);
         assert_eq!(got, expected, "pooled batch must match serial bit for bit");
         assert_eq!(pooled.evaluations(), jobs.len());
+    }
+
+    /// Byte pin: one pooled acquisition round's stream — its
+    /// `GpAcquisition` timing (duration dropped), then the round summary.
+    #[test]
+    fn acquisition_round_stream_matches_golden() {
+        let circuits = training_circuits();
+        let collector = Arc::new(crate::telemetry::Collector::new());
+        let mut oracle = IppOracle::new(&circuits, PtaKind::Pure)
+            .with_threads(2)
+            .with_telemetry(collector.clone());
+        oracle.evaluate_batch(&[(0, vec![0.0, 0.0, 0.0]), (1, vec![0.5, -0.5, 0.0])]);
+        let lines: Vec<String> = collector
+            .events()
+            .iter()
+            .map(|e| match &e.payload {
+                Payload::PhaseTiming { phase, .. } => format!("timing {}", phase.name()),
+                _ => e.to_json(),
+            })
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "timing gp_acquisition",
+                r#"{"event":"AcquisitionRound","job":null,"worker":0,"round":1,"evaluations":2,"best_cost":4.04305126783455}"#,
+            ]
+        );
     }
 
     #[test]

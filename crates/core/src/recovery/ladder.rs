@@ -230,7 +230,12 @@ impl RobustDcSolver {
                     return Err(e);
                 }
                 Err(e) => {
-                    let stats = stage_fold.snapshot();
+                    // A failed rung never reads "converged", even when the
+                    // rung's own solve did before certification demoted it.
+                    let stats = SolveStats {
+                        converged: false,
+                        ..stage_fold.snapshot()
+                    };
                     tele.emit(Payload::LadderAttempt {
                         strategy: stage.name().to_string(),
                         error: e.to_string(),

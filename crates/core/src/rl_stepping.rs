@@ -2,7 +2,7 @@
 //! (§4), with collaborative learning through a public sample buffer (§4.3)
 //! and TD-error priority sampling (§4.4).
 
-use crate::telemetry::{Event, Payload, Phase, Sink, Span};
+use crate::telemetry::{Payload, Phase, Sink, Span, Tele};
 use crate::{StepController, StepObservation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,8 +105,11 @@ pub struct RlStepping {
     /// Greedy mode: exploration and training disabled (evaluation runs).
     frozen: bool,
     transitions_seen: usize,
-    /// Attached telemetry: `TrainStep` events go here. `None` (the default)
-    /// skips metric computation entirely, so evaluation runs pay nothing.
+    /// Attached telemetry: `TrainStep` events and the `RlInference` /
+    /// `RlTrain` timings go here. Only a controller with nothing attached
+    /// skips the `TrainStep` loss computation; `DcEngine` attaches its
+    /// sink (`NullSink` unless configured) to every controller it runs, so
+    /// engine RL-S runs compute the losses even when no sink keeps them.
     telemetry: Option<(Arc<dyn Sink>, Span)>,
     /// Reusable batched-training storage shared by both agents (same
     /// network shapes): sampled transitions are gathered straight into its
@@ -295,26 +298,12 @@ impl RlStepping {
         self.config.backward_c / (1.0 + (self.config.backward_b - a).exp())
     }
 
-    /// Starts a wall-clock sample iff a timing-hungry sink is attached —
-    /// evaluation runs without telemetry never read the clock.
-    fn phase_timer(&self) -> Option<std::time::Instant> {
-        self.telemetry
-            .as_ref()
-            .filter(|(sink, _)| sink.wants_timing())
-            .map(|_| std::time::Instant::now())
-    }
-
-    /// Closes a [`RlStepping::phase_timer`] sample as an out-of-band
-    /// `PhaseTiming` event on the attached sink.
-    fn finish_phase(&self, start: Option<std::time::Instant>, phase: Phase) {
-        if let (Some(t0), Some((sink, span))) = (start, &self.telemetry) {
-            sink.emit(&Event {
-                span: *span,
-                payload: Payload::PhaseTiming {
-                    phase,
-                    nanos: t0.elapsed().as_nanos() as u64,
-                },
-            });
+    /// The attached sink as a telemetry root (a disabled context when
+    /// none is attached, so evaluation runs never read the clock).
+    fn tele(&self) -> Tele<'_> {
+        match &self.telemetry {
+            Some((sink, span)) => Tele::root(&**sink, *span),
+            None => Tele::disabled(),
         }
     }
 
@@ -322,7 +311,7 @@ impl RlStepping {
         if self.transitions_seen < self.config.warmup {
             return;
         }
-        let train_timer = self.phase_timer();
+        let train_timer = self.tele().timer();
         let half = (self.config.batch_size / 2).max(1);
         let private = match role {
             AgentRole::Forward => &self.forward_buffer,
@@ -368,17 +357,16 @@ impl RlStepping {
                 self.public_buffer.update_priority(idx, *err);
             }
         }
-        self.finish_phase(train_timer, Phase::RlTrain);
+        train_timer.finish(&self.tele(), Phase::RlTrain);
         self.emit_train_step(role);
     }
 
     /// Emits a `TrainStep` event with loss metrics recomputed from the
     /// just-trained networks, reading the minibatch back out of the
-    /// workspace slabs. Only runs with telemetry attached (training
-    /// configurations that opted in) — the extra forward passes cost
-    /// nothing otherwise, and they are batched
-    /// ([`Td3Agent::mean_actor_objective`]) so even opted-in runs pay two
-    /// GEMM forwards rather than a scalar pass per row.
+    /// workspace slabs. Runs whenever a sink is attached (see the
+    /// `telemetry` field); the extra forward passes are batched
+    /// ([`Td3Agent::mean_actor_objective`]), two GEMM forwards rather than
+    /// a scalar pass per row.
     fn emit_train_step(&mut self, role: AgentRole) {
         if self.telemetry.is_none() {
             return;
@@ -394,26 +382,20 @@ impl RlStepping {
         // TD3's actor objective: maximize Q₁(s, π(s)) — report its negation
         // as the loss being minimized.
         let actor_loss = -agent.mean_actor_objective(&mut self.workspace);
-        let Some((sink, span)) = &self.telemetry else {
-            return;
-        };
         let buffer_occupancy = match role {
             AgentRole::Forward => self.forward_buffer.len(),
             AgentRole::Backward => self.backward_buffer.len(),
         };
-        sink.emit(&Event {
-            span: *span,
-            payload: Payload::TrainStep {
-                role: match role {
-                    AgentRole::Forward => "forward",
-                    AgentRole::Backward => "backward",
-                }
-                .to_string(),
-                td_error,
-                actor_loss,
-                critic_loss,
-                buffer_occupancy,
-            },
+        self.tele().emit(Payload::TrainStep {
+            role: match role {
+                AgentRole::Forward => "forward",
+                AgentRole::Backward => "backward",
+            }
+            .to_string(),
+            td_error,
+            actor_loss,
+            critic_loss,
+            buffer_occupancy,
         });
     }
 }
@@ -468,7 +450,7 @@ impl StepController for RlStepping {
         } else {
             AgentRole::Backward
         };
-        let infer_timer = self.phase_timer();
+        let infer_timer = self.tele().timer();
         // Zero-allocation policy call: the action lands in the reused
         // `action_buf` row via the ping-pong scratch.
         {
@@ -488,7 +470,7 @@ impl StepController for RlStepping {
             }
         }
         let [action] = self.action_buf;
-        self.finish_phase(infer_timer, Phase::RlInference);
+        infer_timer.finish(&self.tele(), Phase::RlInference);
         let factor = match role {
             AgentRole::Forward => self.forward_factor(action),
             AgentRole::Backward => self.backward_factor(action),

@@ -108,7 +108,6 @@ use observe::priority_index;
 use rlpta_devices::Device;
 use rlpta_linalg::{FnvHasher, LuWorkspace, StampSlots, SymbolicLu};
 use rlpta_mna::{Circuit, DeclareScratch, StampPlan};
-use rlpta_threadpool::ThreadPool;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::error::Error;
@@ -859,9 +858,33 @@ struct QueuedJob<C = Circuit> {
     ticket: JobTicket,
     submitted: Instant,
     key: StructureKey,
-    /// Whether the queue-scan watchdog already flagged this job (each job
-    /// fires at most once while queued).
+    /// Whether the watchdog already flagged this job (each job fires at
+    /// most once, queued or in flight).
     watchdog_flagged: bool,
+}
+
+impl<C> QueuedJob<C> {
+    /// The watchdog's one fire: flags the job (at most once over its
+    /// life), counts the fire in `fires` and emits [`Payload::Watchdog`]
+    /// on the job's span.
+    fn flag_overrun(
+        &mut self,
+        sink: &dyn Sink,
+        elapsed: Duration,
+        limit: Duration,
+        fires: &mut u64,
+    ) {
+        if self.watchdog_flagged {
+            return;
+        }
+        self.watchdog_flagged = true;
+        *fires += 1;
+        Tele::root(sink, Span::for_job(self.seq)).emit(Payload::Watchdog {
+            job: self.seq,
+            elapsed_nanos: elapsed.as_nanos() as u64,
+            limit_nanos: limit.as_nanos() as u64,
+        });
+    }
 }
 
 /// The long-lived simulation service; see the [module docs](self).
@@ -1036,60 +1059,41 @@ impl SimService {
 
         let sink = self.engine.telemetry();
         let tele = Tele::root(&*sink, Span::default());
-        // Cache lookups happen serially up front (one per group — the
-        // whole group rides one seed), so the drain's cache transitions
-        // are independent of worker scheduling.
-        let prepared: Vec<(StructureKey, Vec<QueuedJob>, CacheSeed)> = groups
-            .into_iter()
-            .map(|(key, jobs)| {
-                let seed = self.cache.lookup(&key, &jobs[0].circuit, &tele);
-                for job in &jobs {
-                    tele.emit(Payload::JobAdmitted {
-                        job: job.seq,
-                        key: key.hash,
-                    });
-                }
-                (key, jobs, seed)
-            })
-            .collect();
-
         let engine = &self.engine;
         let policy = self.policy.as_ref();
-        let warm_starts = self.warm_starts;
-        let watchdog_factor = self.monitor.watchdog_factor;
-        let pooled = ThreadPool::new(engine.threads()).run(
-            prepared
-                .into_iter()
-                .map(|(key, jobs, seed)| {
-                    move || {
-                        (
-                            key,
-                            run_group(engine, policy, warm_starts, jobs, seed, watchdog_factor),
-                        )
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
+        let (warm_starts, watchdog_factor) = (self.warm_starts, self.monitor.watchdog_factor);
+        // Cache lookups happen serially up front (one per group — the
+        // whole group rides one seed), so the drain's cache transitions
+        // are independent of worker scheduling. Each group's key and job
+        // ids stay outside its closure, so a group whose worker panics
+        // still answers for every one of its jobs.
+        let mut group_ids = Vec::with_capacity(groups.len());
+        let mut closures = Vec::with_capacity(groups.len());
+        for (key, jobs) in groups {
+            let seed = self.cache.lookup(&key, &jobs[0].circuit, &tele);
+            for job in &jobs {
+                tele.emit(Payload::JobAdmitted {
+                    job: job.seq,
+                    key: key.hash,
+                });
+            }
+            group_ids.push((key, jobs.iter().map(|j| j.seq).collect::<Vec<_>>()));
+            closures.push(move || {
+                Ok(run_group(
+                    engine,
+                    policy,
+                    warm_starts,
+                    jobs,
+                    seed,
+                    watchdog_factor,
+                ))
+            });
+        }
+        let pooled = engine.run_jobs(closures);
 
         let mut out: Vec<(JobId, Result<Solution, ServiceError>)> = Vec::new();
-        for slot in pooled {
-            match slot {
-                Ok((key, group)) => out.extend(self.write_back(key, group, &tele)),
-                Err(panic) => {
-                    // The pool isolates the panic to this group; its jobs'
-                    // ids are unrecoverable from the closure, so the
-                    // caller sees the loss via the missing slots… which
-                    // would break the contract. Instead the group closure
-                    // is panic-free by construction: every solver error is
-                    // a value. This arm is defense in depth.
-                    out.push((
-                        usize::MAX,
-                        Err(ServiceError::Solve(SolveError::WorkerPanic {
-                            detail: panic.to_string(),
-                        })),
-                    ));
-                }
-            }
+        for ((key, ids), group) in group_ids.into_iter().zip(pooled) {
+            out.extend(self.group_results(key, ids, group, &tele));
         }
         out.sort_by_key(|(id, _)| *id);
         for (_, result) in &out {
@@ -1137,6 +1141,29 @@ impl SimService {
         self.monitor.counters.note_result(&result);
         self.tick();
         result
+    }
+
+    /// Expands one group's pooled outcome into its per-job results. A
+    /// finished group is folded back through [`SimService::write_back`]; a
+    /// group whose worker panicked fails each of its jobs `ids` with the
+    /// panic, each marked with one [`Payload::SolveFailed`].
+    fn group_results(
+        &mut self,
+        key: StructureKey,
+        ids: Vec<JobId>,
+        pooled: Result<GroupOutcome, SolveError>,
+        tele: &Tele<'_>,
+    ) -> Vec<(JobId, Result<Solution, ServiceError>)> {
+        match pooled {
+            Ok(group) => self.write_back(key, group, tele),
+            Err(e) => ids
+                .into_iter()
+                .map(|id| {
+                    self.engine.note_solve_failure(Span::for_job(id), &e);
+                    (id, Err(ServiceError::Solve(e.clone())))
+                })
+                .collect(),
+        }
     }
 
     /// Folds one finished group back into the service — shared by
@@ -1208,7 +1235,7 @@ fn run_group<C: Borrow<Circuit>>(
     let mut watchdog_fires = 0u64;
     let mut deadline_misses = 0u64;
     let mut results = Vec::with_capacity(jobs.len());
-    for job in jobs {
+    for mut job in jobs {
         let span = Span::for_job(job.seq);
         if let Some(deadline) = job.ticket.deadline {
             if job.submitted.elapsed() > deadline {
@@ -1222,18 +1249,10 @@ fn run_group<C: Borrow<Circuit>>(
                 // proved the deadline was meetable, so expiry here means
                 // the service sat on it too long.
                 if let Some(factor) = watchdog_factor {
-                    if !job.watchdog_flagged {
-                        watchdog_fires += 1;
-                        Tele::root(&*sink, span).emit(Payload::Watchdog {
-                            job: job.seq,
-                            elapsed_nanos: job.submitted.elapsed().as_nanos() as u64,
-                            limit_nanos: deadline.mul_f64(factor).as_nanos() as u64,
-                        });
-                    }
+                    let (elapsed, limit) = (job.submitted.elapsed(), deadline.mul_f64(factor));
+                    job.flag_overrun(&*sink, elapsed, limit, &mut watchdog_fires);
                 }
-                Tele::root(&*sink, span).emit(Payload::SolveFailed {
-                    error: err.to_string(),
-                });
+                engine.note_solve_failure(span, &err);
                 results.push((job.seq, Err(err)));
                 continue;
             }
@@ -1271,13 +1290,8 @@ fn run_group<C: Borrow<Circuit>>(
             }
             if let Some(factor) = watchdog_factor {
                 let limit = deadline.mul_f64(factor);
-                if elapsed > limit && !job.watchdog_flagged {
-                    watchdog_fires += 1;
-                    Tele::root(&*sink, span).emit(Payload::Watchdog {
-                        job: job.seq,
-                        elapsed_nanos: elapsed.as_nanos() as u64,
-                        limit_nanos: limit.as_nanos() as u64,
-                    });
+                if elapsed > limit {
+                    job.flag_overrun(&*sink, elapsed, limit, &mut watchdog_fires);
                 }
             }
         }
@@ -1289,12 +1303,9 @@ fn run_group<C: Borrow<Circuit>>(
                 results.push((job.seq, Ok(sol)));
             }
             Err(e) => {
-                // The one-per-failure boundary marker: this is the only
-                // place a service job's terminal error is emitted, after
-                // the RL rescue has had its chance.
-                Tele::root(&*sink, span).emit(Payload::SolveFailed {
-                    error: e.to_string(),
-                });
+                // The one-per-failure boundary marker, emitted after the
+                // RL rescue has had its chance.
+                engine.note_solve_failure(span, &e);
                 results.push((job.seq, Err(ServiceError::Solve(e))));
             }
         }
@@ -1323,6 +1334,37 @@ mod tests {
             "clamp\nV1 in 0 {level}\nR1 in out 1k\nD1 out 0 DX\n.model DX D(IS=1e-14)\n"
         ))
         .expect("parse")
+    }
+
+    /// A group whose pooled worker panicked still answers for every job it
+    /// held: one `WorkerPanic` error per submitted id, in id order, each
+    /// marked with one `SolveFailed` on its job's span.
+    #[test]
+    fn panicked_group_fails_each_of_its_jobs() {
+        let collector = Arc::new(Collector::new());
+        let mut service =
+            SimService::builder(DcEngine::builder().telemetry(collector.clone()).build()).build();
+        let key = StructureKey::of(&divider("1k"));
+        let panic = SolveError::WorkerPanic {
+            detail: "boom".to_string(),
+        };
+        let results =
+            service.group_results(key, vec![2, 5, 9], Err(panic.clone()), &Tele::disabled());
+        let ids: Vec<JobId> = results.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [2, 5, 9]);
+        for (_, r) in &results {
+            match r {
+                Err(ServiceError::Solve(e)) => assert_eq!(*e, panic),
+                other => panic!("expected a worker panic, got {other:?}"),
+            }
+        }
+        let marked: Vec<Option<usize>> = collector
+            .events()
+            .iter()
+            .filter(|e| matches!(e.payload, Payload::SolveFailed { .. }))
+            .map(|e| e.span.job)
+            .collect();
+        assert_eq!(marked, [Some(2), Some(5), Some(9)]);
     }
 
     #[test]

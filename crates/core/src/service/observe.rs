@@ -22,16 +22,17 @@
 //! jobs still sitting in the queue (checked on every
 //! [`tick`](SimService::tick)) and jobs that overran inside a drain
 //! (checked as each group completes). A fire emits
-//! [`Payload::Watchdog`], which is itself a flight-recorder trigger, so a
-//! wedged job leaves an incident report even if it never returns. The
+//! [`Payload::Watchdog`](crate::telemetry::Payload::Watchdog), which is
+//! itself a flight-recorder trigger, so a wedged job leaves an incident
+//! report even if it never returns. The
 //! watchdog is off by default: it reads the wall clock, and the service's
 //! determinism contract only covers configurations that do not.
 
 use super::{Priority, SimService};
-use crate::telemetry::json::{self, push_f64};
+use crate::telemetry::json::{self, push_field};
 use crate::telemetry::metrics::HistogramSummary;
 use crate::telemetry::timing::Phase;
-use crate::telemetry::{MetricsRegistry, Payload, Span, Tele};
+use crate::telemetry::MetricsRegistry;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -225,10 +226,27 @@ fn nanos_to_secs(nanos: u64) -> f64 {
     nanos as f64 * 1e-9
 }
 
-/// Writes one `# HELP` + `# TYPE` preamble.
-fn preamble(out: &mut String, name: &str, help: &str, kind: &str) {
+/// Writes one metric family: its `# HELP` + `# TYPE` preamble, then one
+/// `name<sample> value` line per sample, where `sample` completes the
+/// series name — empty, a label set from [`label`], or a summary suffix
+/// such as `_sum{phase="…"}`.
+fn family<S: std::fmt::Display, V: std::fmt::Display>(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    kind: &str,
+    samples: impl IntoIterator<Item = (S, V)>,
+) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {kind}");
+    for (sample, value) in samples {
+        let _ = writeln!(out, "{name}{sample} {value}");
+    }
+}
+
+/// A one-label set, `{key="value"}`, its value escaped.
+fn label(key: &str, value: &str) -> String {
+    format!("{{{key}=\"{}\"}}", escape_label(value))
 }
 
 impl ServiceSnapshot {
@@ -239,244 +257,178 @@ impl ServiceSnapshot {
     /// `_total` counters are cumulative since service construction.
     pub fn render_prometheus(&self) -> String {
         let mut s = String::with_capacity(4096);
-        preamble(
+        let by_priority = |counts: [u64; 4]| {
+            PRIORITIES
+                .iter()
+                .zip(counts)
+                .map(|(p, n)| (label("priority", p.as_str()), n))
+        };
+        family(
             &mut s,
             "rlpta_service_uptime_seconds",
             "Seconds since the service was built.",
             "gauge",
+            [("", self.uptime.as_secs_f64())],
         );
-        let _ = writeln!(
-            s,
-            "rlpta_service_uptime_seconds {}",
-            self.uptime.as_secs_f64()
-        );
-        preamble(
+        family(
             &mut s,
             "rlpta_service_queue_depth",
             "Jobs currently queued, by priority.",
             "gauge",
+            by_priority(self.queue_by_priority.map(|n| n as u64)),
         );
-        for (i, p) in PRIORITIES.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "rlpta_service_queue_depth{{priority=\"{}\"}} {}",
-                escape_label(p.as_str()),
-                self.queue_by_priority[i]
-            );
-        }
-        preamble(
+        family(
             &mut s,
             "rlpta_service_queue_oldest_seconds",
             "Age of the oldest queued job (0 when the queue is empty).",
             "gauge",
+            [(
+                "",
+                self.oldest_queued.unwrap_or(Duration::ZERO).as_secs_f64(),
+            )],
         );
-        let _ = writeln!(
-            s,
-            "rlpta_service_queue_oldest_seconds {}",
-            self.oldest_queued.unwrap_or(Duration::ZERO).as_secs_f64()
-        );
-        preamble(
+        family(
             &mut s,
             "rlpta_service_jobs_submitted_total",
             "Admitted jobs, by priority.",
             "counter",
+            by_priority(self.submitted),
         );
-        for (i, p) in PRIORITIES.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "rlpta_service_jobs_submitted_total{{priority=\"{}\"}} {}",
-                escape_label(p.as_str()),
-                self.submitted[i]
-            );
-        }
-        preamble(
+        family(
             &mut s,
             "rlpta_service_jobs_rejected_total",
             "Submissions refused at admission, by reason.",
             "counter",
+            [
+                (label("reason", "queue_full"), self.rejected_queue_full),
+                (
+                    label("reason", "deadline_unmeetable"),
+                    self.rejected_deadline,
+                ),
+            ],
         );
-        let _ = writeln!(
-            s,
-            "rlpta_service_jobs_rejected_total{{reason=\"queue_full\"}} {}",
-            self.rejected_queue_full
-        );
-        let _ = writeln!(
-            s,
-            "rlpta_service_jobs_rejected_total{{reason=\"deadline_unmeetable\"}} {}",
-            self.rejected_deadline
-        );
-        preamble(
-            &mut s,
-            "rlpta_service_jobs_completed_total",
-            "Jobs that returned a solution.",
-            "counter",
-        );
-        let _ = writeln!(s, "rlpta_service_jobs_completed_total {}", self.completed);
-        preamble(
-            &mut s,
-            "rlpta_service_solve_failures_total",
-            "Jobs that returned an error.",
-            "counter",
-        );
-        let _ = writeln!(
-            s,
-            "rlpta_service_solve_failures_total {}",
-            self.solve_failures
-        );
-        preamble(
-            &mut s,
-            "rlpta_service_deadline_misses_total",
-            "Jobs that finished after their deadline.",
-            "counter",
-        );
-        let _ = writeln!(
-            s,
-            "rlpta_service_deadline_misses_total {}",
-            self.deadline_misses
-        );
-        preamble(
-            &mut s,
-            "rlpta_service_watchdog_fires_total",
-            "Jobs flagged past deadline x factor.",
-            "counter",
-        );
-        let _ = writeln!(
-            s,
-            "rlpta_service_watchdog_fires_total {}",
-            self.watchdog_fires
-        );
-        preamble(
+        for (name, help, value) in [
+            (
+                "rlpta_service_jobs_completed_total",
+                "Jobs that returned a solution.",
+                self.completed,
+            ),
+            (
+                "rlpta_service_solve_failures_total",
+                "Jobs that returned an error.",
+                self.solve_failures,
+            ),
+            (
+                "rlpta_service_deadline_misses_total",
+                "Jobs that finished after their deadline.",
+                self.deadline_misses,
+            ),
+            (
+                "rlpta_service_watchdog_fires_total",
+                "Jobs flagged past deadline x factor.",
+                self.watchdog_fires,
+            ),
+        ] {
+            family(&mut s, name, help, "counter", [("", value)]);
+        }
+        family(
             &mut s,
             "rlpta_service_health_grades_total",
             "Certification grades over completed jobs.",
             "counter",
+            GRADES
+                .iter()
+                .zip(self.grades)
+                .map(|(g, n)| (label("grade", g), n)),
         );
-        for (i, g) in GRADES.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "rlpta_service_health_grades_total{{grade=\"{}\"}} {}",
-                escape_label(g),
-                self.grades[i]
-            );
-        }
-        preamble(
+        let cache = &self.cache;
+        family(
             &mut s,
             "rlpta_service_cache_lookups_total",
             "Plan-cache lookups, by result.",
             "counter",
+            [
+                (label("result", "hit"), cache.hits),
+                (label("result", "miss"), cache.misses),
+                (label("result", "invalidated"), cache.invalidations),
+            ],
         );
-        for (label, value) in [
-            ("hit", self.cache.hits),
-            ("miss", self.cache.misses),
-            ("invalidated", self.cache.invalidations),
-        ] {
-            let _ = writeln!(
-                s,
-                "rlpta_service_cache_lookups_total{{result=\"{label}\"}} {value}"
-            );
-        }
-        preamble(
+        family(
             &mut s,
             "rlpta_service_cache_warm_misses_total",
             "Cache misses seeded from the warm-start tier.",
             "counter",
+            [("", cache.warm_misses)],
         );
-        let _ = writeln!(
-            s,
-            "rlpta_service_cache_warm_misses_total {}",
-            self.cache.warm_misses
-        );
-        preamble(
+        family(
             &mut s,
             "rlpta_service_cache_evictions_total",
             "Cache entries dropped under the byte budget.",
             "counter",
+            [("", cache.evictions)],
         );
-        let _ = writeln!(
-            s,
-            "rlpta_service_cache_evictions_total {}",
-            self.cache.evictions
-        );
-        preamble(
+        family(
             &mut s,
             "rlpta_service_stamp_plan_lookups_total",
             "Stamp-plan reuse, by result.",
             "counter",
+            [
+                (label("result", "hit"), cache.plan_hits),
+                (label("result", "miss"), cache.plan_misses),
+            ],
         );
-        for (label, value) in [
-            ("hit", self.cache.plan_hits),
-            ("miss", self.cache.plan_misses),
-        ] {
-            let _ = writeln!(
-                s,
-                "rlpta_service_stamp_plan_lookups_total{{result=\"{label}\"}} {value}"
-            );
-        }
-        preamble(
+        family(
             &mut s,
             "rlpta_service_cache_hit_rate",
             "Hit fraction of all cache lookups (0 before the first).",
             "gauge",
+            [("", cache.hit_rate())],
         );
-        let _ = writeln!(s, "rlpta_service_cache_hit_rate {}", self.cache.hit_rate());
-        preamble(
+        family(
             &mut s,
             "rlpta_service_cached_structures",
             "Structures currently held by the plan cache.",
             "gauge",
+            [("", self.cached_structures)],
         );
-        let _ = writeln!(
-            s,
-            "rlpta_service_cached_structures {}",
-            self.cached_structures
-        );
-        preamble(
+        family(
             &mut s,
             "rlpta_service_incidents_total",
             "Incident reports frozen by the flight recorder.",
             "counter",
+            [("", self.incidents)],
         );
-        let _ = writeln!(s, "rlpta_service_incidents_total {}", self.incidents);
-        preamble(
+        family(
             &mut s,
             "rlpta_service_incidents_dropped_total",
             "Incident triggers suppressed by the per-run cap.",
             "counter",
+            [("", self.dropped_incidents)],
         );
-        let _ = writeln!(
-            s,
-            "rlpta_service_incidents_dropped_total {}",
-            self.dropped_incidents
-        );
-        preamble(
+        family(
             &mut s,
             "rlpta_service_phase_seconds",
             "Per-phase wall-time distribution from the metrics registry.",
             "summary",
+            self.phases.iter().flat_map(|(phase, h)| {
+                let name = escape_label(phase.name());
+                [
+                    (
+                        format!("{{phase=\"{name}\",quantile=\"0.5\"}}"),
+                        nanos_to_secs(h.p50_nanos).to_string(),
+                    ),
+                    (
+                        format!("{{phase=\"{name}\",quantile=\"0.99\"}}"),
+                        nanos_to_secs(h.p99_nanos).to_string(),
+                    ),
+                    (
+                        format!("_sum{{phase=\"{name}\"}}"),
+                        nanos_to_secs(h.sum_nanos).to_string(),
+                    ),
+                    (format!("_count{{phase=\"{name}\"}}"), h.count.to_string()),
+                ]
+            }),
         );
-        for (phase, h) in &self.phases {
-            let name = escape_label(phase.name());
-            let _ = writeln!(
-                s,
-                "rlpta_service_phase_seconds{{phase=\"{name}\",quantile=\"0.5\"}} {}",
-                nanos_to_secs(h.p50_nanos)
-            );
-            let _ = writeln!(
-                s,
-                "rlpta_service_phase_seconds{{phase=\"{name}\",quantile=\"0.99\"}} {}",
-                nanos_to_secs(h.p99_nanos)
-            );
-            let _ = writeln!(
-                s,
-                "rlpta_service_phase_seconds_sum{{phase=\"{name}\"}} {}",
-                nanos_to_secs(h.sum_nanos)
-            );
-            let _ = writeln!(
-                s,
-                "rlpta_service_phase_seconds_count{{phase=\"{name}\"}} {}",
-                h.count
-            );
-        }
         s
     }
 }
@@ -563,51 +515,45 @@ impl HeartbeatLine {
     /// Serializes the beat as one flat JSON object, no trailing newline.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(512);
-        let _ = write!(
-            s,
-            "{{\"uptime_nanos\":{},\"queue_depth\":{}",
-            self.uptime_nanos, self.queue_depth
-        );
+        let _ = write!(s, "{{\"uptime_nanos\":{}", self.uptime_nanos);
+        push_field(&mut s, "queue_depth", self.queue_depth);
         for (i, p) in PRIORITIES.iter().enumerate() {
-            let _ = write!(s, ",\"queue_{}\":{}", p.as_str(), self.queue_by_priority[i]);
-        }
-        let _ = write!(s, ",\"oldest_queued_nanos\":{}", self.oldest_queued_nanos);
-        for (i, p) in PRIORITIES.iter().enumerate() {
-            let _ = write!(s, ",\"submitted_{}\":{}", p.as_str(), self.submitted[i]);
-        }
-        let _ = write!(
-            s,
-            ",\"rejected_queue_full\":{},\"rejected_deadline\":{},\"completed\":{},\
-             \"solve_failures\":{},\"deadline_misses\":{},\"watchdog_fires\":{}",
-            self.rejected_queue_full,
-            self.rejected_deadline,
-            self.completed,
-            self.solve_failures,
-            self.deadline_misses,
-            self.watchdog_fires
-        );
-        for (i, g) in GRADES.iter().enumerate() {
-            let _ = write!(s, ",\"{}\":{}", g, self.grades[i]);
-        }
-        let _ = write!(
-            s,
-            ",\"cache_hits\":{},\"cache_misses\":{},\"hit_rate\":",
-            self.cache_hits, self.cache_misses
-        );
-        push_f64(&mut s, self.hit_rate);
-        let _ = write!(
-            s,
-            ",\"cached_structures\":{},\"incidents\":{},\"dropped_incidents\":{}",
-            self.cached_structures, self.incidents, self.dropped_incidents
-        );
-        for (phase, p50, p99) in &self.phases {
-            let _ = write!(
-                s,
-                ",\"p50_{0}\":{1},\"p99_{0}\":{2}",
-                phase.name(),
-                p50,
-                p99
+            push_field(
+                &mut s,
+                format_args!("queue_{}", p.as_str()),
+                self.queue_by_priority[i],
             );
+        }
+        push_field(&mut s, "oldest_queued_nanos", self.oldest_queued_nanos);
+        for (i, p) in PRIORITIES.iter().enumerate() {
+            push_field(
+                &mut s,
+                format_args!("submitted_{}", p.as_str()),
+                self.submitted[i],
+            );
+        }
+        for (key, value) in [
+            ("rejected_queue_full", self.rejected_queue_full),
+            ("rejected_deadline", self.rejected_deadline),
+            ("completed", self.completed),
+            ("solve_failures", self.solve_failures),
+            ("deadline_misses", self.deadline_misses),
+            ("watchdog_fires", self.watchdog_fires),
+        ] {
+            push_field(&mut s, key, value);
+        }
+        for (g, count) in GRADES.iter().zip(self.grades) {
+            push_field(&mut s, g, count);
+        }
+        push_field(&mut s, "cache_hits", self.cache_hits);
+        push_field(&mut s, "cache_misses", self.cache_misses);
+        push_field(&mut s, "hit_rate", json::float(self.hit_rate));
+        push_field(&mut s, "cached_structures", self.cached_structures);
+        push_field(&mut s, "incidents", self.incidents);
+        push_field(&mut s, "dropped_incidents", self.dropped_incidents);
+        for (phase, p50, p99) in &self.phases {
+            push_field(&mut s, format_args!("p50_{}", phase.name()), p50);
+            push_field(&mut s, format_args!("p99_{}", phase.name()), p99);
         }
         s.push('}');
         s
@@ -735,22 +681,14 @@ impl SimService {
         if let Some(factor) = self.monitor.watchdog_factor {
             let sink = self.engine.telemetry();
             for job in &mut self.queue {
-                if job.watchdog_flagged {
-                    continue;
-                }
                 let Some(deadline) = job.ticket.deadline else {
                     continue;
                 };
                 let limit = deadline.mul_f64(factor);
                 let elapsed = job.submitted.elapsed();
                 if elapsed > limit {
-                    job.watchdog_flagged = true;
-                    self.monitor.counters.watchdog_fires += 1;
-                    Tele::root(&*sink, Span::for_job(job.seq)).emit(Payload::Watchdog {
-                        job: job.seq,
-                        elapsed_nanos: elapsed.as_nanos() as u64,
-                        limit_nanos: limit.as_nanos() as u64,
-                    });
+                    let fires = &mut self.monitor.counters.watchdog_fires;
+                    job.flag_overrun(&*sink, elapsed, limit, fires);
                 }
             }
         }
@@ -923,6 +861,14 @@ rlpta_service_phase_seconds_count{phase=\"lu_factorize\"} 100
         assert_eq!(escape_label("a\\b"), "a\\\\b");
         assert_eq!(escape_label("say \"hi\""), "say \\\"hi\\\"");
         assert_eq!(escape_label("two\nlines"), "two\\nlines");
+    }
+
+    /// Byte pin: the heartbeat line of a fully-populated snapshot.
+    #[test]
+    fn heartbeat_line_matches_golden() {
+        let golden = r#"{"uptime_nanos":1500000000,"queue_depth":3,"queue_low":1,"queue_normal":2,"queue_high":0,"queue_critical":0,"oldest_queued_nanos":250000000,"submitted_low":4,"submitted_normal":10,"submitted_high":2,"submitted_critical":1,"rejected_queue_full":2,"rejected_deadline":1,"completed":12,"solve_failures":3,"deadline_misses":1,"watchdog_fires":2,"certified":11,"suspect":1,"rejected":0,"cache_hits":9,"cache_misses":3,"hit_rate":0.75,"cached_structures":2,"incidents":3,"dropped_incidents":1,"p50_lu_factorize":20000,"p99_lu_factorize":48000}"#;
+        let line = HeartbeatLine::from_snapshot(&sample_snapshot()).to_json();
+        assert_eq!(line, golden);
     }
 
     #[test]

@@ -1,53 +1,88 @@
-//! The workspace's one JSON reader, and the two value writers every JSON
-//! artifact shares.
+//! The workspace's one JSON reader, and the writers every JSON artifact
+//! shares.
 //!
 //! Telemetry event lines, service heartbeat lines, flight-recorder
 //! incident files and bench reports are all written by hand with stable
 //! field order and read back through [`parse_object`] and the typed getters
-//! on [`Value`]. Floats go through [`push_f64`] (non-finite values as the
-//! strings `"NaN"`, `"inf"` and `"-inf"`), strings through
-//! [`push_json_str`], structure keys as fixed-width hex strings. Nesting is
-//! capped at [`MAX_DEPTH`], so a hostile file returns an error instead of
+//! on [`Value`]. Every value goes through one of four `Display` adapters —
+//! [`float`] (non-finite values as the strings `"NaN"`, `"inf"` and
+//! `"-inf"`), [`string`], and inside this crate `hex_key` (structure keys
+//! as fixed-width hex strings) and `or_null` — and every field of a
+//! one-line object through `push_field`; the indented multi-line documents
+//! lay out their arrays and maps with [`push_items`]. Nesting is capped at
+//! [`MAX_DEPTH`], so a hostile file returns an error instead of
 //! overflowing the stack.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Display, Write as _};
 
 /// Deepest array/object nesting [`parse_object`] accepts (the top-level
 /// object counts as one level). The deepest artifact written today nests
 /// three levels (an incident's event window: object, array, object).
 pub const MAX_DEPTH: usize = 64;
 
-/// Appends `s` as a JSON string literal, escaping quotes, backslashes and
-/// control characters.
-pub fn push_json_str(buf: &mut String, s: &str) {
-    buf.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(buf, "\\u{:04x}", c as u32);
+/// A string value as a JSON string literal, escaping quotes, backslashes
+/// and control characters.
+pub fn string(s: &str) -> impl Display + '_ {
+    fmt::from_fn(move |f| {
+        f.write_char('"')?;
+        for c in s.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
             }
-            c => buf.push(c),
         }
-    }
-    buf.push('"');
+        f.write_char('"')
+    })
 }
 
-/// Appends `v`: finite values as the shortest literal that round-trips
+/// A float value: finite values as the shortest literal that round-trips
 /// exactly, non-finite ones as the strings `"NaN"`, `"inf"` or `"-inf"`.
-pub fn push_f64(buf: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(buf, "{v:?}");
-    } else if v.is_nan() {
-        buf.push_str("\"NaN\"");
-    } else if v > 0.0 {
-        buf.push_str("\"inf\"");
-    } else {
-        buf.push_str("\"-inf\"");
+pub fn float(v: f64) -> impl Display {
+    fmt::from_fn(move |f| match v {
+        v if v.is_finite() => write!(f, "{v:?}"),
+        v if v.is_nan() => f.write_str("\"NaN\""),
+        v if v > 0.0 => f.write_str("\"inf\""),
+        _ => f.write_str("\"-inf\""),
+    })
+}
+
+/// A full-range `u64` structure key as a fixed-width hex string (a JSON
+/// number would round through `f64` above 2^53); read back with
+/// [`Value::key_field`].
+pub(crate) fn hex_key(key: u64) -> impl Display {
+    fmt::from_fn(move |f| write!(f, "\"{key:016x}\""))
+}
+
+/// `null` for `None`, the value itself otherwise.
+pub(crate) fn or_null<T: Display>(v: Option<T>) -> impl Display {
+    fmt::from_fn(move |f| match &v {
+        Some(v) => v.fmt(f),
+        None => f.write_str("null"),
+    })
+}
+
+/// Appends `,"key":value` — one field of a compact one-line object (event
+/// and heartbeat lines). Keys are plain identifiers, written unescaped.
+pub(crate) fn push_field(buf: &mut String, key: impl Display, value: impl Display) {
+    let _ = write!(buf, ",\"{key}\":{value}");
+}
+
+/// Appends each item of an indented array or map on its own line, four
+/// spaces in and comma-separated; `item` writes one item. The caller
+/// writes the brackets and the closing line break.
+pub fn push_items<I: IntoIterator>(
+    buf: &mut String,
+    items: I,
+    mut item: impl FnMut(&mut String, I::Item),
+) {
+    for (i, it) in items.into_iter().enumerate() {
+        buf.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        item(buf, it);
     }
 }
 
@@ -120,7 +155,7 @@ impl Value {
             .ok_or_else(|| format!("field {key:?}: expected {want}, got {v:?}"))
     }
 
-    /// A number, or one of the non-finite strings [`push_f64`] writes.
+    /// A number, or one of the non-finite strings [`float`] writes.
     pub fn f64_field(&self, key: &str) -> Result<f64, String> {
         self.field(key, "number", |v| match &v.0 {
             Node::Num(x) => Some(*x),
@@ -362,17 +397,15 @@ mod tests {
 
     #[test]
     fn typed_getters_follow_the_writers_conventions() {
-        let mut s = String::from("{\"nan\":");
-        push_f64(&mut s, f64::NAN);
-        s.push_str(",\"inf\":");
-        push_f64(&mut s, f64::INFINITY);
-        s.push_str(",\"ninf\":");
-        push_f64(&mut s, f64::NEG_INFINITY);
-        s.push_str(",\"x\":");
-        push_f64(&mut s, 0.1);
-        s.push_str(",\"name\":");
-        push_json_str(&mut s, "a\"b\\c\n\u{1}µ");
-        s.push_str(",\"key\":\"00000000deadbeef\",\"n\":7,\"neg\":-1,\"frac\":2.5,\"none\":null,\"nest\":{\"arr\":[1,{\"b\":true}]}}");
+        let mut s = String::from("{\"first\":0");
+        push_field(&mut s, "nan", float(f64::NAN));
+        push_field(&mut s, "inf", float(f64::INFINITY));
+        push_field(&mut s, "ninf", float(f64::NEG_INFINITY));
+        push_field(&mut s, "x", float(0.1));
+        push_field(&mut s, "name", string("a\"b\\c\n\u{1}µ"));
+        push_field(&mut s, "key", hex_key(0xdead_beef));
+        push_field(&mut s, "none", or_null(None::<u8>));
+        s.push_str(",\"n\":7,\"neg\":-1,\"frac\":2.5,\"nest\":{\"arr\":[1,{\"b\":true}]}}");
         let v = parse_object(&s).unwrap();
         assert!(v.f64_field("nan").unwrap().is_nan());
         assert_eq!(v.f64_field("inf").unwrap(), f64::INFINITY);

@@ -52,7 +52,7 @@ pub use timing::Phase;
 use crate::solution::SolveStats;
 use crate::stepping::StepObservation;
 use crate::trace::TraceEntry;
-use json::{push_f64, push_json_str};
+use json::{float, hex_key, or_null, push_field, string};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -646,53 +646,27 @@ impl Drop for JsonlSink {
 // JSON encoding
 // ---------------------------------------------------------------------------
 
-fn push_field_usize(buf: &mut String, key: &str, v: usize) {
-    let _ = write!(buf, ",\"{key}\":{v}");
-}
-
-fn push_field_bool(buf: &mut String, key: &str, v: bool) {
-    let _ = write!(buf, ",\"{key}\":{v}");
-}
-
-fn push_field_f64(buf: &mut String, key: &str, v: f64) {
-    let _ = write!(buf, ",\"{key}\":");
-    push_f64(buf, v);
-}
-
-fn push_field_str(buf: &mut String, key: &str, v: &str) {
-    let _ = write!(buf, ",\"{key}\":");
-    push_json_str(buf, v);
-}
-
 fn push_stats(buf: &mut String, stats: &SolveStats) {
-    push_field_usize(buf, "nr_iterations", stats.nr_iterations);
-    push_field_usize(buf, "pta_steps", stats.pta_steps);
-    push_field_usize(buf, "rejected_steps", stats.rejected_steps);
-    push_field_usize(buf, "lu_factorizations", stats.lu_factorizations);
-    push_field_usize(buf, "lu_refactorizations", stats.lu_refactorizations);
-    push_field_bool(buf, "converged", stats.converged);
+    push_field(buf, "nr_iterations", stats.nr_iterations);
+    push_field(buf, "pta_steps", stats.pta_steps);
+    push_field(buf, "rejected_steps", stats.rejected_steps);
+    push_field(buf, "lu_factorizations", stats.lu_factorizations);
+    push_field(buf, "lu_refactorizations", stats.lu_refactorizations);
+    push_field(buf, "converged", stats.converged);
 }
 
 impl Event {
     /// Encodes the event as one flat JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(128);
-        s.push_str("{\"event\":");
-        push_json_str(&mut s, self.payload.kind());
-        match self.span.job {
-            Some(j) => {
-                let _ = write!(s, ",\"job\":{j}");
-            }
-            None => s.push_str(",\"job\":null"),
-        }
-        let _ = write!(s, ",\"worker\":{}", self.span.worker);
+        let _ = write!(s, "{{\"event\":{}", string(self.payload.kind()));
+        push_field(&mut s, "job", or_null(self.span.job));
+        push_field(&mut s, "worker", self.span.worker);
         match &self.payload {
             Payload::LuFactorized { dim } | Payload::LuReplayed { dim } => {
-                push_field_usize(&mut s, "dim", *dim);
+                push_field(&mut s, "dim", dim);
             }
-            Payload::NrIteration { iteration } => {
-                push_field_usize(&mut s, "iteration", *iteration);
-            }
+            Payload::NrIteration { iteration } => push_field(&mut s, "iteration", iteration),
             Payload::NrOutcome {
                 iterations,
                 converged,
@@ -700,11 +674,11 @@ impl Event {
                 lu_refactorizations,
                 residual,
             } => {
-                push_field_usize(&mut s, "iterations", *iterations);
-                push_field_bool(&mut s, "converged", *converged);
-                push_field_usize(&mut s, "lu_factorizations", *lu_factorizations);
-                push_field_usize(&mut s, "lu_refactorizations", *lu_refactorizations);
-                push_field_f64(&mut s, "residual", *residual);
+                push_field(&mut s, "iterations", iterations);
+                push_field(&mut s, "converged", converged);
+                push_field(&mut s, "lu_factorizations", lu_factorizations);
+                push_field(&mut s, "lu_refactorizations", lu_refactorizations);
+                push_field(&mut s, "residual", float(*residual));
             }
             Payload::PtaStep {
                 accepted,
@@ -716,29 +690,26 @@ impl Event {
                 pta_converged,
                 time,
             } => {
-                push_field_bool(&mut s, "accepted", *accepted);
-                push_field_f64(&mut s, "h", *h);
-                push_field_f64(&mut s, "h_next", *h_next);
-                match gamma {
-                    Some(g) => push_field_f64(&mut s, "gamma", *g),
-                    None => s.push_str(",\"gamma\":null"),
-                }
-                push_field_usize(&mut s, "nr_iterations", *nr_iterations);
-                push_field_f64(&mut s, "residual", *residual);
-                push_field_bool(&mut s, "pta_converged", *pta_converged);
-                push_field_f64(&mut s, "time", *time);
+                push_field(&mut s, "accepted", accepted);
+                push_field(&mut s, "h", float(*h));
+                push_field(&mut s, "h_next", float(*h_next));
+                push_field(&mut s, "gamma", or_null(gamma.map(float)));
+                push_field(&mut s, "nr_iterations", nr_iterations);
+                push_field(&mut s, "residual", float(*residual));
+                push_field(&mut s, "pta_converged", pta_converged);
+                push_field(&mut s, "time", float(*time));
             }
             Payload::StageStep { accepted, control } => {
-                push_field_bool(&mut s, "accepted", *accepted);
-                push_field_f64(&mut s, "control", *control);
+                push_field(&mut s, "accepted", accepted);
+                push_field(&mut s, "control", float(*control));
             }
             Payload::LadderAttempt {
                 strategy,
                 error,
                 stats,
             } => {
-                push_field_str(&mut s, "strategy", strategy);
-                push_field_str(&mut s, "error", error);
+                push_field(&mut s, "strategy", string(strategy));
+                push_field(&mut s, "error", string(error));
                 push_stats(&mut s, stats);
             }
             Payload::TrainStep {
@@ -748,104 +719,95 @@ impl Event {
                 critic_loss,
                 buffer_occupancy,
             } => {
-                push_field_str(&mut s, "role", role);
-                push_field_f64(&mut s, "td_error", *td_error);
-                push_field_f64(&mut s, "actor_loss", *actor_loss);
-                push_field_f64(&mut s, "critic_loss", *critic_loss);
-                push_field_usize(&mut s, "buffer_occupancy", *buffer_occupancy);
+                push_field(&mut s, "role", string(role));
+                push_field(&mut s, "td_error", float(*td_error));
+                push_field(&mut s, "actor_loss", float(*actor_loss));
+                push_field(&mut s, "critic_loss", float(*critic_loss));
+                push_field(&mut s, "buffer_occupancy", buffer_occupancy);
             }
             Payload::AcquisitionRound {
                 round,
                 evaluations,
                 best_cost,
             } => {
-                push_field_usize(&mut s, "round", *round);
-                push_field_usize(&mut s, "evaluations", *evaluations);
-                push_field_f64(&mut s, "best_cost", *best_cost);
+                push_field(&mut s, "round", round);
+                push_field(&mut s, "evaluations", evaluations);
+                push_field(&mut s, "best_cost", float(*best_cost));
             }
             Payload::SweepPoint {
                 index,
                 value,
                 stats,
             } => {
-                push_field_usize(&mut s, "index", *index);
-                push_field_f64(&mut s, "value", *value);
+                push_field(&mut s, "index", index);
+                push_field(&mut s, "value", float(*value));
                 push_stats(&mut s, stats);
             }
             Payload::BatchJob { job, of } => {
                 // `"job"` is taken by the span tag on every line; the
                 // payload's own index serializes as `"index"`.
-                push_field_usize(&mut s, "index", *job);
-                push_field_usize(&mut s, "of", *of);
+                push_field(&mut s, "index", job);
+                push_field(&mut s, "of", of);
             }
-            Payload::SolveDone { converged } => {
-                push_field_bool(&mut s, "converged", *converged);
-            }
+            Payload::SolveDone { converged } => push_field(&mut s, "converged", converged),
             Payload::Certified {
                 grade,
                 residual,
                 cond,
                 growth,
             } => {
-                push_field_str(&mut s, "grade", grade);
-                push_field_f64(&mut s, "residual", *residual);
-                push_field_f64(&mut s, "cond", *cond);
-                push_field_f64(&mut s, "growth", *growth);
+                push_field(&mut s, "grade", string(grade));
+                push_field(&mut s, "residual", float(*residual));
+                push_field(&mut s, "cond", float(*cond));
+                push_field(&mut s, "growth", float(*growth));
             }
             Payload::RefinementStep { step, residual } => {
-                push_field_usize(&mut s, "step", *step);
-                push_field_f64(&mut s, "residual", *residual);
+                push_field(&mut s, "step", step);
+                push_field(&mut s, "residual", float(*residual));
             }
             Payload::Quarantined {
                 index,
                 value,
                 error,
             } => {
-                push_field_usize(&mut s, "index", *index);
-                push_field_f64(&mut s, "value", *value);
-                push_field_str(&mut s, "error", error);
+                push_field(&mut s, "index", index);
+                push_field(&mut s, "value", float(*value));
+                push_field(&mut s, "error", string(error));
             }
             Payload::CacheHit { key, dim } | Payload::CacheMiss { key, dim } => {
-                // Structure keys are full-range u64 hashes; a JSON number
-                // would round through f64, so they serialize as fixed-width
-                // hex strings.
-                push_field_str(&mut s, "key", &format!("{key:016x}"));
-                push_field_usize(&mut s, "dim", *dim);
+                push_field(&mut s, "key", hex_key(*key));
+                push_field(&mut s, "dim", dim);
             }
             Payload::CacheEvicted { key, bytes } => {
-                push_field_str(&mut s, "key", &format!("{key:016x}"));
-                push_field_usize(&mut s, "bytes", *bytes);
+                push_field(&mut s, "key", hex_key(*key));
+                push_field(&mut s, "bytes", bytes);
             }
             Payload::JobQueued {
                 job,
                 priority,
                 depth,
             } => {
-                push_field_usize(&mut s, "index", *job);
-                push_field_str(&mut s, "priority", priority);
-                push_field_usize(&mut s, "depth", *depth);
+                push_field(&mut s, "index", job);
+                push_field(&mut s, "priority", string(priority));
+                push_field(&mut s, "depth", depth);
             }
             Payload::JobAdmitted { job, key } => {
-                push_field_usize(&mut s, "index", *job);
-                push_field_str(&mut s, "key", &format!("{key:016x}"));
+                push_field(&mut s, "index", job);
+                push_field(&mut s, "key", hex_key(*key));
             }
-            Payload::SolveFailed { error } => {
-                push_field_str(&mut s, "error", error);
-            }
+            Payload::SolveFailed { error } => push_field(&mut s, "error", string(error)),
             Payload::Watchdog {
                 job,
                 elapsed_nanos,
                 limit_nanos,
             } => {
-                push_field_usize(&mut s, "index", *job);
-                let _ = write!(
-                    s,
-                    ",\"elapsed_nanos\":{elapsed_nanos},\"limit_nanos\":{limit_nanos}"
-                );
+                push_field(&mut s, "index", job);
+                push_field(&mut s, "elapsed_nanos", elapsed_nanos);
+                push_field(&mut s, "limit_nanos", limit_nanos);
             }
             Payload::PhaseTiming { phase, nanos } => {
-                push_field_str(&mut s, "phase", phase.name());
-                let _ = write!(s, ",\"nanos\":{nanos}");
+                push_field(&mut s, "phase", string(phase.name()));
+                push_field(&mut s, "nanos", nanos);
             }
         }
         s.push('}');
@@ -1181,7 +1143,7 @@ impl StatsFold {
 /// [`StatsFold`]s (one per nested scope — e.g. ladder total → ladder stage
 /// → inner PTA run) plus the user [`Sink`] at the root. Emitting walks the
 /// fold chain, then forwards a span-tagged [`Event`] to the sink.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Tele<'a> {
     sink: Option<&'a dyn Sink>,
     span: Span,
@@ -1230,11 +1192,6 @@ impl<'a> Tele<'a> {
             parent: Some(self),
             timing: self.timing,
         }
-    }
-
-    /// Whether the root sink opted into wall-clock timing.
-    pub(crate) fn timing_enabled(&self) -> bool {
-        self.timing
     }
 
     /// A scoped timer for `phase`: emits [`Payload::PhaseTiming`] on drop,
@@ -1419,6 +1376,53 @@ mod tests {
                 assert_eq!(back, event);
             }
         }
+    }
+
+    /// Byte pin: every payload kind's line exactly as [`Event::to_json`]
+    /// writes it, jobbed and job-less spans alternating.
+    #[test]
+    fn json_lines_match_golden() {
+        let golden = [
+            r#"{"event":"LuFactorized","job":0,"worker":0,"dim":7}"#,
+            r#"{"event":"LuReplayed","job":null,"worker":1,"dim":7}"#,
+            r#"{"event":"NrIteration","job":2,"worker":2,"iteration":3}"#,
+            r#"{"event":"NrOutcome","job":null,"worker":0,"iterations":4,"converged":true,"lu_factorizations":1,"lu_refactorizations":3,"residual":1.5e-9}"#,
+            r#"{"event":"PtaStep","job":4,"worker":1,"accepted":true,"h":0.001,"h_next":0.002,"gamma":0.25,"nr_iterations":4,"residual":3e-10,"pta_converged":false,"time":0.125}"#,
+            r#"{"event":"PtaStep","job":null,"worker":2,"accepted":false,"h":8.0,"h_next":1.0,"gamma":null,"nr_iterations":10,"residual":"NaN","pta_converged":false,"time":0.125}"#,
+            r#"{"event":"StageStep","job":6,"worker":0,"accepted":true,"control":1e-6}"#,
+            r#"{"event":"LadderAttempt","job":null,"worker":1,"strategy":"damped-newton","error":"did not converge: \"hard\"\n","nr_iterations":12,"pta_steps":5,"rejected_steps":2,"lu_factorizations":3,"lu_refactorizations":9,"converged":true}"#,
+            r#"{"event":"TrainStep","job":8,"worker":2,"role":"forward","td_error":0.5,"actor_loss":-1.25,"critic_loss":0.0625,"buffer_occupancy":48}"#,
+            r#"{"event":"AcquisitionRound","job":null,"worker":0,"round":2,"evaluations":5,"best_cost":41.0}"#,
+            r#"{"event":"SweepPoint","job":10,"worker":1,"index":3,"value":-0.5,"nr_iterations":12,"pta_steps":5,"rejected_steps":2,"lu_factorizations":3,"lu_refactorizations":9,"converged":true}"#,
+            r#"{"event":"BatchJob","job":null,"worker":2,"index":1,"of":4}"#,
+            r#"{"event":"SolveDone","job":12,"worker":0,"converged":true}"#,
+            r#"{"event":"Certified","job":null,"worker":1,"grade":"suspect","residual":2.5e-8,"cond":10000000000000.0,"growth":4.0}"#,
+            r#"{"event":"RefinementStep","job":14,"worker":2,"step":2,"residual":1e-11}"#,
+            r#"{"event":"Quarantined","job":null,"worker":0,"index":7,"value":-1.5,"error":"solve budget exhausted during newton iteration"}"#,
+            r#"{"event":"PhaseTiming","job":16,"worker":1,"phase":"lu_replay","nanos":123456789}"#,
+            r#"{"event":"CacheHit","job":null,"worker":2,"key":"deadbeefcafef00d","dim":33}"#,
+            r#"{"event":"CacheMiss","job":18,"worker":0,"key":"ffffffffffffffff","dim":12}"#,
+            r#"{"event":"CacheEvicted","job":null,"worker":1,"key":"0000000000000001","bytes":4096}"#,
+            r#"{"event":"JobQueued","job":20,"worker":2,"index":42,"priority":"high","depth":7}"#,
+            r#"{"event":"JobAdmitted","job":null,"worker":0,"index":42,"key":"123456789abcdef0"}"#,
+            r#"{"event":"SolveFailed","job":22,"worker":1,"error":"all strategies failed (6 attempts)"}"#,
+            r#"{"event":"Watchdog","job":null,"worker":2,"index":42,"elapsed_nanos":5000000000,"limit_nanos":2000000000}"#,
+        ];
+        let lines: Vec<String> = all_payloads()
+            .into_iter()
+            .enumerate()
+            .map(|(i, payload)| {
+                Event {
+                    span: Span {
+                        job: (i % 2 == 0).then_some(i),
+                        worker: i % 3,
+                    },
+                    payload,
+                }
+                .to_json()
+            })
+            .collect();
+        assert_eq!(lines, golden);
     }
 
     #[test]

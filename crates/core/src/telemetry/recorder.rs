@@ -28,7 +28,7 @@
 //! counters folded from the stream itself, and — when a
 //! [`MetricsRegistry`] is attached — a per-phase histogram snapshot.
 
-use super::json::{push_f64, push_json_str};
+use super::json::{float, hex_key, or_null, push_items, string};
 use super::metrics::MetricsRegistry;
 use super::timing::Phase;
 use super::{kind_index_of, Event, Payload, Sink, KIND_NAMES};
@@ -153,95 +153,66 @@ impl IncidentReport {
     /// across runs; `phase_nanos` only appears when timing was on.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
-        let _ = write!(s, "{{\n  \"incident\": {},", self.seq);
-        s.push_str("\n  \"trigger\": ");
-        push_json_str(&mut s, self.trigger.name());
-        match self.job {
-            Some(j) => {
-                let _ = write!(s, ",\n  \"job\": {j},");
-            }
-            None => s.push_str(",\n  \"job\": null,"),
-        }
-        s.push_str("\n  \"label\": ");
-        match &self.label {
-            Some(l) => push_json_str(&mut s, l),
-            None => s.push_str("null"),
-        }
-        s.push_str(",\n  \"structure_key\": ");
-        match self.structure_key {
-            Some(k) => push_json_str(&mut s, &format!("{k:016x}")),
-            None => s.push_str("null"),
-        }
-        s.push_str(",\n  \"trigger_event\": ");
-        s.push_str(&self.trigger_event.to_json());
-        s.push_str(",\n  \"window\": [");
-        for (i, e) in self.window.iter().enumerate() {
-            s.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            s.push_str(&e.to_json());
-        }
+        let _ = write!(
+            s,
+            "{{\n  \"incident\": {},\n  \"trigger\": {},\n  \"job\": {},\n  \"label\": {},\
+             \n  \"structure_key\": {},\n  \"trigger_event\": {},\n  \"window\": [",
+            self.seq,
+            string(self.trigger.name()),
+            or_null(self.job),
+            or_null(self.label.as_deref().map(string)),
+            or_null(self.structure_key.map(hex_key)),
+            self.trigger_event.to_json(),
+        );
+        push_items(&mut s, &self.window, |s, e| s.push_str(&e.to_json()));
         s.push_str("\n  ],\n  \"attempts\": [");
-        for (i, a) in self.attempts.iter().enumerate() {
-            s.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            s.push_str("{\"strategy\": ");
-            push_json_str(&mut s, &a.strategy);
-            s.push_str(", \"error\": ");
-            push_json_str(&mut s, &a.error);
-            let _ = write!(s, ", \"nr_iterations\": {}}}", a.nr_iterations);
-        }
+        push_items(&mut s, &self.attempts, |s, a| {
+            let _ = write!(
+                s,
+                "{{\"strategy\": {}, \"error\": {}, \"nr_iterations\": {}}}",
+                string(&a.strategy),
+                string(&a.error),
+                a.nr_iterations
+            );
+        });
         s.push_str("\n  ],\n  \"trajectory\": [");
-        for (i, t) in self.trajectory.iter().enumerate() {
-            s.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            let _ = write!(s, "{{\"accepted\": {}, \"h\": ", t.accepted);
-            push_f64(&mut s, t.h);
-            s.push_str(", \"h_next\": ");
-            push_f64(&mut s, t.h_next);
-            s.push_str(", \"gamma\": ");
-            match t.gamma {
-                Some(g) => push_f64(&mut s, g),
-                None => s.push_str("null"),
-            }
-            s.push_str(", \"time\": ");
-            push_f64(&mut s, t.time);
-            s.push('}');
-        }
+        push_items(&mut s, &self.trajectory, |s, t| {
+            let _ = write!(
+                s,
+                "{{\"accepted\": {}, \"h\": {}, \"h_next\": {}, \"gamma\": {}, \"time\": {}}}",
+                t.accepted,
+                float(t.h),
+                float(t.h_next),
+                or_null(t.gamma.map(float)),
+                float(t.time)
+            );
+        });
         s.push_str("\n  ],\n  \"phase_nanos\": {");
-        let mut first = true;
-        for (phase, nanos) in &self.phase_nanos {
-            if *nanos == 0 {
-                continue;
-            }
-            s.push_str(if first { "\n    " } else { ",\n    " });
-            first = false;
-            push_json_str(&mut s, phase.name());
-            let _ = write!(s, ": {nanos}");
-        }
+        let phases = self.phase_nanos.iter().filter(|(_, nanos)| *nanos != 0);
+        push_items(&mut s, phases, |s, (phase, nanos)| {
+            let _ = write!(s, "{}: {nanos}", string(phase.name()));
+        });
         s.push_str("\n  },\n  \"event_counts\": {");
-        let mut first = true;
-        for (kind, count) in &self.event_counts {
-            if *count == 0 {
-                continue;
-            }
-            s.push_str(if first { "\n    " } else { ",\n    " });
-            first = false;
-            push_json_str(&mut s, kind);
-            let _ = write!(s, ": {count}");
-        }
+        let counts = self.event_counts.iter().filter(|(_, count)| *count != 0);
+        push_items(&mut s, counts, |s, (kind, count)| {
+            let _ = write!(s, "{}: {count}", string(kind));
+        });
         let (hits, misses, evictions) = self.cache;
         let _ = write!(
             s,
             "\n  }},\n  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \
              \"evictions\": {evictions}}},\n  \"histograms\": ["
         );
-        for (i, h) in self.histograms.iter().enumerate() {
-            s.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            s.push_str("{\"phase\": ");
-            push_json_str(&mut s, h.phase.name());
+        push_items(&mut s, &self.histograms, |s, h| {
             let _ = write!(
                 s,
-                ", \"count\": {}, \"p50_nanos\": {}, \"p99_nanos\": {}}}",
-                h.count, h.p50_nanos, h.p99_nanos
+                "{{\"phase\": {}, \"count\": {}, \"p50_nanos\": {}, \"p99_nanos\": {}}}",
+                string(h.phase.name()),
+                h.count,
+                h.p50_nanos,
+                h.p99_nanos
             );
-        }
+        });
         s.push_str("\n  ]\n}");
         s
     }

@@ -1,10 +1,12 @@
 //! Scoped wall-clock timing spans, carried out-of-band on the telemetry
 //! stream.
 //!
-//! Each instrumented hot boundary is a [`Phase`]. Solvers wrap the phase's
-//! body in a [`TimedGuard`] (via `Tele::time` or the `time_phase!`
-//! macro); when the guard drops it emits [`super::Payload::PhaseTiming`]
-//! with the elapsed nanoseconds. Timing events ride the same [`super::Sink`]
+//! Each instrumented hot boundary is a [`Phase`]. The layer has one clock,
+//! [`PhaseTimer`], finished as one [`super::Payload::PhaseTiming`] with
+//! the elapsed nanoseconds. Solvers wrap a phase's body in a
+//! [`TimedGuard`] (via `Tele::time` or the `time_phase!` macro), which
+//! finishes its timer on drop; callers outside the solver layers use
+//! [`time_on`]. Timing events ride the same [`super::Sink`]
 //! as the deterministic stream but are *out-of-band*: every determinism
 //! comparison (serial ≡ parallel proptests, the CI JSONL diff) normalizes
 //! them away, because wall-clock durations are scheduler- and load-
@@ -13,11 +15,11 @@
 //! The whole layer is gated on [`super::Sink::wants_timing`], resolved once
 //! when the root telemetry context is built: under the default
 //! [`super::NullSink`] (and any other sink that declines) no
-//! `Instant::now()` is ever called — the guard holds `None` and its drop is
-//! a no-op. That keeps the zero-sink hot path free of clock syscalls, which
+//! `Instant::now()` is ever called — the timer holds `None` and finishing
+//! it is a no-op. That keeps the zero-sink hot path free of clock syscalls, which
 //! the `telemetry_overhead` criterion group and the unit tests here pin.
 
-use super::{Payload, Tele};
+use super::{Payload, Sink, Span, Tele};
 use std::time::Instant;
 
 /// An instrumented phase of the solve pipeline — the span taxonomy.
@@ -120,12 +122,14 @@ impl Phase {
     }
 }
 
-/// A deferred-phase timer for sites where the phase is only known after
-/// the work ran (e.g. full factorize vs symbolic replay is read off the
-/// workspace afterwards). Sampling is decided at construction from the
-/// root sink's [`super::Sink::wants_timing`]; a non-sampling timer never
-/// touches the clock.
-#[derive(Debug)]
+/// The layer's one clock: a sample started at construction and closed by
+/// `PhaseTimer::finish` as one [`super::Payload::PhaseTiming`] event.
+/// Sites where the phase is only known after the work ran (full factorize
+/// vs symbolic replay is read off the workspace afterwards) finish it
+/// themselves; [`TimedGuard`] finishes one on drop. Sampling is decided at
+/// construction from the root sink's [`super::Sink::wants_timing`]; a
+/// non-sampling timer never touches the clock.
+#[derive(Debug, Default)]
 pub struct PhaseTimer {
     start: Option<Instant>,
 }
@@ -153,22 +157,14 @@ impl PhaseTimer {
     }
 }
 
-/// A scoped timer: emits one [`super::Payload::PhaseTiming`] for its phase
-/// when dropped. Built via `Tele::time`; holds no `Instant` (and its drop
-/// is a no-op) when the root sink declines timing.
+/// A scoped timer: a [`PhaseTimer`] finished as its phase when the guard
+/// drops. Built via `Tele::time`; holds no `Instant` (and its drop is a
+/// no-op) when the root sink declines timing.
+#[derive(Debug)]
 pub struct TimedGuard<'t, 'a> {
     tele: &'t Tele<'a>,
     phase: Phase,
-    start: Option<Instant>,
-}
-
-impl std::fmt::Debug for TimedGuard<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimedGuard")
-            .field("phase", &self.phase)
-            .field("start", &self.start)
-            .finish_non_exhaustive()
-    }
+    timer: PhaseTimer,
 }
 
 impl<'t, 'a> TimedGuard<'t, 'a> {
@@ -176,24 +172,19 @@ impl<'t, 'a> TimedGuard<'t, 'a> {
         Self {
             tele,
             phase,
-            start: tele.timing_enabled().then(Instant::now),
+            timer: tele.timer(),
         }
     }
 
     /// Whether this guard actually sampled the clock.
     pub fn sampling(&self) -> bool {
-        self.start.is_some()
+        self.timer.sampling()
     }
 }
 
 impl Drop for TimedGuard<'_, '_> {
     fn drop(&mut self) {
-        if let Some(t0) = self.start.take() {
-            self.tele.emit(Payload::PhaseTiming {
-                phase: self.phase,
-                nanos: t0.elapsed().as_nanos() as u64,
-            });
-        }
+        std::mem::take(&mut self.timer).finish(self.tele, self.phase);
     }
 }
 
@@ -207,6 +198,15 @@ macro_rules! time_phase {
     }};
 }
 pub(crate) use time_phase;
+
+/// Runs `body` as `phase` on `sink`, tagged `span`: one
+/// [`super::Payload::PhaseTiming`] event when the sink wants timing, no
+/// clock read otherwise. The entry point for callers outside the solver
+/// layers (the bench harness times GP fits with it).
+pub fn time_on<T>(sink: &dyn Sink, span: Span, phase: Phase, body: impl FnOnce() -> T) -> T {
+    let tele = Tele::root(sink, span);
+    time_phase!(tele, phase, body())
+}
 
 #[cfg(test)]
 mod tests {
@@ -236,7 +236,6 @@ mod tests {
     fn null_sink_timing_never_samples_the_clock() {
         assert!(!NullSink.wants_timing());
         let tele = Tele::root(&NullSink, Span::default());
-        assert!(!tele.timing_enabled());
         let guard = tele.time(Phase::StampWrite);
         assert!(!guard.sampling());
         drop(guard);

@@ -103,3 +103,143 @@ fn incident_non_finite_floats_read_back_through_the_typed_getter() {
     assert_eq!(pta.f64_field("h"), Ok(f64::INFINITY));
     assert_eq!(pta.f64_field("residual"), Ok(f64::NEG_INFINITY));
 }
+
+/// Byte pin: the starved-budget incident of the first test, with a fixed
+/// label and structure key, exactly as `IncidentReport::to_json` writes it.
+#[test]
+fn starved_budget_incident_matches_golden() {
+    let recorder = Arc::new(FlightRecorder::new(32));
+    let engine = DcEngine::builder()
+        .robust()
+        .budget(SolveBudget {
+            wall_clock: None,
+            max_nr_iterations: Some(1),
+            max_steps: None,
+        })
+        .telemetry(recorder.clone())
+        .build();
+    let circuit =
+        rlpta_netlist::parse("clamp\nV1 in 0 5\nR1 in out 1k\nD1 out 0 DX\n.model DX D(IS=1e-14)")
+            .expect("valid netlist");
+    recorder.annotate(None, "clamp", Some(0x0123_4567_89ab_cdef));
+    assert!(engine.solve(&circuit).is_err(), "starved budget must fail");
+    let golden = r#"{
+  "incident": 0,
+  "trigger": "solve_failed",
+  "job": null,
+  "label": "clamp",
+  "structure_key": "0123456789abcdef",
+  "trigger_event": {"event":"SolveFailed","job":null,"worker":0,"error":"solve budget exhausted during newton iteration (2 NR iterations, 0 steps spent)"},
+  "window": [
+    {"event":"NrIteration","job":null,"worker":0,"iteration":1},
+    {"event":"LuFactorized","job":null,"worker":0,"dim":3},
+    {"event":"SolveFailed","job":null,"worker":0,"error":"solve budget exhausted during newton iteration (2 NR iterations, 0 steps spent)"}
+  ],
+  "attempts": [
+  ],
+  "trajectory": [
+  ],
+  "phase_nanos": {
+  },
+  "event_counts": {
+    "LuFactorized": 1,
+    "NrIteration": 1,
+    "SolveFailed": 1
+  },
+  "cache": {"hits": 0, "misses": 0, "evictions": 0},
+  "histograms": [
+  ]
+}"#;
+    assert_eq!(recorder.incidents()[0].to_json(), golden);
+}
+
+/// Byte pin: an incident with every section populated — a PTA trail with
+/// a `null` Γ and an infinite step, a ladder attempt, a phase total, a
+/// histogram row and an escaped label.
+#[test]
+fn populated_incident_matches_golden() {
+    let registry = Arc::new(rlpta_core::MetricsRegistry::new());
+    let recorder = FlightRecorder::new(8).with_registry(registry.clone());
+    recorder.annotate(Some(3), "synthetic \"deck\"", Some(42));
+    let stats = SolveStats {
+        nr_iterations: 9,
+        converged: false,
+        ..SolveStats::default()
+    };
+    for payload in [
+        Payload::PtaStep {
+            accepted: false,
+            h: 1e-3,
+            h_next: 2.5e-4,
+            gamma: None,
+            nr_iterations: 12,
+            residual: 3.5,
+            pta_converged: false,
+            time: 0.0,
+        },
+        Payload::PtaStep {
+            accepted: true,
+            h: f64::INFINITY,
+            h_next: 1e-3,
+            gamma: Some(0.125),
+            nr_iterations: 3,
+            residual: 1e-9,
+            pta_converged: false,
+            time: 2.5e-4,
+        },
+        Payload::LadderAttempt {
+            strategy: "newton".into(),
+            error: "did not converge".into(),
+            stats,
+        },
+        Payload::PhaseTiming {
+            phase: rlpta_core::Phase::LuReplay,
+            nanos: 1500,
+        },
+        Payload::SolveFailed {
+            error: "all strategies failed (1 attempts)".into(),
+        },
+    ] {
+        let event = Event {
+            span: Span::for_job(3),
+            payload,
+        };
+        registry.emit(&event);
+        recorder.emit(&event);
+    }
+    let golden = r#"{
+  "incident": 0,
+  "trigger": "solve_failed",
+  "job": 3,
+  "label": "synthetic \"deck\"",
+  "structure_key": "000000000000002a",
+  "trigger_event": {"event":"SolveFailed","job":3,"worker":0,"error":"all strategies failed (1 attempts)"},
+  "window": [
+    {"event":"PtaStep","job":3,"worker":0,"accepted":false,"h":0.001,"h_next":0.00025,"gamma":null,"nr_iterations":12,"residual":3.5,"pta_converged":false,"time":0.0},
+    {"event":"PtaStep","job":3,"worker":0,"accepted":true,"h":"inf","h_next":0.001,"gamma":0.125,"nr_iterations":3,"residual":1e-9,"pta_converged":false,"time":0.00025},
+    {"event":"LadderAttempt","job":3,"worker":0,"strategy":"newton","error":"did not converge","nr_iterations":9,"pta_steps":0,"rejected_steps":0,"lu_factorizations":0,"lu_refactorizations":0,"converged":false},
+    {"event":"SolveFailed","job":3,"worker":0,"error":"all strategies failed (1 attempts)"}
+  ],
+  "attempts": [
+    {"strategy": "newton", "error": "did not converge", "nr_iterations": 9}
+  ],
+  "trajectory": [
+    {"accepted": false, "h": 0.001, "h_next": 0.00025, "gamma": null, "time": 0.0},
+    {"accepted": true, "h": "inf", "h_next": 0.001, "gamma": 0.125, "time": 0.00025}
+  ],
+  "phase_nanos": {
+    "lu_replay": 1500
+  },
+  "event_counts": {
+    "PtaStep": 2,
+    "LadderAttempt": 1,
+    "SolveFailed": 1,
+    "PhaseTiming": 1
+  },
+  "cache": {"hits": 0, "misses": 0, "evictions": 0},
+  "histograms": [
+    {"phase": "lu_replay", "count": 1, "p50_nanos": 1500, "p99_nanos": 1500}
+  ]
+}"#;
+    assert_eq!(recorder.incidents()[0].to_json(), golden);
+}

@@ -5,31 +5,15 @@
 //! So one [`DcEngine::solve_warm`] call allocates the same number of times
 //! whether Newton needs two iterations or many.
 //!
-//! One test only: the counting allocator is process-global, so a second
-//! concurrently running test would pollute the count.
+//! The counting allocator counts the measuring thread only
+//! (`tests/support/counting_alloc.rs`).
+
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 use rlpta_core::prelude::*;
 use rlpta_linalg::LuWorkspace;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations and Newton iterations of one warm solve.
 fn counted_solve(
@@ -38,12 +22,14 @@ fn counted_solve(
     warm: &[f64],
     ws: &mut LuWorkspace,
 ) -> (usize, usize) {
-    let before = ALLOCS.load(Ordering::SeqCst);
-    let sol = engine
-        .solve_warm(circuit, Some(warm), ws)
-        .expect("warm solve converges");
-    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
-    (allocs, sol.stats.nr_iterations)
+    let mut iterations = 0;
+    let allocs = allocations(|| {
+        let sol = engine
+            .solve_warm(circuit, Some(warm), ws)
+            .expect("warm solve converges");
+        iterations = sol.stats.nr_iterations;
+    });
+    (allocs, iterations)
 }
 
 #[test]

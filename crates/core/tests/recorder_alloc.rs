@@ -3,31 +3,15 @@
 //! recorder performs **zero** heap allocations — every ring slot is
 //! preallocated, and a POD [`Payload`] clones without touching the heap.
 //!
-//! One test only: the counting allocator is process-global, so a second
-//! concurrently running test would pollute the count.
+//! The counting allocator counts the measuring thread only
+//! (`tests/support/counting_alloc.rs`).
+
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 use rlpta_core::telemetry::{Event, Payload, Sink, Span};
 use rlpta_core::FlightRecorder;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn emit_allocates_nothing_after_construction() {
@@ -68,19 +52,16 @@ fn emit_allocates_nothing_after_construction() {
         },
     ];
 
-    let before = ALLOCS.load(Ordering::SeqCst);
     // 300 emits wrap the 64-deep ring several times over, so both the
     // fill and the steady-state overwrite paths are exercised.
-    for i in 0..300 {
-        recorder.emit(&events[i % events.len()]);
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
-
+    let count = allocations(|| {
+        for i in 0..300 {
+            recorder.emit(&events[i % events.len()]);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
-        "recorder emit hot path allocated {} time(s) over 300 POD events",
-        after - before
+        count, 0,
+        "recorder emit hot path allocated {count} time(s) over 300 POD events"
     );
     // The recorder really did capture the stream (last 64 survive).
     assert_eq!(recorder.window(Some(0)).len(), 64);

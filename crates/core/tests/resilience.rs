@@ -152,7 +152,7 @@ const DEMOTION_STREAM: &[&str] = &[
     r#"{"event":"RefinementStep","job":null,"worker":0,"step":1,"residual":6.339779450280506e22}"#,
     r#"{"event":"RefinementStep","job":null,"worker":0,"step":1,"residual":6.339779450280506e22}"#,
     r#"{"event":"Certified","job":null,"worker":0,"grade":"rejected","residual":0.004995004994997871,"cond":1003.0019985262807,"growth":1.0}"#,
-    r#"{"event":"LadderAttempt","job":null,"worker":0,"strategy":"newton","error":"solution failed certification (re-evaluated residual 4.995e-3)","nr_iterations":4,"pta_steps":0,"rejected_steps":0,"lu_factorizations":1,"lu_refactorizations":3,"converged":true}"#,
+    r#"{"event":"LadderAttempt","job":null,"worker":0,"strategy":"newton","error":"solution failed certification (re-evaluated residual 4.995e-3)","nr_iterations":4,"pta_steps":0,"rejected_steps":0,"lu_factorizations":1,"lu_refactorizations":3,"converged":false}"#,
     r#"{"event":"NrIteration","job":null,"worker":0,"iteration":1}"#,
     r#"{"event":"LuFactorized","job":null,"worker":0,"dim":3}"#,
     r#"{"event":"NrIteration","job":null,"worker":0,"iteration":2}"#,

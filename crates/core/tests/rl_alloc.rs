@@ -5,30 +5,14 @@
 //! unfrozen controller whose slabs have stopped growing steps, records and
 //! trains without allocating at all.
 //!
-//! One test only: the counting allocator is process-global, so a second
-//! concurrently running test would pollute the count.
+//! The counting allocator counts the measuring thread only
+//! (`tests/support/counting_alloc.rs`).
+
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 use rlpta_core::{RlStepping, RlSteppingConfig, StepController, StepObservation};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// A controller with small networks (the allocation pattern does not
 /// depend on their width), so thousands of train steps stay quick in a
@@ -68,9 +52,8 @@ fn drive(rl: &mut RlStepping, transitions: usize) {
 }
 
 fn clone_allocations(rl: &RlStepping) -> usize {
-    let before = ALLOCS.load(Ordering::SeqCst);
-    let copy = rl.clone();
-    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    let mut copy = None;
+    let allocs = allocations(|| copy = Some(rl.clone()));
     drop(copy);
     allocs
 }
@@ -95,11 +78,11 @@ fn clone_is_o1_and_warm_stepping_allocates_nothing() {
     let mut warm = RlStepping::new(small_config(64));
     drive(&mut warm, 200);
     let mut h = warm.initial_step();
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for i in 0..300 {
-        h = warm.next_step(&observation(i, h));
-    }
-    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    let allocs = allocations(|| {
+        for i in 0..300 {
+            h = warm.next_step(&observation(i, h));
+        }
+    });
     assert_eq!(
         allocs, 0,
         "300 warm next_step calls allocated {allocs} time(s)"

@@ -14,31 +14,15 @@
 //! So a 40-stage ladder's warm job allocates exactly as often as a 5-stage
 //! one's.
 //!
-//! One test only: the counting allocator is process-global, so a second
-//! concurrently running test would pollute the count.
+//! The counting allocator counts the measuring thread only
+//! (`tests/support/counting_alloc.rs`).
+
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 use rlpta_core::prelude::*;
 use rlpta_mna::Circuit;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// An `n`-stage resistor ladder with a diode clamp on every node.
 fn ladder(n: usize) -> Circuit {
@@ -52,12 +36,14 @@ fn ladder(n: usize) -> Circuit {
 
 /// Allocations and Newton iterations of one warm service job.
 fn counted_job(service: &mut SimService, circuit: &Circuit) -> (usize, usize) {
-    let before = ALLOCS.load(Ordering::SeqCst);
-    let sol = service
-        .solve(circuit, JobTicket::default())
-        .expect("warm job solves");
-    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
-    (allocs, sol.stats.nr_iterations)
+    let mut iterations = 0;
+    let allocs = allocations(|| {
+        let sol = service
+            .solve(circuit, JobTicket::default())
+            .expect("warm job solves");
+        iterations = sol.stats.nr_iterations;
+    });
+    (allocs, iterations)
 }
 
 #[test]

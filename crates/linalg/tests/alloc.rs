@@ -8,37 +8,14 @@
 //! [`StampSlots`] scatter into the plan's frozen pattern, a
 //! fresh-equivalent replay and [`SparseLu::cond_estimate_with`].
 //!
-//! One test only: the counting allocator is process-global, so a second
-//! concurrently running test would pollute the count.
+//! The counting allocator counts the measuring thread only
+//! (`tests/support/counting_alloc.rs`).
+
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 use rlpta_linalg::{CondScratch, CsrMatrix, LuOp, LuWorkspace, SparseLu, StampSlots, Triplet};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Heap allocations made by `f`.
-fn allocations(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::SeqCst);
-    f();
-    ALLOCS.load(Ordering::SeqCst) - before
-}
 
 #[test]
 fn replay_and_solve_into_allocate_nothing_in_steady_state() {
@@ -76,24 +53,23 @@ fn exact_replay_and_solve_into() {
             .unwrap();
     }
 
-    let before = ALLOCS.load(Ordering::SeqCst);
     let mut checksum = 0.0;
-    for step in 0..100 {
-        // Newton-like value drift on the frozen pattern.
-        let scale = 1.0 + 0.001 * step as f64;
-        for (v, b) in a.values_mut().iter_mut().zip(&base) {
-            *v = b * scale;
+    let count = allocations(|| {
+        for step in 0..100 {
+            // Newton-like value drift on the frozen pattern.
+            let scale = 1.0 + 0.001 * step as f64;
+            for (v, b) in a.values_mut().iter_mut().zip(&base) {
+                *v = b * scale;
+            }
+            x.copy_from_slice(&rhs);
+            let lu = ws.factorize(&a).unwrap();
+            lu.solve_into(&mut x, &mut scratch).unwrap();
+            checksum += x[0];
+            assert_eq!(ws.last_op(), Some(LuOp::Replay));
         }
-        x.copy_from_slice(&rhs);
-        let lu = ws.factorize(&a).unwrap();
-        lu.solve_into(&mut x, &mut scratch).unwrap();
-        checksum += x[0];
-        assert_eq!(ws.last_op(), Some(LuOp::Replay));
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    });
     assert_eq!(
-        after - before,
-        0,
+        count, 0,
         "steady-state replays and in-place solves must not allocate"
     );
     assert_eq!(ws.stats().full_factorizations, 1);

@@ -6,38 +6,15 @@
 //! without allocating: one of another dimension, and one of the same
 //! dimension whose declare pass differs.
 //!
-//! One test only: the counting allocator is process-global, so a second
-//! concurrently running test would pollute the count.
+//! The counting allocator counts the measuring thread only
+//! (`tests/support/counting_alloc.rs`).
+
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 use rlpta_devices::{Diode, DiodeModel, EvalCtx, Node, Resistor, Vsource};
 use rlpta_mna::{Circuit, CircuitBuilder, DeclareScratch, StampPlan};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Heap allocations made by `f`.
-fn allocations(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::SeqCst);
-    f();
-    ALLOCS.load(Ordering::SeqCst) - before
-}
 
 /// An `n`-stage resistor ladder with a diode clamp on every node; with
 /// `rewired`, the first resistor skips a node (same dimension and state,

@@ -7,32 +7,16 @@
 //! backward pass that skips parameter gradients or input-gradient columns
 //! ([`Mlp::backward_batch_partial_into`]).
 //!
-//! One test only: the counting allocator is process-global, so a second
-//! concurrently running test would pollute the count.
+//! The counting allocator counts the measuring thread only
+//! (`tests/support/counting_alloc.rs`).
+
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rlpta_rl::{Activation, BatchCache, Mlp, Td3Agent, Td3Config, TrainWorkspace, Transition};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn act_and_train_allocate_nothing_in_steady_state() {
@@ -76,33 +60,30 @@ fn act_and_train_allocate_nothing_in_steady_state() {
     critic.forward_batch_into(&sa, batch, &mut cache);
     critic.backward_batch_partial_into(&mut cache, batch, &go, None, &mut grad_in, 5..6);
 
-    let before = ALLOCS.load(Ordering::SeqCst);
-    // 50 training rounds cover both the critic-only and the delayed
-    // actor/target-update branches (policy_delay = 2) several times over,
-    // interleaved with greedy and exploring inference calls.
-    for round in 0..50 {
-        ws.clear();
-        for t in &transitions {
-            ws.push(t);
+    let count = allocations(|| {
+        // 50 training rounds cover both the critic-only and the delayed
+        // actor/target-update branches (policy_delay = 2) several times over,
+        // interleaved with greedy and exploring inference calls.
+        for round in 0..50 {
+            ws.clear();
+            for t in &transitions {
+                ws.push(t);
+            }
+            let td = agent.train_batched(&mut ws, &mut rng);
+            assert_eq!(td.len(), batch);
+            let s = &transitions[round % transitions.len()].state;
+            agent.act_into(s, &mut action, &mut scratch);
+            agent.act_exploring_into(s, &mut action, &mut scratch, &mut rng);
+            critic.forward_batch_into(&sa, batch, &mut cache);
+            critic.backward_batch_partial_into(&mut cache, batch, &go, None, &mut grad_in, 5..6);
+            critic.forward_batch_into(&sa, batch, &mut cache);
+            let g = Some(&mut grads[..]);
+            critic.backward_batch_partial_into(&mut cache, batch, &go, g, &mut grad_in, 0..0);
         }
-        let td = agent.train_batched(&mut ws, &mut rng);
-        assert_eq!(td.len(), batch);
-        let s = &transitions[round % transitions.len()].state;
-        agent.act_into(s, &mut action, &mut scratch);
-        agent.act_exploring_into(s, &mut action, &mut scratch, &mut rng);
-        critic.forward_batch_into(&sa, batch, &mut cache);
-        critic.backward_batch_partial_into(&mut cache, batch, &go, None, &mut grad_in, 5..6);
-        critic.forward_batch_into(&sa, batch, &mut cache);
-        let g = Some(&mut grads[..]);
-        critic.backward_batch_partial_into(&mut cache, batch, &go, g, &mut grad_in, 0..0);
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
-
+    });
     assert_eq!(
-        after - before,
-        0,
-        "RL hot path allocated {} time(s) over 50 train/inference/backward rounds",
-        after - before
+        count, 0,
+        "RL hot path allocated {count} time(s) over 50 train/inference/backward rounds"
     );
     // The rounds really trained: the step counter advanced and the action
     // is a finite bounded value.
