@@ -18,7 +18,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlpta_bench::{experiment_config, robust_budget};
 use rlpta_circuits::by_name;
-use rlpta_core::{certify, DcEngine, PtaKind, PtaSolver, SimpleStepping, StructureKey};
+use rlpta_core::{
+    certify, DcEngine, PtaKind, PtaSolver, RlSteppingConfig, SimpleStepping, Stepping,
+    StructureKey,
+};
 use rlpta_devices::{
     Bjt, BjtModel, Device, Diode, DiodeModel, EvalCtx, MosModel, Mosfet, Node, Resistor, Stamper,
 };
@@ -150,7 +153,11 @@ fn bench_batch_engine(c: &mut Criterion) {
 /// without timing, expected within a few percent of the `null_sink` bar
 /// (the recorder clones events into preallocated ring slots and never
 /// samples the clock; for the plain-old-data payloads of the solver hot
-/// loop the clone allocates nothing either).
+/// loop the clone allocates nothing either). The `rls_*` pair solves the
+/// same circuit under a fresh unfrozen RL-S controller: `rls_null_sink_engine`
+/// trains without building a single `TrainStep` (`NullSink` keeps no kind),
+/// while `rls_collector_engine` computes every train step's losses and
+/// keeps them with the rest of the stream, timing included.
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let circuit = by_name("gm1").expect("known benchmark").circuit;
     let kind = PtaKind::cepta();
@@ -186,6 +193,25 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         .build();
     group.bench_function("timing_instrumented_engine", |b| {
         b.iter(|| timed_engine.solve(&circuit).unwrap())
+    });
+    let rls_engine = || {
+        DcEngine::builder()
+            .kind(kind)
+            .pta_config(experiment_config())
+            .stepping(Stepping::Rl(RlSteppingConfig::new(7)))
+    };
+    let rls_null = rls_engine().build();
+    group.bench_function("rls_null_sink_engine", |b| {
+        b.iter(|| rls_null.solve(&circuit).unwrap())
+    });
+    let collector = std::sync::Arc::new(rlpta_core::Collector::new());
+    let rls_collected = rls_engine().telemetry(collector.clone()).build();
+    group.bench_function("rls_collector_engine", |b| {
+        b.iter(|| {
+            let sol = rls_collected.solve(&circuit).unwrap();
+            collector.take();
+            sol
+        })
     });
     group.finish();
 }

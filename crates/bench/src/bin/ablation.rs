@@ -26,9 +26,9 @@ fn evaluate(
     let mut rl = RlStepping::new(config);
     for _ in 0..2 {
         for b in &training_corpus() {
-            let mut solver = PtaSolver::with_config(kind, rl.clone(), experiment_config());
+            let mut solver = PtaSolver::with_config(kind, rl, experiment_config());
             let _ = solver.solve(&b.circuit);
-            rl = solver.controller_mut().clone();
+            rl = solver.into_controller();
         }
     }
     let subset = [

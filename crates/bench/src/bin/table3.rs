@@ -3,7 +3,9 @@
 //! NR iterations (`#Ite`), pseudo steps (`#Ste`), iteration speedup and
 //! step-count reduction, with the paper's Average row. The `LU f/r`
 //! columns split each run's LU work into full factorizations and
-//! symbolic-replay refactorizations.
+//! symbolic-replay refactorizations. The `# wall:` lines give each
+//! stepping column's wall time and RL-S's wall-clock speed-up (RL-S pays
+//! for its online training there, which NR iterations do not show).
 //!
 //! Pass `--trace-jsonl <path>` to stream the run's telemetry events to a
 //! line-JSON file, `--bench-json <path>` for a machine-readable report,
@@ -42,8 +44,12 @@ fn main() {
     );
 
     let benches = table3();
+    let start = Instant::now();
     let adaptive = run_adaptive_batch(&benches, kind, threads);
+    let wall_adaptive = start.elapsed();
+    let start = Instant::now();
     let rls = run_rl_batch(&benches, kind, &rl, threads);
+    let wall_rls = start.elapsed();
 
     let mut ratios = Vec::new();
     let mut reductions = Vec::new();
@@ -79,6 +85,18 @@ fn main() {
         println!("# degrades catastrophically on oscillation-prone circuits; see EXPERIMENTS.md)");
         println!("# measured max speedup: {max_sp:.2}X");
     }
+    // Wall time per stepping column, next to the NR-iteration ratios above
+    // (RL-S includes its online training).
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    println!(
+        "# wall: adaptive {:.1} ms, rl-s {:.1} ms",
+        ms(wall_adaptive),
+        ms(wall_rls)
+    );
+    println!(
+        "# wall: RL-S wall-clock speed-up {:.2}X vs adaptive",
+        ms(wall_adaptive) / ms(wall_rls)
+    );
     let rows: Vec<_> = benches
         .iter()
         .zip(&rls)

@@ -302,16 +302,16 @@ pub fn health_cell(result: &Result<Solution, SolveError>) -> String {
 }
 
 /// Runs one benchmark under an arbitrary controller and returns the
-/// statistics (`converged == false` inside the stats marks failure).
-pub fn run_with<C: StepController + Clone>(
+/// statistics (`converged == false` inside the stats marks failure) with
+/// the controller as the run left it.
+pub fn run_with<C: StepController>(
     bench: &Benchmark,
     kind: PtaKind,
     controller: C,
 ) -> (SolveStats, C) {
     let mut solver = PtaSolver::with_config(kind, controller, experiment_config());
     let stats = stats_of(solver.solve(&bench.circuit), &bench.name);
-    let controller = solver.controller_mut().clone();
-    (stats, controller)
+    (stats, solver.into_controller())
 }
 
 /// [`run_with`] over a whole suite on `threads` pooled workers. Every job
@@ -371,9 +371,8 @@ pub fn pretrain_rl(kind: PtaKind, seed: u64, epochs: usize) -> RlStepping {
     let corpus = training_corpus();
     for _ in 0..epochs {
         for b in &corpus {
-            let (_stats, trained) = run_with(b, kind, rl.clone());
             // Keep the learning regardless of per-circuit success.
-            rl = trained;
+            rl = run_with(b, kind, rl).1;
         }
     }
     rl

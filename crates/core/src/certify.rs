@@ -58,7 +58,7 @@
 //! workspace saw before.
 
 use crate::error::SolveError;
-use crate::telemetry::{Payload, Phase, Tele};
+use crate::telemetry::{interest, Payload, Phase, Tele};
 use crate::Solution;
 use rlpta_devices::EvalCtx;
 use rlpta_linalg::{norms, CondScratch, CsrMatrix, LuWorkspace, SparseLu};
@@ -338,7 +338,7 @@ pub(crate) fn certify_into(
             solution.x = x;
         }
     }
-    tele.emit(Payload::Certified {
+    tele.emit_with(interest!("Certified"), || Payload::Certified {
         grade: report.grade.name().to_string(),
         residual: report.residual_norm,
         cond: report.cond_estimate,

@@ -60,7 +60,7 @@ use crate::recovery::{LadderStage, RobustDcSolver, SolveBudget};
 use crate::rl_stepping::{RlStepping, RlSteppingConfig};
 use crate::stepping::{SerStepping, SimpleStepping, StepController};
 use crate::sweep::{DcSweep, QuarantinedPoint, SweepPoint, SweepReport};
-use crate::telemetry::{NullSink, Payload, Sink, Span, StatsFold, Tele};
+use crate::telemetry::{interest, NullSink, Payload, Sink, Span, StatsFold, Tele};
 use crate::{Solution, SolveStats};
 use rlpta_linalg::LuWorkspace;
 use rlpta_mna::Circuit;
@@ -665,8 +665,10 @@ impl DcEngine {
     /// entry points and by the service layer, never from inner ladder
     /// rungs, so recorders see one trigger per failure.
     pub(crate) fn note_solve_failure(&self, span: Span, error: &impl std::fmt::Display) {
-        Tele::root(&*self.telemetry, span).emit(Payload::SolveFailed {
-            error: error.to_string(),
+        Tele::root(&*self.telemetry, span).emit_with(interest!("SolveFailed"), || {
+            Payload::SolveFailed {
+                error: error.to_string(),
+            }
         });
     }
 
@@ -839,7 +841,7 @@ impl DcEngine {
             }
             Err(e) => {
                 let error = e.to_string();
-                tele.emit(Payload::Quarantined {
+                tele.emit_with(interest!("Quarantined"), || Payload::Quarantined {
                     index,
                     value,
                     error: error.clone(),

@@ -111,7 +111,8 @@ pub use stepping::{SerStepping, SimpleStepping, StepController, StepObservation}
 pub use sweep::{DcSweep, QuarantinedPoint, SweepPoint, SweepReport};
 pub use telemetry::{
     Collector, DerivedRates, Event, FanoutSink, FlightRecorder, Histogram, HistogramSummary,
-    IncidentReport, JsonlSink, MetricsRegistry, NullSink, Payload, Phase, Sink, Span, Trigger,
+    IncidentReport, Interest, JsonlSink, MetricsRegistry, NullSink, Payload, Phase, Sink, Span,
+    Trigger,
 };
 pub use trace::{TraceController, TraceEntry};
 pub use transient::{Stimulus, Transient, TransientPoint, Waveform};

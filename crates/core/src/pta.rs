@@ -248,6 +248,12 @@ impl<C: StepController> PtaSolver<C> {
         &mut self.controller
     }
 
+    /// Consumes the solver and hands back its step controller — a trained
+    /// RL agent moves on to the next circuit without a copy.
+    pub fn into_controller(self) -> C {
+        self.controller
+    }
+
     /// Runs pseudo-transient analysis to the DC operating point.
     ///
     /// # Errors

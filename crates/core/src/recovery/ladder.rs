@@ -15,7 +15,7 @@ use crate::homotopy::NewtonHomotopy;
 use crate::newton::{newton_solve, NewtonConfig};
 use crate::pta::{PtaConfig, PtaKind, PtaParams, PtaSolver};
 use crate::recovery::budget::{BudgetMeter, SolveBudget};
-use crate::telemetry::{Payload, Phase, StatsFold, Tele};
+use crate::telemetry::{interest, Payload, Phase, StatsFold, Tele};
 use crate::{SimpleStepping, Solution, SolveStats};
 use rlpta_mna::Circuit;
 use std::time::{Duration, Instant};
@@ -236,7 +236,7 @@ impl RobustDcSolver {
                         converged: false,
                         ..stage_fold.snapshot()
                     };
-                    tele.emit(Payload::LadderAttempt {
+                    tele.emit_with(interest!("LadderAttempt"), || Payload::LadderAttempt {
                         strategy: stage.name().to_string(),
                         error: e.to_string(),
                         stats,

@@ -2,7 +2,7 @@
 //! (§4), with collaborative learning through a public sample buffer (§4.3)
 //! and TD-error priority sampling (§4.4).
 
-use crate::telemetry::{Payload, Phase, Sink, Span, Tele};
+use crate::telemetry::{interest, NullSink, Payload, Phase, Sink, Span, Tele};
 use crate::{StepController, StepObservation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,12 +105,12 @@ pub struct RlStepping {
     /// Greedy mode: exploration and training disabled (evaluation runs).
     frozen: bool,
     transitions_seen: usize,
-    /// Attached telemetry: `TrainStep` events and the `RlInference` /
-    /// `RlTrain` timings go here. Only a controller with nothing attached
-    /// skips the `TrainStep` loss computation; `DcEngine` attaches its
-    /// sink (`NullSink` unless configured) to every controller it runs, so
-    /// engine RL-S runs compute the losses even when no sink keeps them.
-    telemetry: Option<(Arc<dyn Sink>, Span)>,
+    /// Attached telemetry (a [`NullSink`] until one is attached):
+    /// `TrainStep` events and the `RlInference` / `RlTrain` timings go
+    /// here. The `TrainStep` losses are computed only when the sink's
+    /// [`Sink::interest`] keeps that kind, so under `DcEngine`'s default
+    /// `NullSink` a train step computes nothing it would throw away.
+    telemetry: (Arc<dyn Sink>, Span),
     /// Reusable batched-training storage shared by both agents (same
     /// network shapes): sampled transitions are gathered straight into its
     /// minibatch slabs, so a train step clones nothing and allocates
@@ -165,7 +165,7 @@ impl RlStepping {
             pending: None,
             frozen: false,
             transitions_seen: 0,
-            telemetry: None,
+            telemetry: (Arc::new(NullSink), Span::default()),
             workspace,
             act_scratch,
             action_buf: [0.0],
@@ -298,13 +298,9 @@ impl RlStepping {
         self.config.backward_c / (1.0 + (self.config.backward_b - a).exp())
     }
 
-    /// The attached sink as a telemetry root (a disabled context when
-    /// none is attached, so evaluation runs never read the clock).
+    /// The attached sink as a telemetry root.
     fn tele(&self) -> Tele<'_> {
-        match &self.telemetry {
-            Some((sink, span)) => Tele::root(&**sink, *span),
-            None => Tele::disabled(),
-        }
+        Tele::root(&*self.telemetry.0, self.telemetry.1)
     }
 
     fn train(&mut self, role: AgentRole) {
@@ -363,39 +359,37 @@ impl RlStepping {
 
     /// Emits a `TrainStep` event with loss metrics recomputed from the
     /// just-trained networks, reading the minibatch back out of the
-    /// workspace slabs. Runs whenever a sink is attached (see the
-    /// `telemetry` field); the extra forward passes are batched
+    /// workspace slabs — only when the attached sink keeps `TrainStep`
+    /// (see the `telemetry` field). The extra forward passes are batched
     /// ([`Td3Agent::mean_actor_objective`]), two GEMM forwards rather than
     /// a scalar pass per row.
     fn emit_train_step(&mut self, role: AgentRole) {
-        if self.telemetry.is_none() {
-            return;
-        }
-        let td = self.workspace.td_errors();
-        let n = td.len().max(1) as f64;
-        let td_error = td.iter().map(|e| e.abs()).sum::<f64>() / n;
-        let critic_loss = td.iter().map(|e| e * e).sum::<f64>() / n;
-        let agent = match role {
-            AgentRole::Forward => &self.forward,
-            AgentRole::Backward => &self.backward,
+        let (agent, buffer) = match role {
+            AgentRole::Forward => (&self.forward, &self.forward_buffer),
+            AgentRole::Backward => (&self.backward, &self.backward_buffer),
         };
-        // TD3's actor objective: maximize Q₁(s, π(s)) — report its negation
-        // as the loss being minimized.
-        let actor_loss = -agent.mean_actor_objective(&mut self.workspace);
-        let buffer_occupancy = match role {
-            AgentRole::Forward => self.forward_buffer.len(),
-            AgentRole::Backward => self.backward_buffer.len(),
-        };
-        self.tele().emit(Payload::TrainStep {
-            role: match role {
-                AgentRole::Forward => "forward",
-                AgentRole::Backward => "backward",
+        let workspace = &mut self.workspace;
+        // Built from the field rather than `tele()`, which would borrow all
+        // of `self` while the closure holds the workspace mutably.
+        let tele = Tele::root(&*self.telemetry.0, self.telemetry.1);
+        tele.emit_with(interest!("TrainStep"), || {
+            let td = workspace.td_errors();
+            let n = td.len().max(1) as f64;
+            let td_error = td.iter().map(|e| e.abs()).sum::<f64>() / n;
+            let critic_loss = td.iter().map(|e| e * e).sum::<f64>() / n;
+            Payload::TrainStep {
+                role: match role {
+                    AgentRole::Forward => "forward",
+                    AgentRole::Backward => "backward",
+                }
+                .to_string(),
+                td_error,
+                // TD3's actor objective: maximize Q₁(s, π(s)) — report its
+                // negation as the loss being minimized.
+                actor_loss: -agent.mean_actor_objective(workspace),
+                critic_loss,
+                buffer_occupancy: buffer.len(),
             }
-            .to_string(),
-            td_error,
-            actor_loss,
-            critic_loss,
-            buffer_occupancy,
         });
     }
 }
@@ -492,7 +486,7 @@ impl StepController for RlStepping {
     }
 
     fn attach_telemetry(&mut self, sink: Arc<dyn Sink>, span: Span) {
-        self.telemetry = Some((sink, span));
+        self.telemetry = (sink, span);
     }
 }
 

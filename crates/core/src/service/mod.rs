@@ -102,7 +102,9 @@ use crate::engine::DcEngine;
 use crate::error::SolveError;
 use crate::recovery::SolveBudget;
 use crate::rl_stepping::{RlStepping, RlSteppingConfig};
-use crate::telemetry::{FanoutSink, FlightRecorder, MetricsRegistry, Payload, Sink, Span, Tele};
+use crate::telemetry::{
+    interest, FanoutSink, FlightRecorder, MetricsRegistry, Payload, Sink, Span, Tele,
+};
 use crate::Solution;
 use observe::priority_index;
 use rlpta_devices::Device;
@@ -975,10 +977,12 @@ impl SimService {
         let seq = job.seq;
         self.queue.push(job);
         let sink = self.engine.telemetry();
-        Tele::root(&*sink, Span::default()).emit(Payload::JobQueued {
-            job: seq,
-            priority: ticket.priority.as_str().to_string(),
-            depth: self.queue.len(),
+        Tele::root(&*sink, Span::default()).emit_with(interest!("JobQueued"), || {
+            Payload::JobQueued {
+                job: seq,
+                priority: ticket.priority.as_str().to_string(),
+                depth: self.queue.len(),
+            }
         });
         self.tick();
         Ok(seq)

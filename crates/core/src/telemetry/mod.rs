@@ -25,20 +25,30 @@
 //! `StatsFold` registered on the emission path), so the counters they
 //! return are definitionally equal to the fold of the events they emitted.
 //!
-//! Sinks shipping with the crate: [`NullSink`] (default — events are
-//! dropped; the hot-path cost is bounded by constructing a small POD
-//! payload), [`Collector`] (in-memory, for inspection and tests),
+//! Sinks shipping with the crate: [`NullSink`] (default — keeps nothing,
+//! so the emitting layers skip the sink call and every payload that costs
+//! an allocation or extra computation to build), [`Collector`] (in-memory,
+//! for inspection and tests),
 //! [`JsonlSink`] (std-only line-JSON writer with deterministic job-ordered
 //! flushing), [`MetricsRegistry`] (streaming per-phase histograms and
 //! per-kind occurrence counts, see [`metrics`])
 //! and [`FanoutSink`] (tee to several sinks).
+//!
+//! Each sink declares the event kinds it keeps as an [`Interest`] mask
+//! ([`Sink::interest`]), resolved once per root context. A kind outside the
+//! mask never reaches the sink, and a payload built through the crate's
+//! deferred emission path is not built at all unless the sink keeps its
+//! kind or a per-solve `StatsFold` reads it — the RL controller's
+//! `TrainStep` losses, for one, are computed only for a sink that keeps
+//! them. The folds see every kind they read under any sink, so
+//! [`SolveStats`] never depend on the sink.
 //!
 //! On top of the deterministic stream sits an *out-of-band* timing layer
 //! (see [`timing`]): scoped guards emit [`Payload::PhaseTiming`] with
 //! wall-clock nanoseconds per instrumented [`Phase`]. Timing events ride
 //! the same sink but are excluded from every determinism comparison, and
 //! the whole layer is disabled — no clock reads at all — unless the root
-//! sink opts in via [`Sink::wants_timing`].
+//! sink's mask holds the `PhaseTiming` kind.
 
 pub mod json;
 pub mod metrics;
@@ -348,9 +358,94 @@ pub(crate) const KIND_NAMES: [&str; 23] = [
 ];
 
 /// Index of the kind named `kind` into [`KIND_NAMES`] (`None` for a name
-/// no payload carries).
-pub(crate) fn kind_index_of(kind: &str) -> Option<usize> {
-    KIND_NAMES.iter().position(|k| *k == kind)
+/// no payload carries). A `const fn`, so [`Interest::of`] resolves names at
+/// compile time.
+pub(crate) const fn kind_index_of(kind: &str) -> Option<usize> {
+    let mut i = 0;
+    while i < KIND_NAMES.len() {
+        let name = KIND_NAMES[i].as_bytes();
+        let want = kind.as_bytes();
+        if name.len() == want.len() {
+            let mut j = 0;
+            while j < name.len() && name[j] == want[j] {
+                j += 1;
+            }
+            if j == name.len() {
+                return Some(i);
+            }
+        }
+        i += 1;
+    }
+    None
+}
+
+/// A set of event kinds, one bit per [`Payload`] kind: what a [`Sink`]
+/// keeps (see [`Sink::interest`]).
+///
+/// The root telemetry context resolves its sink's mask once. An event of a
+/// kind outside the mask is never handed to the sink, a payload that costs
+/// an allocation or extra computation to build is not built, and without
+/// the `PhaseTiming` kind the timing layer never reads the clock.
+///
+/// ```
+/// use rlpta_core::telemetry::{Interest, NullSink, Sink};
+///
+/// let timing = Interest::of("PhaseTiming").expect("a payload kind");
+/// let train = Interest::of("TrainStep").expect("a payload kind");
+/// let no_timing = Interest::ALL.without(timing);
+/// assert!(no_timing.contains(train) && !no_timing.contains(timing));
+/// assert_eq!(Interest::of("NoSuchKind"), None);
+/// assert_eq!(NullSink.interest(), Interest::NONE);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Interest(u32);
+
+/// `interest!("Kind")`: the [`Interest`] of one payload kind, resolved at
+/// compile time — a name no payload carries fails the build, never a
+/// solve.
+macro_rules! interest {
+    ($kind:literal) => {
+        const { $crate::telemetry::Interest::of($kind).expect(concat!("no payload kind ", $kind)) }
+    };
+}
+pub(crate) use interest;
+
+impl Interest {
+    /// No kind at all.
+    pub const NONE: Interest = Interest(0);
+    /// Every kind.
+    pub const ALL: Interest = Interest((1 << KIND_NAMES.len()) - 1);
+    /// The out-of-band timing kind, `PhaseTiming`.
+    pub(crate) const TIMING: Interest = interest!("PhaseTiming");
+
+    /// The one kind named `kind` (a [`Payload::kind`] name), `None` for a
+    /// name no payload carries.
+    pub const fn of(kind: &str) -> Option<Interest> {
+        match kind_index_of(kind) {
+            Some(i) => Some(Interest(1 << i)),
+            None => None,
+        }
+    }
+
+    /// Every kind in either set.
+    pub const fn union(self, other: Interest) -> Interest {
+        Interest(self.0 | other.0)
+    }
+
+    /// The kinds of `self` that are not in `other`.
+    pub const fn without(self, other: Interest) -> Interest {
+        Interest(self.0 & !other.0)
+    }
+
+    /// Whether every kind of `kinds` is in this set.
+    pub const fn contains(self, kinds: Interest) -> bool {
+        self.0 & kinds.0 == kinds.0
+    }
+
+    /// Whether the kind at `index` into [`KIND_NAMES`] is in this set.
+    fn keeps_index(self, index: usize) -> bool {
+        self.0 & (1 << index) != 0
+    }
 }
 
 impl Payload {
@@ -423,32 +518,36 @@ pub trait Sink: Send + Sync + fmt::Debug {
     /// deterministic ordering write out here.
     fn finish(&self) {}
 
-    /// Whether this sink wants [`Payload::PhaseTiming`] events. Resolved
-    /// once when the root telemetry context is built: a `false` here means
-    /// the solvers never read the clock at all (see [`timing`]). Defaults
-    /// to `true`; [`NullSink`] declines.
-    fn wants_timing(&self) -> bool {
-        true
+    /// The event kinds this sink keeps. Resolved once when the root
+    /// telemetry context is built: events of other kinds never reach
+    /// [`Sink::emit`], payloads that cost an allocation or extra
+    /// computation are not built for them, and without the `PhaseTiming`
+    /// kind the solvers never read the clock at all (see [`timing`]).
+    /// Defaults to [`Interest::ALL`]; [`NullSink`] keeps
+    /// [`Interest::NONE`].
+    fn interest(&self) -> Interest {
+        Interest::ALL
     }
 }
 
-/// The default sink: drops every event. Kept allocation-free so the
-/// telemetry layer costs only payload construction when unused (pinned by
-/// the `engine` criterion bench).
+/// The default sink: keeps nothing, so the emitting layers never call it
+/// and skip every payload that costs more than a small POD value to build
+/// (pinned by the `engine` criterion bench and the allocation tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullSink;
 
 impl Sink for NullSink {
     fn emit(&self, _event: &Event) {}
 
-    fn wants_timing(&self) -> bool {
-        false
+    fn interest(&self) -> Interest {
+        Interest::NONE
     }
 }
 
 /// Tees every event to several sinks — e.g. a [`JsonlSink`] trace plus a
-/// [`MetricsRegistry`] aggregation on the same run. Timing is enabled iff
-/// any member wants it.
+/// [`MetricsRegistry`] aggregation on the same run. It keeps the union of
+/// its members' kinds and forwards every event it receives to every
+/// member.
 #[derive(Debug, Default)]
 pub struct FanoutSink {
     sinks: Vec<std::sync::Arc<dyn Sink>>,
@@ -490,8 +589,10 @@ impl Sink for FanoutSink {
         }
     }
 
-    fn wants_timing(&self) -> bool {
-        self.sinks.iter().any(|s| s.wants_timing())
+    fn interest(&self) -> Interest {
+        self.sinks
+            .iter()
+            .fold(Interest::NONE, |acc, s| acc.union(s.interest()))
     }
 }
 
@@ -1097,6 +1198,15 @@ pub(crate) struct StatsFold {
 }
 
 impl StatsFold {
+    /// The kinds [`StatsFold::apply`] reads; every other kind leaves a fold
+    /// unchanged.
+    pub(crate) const READS: Interest = interest!("NrIteration")
+        .union(interest!("LuFactorized"))
+        .union(interest!("LuReplayed"))
+        .union(interest!("PtaStep"))
+        .union(interest!("StageStep"))
+        .union(interest!("SolveDone"));
+
     pub(crate) fn apply(&self, payload: &Payload) {
         match payload {
             Payload::NrIteration { .. } => {
@@ -1142,39 +1252,33 @@ impl StatsFold {
 /// The telemetry context threaded through the solver layers: a chain of
 /// [`StatsFold`]s (one per nested scope — e.g. ladder total → ladder stage
 /// → inner PTA run) plus the user [`Sink`] at the root. Emitting walks the
-/// fold chain, then forwards a span-tagged [`Event`] to the sink.
+/// fold chain, then forwards a span-tagged [`Event`] to the sink when the
+/// sink keeps its kind.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Tele<'a> {
-    sink: Option<&'a dyn Sink>,
+    sink: &'a dyn Sink,
     span: Span,
     fold: Option<&'a StatsFold>,
     parent: Option<&'a Tele<'a>>,
-    /// Resolved once at the root from [`Sink::wants_timing`]; when false
-    /// the timing guards never read the clock.
-    timing: bool,
+    /// Resolved once at the root from [`Sink::interest`].
+    interest: Interest,
 }
 
 impl<'a> Tele<'a> {
     /// A context with no sink and no folds — for public solver entry
     /// points that only need their own child fold.
     pub(crate) fn disabled() -> Tele<'static> {
-        Tele {
-            sink: None,
-            span: Span::default(),
-            fold: None,
-            parent: None,
-            timing: false,
-        }
+        Tele::root(&NullSink, Span::default())
     }
 
     /// A root context forwarding to `sink` with every event tagged `span`.
     pub(crate) fn root(sink: &'a dyn Sink, span: Span) -> Tele<'a> {
         Tele {
-            sink: Some(sink),
+            sink,
             span,
             fold: None,
             parent: None,
-            timing: sink.wants_timing(),
+            interest: sink.interest(),
         }
     }
 
@@ -1190,7 +1294,7 @@ impl<'a> Tele<'a> {
             span: self.span,
             fold: Some(fold),
             parent: Some(self),
-            timing: self.timing,
+            interest: self.interest,
         }
     }
 
@@ -1203,11 +1307,11 @@ impl<'a> Tele<'a> {
     /// A deferred-phase timer for sites where the phase is only known
     /// after the fact; finish with [`timing::PhaseTimer::finish`].
     pub(crate) fn timer(&self) -> timing::PhaseTimer {
-        timing::PhaseTimer::new(self.timing)
+        timing::PhaseTimer::new(self.interest)
     }
 
     /// Emits one payload: applies every fold on the chain, then forwards
-    /// to the sink (if any).
+    /// to the sink if it keeps the payload's kind.
     pub(crate) fn emit(&self, payload: Payload) {
         let mut node = Some(self);
         while let Some(t) = node {
@@ -1216,11 +1320,23 @@ impl<'a> Tele<'a> {
             }
             node = t.parent;
         }
-        if let Some(sink) = self.sink {
-            sink.emit(&Event {
+        if self.interest.keeps_index(payload.kind_index()) {
+            self.sink.emit(&Event {
                 span: self.span,
                 payload,
             });
+        }
+    }
+
+    /// [`Tele::emit`] for a payload of kind `kind` that costs an allocation
+    /// or extra computation to build: `build` runs only when the sink keeps
+    /// `kind` or a fold on the chain reads it.
+    pub(crate) fn emit_with(&self, kind: Interest, build: impl FnOnce() -> Payload) {
+        if self.interest.contains(kind) || (self.fold.is_some() && StatsFold::READS.contains(kind))
+        {
+            let payload = build();
+            debug_assert_eq!(kind, Interest(1 << payload.kind_index()), "kind mismatch");
+            self.emit(payload);
         }
     }
 }
@@ -1614,22 +1730,98 @@ mod tests {
 
     #[test]
     fn fanout_tees_to_all_members_and_resolves_timing() {
-        assert!(!FanoutSink::new().wants_timing(), "empty fanout is silent");
+        assert_eq!(FanoutSink::new().interest(), Interest::NONE, "empty");
         let null_only = FanoutSink::new().with(std::sync::Arc::new(NullSink));
-        assert!(!null_only.wants_timing());
+        assert_eq!(null_only.interest(), Interest::NONE);
+        let recorder = FanoutSink::new()
+            .with(std::sync::Arc::new(NullSink))
+            .with(std::sync::Arc::new(FlightRecorder::new(4)));
+        assert_eq!(recorder.interest(), Interest::ALL.without(Interest::TIMING));
         let collector = std::sync::Arc::new(Collector::new());
         let registry = std::sync::Arc::new(MetricsRegistry::new());
         let fan = FanoutSink::new()
             .with(std::sync::Arc::new(NullSink))
+            .with(std::sync::Arc::new(FlightRecorder::new(4)))
             .with(collector.clone())
             .with(registry.clone());
-        assert!(fan.wants_timing(), "collector opts in");
-        assert_eq!(fan.len(), 3);
+        assert_eq!(fan.interest(), Interest::ALL, "collector keeps timing too");
+        assert_eq!(fan.len(), 4);
         assert!(!fan.is_empty());
         fan.emit(&ev(Payload::SolveDone { converged: true }));
         fan.finish();
         assert_eq!(collector.len(), 1);
         assert_eq!(registry.kind_count("SolveDone"), 1);
+    }
+
+    #[test]
+    fn interest_masks_name_every_kind_once() {
+        for (i, name) in KIND_NAMES.iter().enumerate() {
+            let kind = Interest::of(name).expect("a kind name");
+            assert_eq!(kind, Interest(1 << i));
+            assert!(Interest::ALL.contains(kind));
+            assert!(!Interest::NONE.contains(kind));
+        }
+        assert_eq!(Interest::of("NoSuchKind"), None);
+        let timing = interest!("PhaseTiming");
+        assert_eq!(timing, Interest::TIMING);
+        assert!(!Interest::ALL.without(timing).contains(timing));
+        assert_eq!(Interest::ALL.without(timing).union(timing), Interest::ALL);
+        assert!(Interest::ALL.contains(Interest::NONE));
+    }
+
+    /// [`StatsFold::READS`] must name every kind [`StatsFold::apply`]
+    /// reads: `emit_with` skips building any other kind under a sink that
+    /// does not keep it, which is only sound if the fold ignores it.
+    #[test]
+    fn stats_fold_reads_only_its_declared_kinds() {
+        for payload in all_payloads() {
+            let fold = StatsFold::default();
+            fold.apply(&payload);
+            let read = StatsFold::READS.keeps_index(payload.kind_index());
+            assert_eq!(
+                fold.snapshot() != SolveStats::default(),
+                read,
+                "{}",
+                payload.kind()
+            );
+        }
+    }
+
+    /// A sink that keeps nothing is never called and nothing is built for
+    /// it, but the folds still see every kind they read.
+    #[test]
+    fn emit_with_builds_only_for_a_keeping_sink_or_a_reading_fold() {
+        let built = Cell::new(0);
+        let train = || {
+            built.set(built.get() + 1);
+            Payload::TrainStep {
+                role: "forward".to_string(),
+                td_error: 0.0,
+                actor_loss: 0.0,
+                critic_loss: 0.0,
+                buffer_occupancy: 0,
+            }
+        };
+        let fold = StatsFold::default();
+        let null = Tele::root(&NullSink, Span::default());
+        let null_child = null.child(&fold);
+        null_child.emit_with(interest!("TrainStep"), train);
+        assert_eq!(built.get(), 0, "nobody keeps TrainStep");
+        null_child.emit_with(interest!("SolveDone"), || {
+            built.set(built.get() + 1);
+            Payload::SolveDone { converged: true }
+        });
+        assert_eq!(built.get(), 1, "the fold reads SolveDone");
+        assert!(fold.snapshot().converged);
+
+        let collector = Collector::new();
+        let root = Tele::root(&collector, Span::default());
+        root.emit_with(interest!("TrainStep"), train);
+        assert_eq!(built.get(), 2);
+        assert_eq!(collector.len(), 1);
+
+        let recorder = FlightRecorder::new(4);
+        assert!(!Tele::root(&recorder, Span::default()).timer().sampling());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use super::json::{float, hex_key, or_null, push_items, string};
 use super::metrics::MetricsRegistry;
 use super::timing::Phase;
-use super::{kind_index_of, Event, Payload, Sink, KIND_NAMES};
+use super::{kind_index_of, Event, Interest, Payload, Sink, KIND_NAMES};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -616,12 +616,12 @@ impl Sink for FlightRecorder {
         }
     }
 
-    /// The recorder declines the out-of-band timing layer: attaching it
-    /// must not start clock sampling on the hot path. (If another sink in
-    /// a fanout opts in, the recorder folds the resulting `PhaseTiming`
-    /// events into per-job accumulators.)
-    fn wants_timing(&self) -> bool {
-        false
+    /// The recorder keeps every kind but the out-of-band timing layer:
+    /// attaching it must not start clock sampling on the hot path. (If
+    /// another sink in a fanout keeps timing, the recorder folds the
+    /// resulting `PhaseTiming` events into per-job accumulators.)
+    fn interest(&self) -> Interest {
+        Interest::ALL.without(Interest::TIMING)
     }
 }
 

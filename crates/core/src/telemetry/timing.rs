@@ -12,14 +12,15 @@
 //! them away, because wall-clock durations are scheduler- and load-
 //! dependent by nature.
 //!
-//! The whole layer is gated on [`super::Sink::wants_timing`], resolved once
-//! when the root telemetry context is built: under the default
-//! [`super::NullSink`] (and any other sink that declines) no
+//! The whole layer is gated on the `PhaseTiming` bit of the root sink's
+//! [`super::Sink::interest`], resolved once when the root telemetry context
+//! is built: under the default [`super::NullSink`] (and any other sink
+//! whose mask lacks that kind) no
 //! `Instant::now()` is ever called — the timer holds `None` and finishing
 //! it is a no-op. That keeps the zero-sink hot path free of clock syscalls, which
 //! the `telemetry_overhead` criterion group and the unit tests here pin.
 
-use super::{Payload, Sink, Span, Tele};
+use super::{Interest, Payload, Sink, Span, Tele};
 use std::time::Instant;
 
 /// An instrumented phase of the solve pipeline — the span taxonomy.
@@ -127,17 +128,17 @@ impl Phase {
 /// Sites where the phase is only known after the work ran (full factorize
 /// vs symbolic replay is read off the workspace afterwards) finish it
 /// themselves; [`TimedGuard`] finishes one on drop. Sampling is decided at
-/// construction from the root sink's [`super::Sink::wants_timing`]; a
-/// non-sampling timer never touches the clock.
+/// construction from the `PhaseTiming` bit of the root sink's
+/// [`super::Sink::interest`]; a non-sampling timer never touches the clock.
 #[derive(Debug, Default)]
 pub struct PhaseTimer {
     start: Option<Instant>,
 }
 
 impl PhaseTimer {
-    pub(crate) fn new(enabled: bool) -> Self {
+    pub(crate) fn new(interest: Interest) -> Self {
         Self {
-            start: enabled.then(Instant::now),
+            start: interest.contains(Interest::TIMING).then(Instant::now),
         }
     }
 
@@ -159,7 +160,7 @@ impl PhaseTimer {
 
 /// A scoped timer: a [`PhaseTimer`] finished as its phase when the guard
 /// drops. Built via `Tele::time`; holds no `Instant` (and its drop is a
-/// no-op) when the root sink declines timing.
+/// no-op) when the root sink keeps no timing.
 #[derive(Debug)]
 pub struct TimedGuard<'t, 'a> {
     tele: &'t Tele<'a>,
@@ -200,7 +201,7 @@ macro_rules! time_phase {
 pub(crate) use time_phase;
 
 /// Runs `body` as `phase` on `sink`, tagged `span`: one
-/// [`super::Payload::PhaseTiming`] event when the sink wants timing, no
+/// [`super::Payload::PhaseTiming`] event when the sink keeps timing, no
 /// clock read otherwise. The entry point for callers outside the solver
 /// layers (the bench harness times GP fits with it).
 pub fn time_on<T>(sink: &dyn Sink, span: Span, phase: Phase, body: impl FnOnce() -> T) -> T {
@@ -229,12 +230,12 @@ mod tests {
         assert_eq!(Phase::from_name("no_such_phase"), None);
     }
 
-    /// The zero-cost pin: under `NullSink` (which declines timing) neither
-    /// guard flavour samples the clock — no `Instant::now()` on the hot
-    /// path — and nothing is emitted.
+    /// The zero-cost pin: under `NullSink` (which keeps no kind at all)
+    /// neither guard flavour samples the clock — no `Instant::now()` on the
+    /// hot path — and nothing is emitted.
     #[test]
     fn null_sink_timing_never_samples_the_clock() {
-        assert!(!NullSink.wants_timing());
+        assert_eq!(NullSink.interest(), Interest::NONE);
         let tele = Tele::root(&NullSink, Span::default());
         let guard = tele.time(Phase::StampWrite);
         assert!(!guard.sampling());
@@ -247,7 +248,7 @@ mod tests {
     #[test]
     fn collector_timing_samples_and_emits_on_drop() {
         let collector = Collector::new();
-        assert!(collector.wants_timing());
+        assert_eq!(collector.interest(), Interest::ALL);
         let tele = Tele::root(&collector, Span::for_job(3));
         {
             let guard = tele.time(Phase::LuReplay);

@@ -12,7 +12,8 @@
 mod counting_alloc;
 use counting_alloc::allocations;
 
-use rlpta_core::{RlStepping, RlSteppingConfig, StepController, StepObservation};
+use rlpta_core::{NullSink, RlStepping, RlSteppingConfig, Span, StepController, StepObservation};
+use std::sync::Arc;
 
 /// A controller with small networks (the allocation pattern does not
 /// depend on their width), so thousands of train steps stay quick in a
@@ -74,18 +75,24 @@ fn clone_is_o1_and_warm_stepping_allocates_nothing() {
 
     // A warm controller whose buffers are full (new transitions overwrite
     // the oldest, so the slabs stop growing) allocates nothing per step,
-    // training included.
-    let mut warm = RlStepping::new(small_config(64));
-    drive(&mut warm, 200);
-    let mut h = warm.initial_step();
-    let allocs = allocations(|| {
-        for i in 0..300 {
-            h = warm.next_step(&observation(i, h));
+    // training included — bare, and with the `NullSink` every engine solve
+    // attaches (it keeps no `TrainStep`, so no event is built for it).
+    for attach in [false, true] {
+        let mut warm = RlStepping::new(small_config(64));
+        if attach {
+            warm.attach_telemetry(Arc::new(NullSink), Span::default());
         }
-    });
-    assert_eq!(
-        allocs, 0,
-        "300 warm next_step calls allocated {allocs} time(s)"
-    );
-    assert!(warm.transitions_seen() >= 499, "the counted steps recorded");
+        drive(&mut warm, 200);
+        let mut h = warm.initial_step();
+        let allocs = allocations(|| {
+            for i in 0..300 {
+                h = warm.next_step(&observation(i, h));
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "300 warm next_step calls allocated {allocs} time(s) (NullSink attached: {attach})"
+        );
+        assert!(warm.transitions_seen() >= 499, "the counted steps recorded");
+    }
 }

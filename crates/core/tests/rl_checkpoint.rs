@@ -1,11 +1,12 @@
 //! RL-S checkpointing: a trained dual-agent controller persists through
 //! `save_policy`/`load_policy`, and a frozen reload replays bit-identical
 //! stepping decisions. `TrainStep` telemetry flows only in training
-//! configurations (telemetry attached *and* not frozen).
+//! configurations (telemetry attached *and* not frozen), and what the
+//! agents learn does not depend on whether the attached sink keeps it.
 
 use rlpta_core::{
-    Collector, Payload, PtaConfig, PtaKind, PtaSolver, RlStepping, RlSteppingConfig, Span,
-    StepController, TraceController,
+    Collector, NullSink, Payload, PtaConfig, PtaKind, PtaSolver, RlStepping, RlSteppingConfig,
+    Sink, Span, StepController, TraceController,
 };
 use std::sync::Arc;
 
@@ -93,4 +94,39 @@ fn train_step_events_flow_only_while_training() {
         0,
         "a frozen controller must not emit TrainStep events"
     );
+}
+
+/// The `TrainStep` losses are computed only for a sink that keeps them;
+/// skipping them under `NullSink` must not change the solve or the
+/// learned policy by a single bit.
+#[test]
+fn learning_is_identical_whether_or_not_the_sink_keeps_train_steps() {
+    let c = fixed_circuit();
+    let trained = trained_controller();
+    let run = |sink: Arc<dyn Sink>| {
+        let mut rl = trained.clone();
+        rl.attach_telemetry(sink, Span::default());
+        let mut solver = PtaSolver::with_config(PtaKind::dpta(), rl, PtaConfig::default());
+        let sol = solver.solve(&c).expect("solves");
+        let mut policy = Vec::new();
+        solver
+            .into_controller()
+            .save_policy(&mut policy)
+            .expect("policy saves");
+        (sol, policy)
+    };
+    let collector = Arc::new(Collector::new());
+    let (kept, kept_policy) = run(collector.clone());
+    let (dropped, dropped_policy) = run(Arc::new(NullSink));
+    assert!(
+        collector
+            .events()
+            .iter()
+            .any(|e| matches!(e.payload, Payload::TrainStep { .. })),
+        "the collector side computed and kept the losses"
+    );
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&kept.x), bits(&dropped.x));
+    assert_eq!(kept.stats, dropped.stats);
+    assert!(kept_policy == dropped_policy, "policies differ after the run");
 }
