@@ -142,18 +142,22 @@ fn bench_batch_engine(c: &mut Criterion) {
 
 /// The telemetry zero-cost guard: the engine's default `NullSink` path
 /// (every event built and forwarded to a no-op sink) must sit within
-/// measurement noise of the bare solver's no-sink path on the same
-/// circuit. A visible gap between the two bars means event emission grew
-/// a hot-path cost — treat that as a regression. The third bar turns full
-/// timing instrumentation on (a `MetricsRegistry` sink, which wants
-/// timing, so every phase samples the clock twice and folds a histogram
-/// entry) — the measured price of `--profile`/`--bench-json`, expected to
-/// be small but nonzero. The `flight_recorder_engine` bar attaches a
-/// [`rlpta_core::FlightRecorder`] instead: ring-buffered event capture
-/// without timing, expected within a few percent of the `null_sink` bar
-/// (the recorder clones events into preallocated ring slots and never
-/// samples the clock; for the plain-old-data payloads of the solver hot
-/// loop the clone allocates nothing either). The `rls_*` pair solves the
+/// measurement noise of the same work done with no sink at all — the bare
+/// solver followed by the cold certification the engine's gate runs on
+/// every returned point. Each bar is the median of its individually timed
+/// iterations, printed with their interquartile range: the noise band. A
+/// `null_sink_engine` median outside the `no_sink` bar's IQR means event
+/// emission grew a hot-path cost — treat that as a regression. The
+/// `timing_instrumented_engine` bar turns full timing instrumentation on
+/// (a `MetricsRegistry` sink, which wants timing, so every phase samples
+/// the clock twice and folds a histogram entry) — the measured price of
+/// `--profile`/`--bench-json`, expected to be small but nonzero. The
+/// `flight_recorder_engine` bar attaches a [`rlpta_core::FlightRecorder`]
+/// instead: ring-buffered event capture without timing, expected within a
+/// few percent of the `null_sink_engine` bar (the recorder clones events
+/// into preallocated ring slots and never samples the clock; for the
+/// plain-old-data payloads of the solver hot loop the clone allocates
+/// nothing either). The `rls_*` pair solves the
 /// same circuit under a fresh unfrozen RL-S controller: `rls_null_sink_engine`
 /// trains without building a single `TrainStep` (`NullSink` keeps no kind),
 /// while `rls_collector_engine` computes every train step's losses and
@@ -164,9 +168,10 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_overhead");
     group.bench_function("no_sink", |b| {
         b.iter(|| {
-            PtaSolver::with_config(kind, SimpleStepping::default(), experiment_config())
+            let sol = PtaSolver::with_config(kind, SimpleStepping::default(), experiment_config())
                 .solve(&circuit)
-                .unwrap()
+                .unwrap();
+            certify(&circuit, &sol.x)
         })
     });
     let engine = DcEngine::builder()

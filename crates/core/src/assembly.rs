@@ -3,10 +3,11 @@
 //! Every Newton run assembles `J(x)` through a precompiled [`StampPlan`]:
 //! one structural resolve per circuit structure, then a per-iteration
 //! slot-table scatter into a persistent CSR buffer. Certification does the
-//! same through a plan of its own, and the service keys structures from a
-//! declare pass, so no solve, certification or service job uses the
-//! triplet assembler. It stays as the oracle the plan bit-identity tests
-//! compare against (and as AC analysis's small-signal assembly).
+//! same through a verified plan (its chain's, or one of its own), and the
+//! service keys structures from a declare pass, so no solve, certification
+//! or service job uses the triplet assembler. It stays as the oracle the
+//! plan bit-identity tests compare against (and as AC analysis's
+//! small-signal assembly).
 
 use crate::certify::CertifyWorkspace;
 use rlpta_devices::{EvalCtx, Stamper};
@@ -60,11 +61,12 @@ pub(crate) struct NewtonWorkspace {
     pub(crate) bufs: NewtonBuffers,
     /// Per-point start buffers of a sweep-point chain.
     pub(crate) start: StartBuffers,
-    /// Certification's own workspace for the chain's returned points,
-    /// built on the first certification (chains inside a PTA solve never
-    /// certify). It shares nothing with the Newton state above: its reports
-    /// are bitwise [`crate::certify::certify`]'s.
-    pub(crate) certify: Option<CertifyWorkspace>,
+    /// Certification's workspace for the chain's returned points, built
+    /// on the first certification (chains inside a PTA solve never
+    /// certify). It shares at most the verified stamp plan with the Newton
+    /// state above (see [`NewtonWorkspace::certify_workspace`]): its
+    /// reports are bitwise [`crate::certify::certify`]'s.
+    certify: Option<CertifyWorkspace>,
 }
 
 /// The start of one warm Newton run: the zero iterate used when no warm
@@ -146,6 +148,18 @@ impl NewtonWorkspace {
     /// The resolved plan, if any (for cache write-back by the service).
     pub(crate) fn plan(&self) -> Option<&Arc<StampPlan>> {
         self.plan.as_ref()
+    }
+
+    /// The chain's certification workspace, built on first use. One that
+    /// has no plan yet takes the chain's stamp plan when that plan has no
+    /// extra stamps (`CertifyWorkspace::adopt_plan`), so a chain of plain
+    /// Newton runs certifies without resolving a plan of its own.
+    pub(crate) fn certify_workspace(&mut self) -> &mut CertifyWorkspace {
+        let certify = self.certify.get_or_insert_with(CertifyWorkspace::default);
+        if let Some(plan) = &self.plan {
+            certify.adopt_plan(plan);
+        }
+        certify
     }
 
     /// Installs `resolve()` unless a plan of dimension `dim` is already

@@ -42,20 +42,25 @@
 //! # Warm certification
 //!
 //! A `CertifyWorkspace` carries certification's own state from one call to
-//! the next: a [`StampPlan`] resolved from its own declare pass (never
-//! Newton's), the CSR buffer the plan scatters into, a fresh-equivalent
-//! [`LuWorkspace`] and the Hager scratch. Every call re-verifies the plan
-//! against the circuit with a declare pass in the workspace's own buffers
-//! and resolves a new plan when the check fails, so a workspace can move
-//! between circuits. Plan assembly is bitwise triplet assembly followed by
-//! `Triplet::to_csr` (the plan ≡ triplet contract the assembly tests pin),
-//! so certification stays independent of the solver while sorting
-//! nothing. Its LU pattern is recorded from its own full factorization,
-//! never read from the Newton workspace, and a replay is accepted only
-//! when every recorded pivot is the one [`SparseLu::factorize`] would
-//! choose on the new values — so the replayed factorization is bitwise the
-//! fresh one, and a workspace report equals [`certify`]'s whatever the
-//! workspace saw before.
+//! the next: a [`StampPlan`], the CSR buffer the plan scatters into, a
+//! fresh-equivalent [`LuWorkspace`] and the Hager scratch. A chain's
+//! workspace starts from the chain's Newton plan when that plan has no
+//! solver extra stamps; otherwise it resolves its own. Either way every
+//! call re-verifies the plan against the circuit with a declare pass in
+//! the workspace's own buffers and resolves a new plan when the check
+//! fails, so a workspace can move between circuits. A plan holds no
+//! values and takes no fault draws: it is a pure function of the declare
+//! pass it was verified against, so whoever resolved it, plan assembly is
+//! bitwise triplet assembly followed by `Triplet::to_csr` (the plan ≡
+//! triplet contract the assembly tests pin), and certification stays
+//! independent of the solver while sorting nothing. Its numeric path is
+//! its own: the seeded limiter state, the scatter and the LU. Its LU
+//! pattern is recorded from its own full factorization, never read from
+//! the Newton workspace, and a replay is accepted only when every recorded
+//! pivot is the one [`SparseLu::factorize`] would choose on the new
+//! values — so the replayed factorization is bitwise the fresh one, and a
+//! workspace report equals [`certify`]'s whatever the workspace saw
+//! before.
 
 use crate::error::SolveError;
 use crate::telemetry::{interest, Payload, Phase, Tele};
@@ -63,6 +68,7 @@ use crate::Solution;
 use rlpta_devices::EvalCtx;
 use rlpta_linalg::{norms, CondScratch, CsrMatrix, LuWorkspace, SparseLu};
 use rlpta_mna::{Circuit, DeclareScratch, ResidualScratch, StampPlan};
+use std::sync::Arc;
 
 /// Residual infinity-norm at or below which a solution can be graded
 /// [`HealthGrade::Certified`] — matches the plain Newton solver's default
@@ -158,13 +164,13 @@ fn grade_of(residual_norm: f64, cond: f64, growth: f64) -> HealthGrade {
     }
 }
 
-/// Certification's reusable state: its own stamp plan and the buffers of
-/// its re-verification, the CSR the plan scatters the Jacobian into, a
+/// Certification's reusable state: its stamp plan and the buffers of its
+/// re-verification, the CSR the plan scatters the Jacobian into, a
 /// fresh-equivalent LU workspace and the Hager scratch (see the module
 /// docs). Reports do not depend on what the workspace certified before.
 #[derive(Debug)]
 pub(crate) struct CertifyWorkspace {
-    plan: Option<StampPlan>,
+    plan: Option<Arc<StampPlan>>,
     declare: DeclareScratch,
     csr: CsrMatrix,
     res: Vec<f64>,
@@ -190,6 +196,18 @@ impl Default for CertifyWorkspace {
 }
 
 impl CertifyWorkspace {
+    /// Takes `plan` as the workspace's plan when the workspace has none
+    /// yet and `plan` carries no solver extra stamps (a plan with them
+    /// would under-run the limiter-free scatter). A plan is a pure
+    /// function of a declare pass and every call re-verifies it against
+    /// its circuit, so a taken plan gives the reports a resolved one would.
+    pub(crate) fn adopt_plan(&mut self, plan: &Arc<StampPlan>) {
+        if self.plan.is_none() && plan.device_pushes() == plan.len() {
+            self.csr = plan.new_matrix();
+            self.plan = Some(Arc::clone(plan));
+        }
+    }
+
     /// One limiter-free assembly at `x` through the workspace's plan into
     /// `csr` (`J(x)`) and `res` (`F(x)`), after re-verifying the plan
     /// against `circuit` (a new one is resolved when it does not match).
@@ -199,7 +217,7 @@ impl CertifyWorkspace {
             _ => {
                 let plan = StampPlan::resolve(circuit, &mut |_| {});
                 self.csr = plan.new_matrix();
-                plan
+                Arc::new(plan)
             }
         };
         self.res.resize(circuit.dim(), 0.0);
@@ -370,9 +388,9 @@ pub(crate) fn certified(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assembly::NewtonWorkspace;
     use crate::telemetry::{Collector, Span};
     use crate::NewtonRaphson;
-    use std::sync::Arc;
 
     fn diode_clamp() -> Circuit {
         rlpta_netlist::parse("t\nV1 in 0 5\nR1 in out 1k\nD1 out 0 DX\n.model DX D(IS=1e-14)\n")
@@ -484,7 +502,9 @@ mod tests {
     /// Along chains of jittered points on one structure, entered after
     /// other structures and dimensions, a long-lived workspace reports
     /// bitwise what the cold [`certify`] reports — and its warm
-    /// certifications do replay.
+    /// certifications do replay. So does each circuit's chain workspace,
+    /// which took the plan of that circuit's Newton run and, on that
+    /// plan, never resolves one of its own.
     #[test]
     fn workspace_reports_equal_cold_certify_bitwise() {
         use rand::prelude::*;
@@ -502,6 +522,18 @@ mod tests {
             .iter()
             .map(|c| engine.solve(c).expect("operating point").x)
             .collect();
+        // One warm sweep-point solve per circuit leaves a Newton workspace
+        // holding that circuit's resolved plan.
+        let mut chains: Vec<NewtonWorkspace> = circuits
+            .iter()
+            .map(|c| {
+                let mut nws = NewtonWorkspace::new();
+                engine
+                    .solve_warm_in(c, None, &mut nws, Span::default())
+                    .expect("operating point");
+                nws
+            })
+            .collect();
         let mut rng = StdRng::seed_from_u64(0x5eed);
         let mut ws = CertifyWorkspace::default();
         for _ in 0..24 {
@@ -514,12 +546,54 @@ mod tests {
                     .map(|v| v * (1.0 + spread * rng.gen_range(-1.0..1.0)))
                     .collect();
                 let warm = ws.certify(&circuits[i], &x);
+                let chain = chains[i].certify_workspace().certify(&circuits[i], &x);
                 let cold = certify(&circuits[i], &x);
                 assert_eq!(report_bits(&warm), report_bits(&cold), "circuit {i}");
+                assert_eq!(report_bits(&chain), report_bits(&cold), "chain {i}");
             }
         }
         let stats = ws.lu.stats();
         assert!(stats.refactorizations > 0, "no warm replay: {stats:?}");
+        for (i, nws) in chains.iter_mut().enumerate() {
+            let newton = Arc::clone(nws.plan().expect("Newton resolved a plan"));
+            let held = nws.certify_workspace().plan.clone().expect("plan taken");
+            assert!(Arc::ptr_eq(&held, &newton), "chain {i} resolved a plan");
+        }
+    }
+
+    /// A plan with solver extra stamps (a PTA plan: pseudo-element shunts
+    /// on every unknown's diagonal) is never taken: its scatter expects
+    /// more pushes than the limiter-free assembly makes. The workspace
+    /// resolves its own plan and still reports what cold [`certify`] does.
+    #[test]
+    fn a_plan_with_extra_stamps_is_never_taken() {
+        let c = diode_clamp();
+        let x = NewtonRaphson::default().solve(&c).unwrap().x;
+        let dim = c.dim();
+        let pta_plan = Arc::new(StampPlan::resolve(&c, &mut |st| {
+            for i in 0..dim {
+                st.jac_raw(i, i, 0.0);
+            }
+        }));
+        assert!(pta_plan.device_pushes() < pta_plan.len());
+        let mut ws = CertifyWorkspace::default();
+        ws.adopt_plan(&pta_plan);
+        assert!(ws.plan.is_none());
+        let mut nws = NewtonWorkspace::seeded(LuWorkspace::default(), Some(Arc::clone(&pta_plan)));
+        let chain = nws.certify_workspace();
+        assert!(chain.plan.is_none());
+        let cold = report_bits(&certify(&c, &x));
+        assert_eq!(report_bits(&chain.certify(&c, &x)), cold);
+        let own = chain.plan.clone().expect("resolved its own");
+        assert!(!Arc::ptr_eq(&own, &pta_plan));
+        assert_eq!(own.device_pushes(), own.len());
+        // A plan without extra stamps is taken, once: a workspace that
+        // holds a plan keeps it.
+        let bare = Arc::new(StampPlan::resolve(&c, &mut |_| {}));
+        ws.adopt_plan(&bare);
+        assert!(ws.plan.as_ref().is_some_and(|p| Arc::ptr_eq(p, &bare)));
+        ws.adopt_plan(&Arc::new(StampPlan::resolve(&c, &mut |_| {})));
+        assert!(ws.plan.as_ref().is_some_and(|p| Arc::ptr_eq(p, &bare)));
     }
 
     /// Under `faults`, one certification takes exactly one singular-pivot

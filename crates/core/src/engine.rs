@@ -903,8 +903,7 @@ impl DcEngine {
                 // A warm iterate that fails independent certification (even
                 // after the rescue) is treated like any other Newton defeat:
                 // fall through to the escalation ladder below.
-                let certify_ws = ws.certify.get_or_insert_with(CertifyWorkspace::default);
-                if let Ok(sol) = certified(certify_ws, work, sol, &point_tele) {
+                if let Ok(sol) = certified(ws.certify_workspace(), work, sol, &point_tele) {
                     return Ok(sol);
                 }
             }

@@ -103,8 +103,8 @@ pub use recovery::{AttemptReport, LadderStage, RobustDcSolver, SolveBudget};
 pub use report::op_report;
 pub use rl_stepping::{RlStepping, RlSteppingConfig};
 pub use service::{
-    CacheStats, HeartbeatLine, JobId, JobTicket, Priority, ServiceError, ServiceMonitor,
-    ServiceSnapshot, SimService, SimServiceBuilder, StructureKey,
+    CacheStats, HeartbeatLine, JobId, JobTicket, KeyScratch, Priority, ServiceError,
+    ServiceMonitor, ServiceSnapshot, SimService, SimServiceBuilder, StructureKey,
 };
 pub use solution::{Solution, SolveStats};
 pub use stepping::{SerStepping, SimpleStepping, StepController, StepObservation};

@@ -14,17 +14,19 @@
 //!    [`SymbolicLu`] scatter plan recorded by an earlier solve (an
 //!    [`Arc`], shared with the workspaces that replay it) and the resolved
 //!    [`StampPlan`] (so warm jobs skip stamp resolution and go straight to
-//!    the slot-table write pass). The key comes from one structural
-//!    declare pass, so admitting a job assembles nothing. Eviction is LRU
-//!    under a byte budget that only the newest plan may exceed alone. The
-//!    service owns the cache and touches it only between pool runs,
-//!    through `&mut self`, so it takes no locks. A cached entry whose
-//!    stamp plan no longer matches the circuit's declare pass, or whose
-//!    symbolic LU no longer matches that plan's pattern (a hash collision,
-//!    or a structural change that kept the key), is **invalidated and
-//!    re-recorded, never replayed stale** — and even a bypassed check
-//!    would be caught by [`LuWorkspace`]'s own guarded-replay fallback, so
-//!    staleness can cost time, not correctness.
+//!    the slot-table write pass, and certify through the same plan). The
+//!    key comes from one structural declare pass in the service's own
+//!    [`KeyScratch`], so admitting a job assembles nothing and builds no
+//!    matrix. Eviction is LRU under a byte budget that only the newest
+//!    plan may exceed alone. The service owns the cache and touches it
+//!    only between pool runs, through `&mut self`, so it takes no locks.
+//!    A cached entry whose stamp plan no longer matches the circuit's
+//!    declare pass, or whose symbolic LU no longer matches that plan's
+//!    pattern (a hash collision, or a structural change that kept the
+//!    key), is **invalidated and re-recorded, never replayed stale** — and
+//!    even a bypassed check would be caught by [`LuWorkspace`]'s own
+//!    guarded-replay fallback, so staleness can cost time, not
+//!    correctness.
 //! 2. **A warm-start tier.** Each structure's last certified operating
 //!    point, keyed by [`StructureKey`] under its own LRU order and byte
 //!    meter, so it outlives the eviction of its (far larger) plan. Hits and
@@ -108,7 +110,7 @@ use crate::telemetry::{
 use crate::Solution;
 use observe::priority_index;
 use rlpta_devices::Device;
-use rlpta_linalg::{FnvHasher, LuWorkspace, StampSlots, SymbolicLu};
+use rlpta_linalg::{FnvHasher, LuWorkspace, PatternScratch, StampSlots, SymbolicLu};
 use rlpta_mna::{Circuit, DeclareScratch, StampPlan};
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -135,10 +137,11 @@ pub type JobId = usize;
 ///
 /// The pattern comes from one structural declare pass
 /// ([`DeclareScratch::declare`]): the declared Jacobian targets, ordered
-/// into CSR by the same routine every triplet conversion uses. No device
-/// equation is evaluated into a matrix, nothing is sorted globally and no
-/// fault-injection draw is taken; the hash is bit for bit the one a
-/// triplet assembly at `x = 0` would give.
+/// by the same routine every triplet conversion uses and hashed as they
+/// come, with no matrix built. No device equation is evaluated into a
+/// matrix, nothing is sorted globally and no fault-injection draw is
+/// taken; the hash is bit for bit the one a triplet assembly at `x = 0`
+/// would give.
 ///
 /// The key carries the MNA dimension and pattern entry count alongside the
 /// hash, so two keys are equal only when hash *and* both counts agree;
@@ -156,13 +159,23 @@ pub struct StructureKey {
 impl StructureKey {
     /// Computes the key for `circuit` from one declare pass: device stamps
     /// touch the same matrix positions at every operating point, so the
-    /// declared pattern is the circuit's pattern.
+    /// declared pattern is the circuit's pattern. Allocating wrapper over
+    /// [`StructureKey::of_in`].
     pub fn of(circuit: &Circuit) -> Self {
+        Self::of_in(circuit, &mut KeyScratch::default())
+    }
+
+    /// [`StructureKey::of`] in `scratch`'s buffers, with the same value:
+    /// the pattern hash is read straight off the ordered declared targets
+    /// ([`StampSlots::pattern_hash_with`]), so no matrix is built, and
+    /// once the buffers have grown to the circuit a key allocates nothing.
+    pub fn of_in(circuit: &Circuit, scratch: &mut KeyScratch) -> Self {
         let dim = circuit.dim();
-        let mut scratch = DeclareScratch::default();
-        let pattern = StampSlots::pattern_of(dim, dim, scratch.declare(circuit));
+        let targets = scratch.declare.declare(circuit);
+        let (pattern_hash, nnz) =
+            StampSlots::pattern_hash_with(dim, dim, targets, &mut scratch.pattern);
         let mut h = FnvHasher::new();
-        h.write_u64(pattern.pattern_hash());
+        h.write_u64(pattern_hash);
         h.write_usize(circuit.num_nodes());
         h.write_usize(circuit.num_branches());
         h.write_usize(circuit.state_len());
@@ -175,7 +188,7 @@ impl StructureKey {
         }
         Self {
             dim,
-            nnz: pattern.nnz(),
+            nnz,
             hash: h.finish(),
         }
     }
@@ -195,6 +208,16 @@ impl StructureKey {
     pub fn hash(&self) -> u64 {
         self.hash
     }
+}
+
+/// Reusable buffers of [`StructureKey::of_in`]: the declare pass's and
+/// the pattern ordering's. Start from `default()`; the buffers size
+/// themselves on first use and are kept by later keys, of any structure.
+/// A [`SimService`] keys every job in one of these.
+#[derive(Debug, Clone, Default)]
+pub struct KeyScratch {
+    declare: DeclareScratch,
+    pattern: PatternScratch,
 }
 
 impl fmt::Display for StructureKey {
@@ -532,12 +555,19 @@ impl PlanCache {
     /// and reported as a miss — the service re-resolves and re-records
     /// rather than scattering through a stale plan, replaying a stale
     /// analysis or seeding a foreign point. The warm start comes from the
-    /// warm tier, on hits and misses alike.
-    fn lookup(&mut self, key: &StructureKey, circuit: &Circuit, tele: &Tele<'_>) -> CacheSeed {
+    /// warm tier, on hits and misses alike. The plan check's declare pass
+    /// runs in `declare`, the service's keying buffers.
+    fn lookup(
+        &mut self,
+        key: &StructureKey,
+        circuit: &Circuit,
+        declare: &mut DeclareScratch,
+        tele: &Tele<'_>,
+    ) -> CacheSeed {
         let tick = self.next_tick();
         let invalidated = self.plans.entries.get(key).is_some_and(|entry| {
             let (symbolic, plan) = &entry.value;
-            !(plan.compatible_with(circuit) && symbolic.compatible_with(plan.pattern()))
+            !(plan.verify_with(circuit, declare) && symbolic.compatible_with(plan.pattern()))
         });
         if invalidated {
             self.plans.remove(key);
@@ -834,6 +864,7 @@ impl SimServiceBuilder {
         };
         SimService {
             cache: PlanCache::new(self.cache_bytes),
+            keys: KeyScratch::default(),
             queue: Vec::new(),
             next_id: 0,
             queue_capacity: self.queue_capacity,
@@ -893,6 +924,9 @@ impl<C> QueuedJob<C> {
 pub struct SimService {
     engine: DcEngine,
     cache: PlanCache,
+    /// The buffers every admission keys in and every cache check verifies
+    /// in.
+    keys: KeyScratch,
     queue: Vec<QueuedJob>,
     next_id: JobId,
     queue_capacity: usize,
@@ -1014,7 +1048,7 @@ impl SimService {
                 return Err(ServiceError::DeadlineUnmeetable { deadline, detail });
             }
         }
-        let key = StructureKey::of(circuit.borrow());
+        let key = StructureKey::of_in(circuit.borrow(), &mut self.keys);
         let seq = self.next_id;
         self.next_id += 1;
         self.monitor.counters.submitted[priority_index(ticket.priority)] += 1;
@@ -1074,7 +1108,9 @@ impl SimService {
         let mut group_ids = Vec::with_capacity(groups.len());
         let mut closures = Vec::with_capacity(groups.len());
         for (key, jobs) in groups {
-            let seed = self.cache.lookup(&key, &jobs[0].circuit, &tele);
+            let seed = self
+                .cache
+                .lookup(&key, &jobs[0].circuit, &mut self.keys.declare, &tele);
             for job in &jobs {
                 tele.emit(Payload::JobAdmitted {
                     job: job.seq,
@@ -1123,7 +1159,9 @@ impl SimService {
         let key = job.key;
         let sink = self.engine.telemetry();
         let tele = Tele::root(&*sink, Span::default());
-        let seed = self.cache.lookup(&key, circuit, &tele);
+        let seed = self
+            .cache
+            .lookup(&key, circuit, &mut self.keys.declare, &tele);
         tele.emit(Payload::JobAdmitted {
             job: job.seq,
             key: key.hash,
@@ -1717,9 +1755,12 @@ mod tests {
             .same_pattern(plan_of(&reordered).pattern()));
         let key = StructureKey::of(&owner);
         let sink = service.engine().telemetry();
-        let seed = service
-            .cache
-            .lookup(&key, &reordered, &Tele::root(&*sink, Span::default()));
+        let seed = service.cache.lookup(
+            &key,
+            &reordered,
+            &mut service.keys.declare,
+            &Tele::root(&*sink, Span::default()),
+        );
         assert!(seed.cached.is_none() && seed.warm.is_none());
         let stats = service.cache_stats();
         assert_eq!((stats.invalidations, stats.hits, stats.misses), (1, 0, 2));
@@ -1740,9 +1781,12 @@ mod tests {
         let key = StructureKey::of(&owner);
         let foreign = two_stage_clamp("5");
         let sink = service.engine().telemetry();
-        let seed = service
-            .cache
-            .lookup(&key, &foreign, &Tele::root(&*sink, Span::default()));
+        let seed = service.cache.lookup(
+            &key,
+            &foreign,
+            &mut service.keys.declare,
+            &Tele::root(&*sink, Span::default()),
+        );
         assert!(seed.cached.is_none());
         assert!(seed.warm.is_none(), "a foreign point must not seed the job");
         let stats = service.cache_stats();

@@ -529,7 +529,7 @@ mod faults {
             let reference = via_triplet(&c, &x, &extra);
             faults.install();
             let plan = resolve(&c, &extra);
-            prop_assert!(plan.compatible_with(&c));
+            prop_assert!(plan.verify_with(&c, &mut rlpta_mna::DeclareScratch::default()));
             let planned = via_plan(&c, &plan, &x, &extra);
             FaultPlan::clear();
             let poisoned = |m: &CsrMatrix| m.values().iter().map(|v| v.is_nan()).collect::<Vec<_>>();

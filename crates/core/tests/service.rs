@@ -100,6 +100,35 @@ fn structure_keys_equal_the_triplet_oracle_on_every_named_circuit() {
     }
 }
 
+/// The same 118 circuits keyed in shuffled order through one reused
+/// [`KeyScratch`] (what a service does at every admission): each key
+/// equals the allocating [`StructureKey::of`] and the triplet oracle, bit
+/// for bit, whatever the scratch keyed before.
+#[test]
+fn reused_key_scratch_keys_every_named_circuit_like_the_oracle() {
+    use rand::prelude::*;
+    use rlpta_core::KeyScratch;
+    let mut benches = rlpta_circuits::table2();
+    benches.extend(rlpta_circuits::table3());
+    benches.extend(rlpta_circuits::training_corpus());
+    benches.extend(rlpta_circuits::stress());
+    benches.extend(rlpta_circuits::fig5());
+    assert_eq!(benches.len(), 118);
+    let mut rng = StdRng::seed_from_u64(0x6b65_7973);
+    let mut scratch = KeyScratch::default();
+    for _ in 0..2 {
+        for i in (1..benches.len()).rev() {
+            benches.swap(i, rng.gen_range(0..=i));
+        }
+        for bench in &benches {
+            let (name, circuit) = (&bench.name, &bench.circuit);
+            let key = StructureKey::of_in(circuit, &mut scratch);
+            assert_eq!(key, StructureKey::of(circuit), "{name}");
+            assert_eq!(key_bits(key), triplet_oracle_key(circuit), "{name}");
+        }
+    }
+}
+
 proptest! {
     /// Across the generated family, the declare-pass key equals the
     /// triplet oracle's bit for bit.

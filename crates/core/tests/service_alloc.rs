@@ -3,16 +3,19 @@
 //! path allocates once per device, per stamp, per unknown or per Newton
 //! iteration:
 //!
-//! * keying the job is one declare pass into buffers sized up front, and
-//!   the topology fold lists each device's terminals inline;
+//! * keying the job is one declare pass into the service's reused key
+//!   buffers, its pattern hash is read off the ordered targets without
+//!   building a matrix, and the topology fold lists each device's
+//!   terminals inline;
 //! * the cache check and certification's plan re-verification are
-//!   declare passes of the same kind;
+//!   declare passes of the same kind, and certification takes the group's
+//!   Newton plan instead of resolving its own;
 //! * certification's fresh factorization sizes its factors from the
 //!   matrix's entry count;
 //! * `solve` runs the job over the caller's circuit, not a copy of it.
 //!
 //! So a 40-stage ladder's warm job allocates exactly as often as a 5-stage
-//! one's.
+//! one's, and that count has a ceiling, [`WARM_JOB_ALLOCATIONS`].
 //!
 //! The counting allocator counts the measuring thread only
 //! (`tests/support/counting_alloc.rs`).
@@ -23,6 +26,18 @@ use counting_alloc::allocations;
 
 use rlpta_core::prelude::*;
 use rlpta_mna::Circuit;
+
+/// The most allocations one warm `SimService::solve` job may make (the
+/// count at which keying in the service's buffers and certifying through
+/// the group's plan left it; keying through a fresh matrix and resolving
+/// a certification plan cost 19 more). Debug builds without `faults`
+/// also re-certify every point cold inside a `debug_assert`, which costs
+/// 41 more.
+const WARM_JOB_ALLOCATIONS: usize = if cfg!(all(debug_assertions, not(feature = "faults"))) {
+    100
+} else {
+    59
+};
 
 /// An `n`-stage resistor ladder with a diode clamp on every node.
 fn ladder(n: usize) -> Circuit {
@@ -62,5 +77,9 @@ fn warm_service_job_allocations_do_not_grow_with_the_circuit() {
     assert_eq!(
         small_allocs, large_allocs,
         "5 vs 40 stages ({small_iters} vs {large_iters} Newton iterations)"
+    );
+    assert!(
+        small_allocs <= WARM_JOB_ALLOCATIONS,
+        "a warm job allocated {small_allocs} times, over the ceiling of {WARM_JOB_ALLOCATIONS}"
     );
 }

@@ -1,6 +1,6 @@
 //! Ebers–Moll bipolar junction transistor.
 
-use crate::limit::{junction_vcrit, limexp, limexp_deriv, pnjlim};
+use crate::limit::{junction_vcrit, landed, limexp, limexp_deriv, pnjlim};
 use crate::{EvalCtx, JacSink, Node, Stamper, THERMAL_VOLTAGE};
 
 /// BJT polarity.
@@ -197,10 +197,12 @@ impl Bjt {
     }
 
     /// The limiter update of [`Bjt::stamp`] alone: `state` ends exactly
-    /// where a stamp at `x` leaves it, with no device evaluation.
-    pub(crate) fn limit_state(&self, x: &[f64], state: &mut [f64]) {
+    /// where a stamp at `x` leaves it, with no device evaluation. Returns
+    /// whether both junction voltages [`landed`].
+    pub(crate) fn limit_state(&self, x: &[f64], state: &mut [f64]) -> bool {
         let (vbe, vbc) = self.junction_voltages(x);
-        self.limit(vbe, vbc, state);
+        let (vbe_l, vbc_l) = self.limit(vbe, vbc, state);
+        landed(vbe, vbe_l) & landed(vbc, vbc_l)
     }
 
     pub(crate) fn stamp<S: JacSink>(

@@ -159,17 +159,23 @@ impl Device {
     /// stamped and no fault-injection draw is consumed. A no-op for devices
     /// without state.
     ///
+    /// Returns whether the device *landed*: every limited voltage came
+    /// back bitwise equal to its finite input. The state then holds the
+    /// limiters' fixed point at `x` (`pnjlim(v, v)` and `fetlim(v, v, vto)`
+    /// return `v` for finite `v`), so a further call at `x` moves nothing.
+    /// Devices without state always land.
+    ///
     /// # Panics
     ///
     /// Panics if `state.len() != self.state_len()`.
-    pub fn limit_state(&self, x: &[f64], state: &mut [f64]) {
+    pub fn limit_state(&self, x: &[f64], state: &mut [f64]) -> bool {
         assert_eq!(state.len(), self.state_len(), "device state slice mismatch");
         match self {
             Device::Diode(d) => d.limit_state(x, state),
             Device::Bjt(d) => d.limit_state(x, state),
             Device::Mosfet(d) => d.limit_state(x, state),
             Device::Jfet(d) => d.limit_state(x, state),
-            _ => {}
+            _ => true,
         }
     }
 

@@ -1,6 +1,6 @@
 //! Shockley junction diode.
 
-use crate::limit::{junction_vcrit, limexp, limexp_deriv, pnjlim};
+use crate::limit::{junction_vcrit, landed, limexp, limexp_deriv, pnjlim};
 use crate::{EvalCtx, JacSink, Node, Stamper, THERMAL_VOLTAGE};
 
 /// Diode model parameters (`.model ... D(...)`).
@@ -135,9 +135,11 @@ impl Diode {
     }
 
     /// The limiter update of [`Diode::stamp`] alone: `state` ends exactly
-    /// where a stamp at `x` leaves it, with no device evaluation.
-    pub(crate) fn limit_state(&self, x: &[f64], state: &mut [f64]) {
-        self.limit(self.junction_voltage(x), state);
+    /// where a stamp at `x` leaves it, with no device evaluation. Returns
+    /// whether the junction voltage [`landed`].
+    pub(crate) fn limit_state(&self, x: &[f64], state: &mut [f64]) -> bool {
+        let vd = self.junction_voltage(x);
+        landed(vd, self.limit(vd, state))
     }
 
     pub(crate) fn stamp<S: JacSink>(

@@ -5,7 +5,7 @@
 //! forward-biased, which both clamps the gate and makes the JFET a stiffer
 //! Newton customer than an insulated-gate FET.
 
-use crate::limit::{junction_vcrit, limexp, limexp_deriv, pnjlim};
+use crate::limit::{junction_vcrit, landed, limexp, limexp_deriv, pnjlim};
 use crate::{EvalCtx, JacSink, Node, Stamper, THERMAL_VOLTAGE};
 
 /// JFET polarity.
@@ -225,9 +225,12 @@ impl Jfet {
     }
 
     /// The limiter update of [`Jfet::stamp`] alone: `state` ends exactly
-    /// where a stamp at `x` leaves it, with no device evaluation.
-    pub(crate) fn limit_state(&self, x: &[f64], state: &mut [f64]) {
-        self.limit(&self.bias(x), state);
+    /// where a stamp at `x` leaves it, with no device evaluation. Returns
+    /// whether both gate-junction voltages [`landed`].
+    pub(crate) fn limit_state(&self, x: &[f64], state: &mut [f64]) -> bool {
+        let bias = self.bias(x);
+        let junctions_l = self.limit(&bias, state);
+        landed(bias.junctions[0], junctions_l[0]) & landed(bias.junctions[1], junctions_l[1])
     }
 
     pub(crate) fn stamp<S: JacSink>(

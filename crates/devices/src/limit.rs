@@ -85,6 +85,16 @@ pub fn pnjlim(vnew: f64, vold: f64, vt: f64, vcrit: f64) -> (f64, bool) {
     }
 }
 
+/// Whether a limiter's output `out` is its finite input `v`, bit for bit. For finite
+/// `v`, `pnjlim(v, v, ..)` and `fetlim(v, v, ..)` return `v`, so a limiter
+/// state holding a landed voltage is the limiter's fixed point: limiting
+/// the same `v` again moves nothing. The limiters' own `limited` flag
+/// cannot stand in for this: `fetlim` clamps a NaN `vnew` through
+/// `f64::max`/`min` and reports it unlimited.
+pub(crate) fn landed(v: f64, out: f64) -> bool {
+    v.is_finite() && v.to_bits() == out.to_bits()
+}
+
 /// SPICE `fetlim`: limits the update of a MOSFET gate–source voltage around
 /// the threshold `vto`, keeping Newton from bouncing across the square-law
 /// knee.
@@ -247,6 +257,50 @@ mod tests {
         let (v, limited) = fetlim(50.0, 0.0, 1.0);
         assert!(limited);
         assert!(v <= 5.0, "limited to {v}");
+    }
+
+    /// `(v, v)` is a fixed point of both limiters for finite `v`, bit for
+    /// bit: in every `fetlim` region (off, middle, fully on), with `±0.0`
+    /// in each of them, so a state that landed is never moved again.
+    #[test]
+    fn limiters_fix_a_landed_voltage_bitwise() {
+        let vt = 0.02585;
+        let vcrit = junction_vcrit(vt, 1e-14);
+        let volts = [
+            0.0, -0.0, 1e-300, -1e-300, 0.3, 0.7, 0.9, 2.0, 5.0, 40.0, -3.0, -50.0, 1e300,
+        ];
+        for v in volts {
+            let (out, _) = pnjlim(v, v, vt, vcrit);
+            assert_eq!(out.to_bits(), v.to_bits(), "pnjlim({v}, {v})");
+            assert!(landed(v, out));
+        }
+        // The offsets from vto cover every region: off below vto, middle
+        // in [vto, vto + 3.5), fully on above. For ±0.0 itself, vto = 1.0
+        // puts it off, vto = -3.0 in the middle and vto = -4.0 fully on.
+        for vto in [1.0, -3.0, -4.0, 0.0, -0.0, 0.7, -2.0] {
+            for offset in [-10.0, -1.0, -0.5, 0.0, 0.25, 1.0, 3.4, 3.5, 3.6, 10.0] {
+                for v in [vto + offset, 0.0, -0.0] {
+                    let (out, limited) = fetlim(v, v, vto);
+                    assert_eq!(out.to_bits(), v.to_bits(), "fetlim({v}, {v}, {vto})");
+                    assert!(!limited);
+                    assert!(landed(v, out));
+                }
+            }
+        }
+    }
+
+    /// The NaN clamp the `limited` flag misses: a NaN gate voltage in the
+    /// middle region comes back as `vto + 4` with `limited == false`, yet
+    /// it has not landed, so seeding keeps walking as the device would.
+    #[test]
+    fn fetlim_clamps_nan_without_flagging_it() {
+        let (out, limited) = fetlim(f64::NAN, 2.0, 1.0);
+        assert_eq!(out, 5.0);
+        assert!(!limited);
+        assert!(!landed(f64::NAN, out));
+        for v in [f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!landed(v, v), "an infinite voltage never lands");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Shichman–Hodges (SPICE level-1) MOSFET.
 
-use crate::limit::{fetlim, junction_vcrit, limexp, limexp_deriv, pnjlim};
+use crate::limit::{fetlim, junction_vcrit, landed, limexp, limexp_deriv, pnjlim};
 use crate::{EvalCtx, JacSink, Node, Stamper, THERMAL_VOLTAGE};
 
 /// MOSFET polarity.
@@ -293,9 +293,14 @@ impl Mosfet {
     }
 
     /// The limiter update of [`Mosfet::stamp`] alone: `state` ends exactly
-    /// where a stamp at `x` leaves it, with no device evaluation.
-    pub(crate) fn limit_state(&self, x: &[f64], state: &mut [f64]) {
-        self.limit(&self.bias(x), state);
+    /// where a stamp at `x` leaves it, with no device evaluation. Returns
+    /// whether the gate and both junction voltages [`landed`].
+    pub(crate) fn limit_state(&self, x: &[f64], state: &mut [f64]) -> bool {
+        let bias = self.bias(x);
+        let (vgs_l, junctions_l) = self.limit(&bias, state);
+        landed(bias.vgs, vgs_l)
+            & landed(bias.junctions[0], junctions_l[0])
+            & landed(bias.junctions[1], junctions_l[1])
     }
 
     pub(crate) fn stamp<S: JacSink>(

@@ -10,7 +10,7 @@
 //!   AC analysis);
 //! * `&mut Vec<(usize, usize)>` ([`Stamper::declare`]): the ground-filtered
 //!   `(row, col)` targets in push order, the resolve half of a precompiled
-//!   stamp plan (`StampPlan::resolve`, `compatible_with`) and the pattern
+//!   stamp plan (`StampPlan::resolve`, `verify_with`) and the pattern
 //!   a structure key hashes;
 //! * [`SlotWriter`] ([`Stamper::scatter`]): values written straight into the
 //!   nnz slots of a frozen CSR pattern, the write half

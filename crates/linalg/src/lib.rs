@@ -54,7 +54,7 @@ mod symbolic;
 
 pub use dense::{Cholesky, DenseLu, DenseMatrix};
 pub use error::LinalgError;
-pub use slots::{SlotWriter, StampSlots};
+pub use slots::{PatternScratch, SlotWriter, StampSlots};
 pub use sparse::{CsrMatrix, Triplet};
 pub use sparse_lu::{CondScratch, Refinement, SparseLu};
 pub use symbolic::{FnvHasher, LuOp, LuStats, LuWorkspace, ReplayScratch, SymbolicLu};

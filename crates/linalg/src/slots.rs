@@ -19,6 +19,7 @@
 #[cfg(test)]
 use crate::sparse::Triplet;
 use crate::sparse::{row_order, split_key, CsrMatrix};
+use crate::symbolic::FnvHasher;
 
 /// A frozen map from an ordered stamp sequence to nnz slots of a CSR
 /// pattern.
@@ -88,6 +89,45 @@ impl StampSlots {
         Self::walk(rows, cols, targets, |_, _, _| {})
     }
 
+    /// [`CsrMatrix::pattern_hash`] and entry count of the pattern
+    /// [`StampSlots::pattern_of`] builds for `targets`, read straight off
+    /// the ordered targets in `scratch`'s buffers: the same bits, with no
+    /// matrix built. Once the buffers have grown to the target count, a
+    /// call allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-bounds targets.
+    pub fn pattern_hash_with(
+        rows: usize,
+        cols: usize,
+        targets: &[(usize, usize)],
+        scratch: &mut PatternScratch,
+    ) -> (u64, usize) {
+        assert_in_bounds(rows, cols, targets);
+        let PatternScratch { starts, order } = scratch;
+        row_order(rows, targets.iter().copied(), starts, order);
+        let row = |r: usize| &order[starts[r]..starts[r + 1]];
+        // `pattern_hash` folds the shape, then `row_ptr`, then
+        // `col_indices`: the running entry count per row, then every
+        // row's distinct columns.
+        let mut h = FnvHasher::new();
+        h.write_usize(rows);
+        h.write_usize(cols);
+        h.write_usize(0);
+        let mut nnz = 0;
+        for r in 0..rows {
+            nnz += distinct_cols(row(r)).count();
+            h.write_usize(nnz);
+        }
+        for r in 0..rows {
+            for c in distinct_cols(row(r)) {
+                h.write_usize(c);
+            }
+        }
+        (h.finish(), nnz)
+    }
+
     /// Orders `targets` as [`crate::Triplet::to_csr`] orders its entries and
     /// deduplicates the positions into a CSR pattern, calling `visit(push,
     /// slot, first_touch)` once per push. Within one position the pushes
@@ -99,10 +139,7 @@ impl StampSlots {
         targets: &[(usize, usize)],
         mut visit: impl FnMut(usize, usize, bool),
     ) -> CsrMatrix {
-        for &(r, c) in targets {
-            assert!(r < rows, "row {r} out of bounds ({rows})");
-            assert!(c < cols, "col {c} out of bounds ({cols})");
-        }
+        assert_in_bounds(rows, cols, targets);
         let (mut starts, mut order) = (Vec::new(), Vec::new());
         row_order(rows, targets.iter().copied(), &mut starts, &mut order);
         let mut row_ptr = vec![0; rows + 1];
@@ -169,6 +206,30 @@ impl StampSlots {
             saw_nonfinite: false,
         }
     }
+}
+
+/// Reusable ordering buffers of [`StampSlots::pattern_hash_with`]. Start
+/// from `default()`; the buffers size themselves on first use and are
+/// kept by later calls.
+#[derive(Debug, Clone, Default)]
+pub struct PatternScratch {
+    starts: Vec<usize>,
+    order: Vec<u64>,
+}
+
+fn assert_in_bounds(rows: usize, cols: usize, targets: &[(usize, usize)]) {
+    for &(r, c) in targets {
+        assert!(r < rows, "row {r} out of bounds ({rows})");
+        assert!(c < cols, "col {c} out of bounds ({cols})");
+    }
+}
+
+/// The distinct columns of one row of [`row_order`] keys, in order.
+fn distinct_cols(keys: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    let mut last = None;
+    keys.iter()
+        .map(|&key| split_key(key).0)
+        .filter(move |&c| last.replace(c) != Some(c))
 }
 
 /// One in-place evaluation pass: values are written through the slot table

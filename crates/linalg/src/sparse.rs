@@ -153,8 +153,9 @@ impl Triplet {
 }
 
 /// The row-major order every conversion from a push sequence to CSR walks
-/// ([`Triplet::to_csr`], [`crate::StampSlots::build`] and
-/// [`crate::StampSlots::pattern_of`]): a counting pass buckets the push
+/// ([`Triplet::to_csr`], [`crate::StampSlots::build`],
+/// [`crate::StampSlots::pattern_of`] and
+/// [`crate::StampSlots::pattern_hash_with`]): a counting pass buckets the push
 /// indices by row, then each row is sorted by `(col, push index)`. The keys
 /// are unique, so `sort_unstable` orders exactly like a stable sort by
 /// position, and duplicates of one position come out in push order. On

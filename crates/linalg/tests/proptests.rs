@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlpta_linalg::{
-    norms, CsrMatrix, DenseMatrix, LinalgError, LuOp, LuWorkspace, ReplayScratch, SparseLu,
-    StampSlots, SymbolicLu, Triplet,
+    norms, CsrMatrix, DenseMatrix, LinalgError, LuOp, LuWorkspace, PatternScratch, ReplayScratch,
+    SparseLu, StampSlots, SymbolicLu, Triplet,
 };
 use std::collections::BTreeMap;
 
@@ -272,6 +272,38 @@ proptest! {
                     )));
                 }
             }
+        }
+    }
+
+    /// [`StampSlots::pattern_hash_with`] gives the hash and entry count of
+    /// the pattern [`StampSlots::pattern_of`] builds, bit for bit, on
+    /// target lists with duplicates, empty rows (up to whole empty
+    /// shapes) and pushes of every row, one scratch carried across shapes
+    /// that grow and shrink.
+    #[test]
+    fn scratch_pattern_hash_equals_the_built_pattern(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scratch = PatternScratch::default();
+        for _ in 0..8 {
+            let rows = rng.gen_range(1..20);
+            let cols = rng.gen_range(1..20);
+            let empty: Vec<bool> = (0..rows).map(|_| rng.gen_bool(0.3)).collect();
+            let live: Vec<usize> = (0..rows).filter(|&r| !empty[r]).collect();
+            let pushes = if live.is_empty() { 0 } else { rng.gen_range(0..120) };
+            let mut targets: Vec<(usize, usize)> = Vec::with_capacity(pushes);
+            for _ in 0..pushes {
+                let target = if !targets.is_empty() && rng.gen_bool(0.3) {
+                    targets[rng.gen_range(0..targets.len())]
+                } else {
+                    (live[rng.gen_range(0..live.len())], rng.gen_range(0..cols))
+                };
+                targets.push(target);
+            }
+            let pattern = StampSlots::pattern_of(rows, cols, &targets);
+            prop_assert_eq!(
+                StampSlots::pattern_hash_with(rows, cols, &targets, &mut scratch),
+                (pattern.pattern_hash(), pattern.nnz())
+            );
         }
     }
 

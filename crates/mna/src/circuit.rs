@@ -228,7 +228,9 @@ impl Circuit {
     /// Starting from a zeroed state, the junction limiters (`pnjlim`,
     /// `fetlim`) are applied at `x` pass after pass until no slot moves by
     /// `1e-12` or more, at most 64 passes: once the state is close, the
-    /// limiter walk lands on the true voltage. Each pass is
+    /// limiter walk lands on the true voltage. A pass after which every
+    /// device landed (each limited voltage bitwise its finite input) ends
+    /// the walk at once: the next pass would move nothing. Each pass is
     /// [`Device::limit_state`](rlpta_devices::Device::limit_state) on every
     /// device with state, so the result is bit for bit the state repeated
     /// stamps at `x` would reach, yet no device equation is evaluated and
@@ -251,9 +253,13 @@ impl Circuit {
         for _ in 0..64 {
             before.clear();
             before.extend_from_slice(state);
+            let mut landed = true;
             for &i in &self.limited {
                 let (d, off) = (&self.devices[i], self.state_offsets[i]);
-                d.limit_state(x, &mut state[off..off + d.state_len()]);
+                landed &= d.limit_state(x, &mut state[off..off + d.state_len()]);
+            }
+            if landed {
+                break;
             }
             let moved = state
                 .iter()

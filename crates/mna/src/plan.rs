@@ -34,7 +34,7 @@ pub struct StampPlan {
     /// The frozen pattern with all values zero.
     template: CsrMatrix,
     /// The declared push sequence (devices first, then extra stamps) —
-    /// kept for cheap [`StampPlan::compatible_with`] re-verification.
+    /// kept for cheap [`StampPlan::verify_with`] re-verification.
     targets: Vec<(usize, usize)>,
     /// How many of `targets` came from the devices alone (prefix length);
     /// the rest were declared by the solver's extra-stamp hook.
@@ -87,6 +87,13 @@ impl StampPlan {
         self.targets.len()
     }
 
+    /// Pushes declared by the circuit's devices: the prefix of
+    /// [`StampPlan::len`] before any solver extra stamps. Equal to `len()`
+    /// exactly when the plan was resolved without extra stamps.
+    pub fn device_pushes(&self) -> usize {
+        self.device_pushes
+    }
+
     /// `true` when the plan expects no pushes at all.
     pub fn is_empty(&self) -> bool {
         self.targets.is_empty()
@@ -113,18 +120,12 @@ impl StampPlan {
     }
 
     /// Cheap structural re-verification, the plan-side analogue of
-    /// `SymbolicLu::compatible_with`: re-runs the device declare pass and
-    /// compares the target sequence against this plan's device prefix.
-    /// Value-only edits (a sweep jittering source values) keep the sequence
-    /// identical; any topology change breaks it. Allocating wrapper over
-    /// [`StampPlan::verify_with`].
-    pub fn compatible_with(&self, circuit: &Circuit) -> bool {
-        self.verify_with(circuit, &mut DeclareScratch::default())
-    }
-
-    /// [`StampPlan::compatible_with`] in `scratch`'s buffers: once they
-    /// have grown to the circuit, a check allocates nothing. Takes no
-    /// fault-injection draws.
+    /// `SymbolicLu::compatible_with`: re-runs the device declare pass in
+    /// `scratch`'s buffers and compares the target sequence against this
+    /// plan's device prefix. Value-only edits (a sweep jittering source
+    /// values) keep the sequence identical; any topology change breaks it.
+    /// Once the buffers have grown to the circuit, a check allocates
+    /// nothing. Takes no fault-injection draws.
     pub fn verify_with(&self, circuit: &Circuit, scratch: &mut DeclareScratch) -> bool {
         circuit.dim() == self.dim
             && circuit.state_len() == self.state_len
@@ -143,7 +144,7 @@ impl StampPlan {
     ///
     /// Panics if `matrix`/`residual`/`state` have the wrong shape or the
     /// push sequence no longer matches the plan (topology drift since
-    /// resolve — guard with [`StampPlan::compatible_with`]).
+    /// resolve — guard with [`StampPlan::verify_with`]).
     pub fn eval_into(
         &self,
         circuit: &Circuit,
@@ -401,6 +402,10 @@ mod tests {
                 st.jac_raw(i, i, 0.0);
             }
         });
+        let bare = StampPlan::resolve(&c, &mut |_| {});
+        assert_eq!(bare.device_pushes(), bare.len());
+        assert_eq!(plan.device_pushes(), bare.len());
+        assert_eq!(plan.len(), bare.len() + 2);
         let ctx_x = vec![0.0; dim];
         let ctx = EvalCtx::dc(&ctx_x);
 
@@ -428,20 +433,21 @@ mod tests {
     }
 
     #[test]
-    fn compatible_with_accepts_value_edits_rejects_topology_changes() {
+    fn verify_with_accepts_value_edits_rejects_topology_changes() {
         let mut c = diode_circuit();
         let plan = StampPlan::resolve(&c, &mut |_| {});
-        assert!(plan.compatible_with(&c));
+        let scratch = &mut DeclareScratch::default();
+        assert!(plan.verify_with(&c, scratch));
         // Value-only edit: same structure.
         assert!(c.set_source_dc("V1", 4.9));
-        assert!(plan.compatible_with(&c));
+        assert!(plan.verify_with(&c, scratch));
         // Different topology: reject.
         let mut b = CircuitBuilder::new("other");
         let a = b.node("a");
         b.add(Vsource::new("V1", a, Node::GROUND, 1.0));
         b.add(Resistor::new("R1", a, Node::GROUND, 1.0));
         let other = b.build().unwrap();
-        assert!(!plan.compatible_with(&other));
+        assert!(!plan.verify_with(&other, scratch));
     }
 
     #[test]

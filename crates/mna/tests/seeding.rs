@@ -235,6 +235,40 @@ proptest! {
     }
 }
 
+/// A lone NMOS whose gate reads NaN: `fetlim` lifts the zero state to
+/// `vto + 0.5`, then clamps the NaN to `vto + 4` while reporting it
+/// unlimited, and only the third pass reaches NaN. Every junction landed
+/// on the first pass, so a stop rule keyed on the limiters' flag would
+/// end after the second pass at `vto + 4`; seeding walks on with the
+/// oracle.
+#[test]
+fn seeding_walks_past_a_silent_nan_clamp() {
+    let mut b = CircuitBuilder::new("nan gate");
+    let (d, g) = (b.node("d"), b.node("g"));
+    b.add(Mosfet::new(
+        "M1",
+        d,
+        g,
+        Node::GROUND,
+        Node::GROUND,
+        MosModel::nmos(0.7, 1e-4),
+        10.0,
+    ));
+    b.add(Resistor::new("RD", d, Node::GROUND, 1e3));
+    b.add(Resistor::new("RG", g, Node::GROUND, 1e3));
+    let c = b.build().expect("deck builds");
+    let (at_d, at_g) = (
+        d.index().expect("not ground"),
+        g.index().expect("not ground"),
+    );
+    let mut x = vec![0.0; c.dim()];
+    x[at_d] = 1.0;
+    x[at_g] = f64::NAN;
+    let passes = check(&c, &x, &mut ResidualScratch::default());
+    assert_eq!(passes, 3);
+    assert!(c.seeded_state(&x)[0].is_nan(), "the gate state ends at NaN");
+}
+
 /// The widest draws drive the walk to its 64-pass cap, and seeding still
 /// matches it there.
 #[test]
