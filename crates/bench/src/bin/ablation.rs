@@ -3,14 +3,14 @@
 //! priority sampling. Not a paper table — engineering evidence that each
 //! mechanism earns its place.
 //!
-//! Pass `--trace-jsonl <path>` to stream the evaluation runs' telemetry
-//! events to a line-JSON file, `--bench-json <path>` for a machine-readable
-//! report of the full RL-S variant, `--profile` for the self-time tree.
+//! Pass `--trace-jsonl <path>` to stream the runs' telemetry events —
+//! pretraining steps included — to a line-JSON file, `--bench-json <path>`
+//! for a machine-readable report of the full RL-S variant, `--profile` for
+//! the self-time tree.
 
-use rlpta_bench::{bench_threads, experiment_config, finish_run, run_rl_batch};
-use rlpta_circuits::{table3, training_corpus};
+use rlpta_bench::{bench_threads, finish_run, pretrain_rl_with, run_rl_batch};
+use rlpta_circuits::table3;
 use rlpta_core::prelude::*;
-use rlpta_core::{PtaSolver, RlStepping};
 use std::time::Instant;
 
 /// Pretrain a controller variant across the corpus (serial — learning is
@@ -23,14 +23,7 @@ fn evaluate(
     threads: usize,
 ) -> Vec<(String, rlpta_core::SolveStats)> {
     let kind = PtaKind::dpta();
-    let mut rl = RlStepping::new(config);
-    for _ in 0..2 {
-        for b in &training_corpus() {
-            let mut solver = PtaSolver::with_config(kind, rl, experiment_config());
-            let _ = solver.solve(&b.circuit);
-            rl = solver.into_controller();
-        }
-    }
+    let rl = pretrain_rl_with(kind, config, 2);
     let subset = [
         "slowlatch",
         "todd3",

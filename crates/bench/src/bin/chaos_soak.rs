@@ -255,6 +255,9 @@ fn main() {
             .fault_plan(plan)
             .telemetry(recorder.clone())
             .build();
+        // Boundary points run on the job-less span: label them, or their
+        // incidents carry the last serial solve's circuit name.
+        recorder.annotate(None, "sweep_clamp", None);
         match fragile.sweep(&sweep_circuit, &sweep) {
             Ok(report) => {
                 tally.sweep_points += report.points.len();

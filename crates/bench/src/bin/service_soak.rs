@@ -36,7 +36,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlpta_bench::report::BenchReport;
-use rlpta_bench::{arg_value, bench_json_path, bench_threads, profile_enabled, trace_sink};
+use rlpta_bench::{
+    arg_value, bench_json_path, bench_threads, profile_enabled, stats_of, trace_sink,
+};
 use rlpta_circuits::{by_name, Benchmark};
 use rlpta_core::prelude::*;
 use rlpta_core::{FanoutSink, MetricsRegistry, Phase, Sink};
@@ -102,20 +104,6 @@ fn priority_of(job: usize) -> Priority {
     }
 }
 
-/// Collapses a result to table stats (failures keep partial work where the
-/// error carries it; anything else counts as an empty non-converged run).
-fn stats_of_solve(result: Result<Solution, SolveError>) -> SolveStats {
-    match result {
-        Ok(sol) => sol.stats,
-        Err(SolveError::NonConvergent { stats } | SolveError::BudgetExhausted { stats, .. }) => {
-            let mut s = stats;
-            s.converged = false;
-            s
-        }
-        Err(_) => SolveStats::default(),
-    }
-}
-
 fn aggregate(rows: &[(String, SolveStats)]) -> SolveStats {
     let mut total = SolveStats::default();
     for (_, s) in rows {
@@ -174,8 +162,9 @@ fn run() -> Result<bool, String> {
         .collect();
     for job in &trace {
         let mut ws = LuWorkspace::new();
-        let stats = stats_of_solve(cold_engine.solve_warm(&job.circuit, None, &mut ws));
-        cold_rows[job.topology].1.absorb(&stats);
+        let row = &mut cold_rows[job.topology];
+        let stats = stats_of(cold_engine.solve_warm(&job.circuit, None, &mut ws), &row.0);
+        row.1.absorb(&stats);
     }
     let cold_wall = t_cold.elapsed();
     let cold = aggregate(&cold_rows);
@@ -217,7 +206,7 @@ fn run() -> Result<bool, String> {
                 Ok(sol) => sol.stats,
                 Err(ServiceError::Solve(e)) => {
                     failures += 1;
-                    stats_of_solve(Err(e))
+                    stats_of(Err(e), &warm_rows[topology].0)
                 }
                 Err(e) => return Err(format!("job {id}: unexpected admission error: {e}")),
             };

@@ -216,7 +216,7 @@ pub fn finish_run(
 /// Collapses an engine result to the stats the tables print: errors that
 /// carry partial work keep it, total ladder failures absorb every stage,
 /// and anything structural warns and counts as an empty failed run.
-fn stats_of(result: Result<Solution, SolveError>, name: &str) -> SolveStats {
+pub fn stats_of(result: Result<Solution, SolveError>, name: &str) -> SolveStats {
     match result {
         Ok(sol) => sol.stats,
         Err(SolveError::NonConvergent { stats } | SolveError::BudgetExhausted { stats, .. }) => {
@@ -362,7 +362,13 @@ pub fn run_adaptive_batch(benches: &[Benchmark], kind: PtaKind, threads: usize) 
 /// Pre-trains one RL-S controller across the training corpus (the paper's
 /// offline phase), returning it ready for per-circuit online adaptation.
 pub fn pretrain_rl(kind: PtaKind, seed: u64, epochs: usize) -> RlStepping {
-    let mut rl = RlStepping::new(RlSteppingConfig::new(seed));
+    pretrain_rl_with(kind, RlSteppingConfig::new(seed), epochs)
+}
+
+/// [`pretrain_rl`] from an explicit controller configuration (the
+/// ablation variants).
+pub fn pretrain_rl_with(kind: PtaKind, config: RlSteppingConfig, epochs: usize) -> RlStepping {
+    let mut rl = RlStepping::new(config);
     if let Some(sink) = trace_sink() {
         // TrainStep events flow during the offline phase; a frozen
         // controller never trains, so evaluation runs stay silent.

@@ -751,9 +751,8 @@ impl SimServiceBuilder {
         self
     }
 
-    /// Attaches a pre-configured recorder (e.g. one built with
-    /// [`FlightRecorder::trigger_on_rejected`] or a custom slot count, or
-    /// one shared with other engines). Overrides
+    /// Attaches a pre-configured recorder (e.g. one with a custom slot
+    /// count, or one shared with other engines). Overrides
     /// [`recorder`](Self::recorder) / [`incident_dir`](Self::incident_dir)
     /// / [`incident_cap`](Self::incident_cap), which configure the
     /// service-built recorder only.
@@ -810,8 +809,7 @@ impl SimServiceBuilder {
     }
 
     /// Tees `registry` into the engine's telemetry stream and snapshots
-    /// its per-phase histograms into [`ServiceSnapshot::phases`] and every
-    /// incident report.
+    /// its per-phase histograms into [`ServiceSnapshot::phases`].
     #[must_use]
     pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.registry = Some(registry);
@@ -842,9 +840,6 @@ impl SimServiceBuilder {
                 }
                 if let Some(cap) = self.incident_cap {
                     rec = rec.with_incident_cap(cap);
-                }
-                if let Some(reg) = &self.registry {
-                    rec = rec.with_registry(Arc::clone(reg));
                 }
                 Some(Arc::new(rec))
             }
@@ -1942,7 +1937,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_registry_feeds_snapshot_phases_and_incidents() {
+    fn metrics_registry_feeds_snapshot_phases() {
         let registry = Arc::new(MetricsRegistry::new());
         let mut service = SimService::builder(DcEngine::builder().build())
             .metrics(registry.clone())
@@ -1955,17 +1950,6 @@ mod tests {
             !snap.phases.is_empty(),
             "attached registry must surface phase summaries"
         );
-        // The registry also reaches the recorder: incidents carry its
-        // histogram snapshot.
-        let starved = SolveBudget {
-            max_nr_iterations: Some(1),
-            ..SolveBudget::UNLIMITED
-        };
-        service
-            .solve(&clamp("5"), JobTicket::default().with_budget(starved))
-            .expect_err("starved");
-        let rec = service.recorder().expect("attached");
-        assert!(!rec.incidents()[0].histograms.is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! [`FlightRecorder`] is a [`Sink`] that keeps only the most
 //! recent N events per in-flight job in fixed-capacity ring buffers, plus
-//! per-job phase-time accumulators and global event-kind / cache counters.
+//! per-job phase-time accumulators.
 //! Unlike [`JsonlSink`](super::JsonlSink) it can stay attached to a
 //! long-lived service forever: memory is bounded at construction and the
 //! steady-state `emit` path performs **no heap allocation** for the POD
@@ -13,28 +13,32 @@
 //!
 //! When a *trigger* event flows through — [`Payload::SolveFailed`] (the
 //! one-per-failure boundary marker, which also carries worker panics),
-//! [`Payload::Quarantined`], [`Payload::Watchdog`], or (opt-in)
-//! [`Payload::Certified`] with a `"rejected"` grade — the recorder freezes
-//! the owning job's window into a self-contained [`IncidentReport`] and,
-//! if an incident directory is configured, serializes it to
-//! `incident-NNNN-<trigger>.json` (zero-padded sequence numbers, so a
-//! serial run's incident set is byte-diffable across CI runs). A per-run
-//! cap bounds disk usage; incidents past the cap are counted, not written.
+//! [`Payload::Quarantined`] or [`Payload::Watchdog`] — the recorder
+//! freezes the owning job's window into a self-contained
+//! [`IncidentReport`] and, if an incident directory is configured,
+//! serializes it at once to `incident-<job>-<n>-<trigger>.json`: `<job>`
+//! is the zero-padded span job id (`none` for job-less events) and `<n>`
+//! counts that job's incidents in this recorder. Every entry point gives
+//! concurrent jobs distinct ids and runs each job's events serially, so a
+//! job's incidents, their numbers and their bodies do not depend on pool
+//! scheduling: two runs of the same workload write the same files, up to
+//! the worker ids in the event spans. A per-run cap bounds disk usage;
+//! incidents past the cap are counted, not written.
 //!
 //! The report is designed to answer "why did this solve go wrong" without
 //! the full trace: the last-N event window, the ladder attempt trail and
-//! gamma/step trajectory tail derived from it, the circuit label and
-//! structure-key hash (attached via [`FlightRecorder::annotate`]), cache
-//! counters folded from the stream itself, and — when a
-//! [`MetricsRegistry`] is attached — a per-phase histogram snapshot.
+//! gamma/step trajectory tail derived from it, and the circuit label and
+//! structure-key hash (attached via [`FlightRecorder::annotate`]). It
+//! describes its own job only; run-wide counters live in
+//! [`MetricsRegistry`](super::MetricsRegistry) and the service snapshot.
 
 use super::json::{float, hex_key, or_null, push_items, string};
-use super::metrics::MetricsRegistry;
 use super::timing::Phase;
-use super::{kind_index_of, Event, Interest, Payload, Sink, KIND_NAMES};
+use super::{Event, Interest, Payload, Sink};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// What froze a window into an incident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +53,6 @@ pub enum Trigger {
     /// The service watchdog flagged a deadline overrun
     /// ([`Payload::Watchdog`]).
     Watchdog,
-    /// A certification graded `"rejected"` flowed by (opt-in via
-    /// [`FlightRecorder::trigger_on_rejected`]; off by default because a
-    /// mid-ladder rejection often precedes an ultimately certified solve —
-    /// terminal rejections already surface as [`Trigger::SolveFailed`]).
-    Rejected,
 }
 
 impl Trigger {
@@ -63,7 +62,6 @@ impl Trigger {
             Trigger::SolveFailed => "solve_failed",
             Trigger::Quarantined => "quarantined",
             Trigger::Watchdog => "watchdog",
-            Trigger::Rejected => "rejected",
         }
     }
 }
@@ -94,28 +92,15 @@ pub struct IncidentStep {
     pub time: f64,
 }
 
-/// Per-phase histogram snapshot row (from an attached
-/// [`MetricsRegistry`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IncidentHistogram {
-    /// Which phase the row covers.
-    pub phase: Phase,
-    /// Recorded samples.
-    pub count: u64,
-    /// Median, nanoseconds.
-    pub p50_nanos: u64,
-    /// 99th percentile, nanoseconds.
-    pub p99_nanos: u64,
-}
-
 /// A frozen post-mortem: everything the recorder knew about one job at the
 /// moment a trigger fired. Self-contained — serializes to a single nested
 /// JSON document via [`IncidentReport::to_json`].
 #[derive(Debug, Clone, PartialEq)]
-#[allow(clippy::exhaustive_structs)] // frozen diagnostic record, additive growth only
+#[allow(clippy::exhaustive_structs)] // frozen diagnostic record
 pub struct IncidentReport {
-    /// Per-run incident sequence number (also in the filename).
-    pub seq: usize,
+    /// This incident's number among its job's incidents in the recorder,
+    /// from 0 (also in the filename).
+    pub ordinal: usize,
     /// What fired.
     pub trigger: Trigger,
     /// Batch/service job id the window belongs to (`None` for standalone
@@ -138,26 +123,20 @@ pub struct IncidentReport {
     /// Per-phase wall-clock nanoseconds accumulated for this job (all
     /// zero unless some sink in the chain opted into timing).
     pub phase_nanos: Vec<(Phase, u64)>,
-    /// Global event-kind counts at freeze time (kind name, count).
-    pub event_counts: Vec<(&'static str, u64)>,
-    /// Cache counters folded from the stream: hits, misses, evictions.
-    pub cache: (u64, u64, u64),
-    /// Histogram snapshot from the attached registry, if any.
-    pub histograms: Vec<IncidentHistogram>,
 }
 
 impl IncidentReport {
     /// Serializes the report as one nested JSON document (no trailing
-    /// newline). Every field is deterministic given the event stream —
-    /// no wall-clock timestamps — so serial incident sets diff cleanly
-    /// across runs; `phase_nanos` only appears when timing was on.
+    /// newline). Every field is deterministic given the job's own events —
+    /// no wall-clock timestamps — except the worker ids in event spans and
+    /// `phase_nanos`, which only has entries when timing was on.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         let _ = write!(
             s,
             "{{\n  \"incident\": {},\n  \"trigger\": {},\n  \"job\": {},\n  \"label\": {},\
              \n  \"structure_key\": {},\n  \"trigger_event\": {},\n  \"window\": [",
-            self.seq,
+            self.ordinal,
             string(self.trigger.name()),
             or_null(self.job),
             or_null(self.label.as_deref().map(string)),
@@ -192,28 +171,7 @@ impl IncidentReport {
         push_items(&mut s, phases, |s, (phase, nanos)| {
             let _ = write!(s, "{}: {nanos}", string(phase.name()));
         });
-        s.push_str("\n  },\n  \"event_counts\": {");
-        let counts = self.event_counts.iter().filter(|(_, count)| *count != 0);
-        push_items(&mut s, counts, |s, (kind, count)| {
-            let _ = write!(s, "{}: {count}", string(kind));
-        });
-        let (hits, misses, evictions) = self.cache;
-        let _ = write!(
-            s,
-            "\n  }},\n  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \
-             \"evictions\": {evictions}}},\n  \"histograms\": ["
-        );
-        push_items(&mut s, &self.histograms, |s, h| {
-            let _ = write!(
-                s,
-                "{{\"phase\": {}, \"count\": {}, \"p50_nanos\": {}, \"p99_nanos\": {}}}",
-                string(h.phase.name()),
-                h.count,
-                h.p50_nanos,
-                h.p99_nanos
-            );
-        });
-        s.push_str("\n  ]\n}");
+        s.push_str("\n  }\n}");
         s
     }
 }
@@ -305,14 +263,14 @@ struct RecorderState {
     slots: Vec<JobSlot>,
     /// LRU clock.
     tick: u64,
-    /// Next incident sequence number.
-    seq: usize,
+    /// Incidents frozen so far per job, which is the next one's ordinal;
+    /// jobs without a frozen incident have no entry.
+    ordinals: BTreeMap<Option<usize>, usize>,
     /// Incidents retained in memory (bounded by the per-run cap).
     incidents: Vec<IncidentReport>,
     /// Incidents suppressed past the cap.
     dropped: usize,
     last_path: Option<PathBuf>,
-    kind_counts: [u64; KIND_NAMES.len()],
     write_error: Option<String>,
 }
 
@@ -323,15 +281,12 @@ pub struct FlightRecorder {
     state: Mutex<RecorderState>,
     dir: Option<PathBuf>,
     max_incidents: usize,
-    on_rejected: bool,
-    registry: Option<Arc<MetricsRegistry>>,
 }
 
 impl FlightRecorder {
     /// A recorder keeping the most recent `depth` events per job, with
     /// default limits: 32 concurrent job slots, a 256-incident per-run
-    /// cap, no incident directory (reports stay in memory), rejected
-    /// certifications not triggering.
+    /// cap, no incident directory (reports stay in memory).
     pub fn new(depth: usize) -> Self {
         Self::with_slots(depth, 32)
     }
@@ -345,22 +300,19 @@ impl FlightRecorder {
             state: Mutex::new(RecorderState {
                 slots: v,
                 tick: 0,
-                seq: 0,
+                ordinals: BTreeMap::new(),
                 incidents: Vec::new(),
                 dropped: 0,
                 last_path: None,
-                kind_counts: [0; KIND_NAMES.len()],
                 write_error: None,
             }),
             dir: None,
             max_incidents: 256,
-            on_rejected: false,
-            registry: None,
         }
     }
 
     /// Serializes incident reports into `dir` (created on first write) as
-    /// `incident-NNNN-<trigger>.json`.
+    /// `incident-<job>-<n>-<trigger>.json` (see the [module docs](self)).
     #[must_use]
     pub fn with_dir(mut self, dir: impl AsRef<Path>) -> Self {
         self.dir = Some(dir.as_ref().to_path_buf());
@@ -373,24 +325,6 @@ impl FlightRecorder {
     #[must_use]
     pub fn with_incident_cap(mut self, cap: usize) -> Self {
         self.max_incidents = cap;
-        self
-    }
-
-    /// Attaches a registry whose per-phase histogram summaries are
-    /// snapshotted into every incident.
-    #[must_use]
-    pub fn with_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Also freeze on `Certified { grade: "rejected" }` events. Off by
-    /// default: a mid-ladder rejection is routinely rescued by a later
-    /// rung, and terminal rejections already arrive as
-    /// [`Payload::SolveFailed`].
-    #[must_use]
-    pub fn trigger_on_rejected(mut self, on: bool) -> Self {
-        self.on_rejected = on;
         self
     }
 
@@ -477,14 +411,11 @@ impl FlightRecorder {
         lru
     }
 
-    fn trigger_of(&self, payload: &Payload) -> Option<Trigger> {
+    fn trigger_of(payload: &Payload) -> Option<Trigger> {
         match payload {
             Payload::SolveFailed { .. } => Some(Trigger::SolveFailed),
             Payload::Quarantined { .. } => Some(Trigger::Quarantined),
             Payload::Watchdog { .. } => Some(Trigger::Watchdog),
-            Payload::Certified { grade, .. } if self.on_rejected && grade == "rejected" => {
-                Some(Trigger::Rejected)
-            }
             _ => None,
         }
     }
@@ -496,8 +427,10 @@ impl FlightRecorder {
             st.slots[idx].reset_window();
             return;
         }
-        let seq = st.seq;
-        st.seq += 1;
+        let job = event.span.job;
+        let next = st.ordinals.entry(job).or_default();
+        let ordinal = *next;
+        *next += 1;
         let slot = &st.slots[idx];
         let window = slot.window();
         let attempts = window
@@ -535,26 +468,10 @@ impl FlightRecorder {
                 _ => None,
             })
             .collect();
-        let histograms = self
-            .registry
-            .as_ref()
-            .map(|r| {
-                r.summaries()
-                    .into_iter()
-                    .map(|(phase, s)| IncidentHistogram {
-                        phase,
-                        count: s.count,
-                        p50_nanos: s.p50_nanos,
-                        p99_nanos: s.p99_nanos,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let kind_count = |kind: &str| kind_index_of(kind).map_or(0, |i| st.kind_counts[i]);
         let report = IncidentReport {
-            seq,
+            ordinal,
             trigger,
-            job: event.span.job,
+            job,
             label: slot.label.clone(),
             structure_key: slot.structure_key,
             trigger_event: event.clone(),
@@ -566,22 +483,15 @@ impl FlightRecorder {
                 .enumerate()
                 .map(|(i, p)| (*p, slot.phase_nanos[i]))
                 .collect(),
-            event_counts: KIND_NAMES
-                .iter()
-                .enumerate()
-                .map(|(i, k)| (*k, st.kind_counts[i]))
-                .collect(),
-            cache: (
-                kind_count("CacheHit"),
-                kind_count("CacheMiss"),
-                kind_count("CacheEvicted"),
-            ),
-            histograms,
         };
         if let Some(dir) = &self.dir {
-            let path = dir.join(format!("incident-{seq:04}-{}.json", trigger.name()));
-            let write = std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(&path, report.to_json()));
+            let job = job.map_or_else(|| "none".to_string(), |j| format!("{j:04}"));
+            let path = dir.join(format!(
+                "incident-{job}-{ordinal:04}-{}.json",
+                trigger.name()
+            ));
+            let write =
+                std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, report.to_json()));
             match write {
                 Ok(()) => st.last_path = Some(path),
                 Err(e) if st.write_error.is_none() => {
@@ -600,7 +510,6 @@ impl Sink for FlightRecorder {
         let mut st = self.lock();
         st.tick += 1;
         let tick = st.tick;
-        st.kind_counts[event.payload.kind_index()] += 1;
         let idx = Self::slot_index(&mut st, event.span.job, tick);
         if let Payload::PhaseTiming { phase, nanos } = &event.payload {
             // Timing stays out of the window (wall-clock data would make
@@ -611,7 +520,7 @@ impl Sink for FlightRecorder {
             return;
         }
         st.slots[idx].push(event);
-        if let Some(trigger) = self.trigger_of(&event.payload) {
+        if let Some(trigger) = Self::trigger_of(&event.payload) {
             self.freeze(&mut st, idx, trigger, event);
         }
     }
@@ -701,27 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn rejected_grade_triggers_only_when_opted_in() {
-        let certified = |grade: &str| Event {
-            span: Span::default(),
-            payload: Payload::Certified {
-                grade: grade.to_string(),
-                residual: 1e-12,
-                cond: 1.0,
-                growth: 1.0,
-            },
-        };
-        let quiet = FlightRecorder::new(4);
-        quiet.emit(&certified("rejected"));
-        assert_eq!(quiet.incident_count(), 0);
-        let armed = FlightRecorder::new(4).trigger_on_rejected(true);
-        armed.emit(&certified("certified"));
-        armed.emit(&certified("rejected"));
-        assert_eq!(armed.incident_count(), 1);
-        assert_eq!(armed.incidents()[0].trigger, Trigger::Rejected);
-    }
-
-    #[test]
     fn slots_recycle_lru() {
         let rec = FlightRecorder::with_slots(2, 2);
         rec.emit(&ev(Some(0), 1));
@@ -752,10 +640,12 @@ mod tests {
         for needle in [
             "\"trigger\": \"quarantined\"",
             "\"label\": \"bias\"",
+            "\"incident\": 0",
             "\"job\": 3",
             "\"window\": [",
-            "\"event_counts\": {",
-            "\"cache\": {\"hits\": 0",
+            "\"attempts\": [",
+            "\"trajectory\": [",
+            "\"phase_nanos\": {",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
@@ -780,12 +670,21 @@ mod tests {
                 error: "y".to_string(),
             },
         });
-        assert!(dir.join("incident-0000-solve_failed.json").is_file());
-        assert!(dir.join("incident-0001-quarantined.json").is_file());
+        rec.emit(&Event {
+            span: Span::for_job(12),
+            payload: Payload::SolveFailed {
+                error: "z".to_string(),
+            },
+        });
+        assert!(dir.join("incident-none-0000-solve_failed.json").is_file());
+        assert!(dir.join("incident-none-0001-quarantined.json").is_file());
+        assert!(dir.join("incident-0012-0000-solve_failed.json").is_file());
         assert_eq!(
             rec.last_incident_path(),
-            Some(dir.join("incident-0001-quarantined.json"))
+            Some(dir.join("incident-0012-0000-solve_failed.json"))
         );
+        let ordinals: Vec<_> = rec.incidents().iter().map(|i| (i.job, i.ordinal)).collect();
+        assert_eq!(ordinals, [(None, 0), (None, 1), (Some(12), 0)]);
         assert!(rec.write_error().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

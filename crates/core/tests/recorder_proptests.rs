@@ -1,7 +1,7 @@
 //! Property tests for the flight recorder's ring-buffer window semantics
-//! and a determinism check that pooled execution freezes the same
-//! per-job incident bodies as a serial run (after normalizing the
-//! scheduler-dependent worker ids away, exactly like the CI stream diff).
+//! and determinism checks that pooled execution freezes and numbers the
+//! same incidents as a serial run (after normalizing the
+//! scheduler-dependent worker ids away, exactly like the CI incident diff).
 
 use proptest::prelude::*;
 use rlpta_core::prelude::*;
@@ -86,37 +86,6 @@ fn normalize_workers(json: &str) -> String {
     out
 }
 
-/// Everything in an incident that is per-job deterministic (seq numbers,
-/// global event counts and cache folds legitimately depend on cross-job
-/// freeze order, so they stay out of the comparison).
-fn comparable_body(incident: &rlpta_core::IncidentReport) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "trigger={} job={:?} label={:?} key={:?}",
-        incident.trigger.name(),
-        incident.job,
-        incident.label,
-        incident.structure_key
-    );
-    let _ = writeln!(s, "trigger_event={}", normalize_workers(&incident.trigger_event.to_json()));
-    for e in &incident.window {
-        let _ = writeln!(s, "w {}", normalize_workers(&e.to_json()));
-    }
-    for a in &incident.attempts {
-        let _ = writeln!(s, "a {} {} {}", a.strategy, a.error, a.nr_iterations);
-    }
-    for t in &incident.trajectory {
-        let _ = writeln!(
-            s,
-            "t {} {} {} {:?} {}",
-            t.accepted, t.h, t.h_next, t.gamma, t.time
-        );
-    }
-    s
-}
-
 fn failing_batch() -> Vec<rlpta_mna::Circuit> {
     (0..6)
         .map(|i| {
@@ -129,9 +98,21 @@ fn failing_batch() -> Vec<rlpta_mna::Circuit> {
         .collect()
 }
 
-fn incident_bodies(threads: usize) -> Vec<(Option<usize>, String)> {
-    let recorder = Arc::new(FlightRecorder::new(64));
-    let engine = DcEngine::builder()
+/// `sections` resistor–diode stages in a chain from `V1`: big enough that
+/// one Newton iteration takes long enough for pooled sweep chunks to
+/// overlap.
+fn diode_ladder(sections: usize) -> rlpta_mna::Circuit {
+    let mut deck = String::from("ladder\nV1 n0 0 3\n.model DX D(IS=1e-14)\n");
+    for k in 1..=sections {
+        deck.push_str(&format!("R{k} n{} n{k} 1k\nD{k} n{k} 0 DX\n", k - 1));
+    }
+    rlpta_netlist::parse(&deck).expect("valid netlist")
+}
+
+/// A robust engine on `threads` workers whose starved budget fails every
+/// job of [`failing_batch`].
+fn starved_engine(threads: usize, recorder: &Arc<FlightRecorder>) -> DcEngine {
+    DcEngine::builder()
         .robust()
         .budget(SolveBudget {
             wall_clock: None,
@@ -140,28 +121,80 @@ fn incident_bodies(threads: usize) -> Vec<(Option<usize>, String)> {
         })
         .threads(threads)
         .telemetry(recorder.clone())
-        .build();
+        .build()
+}
+
+/// Incident documents of a failing batch and a fully quarantined sweep
+/// through one recorder. Batch failures freeze after the pool joins; the
+/// sweep's chunk jobs freeze their quarantined points while they run, so
+/// at 4 threads those freezes interleave across jobs.
+fn incident_bodies(threads: usize) -> Vec<String> {
+    let recorder = Arc::new(FlightRecorder::new(64));
+    let engine = starved_engine(threads, &recorder);
     let results = engine.solve_batch(&failing_batch());
     assert!(
         results.iter().all(Result::is_err),
         "starved budget must fail every job"
     );
-    let mut bodies: Vec<(Option<usize>, String)> = recorder
+    let sweep = DcSweep::linear("V1", 3.0, 6.0, 0.03125).expect("valid sweep");
+    let report = engine
+        .sweep(&diode_ladder(40), &sweep)
+        .expect("a starved sweep degrades to quarantine");
+    assert_eq!(report.quarantined.len(), sweep.values().len());
+    let mut bodies: Vec<String> = recorder
         .incidents()
         .iter()
-        .map(|i| (i.job, comparable_body(i)))
+        .map(|i| normalize_workers(&i.to_json()))
         .collect();
     bodies.sort();
     bodies
 }
 
-/// A 4-worker pooled batch freezes byte-identical per-job incident bodies
-/// to a serial run once worker ids are normalized — incident capture is
-/// scheduling-independent.
+/// A 4-worker pooled batch and sweep freeze byte-identical incident
+/// documents to a serial run once worker ids are normalized — incident
+/// capture and numbering are scheduling-independent.
 #[test]
 fn pooled_incidents_match_serial_after_worker_normalization() {
     let serial = incident_bodies(1);
-    assert_eq!(serial.len(), 6, "one incident per failed batch job");
+    assert_eq!(
+        serial.len(),
+        6 + 97,
+        "one incident per failed job and point"
+    );
     let pooled = incident_bodies(4);
     assert_eq!(serial, pooled);
+}
+
+/// Two failing batches through one recorder: each job's incidents are
+/// numbered in its own sequence, so job 0's two files carry ordinals 0 and
+/// 1 however the pool interleaved the other jobs.
+#[test]
+fn incidents_are_numbered_per_job_across_batches() {
+    for threads in [1, 4] {
+        let dir = std::env::temp_dir().join(format!(
+            "rlpta-rec-per-job-{}-{threads}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let recorder = Arc::new(FlightRecorder::new(64).with_dir(&dir));
+        for _ in 0..2 {
+            let engine = starved_engine(threads, &recorder);
+            assert!(engine
+                .solve_batch(&failing_batch())
+                .iter()
+                .all(Result::is_err));
+        }
+        assert!(recorder.write_error().is_none());
+        for n in ["0000", "0001"] {
+            let path = dir.join(format!("incident-0000-{n}-solve_failed.json"));
+            assert!(
+                path.is_file(),
+                "missing {} at {threads} thread(s)",
+                path.display()
+            );
+        }
+        let files = std::fs::read_dir(&dir).expect("incident dir").count();
+        assert_eq!(files, 12, "two incidents for each of six jobs");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -1,7 +1,4 @@
-//! Uniform experience replay, and the slab storage both replay buffers
-//! keep their transitions in.
-
-use rand::Rng;
+//! Transitions, and the slab storage the replay buffer keeps them in.
 
 /// One `(s, a, r, s′, done)` transition.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,115 +184,9 @@ impl Slab {
     }
 }
 
-/// Fixed-capacity FIFO ring buffer with uniform random sampling, stored
-/// one contiguous array per transition field.
-///
-/// # Example
-///
-/// ```
-/// use rlpta_rl::{ReplayBuffer, Transition};
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let mut buf = ReplayBuffer::new(2);
-/// let t = Transition {
-///     state: vec![0.0], action: vec![0.0], reward: 1.0,
-///     next_state: vec![1.0], done: false,
-/// };
-/// buf.push(&t);
-/// buf.push(&t);
-/// buf.push(t); // evicts the oldest
-/// assert_eq!(buf.len(), 2);
-/// let mut rng = StdRng::seed_from_u64(0);
-/// assert_eq!(buf.sample(3, &mut rng).len(), 3); // sampling with replacement
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ReplayBuffer {
-    slab: Slab,
-}
-
-impl ReplayBuffer {
-    /// Creates a buffer holding at most `capacity` transitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            slab: Slab::new(capacity),
-        }
-    }
-
-    /// Number of stored transitions.
-    pub fn len(&self) -> usize {
-        self.slab.len()
-    }
-
-    /// Returns `true` if the buffer holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.slab.len() == 0
-    }
-
-    /// Maximum number of transitions.
-    pub fn capacity(&self) -> usize {
-        self.slab.capacity()
-    }
-
-    /// Copies a transition in, evicting the oldest when full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if its state or action width differs from the stored
-    /// transitions'.
-    pub fn push(&mut self, t: impl AsTransition) {
-        self.slab.push(t.view());
-    }
-
-    /// Samples `n` transitions uniformly **with replacement** (standard
-    /// practice for small RL batches). Returns an empty vector when the
-    /// buffer is empty.
-    ///
-    /// Thin wrapper over [`ReplayBuffer::sample_indices_into`] that copies
-    /// each drawn transition out; the training hot path samples indices and
-    /// gathers straight into its workspace instead.
-    pub fn sample(&self, n: usize, rng: &mut impl Rng) -> Vec<Transition> {
-        let mut idx = Vec::with_capacity(n);
-        self.sample_indices_into(n, rng, &mut idx);
-        idx.into_iter()
-            .map(|i| self.slab.get(i).to_transition())
-            .collect()
-    }
-
-    /// Draws `n` uniform-with-replacement slot indices into `out` (cleared
-    /// first). Allocation-free once `out` has capacity `n`; an empty buffer
-    /// leaves `out` empty. The caller gathers via [`ReplayBuffer::get`].
-    pub fn sample_indices_into(&self, n: usize, rng: &mut impl Rng, out: &mut Vec<usize>) {
-        out.clear();
-        if self.is_empty() {
-            return;
-        }
-        out.extend((0..n).map(|_| rng.gen_range(0..self.slab.len())));
-    }
-
-    /// The transition in slot `index`, borrowed from the slabs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn get(&self, index: usize) -> TransitionRef<'_> {
-        self.slab.get(index)
-    }
-
-    /// Iterates over the stored transitions in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = TransitionRef<'_>> + '_ {
-        self.slab.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn t(r: f64) -> Transition {
         Transition {
@@ -309,53 +200,24 @@ mod tests {
 
     #[test]
     fn push_and_len() {
-        let mut b = ReplayBuffer::new(10);
-        assert!(b.is_empty());
-        b.push(t(1.0));
-        b.push(t(2.0));
+        let mut b = Slab::new(10);
+        assert_eq!(b.len(), 0);
+        assert_eq!(b.push(t(1.0).view()), 0);
+        assert_eq!(b.push(t(2.0).view()), 1);
         assert_eq!(b.len(), 2);
+        assert_eq!(b.capacity(), 10);
     }
 
     #[test]
     fn fifo_eviction() {
-        let mut b = ReplayBuffer::new(3);
+        let mut b = Slab::new(3);
         for i in 0..5 {
-            b.push(t(i as f64));
+            b.push(t(i as f64).view());
         }
         assert_eq!(b.len(), 3);
         let rewards: Vec<f64> = b.iter().map(|x| x.reward).collect();
-        // 0 and 1 evicted.
-        assert!(!rewards.contains(&0.0));
-        assert!(!rewards.contains(&1.0));
-        assert!(rewards.contains(&4.0));
-    }
-
-    #[test]
-    fn sample_empty_returns_empty() {
-        let b = ReplayBuffer::new(4);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(b.sample(8, &mut rng).is_empty());
-    }
-
-    #[test]
-    fn sample_with_replacement_exceeds_len() {
-        let mut b = ReplayBuffer::new(4);
-        b.push(t(1.0));
-        let mut rng = StdRng::seed_from_u64(0);
-        let s = b.sample(10, &mut rng);
-        assert_eq!(s.len(), 10);
-        assert!(s.iter().all(|x| x.reward == 1.0));
-    }
-
-    #[test]
-    fn sampling_is_seed_deterministic() {
-        let mut b = ReplayBuffer::new(16);
-        for i in 0..16 {
-            b.push(t(i as f64));
-        }
-        let s1 = b.sample(5, &mut StdRng::seed_from_u64(7));
-        let s2 = b.sample(5, &mut StdRng::seed_from_u64(7));
-        assert_eq!(s1, s2);
+        // 0 and 1 evicted: slots 0 and 1 were overwritten in push order.
+        assert_eq!(rewards, [3.0, 4.0, 2.0]);
     }
 
     #[test]
@@ -367,15 +229,15 @@ mod tests {
             next_state: vec![1.0, 2.0 + i as f64],
             done: i == 1,
         };
-        let mut b = ReplayBuffer::new(2);
+        let mut b = Slab::new(2);
         for i in 0..3 {
-            b.push(row(i));
+            b.push(row(i).view());
         }
         // The third push overwrote slot 0; slot 1 still holds the second.
         assert_eq!(b.get(0).to_transition(), row(2));
         assert_eq!(b.get(1).to_transition(), row(1));
         let copy = b.clone();
-        b.push(row(7));
+        assert_eq!(b.push(row(7).view()), 1);
         assert_eq!(
             copy.get(1).to_transition(),
             row(1),
@@ -387,17 +249,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "state dimension mismatch")]
     fn rows_must_share_one_shape() {
-        let mut b = ReplayBuffer::new(4);
-        b.push(t(1.0));
-        b.push(Transition {
-            state: vec![1.0, 2.0],
-            ..t(2.0)
-        });
+        let mut b = Slab::new(4);
+        b.push(t(1.0).view());
+        b.push(
+            Transition {
+                state: vec![1.0, 2.0],
+                ..t(2.0)
+            }
+            .view(),
+        );
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        let _ = ReplayBuffer::new(0);
+        let _ = Slab::new(0);
     }
 }

@@ -14,10 +14,10 @@
 //! * [`Td3Agent`] — twin critics, target networks, delayed policy update,
 //!   target-policy smoothing (Algorithm 2); steps through
 //!   [`Td3Agent::act_into`], trains through [`Td3Agent::train_batched`],
-//! * [`ReplayBuffer`] — uniform ring buffer,
 //! * [`SumTree`]/[`PrioritizedReplay`] — TD-error priority sampling (§4.4);
-//!   both buffers store transitions as one contiguous slab per field and
-//!   lend them out as [`TransitionRef`] views,
+//!   the buffer stores transitions as one contiguous slab per field and
+//!   lends them out as [`TransitionRef`] views (flat priorities give the
+//!   uniform-sampling ablation),
 //! * the public/shared buffer for dual-agent collaborative learning (§4.3)
 //!   is composed from these primitives in `rlpta-core`.
 //!
@@ -63,7 +63,7 @@ mod sumtree;
 mod td3;
 
 pub use adam::Adam;
-pub use buffer::{AsTransition, ReplayBuffer, Transition, TransitionRef};
+pub use buffer::{AsTransition, Transition, TransitionRef};
 pub use kernel::{ActScratch, BatchCache};
 pub use mlp::{Activation, Mlp};
 pub use priority::PrioritizedReplay;

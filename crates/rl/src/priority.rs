@@ -204,6 +204,21 @@ mod tests {
     }
 
     #[test]
+    fn sampling_is_with_replacement_and_seed_deterministic() {
+        let mut b = PrioritizedReplay::new(16);
+        b.push(t(1.0));
+        let s = b.sample(10, &mut StdRng::seed_from_u64(0));
+        assert_eq!(s.len(), 10, "draws may exceed the stored count");
+        assert!(s.iter().all(|(i, x)| *i == 0 && x.reward == 1.0));
+        for i in 1..16 {
+            b.push(t(i as f64));
+        }
+        let s1 = b.sample(5, &mut StdRng::seed_from_u64(7));
+        let s2 = b.sample(5, &mut StdRng::seed_from_u64(7));
+        assert_eq!(s1, s2);
+    }
+
+    #[test]
     #[should_panic(expected = "index out of bounds")]
     fn update_validates_index() {
         let mut b = PrioritizedReplay::new(4);

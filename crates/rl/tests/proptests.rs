@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rlpta_rl::{Activation, Adam, Mlp, PrioritizedReplay, ReplayBuffer, SumTree, Transition};
+use rlpta_rl::{Activation, Adam, Mlp, PrioritizedReplay, SumTree, Transition};
 
 fn transition(tag: f64) -> Transition {
     Transition {
@@ -46,7 +46,7 @@ proptest! {
     /// The ring buffer holds exactly the last `capacity` pushes.
     #[test]
     fn replay_keeps_most_recent(cap in 1usize..20, n in 1usize..60) {
-        let mut buf = ReplayBuffer::new(cap);
+        let mut buf = PrioritizedReplay::new(cap);
         for i in 0..n {
             buf.push(transition(i as f64));
         }
