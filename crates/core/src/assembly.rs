@@ -97,6 +97,11 @@ pub(crate) struct NewtonBuffers {
     pub(crate) state_before: Vec<f64>,
     /// Triangular-solve scratch for [`rlpta_linalg::SparseLu::solve_into`].
     pub(crate) solve_scratch: Vec<f64>,
+    /// The buffer the next run's returned iterate is built in: empty
+    /// unless a caller handed a spent iterate back (a PTA solve returns
+    /// the previous time point's), so a chain that does so allocates no
+    /// iterate per run.
+    pub(crate) x_out: Vec<f64>,
 }
 
 impl NewtonBuffers {

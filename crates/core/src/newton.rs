@@ -125,7 +125,9 @@ pub(crate) fn newton_iterate(
     // returns included.
     let _nr_span = tele.time(Phase::NewtonSolve);
 
-    let mut x = x0.to_vec();
+    let mut x = std::mem::take(&mut ws.bufs.x_out);
+    x.clear();
+    x.extend_from_slice(x0);
     ws.bufs.start_run(dim, state.len());
     let mut lu_full = 0usize;
     let mut lu_replay = 0usize;

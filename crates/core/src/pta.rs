@@ -436,7 +436,9 @@ impl<C: StepController> PtaSolver<C> {
                     std::mem::swap(&mut dx, &mut prev_dx);
                     has_prev_dx = true;
                 }
-                x_time = out.x;
+                // The previous time point's buffer builds the next run's
+                // iterate.
+                ws.bufs.x_out = std::mem::replace(&mut x_time, out.x);
 
                 let ramped_up = match self.kind {
                     PtaKind::Ramping(r) => t >= r.ramp_time,
@@ -473,8 +475,10 @@ impl<C: StepController> PtaSolver<C> {
                 }
                 h = h_next.clamp(self.config.h_min, self.config.h_max);
             } else {
-                // Roll back the limiter history along with the solution.
+                // Roll back the limiter history along with the solution;
+                // the rejected iterate's buffer builds the next run's.
                 dev_state.copy_from_slice(&saved_state);
+                ws.bufs.x_out = out.x;
                 if h <= self.config.h_min * 1.000_001 {
                     stalled_rejects += 1;
                     if stalled_rejects >= self.config.max_stalled_rejects {

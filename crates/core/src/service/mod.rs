@@ -17,16 +17,17 @@
 //!    the slot-table write pass, and certify through the same plan). The
 //!    key comes from one structural declare pass in the service's own
 //!    [`KeyScratch`], so admitting a job assembles nothing and builds no
-//!    matrix. Eviction is LRU under a byte budget that only the newest
-//!    plan may exceed alone. The service owns the cache and touches it
-//!    only between pool runs, through `&mut self`, so it takes no locks.
-//!    A cached entry whose stamp plan no longer matches the circuit's
-//!    declare pass, or whose symbolic LU no longer matches that plan's
-//!    pattern (a hash collision, or a structural change that kept the
-//!    key), is **invalidated and re-recorded, never replayed stale** — and
-//!    even a bypassed check would be caught by [`LuWorkspace`]'s own
-//!    guarded-replay fallback, so staleness can cost time, not
-//!    correctness.
+//!    matrix, and a structure keyed recently is found in that scratch's
+//!    memo instead of hashed again. Eviction is LRU under a byte budget
+//!    that only the newest plan may exceed alone. The service owns the
+//!    cache and touches it only between pool runs, through `&mut self`,
+//!    so it takes no locks. A cached entry whose stamp plan no longer
+//!    matches the circuit's declare pass, or whose symbolic LU no longer
+//!    matches that plan's pattern (a hash collision, or a structural
+//!    change that kept the key), is **invalidated and re-recorded, never
+//!    replayed stale** — and even a bypassed check would be caught by
+//!    [`LuWorkspace`]'s own guarded-replay fallback, so staleness can cost
+//!    time, not correctness.
 //! 2. **A warm-start tier.** Each structure's last certified operating
 //!    point, keyed by [`StructureKey`] under its own LRU order and byte
 //!    meter, so it outlives the eviction of its (far larger) plan. Hits and
@@ -138,10 +139,11 @@ pub type JobId = usize;
 /// The pattern comes from one structural declare pass
 /// ([`DeclareScratch::declare`]): the declared Jacobian targets, ordered
 /// by the same routine every triplet conversion uses and hashed as they
-/// come, with no matrix built. No device equation is evaluated into a
-/// matrix, nothing is sorted globally and no fault-injection draw is
-/// taken; the hash is bit for bit the one a triplet assembly at `x = 0`
-/// would give.
+/// come, with no matrix built. No device model is evaluated, nothing is
+/// sorted globally and no fault-injection draw is taken; the hash is bit
+/// for bit the one a triplet assembly at `x = 0` would give. A service
+/// keys through a [`KeyScratch`], whose memo returns a recently seen
+/// structure's key after the declare pass and one exact comparison.
 ///
 /// The key carries the MNA dimension and pattern entry count alongside the
 /// hash, so two keys are equal only when hash *and* both counts agree;
@@ -159,32 +161,73 @@ pub struct StructureKey {
 impl StructureKey {
     /// Computes the key for `circuit` from one declare pass: device stamps
     /// touch the same matrix positions at every operating point, so the
-    /// declared pattern is the circuit's pattern. Allocating wrapper over
-    /// [`StructureKey::of_in`].
+    /// declared pattern is the circuit's pattern. Allocating, and
+    /// memo-free: every call hashes the pattern and the topology afresh.
     pub fn of(circuit: &Circuit) -> Self {
-        Self::of_in(circuit, &mut KeyScratch::default())
+        let mut declare = DeclareScratch::default();
+        let mut words = Vec::new();
+        topology_words(circuit, &mut words);
+        Self::fold(
+            circuit.dim(),
+            declare.declare(circuit),
+            &words,
+            &mut PatternScratch::default(),
+        )
     }
 
-    /// [`StructureKey::of`] in `scratch`'s buffers, with the same value:
-    /// the pattern hash is read straight off the ordered declared targets
-    /// ([`StampSlots::pattern_hash_with`]), so no matrix is built, and
-    /// once the buffers have grown to the circuit a key allocates nothing.
+    /// [`StructureKey::of`] in `scratch`'s buffers, with the same value.
+    /// The declared targets and the topology words are looked up in the
+    /// scratch's memo of recently keyed structures
+    /// ([`KeyScratch::MEMO_ENTRIES`] of them) first: the key is a pure
+    /// function of the dimension, those targets and those words, so an
+    /// exact match returns the remembered key, allocating nothing. On a
+    /// miss the pattern hash is read straight off the ordered declared
+    /// targets ([`StampSlots::pattern_hash_with`]), so no matrix is built,
+    /// and the new key replaces the least recently used entry.
     pub fn of_in(circuit: &Circuit, scratch: &mut KeyScratch) -> Self {
+        let KeyScratch {
+            declare,
+            pattern,
+            words,
+            memo,
+        } = scratch;
         let dim = circuit.dim();
-        let targets = scratch.declare.declare(circuit);
-        let (pattern_hash, nnz) =
-            StampSlots::pattern_hash_with(dim, dim, targets, &mut scratch.pattern);
+        let targets = declare.declare(circuit);
+        topology_words(circuit, words);
+        let hit = memo
+            .iter()
+            .position(|m| m.key.dim == dim && *m.words == words[..] && *m.targets == *targets);
+        if let Some(i) = hit {
+            memo[..=i].rotate_right(1);
+            return memo[0].key;
+        }
+        let key = Self::fold(dim, targets, words, pattern);
+        memo.truncate(KeyScratch::MEMO_ENTRIES - 1);
+        memo.insert(
+            0,
+            KeyMemo {
+                words: words[..].into(),
+                targets: targets.into(),
+                key,
+            },
+        );
+        key
+    }
+
+    /// The key of a `dim`-unknown structure with declared `targets` and
+    /// [`topology_words`] `words`: the pattern hash and entry count of the
+    /// targets, then the words folded after the pattern hash.
+    fn fold(
+        dim: usize,
+        targets: &[(usize, usize)],
+        words: &[u64],
+        pattern: &mut PatternScratch,
+    ) -> Self {
+        let (pattern_hash, nnz) = StampSlots::pattern_hash_with(dim, dim, targets, pattern);
         let mut h = FnvHasher::new();
         h.write_u64(pattern_hash);
-        h.write_usize(circuit.num_nodes());
-        h.write_usize(circuit.num_branches());
-        h.write_usize(circuit.state_len());
-        for device in circuit.devices() {
-            h.write_u64(device_tag(device));
-            h.write_usize(device.branch_count());
-            for node in device.nodes() {
-                h.write_u64(node.index().map_or(u64::MAX, |i| i as u64));
-            }
+        for &word in words {
+            h.write_u64(word);
         }
         Self {
             dim,
@@ -210,14 +253,58 @@ impl StructureKey {
     }
 }
 
-/// Reusable buffers of [`StructureKey::of_in`]: the declare pass's and
-/// the pattern ordering's. Start from `default()`; the buffers size
-/// themselves on first use and are kept by later keys, of any structure.
-/// A [`SimService`] keys every job in one of these.
+/// Reusable state of [`StructureKey::of_in`]: the declare pass's, the
+/// pattern ordering's and the topology words' buffers, plus a memo of the
+/// last [`KeyScratch::MEMO_ENTRIES`] structures keyed, most recent first.
+/// Start from `default()`; the buffers size themselves on first use and
+/// are kept by later keys, of any structure. Each memo entry holds exactly
+/// its structure's targets and words, so the memo's memory follows the
+/// structures it currently remembers, not the largest one ever keyed. A
+/// [`SimService`] keys every job in one of these.
 #[derive(Debug, Clone, Default)]
 pub struct KeyScratch {
     declare: DeclareScratch,
     pattern: PatternScratch,
+    words: Vec<u64>,
+    memo: Vec<KeyMemo>,
+}
+
+impl KeyScratch {
+    /// How many recently keyed structures the memo remembers: enough for
+    /// a few design loops resubmitting their topologies interleaved, few
+    /// enough that a miss scans a handful of entries.
+    pub const MEMO_ENTRIES: usize = 8;
+}
+
+/// One remembered structure: every input of its key, and the key.
+#[derive(Debug, Clone)]
+struct KeyMemo {
+    words: Box<[u64]>,
+    targets: Box<[(usize, usize)]>,
+    key: StructureKey,
+}
+
+/// Fills `words` with the topology a key folds after the pattern hash:
+/// node and branch counts, state length, then per device its kind tag,
+/// branch count and terminal indices (ground as `u64::MAX`).
+fn topology_words(circuit: &Circuit, words: &mut Vec<u64>) {
+    words.clear();
+    words.reserve(3 + 6 * circuit.devices().len());
+    words.extend([
+        circuit.num_nodes() as u64,
+        circuit.num_branches() as u64,
+        circuit.state_len() as u64,
+    ]);
+    for device in circuit.devices() {
+        words.push(device_tag(device));
+        words.push(device.branch_count() as u64);
+        words.extend(
+            device
+                .nodes()
+                .into_iter()
+                .map(|node| node.index().map_or(u64::MAX, |i| i as u64)),
+        );
+    }
 }
 
 impl fmt::Display for StructureKey {

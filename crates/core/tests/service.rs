@@ -100,10 +100,28 @@ fn structure_keys_equal_the_triplet_oracle_on_every_named_circuit() {
     }
 }
 
+/// `circuit` with every independent source scaled by `1 + 1e-3`: new
+/// values on the same structure.
+fn jittered(circuit: &Circuit) -> Circuit {
+    let mut copy = circuit.clone();
+    for device in circuit.devices() {
+        let (name, dc) = match device {
+            Device::Vsource(v) => (v.name(), v.dc()),
+            Device::Isource(i) => (i.name(), i.dc()),
+            _ => continue,
+        };
+        copy.set_source_dc(name, dc * (1.0 + 1e-3));
+    }
+    copy
+}
+
 /// The same 118 circuits keyed in shuffled order through one reused
 /// [`KeyScratch`] (what a service does at every admission): each key
 /// equals the allocating [`StructureKey::of`] and the triplet oracle, bit
-/// for bit, whatever the scratch keyed before.
+/// for bit, whatever the scratch keyed before. Each circuit is keyed twice
+/// in a row, then a value-jittered copy of it, and the copy of the circuit
+/// keyed three before, so the scratch's memo hits at its front and behind
+/// it as well as missing.
 #[test]
 fn reused_key_scratch_keys_every_named_circuit_like_the_oracle() {
     use rand::prelude::*;
@@ -116,16 +134,79 @@ fn reused_key_scratch_keys_every_named_circuit_like_the_oracle() {
     assert_eq!(benches.len(), 118);
     let mut rng = StdRng::seed_from_u64(0x6b65_7973);
     let mut scratch = KeyScratch::default();
+    let mut check = |name: &str, circuit: &Circuit| {
+        let key = StructureKey::of_in(circuit, &mut scratch);
+        assert_eq!(key, StructureKey::of(circuit), "{name}");
+        assert_eq!(key_bits(key), triplet_oracle_key(circuit), "{name}");
+    };
     for _ in 0..2 {
         for i in (1..benches.len()).rev() {
             benches.swap(i, rng.gen_range(0..=i));
         }
-        for bench in &benches {
+        let copies: Vec<Circuit> = benches.iter().map(|b| jittered(&b.circuit)).collect();
+        for (i, bench) in benches.iter().enumerate() {
             let (name, circuit) = (&bench.name, &bench.circuit);
-            let key = StructureKey::of_in(circuit, &mut scratch);
-            assert_eq!(key, StructureKey::of(circuit), "{name}");
-            assert_eq!(key_bits(key), triplet_oracle_key(circuit), "{name}");
+            check(name, circuit);
+            check(name, circuit);
+            check(name, &copies[i]);
+            if let Some(back) = i.checked_sub(3) {
+                check(&benches[back].name, &copies[back]);
+            }
         }
+    }
+}
+
+/// Three circuits whose declare passes push identical targets (a current
+/// source and a DC-open capacitor stamp no Jacobian entry) but whose
+/// topologies differ, keyed back to back through one [`KeyScratch`]: the
+/// memo compares the topology words as well as the targets, so each gets
+/// its own key, the one [`StructureKey::of`] gives.
+#[test]
+fn key_memo_separates_structures_with_identical_declared_targets() {
+    use rlpta_core::KeyScratch;
+    let divider = "divider\nV1 a 0 1\nR1 a b 1k\nR2 b 0 1k\n";
+    let circuits: Vec<Circuit> = ["I1 b 0 1m", "C1 b 0 1u", "I1 a 0 1m"]
+        .iter()
+        .map(|extra| rlpta_netlist::parse(&format!("{divider}{extra}\n")).expect("deck parses"))
+        .collect();
+    let mut declare = rlpta_mna::DeclareScratch::default();
+    let targets = declare.declare(&circuits[0]).to_vec();
+    for c in &circuits[1..] {
+        assert_eq!(
+            declare.declare(c),
+            &targets[..],
+            "targets must not tell them apart"
+        );
+    }
+    let mut scratch = KeyScratch::default();
+    for _ in 0..2 {
+        let keys: Vec<StructureKey> = circuits
+            .iter()
+            .map(|c| StructureKey::of_in(c, &mut scratch))
+            .collect();
+        for (key, c) in keys.iter().zip(&circuits) {
+            assert_eq!(*key, StructureKey::of(c));
+        }
+        assert!(
+            keys[0] != keys[1] && keys[1] != keys[2] && keys[0] != keys[2],
+            "{keys:?}"
+        );
+    }
+}
+
+/// Literal keys of three named circuits. The triplet oracle hashes
+/// through the same [`FnvHasher`], so a wrong fold would move both it and
+/// the key; these values pin the hash itself. Incident, telemetry and
+/// Prometheus outputs carry them.
+#[test]
+fn structure_keys_keep_their_literal_values() {
+    for (name, want) in [
+        ("gm1", "6172ae7b9e00d424/d5n16"),
+        ("gm6", "02099b589ef06832/d15n66"),
+        ("fadd32", "dbb679669b052a8d/d132n649"),
+    ] {
+        let bench = rlpta_circuits::by_name(name).expect("named circuit");
+        assert_eq!(StructureKey::of(&bench.circuit).to_string(), want, "{name}");
     }
 }
 

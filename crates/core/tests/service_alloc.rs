@@ -3,10 +3,11 @@
 //! path allocates once per device, per stamp, per unknown or per Newton
 //! iteration:
 //!
-//! * keying the job is one declare pass into the service's reused key
-//!   buffers, its pattern hash is read off the ordered targets without
-//!   building a matrix, and the topology fold lists each device's
-//!   terminals inline;
+//! * keying the job is one value-free declare pass into the service's
+//!   reused key buffers and, for a structure keyed recently, one exact
+//!   comparison against the key memo, which allocates nothing; a memo miss
+//!   reads the pattern hash off the ordered targets without building a
+//!   matrix;
 //! * the cache check and certification's plan re-verification are
 //!   declare passes of the same kind, and certification takes the group's
 //!   Newton plan instead of resolving its own;
@@ -25,6 +26,7 @@ mod counting_alloc;
 use counting_alloc::allocations;
 
 use rlpta_core::prelude::*;
+use rlpta_core::KeyScratch;
 use rlpta_mna::Circuit;
 
 /// The most allocations one warm `SimService::solve` job may make (the
@@ -82,4 +84,28 @@ fn warm_service_job_allocations_do_not_grow_with_the_circuit() {
         small_allocs <= WARM_JOB_ALLOCATIONS,
         "a warm job allocated {small_allocs} times, over the ceiling of {WARM_JOB_ALLOCATIONS}"
     );
+}
+
+/// Keying a structure the memo remembers allocates nothing, for the
+/// circuit it was keyed from and for a copy with new values, at either
+/// end of the memo's recency order.
+#[test]
+fn keying_a_memo_hit_allocates_nothing() {
+    let (small, large) = (ladder(5), ladder(40));
+    let mut retuned = small.clone();
+    assert!(retuned.set_source_dc("V1", 3.3));
+    let mut scratch = KeyScratch::default();
+    let small_key = StructureKey::of_in(&small, &mut scratch);
+    let large_key = StructureKey::of_in(&large, &mut scratch);
+    for (circuit, want) in [
+        (&small, small_key),
+        (&retuned, small_key),
+        (&large, large_key),
+        (&small, small_key),
+    ] {
+        let mut key = None;
+        let allocs = allocations(|| key = Some(StructureKey::of_in(circuit, &mut scratch)));
+        assert_eq!(key, Some(want));
+        assert_eq!(allocs, 0, "a memo hit allocated");
+    }
 }

@@ -185,17 +185,17 @@ impl Device {
     ///
     /// Every model's stamp sequence is operating-point *independent* (the
     /// FETs normalize their source/drain swap into fixed targets), so one
-    /// declare pass — conventionally at `x = 0` with scratch state and
-    /// residual — yields the target list every later evaluation replays.
-    /// No fault-injection draws are consumed.
+    /// declare pass — conventionally at `x = 0` with scratch state — yields
+    /// the target list every later evaluation replays. The device model
+    /// is not evaluated: only the limiter update of `state` runs, and no
+    /// residual is kept. No fault-injection draws are consumed.
     pub fn declare_stamps(
         &self,
         ctx: &EvalCtx<'_>,
         targets: &mut Vec<(usize, usize)>,
-        scratch_residual: &mut [f64],
         state: &mut [f64],
     ) {
-        let mut st = Stamper::declare(targets, scratch_residual);
+        let mut st = Stamper::declare(targets, &mut []);
         self.stamp(ctx, &mut st, state);
     }
 

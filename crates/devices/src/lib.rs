@@ -64,7 +64,7 @@ pub use mosfet::{MosModel, MosPolarity, Mosfet};
 pub use node::{Node, Nodes};
 pub use passive::{Capacitor, Inductor, Resistor};
 pub use source::{Isource, Vccs, Vcvs, Vsource};
-pub use stamp::{Discard, EvalCtx, JacSink, Stamper};
+pub use stamp::{Declare, Discard, EvalCtx, JacSink, Stamper};
 
 /// Thermal voltage `kT/q` at 300.15 K, in volts.
 pub const THERMAL_VOLTAGE: f64 = 0.02585;

@@ -8,10 +8,12 @@
 //! * `&mut Triplet` ([`Stamper::new`]): raw COO pushes, the reference path
 //!   (`Circuit::assemble_into`: the oracle plans are tested against, and
 //!   AC analysis);
-//! * `&mut Vec<(usize, usize)>` ([`Stamper::declare`]): the ground-filtered
-//!   `(row, col)` targets in push order, the resolve half of a precompiled
-//!   stamp plan (`StampPlan::resolve`, `verify_with`) and the pattern
-//!   a structure key hashes;
+//! * [`Declare`] ([`Stamper::declare`]): the ground-filtered `(row, col)`
+//!   targets in push order, the resolve half of a precompiled stamp plan
+//!   (`StampPlan::resolve`, `verify_with`) and the pattern a structure key
+//!   hashes. It keeps no values and no residual, so the device model
+//!   evaluation is dead code in this instantiation and compiles away; only
+//!   the limiter state updates run;
 //! * [`SlotWriter`] ([`Stamper::scatter`]): values written straight into the
 //!   nnz slots of a frozen CSR pattern, the write half
 //!   (`StampPlan::eval_into`);
@@ -20,8 +22,10 @@
 //!   `Circuit::residual_into`).
 //!
 //! A caller runs its device loop on the concrete sink, so every push is a
-//! direct call with no per-push dispatch. `Stamper<'_>` without a sink
-//! parameter is the type-erased form over `&mut dyn JacSink`; solver
+//! direct call with no per-push dispatch, and a sink that keeps no residual
+//! ([`JacSink::keeps_residual`]) turns every residual write into a no-op.
+//! `Stamper<'_>` without a sink parameter is the type-erased form over
+//! `&mut dyn JacSink`; solver
 //! extra-stamp hooks take that one, and [`Stamper::erased`] hands a concrete
 //! stamper's sink and residual to them. Because one body per device drives
 //! every sink, the plan-based pipeline is bit-identical to triplet assembly
@@ -92,6 +96,20 @@ pub trait JacSink: fmt::Debug {
     fn draws_faults(&self) -> bool {
         true
     }
+
+    /// Whether device stamps through this sink accumulate the residual.
+    /// Only the declare sink does not: its pass keeps no value, so with
+    /// residual writes and pushed values both dropped, the compiler
+    /// removes the model evaluation from that sink's device loop. A type
+    /// question, not a method, so each instantiation folds it to a
+    /// constant; the type-erased stamper always keeps its residual.
+    #[inline]
+    fn keeps_residual() -> bool
+    where
+        Self: Sized,
+    {
+        true
+    }
 }
 
 /// Reference path: raw COO pushes, duplicates summed in `to_csr`.
@@ -102,16 +120,25 @@ impl JacSink for Triplet {
     }
 }
 
-/// Structural resolve pass: records the `(row, col)` target of every push
-/// in order; values are ignored and no fault draws are consumed.
-impl JacSink for Vec<(usize, usize)> {
+/// The structural declare sink ([`Stamper::declare`]): records the
+/// `(row, col)` target of every push in order. Values are ignored, no
+/// residual is kept and no fault draws are consumed.
+#[derive(Debug)]
+pub struct Declare<'a>(&'a mut Vec<(usize, usize)>);
+
+impl JacSink for Declare<'_> {
     #[inline]
     fn push(&mut self, row: usize, col: usize, _v: f64) {
-        Vec::push(self, (row, col));
+        self.0.push((row, col));
     }
 
     #[inline]
     fn draws_faults(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn keeps_residual() -> bool {
         false
     }
 }
@@ -181,17 +208,20 @@ impl<'a> Stamper<'a, &'a mut Triplet> {
     }
 }
 
-impl<'a> Stamper<'a, &'a mut Vec<(usize, usize)>> {
+impl<'a> Stamper<'a, Declare<'a>> {
     /// Structural resolve mode: every Jacobian push appends its
-    /// ground-filtered `(row, col)` target to `targets` in push order;
-    /// values are discarded. `residual` is scratch of the system dimension
-    /// (residual math still runs, its result is thrown away).
+    /// ground-filtered `(row, col)` target to `targets` in push order.
+    /// Devices compute no values: the pushed ones are dropped and device
+    /// residual writes are no-ops, so only the limiter state updates of a
+    /// stamp run. `residual` is scratch of the system dimension that only
+    /// the type-erased extra-stamp hooks ([`Stamper::erased`]) write into;
+    /// nothing reads it, so its contents are arbitrary.
     ///
     /// This mode consumes **no** fault-injection draws — a resolve pass
     /// must not shift the seeded NaN sequence of subsequent evaluations.
     pub fn declare(targets: &'a mut Vec<(usize, usize)>, residual: &'a mut [f64]) -> Self {
         Self {
-            sink: targets,
+            sink: Declare(targets),
             residual,
         }
     }
@@ -323,13 +353,18 @@ impl<S: JacSink> Stamper<'_, S> {
     /// Adds to the residual at a raw, already-resolved index.
     #[inline]
     pub fn res_raw(&mut self, index: usize, v: f64) {
-        self.residual[index] += v;
+        if S::keeps_residual() {
+            self.residual[index] += v;
+        }
     }
 
     /// Adds `i` to the KCL residual of `node` (current *leaving* the node is
     /// positive). Ground contributions are dropped.
     #[inline]
     pub fn res_node(&mut self, node: Node, i: f64) {
+        if !S::keeps_residual() {
+            return;
+        }
         if let Some(r) = node.index() {
             self.residual[r] += i;
         }
@@ -345,7 +380,9 @@ impl<S: JacSink> Stamper<'_, S> {
     /// Adds `v` to a branch-equation residual.
     #[inline]
     pub fn res_branch(&mut self, branch: usize, v: f64) {
-        self.residual[branch] += v;
+        if S::keeps_residual() {
+            self.residual[branch] += v;
+        }
     }
 }
 

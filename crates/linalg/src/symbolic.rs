@@ -55,20 +55,42 @@ impl FnvHasher {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
+    /// `PRIME^k` for `k` in `0..=8`: the multiplier `k` trailing zero
+    /// bytes fold to.
+    const PRIME_POW: [u64; 9] = {
+        let mut pow = [1u64; 9];
+        let mut k = 1;
+        while k < 9 {
+            pow[k] = pow[k - 1].wrapping_mul(Self::PRIME);
+            k += 1;
+        }
+        pow
+    };
+
     /// A hasher at the FNV offset basis.
     pub fn new() -> Self {
         Self(Self::OFFSET)
     }
 
-    /// Folds one `u64` in, byte by byte (little-endian).
+    /// Folds one `u64` in as FNV-1a over its eight little-endian bytes.
+    /// Bytes above the highest nonzero one fold in a single multiply by
+    /// `PRIME^k`: XOR with a zero byte is the identity and wrapping
+    /// multiplication is associative, so the value is bit for bit the
+    /// byte-at-a-time fold's.
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+        let (mut h, mut rest, mut folded) = (self.0, v, 0);
+        while rest != 0 {
+            h ^= rest & 0xff;
+            h = h.wrapping_mul(Self::PRIME);
+            rest >>= 8;
+            folded += 1;
         }
+        self.0 = h.wrapping_mul(Self::PRIME_POW[8 - folded]);
     }
 
     /// Folds one machine word in (as `u64`, so the hash is width-stable).
+    #[inline]
     pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }

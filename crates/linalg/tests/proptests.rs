@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlpta_linalg::{
-    norms, CsrMatrix, DenseMatrix, LinalgError, LuOp, LuWorkspace, PatternScratch, ReplayScratch,
-    SparseLu, StampSlots, SymbolicLu, Triplet,
+    norms, CsrMatrix, DenseMatrix, FnvHasher, LinalgError, LuOp, LuWorkspace, PatternScratch,
+    ReplayScratch, SparseLu, StampSlots, SymbolicLu, Triplet,
 };
 use std::collections::BTreeMap;
 
@@ -368,5 +368,59 @@ proptest! {
         let want: Vec<(usize, usize, u64)> =
             oracle.into_iter().map(|((r, c), v)| (r, c, v.to_bits())).collect();
         prop_assert_eq!(got, want);
+    }
+}
+
+/// FNV-1a over the eight little-endian bytes of each word, one byte at a
+/// time: the definition [`FnvHasher::write_u64`] must equal bit for bit.
+fn fnv1a_bytes(words: &[u64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn fnv_words(words: &[u64]) -> u64 {
+    let mut h = FnvHasher::new();
+    for &w in words {
+        h.write_u64(w);
+    }
+    h.finish()
+}
+
+/// Every byte-length boundary (`0`, `0xff`, `0x100`, …, `u64::MAX`),
+/// alone and after a prefix word, folds like the byte loop.
+#[test]
+fn fnv_word_fold_equals_the_byte_loop_at_every_byte_length() {
+    let mut boundaries = vec![0u64, u64::MAX];
+    for bytes in 1..8 {
+        let top = 1u64 << (8 * bytes);
+        boundaries.extend([top - 1, top, top + 1]);
+    }
+    for &v in &boundaries {
+        assert_eq!(fnv_words(&[v]), fnv1a_bytes(&[v]), "{v:#x}");
+        for &prefix in &boundaries {
+            assert_eq!(
+                fnv_words(&[prefix, v]),
+                fnv1a_bytes(&[prefix, v]),
+                "{prefix:#x}, {v:#x}"
+            );
+        }
+    }
+}
+
+proptest! {
+    /// Arbitrary words, shifted so every byte length is drawn, fold like
+    /// the byte loop from an arbitrary running hash.
+    #[test]
+    fn fnv_word_fold_equals_the_byte_loop(
+        prefix in any::<u64>(), v in any::<u64>(), shift in 0u32..64,
+    ) {
+        let words = [prefix, v >> shift, v];
+        prop_assert_eq!(fnv_words(&words), fnv1a_bytes(&words));
     }
 }

@@ -59,7 +59,10 @@ impl StampPlan {
         let dim = circuit.dim();
         let mut scratch = DeclareScratch::default();
         let device_pushes = scratch.declare(circuit).len();
-        extra(&mut Stamper::declare(&mut scratch.targets, &mut scratch.residual).erased());
+        // The hook writes its residual through the type-erased stamper;
+        // nothing reads it.
+        let mut residual = vec![0.0; dim];
+        extra(&mut Stamper::declare(&mut scratch.targets, &mut residual).erased());
         let targets = std::mem::take(&mut scratch.targets);
         let (template, slots) = StampSlots::build(dim, dim, &targets);
         StampPlan {
@@ -234,13 +237,13 @@ impl StampPlan {
 }
 
 /// Reusable buffers of a structural declare pass: the zero iterate, the
-/// scratch residual and limiter state the devices stamp into, and the
-/// recorded targets. Start from `default()`; the buffers size themselves
-/// on first use and are kept by later passes.
+/// limiter state the devices update, and the recorded targets. A declare
+/// pass keeps no residual, so there is none to size or clear. Start from
+/// `default()`; the buffers size themselves on first use and are kept by
+/// later passes.
 #[derive(Debug, Clone, Default)]
 pub struct DeclareScratch {
     zeros: Vec<f64>,
-    residual: Vec<f64>,
     state: Vec<f64>,
     targets: Vec<(usize, usize)>,
 }
@@ -250,14 +253,12 @@ impl DeclareScratch {
     /// `x = 0`, from a zeroed limiter state) and returns the ground-filtered
     /// Jacobian targets in push order: the sequence a [`StampPlan`] is
     /// resolved from, and, through [`StampSlots::pattern_of`], the
-    /// circuit's MNA sparsity pattern. Evaluates no numeric stamp into any
-    /// matrix and takes no fault-injection draws (declare-mode
-    /// [`Stamper`] contract).
+    /// circuit's MNA sparsity pattern. Evaluates no device model (only
+    /// the limiter state updates run), writes no residual and takes no
+    /// fault-injection draws (declare-mode [`Stamper`] contract).
     pub fn declare(&mut self, circuit: &Circuit) -> &[(usize, usize)] {
         let dim = circuit.dim();
         self.zeros.resize(dim, 0.0);
-        self.residual.clear();
-        self.residual.resize(dim, 0.0);
         self.state.clear();
         self.state.resize(circuit.state_len(), 0.0);
         self.targets.clear();
@@ -267,7 +268,6 @@ impl DeclareScratch {
             d.declare_stamps(
                 &ctx,
                 &mut self.targets,
-                &mut self.residual,
                 &mut self.state[off..off + d.state_len()],
             );
         }
