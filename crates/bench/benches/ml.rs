@@ -1,11 +1,13 @@
 //! Machine-learning substrate benchmarks: the cost of one TD3 training
 //! step, the priority-sampling data structure, and GP fit/predict — the
-//! overheads the paper's two acceleration stages pay per simulation.
+//! overheads the paper's two acceleration stages pay per simulation. The
+//! TD3 bars time the zero-allocation paths RL-S runs: `act_into` through a
+//! reused scratch, `train_batched` through a reused workspace.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
 use rlpta_gp::{GpHyper, GpModel};
-use rlpta_rl::{PrioritizedReplay, SumTree, Td3Agent, Td3Config, Transition};
+use rlpta_rl::{PrioritizedReplay, SumTree, Td3Agent, Td3Config, TrainWorkspace, Transition};
 
 fn sample_transition(rng: &mut StdRng) -> Transition {
     Transition {
@@ -22,12 +24,23 @@ fn bench_td3(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let mut agent = Td3Agent::new(Td3Config::new(5, 1), &mut rng);
     let batch: Vec<Transition> = (0..32).map(|_| sample_transition(&mut rng)).collect();
+    let (mut scratch, mut action) = (agent.act_scratch(), [0.0]);
     group.bench_function("act", |b| {
         let s = [0.1, 0.2, 0.3, 0.4, 0.5];
-        b.iter(|| agent.act(&s))
+        b.iter(|| {
+            agent.act_into(&s, &mut action, &mut scratch);
+            action[0]
+        })
     });
+    let mut ws = TrainWorkspace::new(agent.config(), batch.len());
     group.bench_function("train_batch32", |b| {
-        b.iter(|| agent.train_on_batch(&batch, &mut rng))
+        b.iter(|| {
+            ws.clear();
+            for t in &batch {
+                ws.push(t);
+            }
+            agent.train_batched(&mut ws, &mut rng).len()
+        })
     });
     group.finish();
 }

@@ -1,6 +1,6 @@
 //! Batched RL kernel benchmarks: the zero-allocation inference and
 //! training paths of the TD3 stepping policy. `act` measures the
-//! per-PTA-step policy call ([`Td3Agent::act_into`]); `train_on_batch`
+//! per-PTA-step policy call ([`Td3Agent::act_into`]); `train_batched`
 //! measures one full TD3 step through a reused [`TrainWorkspace`] at the
 //! batch sizes the stepping controller actually uses (1 during early
 //! warmup, 32 as configured, 64 headroom). Below them, one bar per GEMM
@@ -57,7 +57,7 @@ fn bench_rl_kernels(c: &mut Criterion) {
         let transitions: Vec<Transition> =
             (0..batch).map(|_| sample_transition(&mut rng)).collect();
         let mut ws = TrainWorkspace::new(&cfg, batch);
-        group.bench_function(BenchmarkId::new("train_on_batch", batch), |b| {
+        group.bench_function(BenchmarkId::new("train_batched", batch), |b| {
             b.iter(|| {
                 ws.clear();
                 for t in &transitions {

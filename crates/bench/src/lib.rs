@@ -321,12 +321,12 @@ pub fn run_with<C: StepController>(
 pub fn run_batch_with<C: StepController + Clone + Sync>(
     benches: &[Benchmark],
     kind: PtaKind,
-    controller: C,
+    controller: &C,
     threads: usize,
 ) -> Vec<SolveStats> {
     let circuits: Vec<_> = benches.iter().map(|b| b.circuit.clone()).collect();
     eval_engine(kind, threads)
-        .solve_batch_with(&circuits, &controller)
+        .solve_batch_with(&circuits, controller)
         .into_iter()
         .zip(benches)
         .map(|(r, b)| stats_of(r, &b.name))
@@ -343,7 +343,7 @@ pub fn run_simple(bench: &Benchmark, kind: PtaKind) -> SolveStats {
 
 /// [`run_simple`] over a whole suite on `threads` pooled workers.
 pub fn run_simple_batch(benches: &[Benchmark], kind: PtaKind, threads: usize) -> Vec<SolveStats> {
-    run_batch_with(benches, kind, SimpleStepping::default(), threads)
+    run_batch_with(benches, kind, &SimpleStepping::default(), threads)
 }
 
 /// Runs a benchmark with the adaptive SER controller.
@@ -356,7 +356,7 @@ pub fn run_adaptive(bench: &Benchmark, kind: PtaKind) -> SolveStats {
 
 /// [`run_adaptive`] over a whole suite on `threads` pooled workers.
 pub fn run_adaptive_batch(benches: &[Benchmark], kind: PtaKind, threads: usize) -> Vec<SolveStats> {
-    run_batch_with(benches, kind, SerStepping::default(), threads)
+    run_batch_with(benches, kind, &SerStepping::default(), threads)
 }
 
 /// Pre-trains one RL-S controller across the training corpus (the paper's
@@ -370,8 +370,7 @@ pub fn pretrain_rl(kind: PtaKind, seed: u64, epochs: usize) -> RlStepping {
 pub fn pretrain_rl_with(kind: PtaKind, config: RlSteppingConfig, epochs: usize) -> RlStepping {
     let mut rl = RlStepping::new(config);
     if let Some(sink) = trace_sink() {
-        // TrainStep events flow during the offline phase; a frozen
-        // controller never trains, so evaluation runs stay silent.
+        // TrainStep events flow during the offline phase.
         rl.attach_telemetry(sink, Span::default());
     }
     let corpus = training_corpus();
@@ -386,14 +385,15 @@ pub fn pretrain_rl_with(kind: PtaKind, config: RlSteppingConfig, epochs: usize) 
 
 /// Runs a benchmark with a (cloned) pre-trained RL-S controller, online
 /// learning enabled — the paper's evaluation protocol.
+///
+/// Routes through the shared evaluation engine (and so its certification
+/// gate), like [`run_simple`] and [`run_adaptive`].
 pub fn run_rl(bench: &Benchmark, kind: PtaKind, pretrained: &RlStepping) -> SolveStats {
-    let mut rl = pretrained.clone();
-    rl.unfreeze();
-    run_with(bench, kind, rl).0
+    run_rl_batch(std::slice::from_ref(bench), kind, pretrained, 1).remove(0)
 }
 
 /// [`run_rl`] over a whole suite on `threads` pooled workers: every circuit
-/// starts from its own unfrozen clone of `pretrained` and adapts online in
+/// starts from its own clone of `pretrained` and adapts online in
 /// isolation — exactly the serial per-benchmark protocol, so the stats
 /// match a [`run_rl`] loop bit for bit at any thread count.
 pub fn run_rl_batch(
@@ -402,9 +402,7 @@ pub fn run_rl_batch(
     pretrained: &RlStepping,
     threads: usize,
 ) -> Vec<SolveStats> {
-    let mut rl = pretrained.clone();
-    rl.unfreeze();
-    run_batch_with(benches, kind, rl, threads)
+    run_batch_with(benches, kind, pretrained, threads)
 }
 
 /// Formats `a / b` as the paper's `X.XXx` speedup column (`-` on failure).

@@ -16,7 +16,8 @@
 //!   evolution/relaxation, the paper's "adaptive" baseline) and
 //!   [`RlStepping`] — the paper's RL-S: TD3 dual agents with a public
 //!   sample buffer and TD-error priority sampling, trained online during
-//!   the simulation,
+//!   the simulation — and [`RlPolicy`], its frozen, shareable greedy
+//!   policy,
 //! * [`IppOracle`] / [`predict_params`] — the glue binding the
 //!   Gaussian-process active learner of `rlpta-gp` to real PTA runs,
 //! * [`RobustDcSolver`] — the resilience layer: an escalation ladder over
@@ -101,7 +102,7 @@ pub use pta::{CeptaConfig, DptaConfig, PtaConfig, PtaKind, PtaParams, PtaSolver,
 pub use recovery::FaultPlan;
 pub use recovery::{AttemptReport, LadderStage, RobustDcSolver, SolveBudget};
 pub use report::op_report;
-pub use rl_stepping::{RlStepping, RlSteppingConfig};
+pub use rl_stepping::{RlPolicy, RlStepping, RlSteppingConfig};
 pub use service::{
     CacheStats, HeartbeatLine, JobId, JobTicket, KeyScratch, Priority, ServiceError,
     ServiceMonitor, ServiceSnapshot, SimService, SimServiceBuilder, StructureKey,

@@ -1,21 +1,48 @@
 //! RL-S: the paper's TD3 dual-agent reinforcement-learning step controller
 //! (§4), with collaborative learning through a public sample buffer (§4.3)
 //! and TD-error priority sampling (§4.4).
+//!
+//! Two controllers share one step decision (state encoding, agent choice
+//! by the NR flag, the two action maps):
+//!
+//! * [`RlStepping`] is the learner. Every step records the last
+//!   transition, trains the acting agent and explores. Reusing one across
+//!   circuits is the paper's offline pre-training + online adaptation.
+//! * [`RlPolicy`] is a frozen policy taken from a learner with
+//!   [`RlStepping::policy`]: the two actors and the action maps behind one
+//!   `Arc`, acting greedily. It holds no critic, optimizer or replay
+//!   buffer, so a clone per run or per service job copies no network.
 
 use crate::telemetry::{interest, NullSink, Payload, Phase, Sink, Span, Tele};
 use crate::{StepController, StepObservation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rlpta_rl::{ActScratch, PrioritizedReplay, Td3Agent, Td3Config, TrainWorkspace, TransitionRef};
+use rlpta_rl::{
+    ActScratch, Mlp, PrioritizedReplay, Td3Agent, Td3Config, TrainWorkspace, TransitionRef,
+};
 use std::sync::Arc;
 
-/// Which of the dual agents produced an action.
+/// Which of the dual agents produced an action. It indexes the learner's
+/// agents and private buffers and a policy's actors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AgentRole {
     /// Predicts growing steps after a converged NR solve.
-    Forward,
+    Forward = 0,
     /// Predicts shrinking steps after a rejected (non-converged) solve.
-    Backward,
+    Backward = 1,
+}
+
+impl AgentRole {
+    /// Dual-agent selection by the NR flag (Algorithm 2 line 6); the
+    /// single-agent ablation routes everything through the forward agent
+    /// and its action map.
+    fn select(obs: &StepObservation, config: &RlSteppingConfig) -> Self {
+        if obs.nr_converged || !config.dual_agents {
+            AgentRole::Forward
+        } else {
+            AgentRole::Backward
+        }
+    }
 }
 
 /// Configuration of the RL-S controller.
@@ -77,6 +104,15 @@ impl RlSteppingConfig {
             priority_sampling: true,
         }
     }
+
+    /// The action map of `role`: forward `factor = m / (1 + e^{n−a}) ≥ 1`,
+    /// backward `factor = c / (1 + e^{b−a}) < 1`.
+    fn factor(&self, role: AgentRole, a: f64) -> f64 {
+        match role {
+            AgentRole::Forward => self.forward_m / (1.0 + (self.forward_n - a).exp()),
+            AgentRole::Backward => self.backward_c / (1.0 + (self.backward_b - a).exp()),
+        }
+    }
 }
 
 impl Default for RlSteppingConfig {
@@ -85,41 +121,101 @@ impl Default for RlSteppingConfig {
     }
 }
 
-/// The RL-S step controller: dual TD3 agents trained online during the PTA
-/// run. Reusing one `RlStepping` across several circuits implements the
-/// paper's offline pre-training + online adaptation scheme — the networks
-/// and buffers persist across [`StepController::reset`]; only per-episode
-/// state clears.
+/// Table 1's simulation state as the normalized state vector. A rejected
+/// step carries no Γ (there is no new solution to compare); its slot
+/// encodes the worst case `1.0` — "no measurable progress".
+fn encode(obs: &StepObservation) -> [f64; RlStepping::STATE_DIM] {
+    let iters = (obs.nr_iterations as f64 / 30.0).clamp(0.0, 1.0);
+    let res = ((obs.residual.max(1e-16).log10() + 16.0) / 20.0).clamp(0.0, 1.0);
+    let gamma = obs.gamma.map_or(1.0, |g| {
+        ((g.max(1e-12).log10() + 12.0) / 14.0).clamp(0.0, 1.0)
+    });
+    [
+        iters,
+        res,
+        gamma,
+        if obs.nr_converged { 1.0 } else { 0.0 },
+        if obs.pta_converged { 1.0 } else { 0.0 },
+    ]
+}
+
+/// Per-run state of either controller: the step size, the reused inference
+/// buffers and the attached telemetry.
+#[derive(Debug, Clone)]
+struct Run {
+    h: f64,
+    /// Ping-pong scratch for the zero-allocation actor forward pass.
+    scratch: ActScratch,
+    /// Reused output row of that forward pass.
+    action: [f64; 1],
+    /// Attached telemetry (a [`NullSink`] until one is attached): the
+    /// `RlInference` / `RlTrain` timings and the learner's `TrainStep`
+    /// events go here.
+    telemetry: (Arc<dyn Sink>, Span),
+}
+
+impl Run {
+    fn new(h0: f64, scratch: ActScratch) -> Self {
+        Self {
+            h: h0,
+            scratch,
+            action: [0.0],
+            telemetry: (Arc::new(NullSink), Span::default()),
+        }
+    }
+
+    /// The attached sink as a telemetry root.
+    fn tele(&self) -> Tele<'_> {
+        Tele::root(&*self.telemetry.0, self.telemetry.1)
+    }
+
+    /// The step decision both controllers share: unless PTA has converged,
+    /// the agent [`AgentRole::select`] picks acts through `act` (timed as
+    /// `rl_inference`), and its action map scales `h`. Returns the action
+    /// and the role that took it.
+    fn step(
+        &mut self,
+        config: &RlSteppingConfig,
+        obs: &StepObservation,
+        act: impl FnOnce(AgentRole, &mut [f64], &mut ActScratch),
+    ) -> Option<(f64, AgentRole)> {
+        if obs.pta_converged {
+            return None;
+        }
+        let role = AgentRole::select(obs, config);
+        let timer = self.tele().timer();
+        act(role, &mut self.action, &mut self.scratch);
+        let [action] = self.action;
+        timer.finish(&self.tele(), Phase::RlInference);
+        self.h *= config.factor(role, action);
+        Some((action, role))
+    }
+}
+
+/// The RL-S learner: dual TD3 agents trained online during the PTA run.
+/// Reusing one `RlStepping` across several circuits implements the paper's
+/// offline pre-training + online adaptation scheme — the networks and
+/// buffers persist across [`StepController::reset`]; only per-episode
+/// state clears. Every step records, trains and explores; for greedy
+/// evaluation take a frozen [`RlPolicy`] with [`RlStepping::policy`].
 #[derive(Debug, Clone)]
 pub struct RlStepping {
     config: RlSteppingConfig,
-    forward: Td3Agent,
-    backward: Td3Agent,
-    forward_buffer: PrioritizedReplay,
-    backward_buffer: PrioritizedReplay,
+    /// The forward and backward agents, indexed by [`AgentRole`].
+    agents: [Td3Agent; 2],
+    /// Each agent's private replay buffer, indexed by [`AgentRole`].
+    buffers: [PrioritizedReplay; 2],
     public_buffer: PrioritizedReplay,
     rng: StdRng,
-    h: f64,
+    run: Run,
     /// Last emitted `(state, action, role)` awaiting its outcome.
     pending: Option<([f64; Self::STATE_DIM], f64, AgentRole)>,
-    /// Greedy mode: exploration and training disabled (evaluation runs).
-    frozen: bool,
     transitions_seen: usize,
-    /// Attached telemetry (a [`NullSink`] until one is attached):
-    /// `TrainStep` events and the `RlInference` / `RlTrain` timings go
-    /// here. The `TrainStep` losses are computed only when the sink's
-    /// [`Sink::interest`] keeps that kind, so under `DcEngine`'s default
-    /// `NullSink` a train step computes nothing it would throw away.
-    telemetry: (Arc<dyn Sink>, Span),
     /// Reusable batched-training storage shared by both agents (same
     /// network shapes): sampled transitions are gathered straight into its
     /// minibatch slabs, so a train step clones nothing and allocates
     /// nothing.
     workspace: TrainWorkspace,
-    /// Ping-pong scratch for the zero-allocation policy inference path.
-    act_scratch: ActScratch,
-    /// Reused output row for [`Td3Agent::act_into`].
-    action_buf: [f64; 1],
     /// Reused index lists for replay sampling (private / public halves).
     idx_private: Vec<usize>,
     idx_public: Vec<usize>,
@@ -149,48 +245,48 @@ impl RlStepping {
             action_dim: 1,
             ..config.td3.clone()
         };
-        let forward = Td3Agent::new(td3.clone(), &mut rng);
-        let backward = Td3Agent::new(td3.clone(), &mut rng);
+        let agents = [
+            Td3Agent::new(td3.clone(), &mut rng),
+            Td3Agent::new(td3.clone(), &mut rng),
+        ];
         let half = (config.batch_size / 2).max(1);
         let workspace = TrainWorkspace::new(&td3, 2 * half);
-        let act_scratch = forward.act_scratch();
+        let run = Run::new(config.h0, agents[0].act_scratch());
         Self {
-            forward,
-            backward,
-            forward_buffer: PrioritizedReplay::new(config.private_capacity),
-            backward_buffer: PrioritizedReplay::new(config.private_capacity),
+            agents,
+            buffers: std::array::from_fn(|_| PrioritizedReplay::new(config.private_capacity)),
             public_buffer: PrioritizedReplay::new(config.public_capacity),
             rng,
-            h: config.h0,
+            run,
             pending: None,
-            frozen: false,
             transitions_seen: 0,
-            telemetry: (Arc::new(NullSink), Span::default()),
             workspace,
-            act_scratch,
-            action_buf: [0.0],
             idx_private: Vec::with_capacity(half),
             idx_public: Vec::with_capacity(half),
             config,
         }
     }
 
-    /// Freezes the policy: no exploration noise, no training. Used for
-    /// evaluation runs after pre-training.
-    pub fn freeze(&mut self) {
-        self.frozen = true;
+    /// The current greedy policy, frozen: a copy of the two actors and the
+    /// action maps, which every clone of the returned [`RlPolicy`] shares.
+    /// Critics, target networks, optimizer moments and replay buffers stay
+    /// with the learner. The policy inherits the learner's attached
+    /// telemetry.
+    pub fn policy(&self) -> RlPolicy {
+        RlPolicy {
+            actors: Arc::new(Actors {
+                // Each agent's actor leads its persistence order.
+                nets: self.agents.each_ref().map(|a| a.networks()[0].clone()),
+                config: self.config.clone(),
+            }),
+            run: self.run.clone(),
+        }
     }
 
-    /// Re-enables exploration and online training.
-    pub fn unfreeze(&mut self) {
-        self.frozen = false;
-    }
-
-    /// Whether the policy is frozen (deterministic greedy actions, no
-    /// training) — the state a shared service policy must be in.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
+    /// Does nothing: a learner always explores and trains. A frozen policy
+    /// is its own type, [`RlPolicy`], taken with [`RlStepping::policy`].
+    #[deprecated(note = "a learner always trains; take a frozen `RlPolicy` with `policy()`")]
+    pub fn unfreeze(&mut self) {}
 
     /// Total transitions observed across all runs.
     pub fn transitions_seen(&self) -> usize {
@@ -210,9 +306,7 @@ impl RlStepping {
     /// Propagates writer I/O errors.
     pub fn save_policy(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
         writeln!(w, "rls-policy v1 seed {}", self.config.seed)?;
-        self.forward.save_to(w)?;
-        self.backward.save_to(w)?;
-        Ok(())
+        self.agents.iter().try_for_each(|a| a.save_to(w))
     }
 
     /// Reconstructs a controller from a stored policy, using `config` for
@@ -234,35 +328,13 @@ impl RlStepping {
                 "missing rls-policy header",
             ));
         }
-        let td3 = Td3Config {
-            state_dim: Self::STATE_DIM,
-            action_dim: 1,
-            ..config.td3.clone()
-        };
-        let forward = Td3Agent::load_from(td3.clone(), r)?;
-        let backward = Td3Agent::load_from(td3, r)?;
         let mut ctl = RlStepping::new(config);
-        ctl.forward = forward;
-        ctl.backward = backward;
+        let td3 = ctl.agents[0].config().clone();
+        ctl.agents = [
+            Td3Agent::load_from(td3.clone(), r)?,
+            Td3Agent::load_from(td3, r)?,
+        ];
         Ok(ctl)
-    }
-
-    /// Encodes Table 1's simulation state into the normalized state vector.
-    /// A rejected step carries no Γ (there is no new solution to compare);
-    /// its slot encodes the worst case `1.0` — "no measurable progress".
-    fn encode(obs: &StepObservation) -> [f64; Self::STATE_DIM] {
-        let iters = (obs.nr_iterations as f64 / 30.0).clamp(0.0, 1.0);
-        let res = ((obs.residual.max(1e-16).log10() + 16.0) / 20.0).clamp(0.0, 1.0);
-        let gamma = obs
-            .gamma
-            .map_or(1.0, |g| ((g.max(1e-12).log10() + 12.0) / 14.0).clamp(0.0, 1.0));
-        [
-            iters,
-            res,
-            gamma,
-            if obs.nr_converged { 1.0 } else { 0.0 },
-            if obs.pta_converged { 1.0 } else { 0.0 },
-        ]
     }
 
     /// The paper's reward `r = c₁Γ + c₂Iters + c₃Res + c₄NR + c₅PTA`,
@@ -288,31 +360,13 @@ impl RlStepping {
             + w[4] * if obs.pta_converged { 1.0 } else { 0.0 }
     }
 
-    /// Forward action map: `factor = m / (1 + e^{n−a}) ≥ 1`.
-    fn forward_factor(&self, a: f64) -> f64 {
-        self.config.forward_m / (1.0 + (self.config.forward_n - a).exp())
-    }
-
-    /// Backward action map: `factor = c / (1 + e^{b−a}) < 1`.
-    fn backward_factor(&self, a: f64) -> f64 {
-        self.config.backward_c / (1.0 + (self.config.backward_b - a).exp())
-    }
-
-    /// The attached sink as a telemetry root.
-    fn tele(&self) -> Tele<'_> {
-        Tele::root(&*self.telemetry.0, self.telemetry.1)
-    }
-
     fn train(&mut self, role: AgentRole) {
         if self.transitions_seen < self.config.warmup {
             return;
         }
-        let train_timer = self.tele().timer();
+        let train_timer = self.run.tele().timer();
         let half = (self.config.batch_size / 2).max(1);
-        let private = match role {
-            AgentRole::Forward => &self.forward_buffer,
-            AgentRole::Backward => &self.backward_buffer,
-        };
+        let private = &self.buffers[role as usize];
         // Sample indices, then gather straight into the workspace's
         // minibatch slabs — no `Transition` clones on the hot path.
         private.sample_indices_into(half, &mut self.rng, &mut self.idx_private);
@@ -328,20 +382,13 @@ impl RlStepping {
         for &i in &self.idx_public {
             self.workspace.push(self.public_buffer.get(i));
         }
-        let agent = match role {
-            AgentRole::Forward => &mut self.forward,
-            AgentRole::Backward => &mut self.backward,
-        };
-        agent.train_batched(&mut self.workspace, &mut self.rng);
+        self.agents[role as usize].train_batched(&mut self.workspace, &mut self.rng);
         // Refresh priorities where the samples came from (skipped by the
         // uniform-sampling ablation: insertion priorities stay flat, so
         // proportional draws degenerate to uniform).
         if self.config.priority_sampling {
             let td = self.workspace.td_errors();
-            let private = match role {
-                AgentRole::Forward => &mut self.forward_buffer,
-                AgentRole::Backward => &mut self.backward_buffer,
-            };
+            let private = &mut self.buffers[role as usize];
             for (&idx, err) in self.idx_private.iter().zip(td) {
                 private.update_priority(idx, *err);
             }
@@ -353,25 +400,21 @@ impl RlStepping {
                 self.public_buffer.update_priority(idx, *err);
             }
         }
-        train_timer.finish(&self.tele(), Phase::RlTrain);
+        train_timer.finish(&self.run.tele(), Phase::RlTrain);
         self.emit_train_step(role);
     }
 
     /// Emits a `TrainStep` event with loss metrics recomputed from the
     /// just-trained networks, reading the minibatch back out of the
-    /// workspace slabs — only when the attached sink keeps `TrainStep`
-    /// (see the `telemetry` field). The extra forward passes are batched
+    /// workspace slabs — only when the attached sink keeps `TrainStep`, so
+    /// under `DcEngine`'s default `NullSink` a train step computes nothing
+    /// it would throw away. The extra forward passes are batched
     /// ([`Td3Agent::mean_actor_objective`]), two GEMM forwards rather than
     /// a scalar pass per row.
     fn emit_train_step(&mut self, role: AgentRole) {
-        let (agent, buffer) = match role {
-            AgentRole::Forward => (&self.forward, &self.forward_buffer),
-            AgentRole::Backward => (&self.backward, &self.backward_buffer),
-        };
+        let (agent, buffer) = (&self.agents[role as usize], &self.buffers[role as usize]);
         let workspace = &mut self.workspace;
-        // Built from the field rather than `tele()`, which would borrow all
-        // of `self` while the closure holds the workspace mutably.
-        let tele = Tele::root(&*self.telemetry.0, self.telemetry.1);
+        let tele = self.run.tele();
         tele.emit_with(interest!("TrainStep"), || {
             let td = workspace.td_errors();
             let n = td.len().max(1) as f64;
@@ -396,82 +439,44 @@ impl RlStepping {
 
 impl StepController for RlStepping {
     fn initial_step(&mut self) -> f64 {
-        self.h = self.config.h0;
-        self.pending = None;
-        self.h
+        self.reset();
+        self.run.h
     }
 
     fn next_step(&mut self, obs: &StepObservation) -> f64 {
-        let s_next = Self::encode(obs);
+        let s_next = encode(obs);
 
         // Close out the pending transition with the observed outcome. The
         // buffers copy it into their slabs, so nothing here allocates.
         if let Some((s, a, role)) = self.pending.take() {
-            if !self.frozen {
-                let r = self.reward(&s, &s_next, obs);
-                let t = TransitionRef {
-                    state: &s,
-                    action: std::slice::from_ref(&a),
-                    reward: r,
-                    next_state: &s_next,
-                    done: obs.pta_converged,
-                };
-                // Collaborative learning (§4.3): convergence-flag flips
-                // (XOR = 1 between consecutive states) go to the public
-                // buffer too — both agents profit from boundary samples.
-                let crossed = s[3] != s_next[3];
-                match role {
-                    AgentRole::Forward => self.forward_buffer.push(t),
-                    AgentRole::Backward => self.backward_buffer.push(t),
-                }
-                if crossed {
-                    self.public_buffer.push(t);
-                }
-                self.transitions_seen += 1;
-                self.train(role);
-            }
-        }
-
-        if obs.pta_converged {
-            return self.h;
-        }
-
-        // Dual-agent selection by the NR flag (Algorithm 2 line 6); the
-        // single-agent ablation routes everything through the forward net
-        // (the action *map* still depends on the NR flag).
-        let role = if obs.nr_converged || !self.config.dual_agents {
-            AgentRole::Forward
-        } else {
-            AgentRole::Backward
-        };
-        let infer_timer = self.tele().timer();
-        // Zero-allocation policy call: the action lands in the reused
-        // `action_buf` row via the ping-pong scratch.
-        {
-            let agent = match role {
-                AgentRole::Forward => &self.forward,
-                AgentRole::Backward => &self.backward,
+            let r = self.reward(&s, &s_next, obs);
+            let t = TransitionRef {
+                state: &s,
+                action: std::slice::from_ref(&a),
+                reward: r,
+                next_state: &s_next,
+                done: obs.pta_converged,
             };
-            if self.frozen {
-                agent.act_into(&s_next, &mut self.action_buf, &mut self.act_scratch);
-            } else {
-                agent.act_exploring_into(
-                    &s_next,
-                    &mut self.action_buf,
-                    &mut self.act_scratch,
-                    &mut self.rng,
-                );
+            // Collaborative learning (§4.3): convergence-flag flips
+            // (XOR = 1 between consecutive states) go to the public
+            // buffer too — both agents profit from boundary samples.
+            let crossed = s[3] != s_next[3];
+            self.buffers[role as usize].push(t);
+            if crossed {
+                self.public_buffer.push(t);
             }
+            self.transitions_seen += 1;
+            self.train(role);
         }
-        let [action] = self.action_buf;
-        infer_timer.finish(&self.tele(), Phase::RlInference);
-        let factor = match role {
-            AgentRole::Forward => self.forward_factor(action),
-            AgentRole::Backward => self.backward_factor(action),
-        };
-        self.h *= factor;
-        self.pending = Some((s_next, action, role));
-        self.h
+
+        let (agents, rng) = (&self.agents, &mut self.rng);
+        self.pending = self
+            .run
+            .step(&self.config, obs, |role, out, scratch| {
+                agents[role as usize].act_exploring_into(&s_next, out, scratch, rng);
+            })
+            .map(|(action, role)| (s_next, action, role));
+        self.run.h
     }
 
     fn name(&self) -> &'static str {
@@ -481,12 +486,61 @@ impl StepController for RlStepping {
     fn reset(&mut self) {
         // Keep the networks and buffers (cross-circuit learning); clear
         // per-episode state.
-        self.h = self.config.h0;
+        self.run.h = self.config.h0;
         self.pending = None;
     }
 
     fn attach_telemetry(&mut self, sink: Arc<dyn Sink>, span: Span) {
-        self.telemetry = (sink, span);
+        self.run.telemetry = (sink, span);
+    }
+}
+
+/// What a greedy step reads, shared by every clone of one [`RlPolicy`].
+#[derive(Debug)]
+struct Actors {
+    /// The forward and backward actors, indexed by [`AgentRole`].
+    nets: [Mlp; 2],
+    /// The action maps, agent selection and `h₀`.
+    config: RlSteppingConfig,
+}
+
+/// A frozen RL-S policy: the two actors of a pretrained [`RlStepping`] and
+/// its action maps behind one `Arc`. It always acts greedily (no
+/// exploration noise) and cannot train, so its decisions depend only on the
+/// actors and the observations. A clone bumps the `Arc` and copies the
+/// per-run scratch, so a service or an evaluation harness hands one to
+/// every job. Take one with [`RlStepping::policy`].
+#[derive(Debug, Clone)]
+pub struct RlPolicy {
+    actors: Arc<Actors>,
+    run: Run,
+}
+
+impl StepController for RlPolicy {
+    fn initial_step(&mut self) -> f64 {
+        self.reset();
+        self.run.h
+    }
+
+    fn next_step(&mut self, obs: &StepObservation) -> f64 {
+        let state = encode(obs);
+        let actors = &*self.actors;
+        self.run.step(&actors.config, obs, |role, out, scratch| {
+            actors.nets[role as usize].forward_into(&state, out, scratch);
+        });
+        self.run.h
+    }
+
+    fn name(&self) -> &'static str {
+        "rl-s"
+    }
+
+    fn reset(&mut self) {
+        self.run.h = self.actors.config.h0;
+    }
+
+    fn attach_telemetry(&mut self, sink: Arc<dyn Sink>, span: Span) {
+        self.run.telemetry = (sink, span);
     }
 }
 
@@ -507,38 +561,40 @@ mod tests {
         }
     }
 
+    use AgentRole::{Backward, Forward};
+
     #[test]
     fn forward_factor_never_shrinks() {
-        let c = RlStepping::new(RlSteppingConfig::new(1));
+        let c = RlSteppingConfig::new(1);
         for i in -10..=10 {
             let a = i as f64 / 10.0;
-            assert!(c.forward_factor(a) >= 1.0 - 1e-12, "a={a}");
+            assert!(c.factor(Forward, a) >= 1.0 - 1e-12, "a={a}");
         }
     }
 
     #[test]
     fn backward_factor_always_shrinks() {
-        let c = RlStepping::new(RlSteppingConfig::new(1));
+        let c = RlSteppingConfig::new(1);
         for i in -10..=10 {
             let a = i as f64 / 10.0;
-            let f = c.backward_factor(a);
+            let f = c.factor(Backward, a);
             assert!(f < 1.0 && f > 0.0, "a={a}, f={f}");
         }
     }
 
     #[test]
     fn factors_are_monotone_in_action() {
-        let c = RlStepping::new(RlSteppingConfig::new(1));
-        assert!(c.forward_factor(1.0) > c.forward_factor(-1.0));
-        assert!(c.backward_factor(1.0) > c.backward_factor(-1.0));
+        let c = RlSteppingConfig::new(1);
+        assert!(c.factor(Forward, 1.0) > c.factor(Forward, -1.0));
+        assert!(c.factor(Backward, 1.0) > c.factor(Backward, -1.0));
     }
 
     #[test]
     fn state_encoding_is_bounded() {
-        let s = RlStepping::encode(&obs(100, true, 1e5, 1e3, false, 1.0));
+        let s = encode(&obs(100, true, 1e5, 1e3, false, 1.0));
         assert_eq!(s.len(), RlStepping::STATE_DIM);
         assert!(s.iter().all(|v| (0.0..=1.0).contains(v)));
-        let s2 = RlStepping::encode(&obs(0, false, 0.0, 0.0, true, 1.0));
+        let s2 = encode(&obs(0, false, 0.0, 0.0, true, 1.0));
         assert!(s2.iter().all(|v| (0.0..=1.0).contains(v)));
     }
 
@@ -569,14 +625,15 @@ mod tests {
     }
 
     #[test]
-    fn frozen_mode_stops_learning() {
-        let mut c = RlStepping::new(RlSteppingConfig::new(4));
-        c.freeze();
-        let mut h = c.initial_step();
+    fn policy_stops_learning() {
+        let c = RlStepping::new(RlSteppingConfig::new(4));
+        let mut p = c.policy();
+        let mut h = p.initial_step();
         for _ in 0..10 {
-            h = c.next_step(&obs(5, true, 1e-3, 1e-2, false, h));
+            h = p.next_step(&obs(5, true, 1e-3, 1e-2, false, h));
         }
         assert_eq!(c.transitions_seen(), 0);
+        assert!(h > RlSteppingConfig::new(4).h0, "the policy still steers");
     }
 
     #[test]
@@ -628,10 +685,8 @@ mod tests {
         )
         .unwrap();
         // Frozen policies must act identically.
-        let mut a = c.clone();
-        a.freeze();
-        let mut b = back;
-        b.freeze();
+        let mut a = c.policy();
+        let mut b = back.policy();
         let mut ha = a.initial_step();
         let mut hb = b.initial_step();
         for i in 0..10 {

@@ -46,10 +46,11 @@
 //!    share a [`StructureKey`] into the same worker so a cached plan is
 //!    fetched once and stays core-local for the whole group (the group also
 //!    forms a warm-start chain, like a sweep chunk).
-//! 4. **A shared RL-policy handle.** A frozen, checkpointed
-//!    [`RlStepping`] policy is loaded once at service construction and
-//!    cloned per job that needs it (a cold solve the plain Newton path
-//!    cannot crack), instead of being re-loaded per request.
+//! 4. **A shared RL-policy handle.** A frozen, checkpointed [`RlPolicy`]
+//!    is loaded once at service construction and shared by every job that
+//!    needs it (a cold solve the plain Newton path cannot crack): a job's
+//!    copy shares the policy's actor networks and owns only its per-run
+//!    scratch.
 //!
 //! Every cache and queue transition is published on the engine's telemetry
 //! stream ([`Payload::CacheHit`], [`Payload::CacheMiss`],
@@ -104,7 +105,7 @@ use crate::assembly::NewtonWorkspace;
 use crate::engine::DcEngine;
 use crate::error::SolveError;
 use crate::recovery::SolveBudget;
-use crate::rl_stepping::{RlStepping, RlSteppingConfig};
+use crate::rl_stepping::{RlPolicy, RlStepping, RlSteppingConfig};
 use crate::telemetry::{
     interest, FanoutSink, FlightRecorder, MetricsRegistry, Payload, Sink, Span, Tele,
 };
@@ -739,7 +740,7 @@ pub struct SimServiceBuilder {
     queue_capacity: usize,
     cache_bytes: usize,
     warm_starts: bool,
-    policy: Option<Arc<RlStepping>>,
+    policy: Option<RlPolicy>,
     recorder_depth: Option<usize>,
     recorder: Option<Arc<FlightRecorder>>,
     incident_dir: Option<PathBuf>,
@@ -801,31 +802,32 @@ impl SimServiceBuilder {
         self
     }
 
-    /// Shares a pre-trained stepping policy across all jobs. The policy is
-    /// frozen at build time (training disabled, greedy deterministic
-    /// actions) and cloned per job that needs it — a cold solve that the
-    /// warm Newton path and its recovery ladder cannot crack gets one
-    /// RL-steered PTA attempt before the failure is surfaced.
+    /// Shares a pre-trained stepping policy across all jobs: the
+    /// learner's frozen [`RlStepping::policy`] (greedy deterministic
+    /// actions, no training), whose actor networks every job shares — a
+    /// cold solve that the warm Newton path and its recovery ladder cannot
+    /// crack gets one RL-steered PTA attempt before the failure is
+    /// surfaced.
     #[must_use]
     pub fn policy(mut self, policy: Arc<RlStepping>) -> Self {
-        self.policy = Some(policy);
+        self.policy = Some(policy.policy());
         self
     }
 
     /// Loads a checkpointed policy (see [`RlStepping::save_policy`]) and
-    /// installs it via [`SimServiceBuilder::policy`].
+    /// installs its frozen [`RlPolicy`], as [`SimServiceBuilder::policy`]
+    /// does.
     ///
     /// # Errors
     ///
     /// I/O or format errors from [`RlStepping::load_policy`].
     pub fn policy_from_reader(
-        self,
+        mut self,
         config: RlSteppingConfig,
         r: &mut dyn std::io::BufRead,
     ) -> std::io::Result<Self> {
-        let mut policy = RlStepping::load_policy(config, r)?;
-        policy.freeze();
-        Ok(self.policy(Arc::new(policy)))
+        self.policy = Some(RlStepping::load_policy(config, r)?.policy());
+        Ok(self)
     }
 
     /// Attaches a [`FlightRecorder`] keeping the last `depth` events per
@@ -903,21 +905,10 @@ impl SimServiceBuilder {
         self
     }
 
-    /// Finalizes the service. Any installed policy is frozen here, so a
-    /// still-training controller cannot leak nondeterminism into the
-    /// service path. A configured recorder or metrics registry is teed
-    /// into the engine's telemetry sink here, so every event the engine
-    /// emits while serving also reaches them.
+    /// Finalizes the service. A configured recorder or metrics registry is
+    /// teed into the engine's telemetry sink here, so every event the
+    /// engine emits while serving also reaches them.
     pub fn build(self) -> SimService {
-        let policy = self.policy.map(|p| {
-            if p.is_frozen() {
-                p
-            } else {
-                let mut frozen = (*p).clone();
-                frozen.freeze();
-                Arc::new(frozen)
-            }
-        });
         let recorder = match self.recorder {
             Some(rec) => Some(rec),
             None if self.recorder_depth.is_some() || self.incident_dir.is_some() => {
@@ -951,7 +942,7 @@ impl SimServiceBuilder {
             next_id: 0,
             queue_capacity: self.queue_capacity,
             warm_starts: self.warm_starts,
-            policy,
+            policy: self.policy,
             recorder,
             monitor: ServiceMonitor::new(
                 self.heartbeat
@@ -1013,7 +1004,7 @@ pub struct SimService {
     next_id: JobId,
     queue_capacity: usize,
     warm_starts: bool,
-    policy: Option<Arc<RlStepping>>,
+    policy: Option<RlPolicy>,
     recorder: Option<Arc<FlightRecorder>>,
     monitor: ServiceMonitor,
 }
@@ -1338,7 +1329,7 @@ struct GroupOutcome {
 /// trigger).
 fn run_group<C: Borrow<Circuit>>(
     engine: &DcEngine,
-    policy: Option<&Arc<RlStepping>>,
+    policy: Option<&RlPolicy>,
     warm_starts: bool,
     jobs: Vec<QueuedJob<C>>,
     seed: CacheSeed,
@@ -1399,7 +1390,7 @@ fn run_group<C: Borrow<Circuit>>(
                 // worse (the original error is kept when it also fails).
                 Some(p) if circuit.is_nonlinear() => {
                     let tele = Tele::root(&*sink, span);
-                    match eng.solve_once_with(circuit, (**p).clone(), &tele) {
+                    match eng.solve_once_with(circuit, p.clone(), &tele) {
                         Ok(sol) => Ok(sol),
                         Err(_) => Err(first),
                     }
@@ -2041,15 +2032,19 @@ mod tests {
 
     #[test]
     fn frozen_policy_is_shared_not_retrained() {
-        let mut policy = RlStepping::new(RlSteppingConfig::new(7));
-        policy.freeze();
+        let learner = Arc::new(RlStepping::new(RlSteppingConfig::new(7)));
         let engine = DcEngine::builder().build();
         let mut service = SimService::builder(engine)
-            .policy(Arc::new(policy))
+            .policy(Arc::clone(&learner))
             .build();
         // A healthy circuit never needs the policy, but the handle must
         // not break the normal path.
         let sol = service.solve(&clamp("5"), JobTicket::default()).expect("solve");
         assert!(sol.stats.converged);
+        // The service keeps a frozen `RlPolicy`, not the learner: nothing
+        // it runs can train the caller's controller.
+        let _: &RlPolicy = service.policy.as_ref().expect("policy installed");
+        assert_eq!(Arc::strong_count(&learner), 1);
+        assert_eq!(learner.transitions_seen(), 0);
     }
 }

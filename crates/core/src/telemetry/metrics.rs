@@ -298,9 +298,11 @@ impl MetricsRegistry {
 
     /// Renders the ASCII self-time tree for `--profile`: phases laid out by
     /// the static [`Phase::parent`] hierarchy, with per-node self time =
-    /// total − Σ(children), clamped at 0. Self time is an attribution aid —
-    /// a child phase can also run outside its nominal parent (see
-    /// [`Phase::parent`]) — but totals and percentiles are exact per phase.
+    /// total − Σ(children), clamped at 0. A sampled phase whose parent has
+    /// no samples prints at the root (a warm service job runs Newton outside
+    /// any PTA step). Self time is an attribution aid — a child phase can
+    /// also run outside its nominal parent (see [`Phase::parent`]) — but
+    /// totals and percentiles are exact per phase.
     pub fn profile_tree(&self) -> String {
         let summaries: BTreeMap<Phase, HistogramSummary> =
             self.summaries().into_iter().collect();
@@ -344,7 +346,7 @@ impl MetricsRegistry {
             }
         }
         for p in Phase::ALL {
-            if p.parent().is_none() {
+            if p.parent().is_none_or(|q| !summaries.contains_key(&q)) {
                 visit(&mut out, &summaries, p, 0);
             }
         }
@@ -520,5 +522,29 @@ mod tests {
         assert!(nr_line.contains("1.0ms"), "self-time missing: {nr_line}");
         // Phases that never fired are absent.
         assert!(!tree.contains("gp_fit"));
+    }
+
+    #[test]
+    fn profile_tree_roots_phases_whose_parent_never_fired() {
+        // A warm service job: Newton with its children, no PTA step.
+        let reg = MetricsRegistry::new();
+        for (phase, nanos) in [
+            (Phase::NewtonSolve, 8_000_000),
+            (Phase::StampWrite, 2_000_000),
+            (Phase::LuReplay, 4_000_000),
+        ] {
+            reg.emit(&Event {
+                span: Span::default(),
+                payload: Payload::PhaseTiming { phase, nanos },
+            });
+        }
+        let tree = reg.profile_tree();
+        let lines: Vec<&str> = tree.lines().skip(1).collect();
+        assert_eq!(lines.len(), 3, "every sampled phase prints:\n{tree}");
+        assert!(lines[0].starts_with("nr_solve "), "Newton at the root:\n{tree}");
+        assert!(lines[0].contains("2.0ms"), "self time 8 − 2 − 4 ms:\n{tree}");
+        assert!(lines[1].starts_with("  stamp_write "), "{tree}");
+        assert!(lines[2].starts_with("  lu_replay "), "{tree}");
+        assert!(!tree.contains("pta_step"));
     }
 }

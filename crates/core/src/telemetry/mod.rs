@@ -10,8 +10,8 @@
 //! * the PTA loop and transient integrator report [`Payload::PtaStep`],
 //!   continuation/homotopy outer stages report [`Payload::StageStep`],
 //! * the escalation ladder reports [`Payload::LadderAttempt`],
-//! * the RL step controller reports [`Payload::TrainStep`] (training
-//!   configuration only — frozen policies are silent),
+//! * the RL-S learner reports [`Payload::TrainStep`] (a frozen
+//!   [`crate::RlPolicy`] never trains, so it is silent),
 //! * the GP active-learning oracle reports [`Payload::AcquisitionRound`],
 //! * the batch engine reports [`Payload::BatchJob`] / [`Payload::SweepPoint`]
 //!   and tags every event with a [`Span`] (job id + worker id) so parallel
@@ -167,8 +167,8 @@ pub enum Payload {
         /// Work spent on the rung (fold of the rung's own events).
         stats: SolveStats,
     },
-    /// One TD3 training step of the RL step controller. Emitted only when
-    /// the controller is unfrozen (training configuration).
+    /// One TD3 training step of the RL-S learner ([`crate::RlStepping`]);
+    /// a frozen [`crate::RlPolicy`] never emits one.
     TrainStep {
         /// Which agent trained (`"forward"` or `"backward"`).
         role: String,

@@ -1,9 +1,11 @@
-//! The RL-S controller's allocation contract. Its replay buffers keep
-//! transitions as one contiguous slab per field, so cloning a controller
+//! The RL-S allocation contract. The learner's replay buffers keep
+//! transitions as one contiguous slab per field, so cloning a learner
 //! (once per circuit when a pretrained policy adapts online) allocates the
-//! same number of times however many transitions it holds. And a warm,
-//! unfrozen controller whose slabs have stopped growing steps, records and
-//! trains without allocating at all.
+//! same number of times however many transitions it holds. A warm learner
+//! whose slabs have stopped growing steps, records and trains without
+//! allocating at all. A frozen [`RlPolicy`] shares its actors, so a clone
+//! copies only its per-run scratch, whatever learner it came from, and
+//! its greedy steps allocate nothing.
 //!
 //! The counting allocator counts the measuring thread only
 //! (`tests/support/counting_alloc.rs`).
@@ -12,7 +14,9 @@
 mod counting_alloc;
 use counting_alloc::allocations;
 
-use rlpta_core::{NullSink, RlStepping, RlSteppingConfig, Span, StepController, StepObservation};
+use rlpta_core::{
+    NullSink, RlPolicy, RlStepping, RlSteppingConfig, Span, StepController, StepObservation,
+};
 use std::sync::Arc;
 
 /// A controller with small networks (the allocation pattern does not
@@ -52,11 +56,21 @@ fn drive(rl: &mut RlStepping, transitions: usize) {
     }
 }
 
-fn clone_allocations(rl: &RlStepping) -> usize {
+fn clone_allocations<T: Clone>(x: &T) -> usize {
     let mut copy = None;
-    let allocs = allocations(|| copy = Some(rl.clone()));
+    let allocs = allocations(|| copy = Some(x.clone()));
     drop(copy);
     allocs
+}
+
+/// Allocations of 300 steps of `ctl`, started where a run starts.
+fn steps_allocations(ctl: &mut impl StepController) -> usize {
+    let mut h = ctl.initial_step();
+    allocations(|| {
+        for i in 0..300 {
+            h = ctl.next_step(&observation(i, h));
+        }
+    })
 }
 
 #[test]
@@ -83,16 +97,50 @@ fn clone_is_o1_and_warm_stepping_allocates_nothing() {
             warm.attach_telemetry(Arc::new(NullSink), Span::default());
         }
         drive(&mut warm, 200);
-        let mut h = warm.initial_step();
-        let allocs = allocations(|| {
-            for i in 0..300 {
-                h = warm.next_step(&observation(i, h));
-            }
-        });
+        let allocs = steps_allocations(&mut warm);
         assert_eq!(
             allocs, 0,
             "300 warm next_step calls allocated {allocs} time(s) (NullSink attached: {attach})"
         );
         assert!(warm.transitions_seen() >= 499, "the counted steps recorded");
+    }
+}
+
+#[test]
+fn policy_clone_copies_no_network_and_greedy_steps_allocate_nothing() {
+    // The source learner's stored transitions and buffer capacity do not
+    // reach a policy clone: it shares the actors and copies its scratch.
+    let mut counts = Vec::new();
+    let mut policies: Vec<RlPolicy> = Vec::new();
+    for capacity in [64, 4096] {
+        for transitions in [10, 2000] {
+            let mut learner = RlStepping::new(small_config(capacity));
+            drive(&mut learner, transitions);
+            let policy = learner.policy();
+            counts.push((capacity, transitions, clone_allocations(&policy)));
+            policies.push(policy);
+        }
+    }
+    let (_, _, first) = counts[0];
+    assert!(
+        counts.iter().all(|&(_, _, n)| n == first),
+        "policy clone allocations by (capacity, transitions): {counts:?}"
+    );
+    assert!(
+        first <= 2,
+        "a policy clone allocated {first} times: more than its scratch"
+    );
+
+    // Greedy steps allocate nothing, bare and with the `NullSink` a
+    // service or engine solve attaches.
+    for (attach, mut policy) in [false, true].into_iter().zip(policies) {
+        if attach {
+            policy.attach_telemetry(Arc::new(NullSink), Span::default());
+        }
+        let allocs = steps_allocations(&mut policy);
+        assert_eq!(
+            allocs, 0,
+            "300 greedy next_step calls allocated {allocs} time(s) (NullSink attached: {attach})"
+        );
     }
 }

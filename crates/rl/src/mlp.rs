@@ -165,17 +165,6 @@ impl Mlp {
         self.params.copy_from_slice(&src.params);
     }
 
-    /// Forward pass. Allocating wrapper over [`Mlp::forward_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.input_dim()`.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.output_dim()];
-        self.forward_into(x, &mut out, &mut ActScratch::for_mlp(self));
-        out
-    }
-
     /// Flat-parameter offset of layer `l`'s weight block (its bias block
     /// follows at `offset + fan_in·fan_out`). `O(L)` with no allocation —
     /// the networks here are three layers deep.
@@ -398,20 +387,27 @@ mod tests {
         StdRng::seed_from_u64(1234)
     }
 
+    /// One forward pass through a fresh scratch.
+    fn forward(m: &Mlp, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; m.output_dim()];
+        m.forward_into(x, &mut out, &mut ActScratch::for_mlp(m));
+        out
+    }
+
     #[test]
     fn shapes_and_param_count() {
         let m = Mlp::new(&[3, 8, 2], Activation::Tanh, &mut rng());
         assert_eq!(m.input_dim(), 3);
         assert_eq!(m.output_dim(), 2);
         assert_eq!(m.num_params(), 3 * 8 + 8 + 8 * 2 + 2);
-        assert_eq!(m.forward(&[0.0, 0.0, 0.0]).len(), 2);
+        assert_eq!(forward(&m, &[0.0, 0.0, 0.0]).len(), 2);
     }
 
     #[test]
     fn tanh_output_is_bounded() {
         let m = Mlp::new(&[2, 16, 1], Activation::Tanh, &mut rng());
         for x in [-100.0, -1.0, 0.0, 1.0, 100.0] {
-            let y = m.forward(&[x, -x])[0];
+            let y = forward(&m, &[x, -x])[0];
             assert!((-1.0..=1.0).contains(&y));
         }
     }
@@ -420,7 +416,7 @@ mod tests {
     fn forward_is_deterministic() {
         let m = Mlp::new(&[4, 8, 3], Activation::Linear, &mut rng());
         let x = [0.3, -0.2, 0.9, 0.0];
-        assert_eq!(m.forward(&x), m.forward(&x));
+        assert_eq!(forward(&m, &x), forward(&m, &x));
     }
 
     #[test]
@@ -450,7 +446,7 @@ mod tests {
     #[should_panic(expected = "input dimension mismatch")]
     fn forward_validates_input() {
         let m = Mlp::new(&[3, 2], Activation::Linear, &mut rng());
-        let _ = m.forward(&[1.0]);
+        let _ = forward(&m, &[1.0]);
     }
 
     #[test]
@@ -496,6 +492,6 @@ mod tests {
         p[1] = -10.0;
         p[2] = 5.0;
         p[3] = 3.0;
-        assert_eq!(m.forward(&[1.0])[0], 3.0);
+        assert_eq!(forward(&m, &[1.0])[0], 3.0);
     }
 }

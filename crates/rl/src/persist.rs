@@ -172,7 +172,11 @@ mod tests {
         m.save_to(&mut buf).unwrap();
         let back = Mlp::load_from(&mut BufReader::new(buf.as_slice())).unwrap();
         assert_eq!(m.params(), back.params());
-        assert_eq!(m.forward(&[0.1, 0.2, 0.3]), back.forward(&[0.1, 0.2, 0.3]));
+        let mut scratch = crate::ActScratch::for_mlp(&m);
+        let (mut y, mut y_back) = ([0.0; 2], [0.0; 2]);
+        m.forward_into(&[0.1, 0.2, 0.3], &mut y, &mut scratch);
+        back.forward_into(&[0.1, 0.2, 0.3], &mut y_back, &mut scratch);
+        assert_eq!(y, y_back);
     }
 
     #[test]
@@ -196,22 +200,27 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut agent = Td3Agent::new(Td3Config::new(4, 1), &mut rng);
         // A little training so the networks differ from initialization.
-        let batch = vec![crate::Transition {
+        let mut ws = crate::TrainWorkspace::new(agent.config(), 1);
+        ws.push(&crate::Transition {
             state: vec![0.1, -0.2, 0.3, 0.0],
             action: vec![0.5],
             reward: 1.0,
             next_state: vec![0.0, 0.0, 0.0, 0.1],
             done: false,
-        }];
+        });
         for _ in 0..5 {
-            agent.train_on_batch(&batch, &mut rng);
+            agent.train_batched(&mut ws, &mut rng);
         }
         let mut buf = Vec::new();
         agent.save_to(&mut buf).unwrap();
         let back =
             Td3Agent::load_from(Td3Config::new(4, 1), &mut BufReader::new(buf.as_slice())).unwrap();
         let s = [0.3, 0.1, -0.5, 0.2];
-        assert_eq!(agent.act(&s), back.act(&s));
+        let mut scratch = agent.act_scratch();
+        let (mut a, mut a_back) = ([0.0], [0.0]);
+        agent.act_into(&s, &mut a, &mut scratch);
+        back.act_into(&s, &mut a_back, &mut scratch);
+        assert_eq!(a, a_back);
         assert_eq!(agent.train_steps(), back.train_steps());
     }
 

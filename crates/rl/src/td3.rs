@@ -3,7 +3,7 @@
 
 use self::rand_distr_free::sample_standard_normal;
 use crate::kernel::{ActScratch, BatchCache};
-use crate::{Activation, Adam, AsTransition, Mlp, Transition};
+use crate::{Activation, Adam, AsTransition, Mlp};
 use rand::Rng;
 
 /// Minimal Box–Muller standard normal sampler so we only depend on `rand`'s
@@ -42,7 +42,7 @@ pub struct Td3Config {
     pub policy_noise: f64,
     /// Smoothing noise clip `c`.
     pub noise_clip: f64,
-    /// Exploration noise σ added by [`Td3Agent::act_exploring`].
+    /// Exploration noise σ added by [`Td3Agent::act_exploring_into`].
     pub exploration_noise: f64,
 }
 
@@ -325,8 +325,8 @@ impl Td3Agent {
     }
 
     /// Number of training steps so far: [`Td3Agent::train_batched`] calls
-    /// on a non-empty workspace, [`Td3Agent::train_on_batch`] included
-    /// (it wraps one), plus the counter a stored policy was loaded with.
+    /// on a non-empty workspace, plus the counter a stored policy was
+    /// loaded with.
     pub fn train_steps(&self) -> u64 {
         self.train_steps
     }
@@ -392,14 +392,6 @@ impl Td3Agent {
         })
     }
 
-    /// Deterministic policy action, each component in `[−1, 1]`.
-    /// Allocating wrapper over [`Td3Agent::act_into`].
-    pub fn act(&self, state: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.config.action_dim];
-        self.act_into(state, &mut out, &mut self.act_scratch());
-        out
-    }
-
     /// Zero-allocation deterministic policy action into `out`
     /// (`action_dim` long), ping-ponging activations through `scratch`
     /// (shape it with [`Td3Agent::act_scratch`]). Shares the batched
@@ -416,14 +408,6 @@ impl Td3Agent {
     /// [`Td3Agent::act_exploring_into`] on this agent.
     pub fn act_scratch(&self) -> ActScratch {
         ActScratch::for_mlp(&self.actor)
-    }
-
-    /// Policy action with Gaussian exploration noise, clipped to `[−1, 1]`.
-    /// Allocating wrapper over [`Td3Agent::act_exploring_into`].
-    pub fn act_exploring(&self, state: &[f64], rng: &mut impl Rng) -> Vec<f64> {
-        let mut out = vec![0.0; self.config.action_dim];
-        self.act_exploring_into(state, &mut out, &mut self.act_scratch(), rng);
-        out
     }
 
     /// Zero-allocation policy action with exploration noise: the
@@ -445,26 +429,6 @@ impl Td3Agent {
             *a = (*a + self.config.exploration_noise * sample_standard_normal(rng))
                 .clamp(-1.0, 1.0);
         }
-    }
-
-    /// One TD3 training step on a batch (Algorithm 2 lines 9–18). Returns
-    /// the per-sample TD errors `y − Q₁(s,a)` computed *before* the update,
-    /// which feed priority refreshes.
-    ///
-    /// Thin wrapper over [`Td3Agent::train_batched`] that builds a
-    /// throwaway [`TrainWorkspace`] per call; hot loops should hold a
-    /// reusable workspace and call the batched method directly.
-    ///
-    /// An empty batch is a no-op returning an empty vector.
-    pub fn train_on_batch(&mut self, batch: &[Transition], rng: &mut impl Rng) -> Vec<f64> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let mut ws = TrainWorkspace::new(&self.config, batch.len());
-        for t in batch {
-            ws.push(t);
-        }
-        self.train_batched(&mut ws, rng).to_vec()
     }
 
     /// One TD3 training step over the minibatch gathered in `ws`
@@ -668,11 +632,29 @@ impl Td3Agent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Transition;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(2024)
+    }
+
+    /// The greedy action through a fresh scratch.
+    fn act(agent: &Td3Agent, state: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; agent.config.action_dim];
+        agent.act_into(state, &mut out, &mut agent.act_scratch());
+        out
+    }
+
+    /// One training step on `batch` through a fresh workspace; the TD
+    /// errors it returns.
+    fn train(agent: &mut Td3Agent, batch: &[Transition], rng: &mut StdRng) -> Vec<f64> {
+        let mut ws = TrainWorkspace::new(&agent.config, batch.len().max(1));
+        for t in batch {
+            ws.push(t);
+        }
+        agent.train_batched(&mut ws, rng).to_vec()
     }
 
     fn transition(s: f64, a: f64, r: f64, s2: f64) -> Transition {
@@ -688,7 +670,7 @@ mod tests {
     #[test]
     fn actions_are_bounded() {
         let agent = Td3Agent::new(Td3Config::new(3, 2), &mut rng());
-        let a = agent.act(&[10.0, -10.0, 0.0]);
+        let a = act(&agent, &[10.0, -10.0, 0.0]);
         assert_eq!(a.len(), 2);
         assert!(a.iter().all(|v| (-1.0..=1.0).contains(v)));
     }
@@ -696,9 +678,10 @@ mod tests {
     #[test]
     fn exploration_noise_stays_bounded() {
         let agent = Td3Agent::new(Td3Config::new(2, 1), &mut rng());
+        let (mut scratch, mut a) = (agent.act_scratch(), [0.0]);
         let mut r = rng();
         for _ in 0..100 {
-            let a = agent.act_exploring(&[0.5, -0.5], &mut r);
+            agent.act_exploring_into(&[0.5, -0.5], &mut a, &mut scratch, &mut r);
             assert!((-1.0..=1.0).contains(&a[0]));
         }
     }
@@ -707,7 +690,7 @@ mod tests {
     fn empty_batch_is_noop() {
         let mut agent = Td3Agent::new(Td3Config::new(2, 1), &mut rng());
         let before = agent.train_steps();
-        let errs = agent.train_on_batch(&[], &mut rng());
+        let errs = train(&mut agent, &[], &mut rng());
         assert!(errs.is_empty());
         assert_eq!(agent.train_steps(), before);
     }
@@ -719,7 +702,7 @@ mod tests {
             transition(0.0, 0.1, 1.0, 0.5),
             transition(0.5, -0.2, 0.0, 1.0),
         ];
-        let errs = agent.train_on_batch(&batch, &mut rng());
+        let errs = train(&mut agent, &batch, &mut rng());
         assert_eq!(errs.len(), 2);
         assert!(errs.iter().all(|e| e.is_finite()));
     }
@@ -737,9 +720,12 @@ mod tests {
             done: true,
         };
         for _ in 0..3000 {
-            agent.train_on_batch(std::slice::from_ref(&t), &mut r);
+            train(&mut agent, std::slice::from_ref(&t), &mut r);
         }
-        let q = agent.critic1.forward(&[0.0, 0.0])[0];
+        let mut q = [0.0];
+        let mut scratch = ActScratch::for_mlp(&agent.critic1);
+        agent.critic1.forward_into(&[0.0, 0.0], &mut q, &mut scratch);
+        let [q] = q;
         assert!((q - 1.0).abs() < 0.15, "Q = {q}");
     }
 
@@ -762,9 +748,9 @@ mod tests {
                 next_state: vec![0.0],
                 done: true,
             };
-            agent.train_on_batch(&[t], &mut r);
+            train(&mut agent, &[t], &mut r);
         }
-        let out = agent.act(&[0.0])[0];
+        let out = act(&agent, &[0.0])[0];
         assert!(out > 0.5, "actor output {out} should approach +1");
     }
 
@@ -775,7 +761,7 @@ mod tests {
         let mut r = rng();
         let batch = vec![transition(0.1, 0.2, 0.5, 0.3)];
         for _ in 0..4 {
-            agent.train_on_batch(&batch, &mut r);
+            train(&mut agent, &batch, &mut r);
         }
         // Online actor changed; target moved but only by a τ-sized amount.
         let online_diff: f64 = agent
@@ -808,18 +794,18 @@ mod tests {
         let batch = vec![transition(0.1, 0.2, 0.5, 0.3)];
         // 3 steps < delay: actor untouched.
         for _ in 0..3 {
-            agent.train_on_batch(&batch, &mut r);
+            train(&mut agent, &batch, &mut r);
         }
         assert_eq!(agent.actor.params(), actor_before.as_slice());
         // 4th step triggers the policy update.
-        agent.train_on_batch(&batch, &mut r);
+        train(&mut agent, &batch, &mut r);
         assert_ne!(agent.actor.params(), actor_before.as_slice());
     }
 
     #[test]
-    fn reused_workspace_matches_wrapper() {
-        // Same seed, same batches: the reusable-workspace path and the
-        // allocating wrapper must be indistinguishable.
+    fn reused_workspace_matches_fresh_workspaces() {
+        // Same seed, same batches: one reused workspace and a fresh one per
+        // step must be indistinguishable (nothing leaks between steps).
         let run = |reuse: bool| {
             let mut r = StdRng::seed_from_u64(9);
             let mut agent = Td3Agent::new(Td3Config::new(2, 1), &mut r);
@@ -842,10 +828,10 @@ mod tests {
                     }
                     tds.extend_from_slice(agent.train_batched(&mut ws, &mut r));
                 } else {
-                    tds.extend(agent.train_on_batch(&batch, &mut r));
+                    tds.extend(train(&mut agent, &batch, &mut r));
                 }
             }
-            (tds, agent.act(&[0.4, -0.4]))
+            (tds, act(&agent, &[0.4, -0.4]))
         };
         assert_eq!(run(true), run(false));
     }
@@ -855,32 +841,21 @@ mod tests {
     }
 
     #[test]
-    fn act_into_matches_act_tightly() {
-        // `act` is a wrapper over `act_into`: the same bits.
-        let agent = Td3Agent::new(Td3Config::new(3, 2), &mut rng());
-        let mut scratch = agent.act_scratch();
-        let mut out = vec![0.0; 2];
-        for s in [[0.0, 0.0, 0.0], [0.5, -1.2, 3.0], [-0.1, 0.1, 0.9]] {
-            agent.act_into(&s, &mut out, &mut scratch);
-            assert_eq!(bits(&out), bits(&agent.act(&s)));
-        }
-    }
-
-    #[test]
-    fn act_exploring_into_matches_allocating_path() {
+    fn act_exploring_into_is_greedy_plus_clipped_noise() {
         let agent = Td3Agent::new(Td3Config::new(2, 1), &mut rng());
         let mut scratch = agent.act_scratch();
         let mut out = vec![0.0; 1];
-        let a = agent.act_exploring(&[0.5, -0.5], &mut StdRng::seed_from_u64(42));
         agent.act_exploring_into(
             &[0.5, -0.5],
             &mut out,
             &mut scratch,
             &mut StdRng::seed_from_u64(42),
         );
-        // `act_exploring` is a wrapper over `act_exploring_into`: the same
-        // noise draws and the same bits.
-        assert_eq!(bits(&out), bits(&a));
+        // The greedy action plus one noise draw from the same stream.
+        let noise = sample_standard_normal(&mut StdRng::seed_from_u64(42));
+        let greedy = act(&agent, &[0.5, -0.5])[0];
+        let expected = (greedy + agent.config.exploration_noise * noise).clamp(-1.0, 1.0);
+        assert_eq!(bits(&out), bits(&[expected]));
     }
 
     #[test]
@@ -934,9 +909,9 @@ mod tests {
                 done: false,
             }];
             for _ in 0..10 {
-                agent.train_on_batch(&batch, &mut r);
+                train(&mut agent, &batch, &mut r);
             }
-            agent.act(&[0.3, -0.3])
+            act(&agent, &[0.3, -0.3])
         };
         assert_eq!(mk(), mk());
     }

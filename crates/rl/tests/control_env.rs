@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rlpta_rl::{PrioritizedReplay, Td3Agent, Td3Config, Transition};
+use rlpta_rl::{PrioritizedReplay, Td3Agent, Td3Config, TrainWorkspace, Transition};
 
 /// Double integrator: state (position, velocity), action = force ∈ [−1,1].
 struct Puck {
@@ -45,29 +45,31 @@ fn train_agent(episodes: usize, seed: u64) -> (Td3Agent, StdRng) {
         &mut rng,
     );
     let mut buffer = PrioritizedReplay::new(20_000);
+    let mut scratch = agent.act_scratch();
+    let mut ws = TrainWorkspace::new(agent.config(), 64);
     let mut env = Puck { pos: 0.0, vel: 0.0 };
     for ep in 0..episodes {
         env.reset(if ep % 2 == 0 { 1.0 } else { -0.8 });
         for _ in 0..60 {
             let s = env.state();
-            let a = agent.act_exploring(&s, &mut rng);
+            let mut a = [0.0];
+            agent.act_exploring_into(&s, &mut a, &mut scratch, &mut rng);
             let (r, done) = env.step(a[0]);
             buffer.push(Transition {
                 state: s,
-                action: a,
+                action: a.to_vec(),
                 reward: r,
                 next_state: env.state(),
                 done,
             });
             if buffer.len() >= 64 {
-                let batch: Vec<Transition> = buffer
-                    .sample(64, &mut rng)
-                    .into_iter()
-                    .map(|(_, t)| t)
-                    .collect();
-                let td = agent.train_on_batch(&batch, &mut rng);
+                ws.clear();
+                for (_, t) in buffer.sample(64, &mut rng) {
+                    ws.push(&t);
+                }
+                let td = agent.train_batched(&mut ws, &mut rng);
                 // Keep priorities fresh on a subsample.
-                for ((idx, _), err) in buffer.sample(8, &mut rng).iter().zip(&td) {
+                for ((idx, _), err) in buffer.sample(8, &mut rng).iter().zip(td) {
                     buffer.update_priority(*idx, *err);
                 }
             }
@@ -79,13 +81,19 @@ fn train_agent(episodes: usize, seed: u64) -> (Td3Agent, StdRng) {
     (agent, rng)
 }
 
+/// The greedy action in `state` through a fresh scratch.
+fn act(agent: &Td3Agent, state: &[f64]) -> f64 {
+    let mut a = [0.0];
+    agent.act_into(state, &mut a, &mut agent.act_scratch());
+    a[0]
+}
+
 fn rollout_cost(agent: &Td3Agent, start: f64) -> f64 {
     let mut env = Puck { pos: 0.0, vel: 0.0 };
     env.reset(start);
     let mut total = 0.0;
     for _ in 0..60 {
-        let a = agent.act(&env.state());
-        let (r, done) = env.step(a[0]);
+        let (r, done) = env.step(act(agent, &env.state()));
         total -= r.min(0.0); // accumulate positive cost
         if done {
             return total;
@@ -132,8 +140,8 @@ fn td3_policy_generalizes_to_unseen_starts() {
 fn trained_policy_pushes_toward_origin() {
     let (agent, _) = train_agent(40, 31);
     // From positive position at rest, the force should be negative-ish.
-    let a_pos = agent.act(&[1.0, 0.0])[0];
-    let a_neg = agent.act(&[-1.0, 0.0])[0];
+    let a_pos = act(&agent, &[1.0, 0.0]);
+    let a_neg = act(&agent, &[-1.0, 0.0]);
     assert!(
         a_pos < a_neg,
         "policy must push opposite to displacement: f(+1)={a_pos:.2}, f(−1)={a_neg:.2}"

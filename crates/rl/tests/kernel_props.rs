@@ -49,7 +49,9 @@ proptest! {
                 tds.extend_from_slice(agent.train_batched(&mut ws, &mut r));
             }
             let params: Vec<f64> = agent.networks().iter().flat_map(|n| n.params().to_vec()).collect();
-            (tds, params, agent.act(&[0.2, -0.4, 0.6]))
+            let mut action = [0.0];
+            agent.act_into(&[0.2, -0.4, 0.6], &mut action, &mut agent.act_scratch());
+            (tds, params, action)
         };
         prop_assert_eq!(run(), run());
     }

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let s = simple.solve(&bench.circuit)?;
     let mut adaptive = PtaSolver::with_config(kind, SerStepping::default(), PtaConfig::default());
     let a = adaptive.solve(&bench.circuit)?;
-    rl.unfreeze(); // keep learning online during the evaluation run
+    // The learner keeps learning online during the evaluation run.
     let mut rl_solver = PtaSolver::with_config(kind, rl, PtaConfig::default());
     let r = rl_solver.solve(&bench.circuit)?;
 

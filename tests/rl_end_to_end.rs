@@ -24,9 +24,7 @@ fn pretrain(names: &[&str], seed: u64) -> RlStepping {
 fn rl_controller_solves_unseen_circuit() {
     let rl = pretrain(&["bias", "latch", "gm1"], 11);
     let bench = by_name("SCHMITT").unwrap();
-    let mut eval = rl.clone();
-    eval.unfreeze();
-    let mut solver = PtaSolver::with_config(PtaKind::dpta(), eval, PtaConfig::default());
+    let mut solver = PtaSolver::with_config(PtaKind::dpta(), rl, PtaConfig::default());
     let sol = solver.solve(&bench.circuit).unwrap();
     assert!(sol.stats.converged);
     assert!(sol.residual_norm(&bench.circuit) < 1e-8);
@@ -39,21 +37,18 @@ fn rl_experience_transfers_across_circuits() {
     assert!(before > 0, "pretraining collected experience");
     // Another run adds to the same experience pool.
     let bench = by_name("gm6").unwrap();
-    let mut next = rl.clone();
-    next.unfreeze();
-    let mut solver = PtaSolver::with_config(PtaKind::dpta(), next, PtaConfig::default());
+    let mut solver = PtaSolver::with_config(PtaKind::dpta(), rl, PtaConfig::default());
     solver.solve(&bench.circuit).unwrap();
     assert!(solver.controller_mut().transitions_seen() > before);
 }
 
 #[test]
 fn frozen_policy_is_deterministic() {
-    let rl = pretrain(&["bias"], 3);
+    let policy = pretrain(&["bias"], 3).policy();
     let bench = by_name("latch").unwrap();
     let run = || {
-        let mut frozen = rl.clone();
-        frozen.freeze();
-        let mut solver = PtaSolver::with_config(PtaKind::dpta(), frozen, PtaConfig::default());
+        let mut solver =
+            PtaSolver::with_config(PtaKind::dpta(), policy.clone(), PtaConfig::default());
         solver.solve(&bench.circuit).unwrap().stats
     };
     let a = run();
@@ -72,9 +67,7 @@ fn pretrained_rl_beats_adaptive_on_hard_circuit() {
     let mut adaptive = PtaSolver::with_config(PtaKind::dpta(), SerStepping::default(), PtaConfig::default());
     let a = adaptive.solve(&bench.circuit).unwrap().stats;
 
-    let mut eval = rl.clone();
-    eval.unfreeze();
-    let mut rl_solver = PtaSolver::with_config(PtaKind::dpta(), eval, PtaConfig::default());
+    let mut rl_solver = PtaSolver::with_config(PtaKind::dpta(), rl, PtaConfig::default());
     let r = rl_solver.solve(&bench.circuit).unwrap().stats;
 
     assert!(
@@ -91,8 +84,7 @@ fn rl_works_with_simple_as_sanity_same_circuit() {
     let bench = by_name("DCOSC").unwrap();
     let mut simple = PtaSolver::with_config(PtaKind::dpta(), SimpleStepping::default(), PtaConfig::default());
     let s = simple.solve(&bench.circuit).unwrap();
-    let mut rl_ctl = RlStepping::new(RlSteppingConfig::new(9));
-    rl_ctl.unfreeze();
+    let rl_ctl = RlStepping::new(RlSteppingConfig::new(9));
     let mut rl_solver = PtaSolver::with_config(PtaKind::dpta(), rl_ctl, PtaConfig::default());
     let r = rl_solver.solve(&bench.circuit).unwrap();
     for (a, b) in s.x.iter().zip(&r.x) {
