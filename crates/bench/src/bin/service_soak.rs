@@ -20,14 +20,16 @@
 //!   drained, so same-structure jobs share cached symbolic plans and
 //!   warm-start vectors across waves.
 //!
-//! Exit code 1 if the symbolic-cache hit rate falls below 90%, the warm
-//! path does not do strictly fewer full LU factorizations than the cold
-//! path, or the warm path does not run at least 2× fewer `stamp_resolve`
-//! passes than the cold path (the structure cache hands each warm job a
-//! precompiled stamp plan, so resolution should be rare); the CI
-//! `service-soak` job additionally diffs the two `--bench-json` reports
-//! with `perfdiff --require-lower lu_total --require-lower
-//! stamp_resolve_total`.
+//! Exit code 1 if the structure cache misses more often than there are
+//! topologies or evicts or invalidates anything (every topology fits the
+//! default 8 MiB budget, so only first sightings may miss, at any
+//! `--jobs`; the hit rate is printed, not gated), the warm path does not
+//! do strictly fewer full LU factorizations than the cold path, or the
+//! warm path does not run at least 2× fewer `stamp_resolve` passes than
+//! the cold path (the structure cache hands each warm job a precompiled
+//! stamp plan, so resolution should be rare); the CI `service-soak` job
+//! additionally diffs the two `--bench-json` reports with `perfdiff
+//! --require-lower lu_total --require-lower stamp_resolve_total`.
 //!
 //! Both passes run with their own [`MetricsRegistry`] attached, so the
 //! cold and warm reports each carry per-phase statistics (and the
@@ -53,9 +55,6 @@ use std::time::Instant;
 /// 10k-job soak stays cheap while still mixing BJT, diode and mirror
 /// structures.
 const TOPOLOGIES: [&str; 5] = ["gm1", "bias", "D10", "D11", "gm6"];
-
-/// Minimum acceptable symbolic-cache hit rate over the whole trace.
-const MIN_HIT_RATE: f64 = 0.90;
 
 /// One synthetic request: which topology, and the jittered circuit.
 struct TraceJob {
@@ -305,11 +304,15 @@ fn run() -> Result<bool, String> {
 
     // --- The soak's own acceptance gates. ---
     let mut failed = false;
-    if cache.hit_rate() < MIN_HIT_RATE {
+    // Every topology fits the default budget: a structure may miss only
+    // on its first sighting.
+    if cache.misses > TOPOLOGIES.len() as u64 || cache.evictions != 0 || cache.invalidations != 0 {
         println!(
-            "FAIL: cache hit rate {:.1}% below the {:.0}% floor",
-            100.0 * cache.hit_rate(),
-            100.0 * MIN_HIT_RATE,
+            "FAIL: cache missed {} time(s) for {} topologies, evicted {} and invalidated {}",
+            cache.misses,
+            TOPOLOGIES.len(),
+            cache.evictions,
+            cache.invalidations,
         );
         failed = true;
     }

@@ -8,7 +8,7 @@
 //! prints the self-time tree (ladder stages included).
 
 use rlpta_bench::{
-    bench_threads, experiment_config, finish_run, pretrain_rl, run_adaptive, run_rl,
+    bench_threads, finish_run, pretrain_rl, run_adaptive, run_rl,
     run_robust_graded_batch, run_simple,
 };
 use rlpta_circuits::stress;
@@ -71,7 +71,6 @@ fn main() {
             stat(&robust),
             health
         );
-        let _ = experiment_config();
     }
     println!("# RL-S beats adaptive on {rl_wins}/{rows} stress circuits");
     println!("# escalation ladder converges on {robust_ok}/{rows} stress circuits");

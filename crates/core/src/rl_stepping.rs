@@ -113,6 +113,43 @@ impl RlSteppingConfig {
             AgentRole::Backward => self.backward_c / (1.0 + (self.backward_b - a).exp()),
         }
     }
+
+    /// Both agents' TD3 configuration: `td3` at the RL-S state and action
+    /// shape. Panics unless the action maps keep their monotonicity
+    /// constraints.
+    fn agent_config(&self) -> Td3Config {
+        assert!(
+            self.forward_m >= 1.0 + (self.forward_n + 1.0).exp() - 1e-9,
+            "forward_m too small: growth factor would dip below 1"
+        );
+        assert!(
+            self.backward_c <= 1.0 + (self.backward_b - 1.0).exp(),
+            "backward_c too large: shrink factor would exceed 1"
+        );
+        Td3Config {
+            state_dim: RlStepping::STATE_DIM,
+            action_dim: 1,
+            ..self.td3.clone()
+        }
+    }
+
+    /// Reads a file written by [`RlStepping::save_policy`]: the header
+    /// line, then both agents (panics as [`RlSteppingConfig::agent_config`]).
+    fn read_agents(&self, r: &mut dyn std::io::BufRead) -> std::io::Result<[Td3Agent; 2]> {
+        let mut header = String::new();
+        r.read_line(&mut header)?;
+        if !header.starts_with("rls-policy v1") {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "missing rls-policy header",
+            ));
+        }
+        let td3 = self.agent_config();
+        Ok([
+            Td3Agent::load_from(td3.clone(), r)?,
+            Td3Agent::load_from(td3, r)?,
+        ])
+    }
 }
 
 impl Default for RlSteppingConfig {
@@ -231,20 +268,8 @@ impl RlStepping {
     ///
     /// Panics if the action maps violate their monotonicity constraints.
     pub fn new(config: RlSteppingConfig) -> Self {
-        assert!(
-            config.forward_m >= 1.0 + (config.forward_n + 1.0).exp() - 1e-9,
-            "forward_m too small: growth factor would dip below 1"
-        );
-        assert!(
-            config.backward_c <= 1.0 + (config.backward_b - 1.0).exp(),
-            "backward_c too large: shrink factor would exceed 1"
-        );
+        let td3 = config.agent_config();
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let td3 = Td3Config {
-            state_dim: Self::STATE_DIM,
-            action_dim: 1,
-            ..config.td3.clone()
-        };
         let agents = [
             Td3Agent::new(td3.clone(), &mut rng),
             Td3Agent::new(td3.clone(), &mut rng),
@@ -273,14 +298,7 @@ impl RlStepping {
     /// with the learner. The policy inherits the learner's attached
     /// telemetry.
     pub fn policy(&self) -> RlPolicy {
-        RlPolicy {
-            actors: Arc::new(Actors {
-                // Each agent's actor leads its persistence order.
-                nets: self.agents.each_ref().map(|a| a.networks()[0].clone()),
-                config: self.config.clone(),
-            }),
-            run: self.run.clone(),
-        }
+        RlPolicy::new(&self.agents, self.config.clone(), self.run.clone())
     }
 
     /// Does nothing: a learner always explores and trains. A frozen policy
@@ -320,20 +338,9 @@ impl RlStepping {
         config: RlSteppingConfig,
         r: &mut dyn std::io::BufRead,
     ) -> std::io::Result<Self> {
-        let mut header = String::new();
-        r.read_line(&mut header)?;
-        if !header.starts_with("rls-policy v1") {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "missing rls-policy header",
-            ));
-        }
+        let agents = config.read_agents(r)?;
         let mut ctl = RlStepping::new(config);
-        let td3 = ctl.agents[0].config().clone();
-        ctl.agents = [
-            Td3Agent::load_from(td3.clone(), r)?,
-            Td3Agent::load_from(td3, r)?,
-        ];
+        ctl.agents = agents;
         Ok(ctl)
     }
 
@@ -514,6 +521,28 @@ struct Actors {
 pub struct RlPolicy {
     actors: Arc<Actors>,
     run: Run,
+}
+
+impl RlPolicy {
+    fn new(agents: &[Td3Agent; 2], config: RlSteppingConfig, run: Run) -> Self {
+        // Each agent's actor leads its persistence order.
+        let nets = agents.each_ref().map(|a| a.networks()[0].clone());
+        let actors = Arc::new(Actors { nets, config });
+        Self { actors, run }
+    }
+
+    /// The frozen policy of a [`RlStepping::save_policy`] file, built from
+    /// the two actors alone, with no learner: it steps exactly as
+    /// `RlStepping::load_policy(config, r)?.policy()`, and panics and fails
+    /// as that does.
+    pub(crate) fn load(
+        config: RlSteppingConfig,
+        r: &mut dyn std::io::BufRead,
+    ) -> std::io::Result<Self> {
+        let agents = config.read_agents(r)?;
+        let run = Run::new(config.h0, agents[0].act_scratch());
+        Ok(Self::new(&agents, config, run))
+    }
 }
 
 impl StepController for RlPolicy {

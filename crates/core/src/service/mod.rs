@@ -816,17 +816,17 @@ impl SimServiceBuilder {
 
     /// Loads a checkpointed policy (see [`RlStepping::save_policy`]) and
     /// installs its frozen [`RlPolicy`], as [`SimServiceBuilder::policy`]
-    /// does.
+    /// does, from the two actors alone: no learner is built.
     ///
     /// # Errors
     ///
-    /// I/O or format errors from [`RlStepping::load_policy`].
+    /// I/O or format errors, as from [`RlStepping::load_policy`].
     pub fn policy_from_reader(
         mut self,
         config: RlSteppingConfig,
         r: &mut dyn std::io::BufRead,
     ) -> std::io::Result<Self> {
-        self.policy = Some(RlStepping::load_policy(config, r)?.policy());
+        self.policy = Some(RlPolicy::load(config, r)?);
         Ok(self)
     }
 
@@ -2046,5 +2046,46 @@ mod tests {
         let _: &RlPolicy = service.policy.as_ref().expect("policy installed");
         assert_eq!(Arc::strong_count(&learner), 1);
         assert_eq!(learner.transitions_seen(), 0);
+    }
+
+    /// A policy installed from a checkpoint, with no learner built, steps
+    /// the diode clamp bit for bit as a reloaded learner's frozen policy.
+    #[test]
+    fn policy_from_reader_steps_like_a_reloaded_learner() {
+        use crate::{PtaConfig, PtaKind, PtaSolver, TraceController};
+        // One trained episode, so the actors are not their initialisation.
+        let learner = RlStepping::new(RlSteppingConfig::new(7));
+        let mut solver = PtaSolver::with_config(PtaKind::dpta(), learner, PtaConfig::default());
+        let _ = solver.solve(&clamp("5"));
+        assert!(solver.controller_mut().transitions_seen() > 8, "past the warmup gate");
+        let mut checkpoint = Vec::new();
+        solver.controller_mut().save_policy(&mut checkpoint).expect("saves");
+
+        let installed = SimService::builder(DcEngine::builder().build())
+            .policy_from_reader(RlSteppingConfig::new(7), &mut &checkpoint[..])
+            .expect("loads")
+            .policy
+            .expect("installed");
+        let reloaded = RlStepping::load_policy(RlSteppingConfig::new(7), &mut &checkpoint[..])
+            .expect("loads")
+            .policy();
+        let steps = |policy: RlPolicy| {
+            let mut solver = PtaSolver::with_config(
+                PtaKind::dpta(),
+                TraceController::new(policy),
+                PtaConfig::default(),
+            );
+            solver.solve(&clamp("5")).expect("solves");
+            let entries = solver.controller_mut().entries();
+            entries.iter().map(|e| e.next_step.to_bits()).collect::<Vec<_>>()
+        };
+        let bits = steps(installed);
+        assert!(!bits.is_empty());
+        assert_eq!(bits, steps(reloaded));
+        assert!(
+            SimService::builder(DcEngine::builder().build())
+                .policy_from_reader(RlSteppingConfig::new(7), &mut &b"garbage"[..])
+                .is_err()
+        );
     }
 }

@@ -1,44 +1,45 @@
 //! Streaming aggregation of the telemetry stream: per-phase log-bucketed
 //! histograms, derived rates, and the `--profile` self-time tree.
 //!
-//! [`MetricsRegistry`] is a [`Sink`] that folds events as they arrive —
-//! it keeps one [`Histogram`] per [`Phase`] (fed by
-//! [`Payload::PhaseTiming`]) plus per-kind occurrence counts for derived
-//! rates. Histograms are fixed-size and allocation-light: values land in
-//! log-spaced buckets (8 sub-buckets per octave, exact below 16), so a
-//! recorded duration is off by at most 12.5 % while `count`/`sum`/`min`/
-//! `max` stay exact. Two histograms (or registries) merge by plain bucket
-//! addition — exact, commutative and associative — so worker shards can
-//! aggregate locally and merge in deterministic job order.
+//! [`MetricsRegistry`] is a [`Sink`] that folds events as they arrive
+//! into fixed arrays: one [`Histogram`] per [`Phase`] (fed by
+//! [`Payload::PhaseTiming`]) and one occurrence count per event kind, so
+//! `emit` is two array increments and never allocates. A histogram is one
+//! array of log-spaced buckets (8 sub-buckets per octave, exact below 16),
+//! so a recorded duration is off by at most 12.5 % while `count`/`sum`/
+//! `min`/`max` stay exact. Two histograms (or registries) merge by plain
+//! bucket addition — exact, commutative and associative — so worker
+//! shards can aggregate locally and merge in deterministic job order.
 
 use super::timing::Phase;
 use super::{kind_index_of, Event, Payload, Sink, KIND_NAMES};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Values below this record exactly (bucket = value).
 const LINEAR_MAX: u64 = 16;
 /// Sub-buckets per octave above [`LINEAR_MAX`].
 const SUB_BITS: u32 = 3;
+/// Number of buckets: every `u64` lands in `0..BUCKETS`.
+const BUCKETS: usize = bucket_index(u64::MAX) + 1;
 
-fn bucket_index(v: u64) -> u16 {
+const fn bucket_index(v: u64) -> usize {
     if v < LINEAR_MAX {
-        v as u16
+        v as usize
     } else {
         let exp = 63 - v.leading_zeros();
-        let sub = ((v >> (exp - SUB_BITS)) & ((1 << SUB_BITS) - 1)) as u16;
-        LINEAR_MAX as u16 + (exp as u16 - 4) * (1 << SUB_BITS) + sub
+        let sub = ((v >> (exp - SUB_BITS)) & ((1 << SUB_BITS) - 1)) as usize;
+        LINEAR_MAX as usize + (exp as usize - 4) * (1 << SUB_BITS) + sub
     }
 }
 
-fn bucket_floor(i: u16) -> u64 {
-    if u64::from(i) < LINEAR_MAX {
-        u64::from(i)
+fn bucket_floor(i: usize) -> u64 {
+    if (i as u64) < LINEAR_MAX {
+        i as u64
     } else {
-        let rel = i - LINEAR_MAX as u16;
-        let exp = 4 + u32::from(rel >> SUB_BITS);
-        let sub = u64::from(rel) & ((1 << SUB_BITS) - 1);
+        let rel = i - LINEAR_MAX as usize;
+        let exp = 4 + (rel >> SUB_BITS) as u32;
+        let sub = rel as u64 & ((1 << SUB_BITS) - 1);
         (1u64 << exp) + (sub << (exp - SUB_BITS))
     }
 }
@@ -49,13 +50,25 @@ fn bucket_floor(i: u16) -> u64 {
 /// `count`, `sum`, `min` and `max` are exact; percentiles are read off the
 /// bucket boundaries (≤ 12.5 % relative error, exact below 16). Merging is
 /// bucket-wise addition: exact, commutative, associative.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
     sum: u64,
     min: u64,
     max: u64,
-    buckets: BTreeMap<u16, u64>,
+    buckets: [u64; BUCKETS],
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self {
+            count: 0,
+            sum: 0,
+            min: 0,
+            max: 0,
+            buckets: [0; BUCKETS],
+        }
+    }
 }
 
 impl Histogram {
@@ -66,16 +79,11 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
+        self.min = if self.count == 0 { v } else { self.min.min(v) };
+        self.max = self.max.max(v);
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
-        *self.buckets.entry(bucket_index(v)).or_insert(0) += 1;
+        self.buckets[bucket_index(v)] += 1;
     }
 
     /// Absorbs another histogram by bucket-wise addition. Exact for
@@ -85,17 +93,13 @@ impl Histogram {
         if other.count == 0 {
             return;
         }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
+        let min = if self.count == 0 { other.min } else { self.min };
+        self.min = min.min(other.min);
+        self.max = self.max.max(other.max);
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
-        for (i, n) in &other.buckets {
-            *self.buckets.entry(*i).or_insert(0) += n;
+        for (mine, n) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += n;
         }
     }
 
@@ -111,20 +115,12 @@ impl Histogram {
 
     /// Smallest sample (0 when empty).
     pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
+        self.min
     }
 
     /// Largest sample (0 when empty).
     pub fn max(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.max
-        }
+        self.max
     }
 
     /// The `q`-quantile (`0.0 ..= 1.0`): the inclusive upper edge of the
@@ -137,13 +133,13 @@ impl Histogram {
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (i, n) in &self.buckets {
+        for (i, n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                let hi = if *i >= bucket_index(u64::MAX) {
+                let hi = if i + 1 == BUCKETS {
                     self.max
                 } else {
-                    bucket_floor(*i + 1) - 1
+                    bucket_floor(i + 1) - 1
                 };
                 return hi.clamp(self.min, self.max);
             }
@@ -196,10 +192,19 @@ pub struct DerivedRates {
     pub steps_per_sec: f64,
 }
 
-#[derive(Debug, Default)]
+/// One histogram per phase (fired when its `count > 0`) and one count per
+/// event kind, indexed by [`Phase::index`] and [`Payload::kind_index`].
+#[derive(Debug, Clone, Default)]
 struct RegistryInner {
-    phases: BTreeMap<Phase, Histogram>,
+    phases: [Histogram; Phase::ALL.len()],
     kinds: [u64; KIND_NAMES.len()],
+}
+
+impl RegistryInner {
+    /// One phase's histogram, `None` if the phase never fired.
+    fn fired(&self, phase: Phase) -> Option<&Histogram> {
+        Some(&self.phases[phase.index()]).filter(|h| h.count > 0)
+    }
 }
 
 /// A [`Sink`] folding the event stream into per-phase histograms and
@@ -217,53 +222,47 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, RegistryInner> {
+        self.inner.lock().expect("metrics lock")
+    }
+
     /// Snapshot of one phase's histogram statistics (`None` if the phase
     /// never fired).
     pub fn summary(&self, phase: Phase) -> Option<HistogramSummary> {
-        self.inner
-            .lock()
-            .expect("metrics lock")
-            .phases
-            .get(&phase)
-            .map(Histogram::summary)
+        self.lock().fired(phase).map(Histogram::summary)
     }
 
     /// Snapshots of every phase that fired, in canonical phase order.
     pub fn summaries(&self) -> Vec<(Phase, HistogramSummary)> {
-        self.inner
-            .lock()
-            .expect("metrics lock")
-            .phases
-            .iter()
-            .map(|(p, h)| (*p, h.summary()))
+        let g = self.lock();
+        Phase::ALL
+            .into_iter()
+            .filter_map(|p| Some((p, g.fired(p)?.summary())))
             .collect()
     }
 
     /// A clone of one phase's raw histogram (`None` if the phase never
     /// fired).
     pub fn histogram(&self, phase: Phase) -> Option<Histogram> {
-        self.inner
-            .lock()
-            .expect("metrics lock")
-            .phases
-            .get(&phase)
-            .cloned()
+        self.lock().fired(phase).cloned()
     }
 
     /// Occurrence count for one event kind (0 if never seen).
     pub fn kind_count(&self, kind: &str) -> u64 {
-        let g = self.inner.lock().expect("metrics lock");
+        let g = self.lock();
         kind_index_of(kind).map_or(0, |i| g.kinds[i])
     }
 
     /// Absorbs another registry (a worker shard) into this one. Histogram
     /// merge is exact and order-independent; call in deterministic job
     /// order anyway so ties in downstream reporting stay reproducible.
+    /// No two locks are held at once (the shard is copied first), so a
+    /// registry may merge itself, doubling every count.
     pub fn merge_from(&self, shard: &MetricsRegistry) {
-        let other = shard.inner.lock().expect("metrics lock");
-        let mut mine = self.inner.lock().expect("metrics lock");
-        for (p, h) in &other.phases {
-            mine.phases.entry(*p).or_default().merge(h);
+        let other = shard.lock().clone();
+        let mut mine = self.lock();
+        for (h, o) in mine.phases.iter_mut().zip(&other.phases) {
+            h.merge(o);
         }
         for (count, n) in mine.kinds.iter_mut().zip(other.kinds) {
             *count += n;
@@ -273,9 +272,9 @@ impl MetricsRegistry {
     /// Derived rates over everything aggregated so far. Rates whose
     /// denominator is empty come back as 0.
     pub fn rates(&self) -> DerivedRates {
-        let g = self.inner.lock().expect("metrics lock");
+        let g = self.lock();
         let per_sec = |count: u64, phase: Phase| -> f64 {
-            let nanos = g.phases.get(&phase).map_or(0, Histogram::sum);
+            let nanos = g.phases[phase.index()].sum();
             if nanos == 0 {
                 0.0
             } else {
@@ -304,8 +303,10 @@ impl MetricsRegistry {
     /// also run outside its nominal parent (see [`Phase::parent`]) — but
     /// totals and percentiles are exact per phase.
     pub fn profile_tree(&self) -> String {
-        let summaries: BTreeMap<Phase, HistogramSummary> =
-            self.summaries().into_iter().collect();
+        let summaries = {
+            let g = self.lock();
+            Phase::ALL.map(|p| g.fired(p).map(Histogram::summary))
+        };
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -314,17 +315,17 @@ impl MetricsRegistry {
         );
         fn visit(
             out: &mut String,
-            summaries: &BTreeMap<Phase, HistogramSummary>,
+            summaries: &[Option<HistogramSummary>; Phase::ALL.len()],
             phase: Phase,
             depth: usize,
         ) {
-            let Some(s) = summaries.get(&phase) else {
+            let Some(s) = summaries[phase.index()] else {
                 return;
             };
             let children_sum: u64 = Phase::ALL
                 .into_iter()
                 .filter(|c| c.parent() == Some(phase))
-                .filter_map(|c| summaries.get(&c))
+                .filter_map(|c| summaries[c.index()])
                 .map(|c| c.sum_nanos)
                 .sum();
             let self_nanos = s.sum_nanos.saturating_sub(children_sum);
@@ -346,7 +347,7 @@ impl MetricsRegistry {
             }
         }
         for p in Phase::ALL {
-            if p.parent().is_none_or(|q| !summaries.contains_key(&q)) {
+            if p.parent().is_none_or(|q| summaries[q.index()].is_none()) {
                 visit(&mut out, &summaries, p, 0);
             }
         }
@@ -370,10 +371,10 @@ fn fmt_nanos(nanos: u64) -> String {
 
 impl Sink for MetricsRegistry {
     fn emit(&self, event: &Event) {
-        let mut g = self.inner.lock().expect("metrics lock");
+        let mut g = self.lock();
         g.kinds[event.payload.kind_index()] += 1;
         if let Payload::PhaseTiming { phase, nanos } = event.payload {
-            g.phases.entry(phase).or_default().record(nanos);
+            g.phases[phase.index()].record(nanos);
         }
     }
 }
@@ -488,6 +489,42 @@ mod tests {
             whole.histogram(Phase::LuReplay)
         );
         assert_eq!(merged.kind_count("PhaseTiming"), 20);
+    }
+
+    #[test]
+    fn self_merge_doubles_every_count() {
+        let reg = MetricsRegistry::new();
+        let emit = |payload: Payload| {
+            reg.emit(&Event {
+                span: Span::default(),
+                payload,
+            })
+        };
+        for (i, phase) in Phase::ALL.into_iter().enumerate() {
+            for k in 0..=i as u32 {
+                emit(Payload::PhaseTiming {
+                    phase,
+                    nanos: 3u64.pow(k) + i as u64,
+                });
+            }
+        }
+        emit(Payload::NrIteration { iteration: 1 });
+        emit(Payload::LuReplayed { dim: 4 });
+        let phases = Phase::ALL.map(|p| reg.histogram(p).expect("every phase fired"));
+        let kinds = KIND_NAMES.map(|k| reg.kind_count(k));
+        // Locking the registry twice at once would never return.
+        reg.merge_from(&reg);
+        for (p, h) in Phase::ALL.into_iter().zip(&phases) {
+            let doubled = reg.histogram(p).expect("still fired");
+            assert_eq!(doubled.count(), 2 * h.count(), "{p:?}");
+            assert_eq!(doubled.sum(), 2 * h.sum(), "{p:?}");
+            assert_eq!((doubled.min(), doubled.max()), (h.min(), h.max()), "{p:?}");
+            assert_eq!(doubled.buckets, h.buckets.map(|n| 2 * n), "{p:?}");
+        }
+        for (k, n) in KIND_NAMES.into_iter().zip(kinds) {
+            assert_eq!(reg.kind_count(k), 2 * n, "{k}");
+        }
+        assert_eq!(reg.kind_count("PhaseTiming"), 2 * 91);
     }
 
     #[test]

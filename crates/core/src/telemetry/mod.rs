@@ -64,7 +64,6 @@ use crate::stepping::StepObservation;
 use crate::trace::TraceEntry;
 use json::{float, hex_key, or_null, push_field, string};
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::path::Path;
@@ -596,11 +595,12 @@ impl Sink for FanoutSink {
     }
 }
 
-fn job_key(job: Option<usize>) -> (u8, usize) {
-    match job {
-        None => (0, 0),
-        Some(j) => (1, j),
-    }
+/// The one job-order merge of the order-sensitive sinks ([`Collector`],
+/// [`JsonlSink`]): a stable sort by job id, un-jobbed items first
+/// (`None < Some`), then jobs in submission order, each job's items in
+/// program order.
+fn merge_by_job<T>(items: &mut [T], job: impl FnMut(&T) -> Option<usize>) {
+    items.sort_by_key(job);
 }
 
 /// An in-memory sink for inspection and tests.
@@ -621,7 +621,7 @@ impl Collector {
     /// produces exactly the stream of the serial run modulo worker ids.
     pub fn events(&self) -> Vec<Event> {
         let mut out = self.events.lock().expect("collector lock").clone();
-        out.sort_by_key(|e| job_key(e.span.job));
+        merge_by_job(&mut out, |e| e.span.job);
         out
     }
 
@@ -633,7 +633,7 @@ impl Collector {
     /// Drains the collector, returning the merged stream.
     pub fn take(&self) -> Vec<Event> {
         let mut out = std::mem::take(&mut *self.events.lock().expect("collector lock"));
-        out.sort_by_key(|e| job_key(e.span.job));
+        merge_by_job(&mut out, |e| e.span.job);
         out
     }
 
@@ -656,14 +656,15 @@ impl Sink for Collector {
 
 struct JsonlState {
     out: Box<dyn Write + Send>,
-    pending: BTreeMap<(u8, usize), Vec<String>>,
+    /// Encoded lines tagged with their job, in arrival order.
+    pending: Vec<(Option<usize>, String)>,
     error: bool,
 }
 
 impl fmt::Debug for JsonlState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JsonlState")
-            .field("pending_jobs", &self.pending.len())
+            .field("pending_lines", &self.pending.len())
             .field("error", &self.error)
             .finish_non_exhaustive()
     }
@@ -671,9 +672,10 @@ impl fmt::Debug for JsonlState {
 
 /// A std-only line-JSON writer.
 ///
-/// Events are buffered per job and written out on [`Sink::finish`] in job
-/// order (un-jobbed events first), so the emitted file is bitwise
-/// deterministic across thread counts except for the `"worker"` field.
+/// Events are buffered and written out on [`Sink::finish`] in job order
+/// (un-jobbed events first; the merge of [`Collector::events`]), so the
+/// emitted file is bitwise deterministic across thread counts except for
+/// the `"worker"` field.
 /// I/O errors are latched: the first failed write disables the sink for
 /// the rest of the run rather than panicking inside a solver.
 #[derive(Debug)]
@@ -697,7 +699,7 @@ impl JsonlSink {
         Self {
             state: Mutex::new(JsonlState {
                 out: Box::new(out),
-                pending: BTreeMap::new(),
+                pending: Vec::new(),
                 error: false,
             }),
         }
@@ -711,10 +713,7 @@ impl Sink for JsonlSink {
             return;
         }
         let line = event.to_json();
-        st.pending
-            .entry(job_key(event.span.job))
-            .or_default()
-            .push(line);
+        st.pending.push((event.span.job, line));
     }
 
     fn finish(&self) {
@@ -722,13 +721,12 @@ impl Sink for JsonlSink {
         if st.error {
             return;
         }
-        let groups = std::mem::take(&mut st.pending);
-        for (_, lines) in groups {
-            for line in lines {
-                if writeln!(st.out, "{line}").is_err() {
-                    st.error = true;
-                    return;
-                }
+        let mut lines = std::mem::take(&mut st.pending);
+        merge_by_job(&mut lines, |(job, _)| *job);
+        for (_, line) in lines {
+            if writeln!(st.out, "{line}").is_err() {
+                st.error = true;
+                return;
             }
         }
         if st.out.flush().is_err() {
@@ -1188,14 +1186,7 @@ pub fn fold_sweep_stats<'a>(events: impl IntoIterator<Item = &'a Event>) -> Solv
 /// returned [`SolveStats`] a derived view of the events it emitted by
 /// construction.
 #[derive(Debug, Default)]
-pub(crate) struct StatsFold {
-    nr_iterations: Cell<usize>,
-    pta_steps: Cell<usize>,
-    rejected_steps: Cell<usize>,
-    lu_factorizations: Cell<usize>,
-    lu_refactorizations: Cell<usize>,
-    converged: Cell<bool>,
-}
+pub(crate) struct StatsFold(Cell<SolveStats>);
 
 impl StatsFold {
     /// The kinds [`StatsFold::apply`] reads; every other kind leaves a fold
@@ -1208,44 +1199,25 @@ impl StatsFold {
         .union(interest!("SolveDone"));
 
     pub(crate) fn apply(&self, payload: &Payload) {
+        let mut s = self.0.get();
         match payload {
-            Payload::NrIteration { .. } => {
-                self.nr_iterations.set(self.nr_iterations.get() + 1);
-            }
-            Payload::LuFactorized { .. } => {
-                self.lu_factorizations.set(self.lu_factorizations.get() + 1);
-            }
-            Payload::LuReplayed { .. } => {
-                self.lu_refactorizations
-                    .set(self.lu_refactorizations.get() + 1);
-            }
-            Payload::PtaStep { accepted, .. } => {
-                if *accepted {
-                    self.pta_steps.set(self.pta_steps.get() + 1);
-                } else {
-                    self.rejected_steps.set(self.rejected_steps.get() + 1);
-                }
-            }
+            Payload::NrIteration { .. } => s.nr_iterations += 1,
+            Payload::LuFactorized { .. } => s.lu_factorizations += 1,
+            Payload::LuReplayed { .. } => s.lu_refactorizations += 1,
+            Payload::PtaStep { accepted: true, .. } => s.pta_steps += 1,
+            Payload::PtaStep { accepted: false, .. } => s.rejected_steps += 1,
             Payload::StageStep { accepted, .. } => {
-                self.pta_steps.set(self.pta_steps.get() + 1);
-                if !accepted {
-                    self.rejected_steps.set(self.rejected_steps.get() + 1);
-                }
+                s.pta_steps += 1;
+                s.rejected_steps += usize::from(!accepted);
             }
-            Payload::SolveDone { converged } => self.converged.set(*converged),
-            _ => {}
+            Payload::SolveDone { converged } => s.converged = *converged,
+            _ => return,
         }
+        self.0.set(s);
     }
 
     pub(crate) fn snapshot(&self) -> SolveStats {
-        SolveStats {
-            nr_iterations: self.nr_iterations.get(),
-            pta_steps: self.pta_steps.get(),
-            rejected_steps: self.rejected_steps.get(),
-            lu_factorizations: self.lu_factorizations.get(),
-            lu_refactorizations: self.lu_refactorizations.get(),
-            converged: self.converged.get(),
-        }
+        self.0.get()
     }
 }
 

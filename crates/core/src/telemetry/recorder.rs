@@ -188,6 +188,7 @@ struct JobSlot {
     head: usize,
     /// Events currently held (saturates at capacity).
     len: usize,
+    /// Wall-clock nanoseconds per phase, indexed by [`Phase::index`].
     phase_nanos: [u64; Phase::ALL.len()],
     label: Option<String>,
     structure_key: Option<u64>,
@@ -479,9 +480,8 @@ impl FlightRecorder {
             attempts,
             trajectory,
             phase_nanos: Phase::ALL
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (*p, slot.phase_nanos[i]))
+                .into_iter()
+                .map(|p| (p, slot.phase_nanos[p.index()]))
                 .collect(),
         };
         if let Some(dir) = &self.dir {
@@ -514,9 +514,7 @@ impl Sink for FlightRecorder {
         if let Payload::PhaseTiming { phase, nanos } = &event.payload {
             // Timing stays out of the window (wall-clock data would make
             // incident bodies nondeterministic); accumulate it instead.
-            if let Some(i) = Phase::ALL.iter().position(|p| p == phase) {
-                st.slots[idx].phase_nanos[i] += nanos;
-            }
+            st.slots[idx].phase_nanos[phase.index()] += nanos;
             return;
         }
         st.slots[idx].push(event);

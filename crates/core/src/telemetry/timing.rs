@@ -100,6 +100,12 @@ impl Phase {
         }
     }
 
+    /// This phase's position in [`Phase::ALL`] (declaration order): its
+    /// slot in every per-phase array.
+    pub(crate) const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Inverse of [`Phase::name`].
     pub fn from_name(name: &str) -> Option<Phase> {
         Phase::ALL.into_iter().find(|p| p.name() == name)
@@ -228,6 +234,13 @@ mod tests {
             }
         }
         assert_eq!(Phase::from_name("no_such_phase"), None);
+    }
+
+    #[test]
+    fn phase_index_is_the_position_in_all() {
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(p.index(), i, "{p:?}");
+        }
     }
 
     /// The zero-cost pin: under `NullSink` (which keeps no kind at all)

@@ -1,7 +1,9 @@
-//! The flight recorder's hot-path contract: after construction, emitting
+//! The streaming sinks' hot-path contract: after construction, emitting
 //! the plain-old-data events of the solver hot loop into an attached
-//! recorder performs **zero** heap allocations — every ring slot is
-//! preallocated, and a POD [`Payload`] clones without touching the heap.
+//! flight recorder or metrics registry performs **zero** heap allocations
+//! — every ring slot is preallocated and a POD [`Payload`] clones without
+//! touching the heap, and every histogram bucket and kind counter is a
+//! fixed array slot.
 //!
 //! The counting allocator counts the measuring thread only
 //! (`tests/support/counting_alloc.rs`).
@@ -10,8 +12,8 @@
 mod counting_alloc;
 use counting_alloc::allocations;
 
-use rlpta_core::telemetry::{Event, Payload, Sink, Span};
-use rlpta_core::FlightRecorder;
+use rlpta_core::telemetry::{Event, Payload, Phase, Sink, Span};
+use rlpta_core::{FlightRecorder, MetricsRegistry};
 
 #[test]
 fn emit_allocates_nothing_after_construction() {
@@ -65,4 +67,60 @@ fn emit_allocates_nothing_after_construction() {
     );
     // The recorder really did capture the stream (last 64 survive).
     assert_eq!(recorder.window(Some(0)).len(), 64);
+}
+
+#[test]
+fn registry_emit_allocates_nothing_after_construction() {
+    let registry = MetricsRegistry::new();
+    let span = Span {
+        job: Some(0),
+        worker: 0,
+    };
+    // Fault in any lazily-initialized lock state before counting.
+    registry.emit(&Event {
+        span,
+        payload: Payload::NrIteration { iteration: 0 },
+    });
+
+    // Every phase at every power of two from 1 ns to 2^40 ns (about 18
+    // minutes), so first samples of each phase and each bucket are all in
+    // the measured window, interleaved with counting kinds.
+    let mut events = Vec::new();
+    for phase in Phase::ALL {
+        for exp in 0..=40 {
+            events.push(Event {
+                span,
+                payload: Payload::PhaseTiming {
+                    phase,
+                    nanos: 1 << exp,
+                },
+            });
+        }
+        events.push(Event {
+            span,
+            payload: Payload::LuReplayed { dim: 132 },
+        });
+        events.push(Event {
+            span,
+            payload: Payload::NrIteration { iteration: 1 },
+        });
+    }
+    assert!(events.len() > 300);
+
+    let count = allocations(|| {
+        for e in &events {
+            registry.emit(e);
+        }
+    });
+    assert_eq!(
+        count, 0,
+        "registry emit allocated {count} time(s) over {} events",
+        events.len()
+    );
+    for phase in Phase::ALL {
+        let s = registry.summary(phase).expect("every phase fired");
+        assert_eq!((s.count, s.min_nanos, s.max_nanos), (41, 1, 1 << 40), "{phase:?}");
+    }
+    assert_eq!(registry.kind_count("PhaseTiming"), 13 * 41);
+    assert_eq!(registry.kind_count("NrIteration"), 14);
 }

@@ -121,7 +121,11 @@ impl Device {
 
     /// Stamps this device's Jacobian and residual contributions at the
     /// operating point in `ctx`, through whichever sink `st` carries (the
-    /// body is compiled once per sink type).
+    /// body is compiled once per sink type). It is also the numeric half of
+    /// the split stamping interface (see [`Device::declare_stamps`]): a
+    /// scatter-mode [`Stamper`] writes slot-table values, with no hashing
+    /// or searching. Triplet and plan assembly run this one body, which is
+    /// what makes them bit-identical.
     ///
     /// `state` is this device's slice of the circuit state vector (length
     /// [`Device::state_len`]); nonlinear devices read their previously
@@ -181,7 +185,8 @@ impl Device {
 
     /// Structural half of the split stamping interface: records this
     /// device's ground-filtered `(row, col)` Jacobian targets, in push
-    /// order, without producing numbers.
+    /// order, without producing numbers. The numeric half is
+    /// [`Device::stamp`] through a scatter-mode [`Stamper`].
     ///
     /// Every model's stamp sequence is operating-point *independent* (the
     /// FETs normalize their source/drain swap into fixed targets), so one
@@ -197,23 +202,6 @@ impl Device {
     ) {
         let mut st = Stamper::declare(targets, &mut []);
         self.stamp(ctx, &mut st, state);
-    }
-
-    /// Numeric half of the split stamping interface: evaluates the device
-    /// at `ctx` and writes values through a scatter-mode [`Stamper`]
-    /// (slot-table writes, no hashing or searching) or a residual-only one,
-    /// plus the residual.
-    ///
-    /// Delegates to the same `stamp` body as the triplet reference path —
-    /// that single code path is what guarantees plan-based assembly is
-    /// bit-identical to triplet assembly.
-    pub fn eval_into<S: JacSink>(
-        &self,
-        ctx: &EvalCtx<'_>,
-        st: &mut Stamper<'_, S>,
-        state: &mut [f64],
-    ) {
-        self.stamp(ctx, st, state);
     }
 }
 

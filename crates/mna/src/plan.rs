@@ -200,7 +200,7 @@ impl StampPlan {
         extra: &mut dyn FnMut(&mut Stamper<'_>),
     ) {
         for (d, &off) in circuit.devices().iter().zip(circuit.state_offsets()) {
-            d.eval_into(ctx, st, &mut state[off..off + d.state_len()]);
+            d.stamp(ctx, st, &mut state[off..off + d.state_len()]);
         }
         extra(&mut st.erased());
     }
