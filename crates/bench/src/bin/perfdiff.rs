@@ -15,12 +15,14 @@
 //!
 //! `--require-lower <counter>` additionally demands that the candidate's
 //! named work counter (`nr_iterations`, `pta_steps`, `lu_factorizations`,
-//! `lu_refactorizations`, `lu_total` or `stamp_resolve_total` — the
+//! `lu_refactorizations`, `lu_total`, `stamp_resolve_total` — the
 //! number of recorded `stamp_resolve` spans, i.e. how often a stamp plan
-//! had to be compiled rather than replayed) is *strictly below* the
-//! baseline's — the shape of the CI gate asserting the warm service path
-//! beats cold solves. An unmet requirement is a hard failure that
-//! `--warn-only` does **not** suppress.
+//! had to be compiled rather than replayed — `stamp_write_total`, the
+//! number of `stamp_write` spans, i.e. full device evaluations, or
+//! `rl_train_total`) is *strictly below* the baseline's — the shape of the
+//! CI gate asserting the warm service path beats cold solves. An unmet
+//! requirement is a hard failure that `--warn-only` does **not**
+//! suppress.
 //!
 //! Diffing a report against itself always exits 0, whatever the threshold
 //! (unless `--require-lower` demands strict improvement).
@@ -68,6 +70,8 @@ fn counter(report: &BenchReport, name: &str) -> Result<u64, String> {
         // Phase-derived counter: how many stamp-plan resolutions the run
         // performed. Reports without timing carry no phases and count 0.
         "stamp_resolve_total" => report.phase("stamp_resolve").map_or(0, |p| p.count),
+        // How many full device evaluations (stamp writes) the run made.
+        "stamp_write_total" => report.phase("stamp_write").map_or(0, |p| p.count),
         // Summed RL training wall-time in nanoseconds, gating the batched
         // TD3 kernels against the pre-batching baseline. Nanos rather than
         // a call count because the batch restructuring keeps the number of
@@ -77,7 +81,7 @@ fn counter(report: &BenchReport, name: &str) -> Result<u64, String> {
             return Err(format!(
                 "unknown counter {other:?} for --require-lower (expected nr_iterations, \
                  pta_steps, lu_factorizations, lu_refactorizations, lu_total, \
-                 stamp_resolve_total or rl_train_total)"
+                 stamp_resolve_total, stamp_write_total or rl_train_total)"
             ))
         }
     })

@@ -8,11 +8,25 @@
 //! or service job uses the triplet assembler. It stays as the oracle the
 //! plan bit-identity tests compare against (and as AC analysis's
 //! small-signal assembly).
+//!
+//! Devices are evaluated at most once per `(x, limited junction voltages,
+//! gmin, source scale)`. Newton's convergence check is a full assembly,
+//! and the iteration after a failed check keeps it when the limiter state
+//! is a fixed point at `x` ([`NewtonWorkspace::keep_check`]). A chain
+//! whose runs all evaluate one unchanged circuit (a PTA solve, built with
+//! [`NewtonWorkspace::carrying_devices`]) also keeps the device half of
+//! its latest check: the next run's first iteration replays it under new
+//! pseudo-element stamps ([`NewtonWorkspace::replay_check`]), and the
+//! steady-state test reads its residual
+//! ([`NewtonWorkspace::original_residual_into`]). Every reuse requires
+//! that the evaluation it replaces would see bitwise the same inputs, is
+//! switched off under fault injection (so seeded draws do not move), and
+//! is checked against a fresh evaluation in debug builds.
 
 use crate::certify::CertifyWorkspace;
 use rlpta_devices::{EvalCtx, Stamper};
 use rlpta_linalg::{CsrMatrix, LinalgError, LuOp, LuWorkspace};
-use rlpta_mna::{BumpPlan, Circuit, ResidualScratch, StampPlan};
+use rlpta_mna::{BumpPlan, Circuit, DeviceSnapshot, ResidualScratch, StampPlan};
 use std::sync::Arc;
 
 /// How Newton systems were assembled each iteration.
@@ -67,6 +81,115 @@ pub(crate) struct NewtonWorkspace {
     /// state above (see [`NewtonWorkspace::certify_workspace`]): its
     /// reports are bitwise [`crate::certify::certify`]'s.
     certify: Option<CertifyWorkspace>,
+    /// The device half of the latest convergence check, kept only by a
+    /// chain that evaluates one unchanged circuit
+    /// ([`NewtonWorkspace::carrying_devices`]).
+    check: Option<CheckSnapshot>,
+}
+
+/// The device half of a convergence-check assembly and the inputs its
+/// devices saw: the iterate, the limiter state the evaluation left (which
+/// is the limited junction voltages it evaluated at), gmin and source
+/// scale. `valid` once a check has been taken; `fixed_point` once a
+/// limiter pass at `x` showed that it leaves `state` in place.
+#[derive(Debug, Default)]
+struct CheckSnapshot {
+    devices: DeviceSnapshot,
+    x: Vec<f64>,
+    state: Vec<f64>,
+    gmin: f64,
+    source_scale: f64,
+    valid: bool,
+    fixed_point: bool,
+}
+
+impl CheckSnapshot {
+    /// Whether an evaluation at `ctx` would see the snapshot's iterate,
+    /// gmin and source scale, bit for bit.
+    fn taken_at(&self, ctx: &EvalCtx<'_>) -> bool {
+        self.valid
+            && self.gmin.to_bits() == ctx.gmin.to_bits()
+            && self.source_scale.to_bits() == ctx.source_scale.to_bits()
+            && same_bits(&self.x, ctx.x)
+    }
+}
+
+/// The installed plan and the working matrix over its pattern, built on
+/// first use.
+///
+/// # Panics
+///
+/// Panics if no plan is installed.
+fn plan_and_matrix<'a>(
+    plan: &'a Option<Arc<StampPlan>>,
+    matrix: &'a mut Option<CsrMatrix>,
+) -> (&'a StampPlan, &'a mut CsrMatrix) {
+    let plan = plan
+        .as_ref()
+        .expect("Newton workspace used before plan resolution");
+    (plan, matrix.get_or_insert_with(|| plan.new_matrix()))
+}
+
+/// Whether two vectors are equal bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits())
+}
+
+/// Whether `state`, limited once more at `x`, lands on `want` bit for bit:
+/// then an evaluation at `x` from `state` sees exactly the junction
+/// voltages `want` holds. `scratch` holds the limited state afterwards.
+/// Runs the junction limiters only; evaluates no device model.
+fn limits_to(
+    circuit: &Circuit,
+    x: &[f64],
+    state: &[f64],
+    want: &[f64],
+    scratch: &mut [f64],
+) -> bool {
+    scratch.copy_from_slice(state);
+    circuit.limit_state(x, scratch);
+    same_bits(scratch, want)
+}
+
+/// A bit fingerprint of an assembly (or a residual): the reuse oracle of
+/// debug builds compares it before and after a fresh evaluation
+/// overwrites the reused one in place, so checking a reuse allocates
+/// nothing.
+#[cfg(debug_assertions)]
+fn fingerprint(parts: &[&[f64]], finite: bool) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for part in parts {
+        for v in *part {
+            v.to_bits().hash(&mut h);
+        }
+    }
+    finite.hash(&mut h);
+    h.finish()
+}
+
+/// The reuse oracle of debug builds: evaluates afresh at `ctx` from
+/// `state` into the buffers a reuse just filled and asserts that the
+/// result's fingerprint is `want`, the reused assembly's (with the limiter
+/// state the reuse leaves).
+#[cfg(debug_assertions)]
+#[allow(clippy::too_many_arguments)]
+fn assert_fresh(
+    plan: &StampPlan,
+    circuit: &Circuit,
+    ctx: &EvalCtx<'_>,
+    matrix: &mut CsrMatrix,
+    res: &mut [f64],
+    state: &mut [f64],
+    extra: &mut dyn FnMut(&mut Stamper<'_>),
+    want: u64,
+) {
+    let finite = plan.eval_into(circuit, ctx, matrix, res, state, extra);
+    assert_eq!(
+        fingerprint(&[matrix.values(), res, state], finite),
+        want,
+        "a reused device evaluation differs from a fresh one"
+    );
 }
 
 /// The start of one warm Newton run: the zero iterate used when no warm
@@ -93,7 +216,8 @@ pub(crate) struct NewtonBuffers {
     /// anchor), when `has_prev`.
     pub(crate) x_prev: Vec<f64>,
     pub(crate) has_prev: bool,
-    /// Device state before the convergence re-evaluation.
+    /// Device state before the convergence check; the limiter scratch
+    /// of the reuse tests at other times.
     pub(crate) state_before: Vec<f64>,
     /// Triangular-solve scratch for [`rlpta_linalg::SparseLu::solve_into`].
     pub(crate) solve_scratch: Vec<f64>,
@@ -127,6 +251,17 @@ impl NewtonWorkspace {
     /// inside the first Newton run.
     pub(crate) fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty workspace for a chain whose Newton runs all evaluate one
+    /// circuit that does not change between them (a PTA solve): it keeps
+    /// the device half of each convergence check for the next run's first
+    /// iteration and for [`NewtonWorkspace::original_residual_into`].
+    pub(crate) fn carrying_devices() -> Self {
+        Self {
+            check: Some(CheckSnapshot::default()),
+            ..Self::default()
+        }
     }
 
     /// A workspace seeded with a caller-managed LU workspace and, when
@@ -177,6 +312,9 @@ impl NewtonWorkspace {
         self.plan = Some(Arc::new(resolve()));
         self.matrix = None;
         self.bump = None;
+        if let Some(check) = &mut self.check {
+            check.valid = false;
+        }
     }
 
     /// Assembles the system at `ctx` through the plan into the working
@@ -193,34 +331,172 @@ impl NewtonWorkspace {
         state: &mut [f64],
         extra: &mut dyn FnMut(&mut Stamper<'_>),
     ) -> bool {
-        let plan = self
-            .plan
-            .as_ref()
-            .expect("Newton workspace used before plan resolution");
-        let matrix = self.matrix.get_or_insert_with(|| plan.new_matrix());
+        let (plan, matrix) = plan_and_matrix(&self.plan, &mut self.matrix);
         plan.eval_into(circuit, ctx, matrix, &mut self.bufs.res, state, extra)
     }
 
-    /// Evaluates `F(x)` at `ctx` into `bufs.res` and updates `state` with
-    /// no Jacobian: bit for bit [`NewtonWorkspace::eval`]'s residual, state
-    /// and fault draws (see [`StampPlan::eval_residual_into`]), leaving the
-    /// working matrix untouched.
+    /// Newton's convergence check: a full assembly at `ctx`, as
+    /// [`NewtonWorkspace::eval`]. A chain carrying devices also keeps the
+    /// device half and the inputs it was evaluated at.
     ///
     /// # Panics
     ///
     /// Panics if no plan is installed.
-    pub(crate) fn eval_residual(
+    pub(crate) fn eval_check(
         &mut self,
         circuit: &Circuit,
         ctx: &EvalCtx<'_>,
         state: &mut [f64],
         extra: &mut dyn FnMut(&mut Stamper<'_>),
+    ) -> bool {
+        let Some(check) = &mut self.check else {
+            return self.eval(circuit, ctx, state, extra);
+        };
+        let (plan, matrix) = plan_and_matrix(&self.plan, &mut self.matrix);
+        let res = &mut self.bufs.res;
+        let finite =
+            plan.eval_snapshot_into(circuit, ctx, matrix, res, state, extra, &mut check.devices);
+        check.x.clear();
+        check.x.extend_from_slice(ctx.x);
+        check.state.clear();
+        check.state.extend_from_slice(state);
+        check.gmin = ctx.gmin;
+        check.source_scale = ctx.source_scale;
+        check.valid = true;
+        check.fixed_point = false;
+        finite
+    }
+
+    /// The iteration after a failed convergence check at the same `x`:
+    /// when the limiter state is a fixed point at `x`, a fresh assembly
+    /// would see the check's inputs bit for bit, so the working matrix and
+    /// `bufs.res` already hold it. Returns the check's finite flag then,
+    /// and `None` when the iteration must assemble. Off under fault
+    /// injection.
+    pub(crate) fn keep_check(
+        &mut self,
+        circuit: &Circuit,
+        ctx: &EvalCtx<'_>,
+        state: &mut [f64],
+        extra: &mut dyn FnMut(&mut Stamper<'_>),
+        finite: bool,
+    ) -> Option<bool> {
+        if cfg!(feature = "faults")
+            || !limits_to(circuit, ctx.x, state, state, &mut self.bufs.state_before)
+        {
+            return None;
+        }
+        #[cfg(debug_assertions)]
+        {
+            let (plan, matrix) = plan_and_matrix(&self.plan, &mut self.matrix);
+            let want = fingerprint(&[matrix.values(), &self.bufs.res, state], finite);
+            assert_fresh(
+                plan,
+                circuit,
+                ctx,
+                matrix,
+                &mut self.bufs.res,
+                state,
+                extra,
+                want,
+            );
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = extra;
+        Some(finite)
+    }
+
+    /// A run's first iteration on a chain carrying devices: when the
+    /// latest check was taken at `ctx` and `state` limits to the junction
+    /// voltages it saw, rebuilds the assembly from the check's device half
+    /// under this run's `extra` ([`StampPlan::replay_into`]), moves `state`
+    /// to where an evaluation would leave it and returns the finite flag.
+    /// `None` when the iteration must assemble. Off under fault injection.
+    pub(crate) fn replay_check(
+        &mut self,
+        circuit: &Circuit,
+        ctx: &EvalCtx<'_>,
+        state: &mut [f64],
+        extra: &mut dyn FnMut(&mut Stamper<'_>),
+    ) -> Option<bool> {
+        if cfg!(feature = "faults") {
+            return None;
+        }
+        let check = self.check.as_ref().filter(|c| c.taken_at(ctx))?;
+        // A state the limiters are known to leave in place needs no pass.
+        let same_inputs = (check.fixed_point && same_bits(state, &check.state))
+            || limits_to(
+                circuit,
+                ctx.x,
+                state,
+                &check.state,
+                &mut self.bufs.state_before,
+            );
+        if !same_inputs {
+            return None;
+        }
+        let (plan, matrix) = plan_and_matrix(&self.plan, &mut self.matrix);
+        let res = &mut self.bufs.res;
+        let finite = plan.replay_into(&check.devices, matrix, res, extra);
+        #[cfg(debug_assertions)]
+        {
+            let want = fingerprint(&[matrix.values(), res, &check.state], finite);
+            assert_fresh(plan, circuit, ctx, matrix, res, state, extra, want);
+        }
+        state.copy_from_slice(&check.state);
+        Some(finite)
+    }
+
+    /// The steady-state test's residual `F(x)` of the original system
+    /// (default gmin, full sources), bit for bit
+    /// [`Circuit::residual_into`]'s. A chain carrying devices reads it off
+    /// the latest check's device half when that check was taken at `x`
+    /// under the original system's gmin and source scale, and the seeded
+    /// limiter state limits to the junction voltages it saw; otherwise (and
+    /// always under fault injection, whose draws the evaluation takes) it
+    /// evaluates.
+    pub(crate) fn original_residual_into(
+        &mut self,
+        circuit: &Circuit,
+        x: &[f64],
+        residual: &mut [f64],
+        scratch: &mut ResidualScratch,
     ) {
-        let plan = self
-            .plan
-            .as_ref()
-            .expect("Newton workspace used before plan resolution");
-        plan.eval_residual_into(circuit, ctx, &mut self.bufs.res, state, extra);
+        let original = EvalCtx::dc(x);
+        let check = self
+            .check
+            .as_mut()
+            .filter(|c| !cfg!(feature = "faults") && c.taken_at(&original));
+        if let Some(check) = check {
+            // One limiter pass shows whether the check's state is the
+            // limiters' fixed point at `x` and whether it landed there.
+            let seeded = &mut self.bufs.state_before;
+            seeded.copy_from_slice(&check.state);
+            let landed = circuit.limit_state(x, seeded);
+            check.fixed_point = same_bits(seeded, &check.state);
+            // The evaluation sees the seeded state limited once more. A
+            // check state that landed at `x` is that state whenever the
+            // seeding walk is sure to land, with no walk run.
+            if !(landed && check.fixed_point && circuit.seeding_lands(x)) {
+                circuit.seeded_state_into(x, seeded, scratch);
+                circuit.limit_state(x, seeded);
+            }
+            if same_bits(seeded, &check.state) {
+                residual.copy_from_slice(check.devices.residual());
+                #[cfg(debug_assertions)]
+                {
+                    let want = fingerprint(&[residual], true);
+                    circuit.residual_into(x, residual, scratch);
+                    assert_eq!(
+                        fingerprint(&[residual], true),
+                        want,
+                        "a reused residual differs from a fresh one"
+                    );
+                }
+                return;
+            }
+        }
+        circuit.residual_into(x, residual, scratch);
     }
 
     /// Escalates the Gmin-bump companion to `level` (1, 2, 3, … in order):

@@ -328,8 +328,12 @@ impl<C: StepController> PtaSolver<C> {
         // branches) every step, so the augmented Jacobian pattern is
         // constant across the whole transient: one symbolic analysis serves
         // every Newton iteration of every time point. The pseudo targets are
-        // likewise fixed, so one stamp plan serves the whole transient.
-        let mut ws = NewtonWorkspace::new();
+        // likewise fixed, so one stamp plan serves the whole transient. The
+        // circuit itself never changes between time points, so the
+        // workspace carries the device half of each point's convergence
+        // check to the next point's first iteration and to the
+        // steady-state test.
+        let mut ws = NewtonWorkspace::carrying_devices();
 
         for _ in 0..self.config.max_steps {
             meter.charge_step(1)?;
@@ -399,7 +403,7 @@ impl<C: StepController> PtaSolver<C> {
             // garbage point is declared the operating point. A non-finite
             // original residual demotes the step to a rejection.
             let res_orig = if out.converged {
-                circuit.residual_into(&out.x, &mut res_orig_vec, &mut res_scratch);
+                ws.original_residual_into(circuit, &out.x, &mut res_orig_vec, &mut res_scratch);
                 if res_orig_vec.iter().all(|v| v.is_finite()) {
                     Some(norms::inf_norm(&res_orig_vec))
                 } else {

@@ -12,10 +12,11 @@
 //! for bit: pattern, values (signed zeros included), residual, limiter
 //! state and finiteness flag.
 //!
-//! The residual-only sink behind [`Circuit::residual_into`] and Newton's
-//! convergence re-evaluation is held to the same standard: its residual
-//! and limiter state equal a triplet assembly's bit for bit, and it
-//! consumes fault-injection draws exactly like one. The limiter-only
+//! The residual-only sink behind [`Circuit::residual_into`] is held to
+//! the same standard: its residual and limiter state equal a triplet
+//! assembly's bit for bit, and it consumes fault-injection draws exactly
+//! like one. So is a plan pass from an arbitrary limiter state, Newton's
+//! convergence check among them. The limiter-only
 //! seeding behind [`Circuit::seeded_state_into`] reaches the state of the
 //! evaluate-until-still triplet walk bit for bit, on generated decks and on
 //! every named benchmark circuit, and consumes no draws.
@@ -266,26 +267,43 @@ fn stamp_devices<S: JacSink>(c: &Circuit, x: &[f64], st: &mut Stamper<'_, S>, st
 }
 
 /// One plan pass at `x` from `state0` with `extra`, through
-/// [`StampPlan::eval_into`] or, when `residual_only`, through
-/// [`StampPlan::eval_residual_into`]. Returns the residual and the state.
+/// [`StampPlan::eval_into`]. Returns the residual and the state.
 fn plan_pass(
     c: &Circuit,
     plan: &StampPlan,
     x: &[f64],
     state0: &[f64],
     extra: &PtaExtra,
-    residual_only: bool,
 ) -> (Vec<f64>, Vec<f64>) {
-    let ctx = EvalCtx::dc(x);
+    let mut matrix = plan.new_matrix();
     let mut residual = vec![0.0; c.dim()];
     let mut state = state0.to_vec();
-    let mut hook = |st: &mut Stamper<'_>| extra.stamp(x, st);
-    if residual_only {
-        plan.eval_residual_into(c, &ctx, &mut residual, &mut state, &mut hook);
-    } else {
-        let mut matrix = plan.new_matrix();
-        plan.eval_into(c, &ctx, &mut matrix, &mut residual, &mut state, &mut hook);
-    }
+    plan.eval_into(
+        c,
+        &EvalCtx::dc(x),
+        &mut matrix,
+        &mut residual,
+        &mut state,
+        &mut |st| extra.stamp(x, st),
+    );
+    (residual, state)
+}
+
+/// The triplet reference of [`plan_pass`]: one triplet assembly at `x`
+/// from `state0`, then `extra`'s pushes. Returns the residual and the
+/// state.
+fn triplet_extra_pass(
+    c: &Circuit,
+    x: &[f64],
+    state0: &[f64],
+    extra: &PtaExtra,
+) -> (Vec<f64>, Vec<f64>) {
+    let dim = c.dim();
+    let mut jac = Triplet::new(dim, dim);
+    let mut residual = vec![0.0; dim];
+    let mut state = state0.to_vec();
+    c.assemble_into(&EvalCtx::dc(x), &mut jac, &mut residual, &mut state);
+    extra.stamp(x, &mut Stamper::new(&mut jac, &mut residual));
     (residual, state)
 }
 
@@ -452,11 +470,12 @@ proptest! {
         prop_assert_eq!(bits(&s_t), bits(&s_r));
     }
 
-    /// The plan's residual-only pass — Newton's convergence re-evaluation —
-    /// leaves the residual and the limiter state exactly where a full
-    /// [`StampPlan::eval_into`] with the same extra hook leaves them.
+    /// A plan pass from an arbitrary limiter state (Newton's convergence
+    /// check runs from whatever state the iteration left) leaves the
+    /// residual and the state exactly where a triplet pass with the same
+    /// extra pushes leaves them.
     #[test]
-    fn plan_residual_pass_matches_eval_into(
+    fn plan_pass_from_any_state_matches_triplet_pass(
         kind in 0usize..KINDS,
         v in 0.5f64..15.0,
         n in 1usize..6,
@@ -468,10 +487,10 @@ proptest! {
         let plan = resolve(&c, &extra);
         let x = random_vec(seed, c.dim(), 10f64.powi(decade));
         let state0 = random_vec(seed ^ 0x5EED, c.state_len(), 1.0);
-        let (r_e, s_e) = plan_pass(&c, &plan, &x, &state0, &extra, false);
-        let (r_r, s_r) = plan_pass(&c, &plan, &x, &state0, &extra, true);
-        prop_assert_eq!(bits(&r_e), bits(&r_r));
-        prop_assert_eq!(bits(&s_e), bits(&s_r));
+        let (r_p, s_p) = plan_pass(&c, &plan, &x, &state0, &extra);
+        let (r_t, s_t) = triplet_extra_pass(&c, &x, &state0, &extra);
+        prop_assert_eq!(bits(&r_p), bits(&r_t));
+        prop_assert_eq!(bits(&s_p), bits(&s_t));
     }
 
     /// `residual`/`seeded_state` and their buffer-reusing variants equal
@@ -537,12 +556,12 @@ mod faults {
             assert_identical(&reference, &planned);
         }
 
-        /// Under NaN-stamp injection the plan's residual-only pass still
-        /// matches [`StampPlan::eval_into`]'s residual and state, and draws
-        /// exactly as many faults: the assembly that follows poisons the
-        /// same entries either way.
+        /// Under NaN-stamp injection a plan pass from an arbitrary limiter
+        /// state still matches the triplet pass's residual and state, and
+        /// draws exactly as many faults: the assembly that follows poisons
+        /// the same entries either way.
         #[test]
-        fn plan_residual_pass_draws_like_eval_into(
+        fn plan_pass_draws_like_triplet_pass(
             seed in any::<u64>(),
             period in 1u64..10,
             kind in 0usize..KINDS,
@@ -564,16 +583,16 @@ mod faults {
                 matrix
             };
             faults.install();
-            let (r_e, s_e) = plan_pass(&c, &plan, &x, &state0, &extra, false);
-            let after_eval = follow();
+            let (r_p, s_p) = plan_pass(&c, &plan, &x, &state0, &extra);
+            let after_plan = follow();
             faults.install();
-            let (r_r, s_r) = plan_pass(&c, &plan, &x, &state0, &extra, true);
-            let after_residual = follow();
+            let (r_t, s_t) = triplet_extra_pass(&c, &x, &state0, &extra);
+            let after_triplet = follow();
             FaultPlan::clear();
-            prop_assert_eq!(bits(&r_e), bits(&r_r));
-            prop_assert_eq!(bits(&s_e), bits(&s_r));
+            prop_assert_eq!(bits(&r_p), bits(&r_t));
+            prop_assert_eq!(bits(&s_p), bits(&s_t));
             let poisoned = |m: &CsrMatrix| m.values().iter().map(|v| v.is_nan()).collect::<Vec<_>>();
-            prop_assert_eq!(poisoned(&after_eval), poisoned(&after_residual));
+            prop_assert_eq!(poisoned(&after_plan), poisoned(&after_triplet));
         }
 
         /// A residual-only pass draws the NaN sequence exactly like a

@@ -72,38 +72,146 @@ fn diode_ladder(n: usize) -> rlpta_mna::Circuit {
     rlpta_netlist::parse(&deck).expect("ladder parses")
 }
 
-/// Allocations and attempted time points of one DPTA + SER solve whose
-/// step grows by at most `max_growth` per accepted point.
-fn counted_pta(circuit: &rlpta_mna::Circuit, max_growth: f64) -> (usize, usize) {
-    use rlpta_core::{PtaSolver, SerStepping};
-    let ser = SerStepping::new(1e-3, 1.0, max_growth, 8.0);
-    let mut solver = PtaSolver::with_config(PtaKind::dpta(), ser, PtaConfig::default());
-    let mut steps = 0;
+/// What one DPTA + SER solve did: its allocations, attempted time points,
+/// NR iterations and `StampWrite` spans (device evaluations).
+struct PtaCount {
+    allocs: usize,
+    steps: usize,
+    rejected: usize,
+    iterations: u64,
+    stamp_writes: u64,
+}
+
+/// One DPTA + SER engine solve whose step grows by at most `max_growth`
+/// per accepted point, counted by a [`MetricsRegistry`] sink.
+fn counted_pta(circuit: &rlpta_mna::Circuit, max_growth: f64) -> PtaCount {
+    use rlpta_core::{MetricsRegistry, Phase, SerStepping};
+    use std::sync::Arc;
+    let registry = Arc::new(MetricsRegistry::new());
+    let engine = DcEngine::builder()
+        .kind(PtaKind::dpta())
+        .stepping(Stepping::Ser(SerStepping::new(1e-3, 1.0, max_growth, 8.0)))
+        .telemetry(registry.clone())
+        .build();
+    let (mut steps, mut rejected) = (0, 0);
     let allocs = allocations(|| {
-        let sol = solver.solve(circuit).expect("DPTA + SER converges");
+        let sol = engine.solve(circuit).expect("DPTA + SER converges");
         steps = sol.stats.pta_steps + sol.stats.rejected_steps;
+        rejected = sol.stats.rejected_steps;
     });
-    (allocs, steps)
+    PtaCount {
+        allocs,
+        steps,
+        rejected,
+        iterations: registry.kind_count("NrIteration"),
+        stamp_writes: registry.summary(Phase::StampWrite).map_or(0, |s| s.count),
+    }
 }
 
 /// A PTA time point allocates nothing: the inner Newton run builds its
 /// iterate in the buffer of the previous time point, which the solver
-/// hands back to the workspace. So on a 5-stage and on a 20-stage diode
-/// ladder, a DPTA + SER solve allocates as often when a slower step
-/// growth makes it take many more time points.
+/// hands back to the workspace, and the device half a time point's
+/// convergence check leaves lives in buffers sized once per solve. So on a
+/// 5-stage and on a 20-stage diode ladder, a DPTA + SER solve allocates as
+/// often when a slower step growth makes it take many more time points,
+/// and the counted solves reuse device evaluations (about one `StampWrite`
+/// span per NR iteration, although every converged point also runs its
+/// check).
 #[test]
 fn pta_time_points_allocate_nothing() {
     for stages in [5, 20] {
         let ladder = diode_ladder(stages);
-        let (fast_allocs, fast_steps) = counted_pta(&ladder, 10.0);
-        let (slow_allocs, slow_steps) = counted_pta(&ladder, 1.5);
+        // Warm-up: lazily initialized state is in place before counting.
+        counted_pta(&ladder, 10.0);
+        let fast = counted_pta(&ladder, 10.0);
+        let slow = counted_pta(&ladder, 1.5);
         assert!(
-            slow_steps > fast_steps + 20,
-            "{stages} stages: {slow_steps} vs {fast_steps} time points"
+            slow.steps > fast.steps + 20,
+            "{stages} stages: {} vs {} time points",
+            slow.steps,
+            fast.steps
         );
         assert_eq!(
-            fast_allocs, slow_allocs,
-            "{stages} stages: {fast_steps} vs {slow_steps} time points allocated differently"
+            fast.allocs, slow.allocs,
+            "{stages} stages: {} vs {} time points allocated differently",
+            fast.steps, slow.steps
         );
+        // Under fault injection every evaluation runs, so the seeded
+        // draws do not move.
+        if cfg!(not(feature = "faults")) {
+            for run in [&fast, &slow] {
+                let bound = run.iterations + 1 + run.rejected as u64;
+                assert!(run.stamp_writes <= bound, "{stages} stages: no reuse ran");
+            }
+        }
     }
+}
+
+/// Work pin: a PTA solve evaluates its devices once per NR iteration. The
+/// first iteration of a time point replays the previous point's
+/// convergence check, an iteration after a failed check keeps it, and the
+/// steady-state test reads its residual, so with no rejected step the
+/// `StampWrite` spans (full assemblies) are the NR iterations plus one:
+/// the solve's first iteration, which has no check before it. (Fault
+/// injection turns the reuse off.)
+#[cfg(not(feature = "faults"))]
+#[test]
+fn pta_stamp_writes_equal_nr_iterations() {
+    for stages in [5, 20] {
+        let ladder = diode_ladder(stages);
+        for growth in [10.0, 1.5] {
+            let run = counted_pta(&ladder, growth);
+            assert_eq!(
+                run.rejected, 0,
+                "{stages} stages, growth {growth}: a step was rejected"
+            );
+            assert_eq!(
+                run.stamp_writes,
+                run.iterations + 1,
+                "{stages} stages, growth {growth}: device evaluations vs NR iterations"
+            );
+        }
+    }
+}
+
+/// Work pin: a warm Newton run (the service path) evaluates its devices
+/// once per NR iteration plus once for the convergence check that ends
+/// it; every check that fails is kept by the iteration after it instead
+/// of being evaluated again. (Fault injection turns the reuse off.)
+#[cfg(not(feature = "faults"))]
+#[test]
+fn warm_newton_stamp_writes_equal_iterations_plus_the_converged_check() {
+    use rlpta_core::{MetricsRegistry, Phase};
+    use std::sync::Arc;
+    let circuit = rlpta_netlist::parse(
+        "clamp\nV1 in 0 5\nR1 in out 1k\nD1 out 0 DX\nD2 out 0 DX\n.model DX D(IS=1e-14)\n",
+    )
+    .expect("deck parses");
+    let op = DcEngine::builder()
+        .newton()
+        .build()
+        .solve_warm(&circuit, None, &mut LuWorkspace::new())
+        .expect("cold solve converges")
+        .x;
+    let far: Vec<f64> = op.iter().map(|v| v + 3.0).collect();
+    let registry = Arc::new(MetricsRegistry::new());
+    let engine = DcEngine::builder()
+        .newton()
+        .telemetry(registry.clone())
+        .build();
+    let sol = engine
+        .solve_warm(&circuit, Some(&far), &mut LuWorkspace::new())
+        .expect("warm solve converges");
+    let iterations = sol.stats.nr_iterations as u64;
+    assert!(
+        iterations >= 6,
+        "far start took only {iterations} iterations"
+    );
+    assert_eq!(registry.kind_count("NrIteration"), iterations);
+    let stamp_writes = registry.summary(Phase::StampWrite).map_or(0, |s| s.count);
+    assert_eq!(
+        stamp_writes,
+        iterations + 1,
+        "device evaluations of a {iterations}-iteration run"
+    );
 }

@@ -1,6 +1,6 @@
 //! Ebers–Moll bipolar junction transistor.
 
-use crate::limit::{junction_vcrit, landed, limexp, limexp_deriv, pnjlim};
+use crate::limit::{junction_vcrit, landed, limexp, limexp_deriv, pnjlim, pnjlim_lands_from_zero};
 use crate::{EvalCtx, JacSink, Node, Stamper, THERMAL_VOLTAGE};
 
 /// BJT polarity.
@@ -203,6 +203,14 @@ impl Bjt {
         let (vbe, vbc) = self.junction_voltages(x);
         let (vbe_l, vbc_l) = self.limit(vbe, vbc, state);
         landed(vbe, vbe_l) & landed(vbc, vbc_l)
+    }
+
+    /// Whether the seeding walk from a zeroed state lands on both junction
+    /// voltages at `x` (see [`Device::seeding_lands`](crate::Device::seeding_lands)).
+    pub(crate) fn seeding_lands(&self, x: &[f64]) -> bool {
+        let (vbe, vbc) = self.junction_voltages(x);
+        pnjlim_lands_from_zero(vbe, THERMAL_VOLTAGE, self.vcrit)
+            && pnjlim_lands_from_zero(vbc, THERMAL_VOLTAGE, self.vcrit)
     }
 
     pub(crate) fn stamp<S: JacSink>(

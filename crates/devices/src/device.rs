@@ -183,6 +183,24 @@ impl Device {
         }
     }
 
+    /// Whether the seeding walk (repeated [`Device::limit_state`] at `x`
+    /// from a zeroed state, at most 64 passes, as in `rlpta-mna`'s
+    /// `Circuit::seeded_state_into`) is sure to land this device: every
+    /// limited voltage reaches its finite junction voltage bit for bit
+    /// within the passes, moving by at least `1e-12` in each pass before
+    /// it does. Decided from `x` alone, without the walk (see
+    /// `limit::pnjlim_lands_from_zero`); `false` means only that the walk
+    /// must be run to know. Devices without state always land.
+    pub fn seeding_lands(&self, x: &[f64]) -> bool {
+        match self {
+            Device::Diode(d) => d.seeding_lands(x),
+            Device::Bjt(d) => d.seeding_lands(x),
+            Device::Mosfet(d) => d.seeding_lands(x),
+            Device::Jfet(d) => d.seeding_lands(x),
+            _ => true,
+        }
+    }
+
     /// Structural half of the split stamping interface: records this
     /// device's ground-filtered `(row, col)` Jacobian targets, in push
     /// order, without producing numbers. The numeric half is

@@ -1,6 +1,6 @@
 //! Shockley junction diode.
 
-use crate::limit::{junction_vcrit, landed, limexp, limexp_deriv, pnjlim};
+use crate::limit::{junction_vcrit, landed, limexp, limexp_deriv, pnjlim, pnjlim_lands_from_zero};
 use crate::{EvalCtx, JacSink, Node, Stamper, THERMAL_VOLTAGE};
 
 /// Diode model parameters (`.model ... D(...)`).
@@ -140,6 +140,12 @@ impl Diode {
     pub(crate) fn limit_state(&self, x: &[f64], state: &mut [f64]) -> bool {
         let vd = self.junction_voltage(x);
         landed(vd, self.limit(vd, state))
+    }
+
+    /// Whether the seeding walk from a zeroed state lands on the junction
+    /// voltage at `x` (see [`Device::seeding_lands`](crate::Device::seeding_lands)).
+    pub(crate) fn seeding_lands(&self, x: &[f64]) -> bool {
+        pnjlim_lands_from_zero(self.junction_voltage(x), self.nvt, self.vcrit)
     }
 
     pub(crate) fn stamp<S: JacSink>(

@@ -5,7 +5,7 @@
 //! forward-biased, which both clamps the gate and makes the JFET a stiffer
 //! Newton customer than an insulated-gate FET.
 
-use crate::limit::{junction_vcrit, landed, limexp, limexp_deriv, pnjlim};
+use crate::limit::{junction_vcrit, landed, limexp, limexp_deriv, pnjlim, pnjlim_lands_from_zero};
 use crate::{EvalCtx, JacSink, Node, Stamper, THERMAL_VOLTAGE};
 
 /// JFET polarity.
@@ -231,6 +231,15 @@ impl Jfet {
         let bias = self.bias(x);
         let junctions_l = self.limit(&bias, state);
         landed(bias.junctions[0], junctions_l[0]) & landed(bias.junctions[1], junctions_l[1])
+    }
+
+    /// Whether the seeding walk from a zeroed state lands on both
+    /// gate-junction voltages at `x` (see
+    /// [`Device::seeding_lands`](crate::Device::seeding_lands)).
+    pub(crate) fn seeding_lands(&self, x: &[f64]) -> bool {
+        let [a, b] = self.bias(x).junctions;
+        pnjlim_lands_from_zero(a, THERMAL_VOLTAGE, self.vcrit)
+            && pnjlim_lands_from_zero(b, THERMAL_VOLTAGE, self.vcrit)
     }
 
     pub(crate) fn stamp<S: JacSink>(

@@ -95,6 +95,62 @@ pub(crate) fn landed(v: f64, out: f64) -> bool {
     v.is_finite() && v.to_bits() == out.to_bits()
 }
 
+/// Passes of the seeding walk (`rlpta-mna`'s `Circuit::seeded_state_into`):
+/// the limiters run on a zeroed state at most this many times.
+const SEED_PASSES: usize = 64;
+
+/// Whether `pnjlim`, applied pass after pass at the finite junction
+/// voltage `v` from a zeroed state, is sure to land on `v` (bitwise)
+/// within the seeding walk's passes, moving by at least `1e-12` in every
+/// pass before it lands. Decided without running the walk:
+///
+/// * `pnjlim(v, 0)` returns `v` unless `v > vcrit` and `|v| > 2·vt`;
+/// * otherwise, for `v > 0`, the first pass climbs to
+///   `vt·max(ln(v/vt), 1)`, which is at least `vt` and below `v`, and
+///   every later pass that does not land adds `vt·ln(1 + (v − vold)/vt)`,
+///   at least `vt·ln 3`, staying below `v`, until `v` is within `2·vt`
+///   and the next pass lands. In units of `vt` the gap `u = (v − vold)/vt`
+///   follows `u ← u − ln(1 + u)`, which is increasing in `u`, so the pass
+///   count grows with `v/vt`: from `v ≤ 200·vt` the walk lands within 49
+///   passes, 15 short of the cap.
+///
+/// Any other case (a negative `vcrit` below `−2·vt`, a climb from beyond
+/// `200·vt`) answers `false`, which only means "run the walk".
+pub(crate) fn pnjlim_lands_from_zero(v: f64, vt: f64, vcrit: f64) -> bool {
+    if !(v.is_finite() && vt > 0.0) {
+        return false;
+    }
+    if !(v > vcrit && v.abs() > 2.0 * vt) {
+        return true;
+    }
+    v > 0.0 && v <= 200.0 * vt
+}
+
+/// [`pnjlim_lands_from_zero`] for `fetlim`: runs the scalar walk itself
+/// (a few arithmetic passes, no transcendental).
+pub(crate) fn fetlim_lands_from_zero(v: f64, vto: f64) -> bool {
+    walk_lands_from_zero(v, |vnew, vold| fetlim(vnew, vold, vto).0)
+}
+
+/// The seeding walk of one limiter `lim(vnew, vold)` at `v` from a zeroed
+/// state: whether it lands on `v` within the walk's passes, every pass
+/// before that moving by at least `1e-12`.
+fn walk_lands_from_zero(v: f64, lim: impl Fn(f64, f64) -> f64) -> bool {
+    let mut old = 0.0;
+    for _ in 0..SEED_PASSES {
+        let out = lim(v, old);
+        if landed(v, out) {
+            return true;
+        }
+        let moved = (out - old).abs();
+        if moved.is_nan() || moved < 1e-12 {
+            return false;
+        }
+        old = out;
+    }
+    false
+}
+
 /// SPICE `fetlim`: limits the update of a MOSFET gate–source voltage around
 /// the threshold `vto`, keeping Newton from bouncing across the square-law
 /// knee.
@@ -308,5 +364,45 @@ mod tests {
         let (v, limited) = fetlim(-50.0, 6.0, 1.0);
         assert!(limited);
         assert!(v >= -20.0, "limited to {v}");
+    }
+
+    /// Wherever the walk-free `pnjlim` predicate says the seeding walk
+    /// lands, the walk does, across thermal voltages and critical voltages
+    /// (a negative one included), over a fine grid of junction voltages
+    /// plus the non-finite ones.
+    #[test]
+    fn pnjlim_predicate_implies_the_walk_lands() {
+        let grid = (-4000..=4000).map(|k| k as f64 * 0.0125).chain([
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            1e-300,
+        ]);
+        let mut decided = 0;
+        for v in grid {
+            for vt in [0.02585, 0.05, 0.2] {
+                for vcrit in [junction_vcrit(vt, 1e-14), junction_vcrit(vt, 1e-3), -1.0] {
+                    if pnjlim_lands_from_zero(v, vt, vcrit) {
+                        decided += 1;
+                        assert!(
+                            walk_lands_from_zero(v, |n, o| pnjlim(n, o, vt, vcrit).0),
+                            "pnjlim v={v} vt={vt} vcrit={vcrit}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(decided > 10_000, "only {decided} cases decided");
+        // The climb bound: 200·vt is decided and lands within 49 passes.
+        let vt = 0.02585;
+        assert!(pnjlim_lands_from_zero(200.0 * vt, vt, 0.6));
+        assert!(!pnjlim_lands_from_zero(201.0 * vt, vt, 0.6));
+        let (mut old, mut passes) = (0.0, 0);
+        while !landed(200.0 * vt, old) {
+            old = pnjlim(200.0 * vt, old, vt, 0.6).0;
+            passes += 1;
+        }
+        assert_eq!(passes, 49);
     }
 }

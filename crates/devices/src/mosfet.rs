@@ -1,6 +1,9 @@
 //! Shichman–Hodges (SPICE level-1) MOSFET.
 
-use crate::limit::{fetlim, junction_vcrit, landed, limexp, limexp_deriv, pnjlim};
+use crate::limit::{
+    fetlim, fetlim_lands_from_zero, junction_vcrit, landed, limexp, limexp_deriv, pnjlim,
+    pnjlim_lands_from_zero,
+};
 use crate::{EvalCtx, JacSink, Node, Stamper, THERMAL_VOLTAGE};
 
 /// MOSFET polarity.
@@ -301,6 +304,16 @@ impl Mosfet {
         landed(bias.vgs, vgs_l)
             & landed(bias.junctions[0], junctions_l[0])
             & landed(bias.junctions[1], junctions_l[1])
+    }
+
+    /// Whether the seeding walk from a zeroed state lands on the gate and
+    /// both junction voltages at `x` (see
+    /// [`Device::seeding_lands`](crate::Device::seeding_lands)).
+    pub(crate) fn seeding_lands(&self, x: &[f64]) -> bool {
+        let bias = self.bias(x);
+        fetlim_lands_from_zero(bias.vgs, self.model.vto)
+            && pnjlim_lands_from_zero(bias.junctions[0], THERMAL_VOLTAGE, self.vcrit)
+            && pnjlim_lands_from_zero(bias.junctions[1], THERMAL_VOLTAGE, self.vcrit)
     }
 
     pub(crate) fn stamp<S: JacSink>(

@@ -18,8 +18,7 @@
 //!   nnz slots of a frozen CSR pattern, the write half
 //!   (`StampPlan::eval_into`);
 //! * [`Discard`] ([`Stamper::residual_only`]): Jacobian values dropped when
-//!   only the residual is wanted (`StampPlan::eval_residual_into`,
-//!   `Circuit::residual_into`).
+//!   only the residual is wanted (`Circuit::residual_into`).
 //!
 //! A caller runs its device loop on the concrete sink, so every push is a
 //! direct call with no per-push dispatch, and a sink that keeps no residual

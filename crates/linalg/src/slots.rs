@@ -20,6 +20,7 @@
 use crate::sparse::Triplet;
 use crate::sparse::{row_order, split_key, CsrMatrix};
 use crate::symbolic::FnvHasher;
+use std::ops::Range;
 
 /// A frozen map from an ordered stamp sequence to nnz slots of a CSR
 /// pattern.
@@ -191,6 +192,26 @@ impl StampSlots {
     ///
     /// Panics if `matrix` does not have the shape this map was built for.
     pub fn writer<'a>(&'a self, matrix: &'a mut CsrMatrix) -> SlotWriter<'a> {
+        self.writer_range(matrix, 0..self.refs.len())
+    }
+
+    /// Starts a pass over the pushes `pushes` of the sequence only: the
+    /// writer begins at push cursor `pushes.start` and
+    /// [`SlotWriter::finish`] expects it to end at `pushes.end`. Each push
+    /// keeps its first-touch flag from the whole sequence, so writing the
+    /// segments of a sequence one after another over the same values
+    /// buffer (or continuing from a bitwise copy of the values an earlier
+    /// segment left) is bitwise one full pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `matrix` does not have the shape this map was built for
+    /// or `pushes` is not a range of the sequence.
+    pub fn writer_range<'a>(
+        &'a self,
+        matrix: &'a mut CsrMatrix,
+        pushes: Range<usize>,
+    ) -> SlotWriter<'a> {
         assert!(
             matrix.rows() == self.rows && matrix.cols() == self.cols,
             "slot map bound to a {}x{} pattern, got {}x{}",
@@ -199,10 +220,15 @@ impl StampSlots {
             matrix.rows(),
             matrix.cols(),
         );
+        assert!(
+            pushes.start <= pushes.end && pushes.end <= self.refs.len(),
+            "push range {pushes:?} outside a sequence of {}",
+            self.refs.len(),
+        );
         SlotWriter {
-            refs: &self.refs,
+            refs: &self.refs[..pushes.end],
             values: matrix.values_mut(),
-            cursor: 0,
+            cursor: pushes.start,
             saw_nonfinite: false,
         }
     }
@@ -266,7 +292,7 @@ impl SlotWriter<'_> {
         *slot = if r & 1 == 1 { v } else { *slot + v };
     }
 
-    /// Pushes consumed so far.
+    /// The push cursor: the index in the whole sequence of the next push.
     pub fn position(&self) -> usize {
         self.cursor
     }
@@ -278,8 +304,8 @@ impl SlotWriter<'_> {
         !self.saw_nonfinite
     }
 
-    /// Ends the pass, asserting the full sequence was replayed. Returns
-    /// [`SlotWriter::all_finite`].
+    /// Ends the pass, asserting the full sequence (or the writer's
+    /// segment of it) was replayed. Returns [`SlotWriter::all_finite`].
     ///
     /// # Panics
     ///
@@ -390,6 +416,48 @@ mod tests {
     fn finish_rejects_short_sequences() {
         let (mut m, slots) = StampSlots::build(1, 1, &[(0, 0), (0, 0)]);
         let mut w = slots.writer(&mut m);
+        w.write(1.0);
+        w.finish();
+    }
+
+    #[test]
+    fn segments_from_a_copied_prefix_equal_one_pass() {
+        // (0,0) is touched in both segments, (1,1) only in the second:
+        // its first touch assigns over whatever the copy left there.
+        let targets = [(0, 0), (1, 0), (0, 0), (1, 1), (0, 0)];
+        let values = [-0.0, 2.0, 1e16, -0.0, -1e16];
+        let (mut whole, slots) = StampSlots::build(2, 2, &targets);
+        let mut w = slots.writer(&mut whole);
+        for v in values {
+            w.write(v);
+        }
+        assert!(w.finish());
+
+        let mut split = whole.clone();
+        split.values_mut().fill(f64::NAN);
+        let mut w = slots.writer_range(&mut split, 0..3);
+        for v in &values[..3] {
+            w.write(*v);
+        }
+        assert!(w.finish());
+        let prefix = split.values().to_vec();
+        split.values_mut().fill(7.0);
+        split.values_mut().copy_from_slice(&prefix);
+        let mut w = slots.writer_range(&mut split, 3..5);
+        assert_eq!(w.position(), 3);
+        for v in &values[3..] {
+            w.write(*v);
+        }
+        assert!(w.finish());
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&whole), bits(&split));
+    }
+
+    #[test]
+    #[should_panic(expected = "ended early")]
+    fn segment_finish_rejects_short_segments() {
+        let (mut m, slots) = StampSlots::build(1, 1, &[(0, 0), (0, 0), (0, 0)]);
+        let mut w = slots.writer_range(&mut m, 0..2);
         w.write(1.0);
         w.finish();
     }

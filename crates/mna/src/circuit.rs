@@ -244,6 +244,44 @@ impl Circuit {
         self.seed_state(x, state, &mut scratch.before);
     }
 
+    /// One limiter pass at `x`:
+    /// [`Device::limit_state`](rlpta_devices::Device::limit_state) on every
+    /// device with state. `state` ends bit for bit where an evaluation at
+    /// `x` from it would leave it, which is also the limited junction
+    /// voltages that evaluation would see; no device equation is evaluated
+    /// and no fault-injection draw is consumed. Returns whether every
+    /// device landed (its limited voltages are bitwise its finite junction
+    /// voltages).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is shorter than [`Circuit::dim`] or `state` is not of
+    /// length [`Circuit::state_len`].
+    pub fn limit_state(&self, x: &[f64], state: &mut [f64]) -> bool {
+        assert_eq!(state.len(), self.state_len, "state dimension mismatch");
+        let mut landed = true;
+        for &i in &self.limited {
+            let (d, off) = (&self.devices[i], self.state_offsets[i]);
+            landed &= d.limit_state(x, &mut state[off..off + d.state_len()]);
+        }
+        landed
+    }
+
+    /// Whether [`Circuit::seeded_state_into`] at `x` is sure to end on the
+    /// junction voltages at `x` themselves, decided without running the
+    /// walk ([`Device::seeding_lands`](rlpta_devices::Device::seeding_lands)
+    /// on every device with state). Each limited voltage then climbs on
+    /// its own until it lands, never stalling below `1e-12`, so the walk
+    /// stops exactly when all have landed: a state on which
+    /// [`Circuit::limit_state`] reports every device landed and moves
+    /// nothing is then bit for bit the seeded state. `false` only means
+    /// the walk has to be run.
+    pub fn seeding_lands(&self, x: &[f64]) -> bool {
+        self.limited
+            .iter()
+            .all(|&i| self.devices[i].seeding_lands(x))
+    }
+
     /// The limiter walk behind [`Circuit::seeded_state_into`], with
     /// `before` as reusable scratch.
     fn seed_state(&self, x: &[f64], state: &mut [f64], before: &mut Vec<f64>) {
@@ -253,12 +291,7 @@ impl Circuit {
         for _ in 0..64 {
             before.clear();
             before.extend_from_slice(state);
-            let mut landed = true;
-            for &i in &self.limited {
-                let (d, off) = (&self.devices[i], self.state_offsets[i]);
-                landed &= d.limit_state(x, &mut state[off..off + d.state_len()]);
-            }
-            if landed {
+            if self.limit_state(x, state) {
                 break;
             }
             let moved = state

@@ -49,4 +49,4 @@ mod plan;
 pub use builder::{BuildCircuitError, CircuitBuilder};
 pub use circuit::{Circuit, ResidualScratch};
 pub use features::CircuitFeatures;
-pub use plan::{BumpPlan, DeclareScratch, StampPlan};
+pub use plan::{BumpPlan, DeclareScratch, DeviceSnapshot, StampPlan};

@@ -15,9 +15,14 @@
 //! pattern comes from the same ordering routine, and each slot accumulates
 //! its duplicates in push order. See `rlpta-linalg::StampSlots` for the
 //! mechanics.
+//!
+//! A pass writes the devices' pushes, then the extra hook's, as two
+//! segments of the one sequence. A [`DeviceSnapshot`] keeps the first
+//! segment's result, and [`StampPlan::replay_into`] rebuilds the whole
+//! pass from it under another hook without evaluating a device.
 
 use crate::Circuit;
-use rlpta_devices::{EvalCtx, JacSink, Stamper};
+use rlpta_devices::{EvalCtx, Stamper};
 #[cfg(test)]
 use rlpta_linalg::Triplet;
 use rlpta_linalg::{CsrMatrix, StampSlots};
@@ -157,52 +162,110 @@ impl StampPlan {
         state: &mut [f64],
         extra: &mut dyn FnMut(&mut Stamper<'_>),
     ) -> bool {
-        assert_eq!(residual.len(), self.dim, "residual dimension mismatch");
-        assert_eq!(state.len(), self.state_len, "state dimension mismatch");
-        residual.fill(0.0);
-        let mut st = Stamper::scatter(self.slots.writer(matrix), residual);
-        Self::replay(circuit, ctx, &mut st, state, extra);
-        st.finish()
+        let devices_finite = self.eval_devices(circuit, ctx, matrix, residual, state);
+        let extra_finite = self.eval_extra(matrix, residual, extra);
+        devices_finite && extra_finite
     }
 
-    /// Residual-only twin of [`StampPlan::eval_into`]: the same device
-    /// loop and `extra` hook, with Jacobian values dropped instead of
-    /// scattered. `residual` and `state` end bit for bit where `eval_into`
-    /// leaves them, and fault-injection draws are consumed exactly as
-    /// there, so either pass leaves the seeded NaN sequence in the same
-    /// place.
+    /// [`StampPlan::eval_into`] that also copies the device half of the
+    /// assembly into `snapshot`: the values, residual and finite flag the
+    /// devices left before `extra` ran. Same result, same fault draws;
+    /// [`StampPlan::replay_into`] later rebuilds the assembly from the
+    /// snapshot under any extra hook without evaluating a device.
     ///
     /// # Panics
     ///
-    /// Panics if `residual`/`state` have the wrong length.
-    pub fn eval_residual_into(
+    /// As [`StampPlan::eval_into`].
+    // The snapshot rides along with `eval_into`'s own arguments.
+    #[allow(clippy::too_many_arguments)]
+    pub fn eval_snapshot_into(
         &self,
         circuit: &Circuit,
         ctx: &EvalCtx<'_>,
+        matrix: &mut CsrMatrix,
         residual: &mut [f64],
         state: &mut [f64],
         extra: &mut dyn FnMut(&mut Stamper<'_>),
-    ) {
+        snapshot: &mut DeviceSnapshot,
+    ) -> bool {
+        let devices_finite = self.eval_devices(circuit, ctx, matrix, residual, state);
+        snapshot.values.clear();
+        snapshot.values.extend_from_slice(matrix.values());
+        snapshot.residual.clear();
+        snapshot.residual.extend_from_slice(residual);
+        snapshot.finite = devices_finite;
+        let extra_finite = self.eval_extra(matrix, residual, extra);
+        devices_finite && extra_finite
+    }
+
+    /// Rebuilds an assembly from the device half `snapshot` holds: restores
+    /// its values and residual into `matrix` and `residual`, then runs only
+    /// `extra`, from push cursor [`StampPlan::device_pushes`]. Every push
+    /// keeps its first-touch flag, so slots only the hook touches are
+    /// assigned afresh and shared slots add onto the device sums: the
+    /// result is bit for bit what [`StampPlan::eval_into`] returns at the
+    /// snapshot's `x` and limiter state under this `extra`, signed zeros
+    /// included. Evaluates no device and takes no fault-injection draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `snapshot` was not taken through this plan, `matrix` or
+    /// `residual` has the wrong shape, or `extra` pushes a different number
+    /// of stamps than the plan declared.
+    pub fn replay_into(
+        &self,
+        snapshot: &DeviceSnapshot,
+        matrix: &mut CsrMatrix,
+        residual: &mut [f64],
+        extra: &mut dyn FnMut(&mut Stamper<'_>),
+    ) -> bool {
+        assert_eq!(
+            snapshot.residual.len(),
+            self.dim,
+            "snapshot from another plan"
+        );
+        matrix.values_mut().copy_from_slice(&snapshot.values);
+        residual.copy_from_slice(&snapshot.residual);
+        let extra_finite = self.eval_extra(matrix, residual, extra);
+        snapshot.finite && extra_finite
+    }
+
+    /// The device half of a pass: zeroes `residual` and stamps every device
+    /// through a scatter writer over the device pushes. Returns whether
+    /// every raw device stamp was finite.
+    fn eval_devices(
+        &self,
+        circuit: &Circuit,
+        ctx: &EvalCtx<'_>,
+        matrix: &mut CsrMatrix,
+        residual: &mut [f64],
+        state: &mut [f64],
+    ) -> bool {
         assert_eq!(residual.len(), self.dim, "residual dimension mismatch");
         assert_eq!(state.len(), self.state_len, "state dimension mismatch");
         residual.fill(0.0);
-        let mut st = Stamper::residual_only(residual);
-        Self::replay(circuit, ctx, &mut st, state, extra);
+        let writer = self.slots.writer_range(matrix, 0..self.device_pushes);
+        let mut st = Stamper::scatter(writer, residual);
+        for (d, &off) in circuit.devices().iter().zip(circuit.state_offsets()) {
+            d.stamp(ctx, &mut st, &mut state[off..off + d.state_len()]);
+        }
+        st.finish()
     }
 
-    /// One evaluation of every device through `st`'s concrete sink, then
-    /// `extra` through the type-erased stamper over the same sink.
-    fn replay<S: JacSink>(
-        circuit: &Circuit,
-        ctx: &EvalCtx<'_>,
-        st: &mut Stamper<'_, S>,
-        state: &mut [f64],
+    /// The extra half of a pass: `extra` through the type-erased stamper,
+    /// continuing the sequence at push cursor `device_pushes`. Returns
+    /// whether every raw extra stamp was finite.
+    fn eval_extra(
+        &self,
+        matrix: &mut CsrMatrix,
+        residual: &mut [f64],
         extra: &mut dyn FnMut(&mut Stamper<'_>),
-    ) {
-        for (d, &off) in circuit.devices().iter().zip(circuit.state_offsets()) {
-            d.stamp(ctx, st, &mut state[off..off + d.state_len()]);
-        }
+    ) -> bool {
+        let pushes = self.device_pushes..self.len();
+        let writer = self.slots.writer_range(matrix, pushes);
+        let mut st = Stamper::scatter(writer, residual);
         extra(&mut st.erased());
+        st.finish()
     }
 
     /// Builds the Gmin-bump companion: the frozen pattern united with every
@@ -272,6 +335,30 @@ impl DeclareScratch {
             );
         }
         &self.targets
+    }
+}
+
+/// The device half of one [`StampPlan`] evaluation, taken by
+/// [`StampPlan::eval_snapshot_into`] after the device loop and before the
+/// extra hook: the working matrix's values, the residual and whether every
+/// raw device stamp was finite. [`StampPlan::replay_into`] rebuilds a full
+/// assembly from it under any extra hook. Slots only the extra hook
+/// touches hold stale values here; the replay's first touches overwrite
+/// them. Start from `default()`; the buffers size themselves on the first
+/// snapshot and are kept by later ones.
+#[derive(Debug, Clone, Default)]
+pub struct DeviceSnapshot {
+    values: Vec<f64>,
+    residual: Vec<f64>,
+    finite: bool,
+}
+
+impl DeviceSnapshot {
+    /// The devices' residual contribution: bit for bit the residual a
+    /// pass with no extra stamps leaves at the snapshot's `x` and limiter
+    /// state.
+    pub fn residual(&self) -> &[f64] {
+        &self.residual
     }
 }
 

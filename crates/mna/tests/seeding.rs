@@ -7,7 +7,9 @@
 //! bit on generated decks holding every nonlinear kind (NPN and PNP BJTs,
 //! NMOS and PMOS FETs, a diode with `RS` and `BV`, N- and P-channel JFETs),
 //! at iterates drawn ±0.01, ±1, ±10 and ±50 V around the operating point,
-//! at the 64-pass cap, and with NaN and ±∞ entries.
+//! at the 64-pass cap, and with NaN and ±∞ entries. Wherever
+//! [`Circuit::seeding_lands`] answers `true` without walking, the walk
+//! must have landed on the junction voltages.
 
 use proptest::prelude::*;
 use rlpta_devices::{
@@ -177,9 +179,24 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 /// Seeds at `x` through both public entry points, asserts both equal the
-/// walk bit for bit, and returns the walk's pass count.
+/// walk bit for bit, and returns the walk's pass count. Where
+/// [`Circuit::seeding_lands`] claims the walk lands, also asserts that it
+/// did: one more limiter pass reports every device landed and moves
+/// nothing.
 fn check(c: &Circuit, x: &[f64], scratch: &mut ResidualScratch) -> usize {
     let (want, passes) = walk(c, x);
+    if c.seeding_lands(x) {
+        let mut limited = want.clone();
+        assert!(
+            c.limit_state(x, &mut limited),
+            "seeding_lands at {x:?}, but the walk did not land"
+        );
+        assert_eq!(
+            bits(&limited),
+            bits(&want),
+            "the landed walk moved at {x:?}"
+        );
+    }
     assert_eq!(
         bits(&c.seeded_state(x)),
         bits(&want),
@@ -280,4 +297,31 @@ fn seeding_matches_the_walk_at_the_pass_cap() {
         .filter(|&seed| check(&c, &around(&op, 50.0, seed), &mut scratch) == 64)
         .count();
     assert!(capped > 0, "no draw reached the 64-pass cap");
+}
+
+/// [`Circuit::seeding_lands`] answers `true` near the operating point of
+/// every generated deck (so the checks above are not vacuous) and `false`
+/// wherever the walk hit the pass cap.
+#[test]
+fn seeding_lands_near_the_operating_point_and_not_at_the_cap() {
+    for stages in 1..3 {
+        let c = mixed(12.0, 2_000.0, 10.0, 5.0, stages);
+        let op = operating_point(&c);
+        assert!(
+            c.seeding_lands(&op),
+            "{stages} stages: not decided at the operating point"
+        );
+        for seed in 0..100 {
+            let x = around(&op, 0.01, seed);
+            assert!(c.seeding_lands(&x), "{stages} stages: not decided at {x:?}");
+            check(&c, &x, &mut ResidualScratch::default());
+            let far = around(&op, 50.0, seed);
+            if walk(&c, &far).1 == 64 {
+                assert!(
+                    !c.seeding_lands(&far),
+                    "claimed to land at the cap: {far:?}"
+                );
+            }
+        }
+    }
 }
