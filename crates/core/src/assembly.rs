@@ -2,10 +2,11 @@
 //!
 //! Every Newton run assembles `J(x)` through a precompiled [`StampPlan`]:
 //! one structural resolve per circuit structure, then a per-iteration
-//! slot-table scatter into a persistent CSR buffer. Certification does the
-//! same through a verified plan (its chain's, or one of its own), and the
-//! service keys structures from a declare pass, so no solve, certification
-//! or service job uses the triplet assembler. It stays as the oracle the
+//! slot-table scatter into a persistent CSR buffer. Certification scatters
+//! through the same plan and buffer after re-verifying the plan
+//! ([`NewtonWorkspace::certify_assembly`]), and the service keys structures
+//! from a declare pass, so no solve, certification or service job uses the
+//! triplet assembler. It stays as the oracle the
 //! plan bit-identity tests compare against (and as AC analysis's
 //! small-signal assembly).
 //!
@@ -55,13 +56,16 @@ pub enum AssemblyMode {
 /// numeric shell replays rewrite), the resolved stamp plan (possibly
 /// shared from the service plan cache), the working CSR buffer the plan
 /// scatters into, the lazily-built Gmin-bump companion and the iterate
-/// buffers, plus the start-point buffers and the certification workspace
-/// of a sweep-point chain.
+/// buffers, plus the start-point buffers of a run and certification's own
+/// state.
 ///
 /// Created by whoever owns the chain and threaded through every
 /// `newton_iterate` call of it, so the plan resolves once and every later
 /// iteration is a pure write pass, a symbolic replay and an in-place solve
-/// with no allocation.
+/// with no allocation. The chain's returned points are certified in the
+/// same workspace, on the same plan and buffers
+/// ([`NewtonWorkspace::certify_assembly`]), so a chain of plain Newton runs
+/// resolves one plan, not two.
 #[derive(Debug, Default)]
 pub(crate) struct NewtonWorkspace {
     lu: LuWorkspace,
@@ -73,18 +77,20 @@ pub(crate) struct NewtonWorkspace {
     bump: Option<(BumpPlan, CsrMatrix)>,
     /// The per-iteration vectors of `newton_iterate`.
     pub(crate) bufs: NewtonBuffers,
-    /// Per-point start buffers of a sweep-point chain.
+    /// The start of a run, and certification's seeded limiter state.
     pub(crate) start: StartBuffers,
-    /// Certification's workspace for the chain's returned points, built
-    /// on the first certification (chains inside a PTA solve never
-    /// certify). It shares at most the verified stamp plan with the Newton
-    /// state above (see [`NewtonWorkspace::certify_workspace`]): its
-    /// reports are bitwise [`crate::certify::certify`]'s.
-    certify: Option<CertifyWorkspace>,
+    /// What certification keeps apart from the Newton state above.
+    pub(crate) certify: CertifyWorkspace,
     /// The device half of the latest convergence check, kept only by a
     /// chain that evaluates one unchanged circuit
     /// ([`NewtonWorkspace::carrying_devices`]).
     check: Option<CheckSnapshot>,
+}
+
+// Plans installed in workspaces on this thread, for tests that count them.
+#[cfg(test)]
+thread_local! {
+    pub(crate) static PLAN_INSTALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The device half of a convergence-check assembly and the inputs its
@@ -192,8 +198,9 @@ fn assert_fresh(
     );
 }
 
-/// The start of one warm Newton run: the zero iterate used when no warm
-/// start is given and the limiter state seeded at the start iterate.
+/// The start of one Newton run ([`crate::newton::newton_from`]): the zero
+/// iterate used when no start is given and the limiter state seeded at the
+/// start iterate. Certification seeds its limiter state here too.
 #[derive(Debug, Default)]
 pub(crate) struct StartBuffers {
     pub(crate) zeros: Vec<f64>,
@@ -290,31 +297,51 @@ impl NewtonWorkspace {
         self.plan.as_ref()
     }
 
-    /// The chain's certification workspace, built on first use. One that
-    /// has no plan yet takes the chain's stamp plan when that plan has no
-    /// extra stamps (`CertifyWorkspace::adopt_plan`), so a chain of plain
-    /// Newton runs certifies without resolving a plan of its own.
-    pub(crate) fn certify_workspace(&mut self) -> &mut CertifyWorkspace {
-        let certify = self.certify.get_or_insert_with(CertifyWorkspace::default);
-        if let Some(plan) = &self.plan {
-            certify.adopt_plan(plan);
-        }
-        certify
-    }
-
     /// Installs `resolve()` unless a plan of dimension `dim` is already
     /// installed. A workspace recycled across circuits of a different
     /// dimension drops its plan and the buffers bound to it.
     pub(crate) fn ensure_plan(&mut self, dim: usize, resolve: impl FnOnce() -> StampPlan) {
-        if self.plan.as_ref().is_some_and(|p| p.dim() == dim) {
-            return;
+        if self.plan.as_ref().is_none_or(|p| p.dim() != dim) {
+            self.install_plan(resolve());
         }
-        self.plan = Some(Arc::new(resolve()));
+    }
+
+    /// Installs `plan`, dropping the buffers bound to the previous one.
+    fn install_plan(&mut self, plan: StampPlan) {
+        #[cfg(test)]
+        PLAN_INSTALLS.with(|n| n.set(n.get() + 1));
+        self.plan = Some(Arc::new(plan));
         self.matrix = None;
         self.bump = None;
         if let Some(check) = &mut self.check {
             check.valid = false;
         }
+    }
+
+    /// Certification's assembly: `J(x)` into the working matrix and `F(x)`
+    /// into `bufs.res`, limiter-free (default gmin, full sources) from the
+    /// limiter state seeded at `x` in the start buffers. The installed plan
+    /// is used when certification may take it
+    /// ([`CertifyWorkspace::takes`]); otherwise a device-only plan is
+    /// resolved from `circuit` and installed. Every pass rewrites every
+    /// slot, the residual and the state, so the assembly does not depend on
+    /// what the workspace held. Returns it with certification's own state.
+    pub(crate) fn certify_assembly(
+        &mut self,
+        circuit: &Circuit,
+        x: &[f64],
+    ) -> (&CsrMatrix, &[f64], &mut CertifyWorkspace) {
+        if !self.certify.takes(self.plan.as_deref(), circuit) {
+            self.install_plan(StampPlan::resolve(circuit, &mut |_| {}));
+        }
+        let (start, res) = (&mut self.start, &mut self.bufs.res);
+        start.state.resize(circuit.state_len(), 0.0);
+        circuit.seeded_state_into(x, &mut start.state, &mut start.seed);
+        res.resize(circuit.dim(), 0.0);
+        let (plan, matrix) = plan_and_matrix(&self.plan, &mut self.matrix);
+        let ctx = EvalCtx::dc(x);
+        plan.eval_into(circuit, &ctx, matrix, res, &mut start.state, &mut |_| {});
+        (matrix, res, &mut self.certify)
     }
 
     /// Assembles the system at `ctx` through the plan into the working

@@ -41,34 +41,40 @@
 //!
 //! # Warm certification
 //!
-//! A `CertifyWorkspace` carries certification's own state from one call to
-//! the next: a [`StampPlan`], the CSR buffer the plan scatters into, a
-//! fresh-equivalent [`LuWorkspace`] and the Hager scratch. A chain's
-//! workspace starts from the chain's Newton plan when that plan has no
-//! solver extra stamps; otherwise it resolves its own. Either way every
-//! call re-verifies the plan against the circuit with a declare pass in
-//! the workspace's own buffers and resolves a new plan when the check
-//! fails, so a workspace can move between circuits. A plan holds no
-//! values and takes no fault draws: it is a pure function of the declare
-//! pass it was verified against, so whoever resolved it, plan assembly is
-//! bitwise triplet assembly followed by `Triplet::to_csr` (the plan ≡
-//! triplet contract the assembly tests pin), and certification stays
-//! independent of the solver while sorting nothing. Its numeric path is
-//! its own: the seeded limiter state, the scatter and the LU. Its LU
-//! pattern is recorded from its own full factorization, never read from
-//! the Newton workspace, and a replay is accepted only when every recorded
-//! pivot is the one [`SparseLu::factorize`] would choose on the new
-//! values — so the replayed factorization is bitwise the fresh one, and a
-//! workspace report equals [`certify`]'s whatever the workspace saw
-//! before.
+//! Certification is a pass over the `NewtonWorkspace` of the solve it
+//! certifies: a sweep chain's, a service group's, a direct Newton solve's
+//! or a ladder run's. It scatters `J(x)` and `F(x)` through the
+//! workspace's [`StampPlan`] into its working matrix and residual, from the
+//! limiter state seeded at `x` in its start buffers. Apart from Newton it
+//! keeps only a `CertifyWorkspace`: a fresh-equivalent [`LuWorkspace`],
+//! the Hager scratch and the declare scratch that re-verifies the plan.
+//! Every call re-verifies the installed plan against the circuit with a
+//! declare pass and takes it only when it also carries no solver extra
+//! stamps (a PTA plan's pseudo-element shunts would be left stale by the
+//! limiter-free scatter); otherwise it resolves a device-only plan and
+//! installs it. So a chain of plain Newton runs certifies on the plan its
+//! Newton run resolved. A ladder certifies every rung's result in the
+//! workspace of its Newton rung; a PTA strategy's result certifies in a
+//! fresh one, as the workspaces of PTA, continuation and homotopy runs
+//! hold plans with extra stamps.
+//!
+//! Reports stay bitwise [`certify`]'s whatever the workspace held before.
+//! A plan holds no values and takes no fault draws: it is a pure function
+//! of the declare pass it was verified against, so whoever resolved it,
+//! plan assembly is bitwise triplet assembly followed by `Triplet::to_csr`
+//! (the plan ≡ triplet contract the assembly tests pin). Each pass rewrites
+//! every slot, the residual and the seeded state. The LU pattern is
+//! recorded from certification's own full factorization, never read from
+//! Newton's, and a replay is accepted only when every recorded pivot is
+//! the one [`SparseLu::factorize`] would choose on the new values — so the
+//! replayed factorization is bitwise the fresh one.
 
+use crate::assembly::NewtonWorkspace;
 use crate::error::SolveError;
 use crate::telemetry::{interest, Payload, Phase, Tele};
 use crate::Solution;
-use rlpta_devices::EvalCtx;
-use rlpta_linalg::{norms, CondScratch, CsrMatrix, LuWorkspace, SparseLu};
-use rlpta_mna::{Circuit, DeclareScratch, ResidualScratch, StampPlan};
-use std::sync::Arc;
+use rlpta_linalg::{norms, CondScratch, LuWorkspace, SparseLu};
+use rlpta_mna::{Circuit, DeclareScratch, StampPlan};
 
 /// Residual infinity-norm at or below which a solution can be graded
 /// [`HealthGrade::Certified`] — matches the plain Newton solver's default
@@ -164,18 +170,13 @@ fn grade_of(residual_norm: f64, cond: f64, growth: f64) -> HealthGrade {
     }
 }
 
-/// Certification's reusable state: its stamp plan and the buffers of its
-/// re-verification, the CSR the plan scatters the Jacobian into, a
+/// What certification keeps apart from the Newton state of the workspace
+/// it certifies in: the declare scratch of its plan re-verification, a
 /// fresh-equivalent LU workspace and the Hager scratch (see the module
-/// docs). Reports do not depend on what the workspace certified before.
+/// docs).
 #[derive(Debug)]
 pub(crate) struct CertifyWorkspace {
-    plan: Option<Arc<StampPlan>>,
     declare: DeclareScratch,
-    csr: CsrMatrix,
-    res: Vec<f64>,
-    state: Vec<f64>,
-    seed: ResidualScratch,
     lu: LuWorkspace,
     cond: CondScratch,
 }
@@ -183,12 +184,7 @@ pub(crate) struct CertifyWorkspace {
 impl Default for CertifyWorkspace {
     fn default() -> Self {
         Self {
-            plan: None,
             declare: DeclareScratch::default(),
-            csr: CsrMatrix::default(),
-            res: Vec::new(),
-            state: Vec::new(),
-            seed: ResidualScratch::default(),
             lu: LuWorkspace::fresh_equivalent(),
             cond: CondScratch::default(),
         }
@@ -196,78 +192,49 @@ impl Default for CertifyWorkspace {
 }
 
 impl CertifyWorkspace {
-    /// Takes `plan` as the workspace's plan when the workspace has none
-    /// yet and `plan` carries no solver extra stamps (a plan with them
-    /// would under-run the limiter-free scatter). A plan is a pure
-    /// function of a declare pass and every call re-verifies it against
-    /// its circuit, so a taken plan gives the reports a resolved one would.
-    pub(crate) fn adopt_plan(&mut self, plan: &Arc<StampPlan>) {
-        if self.plan.is_none() && plan.device_pushes() == plan.len() {
-            self.csr = plan.new_matrix();
-            self.plan = Some(Arc::clone(plan));
-        }
+    /// Whether certification may scatter through `plan`: there is one, it
+    /// carries no solver extra stamps (the limiter-free scatter would leave
+    /// their slots stale) and it verifies against `circuit`.
+    pub(crate) fn takes(&mut self, plan: Option<&StampPlan>, circuit: &Circuit) -> bool {
+        plan.is_some_and(|p| {
+            p.device_pushes() == p.len() && p.verify_with(circuit, &mut self.declare)
+        })
     }
+}
 
-    /// One limiter-free assembly at `x` through the workspace's plan into
-    /// `csr` (`J(x)`) and `res` (`F(x)`), after re-verifying the plan
-    /// against `circuit` (a new one is resolved when it does not match).
-    fn assemble(&mut self, circuit: &Circuit, x: &[f64]) {
-        let plan = match self.plan.take() {
-            Some(plan) if plan.verify_with(circuit, &mut self.declare) => plan,
-            _ => {
-                let plan = StampPlan::resolve(circuit, &mut |_| {});
-                self.csr = plan.new_matrix();
-                Arc::new(plan)
-            }
+/// [`certify`] in `ws` (see the module docs); bitwise the same report.
+pub(crate) fn certify_in(ws: &mut NewtonWorkspace, circuit: &Circuit, x: &[f64]) -> HealthReport {
+    if x.len() != circuit.dim() || !x.iter().all(|v| v.is_finite()) {
+        return HealthReport {
+            residual_norm: f64::INFINITY,
+            cond_estimate: f64::INFINITY,
+            pivot_growth: f64::INFINITY,
+            grade: HealthGrade::Rejected,
         };
-        self.res.resize(circuit.dim(), 0.0);
-        self.state.resize(circuit.state_len(), 0.0);
-        circuit.seeded_state_into(x, &mut self.state, &mut self.seed);
-        plan.eval_into(
-            circuit,
-            &EvalCtx::dc(x),
-            &mut self.csr,
-            &mut self.res,
-            &mut self.state,
-            &mut |_| {},
-        );
-        self.plan = Some(plan);
     }
-
-    /// [`certify`] on this workspace's buffers; bitwise the same report.
-    pub(crate) fn certify(&mut self, circuit: &Circuit, x: &[f64]) -> HealthReport {
-        if x.len() != circuit.dim() || !x.iter().all(|v| v.is_finite()) {
-            return HealthReport {
-                residual_norm: f64::INFINITY,
-                cond_estimate: f64::INFINITY,
-                pivot_growth: f64::INFINITY,
-                grade: HealthGrade::Rejected,
-            };
-        }
-        self.assemble(circuit, x);
-        // `inf_norm` folds with `f64::max`, which discards NaN — scan first
-        // so a poisoned residual rejects instead of reading as 0.0.
-        let residual_norm = if self.res.iter().all(|v| v.is_finite()) {
-            norms::inf_norm(&self.res)
-        } else {
-            f64::INFINITY
-        };
-        let (cond_estimate, pivot_growth) = match self.lu.factorize(&self.csr) {
-            Ok(lu) => (
-                sanitize(
-                    lu.cond_estimate_with(&self.csr, &mut self.cond)
-                        .unwrap_or(f64::INFINITY),
-                ),
-                sanitize(lu.pivot_growth()),
+    let (a, res, own) = ws.certify_assembly(circuit, x);
+    // `inf_norm` folds with `f64::max`, which discards NaN — scan first
+    // so a poisoned residual rejects instead of reading as 0.0.
+    let residual_norm = if res.iter().all(|v| v.is_finite()) {
+        norms::inf_norm(res)
+    } else {
+        f64::INFINITY
+    };
+    let (cond_estimate, pivot_growth) = match own.lu.factorize(a) {
+        Ok(lu) => (
+            sanitize(
+                lu.cond_estimate_with(a, &mut own.cond)
+                    .unwrap_or(f64::INFINITY),
             ),
-            Err(_) => (f64::INFINITY, f64::INFINITY),
-        };
-        HealthReport {
-            residual_norm: sanitize(residual_norm),
-            cond_estimate,
-            pivot_growth,
-            grade: grade_of(residual_norm, cond_estimate, pivot_growth),
-        }
+            sanitize(lu.pivot_growth()),
+        ),
+        Err(_) => (f64::INFINITY, f64::INFINITY),
+    };
+    HealthReport {
+        residual_norm: sanitize(residual_norm),
+        cond_estimate,
+        pivot_growth,
+        grade: grade_of(residual_norm, cond_estimate, pivot_growth),
     }
 }
 
@@ -275,7 +242,7 @@ impl CertifyWorkspace {
 /// and Jacobian at `x` from the circuit alone (no solver state) and grades
 /// the result. Pure — same circuit and `x` always produce the same report.
 pub fn certify(circuit: &Circuit, x: &[f64]) -> HealthReport {
-    CertifyWorkspace::default().certify(circuit, x)
+    certify_in(&mut NewtonWorkspace::new(), circuit, x)
 }
 
 /// One rescue pass: up to [`RESCUE_STEPS`] Newton corrections at the
@@ -283,7 +250,7 @@ pub fn certify(circuit: &Circuit, x: &[f64]) -> HealthReport {
 /// plateau. Mutates `x` only with strictly improving steps; returns the
 /// best report seen.
 fn rescue_pass(
-    ws: &mut CertifyWorkspace,
+    ws: &mut NewtonWorkspace,
     circuit: &Circuit,
     x: &mut Vec<f64>,
     equilibrate: bool,
@@ -291,23 +258,22 @@ fn rescue_pass(
     tele: &Tele<'_>,
 ) -> HealthReport {
     for step in 1..=RESCUE_STEPS {
-        ws.assemble(circuit, x);
-        if !ws.res.iter().all(|v| v.is_finite()) {
+        let (a, res, _) = ws.certify_assembly(circuit, x);
+        if !res.iter().all(|v| v.is_finite()) {
             break;
         }
-        let a = &ws.csr;
         let lu = if equilibrate {
             SparseLu::factorize_equilibrated(a)
         } else {
             SparseLu::factorize(a)
         };
         let Ok(lu) = lu else { break };
-        let neg_f: Vec<f64> = ws.res.iter().map(|v| -v).collect();
+        let neg_f: Vec<f64> = res.iter().map(|v| -v).collect();
         let Ok(refined) = lu.solve_refined(a, &neg_f, RESCUE_REFINEMENT_CAP) else {
             break;
         };
         let candidate: Vec<f64> = x.iter().zip(&refined.x).map(|(a, b)| a + b).collect();
-        let report = ws.certify(circuit, &candidate);
+        let report = certify_in(ws, circuit, &candidate);
         tele.emit(Payload::RefinementStep {
             step,
             residual: report.residual_norm,
@@ -333,13 +299,13 @@ fn rescue_pass(
 /// final [`HealthReport`] and emits one [`Payload::Certified`] event, all
 /// under one [`Phase::Certify`] span. Returns the final grade.
 pub(crate) fn certify_into(
-    ws: &mut CertifyWorkspace,
+    ws: &mut NewtonWorkspace,
     circuit: &Circuit,
     solution: &mut Solution,
     tele: &Tele<'_>,
 ) -> HealthGrade {
     let _span = tele.time(Phase::Certify);
-    let mut report = ws.certify(circuit, &solution.x);
+    let mut report = certify_in(ws, circuit, &solution.x);
     // The workspace's history must never show in a report. (Not under
     // `faults`: the cold re-grade would take an extra injection draw.)
     #[cfg(all(debug_assertions, not(feature = "faults")))]
@@ -371,7 +337,7 @@ pub(crate) fn certify_into(
 /// `ws`, then a surviving [`HealthGrade::Rejected`] becomes
 /// [`SolveError::CertificationFailed`] carrying the final residual.
 pub(crate) fn certified(
-    ws: &mut CertifyWorkspace,
+    ws: &mut NewtonWorkspace,
     circuit: &Circuit,
     mut solution: Solution,
     tele: &Tele<'_>,
@@ -388,9 +354,11 @@ pub(crate) fn certified(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly::NewtonWorkspace;
+    use crate::assembly::PLAN_INSTALLS;
     use crate::telemetry::{Collector, Span};
     use crate::NewtonRaphson;
+    use rlpta_mna::DeclareScratch;
+    use std::sync::Arc;
 
     fn diode_clamp() -> Circuit {
         rlpta_netlist::parse("t\nV1 in 0 5\nR1 in out 1k\nD1 out 0 DX\n.model DX D(IS=1e-14)\n")
@@ -454,7 +422,7 @@ mod tests {
         let mut sol = exact.clone();
         sol.x[0] += 2.0;
         assert_eq!(certify(&c, &sol.x).grade, HealthGrade::Rejected);
-        let grade = certify_into(&mut CertifyWorkspace::default(), &c, &mut sol, &tele);
+        let grade = certify_into(&mut NewtonWorkspace::new(), &c, &mut sol, &tele);
         assert_eq!(grade, HealthGrade::Certified, "{:?}", sol.health);
         for (got, want) in sol.x.iter().zip(&exact.x) {
             assert!((got - want).abs() < 1e-9, "{got} vs {want}");
@@ -475,7 +443,7 @@ mod tests {
         let mut sol = NewtonRaphson::default().solve(&c).unwrap();
         let collector = Arc::new(Collector::default());
         let tele = Tele::root(&*collector, Span::default());
-        let grade = certify_into(&mut CertifyWorkspace::default(), &c, &mut sol, &tele);
+        let grade = certify_into(&mut NewtonWorkspace::new(), &c, &mut sol, &tele);
         assert_eq!(grade, HealthGrade::Certified);
         let health = sol.health.expect("attached");
         assert_eq!(health.grade, HealthGrade::Certified);
@@ -499,12 +467,27 @@ mod tests {
         )
     }
 
+    /// Plans installed on this thread while `run` runs.
+    fn plan_installs(run: impl FnOnce()) -> usize {
+        let before = PLAN_INSTALLS.with(|n| n.get());
+        run();
+        PLAN_INSTALLS.with(|n| n.get()) - before
+    }
+
+    /// Plans a debug build's cold re-certification inside `certify_into`
+    /// resolves per certified point.
+    const ORACLE_INSTALLS: usize = if cfg!(all(debug_assertions, not(feature = "faults"))) {
+        1
+    } else {
+        0
+    };
+
     /// Along chains of jittered points on one structure, entered after
     /// other structures and dimensions, a long-lived workspace reports
     /// bitwise what the cold [`certify`] reports — and its warm
-    /// certifications do replay. So does each circuit's chain workspace,
-    /// which took the plan of that circuit's Newton run and, on that
-    /// plan, never resolves one of its own.
+    /// certifications do replay. So does each circuit's chain workspace
+    /// after a warm sweep-point solve: its certifications run on the plan
+    /// its Newton run resolved and never resolve one of their own.
     #[test]
     fn workspace_reports_equal_cold_certify_bitwise() {
         use rand::prelude::*;
@@ -523,19 +506,24 @@ mod tests {
             .map(|c| engine.solve(c).expect("operating point").x)
             .collect();
         // One warm sweep-point solve per circuit leaves a Newton workspace
-        // holding that circuit's resolved plan.
-        let mut chains: Vec<NewtonWorkspace> = circuits
+        // holding the plan that circuit's Newton run resolved, the only
+        // plan the solve installed besides the cold oracle's.
+        let mut chains: Vec<(NewtonWorkspace, Arc<StampPlan>)> = circuits
             .iter()
             .map(|c| {
                 let mut nws = NewtonWorkspace::new();
-                engine
-                    .solve_warm_in(c, None, &mut nws, Span::default())
-                    .expect("operating point");
-                nws
+                let installs = plan_installs(|| {
+                    engine
+                        .solve_warm_in(c, None, &mut nws, Span::default())
+                        .expect("operating point");
+                });
+                assert_eq!(installs, 1 + ORACLE_INSTALLS, "{}", c.title());
+                let newton = Arc::clone(nws.plan().expect("Newton resolved a plan"));
+                (nws, newton)
             })
             .collect();
         let mut rng = StdRng::seed_from_u64(0x5eed);
-        let mut ws = CertifyWorkspace::default();
+        let mut ws = NewtonWorkspace::new();
         for _ in 0..24 {
             let i = rng.gen_range(0..circuits.len());
             // Mostly small jitter (a warm chain); now and then a far point.
@@ -545,26 +533,27 @@ mod tests {
                     .iter()
                     .map(|v| v * (1.0 + spread * rng.gen_range(-1.0..1.0)))
                     .collect();
-                let warm = ws.certify(&circuits[i], &x);
-                let chain = chains[i].certify_workspace().certify(&circuits[i], &x);
+                let warm = certify_in(&mut ws, &circuits[i], &x);
+                let chain = certify_in(&mut chains[i].0, &circuits[i], &x);
                 let cold = certify(&circuits[i], &x);
                 assert_eq!(report_bits(&warm), report_bits(&cold), "circuit {i}");
                 assert_eq!(report_bits(&chain), report_bits(&cold), "chain {i}");
             }
         }
-        let stats = ws.lu.stats();
+        let stats = ws.certify.lu.stats();
         assert!(stats.refactorizations > 0, "no warm replay: {stats:?}");
-        for (i, nws) in chains.iter_mut().enumerate() {
-            let newton = Arc::clone(nws.plan().expect("Newton resolved a plan"));
-            let held = nws.certify_workspace().plan.clone().expect("plan taken");
-            assert!(Arc::ptr_eq(&held, &newton), "chain {i} resolved a plan");
+        for (i, (nws, newton)) in chains.iter().enumerate() {
+            let held = nws.plan().expect("plan kept");
+            assert!(Arc::ptr_eq(held, newton), "chain {i} resolved a plan");
         }
     }
 
     /// A plan with solver extra stamps (a PTA plan: pseudo-element shunts
-    /// on every unknown's diagonal) is never taken: its scatter expects
-    /// more pushes than the limiter-free assembly makes. The workspace
-    /// resolves its own plan and still reports what cold [`certify`] does.
+    /// on every unknown's diagonal) is never scattered through, although
+    /// it verifies against its circuit: its extra slots would keep stale
+    /// values. Certification resolves and installs a device-only plan in
+    /// its place and still reports what cold [`certify`] does. A plan
+    /// without extra stamps is taken and kept.
     #[test]
     fn a_plan_with_extra_stamps_is_never_taken() {
         let c = diode_clamp();
@@ -576,41 +565,69 @@ mod tests {
             }
         }));
         assert!(pta_plan.device_pushes() < pta_plan.len());
-        let mut ws = CertifyWorkspace::default();
-        ws.adopt_plan(&pta_plan);
-        assert!(ws.plan.is_none());
-        let mut nws = NewtonWorkspace::seeded(LuWorkspace::default(), Some(Arc::clone(&pta_plan)));
-        let chain = nws.certify_workspace();
-        assert!(chain.plan.is_none());
+        assert!(pta_plan.verify_with(&c, &mut DeclareScratch::default()));
         let cold = report_bits(&certify(&c, &x));
-        assert_eq!(report_bits(&chain.certify(&c, &x)), cold);
-        let own = chain.plan.clone().expect("resolved its own");
+        let mut nws = NewtonWorkspace::seeded(LuWorkspace::default(), Some(Arc::clone(&pta_plan)));
+        assert_eq!(report_bits(&certify_in(&mut nws, &c, &x)), cold);
+        let own = Arc::clone(nws.plan().expect("resolved its own"));
         assert!(!Arc::ptr_eq(&own, &pta_plan));
         assert_eq!(own.device_pushes(), own.len());
-        // A plan without extra stamps is taken, once: a workspace that
-        // holds a plan keeps it.
+        // A workspace that holds a plan certification takes keeps it:
+        // the one it resolved, or one it was seeded with.
+        assert_eq!(report_bits(&certify_in(&mut nws, &c, &x)), cold);
+        assert!(nws.plan().is_some_and(|p| Arc::ptr_eq(p, &own)));
         let bare = Arc::new(StampPlan::resolve(&c, &mut |_| {}));
-        ws.adopt_plan(&bare);
-        assert!(ws.plan.as_ref().is_some_and(|p| Arc::ptr_eq(p, &bare)));
-        ws.adopt_plan(&Arc::new(StampPlan::resolve(&c, &mut |_| {})));
-        assert!(ws.plan.as_ref().is_some_and(|p| Arc::ptr_eq(p, &bare)));
+        let mut ws = NewtonWorkspace::seeded(LuWorkspace::default(), Some(Arc::clone(&bare)));
+        for _ in 0..2 {
+            assert_eq!(report_bits(&certify_in(&mut ws, &c, &x)), cold);
+            assert!(ws.plan().is_some_and(|p| Arc::ptr_eq(p, &bare)));
+        }
+    }
+
+    /// A direct Newton solve and a ladder whose Newton rung succeeds each
+    /// certify on the plan their Newton run resolved: the only other plan
+    /// installed is the cold oracle's of debug builds.
+    #[test]
+    fn newton_and_ladder_certify_without_a_second_plan() {
+        let c = diode_clamp();
+        for engine in [
+            crate::DcEngine::builder().newton().build(),
+            crate::DcEngine::builder().robust().build(),
+        ] {
+            let installs = plan_installs(|| {
+                let sol = engine.solve(&c).expect("operating point");
+                assert_eq!(sol.stats.pta_steps, 0, "the Newton rung solved it");
+                assert_eq!(sol.health.map(|h| h.grade), Some(HealthGrade::Certified));
+            });
+            assert_eq!(installs, 1 + ORACLE_INSTALLS);
+        }
     }
 
     /// Under `faults`, one certification takes exactly one singular-pivot
-    /// draw — cold or warm — and a fired draw fails its factorization
-    /// (infinite condition and growth) with no full-factorization retry:
-    /// the fired sequence is the one plain factorizations see.
+    /// draw — cold or warm, in a workspace whose Newton run resolved the
+    /// plan — and a fired draw fails its factorization (infinite condition
+    /// and growth) with no full-factorization retry: the fired sequence is
+    /// the one plain factorizations see.
     #[cfg(feature = "faults")]
     #[test]
     fn one_certification_takes_exactly_one_singular_draw() {
         let c = diode_clamp();
-        let x = NewtonRaphson::default().solve(&c).unwrap().x;
+        let mut ws = NewtonWorkspace::new();
+        let (sol, _) = crate::newton::newton_solve(
+            &c,
+            &crate::NewtonConfig::default(),
+            None,
+            &mut crate::recovery::BudgetMeter::unlimited(),
+            &mut ws,
+            &Tele::disabled(),
+        );
+        let x = sol.unwrap().x;
+        let newton = Arc::clone(ws.plan().expect("Newton resolved a plan"));
         let (seed, period, calls) = (5, 3, 60);
         rlpta_linalg::faults::arm_singular(seed, period);
-        let mut ws = CertifyWorkspace::default();
         let fired: Vec<bool> = (0..calls)
             .map(|_| {
-                let r = ws.certify(&c, &x);
+                let r = certify_in(&mut ws, &c, &x);
                 assert_ne!(r.grade, HealthGrade::Rejected);
                 r.cond_estimate == f64::INFINITY && r.pivot_growth == f64::INFINITY
             })
@@ -623,7 +640,11 @@ mod tests {
         rlpta_linalg::faults::disarm();
         assert_eq!(fired, want);
         assert!(fired.contains(&true) && fired.contains(&false));
-        assert!(ws.lu.stats().refactorizations > 0, "warm calls replayed");
+        assert!(
+            ws.certify.lu.stats().refactorizations > 0,
+            "warm calls replayed"
+        );
+        assert!(ws.plan().is_some_and(|p| Arc::ptr_eq(p, &newton)));
     }
 
     #[test]

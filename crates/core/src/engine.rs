@@ -52,9 +52,9 @@
 #[allow(deprecated)]
 use crate::assembly::AssemblyMode;
 use crate::assembly::NewtonWorkspace;
-use crate::certify::{certified, CertifyWorkspace};
+use crate::certify::certified;
 use crate::error::{SolveError, SolvePhase};
-use crate::newton::{newton_iterate, NewtonConfig, NewtonRaphson};
+use crate::newton::{newton_from, newton_solve, NewtonConfig};
 use crate::pta::{PtaConfig, PtaKind, PtaSolver};
 use crate::recovery::{LadderStage, RobustDcSolver, SolveBudget};
 use crate::rl_stepping::{RlStepping, RlSteppingConfig};
@@ -722,7 +722,8 @@ impl DcEngine {
         let mut meter = self.budget.start();
         meter.set_phase(SolvePhase::PseudoTransient);
         let sol = solver.solve_metered(circuit, &mut meter, tele)?;
-        certified(&mut CertifyWorkspace::default(), circuit, sol, tele)
+        // A PTA plan carries pseudo-element stamps: certify afresh.
+        certified(&mut NewtonWorkspace::new(), circuit, sol, tele)
     }
 
     fn pta_kind_or_default(&self) -> PtaKind {
@@ -743,13 +744,9 @@ impl DcEngine {
             Strategy::Newton => {
                 let mut meter = self.budget.start();
                 meter.set_phase(SolvePhase::Newton);
-                let sol = NewtonRaphson::from_config(self.newton.clone()).solve_metered(
-                    circuit,
-                    &vec![0.0; circuit.dim()],
-                    &mut meter,
-                    tele,
-                )?;
-                certified(&mut CertifyWorkspace::default(), circuit, sol, tele)
+                let mut ws = NewtonWorkspace::new();
+                let sol = newton_solve(circuit, &self.newton, None, &mut meter, &mut ws, tele).0?;
+                certified(&mut ws, circuit, sol, tele)
             }
             Strategy::Pta(_) => self.solve_once_with(circuit, self.stepping.controller(), tele),
             Strategy::Robust(stages) => RobustDcSolver::from_stages(stages.clone())
@@ -867,32 +864,11 @@ impl DcEngine {
         ws: &mut NewtonWorkspace,
         tele: &Tele<'_>,
     ) -> Result<Solution, SolveError> {
-        // The start buffers leave the workspace for the run (Newton borrows
-        // the rest of it) and return right after.
-        let mut start = std::mem::take(&mut ws.start);
-        if warm.is_none() {
-            start.zeros.clear();
-            start.zeros.resize(work.dim(), 0.0);
-        }
-        let x0: &[f64] = warm.unwrap_or(&start.zeros);
         let mut meter = self.budget.start();
         meter.set_phase(SolvePhase::Newton);
-        start.state.resize(work.state_len(), 0.0);
-        work.seeded_state_into(x0, &mut start.state, &mut start.seed);
         let fold = StatsFold::default();
         let point_tele = tele.child(&fold);
-        let attempt = newton_iterate(
-            work,
-            &self.newton,
-            x0,
-            &mut start.state,
-            &mut |_, _| {},
-            &mut meter,
-            ws,
-            &point_tele,
-        );
-        ws.start = start;
-        match attempt {
+        match newton_from(work, &self.newton, warm, &mut meter, ws, &point_tele) {
             Ok(out) if out.converged => {
                 point_tele.emit(Payload::SolveDone { converged: true });
                 let sol = Solution {
@@ -903,7 +879,7 @@ impl DcEngine {
                 // A warm iterate that fails independent certification (even
                 // after the rescue) is treated like any other Newton defeat:
                 // fall through to the escalation ladder below.
-                if let Ok(sol) = certified(ws.certify_workspace(), work, sol, &point_tele) {
+                if let Ok(sol) = certified(ws, work, sol, &point_tele) {
                     return Ok(sol);
                 }
             }

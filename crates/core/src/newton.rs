@@ -378,12 +378,6 @@ pub struct NewtonRaphson {
 }
 
 impl NewtonRaphson {
-    /// In-crate constructor; the public path is
-    /// `DcEngine::builder().newton().newton_config(..)`.
-    pub(crate) fn from_config(config: NewtonConfig) -> Self {
-        Self { config }
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &NewtonConfig {
         &self.config
@@ -406,45 +400,63 @@ impl NewtonRaphson {
     ///
     /// See [`NewtonRaphson::solve`].
     pub fn solve_from(&self, circuit: &Circuit, x0: &[f64]) -> Result<Solution, SolveError> {
-        self.solve_metered(circuit, x0, &mut BudgetMeter::unlimited(), &Tele::disabled())
-    }
-
-    pub(crate) fn solve_metered(
-        &self,
-        circuit: &Circuit,
-        x0: &[f64],
-        meter: &mut BudgetMeter,
-        tele: &Tele<'_>,
-    ) -> Result<Solution, SolveError> {
-        newton_solve(circuit, &self.config, x0, meter, tele).0
+        let (mut meter, mut ws) = (BudgetMeter::unlimited(), NewtonWorkspace::new());
+        let tele = Tele::disabled();
+        newton_solve(circuit, &self.config, Some(x0), &mut meter, &mut ws, &tele).0
     }
 }
 
-/// One Newton solve on a fresh workspace: seeded limiter state, the run,
-/// its `SolveDone`, then a [`Solution`] or [`SolveError::NonConvergent`]
-/// whose counters fold the events just emitted. Also returns the final
-/// iterate of a non-converged run when it is finite — the warm start the
-/// escalation ladder's Newton rung carries forward.
+/// A Newton run on `ws` from `x0` (the zero iterate when `None`), its
+/// limiter state seeded at `x0` in the workspace's start buffers, which
+/// leave the workspace for the run (Newton borrows the rest of it) and
+/// return right after.
+pub(crate) fn newton_from(
+    circuit: &Circuit,
+    config: &NewtonConfig,
+    x0: Option<&[f64]>,
+    meter: &mut BudgetMeter,
+    ws: &mut NewtonWorkspace,
+    tele: &Tele<'_>,
+) -> Result<NrOutcome, SolveError> {
+    let mut start = std::mem::take(&mut ws.start);
+    if x0.is_none() {
+        start.zeros.clear();
+        start.zeros.resize(circuit.dim(), 0.0);
+    }
+    let x0 = x0.unwrap_or(&start.zeros);
+    start.state.resize(circuit.state_len(), 0.0);
+    circuit.seeded_state_into(x0, &mut start.state, &mut start.seed);
+    let out = newton_iterate(
+        circuit,
+        config,
+        x0,
+        &mut start.state,
+        &mut |_, _| {},
+        meter,
+        ws,
+        tele,
+    );
+    ws.start = start;
+    out
+}
+
+/// One Newton solve on `ws` ([`newton_from`]), its `SolveDone`, then a
+/// [`Solution`] or [`SolveError::NonConvergent`] whose counters fold the
+/// events just emitted. Also returns the final iterate of a non-converged
+/// run when it is finite — the warm start the escalation ladder's Newton
+/// rung carries forward. The caller certifies a solution in `ws`, on the
+/// plan this run resolved.
 pub(crate) fn newton_solve(
     circuit: &Circuit,
     config: &NewtonConfig,
-    x0: &[f64],
+    x0: Option<&[f64]>,
     meter: &mut BudgetMeter,
+    ws: &mut NewtonWorkspace,
     tele: &Tele<'_>,
 ) -> (Result<Solution, SolveError>, Option<Vec<f64>>) {
     let fold = StatsFold::default();
     let tele = tele.child(&fold);
-    let mut state = circuit.seeded_state(x0);
-    let out = match newton_iterate(
-        circuit,
-        config,
-        x0,
-        &mut state,
-        &mut |_, _| {},
-        meter,
-        &mut NewtonWorkspace::new(),
-        &tele,
-    ) {
+    let out = match newton_from(circuit, config, x0, meter, ws, &tele) {
         Ok(out) => out,
         Err(e) => return (Err(e), None),
     };
@@ -560,7 +572,7 @@ mod tests {
             max_iterations: 2,
             ..NewtonConfig::default()
         };
-        let err = NewtonRaphson::from_config(cfg).solve(&hard).unwrap_err();
+        let err = NewtonRaphson { config: cfg }.solve(&hard).unwrap_err();
         assert!(matches!(err, SolveError::NonConvergent { .. }));
         let _ = NewtonRaphson::default().solve(&c);
     }

@@ -8,7 +8,8 @@
 //! configurable object with a global [`SolveBudget`] and a machine-readable
 //! failure trail ([`AttemptReport`]).
 
-use crate::certify::{certified, CertifyWorkspace};
+use crate::assembly::NewtonWorkspace;
+use crate::certify::certified;
 use crate::continuation::{GminStepping, SourceStepping};
 use crate::error::{SolveError, SolvePhase};
 use crate::homotopy::NewtonHomotopy;
@@ -202,6 +203,9 @@ impl RobustDcSolver {
         // bookkeeping.
         let total_fold = StatsFold::default();
         let tele = tele.child(&total_fold);
+        // One workspace for the run: the Newton rung's, in which every
+        // rung's result is certified, on the plan that rung resolved.
+        let mut ws = NewtonWorkspace::new();
         for stage in &self.stages {
             meter.set_phase(SolvePhase::Escalation);
             meter.check_deadline()?;
@@ -209,15 +213,20 @@ impl RobustDcSolver {
             let stage_fold = StatsFold::default();
             let stage_tele = tele.child(&stage_fold);
             let stage_timer = stage_tele.timer();
-            let (result, carry) =
-                run_stage(stage, circuit, warm.as_deref(), &mut meter, &stage_tele);
+            let (result, carry) = run_stage(
+                stage,
+                circuit,
+                warm.as_deref(),
+                &mut meter,
+                &mut ws,
+                &stage_tele,
+            );
             stage_timer.finish(&stage_tele, Phase::LadderStage);
             let elapsed = t0.elapsed();
             // Independent certification gate: a stage claiming convergence
             // is demoted like any other failure when the re-evaluated
             // residual rejects the point (after the refinement rescue).
-            let result = result
-                .and_then(|sol| certified(&mut CertifyWorkspace::default(), circuit, sol, &tele));
+            let result = result.and_then(|sol| certified(&mut ws, circuit, sol, &tele));
             match result {
                 Ok(mut sol) => {
                     sol.stats = total_fold.snapshot();
@@ -260,12 +269,13 @@ impl RobustDcSolver {
 /// Runs one stage. Returns the stage result plus an optional warm-start
 /// vector for the next stage (only the Newton stage produces one: its final
 /// iterate, when finite, is a legitimate starting point for Gmin stepping
-/// and the homotopy).
+/// and the homotopy). The Newton stage runs in `ws`.
 fn run_stage(
     stage: &LadderStage,
     circuit: &Circuit,
     warm: Option<&[f64]>,
     meter: &mut BudgetMeter,
+    ws: &mut NewtonWorkspace,
     tele: &Tele<'_>,
 ) -> (Result<Solution, SolveError>, Option<Vec<f64>>) {
     let zeros = vec![0.0; circuit.dim()];
@@ -276,7 +286,10 @@ fn run_stage(
     match stage {
         LadderStage::DampedNewton(cfg) => {
             meter.set_phase(SolvePhase::Newton);
-            newton_solve(circuit, cfg, x0, meter, tele)
+            // Afresh, as a standalone solve: a second Newton rung must not
+            // replay the first one's LU pattern.
+            *ws = NewtonWorkspace::new();
+            newton_solve(circuit, cfg, Some(x0), meter, ws, tele)
         }
         LadderStage::GminStepping(gm) => {
             meter.set_phase(SolvePhase::Continuation);

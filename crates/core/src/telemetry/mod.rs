@@ -625,11 +625,6 @@ impl Collector {
         out
     }
 
-    /// Events in raw arrival order (scheduler-dependent under parallelism).
-    pub fn raw_events(&self) -> Vec<Event> {
-        self.events.lock().expect("collector lock").clone()
-    }
-
     /// Drains the collector, returning the merged stream.
     pub fn take(&self) -> Vec<Event> {
         let mut out = std::mem::take(&mut *self.events.lock().expect("collector lock"));

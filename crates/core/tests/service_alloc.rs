@@ -9,8 +9,11 @@
 //!   reads the pattern hash off the ordered targets without building a
 //!   matrix;
 //! * the cache check and certification's plan re-verification are
-//!   declare passes of the same kind, and certification takes the group's
-//!   Newton plan instead of resolving its own;
+//!   declare passes of the same kind, and certification runs in the
+//!   group's own Newton workspace: it scatters through the plan, the
+//!   working matrix, the residual and the start buffers the chain already
+//!   holds, and keeps only its LU, its condition-estimate scratch and its
+//!   declare scratch apart;
 //! * certification's fresh factorization sizes its factors from the
 //!   matrix's entry count;
 //! * `solve` runs the job over the caller's circuit, not a copy of it.
@@ -30,15 +33,15 @@ use rlpta_core::KeyScratch;
 use rlpta_mna::Circuit;
 
 /// The most allocations one warm `SimService::solve` job may make (the
-/// count at which keying in the service's buffers and certifying through
-/// the group's plan left it; keying through a fresh matrix and resolving
-/// a certification plan cost 19 more). Debug builds without `faults`
-/// also re-certify every point cold inside a `debug_assert`, which costs
-/// 41 more.
+/// count at which certifying in the group's own Newton workspace left it;
+/// a separate certification workspace with its own matrix, residual and
+/// limiter buffers cost 7 more). Debug builds without `faults` also
+/// re-certify every point cold inside a `debug_assert`, which costs 40
+/// more.
 const WARM_JOB_ALLOCATIONS: usize = if cfg!(all(debug_assertions, not(feature = "faults"))) {
-    100
+    91
 } else {
-    59
+    51
 };
 
 /// An `n`-stage resistor ladder with a diode clamp on every node.

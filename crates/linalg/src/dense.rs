@@ -70,16 +70,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "flat data length mismatch");
-        Self { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -100,11 +90,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Mutably borrows the underlying row-major storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Borrows row `i` as a slice.
     ///
     /// # Panics
@@ -113,16 +98,6 @@ impl DenseMatrix {
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row index out of bounds");
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutably borrows row `i` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row index out of bounds");
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Matrix–vector product `A · x`.

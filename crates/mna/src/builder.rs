@@ -98,11 +98,6 @@ impl CircuitBuilder {
         self
     }
 
-    /// Number of devices added so far.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
     /// Finalizes the circuit: validates names and connectivity, assigns
     /// branch-current unknowns.
     ///
