@@ -6,12 +6,15 @@
 //! warmup, 32 as configured, 64 headroom). Below them, one bar per GEMM
 //! shape a batch-32 train step runs (`m×k×n` in each kernel's own
 //! argument order), and `clone` prices the per-circuit copy of an RL-S
-//! controller holding fig5's 2,272 pretraining transitions.
+//! controller holding fig5's 2,272 pretraining transitions. The kernel
+//! groups carry the host's kernel build in their names (`rl_gemm[avx512f]`)
+//! so bars from hosts that dispatch to different builds are never compared
+//! blind.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
 use rlpta_core::{RlStepping, RlSteppingConfig, StepController, StepObservation};
-use rlpta_rl::kernel::{gemm_nn, gemm_nn_cols, gemm_nt, gemm_tn_acc};
+use rlpta_rl::kernel::{build_name, gemm_nn, gemm_nn_cols, gemm_nt, gemm_tn_acc};
 use rlpta_rl::{Td3Agent, Td3Config, TrainWorkspace, Transition};
 
 fn sample_transition(rng: &mut StdRng) -> Transition {
@@ -37,7 +40,7 @@ fn operand(len: usize, rng: &mut StdRng) -> Vec<f64> {
 }
 
 fn bench_rl_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rl_kernels");
+    let mut group = c.benchmark_group(format!("rl_kernels[{}]", build_name()));
     group.sample_size(100);
     let mut rng = StdRng::seed_from_u64(1);
     let cfg = Td3Config::new(5, 1);
@@ -71,7 +74,7 @@ fn bench_rl_kernels(c: &mut Criterion) {
 }
 
 fn bench_gemm_shapes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rl_gemm");
+    let mut group = c.benchmark_group(format!("rl_gemm[{}]", build_name()));
     group.sample_size(200);
     let mut rng = StdRng::seed_from_u64(2);
     // Forward: activations [32×k] times weights [n×k]ᵀ — actor and critic

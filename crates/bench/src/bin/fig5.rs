@@ -31,6 +31,7 @@ fn main() {
     let threads = bench_threads();
     println!("# Fig. 5 — speed-up of RL-S over conventional stepping for CEPTA");
     println!("# evaluation pool: {threads} thread(s)");
+    println!("# RL kernel build: {}", rlpta_rl::kernel::build_name());
     let rl = pretrain_rl(kind, 2022, 2);
     println!(
         "# RL-S pretrained on the training corpus ({} transitions)",

@@ -156,6 +156,13 @@ fn run() -> Result<Outcome, String> {
             println!("note: {label} differs ({b} vs {c}) — comparing anyway");
         }
     }
+    if base.kernel_build != cand.kernel_build {
+        println!(
+            "note: RL kernel build differs ({} vs {}) — RL phase times are not comparable",
+            base.kernel_build.as_deref().unwrap_or("unknown"),
+            cand.kernel_build.as_deref().unwrap_or("unknown")
+        );
+    }
     if base.threads != cand.threads {
         println!(
             "note: thread counts differ ({} vs {}) — wall times are not like-for-like",

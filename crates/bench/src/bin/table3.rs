@@ -25,6 +25,7 @@ fn main() {
     let threads = bench_threads();
     println!("# Table 3 — RL-S vs adaptive stepping for DPTA");
     println!("# evaluation pool: {threads} thread(s)");
+    println!("# RL kernel build: {}", rlpta_rl::kernel::build_name());
     let rl = pretrain_rl(kind, 2022, 2);
     println!(
         "# RL-S pretrained on the training corpus ({} transitions)",

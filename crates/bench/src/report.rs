@@ -14,7 +14,9 @@ use rlpta_core::{HistogramSummary, MetricsRegistry, Phase, SolveStats};
 use std::fmt::Write as _;
 
 /// Version of the serialized [`BenchReport`] layout. Bump only together
-/// with the golden file in `tests/golden_bench_report.json`.
+/// with the golden file in `tests/golden_bench_report.json`. An optional
+/// field, written only when present, widens a version without a bump:
+/// readers ignore fields they do not know and default missing ones.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Timing statistics for one instrumented phase, in nanoseconds.
@@ -88,6 +90,11 @@ pub struct BenchReport {
     /// `git rev-parse --short HEAD` at run time (`unknown` outside a
     /// checkout).
     pub git_rev: String,
+    /// RL kernel build the run dispatched to
+    /// ([`rlpta_rl::kernel::build_name`]); `None` in reports written
+    /// before the field existed. Wall times from different builds are not
+    /// comparable.
+    pub kernel_build: Option<String>,
     /// End-to-end wall time of the binary, nanoseconds.
     pub wall_nanos: u64,
     /// Circuits in the headline series.
@@ -135,6 +142,7 @@ impl BenchReport {
             stepping: stepping.to_string(),
             threads,
             git_rev: git_rev(),
+            kernel_build: Some(rlpta_rl::kernel::build_name().to_string()),
             wall_nanos: wall.as_nanos() as u64,
             circuits: rows.len(),
             converged,
@@ -175,16 +183,22 @@ impl BenchReport {
         let _ = write!(
             s,
             "{{\n  \"schema_version\": {},\n  \"bench\": {},\n  \"strategy\": {},\
-             \n  \"stepping\": {},\n  \"threads\": {},\n  \"git_rev\": {},\
-             \n  \"wall_nanos\": {},\n  \"circuits\": {},\n  \"converged\": {},\
-             \n  \"nr_iterations\": {},\n  \"pta_steps\": {},\n  \"lu_factorizations\": {},\
-             \n  \"lu_refactorizations\": {},\n  \"refactorize_hit_rate\": {},\n  \"rows\": [",
+             \n  \"stepping\": {},\n  \"threads\": {},\n  \"git_rev\": {},",
             self.schema_version,
             string(&self.bench),
             string(&self.strategy),
             string(&self.stepping),
             self.threads,
             string(&self.git_rev),
+        );
+        if let Some(build) = &self.kernel_build {
+            let _ = write!(s, "\n  \"kernel_build\": {},", string(build));
+        }
+        let _ = write!(
+            s,
+            "\n  \"wall_nanos\": {},\n  \"circuits\": {},\n  \"converged\": {},\
+             \n  \"nr_iterations\": {},\n  \"pta_steps\": {},\n  \"lu_factorizations\": {},\
+             \n  \"lu_refactorizations\": {},\n  \"refactorize_hit_rate\": {},\n  \"rows\": [",
             self.wall_nanos,
             self.circuits,
             self.converged,
@@ -284,6 +298,10 @@ impl BenchReport {
             stepping: obj.str_field("stepping")?,
             threads: obj.usize_field("threads")?,
             git_rev: obj.str_field("git_rev")?,
+            kernel_build: match obj.get("kernel_build") {
+                Some(_) => Some(obj.str_field("kernel_build")?),
+                None => None,
+            },
             wall_nanos: obj.u64_field("wall_nanos")?,
             circuits: obj.usize_field("circuits")?,
             converged: obj.usize_field("converged")?,

@@ -15,6 +15,7 @@ fn sample_report() -> BenchReport {
         stepping: "rl-s".to_string(),
         threads: 4,
         git_rev: "deadbee".to_string(),
+        kernel_build: None,
         wall_nanos: 12_345_678_900,
         circuits: 2,
         converged: 1,
@@ -101,6 +102,30 @@ fn json_round_trip_is_lossless() {
     let rep = sample_report();
     let parsed = BenchReport::parse(&rep.to_json()).expect("own output parses");
     assert_eq!(parsed, rep);
+}
+
+/// The kernel build is optional both ways: written only when known, and
+/// absent from reports that predate it, such as the checked-in baselines
+/// the CI gates compare against.
+#[test]
+fn kernel_build_is_optional() {
+    assert!(!sample_report().to_json().contains("kernel_build"));
+    let rep = BenchReport {
+        kernel_build: Some("avx512f".to_string()),
+        ..sample_report()
+    };
+    let json = rep.to_json();
+    assert!(
+        json.contains("\n  \"kernel_build\": \"avx512f\",\n"),
+        "{json}"
+    );
+    assert_eq!(BenchReport::parse(&json).expect("parses"), rep);
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for baseline in ["BENCH_baseline.json", "BENCH_baseline_pre_rl.json"] {
+        let old = BenchReport::load(&format!("{root}/{baseline}")).expect("baseline loads");
+        assert_eq!(old.kernel_build, None, "{baseline}");
+        assert_eq!(old.schema_version, SCHEMA_VERSION, "{baseline}");
+    }
 }
 
 #[test]

@@ -45,11 +45,14 @@
 //! ```
 
 // `deny` rather than the workspace-usual `forbid`: the GEMM micro-kernels
-// in [`kernel`] runtime-dispatch to `#[target_feature(enable = "avx2,fma")]`
-// builds, and calling a target-feature function is an `unsafe` operation
-// even though every call site first proves the features exist via
-// `is_x86_feature_detected!`. Those guarded dispatch sites are the only
-// sanctioned `#[allow(unsafe_code)]` in the crate.
+// in [`kernel`] runtime-dispatch to `#[target_feature]` builds (`avx2,fma`
+// and `avx512f`), and calling a target-feature function is an `unsafe`
+// operation even though the dispatch first asserts that the host runs the
+// requested build (detected once with `is_x86_feature_detected!`). That
+// one dispatch macro, the intrinsic lane types of the two SIMD builds
+// (bounds-checked slices, a SAFETY comment per block) and the test-only
+// reference kernels are the only sanctioned `#[allow(unsafe_code)]` in the
+// crate.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
