@@ -19,14 +19,17 @@
 //! its latest check: the next run's first iteration replays it under new
 //! pseudo-element stamps ([`NewtonWorkspace::replay_check`]), and the
 //! steady-state test reads its residual
-//! ([`NewtonWorkspace::original_residual_into`]). Every reuse requires
+//! ([`NewtonWorkspace::original_residual_into`]). A run that converges
+//! under the default gmin and full sources, on a plan without extra
+//! stamps, leaves its check in place for certification at the returned
+//! iterate ([`NewtonWorkspace::keep_converged`]). Every reuse requires
 //! that the evaluation it replaces would see bitwise the same inputs, is
 //! switched off under fault injection (so seeded draws do not move), and
 //! is checked against a fresh evaluation in debug builds.
 
 use crate::certify::CertifyWorkspace;
 use rlpta_devices::{EvalCtx, Stamper};
-use rlpta_linalg::{CsrMatrix, LinalgError, LuOp, LuWorkspace};
+use rlpta_linalg::{CsrMatrix, LinalgError, LuOp, LuWorkspace, SymbolicLu};
 use rlpta_mna::{BumpPlan, Circuit, DeviceSnapshot, ResidualScratch, StampPlan};
 use std::sync::Arc;
 
@@ -87,10 +90,13 @@ pub(crate) struct NewtonWorkspace {
     check: Option<CheckSnapshot>,
 }
 
-// Plans installed in workspaces on this thread, for tests that count them.
+// Plans installed in workspaces on this thread, and certification
+// assemblies evaluated rather than taken from a converged check, for tests
+// that count them.
 #[cfg(test)]
 thread_local! {
     pub(crate) static PLAN_INSTALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    pub(crate) static CERTIFY_EVALS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The device half of a convergence-check assembly and the inputs its
@@ -233,6 +239,12 @@ pub(crate) struct NewtonBuffers {
     /// the previous time point's), so a chain that does so allocates no
     /// iterate per run.
     pub(crate) x_out: Vec<f64>,
+    /// `Some(finite)` while the working matrix and `res` hold the
+    /// converged check of the latest run, taken at `x_new` and leaving
+    /// the limiter state `state_before`
+    /// ([`NewtonWorkspace::keep_converged`]). Every run start and every
+    /// evaluation forgets it.
+    converged: Option<bool>,
 }
 
 impl NewtonBuffers {
@@ -250,6 +262,7 @@ impl NewtonBuffers {
         }
         self.state_before.resize(state_len, 0.0);
         self.has_prev = false;
+        self.converged = None;
     }
 }
 
@@ -313,6 +326,7 @@ impl NewtonWorkspace {
         self.plan = Some(Arc::new(plan));
         self.matrix = None;
         self.bump = None;
+        self.bufs.converged = None;
         if let Some(check) = &mut self.check {
             check.valid = false;
         }
@@ -323,25 +337,114 @@ impl NewtonWorkspace {
     /// limiter state seeded at `x` in the start buffers. The installed plan
     /// is used when certification may take it
     /// ([`CertifyWorkspace::takes`]); otherwise a device-only plan is
-    /// resolved from `circuit` and installed. Every pass rewrites every
+    /// resolved from `circuit` and installed. When the latest run's
+    /// converged check is that assembly ([`NewtonWorkspace::check_certifies`])
+    /// the buffers already hold it; otherwise every pass rewrites every
     /// slot, the residual and the state, so the assembly does not depend on
-    /// what the workspace held. Returns it with certification's own state.
+    /// what the workspace held. Returns it with certification's own state
+    /// and the Newton LU's recorded pattern, which certification's LU may
+    /// replay ([`LuWorkspace::factorize_with`]).
     pub(crate) fn certify_assembly(
         &mut self,
         circuit: &Circuit,
         x: &[f64],
-    ) -> (&CsrMatrix, &[f64], &mut CertifyWorkspace) {
+    ) -> (
+        &CsrMatrix,
+        &[f64],
+        &mut CertifyWorkspace,
+        Option<&Arc<SymbolicLu>>,
+    ) {
         if !self.certify.takes(self.plan.as_deref(), circuit) {
             self.install_plan(StampPlan::resolve(circuit, &mut |_| {}));
         }
-        let (start, res) = (&mut self.start, &mut self.bufs.res);
-        start.state.resize(circuit.state_len(), 0.0);
-        circuit.seeded_state_into(x, &mut start.state, &mut start.seed);
-        res.resize(circuit.dim(), 0.0);
-        let (plan, matrix) = plan_and_matrix(&self.plan, &mut self.matrix);
-        let ctx = EvalCtx::dc(x);
-        plan.eval_into(circuit, &ctx, matrix, res, &mut start.state, &mut |_| {});
-        (matrix, res, &mut self.certify)
+        self.start.state.resize(circuit.state_len(), 0.0);
+        if !self.check_certifies(circuit, x) {
+            #[cfg(test)]
+            CERTIFY_EVALS.with(|n| n.set(n.get() + 1));
+            self.bufs.converged = None;
+            let (start, res) = (&mut self.start, &mut self.bufs.res);
+            circuit.seeded_state_into(x, &mut start.state, &mut start.seed);
+            res.resize(circuit.dim(), 0.0);
+            let (plan, matrix) = plan_and_matrix(&self.plan, &mut self.matrix);
+            let ctx = EvalCtx::dc(x);
+            plan.eval_into(circuit, &ctx, matrix, res, &mut start.state, &mut |_| {});
+        }
+        let matrix = self.matrix.as_ref().expect("certification assembled");
+        (
+            matrix,
+            &self.bufs.res,
+            &mut self.certify,
+            self.lu.shared_symbolic(),
+        )
+    }
+
+    /// Whether the working matrix and `bufs.res` already hold
+    /// certification's assembly at `x`: the latest run converged at `x`
+    /// bit for bit and left its check in place
+    /// ([`NewtonWorkspace::keep_converged`]; the caller has re-verified the
+    /// plan), one limiter pass shows the check's state is a fixed point at
+    /// `x` on which every device landed, and the seeding walk is sure to
+    /// land ([`Circuit::seeding_lands`]). The seeded state is then the
+    /// check's, so a fresh assembly would see the check's inputs bit for
+    /// bit. Leaves that state in the start buffers. Off under fault
+    /// injection.
+    fn check_certifies(&mut self, circuit: &Circuit, x: &[f64]) -> bool {
+        let bufs = &self.bufs;
+        let Some(finite) = bufs.converged.filter(|_| !cfg!(feature = "faults")) else {
+            return false;
+        };
+        let state = &mut self.start.state;
+        if !same_bits(&bufs.x_new, x) || state.len() != bufs.state_before.len() {
+            return false;
+        }
+        state.copy_from_slice(&bufs.state_before);
+        let landed = circuit.limit_state(x, state);
+        if !(landed && same_bits(state, &bufs.state_before) && circuit.seeding_lands(x)) {
+            return false;
+        }
+        #[cfg(debug_assertions)]
+        {
+            let (plan, matrix) = plan_and_matrix(&self.plan, &mut self.matrix);
+            let res = &mut self.bufs.res;
+            let want = fingerprint(&[matrix.values(), res, state], finite);
+            circuit.seeded_state_into(x, state, &mut self.start.seed);
+            assert_fresh(
+                plan,
+                circuit,
+                &EvalCtx::dc(x),
+                matrix,
+                res,
+                state,
+                &mut |_| {},
+                want,
+            );
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = finite;
+        true
+    }
+
+    /// A run converged at `ctx` with the limiter state `state`, the
+    /// working matrix and `bufs.res` holding its check. Remembers the
+    /// iterate and the state in `bufs` when certification could use the
+    /// check in place: default gmin, full sources and a plan without extra
+    /// stamps, so the check evaluated exactly what certification's
+    /// assembly would from the same limiter state. Off under fault
+    /// injection.
+    pub(crate) fn keep_converged(&mut self, ctx: &EvalCtx<'_>, state: &[f64], finite: bool) {
+        let plain = ctx.gmin.to_bits() == EvalCtx::DEFAULT_GMIN.to_bits()
+            && ctx.source_scale.to_bits() == 1f64.to_bits()
+            && self
+                .plan
+                .as_ref()
+                .is_some_and(|p| p.device_pushes() == p.len());
+        if cfg!(feature = "faults") || !plain {
+            return;
+        }
+        let bufs = &mut self.bufs;
+        bufs.x_new.copy_from_slice(ctx.x);
+        bufs.state_before.copy_from_slice(state);
+        bufs.converged = Some(finite);
     }
 
     /// Assembles the system at `ctx` through the plan into the working
@@ -358,6 +461,7 @@ impl NewtonWorkspace {
         state: &mut [f64],
         extra: &mut dyn FnMut(&mut Stamper<'_>),
     ) -> bool {
+        self.bufs.converged = None;
         let (plan, matrix) = plan_and_matrix(&self.plan, &mut self.matrix);
         plan.eval_into(circuit, ctx, matrix, &mut self.bufs.res, state, extra)
     }
@@ -376,6 +480,7 @@ impl NewtonWorkspace {
         state: &mut [f64],
         extra: &mut dyn FnMut(&mut Stamper<'_>),
     ) -> bool {
+        self.bufs.converged = None;
         let Some(check) = &mut self.check else {
             return self.eval(circuit, ctx, state, extra);
         };
@@ -489,6 +594,7 @@ impl NewtonWorkspace {
         residual: &mut [f64],
         scratch: &mut ResidualScratch,
     ) {
+        self.bufs.converged = None;
         let original = EvalCtx::dc(x);
         let check = self
             .check

@@ -58,16 +58,35 @@
 //! fresh one, as the workspaces of PTA, continuation and homotopy runs
 //! hold plans with extra stamps.
 //!
+//! Certification also shares the chain's work where that cannot change a
+//! bit of the report:
+//!
+//! * *The converged check.* A Newton run that converges under the default
+//!   gmin and full sources, on a plan without extra stamps, ends on a full
+//!   assembly at the returned `x`: its convergence check. The workspace
+//!   keeps it in place. Certifying that same `x`, bit for bit, uses it
+//!   when one limiter pass shows the check's limiter state is a landed
+//!   fixed point at `x` and [`Circuit::seeding_lands`] holds there: the
+//!   seeding walk would then end on the check's state, so a fresh
+//!   assembly would see the check's inputs bit for bit. Any evaluation,
+//!   plan install or run start in between forgets the check.
+//! * *The Newton LU's pattern.* Certification's LU is offered the pattern
+//!   the chain's Newton LU recorded (on a service cache hit, the cached
+//!   one) and replays it when it carries no pattern of its own that fits.
+//!
 //! Reports stay bitwise [`certify`]'s whatever the workspace held before.
 //! A plan holds no values and takes no fault draws: it is a pure function
 //! of the declare pass it was verified against, so whoever resolved it,
 //! plan assembly is bitwise triplet assembly followed by `Triplet::to_csr`
-//! (the plan ≡ triplet contract the assembly tests pin). Each pass rewrites
-//! every slot, the residual and the seeded state. The LU pattern is
-//! recorded from certification's own full factorization, never read from
-//! Newton's, and a replay is accepted only when every recorded pivot is
-//! the one [`SparseLu::factorize`] would choose on the new values — so the
-//! replayed factorization is bitwise the fresh one.
+//! (the plan ≡ triplet contract the assembly tests pin). A pass that does
+//! not take the check rewrites every slot, the residual and the seeded
+//! state; a taken check is the assembly such a pass would write, and
+//! debug builds evaluate afresh and assert it. A replay — of either
+//! pattern — is accepted only when every recorded pivot is the one
+//! [`SparseLu::factorize`] would choose on the new values, checked against
+//! the pivot ranks the pattern carries, so the replayed factorization is
+//! bitwise the fresh one. Under `faults` the check is never taken, and a
+//! certification takes exactly one singular-injection draw either way.
 
 use crate::assembly::NewtonWorkspace;
 use crate::error::SolveError;
@@ -212,7 +231,7 @@ pub(crate) fn certify_in(ws: &mut NewtonWorkspace, circuit: &Circuit, x: &[f64])
             grade: HealthGrade::Rejected,
         };
     }
-    let (a, res, own) = ws.certify_assembly(circuit, x);
+    let (a, res, own, newton) = ws.certify_assembly(circuit, x);
     // `inf_norm` folds with `f64::max`, which discards NaN — scan first
     // so a poisoned residual rejects instead of reading as 0.0.
     let residual_norm = if res.iter().all(|v| v.is_finite()) {
@@ -220,7 +239,7 @@ pub(crate) fn certify_in(ws: &mut NewtonWorkspace, circuit: &Circuit, x: &[f64])
     } else {
         f64::INFINITY
     };
-    let (cond_estimate, pivot_growth) = match own.lu.factorize(a) {
+    let (cond_estimate, pivot_growth) = match own.lu.factorize_with(a, newton) {
         Ok(lu) => (
             sanitize(
                 lu.cond_estimate_with(a, &mut own.cond)
@@ -258,7 +277,7 @@ fn rescue_pass(
     tele: &Tele<'_>,
 ) -> HealthReport {
     for step in 1..=RESCUE_STEPS {
-        let (a, res, _) = ws.certify_assembly(circuit, x);
+        let (a, res, _, _) = ws.certify_assembly(circuit, x);
         if !res.iter().all(|v| v.is_finite()) {
             break;
         }
@@ -354,7 +373,9 @@ pub(crate) fn certified(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly::PLAN_INSTALLS;
+    use crate::assembly::{CERTIFY_EVALS, PLAN_INSTALLS};
+    use crate::newton::newton_from;
+    use crate::recovery::BudgetMeter;
     use crate::telemetry::{Collector, Span};
     use crate::NewtonRaphson;
     use rlpta_mna::DeclareScratch;
@@ -474,6 +495,24 @@ mod tests {
         PLAN_INSTALLS.with(|n| n.get()) - before
     }
 
+    /// [`certify_in`], and whether it evaluated its assembly rather than
+    /// take a converged check in place.
+    fn counted_certify(ws: &mut NewtonWorkspace, c: &Circuit, x: &[f64]) -> (HealthReport, bool) {
+        let before = CERTIFY_EVALS.with(|n| n.get());
+        let report = certify_in(ws, c, x);
+        (report, CERTIFY_EVALS.with(|n| n.get()) > before)
+    }
+
+    /// A Newton run in `ws` from `x0`, its final iterate when it converged.
+    fn converge(ws: &mut NewtonWorkspace, c: &Circuit, x0: Option<&[f64]>) -> Option<Vec<f64>> {
+        let mut meter = BudgetMeter::unlimited();
+        let cfg = crate::NewtonConfig::default();
+        newton_from(c, &cfg, x0, &mut meter, ws, &Tele::disabled())
+            .ok()
+            .filter(|out| out.converged)
+            .map(|out| out.x)
+    }
+
     /// Plans a debug build's cold re-certification inside `certify_into`
     /// resolves per certified point.
     const ORACLE_INSTALLS: usize = if cfg!(all(debug_assertions, not(feature = "faults"))) {
@@ -487,7 +526,9 @@ mod tests {
     /// bitwise what the cold [`certify`] reports — and its warm
     /// certifications do replay. So does each circuit's chain workspace
     /// after a warm sweep-point solve: its certifications run on the plan
-    /// its Newton run resolved and never resolve one of their own.
+    /// its Newton run resolved and never resolve one of their own, replay
+    /// the Newton LU's pattern, and, after a Newton run from a jittered
+    /// point, take its converged check in place.
     #[test]
     fn workspace_reports_equal_cold_certify_bitwise() {
         use rand::prelude::*;
@@ -524,6 +565,7 @@ mod tests {
             .collect();
         let mut rng = StdRng::seed_from_u64(0x5eed);
         let mut ws = NewtonWorkspace::new();
+        let mut checks_taken = 0;
         for _ in 0..24 {
             let i = rng.gen_range(0..circuits.len());
             // Mostly small jitter (a warm chain); now and then a far point.
@@ -538,14 +580,84 @@ mod tests {
                 let cold = certify(&circuits[i], &x);
                 assert_eq!(report_bits(&warm), report_bits(&cold), "circuit {i}");
                 assert_eq!(report_bits(&chain), report_bits(&cold), "chain {i}");
+                if rng.gen_bool(0.3) {
+                    if let Some(x) = converge(&mut chains[i].0, &circuits[i], Some(&x)) {
+                        let (chain, evaluated) =
+                            counted_certify(&mut chains[i].0, &circuits[i], &x);
+                        checks_taken += usize::from(!evaluated);
+                        let cold = certify(&circuits[i], &x);
+                        assert_eq!(report_bits(&chain), report_bits(&cold), "check {i}");
+                    }
+                }
             }
         }
         let stats = ws.certify.lu.stats();
         assert!(stats.refactorizations > 0, "no warm replay: {stats:?}");
+        // Fault injection never takes a check: its draws must not move.
+        assert_eq!(
+            checks_taken > 0,
+            !cfg!(feature = "faults"),
+            "checks taken: {checks_taken}"
+        );
+        // Every chain's certification LU replayed: the pattern its Newton
+        // LU recorded or, after a fallback, its own.
         for (i, (nws, newton)) in chains.iter().enumerate() {
             let held = nws.plan().expect("plan kept");
             assert!(Arc::ptr_eq(held, newton), "chain {i} resolved a plan");
+            let stats = nws.certify.lu.stats();
+            assert!(stats.refactorizations > 0, "chain {i}: {stats:?}");
         }
+    }
+
+    /// A warm chain certifies on its own work: once the Newton LU's
+    /// pattern holds, its certifications run no full factorization, and a
+    /// certification at the iterate a run converged at takes the run's
+    /// convergence check in place. At a different iterate, or after an
+    /// evaluation between the check and the certification, it evaluates,
+    /// and under `faults` it always does. Every report is bitwise the cold
+    /// [`certify`]'s.
+    #[test]
+    fn warm_chain_certifies_on_its_check_and_its_newton_pattern() {
+        let mut c = diode_clamp();
+        let mut ws = NewtonWorkspace::new();
+        let mut warm: Option<Vec<f64>> = None;
+        let mut calls = 0;
+        for k in 0..8 {
+            assert!(c.set_source_dc("V1", 5.0 + 0.25 * k as f64));
+            let x = converge(&mut ws, &c, warm.as_deref()).expect("converges");
+            assert!(c.seeding_lands(&x), "the seeding walk lands at {x:?}");
+            let (report, evaluated) = counted_certify(&mut ws, &c, &x);
+            let taken = !evaluated;
+            assert_eq!(
+                taken,
+                !cfg!(feature = "faults"),
+                "point {k}: check taken {taken}"
+            );
+            assert_eq!(report_bits(&report), report_bits(&certify(&c, &x)));
+            // One ulp away: evaluated.
+            let mut near = x.clone();
+            near[0] = f64::from_bits(near[0].to_bits() + 1);
+            let (report, evaluated) = counted_certify(&mut ws, &c, &near);
+            assert!(evaluated, "point {k}: a check at another iterate was taken");
+            assert_eq!(report_bits(&report), report_bits(&certify(&c, &near)));
+            // Converged again, then an evaluation at the same iterate
+            // before certifying: evaluated.
+            let x = converge(&mut ws, &c, Some(&x)).expect("converges");
+            let mut residual = vec![0.0; c.dim()];
+            let mut scratch = rlpta_mna::ResidualScratch::default();
+            ws.original_residual_into(&c, &x, &mut residual, &mut scratch);
+            let (report, evaluated) = counted_certify(&mut ws, &c, &x);
+            assert!(
+                evaluated,
+                "point {k}: a check was taken after an evaluation"
+            );
+            assert_eq!(report_bits(&report), report_bits(&certify(&c, &x)));
+            calls += 3;
+            warm = Some(x);
+        }
+        let stats = ws.certify.lu.stats();
+        assert_eq!(stats.full_factorizations, 0, "{stats:?}");
+        assert_eq!(stats.refactorizations, calls, "{stats:?}");
     }
 
     /// A plan with solver extra stamps (a PTA plan: pseudo-element shunts

@@ -300,11 +300,12 @@ pub(crate) fn newton_iterate(
                 gmin: config.gmin,
                 source_scale: config.source_scale,
             };
-            checked = Some(time_phase!(
+            let finite = time_phase!(
                 tele,
                 Phase::StampWrite,
                 ws.eval_check(circuit, &ctx, state, &mut |st| extra(&x, st))
-            ));
+            );
+            checked = Some(finite);
             let bufs = &mut ws.bufs;
             #[cfg(feature = "faults")]
             crate::recovery::perturb_residual(&mut bufs.res);
@@ -323,6 +324,8 @@ pub(crate) fn newton_iterate(
                 .zip(&bufs.state_before)
                 .any(|(a, b)| (a - b).abs() > 1e-9);
             if !limiting_active && last_residual <= config.residual_tol {
+                // Certification at `x` may use the check in place.
+                ws.keep_converged(&ctx, state, finite);
                 tele.emit(Payload::NrOutcome {
                     iterations: iter,
                     converged: true,

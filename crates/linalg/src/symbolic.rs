@@ -127,9 +127,18 @@ impl CsrMatrix {
 /// The pattern half of a completed [`SparseLu`] factorization: permutations
 /// plus `L`/`U` sparsity structure, with no numeric values.
 ///
-/// Obtained from [`SparseLu::symbolic`]; consumed by
-/// [`SymbolicLu::refactorize_into`]. Immutable and cheap to clone relative to a
-/// full factorization (plain index vectors, no graph work).
+/// Obtained from [`SparseLu::symbolic`] or recorded by a [`LuWorkspace`];
+/// consumed by [`SymbolicLu::refactorize_into`]. Immutable and cheap to
+/// clone relative to a full factorization (plain index vectors, no graph
+/// work).
+///
+/// A pattern a [`LuWorkspace`] records also carries the pivot ranks of the
+/// full factorization it was recorded from: per column, where the pivot
+/// stood among the column's unpivoted rows in topological order. With
+/// them a fresh-equivalent workspace can replay the pattern and still
+/// return bitwise what [`SparseLu::factorize`] returns, whichever
+/// workspace recorded it. [`SparseLu::symbolic`] does not know them, so
+/// its patterns replay only under the Newton decay guard.
 #[derive(Debug, Clone)]
 pub struct SymbolicLu {
     /// Process-unique id of this recorded pattern (clones share it, and
@@ -141,8 +150,13 @@ pub struct SymbolicLu {
     p: Vec<usize>,
     /// Column permutation: column `q[j]` of `A` eliminated at step `j`.
     q: Vec<usize>,
-    /// Inverse of `p`: `pinv[orig_row]` = pivot position.
-    pinv: Vec<usize>,
+    /// Per column `j`, the rank of the pivot among the column's unpivoted
+    /// rows in topological order in the full factorization the pattern
+    /// was recorded from ([`SparseLu::factorize_ranked`]); empty when the
+    /// recording did not know them. The rule the ranks serve reads
+    /// original rows rather than pivot positions, so the pattern keeps no
+    /// inverse row permutation: the ranks take its place.
+    ranks: Vec<usize>,
     /// Pattern of `L` by column (original row ids, strictly below pivot).
     l_ptr: Vec<usize>,
     l_rows: Vec<usize>,
@@ -193,11 +207,25 @@ impl SparseLu {
     /// # Panics
     ///
     /// Panics if `a` has different dimensions than the factorization.
+    ///
+    /// The pattern carries no pivot ranks (this factorization did not keep
+    /// them), so a fresh-equivalent [`LuWorkspace`] never replays it.
     pub fn symbolic(&self, a: &CsrMatrix) -> SymbolicLu {
+        self.record(a, Vec::new())
+    }
+
+    /// [`SparseLu::symbolic`] with the pivot ranks `ranks` of this
+    /// factorization ([`SparseLu::factorize_ranked`]), or none when empty;
+    /// the pattern keeps the buffer.
+    pub(crate) fn record(&self, a: &CsrMatrix, ranks: Vec<usize>) -> SymbolicLu {
         assert_eq!(a.rows(), self.n, "pattern/matrix row mismatch");
         assert_eq!(a.cols(), self.n, "pattern/matrix column mismatch");
         let n = self.n;
-        let mut pinv = vec![EMPTY; n];
+        debug_assert!(ranks.is_empty() || ranks.len() == n, "one rank per column");
+        // The inverse row permutation, then the plan builder's scratch:
+        // one allocation for both.
+        let mut work = vec![EMPTY; 2 * n];
+        let (pinv, scratch) = work.split_at_mut(n);
         for (j, &row) in self.p.iter().enumerate() {
             pinv[row] = j;
         }
@@ -207,7 +235,7 @@ impl SparseLu {
             n,
             p: self.p.clone(),
             q: self.q.clone(),
-            pinv,
+            ranks,
             l_ptr: self.l_ptr.clone(),
             l_rows: self.l_rows.clone(),
             l_pos,
@@ -215,7 +243,7 @@ impl SparseLu {
             u_rows: self.u_rows.clone(),
             plan: None,
         };
-        sym.plan = sym.build_plan(a);
+        sym.plan = sym.build_plan(a, pinv, scratch);
         sym
     }
 }
@@ -233,6 +261,12 @@ impl SymbolicLu {
     /// Dimension of the recorded system.
     pub fn dim(&self) -> usize {
         self.n
+    }
+
+    /// Whether a fresh-equivalent [`LuWorkspace`] may try this pattern on
+    /// `a`: it knows its pivot ranks and `a` has the recorded structure.
+    fn replays_fresh(&self, a: &CsrMatrix) -> bool {
+        self.ranks.len() == self.n && self.compatible_with(a)
     }
 
     /// Whether `a` is structurally identical to the matrix this pattern was
@@ -254,14 +288,15 @@ impl SymbolicLu {
         }
     }
 
-    /// Approximate heap footprint in bytes (index vectors plus the scatter
-    /// plan). Used by byte-budgeted caches to meter eviction; exactness is
-    /// not required, only monotonicity in pattern size.
+    /// Approximate heap footprint in bytes (index vectors, pivot ranks
+    /// included, plus the scatter plan). Used by byte-budgeted caches to
+    /// meter eviction; exactness is not required, only monotonicity in
+    /// pattern size.
     pub fn approx_bytes(&self) -> usize {
         const W: usize = std::mem::size_of::<usize>();
         let own = (self.p.len()
             + self.q.len()
-            + self.pinv.len()
+            + self.ranks.len()
             + self.l_ptr.len()
             + self.l_rows.len()
             + self.l_pos.len()
@@ -269,7 +304,10 @@ impl SymbolicLu {
             + self.u_rows.len())
             * W;
         let plan = self.plan.as_ref().map_or(0, |p| {
-            (p.a_row_ptr.len() + p.a_col_indices.len() + p.csc_ptr.len() + p.src.len()
+            (p.a_row_ptr.len()
+                + p.a_col_indices.len()
+                + p.csc_ptr.len()
+                + p.src.len()
                 + p.dst.len())
                 * W
         });
@@ -328,17 +366,19 @@ impl SymbolicLu {
 
     /// The fresh-equivalent replay of a [`LuWorkspace::fresh_equivalent`]
     /// workspace: exact-structure only, and every column's recorded pivot
-    /// (at `ranks[j]` among the column's unpivoted rows in topological
-    /// order) must be the one [`SparseLu::factorize`] would pick on these
-    /// values. Takes no fault draw; the workspace takes one per call.
+    /// (at its recorded rank among the column's unpivoted rows in
+    /// topological order) must be the one [`SparseLu::factorize`] would
+    /// pick on these values. Only for a pattern that carries its ranks
+    /// ([`SymbolicLu::replays_fresh`]). Takes no fault draw; the workspace
+    /// takes one per call.
     fn refactorize_fresh_into(
         &self,
         a: &CsrMatrix,
         lu: &mut SparseLu,
         scratch: &mut ReplayScratch,
-        ranks: &[usize],
     ) -> Result<(), LinalgError> {
-        let out = self.replay(a, lu, scratch, Some(ranks));
+        debug_assert_eq!(self.ranks.len(), self.n, "a pattern with pivot ranks");
+        let out = self.replay(a, lu, scratch, Some(&self.ranks));
         Self::poison_on_error(lu, out)
     }
 
@@ -512,29 +552,32 @@ impl SymbolicLu {
     /// comparison: the first strict maximum of `|x|` (NaN never wins), the
     /// diagonal row `q[j]` kept when it is a candidate with
     /// `|x| >= PIVOT_THRESHOLD · max`, and a maximum below `MIN_POSITIVE`
-    /// refused (the full factorization reports it singular).
+    /// refused (the full factorization reports it singular). Candidates
+    /// are `(position, original row)` pairs: the diagonal is recognized
+    /// by its row.
     fn fresh_pivot_holds(&self, x: &[f64], j: usize, ll: usize, lh: usize, rank: usize) -> bool {
-        let diag = self.pinv[self.q[j]];
-        let candidates = self.l_pos[ll..ll + rank]
-            .iter()
-            .chain(std::iter::once(&j))
-            .chain(&self.l_pos[ll + rank..lh]);
-        let (mut max_abs, mut max_pos, mut diag_abs) = (0.0f64, EMPTY, 0.0f64);
-        for &pos in candidates {
+        let l_entry = |k: usize| (self.l_pos[k], self.l_rows[k]);
+        let candidates = (ll..ll + rank)
+            .map(l_entry)
+            .chain(std::iter::once((j, self.p[j])))
+            .chain((ll + rank..lh).map(l_entry));
+        let diag_row = self.q[j];
+        let (mut max_abs, mut max_pos, mut diag_abs, mut diag_pos) = (0.0f64, EMPTY, 0.0f64, EMPTY);
+        for (pos, row) in candidates {
             let v = x[pos].abs();
             if v > max_abs {
                 max_abs = v;
                 max_pos = pos;
             }
-            if pos == diag {
-                diag_abs = v;
+            if row == diag_row {
+                (diag_abs, diag_pos) = (v, pos);
             }
         }
         if max_pos == EMPTY || max_abs < f64::MIN_POSITIVE {
             return false;
         }
         let chosen = if diag_abs >= SparseLu::PIVOT_THRESHOLD * max_abs {
-            diag
+            diag_pos
         } else {
             max_pos
         };
@@ -548,23 +591,48 @@ impl SymbolicLu {
     /// zeros structural, that cannot happen for the matrix the pattern was
     /// recorded from, and `None` only defends against a caller passing a
     /// mismatched `a` — such a pattern refuses every replay.
-    fn build_plan(&self, a: &CsrMatrix) -> Option<ScatterPlan> {
+    ///
+    /// One counting pass places `a`'s entries straight into processing
+    /// order, so a recording allocates the same few times at any size.
+    /// `pinv` is the inverse row permutation; `scratch` (`n` entries) is
+    /// first the inverse of `q` (the step eliminating each column of `a`),
+    /// then the per-step pattern mark.
+    fn build_plan(
+        &self,
+        a: &CsrMatrix,
+        pinv: &[usize],
+        scratch: &mut [usize],
+    ) -> Option<ScatterPlan> {
         let n = self.n;
-        let row_ptr = a.row_ptr();
-        let col_indices = a.col_indices();
-        // Bucket A's CSR entries by original column, in increasing row
-        // order (the order the full factorization scatters in).
-        let mut col_entries: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        let (row_ptr, col_indices) = (a.row_ptr(), a.col_indices());
+        for (j, &c) in self.q.iter().enumerate() {
+            scratch[c] = j;
+        }
+        // Entries per step, summed into start offsets.
+        let mut csc_ptr = vec![0; n + 1];
+        for &c in col_indices {
+            csc_ptr[scratch[c] + 1] += 1;
+        }
+        for j in 0..n {
+            csc_ptr[j + 1] += csc_ptr[j];
+        }
+        // Rows in increasing order fill each step's run in increasing row
+        // order, the order the full factorization scatters in. `csc_ptr[j]`
+        // serves as step `j`'s cursor and ends at its run's end, that is at
+        // `csc_ptr[j + 1]`; shifting restores the start offsets.
+        let (mut src, mut dst) = (vec![0; a.nnz()], vec![0; a.nnz()]);
         for r in 0..n {
             for idx in row_ptr[r]..row_ptr[r + 1] {
-                col_entries[col_indices[idx]].push((idx, r));
+                let cursor = &mut csc_ptr[scratch[col_indices[idx]]];
+                src[*cursor] = idx;
+                dst[*cursor] = pinv[r];
+                *cursor += 1;
             }
         }
-        let mut mark = vec![EMPTY; n];
-        let mut csc_ptr = Vec::with_capacity(n + 1);
-        let mut src = Vec::with_capacity(a.nnz());
-        let mut dst = Vec::with_capacity(a.nnz());
-        csc_ptr.push(0);
+        csc_ptr.copy_within(0..n, 1);
+        csc_ptr[0] = 0;
+        let mark = scratch;
+        mark.fill(EMPTY);
         for j in 0..n {
             for k in self.u_ptr[j]..self.u_ptr[j + 1] {
                 mark[self.u_rows[k]] = j;
@@ -574,15 +642,12 @@ impl SymbolicLu {
                 mark[self.l_pos[k]] = j;
             }
             // Every A entry of this column must land inside the pattern.
-            for &(idx, r) in &col_entries[self.q[j]] {
-                let pos = self.pinv[r];
-                if mark[pos] != j {
-                    return None;
-                }
-                src.push(idx);
-                dst.push(pos);
+            if dst[csc_ptr[j]..csc_ptr[j + 1]]
+                .iter()
+                .any(|&pos| mark[pos] != j)
+            {
+                return None;
             }
-            csc_ptr.push(src.len());
             // Every update target of the triangular pass must land inside
             // the pattern *whatever the values*: validating the closure
             // here once lets the replay skip all per-entry checks.
@@ -671,16 +736,23 @@ pub enum LuOp {
 /// is numerically safe but not bit-identical to [`SparseLu::factorize`].
 /// [`LuWorkspace::fresh_equivalent`] builds a workspace whose every result
 /// *is* bitwise what [`SparseLu::factorize`] returns on the same matrix. It
-/// records its own pattern (never a preloaded one), replays only a matrix
-/// of exactly the recorded structure, and accepts a replay only when each
-/// column's recorded pivot is the one the full factorization's rule picks
-/// on the new values. Same structure and same pivots give the same
-/// topological order and the same operations, so the replay equals the
-/// fresh factorization bit for bit; anything else falls back to the full
-/// factorization. It records the pattern on the second sighting of a
-/// structure, so a one-shot use costs no more than the plain
-/// factorization. Under the `faults` feature it takes exactly one
-/// injection draw per call, and a fired draw fails the call.
+/// replays only a matrix of exactly the recorded structure, and accepts a
+/// replay only when each column's recorded pivot is the one the full
+/// factorization's rule picks on the new values, checked against the
+/// pivot ranks the pattern carries. Same structure and same pivots give
+/// the same topological order and the same operations, so the replay
+/// equals the fresh factorization bit for bit; anything else falls back to
+/// a full factorization.
+///
+/// Since the check needs only the pattern and its ranks, the pattern need
+/// not be the workspace's own. It replays the first of these that carries
+/// ranks and has `a`'s structure: its own pattern (recorded on the second
+/// sighting of a structure, so a one-shot use costs no more than the plain
+/// factorization), one it was seeded with, or one offered to
+/// [`LuWorkspace::factorize_with`] — such as the pattern a Newton-path
+/// workspace recorded on the same structure. Under the `faults` feature it
+/// takes exactly one injection draw per call, and a fired draw fails the
+/// call.
 ///
 /// # Example
 ///
@@ -710,9 +782,15 @@ pub enum LuOp {
 #[derive(Debug, Clone)]
 pub struct LuWorkspace {
     symbolic: Option<Arc<SymbolicLu>>,
-    /// Pivot-rule data of a fresh-equivalent workspace; `None` for a
-    /// Newton-path workspace.
-    fresh: Option<FreshRule>,
+    /// Whether this is a fresh-equivalent workspace.
+    fresh: bool,
+    /// Structure generation of the matrix a fresh-equivalent workspace's
+    /// latest full factorization ran on, while its pattern is not yet
+    /// recorded; 0 otherwise.
+    pending: u64,
+    /// The pivot ranks of the latest full factorization, until a recording
+    /// takes the buffer over ([`SparseLu::record`]).
+    ranks: Vec<usize>,
     /// The latest factorization, bound to `symbolic`'s pattern after a
     /// success; replays rewrite it in place. Lent out only while `valid`.
     numeric: SparseLu,
@@ -725,26 +803,13 @@ pub struct LuWorkspace {
     last_op: Option<LuOp>,
 }
 
-/// What a fresh-equivalent [`LuWorkspace`] knows about its latest full
-/// factorization.
-#[derive(Debug, Clone, Default)]
-struct FreshRule {
-    /// Per column, the pivot's rank among the unpivoted rows in
-    /// topological order ([`SparseLu::factorize_ranked`]).
-    ranks: Vec<usize>,
-    /// Id of the pattern recorded from the factorization `ranks` describe;
-    /// 0 before it is recorded.
-    pattern: u64,
-    /// Structure generation of the matrix that factorization ran on while
-    /// its pattern is not yet recorded; 0 otherwise.
-    pending: u64,
-}
-
 impl Default for LuWorkspace {
     fn default() -> Self {
         Self {
             symbolic: None,
-            fresh: None,
+            fresh: false,
+            pending: 0,
+            ranks: Vec::new(),
             numeric: SparseLu::empty(),
             valid: false,
             scratch: ReplayScratch::default(),
@@ -763,10 +828,13 @@ impl LuWorkspace {
 
     /// An empty fresh-equivalent workspace: every factorization it lends
     /// out is bitwise what [`SparseLu::factorize`] returns on the same
-    /// matrix (see the type-level docs).
+    /// matrix. It replays any pattern that carries its pivot ranks — its
+    /// own, a seeded one or one offered to [`LuWorkspace::factorize_with`]
+    /// — only where every recorded pivot is the one a fresh factorization
+    /// picks (see the type-level docs).
     pub fn fresh_equivalent() -> Self {
         Self {
-            fresh: Some(FreshRule::default()),
+            fresh: true,
             ..Self::default()
         }
     }
@@ -805,14 +873,30 @@ impl LuWorkspace {
     /// Same as [`SparseLu::factorize`]; [`LinalgError::PatternChanged`] is
     /// never surfaced (it triggers the internal fallback).
     pub fn factorize(&mut self, a: &CsrMatrix) -> Result<&SparseLu, LinalgError> {
+        self.factorize_with(a, None)
+    }
+
+    /// [`LuWorkspace::factorize`], offered a pattern recorded elsewhere on
+    /// the same structure (say, by the Newton-path workspace whose matrix
+    /// a fresh-equivalent workspace certifies). When the workspace's own
+    /// pattern cannot serve `a` and `offered` can, the workspace takes the
+    /// offered one (a reference-count bump, no copy) and replays it under
+    /// its own pivot rule, so the result is what
+    /// [`LuWorkspace::factorize`] would return with that pattern preloaded.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`LuWorkspace::factorize`].
+    pub fn factorize_with(
+        &mut self,
+        a: &CsrMatrix,
+        offered: Option<&Arc<SymbolicLu>>,
+    ) -> Result<&SparseLu, LinalgError> {
         self.valid = false;
-        let op = match self.fresh.take() {
-            Some(mut rule) => {
-                let op = self.factorize_fresh(a, &mut rule);
-                self.fresh = Some(rule);
-                op?
-            }
-            None => self.factorize_guarded(a)?,
+        let op = if self.fresh {
+            self.factorize_fresh(a, offered)?
+        } else {
+            self.factorize_guarded(a, offered)?
         };
         match op {
             LuOp::Replay => self.stats.refactorizations += 1,
@@ -823,9 +907,30 @@ impl LuWorkspace {
         Ok(&self.numeric)
     }
 
+    /// Takes `offered` as the pattern when the own one cannot serve `a`
+    /// (`serves`) and `offered` can.
+    fn adopt(
+        &mut self,
+        a: &CsrMatrix,
+        offered: Option<&Arc<SymbolicLu>>,
+        serves: impl Fn(&SymbolicLu, &CsrMatrix) -> bool,
+    ) {
+        if self.symbolic.as_deref().is_some_and(|s| serves(s, a)) {
+            return;
+        }
+        if let Some(offered) = offered.filter(|o| serves(o, a)) {
+            self.symbolic = Some(Arc::clone(offered));
+        }
+    }
+
     /// The Newton-path policy: replay under the decay guard, re-pivot and
     /// re-record on any refusal.
-    fn factorize_guarded(&mut self, a: &CsrMatrix) -> Result<LuOp, LinalgError> {
+    fn factorize_guarded(
+        &mut self,
+        a: &CsrMatrix,
+        offered: Option<&Arc<SymbolicLu>>,
+    ) -> Result<LuOp, LinalgError> {
+        self.adopt(a, offered, SymbolicLu::compatible_with);
         if let Some(sym) = &self.symbolic {
             if sym.dim() == a.rows() && a.rows() == a.cols() {
                 match sym.refactorize_into(a, &mut self.numeric, &mut self.scratch) {
@@ -840,8 +945,10 @@ impl LuWorkspace {
                 }
             }
         }
-        let mut lu = SparseLu::factorize(a)?;
-        let sym = lu.symbolic(a);
+        check_square(a)?;
+        singular_fault()?;
+        let mut lu = SparseLu::factorize_ranked(a, Some(&mut self.ranks))?;
+        let sym = lu.record(a, std::mem::take(&mut self.ranks));
         lu.shell_of = sym.id;
         self.numeric = lu;
         self.symbolic = Some(Arc::new(sym));
@@ -849,38 +956,34 @@ impl LuWorkspace {
     }
 
     /// The fresh-equivalent policy (see the type-level docs): one fault
-    /// draw, then a pivot-verified exact replay of this workspace's own
-    /// pattern, else a full factorization that records its pivot ranks.
+    /// draw, then a pivot-verified exact replay of a pattern that carries
+    /// ranks, else a full factorization that keeps its pivot ranks.
     fn factorize_fresh(
         &mut self,
         a: &CsrMatrix,
-        rule: &mut FreshRule,
+        offered: Option<&Arc<SymbolicLu>>,
     ) -> Result<LuOp, LinalgError> {
         check_square(a)?;
         singular_fault()?;
         // Second sighting of the structure the latest full factorization
         // ran on: record its pattern now (the structure is the same, so
         // `a` serves as the recording matrix).
-        if rule.pending != 0 && rule.pending == a.structure_id() {
-            let sym = self.numeric.symbolic(a);
+        if self.pending != 0 && self.pending == a.structure_id() {
+            let sym = self.numeric.record(a, std::mem::take(&mut self.ranks));
             self.numeric.shell_of = sym.id;
-            rule.pattern = sym.id;
-            rule.pending = 0;
             self.symbolic = Some(Arc::new(sym));
         }
-        let own = self.symbolic.as_ref().filter(|s| s.id == rule.pattern);
-        if let Some(sym) = own.filter(|s| s.compatible_with(a)) {
-            match sym.refactorize_fresh_into(a, &mut self.numeric, &mut self.scratch, &rule.ranks) {
+        self.pending = 0;
+        self.adopt(a, offered, SymbolicLu::replays_fresh);
+        if let Some(sym) = self.symbolic.as_ref().filter(|s| s.replays_fresh(a)) {
+            match sym.refactorize_fresh_into(a, &mut self.numeric, &mut self.scratch) {
                 Ok(()) => return Ok(LuOp::Replay),
                 Err(_) => self.stats.fallbacks += 1,
             }
         }
-        rule.pattern = 0;
-        rule.pending = 0;
         self.symbolic = None;
-        self.numeric =
-            SparseLu::factorize_ranked(a, Some(&mut rule.ranks))?;
-        rule.pending = a.structure_id();
+        self.numeric = SparseLu::factorize_ranked(a, Some(&mut self.ranks))?;
+        self.pending = a.structure_id();
         Ok(LuOp::Full)
     }
 
@@ -1236,8 +1339,8 @@ mod tests {
     fn preseeded_workspace_replays_first_call() {
         let mut rng = StdRng::seed_from_u64(33);
         let (a, b) = random_system(&mut rng, 20);
-        let sym = SparseLu::factorize(&a).unwrap().symbolic(&a);
-        let mut ws = LuWorkspace::with_symbolic(sym);
+        let sym = Arc::new(SparseLu::factorize(&a).unwrap().symbolic(&a));
+        let mut ws = LuWorkspace::with_symbolic(Arc::clone(&sym));
         let x = ws.factorize(&a).unwrap().solve(&b).unwrap();
         assert_eq!(ws.stats().full_factorizations, 0);
         assert_eq!(ws.stats().refactorizations, 1);
@@ -1245,6 +1348,16 @@ mod tests {
         // Bit-identical to an uncached full factorization.
         let cold = SparseLu::factorize(&a).unwrap();
         assert_eq!(x, cold.solve(&b).unwrap());
+        // Offered instead of preloaded, the pattern serves the same way.
+        let mut ws = LuWorkspace::new();
+        let offered = ws
+            .factorize_with(&a, Some(&sym))
+            .unwrap()
+            .solve(&b)
+            .unwrap();
+        assert_eq!(ws.last_op(), Some(LuOp::Replay));
+        assert!(ws.shared_symbolic().is_some_and(|s| Arc::ptr_eq(s, &sym)));
+        assert_eq!(offered, x);
     }
 
     #[test]

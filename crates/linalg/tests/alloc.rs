@@ -8,6 +8,10 @@
 //! [`StampSlots`] scatter into the plan's frozen pattern, a
 //! fresh-equivalent replay and [`SparseLu::cond_estimate_with`].
 //!
+//! Recording a pattern ([`SparseLu::symbolic`]) allocates a fixed number
+//! of times, whatever the dimension: its scatter plan is built with one
+//! counting pass, not a list per column.
+//!
 //! The counting allocator counts the measuring thread only
 //! (`tests/support/counting_alloc.rs`).
 
@@ -161,4 +165,38 @@ fn certification_chain() {
     let cold_cond = cold.cond_estimate_with(&a, &mut CondScratch::default());
     assert_eq!(last.0.to_bits(), cold_cond.unwrap().to_bits());
     assert_eq!(last.1.to_bits(), cold.pivot_growth().to_bits());
+}
+
+/// A ring of `n` coupled nodes with a long-range entry every seventh row,
+/// so its factors carry fill-in.
+fn ring(n: usize) -> CsrMatrix {
+    let mut t = Triplet::new(n, n);
+    for i in 0..n {
+        t.push(i, i, 4.0);
+        t.push(i, (i + 1) % n, -1.0);
+        t.push((i + 1) % n, i, -1.0);
+        if i % 7 == 0 {
+            t.push(i, (i * 3 + 5) % n, 0.5);
+        }
+    }
+    t.to_csr()
+}
+
+#[test]
+fn recording_a_pattern_allocates_the_same_at_any_size() {
+    let counts: Vec<usize> = [5, 132]
+        .iter()
+        .map(|&n| {
+            let a = ring(n);
+            let lu = SparseLu::factorize(&a).unwrap();
+            let mut sym = None;
+            let count = allocations(|| sym = Some(lu.symbolic(&a)));
+            // The recorded pattern replays its own matrix.
+            let mut ws = LuWorkspace::with_symbolic(sym.unwrap());
+            ws.factorize(&a).unwrap();
+            assert_eq!(ws.last_op(), Some(LuOp::Replay));
+            count
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1], "n = 5 vs n = 132");
 }

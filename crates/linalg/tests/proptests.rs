@@ -62,6 +62,43 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// An MNA-shaped entry list: `k` nodes with small shunts and conductance
+/// stamps, and `m` voltage-source branches whose rows and columns carry
+/// exact `±1` incidence entries and no diagonal, so pivots tie.
+fn mna_entries(rng: &mut StdRng, k: usize, m: usize) -> Vec<(usize, usize, f64)> {
+    let mut es = Vec::new();
+    for i in 0..k {
+        es.push((i, i, 1e-3 * rng.gen_range(0.5..2.0)));
+        let j = rng.gen_range(0..k);
+        if j != i {
+            let g: f64 = rng.gen_range(0.1..10.0);
+            es.extend([(i, i, g), (j, j, g), (i, j, -g), (j, i, -g)]);
+        }
+    }
+    for b in 0..m {
+        let (row, i, j) = (k + b, rng.gen_range(0..k), rng.gen_range(0..k));
+        es.extend([(i, row, 1.0), (row, i, 1.0)]);
+        if j != i {
+            es.extend([(j, row, -1.0), (row, j, -1.0)]);
+        }
+    }
+    es
+}
+
+/// What a caller can observe of a factorization, as bits: its dimension,
+/// fill, pivot growth and the solutions of two right-hand sides.
+fn observed(lu: &SparseLu) -> Vec<u64> {
+    let n = lu.dim();
+    let mut out = vec![n as u64, lu.nnz() as u64, lu.pivot_growth().to_bits()];
+    for b in [
+        (0..n).map(|i| 1.0 + i as f64).collect::<Vec<_>>(),
+        (0..n).map(|i| (i as f64).sin()).collect(),
+    ] {
+        out.extend(bits(&lu.solve(&b).unwrap()));
+    }
+    out
+}
+
 /// Strategy: a random diagonally-dominant sparse square system of size 2..=20
 /// together with a right-hand side.
 fn dd_system() -> impl Strategy<Value = (CsrMatrix, Vec<f64>)> {
@@ -273,6 +310,88 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// A fresh-equivalent workspace offered the pattern a Newton-path
+    /// workspace recorded from another matrix of the same structure
+    /// returns, on every new matrix of that structure, bitwise what
+    /// [`SparseLu::factorize`] returns, or fails as it does — by replaying
+    /// the offered pattern, its own, or by falling back — across value
+    /// jitter (rewritten in place or rebuilt), decayed diagonals and
+    /// poisoned entries. It takes exactly one fault-injection draw per
+    /// call: under the `faults` feature the same armed plan fails the same
+    /// calls of the workspace and of plain factorizations.
+    #[test]
+    fn fresh_workspace_replays_an_offered_newton_pattern_bitwise(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (k, m) = (rng.gen_range(2..9), rng.gen_range(0..3));
+        let n = k + m;
+        let es = mna_entries(&mut rng, k, m);
+        let jittered = |rng: &mut StdRng, spread: f64| -> Vec<(usize, usize, f64)> {
+            es.iter()
+                .map(|&(r, c, v)| {
+                    // The `±1` incidence entries keep their ties.
+                    let scale = if v.abs() == 1.0 {
+                        1.0
+                    } else {
+                        1.0 + spread * rng.gen_range(-1.0..1.0)
+                    };
+                    (r, c, v * scale)
+                })
+                .collect()
+        };
+        let mut newton = LuWorkspace::new();
+        prop_assume!(newton.factorize(&csr_of(n, &jittered(&mut rng, 0.2))).is_ok());
+        let offered = newton.shared_symbolic().cloned();
+        prop_assert!(offered.is_some());
+        let mut a = csr_of(n, &es);
+        let mut mats = Vec::new();
+        for _ in 0..24 {
+            let mut next = jittered(&mut rng, 0.01);
+            match rng.gen_range(0..10) {
+                // Decay a diagonal by decades.
+                0 => {
+                    let i = rng.gen_range(0..k);
+                    for e in next.iter_mut().filter(|e| e.0 == i && e.1 == i) {
+                        e.2 *= 1e-6;
+                    }
+                }
+                // Poison one stamp.
+                1 => {
+                    let s = rng.gen_range(0..next.len());
+                    next[s].2 = if rng.gen() { f64::NAN } else { f64::INFINITY };
+                }
+                _ => {}
+            }
+            let b = csr_of(n, &next);
+            if rng.gen_bool(0.8) {
+                // Rewritten in place: the structure generation survives.
+                a.values_mut().copy_from_slice(b.values());
+            } else {
+                a = b;
+            }
+            mats.push(a.clone());
+        }
+        #[cfg(feature = "faults")]
+        let arm = || rlpta_linalg::faults::arm_singular(seed, 3);
+        #[cfg(not(feature = "faults"))]
+        let arm = || {};
+        arm();
+        let mut ws = LuWorkspace::fresh_equivalent();
+        let got: Vec<_> = mats
+            .iter()
+            .map(|a| ws.factorize_with(a, offered.as_ref()).map(observed))
+            .collect();
+        arm();
+        let want: Vec<_> = mats
+            .iter()
+            .map(|a| SparseLu::factorize(a).map(|lu| observed(&lu)))
+            .collect();
+        #[cfg(feature = "faults")]
+        rlpta_linalg::faults::disarm();
+        prop_assert_eq!(got, want);
+        let stats = ws.stats();
+        prop_assert!(stats.refactorizations > 0, "no replay in 24 calls: {:?}", stats);
     }
 
     /// [`StampSlots::pattern_hash_with`] gives the hash and entry count of
