@@ -88,10 +88,10 @@ fn bench_symbolic_reuse(c: &mut Criterion) {
 }
 
 /// Certification's factorization, cold versus warm: `SparseLu::factorize`
-/// against a fresh-equivalent `LuWorkspace` replay of the same Jacobian
-/// (bitwise the same factorization, each recorded pivot re-verified
-/// against the full factorization's rule), on a mid-size and the largest
-/// suite circuit.
+/// against `LuWorkspace::factorize_fresh` replaying the pattern a Newton
+/// factorization of the same Jacobian recorded (bitwise the same
+/// factorization, each recorded pivot re-verified against the full
+/// factorization's rule), on a mid-size and the largest suite circuit.
 fn bench_certify_lu(c: &mut Criterion) {
     let mut group = c.benchmark_group("certify_lu");
     for name in ["gm6", "fadd32"] {
@@ -99,14 +99,13 @@ fn bench_certify_lu(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("factorize", name), |b| {
             b.iter(|| SparseLu::factorize(&a).unwrap())
         });
-        // The pattern records on the second sighting of the structure.
-        let mut ws = LuWorkspace::fresh_equivalent();
+        let mut ws = LuWorkspace::new();
         ws.factorize(&a).unwrap();
-        ws.factorize(&a).unwrap();
+        ws.factorize_fresh(&a).unwrap();
         assert_eq!(ws.last_op(), Some(LuOp::Replay));
         group.bench_function(BenchmarkId::new("fresh_equivalent_replay", name), |b| {
             b.iter(|| {
-                ws.factorize(&a).unwrap();
+                ws.factorize_fresh(&a).unwrap();
             })
         });
     }

@@ -27,10 +27,9 @@
 //! switched off under fault injection (so seeded draws do not move), and
 //! is checked against a fresh evaluation in debug builds.
 
-use crate::certify::CertifyWorkspace;
 use rlpta_devices::{EvalCtx, Stamper};
-use rlpta_linalg::{CsrMatrix, LinalgError, LuOp, LuWorkspace, SymbolicLu};
-use rlpta_mna::{BumpPlan, Circuit, DeviceSnapshot, ResidualScratch, StampPlan};
+use rlpta_linalg::{CondScratch, CsrMatrix, LinalgError, LuOp, LuWorkspace};
+use rlpta_mna::{BumpPlan, Circuit, DeclareScratch, DeviceSnapshot, ResidualScratch, StampPlan};
 use std::sync::Arc;
 
 /// How Newton systems were assembled each iteration.
@@ -59,16 +58,16 @@ pub enum AssemblyMode {
 /// numeric shell replays rewrite), the resolved stamp plan (possibly
 /// shared from the service plan cache), the working CSR buffer the plan
 /// scatters into, the lazily-built Gmin-bump companion and the iterate
-/// buffers, plus the start-point buffers of a run and certification's own
-/// state.
+/// buffers, plus the start-point buffers of a run and the two scratches
+/// only certification uses.
 ///
 /// Created by whoever owns the chain and threaded through every
 /// `newton_iterate` call of it, so the plan resolves once and every later
 /// iteration is a pure write pass, a symbolic replay and an in-place solve
 /// with no allocation. The chain's returned points are certified in the
-/// same workspace, on the same plan and buffers
+/// same workspace, on the same plan, buffers and LU workspace
 /// ([`NewtonWorkspace::certify_assembly`]), so a chain of plain Newton runs
-/// resolves one plan, not two.
+/// resolves one plan and records one LU pattern, not two.
 #[derive(Debug, Default)]
 pub(crate) struct NewtonWorkspace {
     lu: LuWorkspace,
@@ -82,8 +81,10 @@ pub(crate) struct NewtonWorkspace {
     pub(crate) bufs: NewtonBuffers,
     /// The start of a run, and certification's seeded limiter state.
     pub(crate) start: StartBuffers,
-    /// What certification keeps apart from the Newton state above.
-    pub(crate) certify: CertifyWorkspace,
+    /// The declare scratch certification re-verifies the plan with.
+    declare: DeclareScratch,
+    /// The Hager scratch of certification's condition estimate.
+    cond: CondScratch,
     /// The device half of the latest convergence check, kept only by a
     /// chain that evaluates one unchanged circuit
     /// ([`NewtonWorkspace::carrying_devices`]).
@@ -332,29 +333,33 @@ impl NewtonWorkspace {
         }
     }
 
+    /// Whether certification may scatter through the installed plan: there
+    /// is one, it carries no solver extra stamps (the limiter-free scatter
+    /// would leave their slots stale) and it verifies against `circuit`.
+    fn certify_takes(&mut self, circuit: &Circuit) -> bool {
+        self.plan.as_ref().is_some_and(|p| {
+            p.device_pushes() == p.len() && p.verify_with(circuit, &mut self.declare)
+        })
+    }
+
     /// Certification's assembly: `J(x)` into the working matrix and `F(x)`
     /// into `bufs.res`, limiter-free (default gmin, full sources) from the
     /// limiter state seeded at `x` in the start buffers. The installed plan
     /// is used when certification may take it
-    /// ([`CertifyWorkspace::takes`]); otherwise a device-only plan is
+    /// ([`NewtonWorkspace::certify_takes`]); otherwise a device-only plan is
     /// resolved from `circuit` and installed. When the latest run's
     /// converged check is that assembly ([`NewtonWorkspace::check_certifies`])
     /// the buffers already hold it; otherwise every pass rewrites every
     /// slot, the residual and the state, so the assembly does not depend on
-    /// what the workspace held. Returns it with certification's own state
-    /// and the Newton LU's recorded pattern, which certification's LU may
-    /// replay ([`LuWorkspace::factorize_with`]).
+    /// what the workspace held. Returns it with the chain's LU workspace,
+    /// which certification factorizes in without touching its pattern
+    /// ([`LuWorkspace::factorize_fresh`]), and the Hager scratch.
     pub(crate) fn certify_assembly(
         &mut self,
         circuit: &Circuit,
         x: &[f64],
-    ) -> (
-        &CsrMatrix,
-        &[f64],
-        &mut CertifyWorkspace,
-        Option<&Arc<SymbolicLu>>,
-    ) {
-        if !self.certify.takes(self.plan.as_deref(), circuit) {
+    ) -> (&CsrMatrix, &[f64], &mut LuWorkspace, &mut CondScratch) {
+        if !self.certify_takes(circuit) {
             self.install_plan(StampPlan::resolve(circuit, &mut |_| {}));
         }
         self.start.state.resize(circuit.state_len(), 0.0);
@@ -370,12 +375,7 @@ impl NewtonWorkspace {
             plan.eval_into(circuit, &ctx, matrix, res, &mut start.state, &mut |_| {});
         }
         let matrix = self.matrix.as_ref().expect("certification assembled");
-        (
-            matrix,
-            &self.bufs.res,
-            &mut self.certify,
-            self.lu.shared_symbolic(),
-        )
+        (matrix, &self.bufs.res, &mut self.lu, &mut self.cond)
     }
 
     /// Whether the working matrix and `bufs.res` already hold

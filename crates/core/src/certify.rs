@@ -44,14 +44,15 @@
 //! Certification is a pass over the `NewtonWorkspace` of the solve it
 //! certifies: a sweep chain's, a service group's, a direct Newton solve's
 //! or a ladder run's. It scatters `J(x)` and `F(x)` through the
-//! workspace's [`StampPlan`] into its working matrix and residual, from the
-//! limiter state seeded at `x` in its start buffers. Apart from Newton it
-//! keeps only a `CertifyWorkspace`: a fresh-equivalent [`LuWorkspace`],
-//! the Hager scratch and the declare scratch that re-verifies the plan.
-//! Every call re-verifies the installed plan against the circuit with a
-//! declare pass and takes it only when it also carries no solver extra
-//! stamps (a PTA plan's pseudo-element shunts would be left stale by the
-//! limiter-free scatter); otherwise it resolves a device-only plan and
+//! workspace's [`StampPlan`](rlpta_mna::StampPlan) into its working matrix
+//! and residual, from the limiter state seeded at `x` in its start
+//! buffers, and factorizes `J(x)` in the chain's own
+//! [`LuWorkspace`](rlpta_linalg::LuWorkspace). It keeps nothing of its own
+//! but the Hager scratch and the declare scratch that re-verifies the
+//! plan. Every call re-verifies the installed plan against the circuit
+//! with a declare pass and takes it only when it also carries no solver
+//! extra stamps (a PTA plan's pseudo-element shunts would be left stale by
+//! the limiter-free scatter); otherwise it resolves a device-only plan and
 //! installs it. So a chain of plain Newton runs certifies on the plan its
 //! Newton run resolved. A ladder certifies every rung's result in the
 //! workspace of its Newton rung; a PTA strategy's result certifies in a
@@ -70,9 +71,12 @@
 //!   seeding walk would then end on the check's state, so a fresh
 //!   assembly would see the check's inputs bit for bit. Any evaluation,
 //!   plan install or run start in between forgets the check.
-//! * *The Newton LU's pattern.* Certification's LU is offered the pattern
-//!   the chain's Newton LU recorded (on a service cache hit, the cached
-//!   one) and replays it when it carries no pattern of its own that fits.
+//! * *The Newton LU's pattern.* Certification factorizes with
+//!   [`LuWorkspace::factorize_fresh`](rlpta_linalg::LuWorkspace::factorize_fresh),
+//!   which replays the pattern the chain's Newton LU recorded (on a
+//!   service cache hit, the cached one) and never records or replaces it,
+//!   so the Newton runs after a certification replay exactly as they would
+//!   without it.
 //!
 //! Reports stay bitwise [`certify`]'s whatever the workspace held before.
 //! A plan holds no values and takes no fault draws: it is a pure function
@@ -81,19 +85,20 @@
 //! (the plan ≡ triplet contract the assembly tests pin). A pass that does
 //! not take the check rewrites every slot, the residual and the seeded
 //! state; a taken check is the assembly such a pass would write, and
-//! debug builds evaluate afresh and assert it. A replay — of either
-//! pattern — is accepted only when every recorded pivot is the one
-//! [`SparseLu::factorize`] would choose on the new values, checked against
-//! the pivot ranks the pattern carries, so the replayed factorization is
-//! bitwise the fresh one. Under `faults` the check is never taken, and a
-//! certification takes exactly one singular-injection draw either way.
+//! debug builds evaluate afresh and assert it. A replay is accepted only
+//! when every recorded pivot is the one [`SparseLu::factorize`] would
+//! choose on the new values, checked against the pivot ranks the pattern
+//! carries, so the replayed factorization is bitwise the fresh one; any
+//! other matrix gets a full factorization. Under `faults` the check is
+//! never taken, and a certification takes exactly one singular-injection
+//! draw either way.
 
 use crate::assembly::NewtonWorkspace;
 use crate::error::SolveError;
 use crate::telemetry::{interest, Payload, Phase, Tele};
 use crate::Solution;
-use rlpta_linalg::{norms, CondScratch, LuWorkspace, SparseLu};
-use rlpta_mna::{Circuit, DeclareScratch, StampPlan};
+use rlpta_linalg::{norms, SparseLu};
+use rlpta_mna::Circuit;
 
 /// Residual infinity-norm at or below which a solution can be graded
 /// [`HealthGrade::Certified`] — matches the plain Newton solver's default
@@ -189,38 +194,6 @@ fn grade_of(residual_norm: f64, cond: f64, growth: f64) -> HealthGrade {
     }
 }
 
-/// What certification keeps apart from the Newton state of the workspace
-/// it certifies in: the declare scratch of its plan re-verification, a
-/// fresh-equivalent LU workspace and the Hager scratch (see the module
-/// docs).
-#[derive(Debug)]
-pub(crate) struct CertifyWorkspace {
-    declare: DeclareScratch,
-    lu: LuWorkspace,
-    cond: CondScratch,
-}
-
-impl Default for CertifyWorkspace {
-    fn default() -> Self {
-        Self {
-            declare: DeclareScratch::default(),
-            lu: LuWorkspace::fresh_equivalent(),
-            cond: CondScratch::default(),
-        }
-    }
-}
-
-impl CertifyWorkspace {
-    /// Whether certification may scatter through `plan`: there is one, it
-    /// carries no solver extra stamps (the limiter-free scatter would leave
-    /// their slots stale) and it verifies against `circuit`.
-    pub(crate) fn takes(&mut self, plan: Option<&StampPlan>, circuit: &Circuit) -> bool {
-        plan.is_some_and(|p| {
-            p.device_pushes() == p.len() && p.verify_with(circuit, &mut self.declare)
-        })
-    }
-}
-
 /// [`certify`] in `ws` (see the module docs); bitwise the same report.
 pub(crate) fn certify_in(ws: &mut NewtonWorkspace, circuit: &Circuit, x: &[f64]) -> HealthReport {
     if x.len() != circuit.dim() || !x.iter().all(|v| v.is_finite()) {
@@ -231,7 +204,7 @@ pub(crate) fn certify_in(ws: &mut NewtonWorkspace, circuit: &Circuit, x: &[f64])
             grade: HealthGrade::Rejected,
         };
     }
-    let (a, res, own, newton) = ws.certify_assembly(circuit, x);
+    let (a, res, lu, cond) = ws.certify_assembly(circuit, x);
     // `inf_norm` folds with `f64::max`, which discards NaN — scan first
     // so a poisoned residual rejects instead of reading as 0.0.
     let residual_norm = if res.iter().all(|v| v.is_finite()) {
@@ -239,12 +212,9 @@ pub(crate) fn certify_in(ws: &mut NewtonWorkspace, circuit: &Circuit, x: &[f64])
     } else {
         f64::INFINITY
     };
-    let (cond_estimate, pivot_growth) = match own.lu.factorize_with(a, newton) {
+    let (cond_estimate, pivot_growth) = match lu.factorize_fresh(a) {
         Ok(lu) => (
-            sanitize(
-                lu.cond_estimate_with(a, &mut own.cond)
-                    .unwrap_or(f64::INFINITY),
-            ),
+            sanitize(lu.cond_estimate_with(a, cond).unwrap_or(f64::INFINITY)),
             sanitize(lu.pivot_growth()),
         ),
         Err(_) => (f64::INFINITY, f64::INFINITY),
@@ -378,7 +348,8 @@ mod tests {
     use crate::recovery::BudgetMeter;
     use crate::telemetry::{Collector, Span};
     use crate::NewtonRaphson;
-    use rlpta_mna::DeclareScratch;
+    use rlpta_linalg::LuWorkspace;
+    use rlpta_mna::{DeclareScratch, StampPlan};
     use std::sync::Arc;
 
     fn diode_clamp() -> Circuit {
@@ -495,12 +466,32 @@ mod tests {
         PLAN_INSTALLS.with(|n| n.get()) - before
     }
 
-    /// [`certify_in`], and whether it evaluated its assembly rather than
-    /// take a converged check in place.
-    fn counted_certify(ws: &mut NewtonWorkspace, c: &Circuit, x: &[f64]) -> (HealthReport, bool) {
-        let before = CERTIFY_EVALS.with(|n| n.get());
+    /// What one certification did: whether it evaluated its assembly
+    /// rather than take a converged check in place, and how many replays
+    /// and full factorizations it ran in the workspace's LU, whose
+    /// counters it shares with the chain's Newton runs.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct CertifyWork {
+        evaluated: bool,
+        replays: u64,
+        fulls: u64,
+    }
+
+    /// [`certify_in`], and what it did.
+    fn counted_certify(
+        ws: &mut NewtonWorkspace,
+        c: &Circuit,
+        x: &[f64],
+    ) -> (HealthReport, CertifyWork) {
+        let (evals, lu) = (CERTIFY_EVALS.with(|n| n.get()), ws.lu().stats());
         let report = certify_in(ws, c, x);
-        (report, CERTIFY_EVALS.with(|n| n.get()) > before)
+        let after = ws.lu().stats();
+        let work = CertifyWork {
+            evaluated: CERTIFY_EVALS.with(|n| n.get()) > evals,
+            replays: after.refactorizations - lu.refactorizations,
+            fulls: after.full_factorizations - lu.full_factorizations,
+        };
+        (report, work)
     }
 
     /// A Newton run in `ws` from `x0`, its final iterate when it converged.
@@ -523,16 +514,17 @@ mod tests {
 
     /// Along chains of jittered points on one structure, entered after
     /// other structures and dimensions, a long-lived workspace reports
-    /// bitwise what the cold [`certify`] reports — and its warm
-    /// certifications do replay. So does each circuit's chain workspace
-    /// after a warm sweep-point solve: its certifications run on the plan
-    /// its Newton run resolved and never resolve one of their own, replay
-    /// the Newton LU's pattern, and, after a Newton run from a jittered
+    /// bitwise what the cold [`certify`] reports. So does each circuit's
+    /// chain workspace after a warm sweep-point solve: its certifications
+    /// run on the plan its Newton run resolved and never resolve one of
+    /// their own, never replace the Newton LU's pattern and replay it on
+    /// every chain but D10's, and, after a Newton run from a jittered
     /// point, take its converged check in place.
     #[test]
     fn workspace_reports_equal_cold_certify_bitwise() {
         use rand::prelude::*;
-        let mut circuits: Vec<Circuit> = ["gm1", "bias", "D10", "gm6"]
+        let suite = ["gm1", "bias", "D10", "gm6"];
+        let mut circuits: Vec<Circuit> = suite
             .iter()
             .map(|n| rlpta_circuits::by_name(n).expect("known circuit").circuit)
             .collect();
@@ -566,6 +558,24 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x5eed);
         let mut ws = NewtonWorkspace::new();
         let mut checks_taken = 0;
+        let mut chain_work = vec![CertifyWork::default(); circuits.len()];
+        // A chain certification in the chain's LU, which keeps its pattern.
+        let mut certify_chain = |nws: &mut NewtonWorkspace, i: usize, x: &[f64]| {
+            let pattern = nws
+                .lu()
+                .shared_symbolic()
+                .cloned()
+                .expect("Newton recorded");
+            let (report, work) = counted_certify(nws, &circuits[i], x);
+            let kept = nws.lu().shared_symbolic().expect("pattern kept");
+            assert!(
+                Arc::ptr_eq(&pattern, kept),
+                "chain {i} replaced its pattern"
+            );
+            chain_work[i].replays += work.replays;
+            chain_work[i].fulls += work.fulls;
+            (report, work)
+        };
         for _ in 0..24 {
             let i = rng.gen_range(0..circuits.len());
             // Mostly small jitter (a warm chain); now and then a far point.
@@ -576,36 +586,50 @@ mod tests {
                     .map(|v| v * (1.0 + spread * rng.gen_range(-1.0..1.0)))
                     .collect();
                 let warm = certify_in(&mut ws, &circuits[i], &x);
-                let chain = certify_in(&mut chains[i].0, &circuits[i], &x);
+                let (chain, _) = certify_chain(&mut chains[i].0, i, &x);
                 let cold = certify(&circuits[i], &x);
                 assert_eq!(report_bits(&warm), report_bits(&cold), "circuit {i}");
                 assert_eq!(report_bits(&chain), report_bits(&cold), "chain {i}");
                 if rng.gen_bool(0.3) {
                     if let Some(x) = converge(&mut chains[i].0, &circuits[i], Some(&x)) {
-                        let (chain, evaluated) =
-                            counted_certify(&mut chains[i].0, &circuits[i], &x);
-                        checks_taken += usize::from(!evaluated);
+                        let (chain, work) = certify_chain(&mut chains[i].0, i, &x);
+                        checks_taken += usize::from(!work.evaluated);
                         let cold = certify(&circuits[i], &x);
                         assert_eq!(report_bits(&chain), report_bits(&cold), "check {i}");
                     }
                 }
             }
         }
-        let stats = ws.certify.lu.stats();
-        assert!(stats.refactorizations > 0, "no warm replay: {stats:?}");
+        // Every chain certifies once more at its own operating point.
+        for (i, x) in points.iter().enumerate() {
+            let (chain, _) = certify_chain(&mut chains[i].0, i, x);
+            let cold = certify(&circuits[i], x);
+            assert_eq!(report_bits(&chain), report_bits(&cold), "point {i}");
+        }
         // Fault injection never takes a check: its draws must not move.
         assert_eq!(
             checks_taken > 0,
             !cfg!(feature = "faults"),
             "checks taken: {checks_taken}"
         );
-        // Every chain's certification LU replayed: the pattern its Newton
-        // LU recorded or, after a fallback, its own.
         for (i, (nws, newton)) in chains.iter().enumerate() {
             let held = nws.plan().expect("plan kept");
             assert!(Arc::ptr_eq(held, newton), "chain {i} resolved a plan");
-            let stats = nws.certify.lu.stats();
-            assert!(stats.refactorizations > 0, "chain {i}: {stats:?}");
+        }
+        // Each chain's certifications replayed the pattern its Newton LU
+        // holds, with no full factorization, except D10's. Its Newton runs
+        // from far starts fall back and re-record the pattern at iterates
+        // far from the certified points, where a full factorization picks
+        // other pivots; certification records no pattern of its own, so
+        // that chain factorizes every certification in full. Pinned both
+        // ways, so a chain that stops replaying fails here.
+        for (i, work) in chain_work.iter().enumerate() {
+            let name = suite.get(i).copied().unwrap_or("netlist");
+            if name == "D10" {
+                assert!(work.replays == 0 && work.fulls > 0, "{name}: {work:?}");
+            } else {
+                assert!(work.replays > 0 && work.fulls == 0, "{name}: {work:?}");
+            }
         }
     }
 
@@ -621,13 +645,19 @@ mod tests {
         let mut c = diode_clamp();
         let mut ws = NewtonWorkspace::new();
         let mut warm: Option<Vec<f64>> = None;
+        let mut certified = CertifyWork::default();
         let mut calls = 0;
+        let mut tally = |work: CertifyWork| {
+            certified.replays += work.replays;
+            certified.fulls += work.fulls;
+            work.evaluated
+        };
         for k in 0..8 {
             assert!(c.set_source_dc("V1", 5.0 + 0.25 * k as f64));
             let x = converge(&mut ws, &c, warm.as_deref()).expect("converges");
             assert!(c.seeding_lands(&x), "the seeding walk lands at {x:?}");
-            let (report, evaluated) = counted_certify(&mut ws, &c, &x);
-            let taken = !evaluated;
+            let (report, work) = counted_certify(&mut ws, &c, &x);
+            let taken = !tally(work);
             assert_eq!(
                 taken,
                 !cfg!(feature = "faults"),
@@ -637,8 +667,11 @@ mod tests {
             // One ulp away: evaluated.
             let mut near = x.clone();
             near[0] = f64::from_bits(near[0].to_bits() + 1);
-            let (report, evaluated) = counted_certify(&mut ws, &c, &near);
-            assert!(evaluated, "point {k}: a check at another iterate was taken");
+            let (report, work) = counted_certify(&mut ws, &c, &near);
+            assert!(
+                tally(work),
+                "point {k}: a check at another iterate was taken"
+            );
             assert_eq!(report_bits(&report), report_bits(&certify(&c, &near)));
             // Converged again, then an evaluation at the same iterate
             // before certifying: evaluated.
@@ -646,18 +679,17 @@ mod tests {
             let mut residual = vec![0.0; c.dim()];
             let mut scratch = rlpta_mna::ResidualScratch::default();
             ws.original_residual_into(&c, &x, &mut residual, &mut scratch);
-            let (report, evaluated) = counted_certify(&mut ws, &c, &x);
+            let (report, work) = counted_certify(&mut ws, &c, &x);
             assert!(
-                evaluated,
+                tally(work),
                 "point {k}: a check was taken after an evaluation"
             );
             assert_eq!(report_bits(&report), report_bits(&certify(&c, &x)));
             calls += 3;
             warm = Some(x);
         }
-        let stats = ws.certify.lu.stats();
-        assert_eq!(stats.full_factorizations, 0, "{stats:?}");
-        assert_eq!(stats.refactorizations, calls, "{stats:?}");
+        assert_eq!(certified.fulls, 0, "{certified:?}");
+        assert_eq!(certified.replays, calls, "{certified:?}");
     }
 
     /// A plan with solver extra stamps (a PTA plan: pseudo-element shunts
@@ -735,11 +767,14 @@ mod tests {
         );
         let x = sol.unwrap().x;
         let newton = Arc::clone(ws.plan().expect("Newton resolved a plan"));
+        let pattern = ws.lu().shared_symbolic().cloned().expect("Newton recorded");
         let (seed, period, calls) = (5, 3, 60);
+        let mut replays = 0;
         rlpta_linalg::faults::arm_singular(seed, period);
         let fired: Vec<bool> = (0..calls)
             .map(|_| {
-                let r = certify_in(&mut ws, &c, &x);
+                let (r, work) = counted_certify(&mut ws, &c, &x);
+                replays += work.replays;
                 assert_ne!(r.grade, HealthGrade::Rejected);
                 r.cond_estimate == f64::INFINITY && r.pivot_growth == f64::INFINITY
             })
@@ -752,11 +787,10 @@ mod tests {
         rlpta_linalg::faults::disarm();
         assert_eq!(fired, want);
         assert!(fired.contains(&true) && fired.contains(&false));
-        assert!(
-            ws.certify.lu.stats().refactorizations > 0,
-            "warm calls replayed"
-        );
+        assert!(replays > 0, "warm calls replayed");
         assert!(ws.plan().is_some_and(|p| Arc::ptr_eq(p, &newton)));
+        let kept = ws.lu().shared_symbolic().expect("pattern kept");
+        assert!(Arc::ptr_eq(kept, &pattern));
     }
 
     #[test]

@@ -610,6 +610,14 @@ impl DcEngine {
     /// workspace costs time, never correctness), independently certified,
     /// with a defeat escalating to the serial recovery ladder.
     ///
+    /// Certification factorizes in `lu_ws` too
+    /// ([`LuWorkspace::factorize_fresh`]), without touching its recorded
+    /// pattern. So on return its [`LuWorkspace::stats`] count
+    /// certification's calls with Newton's, and its
+    /// [`LuWorkspace::last_op`] and [`LuWorkspace::factorization`] describe
+    /// certification's last call, not Newton's, when the solve certified
+    /// in it.
+    ///
     /// # Errors
     ///
     /// Same surface as [`DcEngine::solve`]; a failed warm attempt only

@@ -3,7 +3,8 @@
 //! the LU replay rewrites the workspace's numeric shell, the step is solved
 //! in place and the iterate vectors rotate through the Newton workspace.
 //! So one [`DcEngine::solve_warm`] call allocates the same number of times
-//! whether Newton needs two iterations or many.
+//! whether Newton needs two iterations or many. A certification that cannot
+//! replay the chain's pattern costs a pinned number more.
 //!
 //! The counting allocator counts the measuring thread only
 //! (`tests/support/counting_alloc.rs`).
@@ -215,3 +216,65 @@ fn warm_newton_stamp_writes_equal_iterations_plus_the_converged_check() {
         "device evaluations of a {iterations}-iteration run"
     );
 }
+
+/// Cost pin of a certification that cannot replay the chain's pattern.
+/// Certification factorizes in the chain's own LU and replays the pattern
+/// Newton recorded only when its pivots are the ones a full factorization
+/// picks; it never records a pattern of its own. Entered from a far start,
+/// D10's Newton run re-records its pattern at an iterate whose pivots a
+/// full factorization no longer picks at the operating point, so every
+/// later warm solve of that chain factorizes its certification in full
+/// (one fallback), and its Newton replay re-binds the numeric shell the
+/// full factorization replaced. Entered from zeros, the same circuit's
+/// certifications replay. The fallback costs a fixed number of extra
+/// allocations per warm solve, [`CERTIFY_FALLBACK_ALLOCATIONS`].
+#[test]
+fn a_certification_that_cannot_replay_costs_one_full_factorization() {
+    let circuit = rlpta_circuits::by_name("D10").expect("known").circuit;
+    let engine = DcEngine::builder().build();
+    let op = engine.solve(&circuit).expect("operating point").x;
+    let far: Vec<f64> = op
+        .iter()
+        .enumerate()
+        .map(|(k, v)| if k % 2 == 0 { 2.0 * v } else { *v })
+        .collect();
+    let zeros = vec![0.0; op.len()];
+    // Warm solves of a chain entered from `start`: their allocations and
+    // LU work (full factorizations, replays, fallbacks), which the
+    // workspace counts for Newton and certification alike.
+    let chain = |start: &[f64]| {
+        let mut ws = LuWorkspace::new();
+        let x = engine
+            .solve_warm(&circuit, Some(start), &mut ws)
+            .expect("entry solve converges")
+            .x;
+        counted_solve(&engine, &circuit, &x, &mut ws);
+        let before = ws.stats();
+        let (allocs, iterations) = counted_solve(&engine, &circuit, &x, &mut ws);
+        let after = ws.stats();
+        assert_eq!(iterations, 1, "a warm solve at its own operating point");
+        let work = (
+            after.full_factorizations - before.full_factorizations,
+            after.refactorizations - before.refactorizations,
+            after.fallbacks - before.fallbacks,
+        );
+        (allocs, work)
+    };
+    let (replaying, replay_work) = chain(&zeros);
+    let (falling_back, fallback_work) = chain(&far);
+    // Replaying: Newton's one iteration and certification both replay.
+    assert_eq!(replay_work, (0, 2, 0));
+    // Falling back: Newton replays, certification factorizes in full.
+    assert_eq!(fallback_work, (1, 1, 1));
+    assert_eq!(
+        falling_back - replaying,
+        CERTIFY_FALLBACK_ALLOCATIONS,
+        "{falling_back} vs {replaying} allocations"
+    );
+}
+
+/// The extra allocations of a warm solve whose certification falls back to
+/// a full factorization: the factorization's own buffers and the ones the
+/// Newton replay after it re-binds. The measured count; lower it when the
+/// fallback stops replacing the chain's numeric shell.
+const CERTIFY_FALLBACK_ALLOCATIONS: usize = 18;

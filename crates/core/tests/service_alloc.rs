@@ -13,11 +13,11 @@
 //!   group's own Newton workspace: it takes the Newton run's converged
 //!   check in place (or scatters through the plan, the working matrix,
 //!   the residual and the start buffers the chain already holds), and
-//!   keeps only its LU, its condition-estimate scratch and its declare
-//!   scratch apart;
-//! * certification's LU replays the pattern the group's Newton LU holds
-//!   (the cached one on a hit), so it runs no full factorization and
-//!   records no pattern; only its numeric shell is sized, once per group;
+//!   keeps only its condition-estimate and declare scratches apart;
+//! * certification factorizes in the group's own LU workspace, replaying
+//!   the pattern the Newton LU holds (the cached one on a hit) into the
+//!   numeric shell the Newton replays rewrite, so it runs no full
+//!   factorization, records no pattern and sizes no shell of its own;
 //! * `solve` runs the job over the caller's circuit, not a copy of it.
 //!
 //! So a 40-stage ladder's warm job allocates exactly as often as a 5-stage
@@ -34,17 +34,13 @@ use rlpta_core::prelude::*;
 use rlpta_core::KeyScratch;
 use rlpta_mna::Circuit;
 
-/// The most allocations one warm `SimService::solve` job may make (the
-/// count at which certification's replay of the Newton LU's pattern left
-/// it; a certification LU that ran its own full factorization cost 9
-/// more, and a separate certification workspace with its own matrix,
-/// residual and limiter buffers 7 more again). Debug builds without
-/// `faults` also re-certify every point cold inside a `debug_assert`,
-/// which costs 40 more.
+/// The most allocations one warm `SimService::solve` job may make: the
+/// measured count. Debug builds without `faults` also re-certify every
+/// point cold inside a `debug_assert`, which costs 39 more.
 const WARM_JOB_ALLOCATIONS: usize = if cfg!(all(debug_assertions, not(feature = "faults"))) {
-    82
+    71
 } else {
-    42
+    32
 };
 
 /// An `n`-stage resistor ladder with a diode clamp on every node.

@@ -147,11 +147,6 @@ impl DenseMatrix {
         t
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Scales every entry in place.
     pub fn scale(&mut self, s: f64) {
         for v in &mut self.data {
@@ -661,12 +656,6 @@ mod tests {
         let a = DenseMatrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let x = [1.0, -1.0];
         assert_eq!(a.matvec_transposed(&x), a.transpose().matvec(&x));
-    }
-
-    #[test]
-    fn frobenius_norm_simple() {
-        let a = DenseMatrix::from_rows(&[&[3.0, 4.0]]);
-        assert_close(a.frobenius_norm(), 5.0, 1e-14);
     }
 
     #[test]

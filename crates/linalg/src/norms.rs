@@ -11,17 +11,6 @@ pub fn inf_norm(x: &[f64]) -> f64 {
     x.iter().map(|v| v.abs()).fold(0.0, f64::max)
 }
 
-/// Euclidean norm.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(rlpta_linalg::norms::two_norm(&[3.0, 4.0]), 5.0);
-/// ```
-pub fn two_norm(x: &[f64]) -> f64 {
-    x.iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
 /// Infinity norm of the difference `max |a_i - b_i|`.
 ///
 /// # Panics
@@ -91,11 +80,6 @@ mod tests {
     #[test]
     fn inf_norm_picks_max_abs() {
         assert_eq!(inf_norm(&[-7.0, 2.0]), 7.0);
-    }
-
-    #[test]
-    fn two_norm_pythagorean() {
-        assert!((two_norm(&[1.0, 2.0, 2.0]) - 3.0).abs() < 1e-15);
     }
 
     #[test]

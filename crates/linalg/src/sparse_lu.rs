@@ -172,7 +172,7 @@ impl SparseLu {
     /// fault hook. When `ranks` is given it receives, per column, the
     /// pivot's rank among the column's not-yet-pivoted rows in topological
     /// order — the position the first-strict-maximum tie-break saw it at,
-    /// which a fresh-equivalent [`crate::LuWorkspace`] replay re-checks.
+    /// which a [`crate::LuWorkspace::factorize_fresh`] replay re-checks.
     pub(crate) fn factorize_ranked(
         a: &CsrMatrix,
         mut ranks: Option<&mut Vec<usize>>,
@@ -414,12 +414,6 @@ impl SparseLu {
         } else {
             1.0
         }
-    }
-
-    /// Whether this factorization was computed on an equilibrated
-    /// (row/column scaled) copy of the matrix.
-    pub fn is_equilibrated(&self) -> bool {
-        self.row_scale.is_some()
     }
 
     /// Dimension of the factorized system.
@@ -973,7 +967,8 @@ mod tests {
         t.push(1, 0, -1.0);
         let a = t.to_csr();
         let full = SparseLu::factorize(&a).unwrap();
-        let mut ws = crate::LuWorkspace::with_symbolic(full.symbolic(&a));
+        let mut ws = crate::LuWorkspace::new();
+        ws.factorize(&a).unwrap();
         let growth = ws.factorize(&a).unwrap().pivot_growth();
         assert_eq!(ws.last_op(), Some(crate::LuOp::Replay));
         assert_eq!(full.pivot_growth(), growth);
@@ -1109,7 +1104,6 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let plain = SparseLu::factorize(&a).unwrap().solve(&b).unwrap();
         let lu_eq = SparseLu::factorize_equilibrated(&a).unwrap();
-        assert!(lu_eq.is_equilibrated());
         let eq = lu_eq.solve(&b).unwrap();
         for (u, v) in plain.iter().zip(&eq) {
             assert!((u - v).abs() < 1e-9);

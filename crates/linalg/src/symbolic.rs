@@ -127,18 +127,15 @@ impl CsrMatrix {
 /// The pattern half of a completed [`SparseLu`] factorization: permutations
 /// plus `L`/`U` sparsity structure, with no numeric values.
 ///
-/// Obtained from [`SparseLu::symbolic`] or recorded by a [`LuWorkspace`];
-/// consumed by [`SymbolicLu::refactorize_into`]. Immutable and cheap to
-/// clone relative to a full factorization (plain index vectors, no graph
-/// work).
+/// Recorded by a [`LuWorkspace`]; consumed by
+/// [`SymbolicLu::refactorize_into`]. Immutable and cheap to clone relative
+/// to a full factorization (plain index vectors, no graph work).
 ///
-/// A pattern a [`LuWorkspace`] records also carries the pivot ranks of the
-/// full factorization it was recorded from: per column, where the pivot
-/// stood among the column's unpivoted rows in topological order. With
-/// them a fresh-equivalent workspace can replay the pattern and still
-/// return bitwise what [`SparseLu::factorize`] returns, whichever
-/// workspace recorded it. [`SparseLu::symbolic`] does not know them, so
-/// its patterns replay only under the Newton decay guard.
+/// A pattern also carries the pivot ranks of the full factorization it was
+/// recorded from: per column, where the pivot stood among the column's
+/// unpivoted rows in topological order. With them
+/// [`LuWorkspace::factorize_fresh`] can replay the pattern and still
+/// return bitwise what [`SparseLu::factorize`] returns.
 #[derive(Debug, Clone)]
 pub struct SymbolicLu {
     /// Process-unique id of this recorded pattern (clones share it, and
@@ -152,8 +149,8 @@ pub struct SymbolicLu {
     q: Vec<usize>,
     /// Per column `j`, the rank of the pivot among the column's unpivoted
     /// rows in topological order in the full factorization the pattern
-    /// was recorded from ([`SparseLu::factorize_ranked`]); empty when the
-    /// recording did not know them. The rule the ranks serve reads
+    /// was recorded from ([`SparseLu::factorize_ranked`]). The rule the
+    /// ranks serve reads
     /// original rows rather than pivot positions, so the pattern keeps no
     /// inverse row permutation: the ranks take its place.
     ranks: Vec<usize>,
@@ -170,9 +167,8 @@ pub struct SymbolicLu {
     /// Replay plan for matrices structurally identical to the one the
     /// pattern was recorded from. [`SparseLu::factorize`] keeps exact zeros
     /// structural, so a pattern recorded from the factorization of `a`
-    /// itself always validates; `None` (a [`SparseLu::symbolic`] call with
-    /// another matrix) makes every replay fail with
-    /// [`LinalgError::PatternChanged`].
+    /// itself always validates; `None` (a recording from another matrix)
+    /// makes every replay fail with [`LinalgError::PatternChanged`].
     plan: Option<ScatterPlan>,
 }
 
@@ -197,31 +193,23 @@ struct ScatterPlan {
 }
 
 impl SparseLu {
-    /// Extracts the reusable symbolic pattern of this factorization.
+    /// Records the reusable symbolic pattern of this factorization, with
+    /// its pivot ranks `ranks` ([`SparseLu::factorize_ranked`]); the
+    /// pattern keeps the buffer.
     ///
     /// `a` must be the matrix this factorization was computed from; its
-    /// structure is recorded so later [`SymbolicLu::refactorize_into`] calls on
-    /// structurally identical matrices can replay through a precomputed
-    /// scatter plan with no per-entry pattern checks.
+    /// structure is recorded so later [`SymbolicLu::refactorize_into`]
+    /// calls on structurally identical matrices can replay through a
+    /// precomputed scatter plan with no per-entry pattern checks.
     ///
     /// # Panics
     ///
     /// Panics if `a` has different dimensions than the factorization.
-    ///
-    /// The pattern carries no pivot ranks (this factorization did not keep
-    /// them), so a fresh-equivalent [`LuWorkspace`] never replays it.
-    pub fn symbolic(&self, a: &CsrMatrix) -> SymbolicLu {
-        self.record(a, Vec::new())
-    }
-
-    /// [`SparseLu::symbolic`] with the pivot ranks `ranks` of this
-    /// factorization ([`SparseLu::factorize_ranked`]), or none when empty;
-    /// the pattern keeps the buffer.
     pub(crate) fn record(&self, a: &CsrMatrix, ranks: Vec<usize>) -> SymbolicLu {
         assert_eq!(a.rows(), self.n, "pattern/matrix row mismatch");
         assert_eq!(a.cols(), self.n, "pattern/matrix column mismatch");
         let n = self.n;
-        debug_assert!(ranks.is_empty() || ranks.len() == n, "one rank per column");
+        debug_assert_eq!(ranks.len(), n, "one rank per column");
         // The inverse row permutation, then the plan builder's scratch:
         // one allocation for both.
         let mut work = vec![EMPTY; 2 * n];
@@ -261,12 +249,6 @@ impl SymbolicLu {
     /// Dimension of the recorded system.
     pub fn dim(&self) -> usize {
         self.n
-    }
-
-    /// Whether a fresh-equivalent [`LuWorkspace`] may try this pattern on
-    /// `a`: it knows its pivot ranks and `a` has the recorded structure.
-    fn replays_fresh(&self, a: &CsrMatrix) -> bool {
-        self.ranks.len() == self.n && self.compatible_with(a)
     }
 
     /// Whether `a` is structurally identical to the matrix this pattern was
@@ -364,20 +346,17 @@ impl SymbolicLu {
         Self::poison_on_error(lu, out)
     }
 
-    /// The fresh-equivalent replay of a [`LuWorkspace::fresh_equivalent`]
-    /// workspace: exact-structure only, and every column's recorded pivot
-    /// (at its recorded rank among the column's unpivoted rows in
-    /// topological order) must be the one [`SparseLu::factorize`] would
-    /// pick on these values. Only for a pattern that carries its ranks
-    /// ([`SymbolicLu::replays_fresh`]). Takes no fault draw; the workspace
-    /// takes one per call.
+    /// The replay of [`LuWorkspace::factorize_fresh`]: exact-structure
+    /// only, and every column's recorded pivot (at its recorded rank among
+    /// the column's unpivoted rows in topological order) must be the one
+    /// [`SparseLu::factorize`] would pick on these values. Takes no fault
+    /// draw; the workspace takes one per call.
     fn refactorize_fresh_into(
         &self,
         a: &CsrMatrix,
         lu: &mut SparseLu,
         scratch: &mut ReplayScratch,
     ) -> Result<(), LinalgError> {
-        debug_assert_eq!(self.ranks.len(), self.n, "a pattern with pivot ranks");
         let out = self.replay(a, lu, scratch, Some(&self.ranks));
         Self::poison_on_error(lu, out)
     }
@@ -680,15 +659,19 @@ pub struct ReplayScratch {
 }
 
 /// Counters describing how a [`LuWorkspace`] serviced its factorization
-/// requests.
+/// requests: the guarded [`LuWorkspace::factorize`] calls and the
+/// [`LuWorkspace::factorize_fresh`] calls alike (a certification in a
+/// Newton chain's workspace counts here with the chain's Newton runs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LuStats {
     /// Full (symbolic + numeric) factorizations performed.
     pub full_factorizations: u64,
     /// Cheap numeric-only refactorizations performed.
     pub refactorizations: u64,
-    /// Refactorization attempts that bailed out (pattern change or pivot
-    /// decay) and fell back to a full factorization. Each fallback is also
+    /// Replay attempts that bailed out and fell back to a full
+    /// factorization: a guarded replay refused for a pattern change or a
+    /// decayed pivot, or a fresh-equivalent replay refused because a full
+    /// factorization would pick another pivot. Each fallback is also
     /// counted in `full_factorizations`.
     pub fallbacks: u64,
 }
@@ -698,11 +681,13 @@ pub struct LuStats {
 /// This is the telemetry hook consumed by `rlpta-core`: downstream solvers
 /// read it after each [`LuWorkspace::factorize`] call to emit distinct
 /// `LuFactorized` / `LuReplayed` events without re-deriving the decision
-/// from [`LuStats`] deltas.
+/// from [`LuStats`] deltas. A [`LuWorkspace::factorize_fresh`] call sets it
+/// too, so after a certification it describes certification's call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LuOp {
     /// A full symbolic + numeric factorization ran (first call, pattern
-    /// change, or pivot-decay fallback).
+    /// change, pivot-decay fallback, or a fresh-equivalent call whose
+    /// replay was refused).
     Full,
     /// The recorded scatter plan was replayed with a numeric-only pass.
     Replay,
@@ -729,30 +714,25 @@ pub enum LuOp {
 /// and sweep points of one circuit, and use one workspace per thread — it is
 /// `Send` but deliberately not shared.
 ///
-/// # Fresh-equivalent workspaces
+/// # Fresh-equivalent factorizations
 ///
-/// [`LuWorkspace::new`] replays under the Newton decay guard: a replay may
-/// keep a recorded pivot the full factorization would no longer pick, which
-/// is numerically safe but not bit-identical to [`SparseLu::factorize`].
-/// [`LuWorkspace::fresh_equivalent`] builds a workspace whose every result
-/// *is* bitwise what [`SparseLu::factorize`] returns on the same matrix. It
-/// replays only a matrix of exactly the recorded structure, and accepts a
-/// replay only when each column's recorded pivot is the one the full
-/// factorization's rule picks on the new values, checked against the
+/// [`LuWorkspace::factorize`] replays under the Newton decay guard: a
+/// replay may keep a recorded pivot the full factorization would no longer
+/// pick, which is numerically safe but not bit-identical to
+/// [`SparseLu::factorize`]. [`LuWorkspace::factorize_fresh`] lends out
+/// bitwise what [`SparseLu::factorize`] returns on the same matrix, for a
+/// caller whose result must not depend on the workspace's history (a
+/// certification in the workspace of the Newton chain it certifies). It
+/// replays the recorded pattern only on a matrix of exactly the recorded
+/// structure, and only when each column's recorded pivot is the one the
+/// full factorization's rule picks on the new values, checked against the
 /// pivot ranks the pattern carries. Same structure and same pivots give
 /// the same topological order and the same operations, so the replay
-/// equals the fresh factorization bit for bit; anything else falls back to
-/// a full factorization.
-///
-/// Since the check needs only the pattern and its ranks, the pattern need
-/// not be the workspace's own. It replays the first of these that carries
-/// ranks and has `a`'s structure: its own pattern (recorded on the second
-/// sighting of a structure, so a one-shot use costs no more than the plain
-/// factorization), one it was seeded with, or one offered to
-/// [`LuWorkspace::factorize_with`] — such as the pattern a Newton-path
-/// workspace recorded on the same structure. Under the `faults` feature it
-/// takes exactly one injection draw per call, and a fired draw fails the
-/// call.
+/// equals the fresh factorization bit for bit; anything else runs a full
+/// factorization. It never records or replaces the pattern, so the guarded
+/// calls around it replay exactly as they would without it. Under the
+/// `faults` feature it takes exactly one injection draw per call, and a
+/// fired draw fails the call.
 ///
 /// # Example
 ///
@@ -782,20 +762,15 @@ pub enum LuOp {
 #[derive(Debug, Clone)]
 pub struct LuWorkspace {
     symbolic: Option<Arc<SymbolicLu>>,
-    /// Whether this is a fresh-equivalent workspace.
-    fresh: bool,
-    /// Structure generation of the matrix a fresh-equivalent workspace's
-    /// latest full factorization ran on, while its pattern is not yet
-    /// recorded; 0 otherwise.
-    pending: u64,
-    /// The pivot ranks of the latest full factorization, until a recording
-    /// takes the buffer over ([`SparseLu::record`]).
+    /// The pivot ranks of the latest guarded full factorization, until the
+    /// recording takes the buffer over ([`SparseLu::record`]).
     ranks: Vec<usize>,
     /// The latest factorization, bound to `symbolic`'s pattern after a
-    /// success; replays rewrite it in place. Lent out only while `valid`.
+    /// replay or a recording; replays rewrite it in place. Lent out only
+    /// while `valid`.
     numeric: SparseLu,
-    /// Whether the latest [`LuWorkspace::factorize`] call succeeded, i.e.
-    /// `numeric` is the factorization of the matrix it was given.
+    /// Whether the latest factorization call succeeded, i.e. `numeric` is
+    /// the factorization of the matrix it was given.
     valid: bool,
     /// Replay buffers, reused by every replay.
     scratch: ReplayScratch,
@@ -807,8 +782,6 @@ impl Default for LuWorkspace {
     fn default() -> Self {
         Self {
             symbolic: None,
-            fresh: false,
-            pending: 0,
             ranks: Vec::new(),
             numeric: SparseLu::empty(),
             valid: false,
@@ -826,19 +799,6 @@ impl LuWorkspace {
         Self::default()
     }
 
-    /// An empty fresh-equivalent workspace: every factorization it lends
-    /// out is bitwise what [`SparseLu::factorize`] returns on the same
-    /// matrix. It replays any pattern that carries its pivot ranks — its
-    /// own, a seeded one or one offered to [`LuWorkspace::factorize_with`]
-    /// — only where every recorded pivot is the one a fresh factorization
-    /// picks (see the type-level docs).
-    pub fn fresh_equivalent() -> Self {
-        Self {
-            fresh: true,
-            ..Self::default()
-        }
-    }
-
     /// A workspace pre-seeded with a previously recorded pattern — the
     /// cross-request reuse hook: a cache that kept the [`SymbolicLu`] of an
     /// earlier solve hands it to a fresh workspace so the *first*
@@ -852,89 +812,27 @@ impl LuWorkspace {
     /// [`LuWorkspace::stats`]) — a stale seed can cost one wasted attempt,
     /// never a wrong result.
     pub fn with_symbolic(symbolic: impl Into<Arc<SymbolicLu>>) -> Self {
-        let mut ws = Self::new();
-        ws.preload(symbolic);
-        ws
-    }
-
-    /// Replaces the recorded pattern in place (same semantics as
-    /// [`LuWorkspace::with_symbolic`] for an existing workspace). Counters
-    /// and `last_op` are preserved.
-    pub fn preload(&mut self, symbolic: impl Into<Arc<SymbolicLu>>) {
-        self.symbolic = Some(symbolic.into());
+        Self {
+            symbolic: Some(symbolic.into()),
+            ..Self::default()
+        }
     }
 
     /// Factorizes `a`, reusing the recorded symbolic pattern when possible,
     /// and lends out the result: the workspace's numeric shell, valid until
-    /// the next call.
+    /// the next call. Replays run under the Newton decay guard; a refused
+    /// replay re-pivots and re-records the pattern.
     ///
     /// # Errors
     ///
     /// Same as [`SparseLu::factorize`]; [`LinalgError::PatternChanged`] is
     /// never surfaced (it triggers the internal fallback).
     pub fn factorize(&mut self, a: &CsrMatrix) -> Result<&SparseLu, LinalgError> {
-        self.factorize_with(a, None)
-    }
-
-    /// [`LuWorkspace::factorize`], offered a pattern recorded elsewhere on
-    /// the same structure (say, by the Newton-path workspace whose matrix
-    /// a fresh-equivalent workspace certifies). When the workspace's own
-    /// pattern cannot serve `a` and `offered` can, the workspace takes the
-    /// offered one (a reference-count bump, no copy) and replays it under
-    /// its own pivot rule, so the result is what
-    /// [`LuWorkspace::factorize`] would return with that pattern preloaded.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LuWorkspace::factorize`].
-    pub fn factorize_with(
-        &mut self,
-        a: &CsrMatrix,
-        offered: Option<&Arc<SymbolicLu>>,
-    ) -> Result<&SparseLu, LinalgError> {
         self.valid = false;
-        let op = if self.fresh {
-            self.factorize_fresh(a, offered)?
-        } else {
-            self.factorize_guarded(a, offered)?
-        };
-        match op {
-            LuOp::Replay => self.stats.refactorizations += 1,
-            LuOp::Full => self.stats.full_factorizations += 1,
-        }
-        self.last_op = Some(op);
-        self.valid = true;
-        Ok(&self.numeric)
-    }
-
-    /// Takes `offered` as the pattern when the own one cannot serve `a`
-    /// (`serves`) and `offered` can.
-    fn adopt(
-        &mut self,
-        a: &CsrMatrix,
-        offered: Option<&Arc<SymbolicLu>>,
-        serves: impl Fn(&SymbolicLu, &CsrMatrix) -> bool,
-    ) {
-        if self.symbolic.as_deref().is_some_and(|s| serves(s, a)) {
-            return;
-        }
-        if let Some(offered) = offered.filter(|o| serves(o, a)) {
-            self.symbolic = Some(Arc::clone(offered));
-        }
-    }
-
-    /// The Newton-path policy: replay under the decay guard, re-pivot and
-    /// re-record on any refusal.
-    fn factorize_guarded(
-        &mut self,
-        a: &CsrMatrix,
-        offered: Option<&Arc<SymbolicLu>>,
-    ) -> Result<LuOp, LinalgError> {
-        self.adopt(a, offered, SymbolicLu::compatible_with);
         if let Some(sym) = &self.symbolic {
             if sym.dim() == a.rows() && a.rows() == a.cols() {
                 match sym.refactorize_into(a, &mut self.numeric, &mut self.scratch) {
-                    Ok(()) => return Ok(LuOp::Replay),
+                    Ok(()) => return Ok(self.lend(LuOp::Replay)),
                     // Structure changed or pivot decayed (or an injected
                     // singular under the `faults` feature): re-pivot from
                     // scratch below.
@@ -952,59 +850,55 @@ impl LuWorkspace {
         lu.shell_of = sym.id;
         self.numeric = lu;
         self.symbolic = Some(Arc::new(sym));
-        Ok(LuOp::Full)
+        Ok(self.lend(LuOp::Full))
     }
 
-    /// The fresh-equivalent policy (see the type-level docs): one fault
-    /// draw, then a pivot-verified exact replay of a pattern that carries
-    /// ranks, else a full factorization that keeps its pivot ranks.
-    fn factorize_fresh(
-        &mut self,
-        a: &CsrMatrix,
-        offered: Option<&Arc<SymbolicLu>>,
-    ) -> Result<LuOp, LinalgError> {
+    /// Factorizes `a` to bitwise what [`SparseLu::factorize`] returns (see
+    /// the type-level docs): one fault draw, then a pivot-verified replay
+    /// of the recorded pattern when `a` has its structure, else a full
+    /// factorization. Never records or replaces the pattern.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`SparseLu::factorize`] on `a`.
+    pub fn factorize_fresh(&mut self, a: &CsrMatrix) -> Result<&SparseLu, LinalgError> {
+        self.valid = false;
         check_square(a)?;
         singular_fault()?;
-        // Second sighting of the structure the latest full factorization
-        // ran on: record its pattern now (the structure is the same, so
-        // `a` serves as the recording matrix).
-        if self.pending != 0 && self.pending == a.structure_id() {
-            let sym = self.numeric.record(a, std::mem::take(&mut self.ranks));
-            self.numeric.shell_of = sym.id;
-            self.symbolic = Some(Arc::new(sym));
-        }
-        self.pending = 0;
-        self.adopt(a, offered, SymbolicLu::replays_fresh);
-        if let Some(sym) = self.symbolic.as_ref().filter(|s| s.replays_fresh(a)) {
+        if let Some(sym) = self.symbolic.as_ref().filter(|s| s.compatible_with(a)) {
             match sym.refactorize_fresh_into(a, &mut self.numeric, &mut self.scratch) {
-                Ok(()) => return Ok(LuOp::Replay),
+                Ok(()) => return Ok(self.lend(LuOp::Replay)),
                 Err(_) => self.stats.fallbacks += 1,
             }
         }
-        self.symbolic = None;
-        self.numeric = SparseLu::factorize_ranked(a, Some(&mut self.ranks))?;
-        self.pending = a.structure_id();
-        Ok(LuOp::Full)
+        self.numeric = SparseLu::factorize_ranked(a, None)?;
+        Ok(self.lend(LuOp::Full))
     }
 
-    /// The factorization the latest [`LuWorkspace::factorize`] call lent
-    /// out, again — `None` before the first call and after a failed one,
+    /// Counts a successful call serviced by `op` and lends out its result.
+    fn lend(&mut self, op: LuOp) -> &SparseLu {
+        match op {
+            LuOp::Replay => self.stats.refactorizations += 1,
+            LuOp::Full => self.stats.full_factorizations += 1,
+        }
+        self.last_op = Some(op);
+        self.valid = true;
+        &self.numeric
+    }
+
+    /// The factorization the latest [`LuWorkspace::factorize`] or
+    /// [`LuWorkspace::factorize_fresh`] call lent out, again — `None`
+    /// before the first call and after a failed one,
     /// so a half-written replay is never visible.
     pub fn factorization(&self) -> Option<&SparseLu> {
         self.valid.then_some(&self.numeric)
     }
 
-    /// How the most recent *successful* [`LuWorkspace::factorize`] call was
-    /// serviced; `None` before the first success. Failed calls leave the
-    /// previous value untouched.
+    /// How the most recent *successful* factorization call was serviced;
+    /// `None` before the first success. Failed calls leave the previous
+    /// value untouched.
     pub fn last_op(&self) -> Option<LuOp> {
         self.last_op
-    }
-
-    /// Drops the recorded pattern; the next call re-records it. Use when
-    /// switching the workspace to a different circuit.
-    pub fn reset(&mut self) {
-        self.symbolic = None;
     }
 
     /// The recorded pattern, if any.
@@ -1039,6 +933,14 @@ mod tests {
             .fold(0.0, f64::max)
     }
 
+    /// The pattern a workspace records from `a`'s full factorization.
+    fn recorded(a: &CsrMatrix) -> SymbolicLu {
+        let mut ranks = Vec::new();
+        SparseLu::factorize_ranked(a, Some(&mut ranks))
+            .unwrap()
+            .record(a, ranks)
+    }
+
     /// A replay into a new shell.
     fn replay_new(sym: &SymbolicLu, a: &CsrMatrix) -> Result<SparseLu, LinalgError> {
         let mut lu = SparseLu::empty();
@@ -1068,7 +970,7 @@ mod tests {
             let n = rng.gen_range(3..40);
             let (a, b) = random_system(&mut rng, n);
             let full = SparseLu::factorize(&a).unwrap();
-            let replay = replay_new(&full.symbolic(&a), &a).unwrap();
+            let replay = replay_new(&recorded(&a), &a).unwrap();
             assert_eq!(full.solve(&b).unwrap(), replay.solve(&b).unwrap());
         }
     }
@@ -1079,7 +981,7 @@ mod tests {
         for _ in 0..10 {
             let n = rng.gen_range(3..40);
             let (a, b) = random_system(&mut rng, n);
-            let sym = SparseLu::factorize(&a).unwrap().symbolic(&a);
+            let sym = recorded(&a);
             // Same pattern, different values: rebuild with scaled entries.
             let mut t = Triplet::new(n, n);
             for (r, c, v) in a.iter() {
@@ -1099,7 +1001,7 @@ mod tests {
             t.push(i, i, 2.0);
         }
         let a = t.to_csr();
-        let sym = SparseLu::factorize(&a).unwrap().symbolic(&a);
+        let sym = recorded(&a);
         // Add an off-diagonal entry the diagonal pattern cannot hold.
         t.push(2, 0, -1.0);
         assert!(matches!(
@@ -1119,7 +1021,7 @@ mod tests {
         t.push(0, 1, 1.0);
         t.push(1, 1, 3.0);
         let a = t.to_csr();
-        let sym = SparseLu::factorize(&a).unwrap().symbolic(&a);
+        let sym = recorded(&a);
         let mut t2 = Triplet::new(2, 2);
         t2.push(0, 0, 1e-9);
         t2.push(1, 0, 1.0);
@@ -1137,7 +1039,7 @@ mod tests {
         t.push(0, 0, 2.0);
         t.push(1, 1, 2.0);
         let a = t.to_csr();
-        let sym = SparseLu::factorize(&a).unwrap().symbolic(&a);
+        let sym = recorded(&a);
         let mut t2 = Triplet::new(2, 2);
         t2.push(0, 0, f64::NAN);
         t2.push(1, 1, 2.0);
@@ -1149,9 +1051,7 @@ mod tests {
 
     #[test]
     fn refactorize_rejects_wrong_dimension() {
-        let sym = SparseLu::factorize(&CsrMatrix::identity(3))
-            .unwrap()
-            .symbolic(&CsrMatrix::identity(3));
+        let sym = recorded(&CsrMatrix::identity(3));
         assert!(matches!(
             replay_new(&sym, &CsrMatrix::identity(4)),
             Err(LinalgError::DimensionMismatch { .. })
@@ -1208,7 +1108,7 @@ mod tests {
         let subset = t2.to_csr();
 
         // The bare replay refuses at step 0 and leaves the shell poisoned.
-        let sym = SparseLu::factorize(&base).unwrap().symbolic(&base);
+        let sym = recorded(&base);
         let mut shell = SparseLu::factorize(&base).unwrap();
         assert!(matches!(
             sym.refactorize_into(&subset, &mut shell, &mut ReplayScratch::default()),
@@ -1255,16 +1155,6 @@ mod tests {
         }
         assert_eq!(ws.stats().full_factorizations, 3);
         assert_eq!(ws.stats().fallbacks, 2);
-    }
-
-    #[test]
-    fn workspace_reset_forgets_pattern() {
-        let mut ws = LuWorkspace::new();
-        ws.factorize(&CsrMatrix::identity(3)).unwrap();
-        ws.reset();
-        assert!(ws.symbolic().is_none());
-        ws.factorize(&CsrMatrix::identity(3)).unwrap();
-        assert_eq!(ws.stats().full_factorizations, 2);
     }
 
     #[test]
@@ -1316,7 +1206,7 @@ mod tests {
         let grown = t2.to_csr();
         assert_ne!(a.pattern_hash(), grown.pattern_hash());
         // The recorded pattern accepts exactly the matching structure.
-        let sym = SparseLu::factorize(&a).unwrap().symbolic(&a);
+        let sym = recorded(&a);
         assert!(sym.compatible_with(&a));
         assert!(sym.compatible_with(&scaled));
         assert!(!sym.compatible_with(&grown));
@@ -1324,13 +1214,10 @@ mod tests {
 
     #[test]
     fn approx_bytes_grows_with_pattern() {
-        let small = {
-            let a = CsrMatrix::identity(4);
-            SparseLu::factorize(&a).unwrap().symbolic(&a)
-        };
+        let small = recorded(&CsrMatrix::identity(4));
         let mut rng = StdRng::seed_from_u64(5);
         let (a, _) = random_system(&mut rng, 40);
-        let big = SparseLu::factorize(&a).unwrap().symbolic(&a);
+        let big = recorded(&a);
         assert!(small.approx_bytes() > 0);
         assert!(big.approx_bytes() > small.approx_bytes());
     }
@@ -1339,7 +1226,7 @@ mod tests {
     fn preseeded_workspace_replays_first_call() {
         let mut rng = StdRng::seed_from_u64(33);
         let (a, b) = random_system(&mut rng, 20);
-        let sym = Arc::new(SparseLu::factorize(&a).unwrap().symbolic(&a));
+        let sym = Arc::new(recorded(&a));
         let mut ws = LuWorkspace::with_symbolic(Arc::clone(&sym));
         let x = ws.factorize(&a).unwrap().solve(&b).unwrap();
         assert_eq!(ws.stats().full_factorizations, 0);
@@ -1348,22 +1235,19 @@ mod tests {
         // Bit-identical to an uncached full factorization.
         let cold = SparseLu::factorize(&a).unwrap();
         assert_eq!(x, cold.solve(&b).unwrap());
-        // Offered instead of preloaded, the pattern serves the same way.
-        let mut ws = LuWorkspace::new();
-        let offered = ws
-            .factorize_with(&a, Some(&sym))
-            .unwrap()
-            .solve(&b)
-            .unwrap();
+        // A fresh-equivalent call replays the seeded pattern the same way
+        // and keeps it.
+        let mut ws = LuWorkspace::with_symbolic(Arc::clone(&sym));
+        let fresh = ws.factorize_fresh(&a).unwrap().solve(&b).unwrap();
         assert_eq!(ws.last_op(), Some(LuOp::Replay));
         assert!(ws.shared_symbolic().is_some_and(|s| Arc::ptr_eq(s, &sym)));
-        assert_eq!(offered, x);
+        assert_eq!(fresh, x);
     }
 
     #[test]
     fn stale_preseed_falls_back_to_full() {
         let a = CsrMatrix::identity(3);
-        let sym = SparseLu::factorize(&a).unwrap().symbolic(&a);
+        let sym = recorded(&a);
         let mut t = Triplet::new(3, 3);
         for i in 0..3 {
             t.push(i, i, 2.0);
@@ -1405,7 +1289,7 @@ mod tests {
             t.push(r, c, v);
         }
         let good = t.to_csr();
-        let sym = SparseLu::factorize(&good).unwrap().symbolic(&good);
+        let sym = recorded(&good);
         // Poison the densest column, which the ascending-count ordering
         // eliminates last.
         let mut bad = good.clone();
@@ -1454,7 +1338,7 @@ mod tests {
     fn structure_generation_gates_the_exact_path() {
         let mut rng = StdRng::seed_from_u64(41);
         let (a, b) = random_system(&mut rng, 15);
-        let sym = SparseLu::factorize(&a).unwrap().symbolic(&a);
+        let sym = recorded(&a);
         let mut clone = a.clone();
         assert_eq!(clone.structure_id(), a.structure_id());
         for v in clone.values_mut() {
@@ -1545,12 +1429,13 @@ mod tests {
     }
 
     proptest! {
-        /// A fresh-equivalent workspace either lends out bitwise what
+        /// [`LuWorkspace::factorize_fresh`] either lends out bitwise what
         /// [`SparseLu::factorize`] returns or fails exactly as it does —
         /// across value jitter on one structure (converted in place, so the
         /// structure generation survives), rebuilt and grown structures,
         /// decayed diagonals, NaN/Inf entries, singular columns and
-        /// dimension switches — and replays whenever it can.
+        /// dimension switches, with guarded calls now and then recording
+        /// patterns in between — and replays whenever it can.
         #[test]
         fn fresh_equivalent_replay_is_bitwise_a_fresh_factorization(seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1559,7 +1444,7 @@ mod tests {
             let mut vals: Vec<f64> = es.iter().map(|e| e.2).collect();
             let mut t = Triplet::new(k + m, k + m);
             let mut a = CsrMatrix::default();
-            let mut ws = LuWorkspace::fresh_equivalent();
+            let mut ws = LuWorkspace::new();
             let mut replays = 0;
             for step in 0..40 {
                 match rng.gen_range(0..12) {
@@ -1625,13 +1510,20 @@ mod tests {
                     // structure.
                     a = b;
                 }
+                if rng.gen_bool(0.3) {
+                    // A Newton iteration on this matrix: records a pattern
+                    // when it cannot replay one.
+                    let _ = ws.factorize(&a);
+                }
+                let guarded = ws.stats().refactorizations;
                 let want = SparseLu::factorize(&a);
-                let got = ws.factorize(&a);
+                let got = ws.factorize_fresh(&a);
                 match (got, want) {
                     (Ok(lu), Ok(fresh)) => {
                         prop_assert_eq!(fingerprint(lu), fingerprint(&fresh));
                         if ws.last_op() == Some(LuOp::Replay) {
                             replays += 1;
+                            prop_assert_eq!(ws.stats().refactorizations, guarded + 1);
                         }
                     }
                     (Err(e), Err(f)) => {
@@ -1647,9 +1539,7 @@ mod tests {
                     }
                 }
             }
-            let stats = ws.stats();
-            prop_assert_eq!(stats.refactorizations, replays);
-            prop_assert!(replays > 0, "no replay in 40 steps: {:?}", stats);
+            prop_assert!(replays > 0, "no fresh replay in 40 steps: {:?}", ws.stats());
         }
     }
 }

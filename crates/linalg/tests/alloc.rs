@@ -4,13 +4,16 @@
 //! [`SparseLu::solve_into`] on reused buffers performs **zero** heap
 //! allocations — the replay rewrites the shell's values, the dense replay
 //! workspace and the solve scratch are reused, and the structure check is a
-//! generation compare. The same holds for the certification chain: a
-//! [`StampSlots`] scatter into the plan's frozen pattern, a
-//! fresh-equivalent replay and [`SparseLu::cond_estimate_with`].
+//! generation compare. The same holds for the certification chain in the
+//! Newton workspace it certifies: a [`StampSlots`] scatter into the plan's
+//! frozen pattern, a guarded Newton replay, a fresh-equivalent replay
+//! ([`LuWorkspace::factorize_fresh`]) of the same pattern and
+//! [`SparseLu::cond_estimate_with`].
 //!
-//! Recording a pattern ([`SparseLu::symbolic`]) allocates a fixed number
-//! of times, whatever the dimension: its scatter plan is built with one
-//! counting pass, not a list per column.
+//! Recording a pattern (the full path of [`LuWorkspace::factorize`])
+//! allocates a fixed number of times beyond the factorization's own,
+//! whatever the dimension: its scatter plan is built with one counting
+//! pass, not a list per column.
 //!
 //! The counting allocator counts the measuring thread only
 //! (`tests/support/counting_alloc.rs`).
@@ -85,11 +88,6 @@ fn exact_replay_and_solve_into() {
     assert!(checksum.is_finite());
 }
 
-/// Certification's chain on a reused workspace: re-stamp the triplets,
-/// convert in place, replay fresh-equivalently, estimate the condition
-/// number. The MNA-shaped system has well over 170 triplet entries, so the
-/// conversion cannot lean on a stable sort's small-input stack buffer, and
-/// voltage-source branches with exact `±1` entries and no diagonal.
 /// A certification-shaped system: `k` nodes on two rings of conductances
 /// with small shunts, and `m` voltage-source branches; every stamp of a
 /// device pushed separately, so positions repeat.
@@ -123,6 +121,11 @@ fn scaled(v: f64, scale: f64) -> f64 {
     }
 }
 
+/// Certification's chain in the Newton workspace it certifies: re-stamp
+/// through the slot table, replay under the Newton guard, replay
+/// fresh-equivalently, estimate the condition number. The MNA-shaped
+/// system has well over 170 stamps, and voltage-source branches with exact
+/// `±1` entries and no diagonal.
 fn certification_chain() {
     let (n, es) = certification_stamps();
     let targets: Vec<(usize, usize)> = es.iter().map(|&(r, c, _)| (r, c)).collect();
@@ -134,20 +137,25 @@ fn certification_chain() {
         }
         assert!(w.finish());
     };
-    let mut ws = LuWorkspace::fresh_equivalent();
+    let mut ws = LuWorkspace::new();
     let mut cond = CondScratch::default();
-    // Warm-up: a full factorization, then the pattern records on the
-    // second sighting and replays from the third.
-    for step in 0..3 {
+    // Warm-up: the Newton path records the pattern, and a fresh-equivalent
+    // replay of it sizes the condition scratch.
+    for step in 0..2 {
         stamp(&mut a, 1.0 + 0.01 * step as f64);
-        let lu = ws.factorize(&a).unwrap();
+        ws.factorize(&a).unwrap();
+        let lu = ws.factorize_fresh(&a).unwrap();
         lu.cond_estimate_with(&a, &mut cond).unwrap();
     }
     let mut last = (0.0, 0.0);
     let count = allocations(|| {
         for step in 0..100 {
+            // A Newton iteration, then the certification of its matrix in
+            // the same workspace.
             stamp(&mut a, 1.0 + 0.001 * step as f64);
-            let lu = ws.factorize(&a).unwrap();
+            ws.factorize(&a).unwrap();
+            assert_eq!(ws.last_op(), Some(LuOp::Replay));
+            let lu = ws.factorize_fresh(&a).unwrap();
             last = (
                 lu.cond_estimate_with(&a, &mut cond).unwrap(),
                 lu.pivot_growth(),
@@ -182,20 +190,22 @@ fn ring(n: usize) -> CsrMatrix {
     t.to_csr()
 }
 
+/// A recording workspace's full factorization, less a plain one's.
 #[test]
 fn recording_a_pattern_allocates_the_same_at_any_size() {
     let counts: Vec<usize> = [5, 132]
         .iter()
         .map(|&n| {
             let a = ring(n);
-            let lu = SparseLu::factorize(&a).unwrap();
-            let mut sym = None;
-            let count = allocations(|| sym = Some(lu.symbolic(&a)));
+            let plain = allocations(|| drop(SparseLu::factorize(&a).unwrap()));
+            let mut ws = LuWorkspace::new();
+            let recording = allocations(|| {
+                ws.factorize(&a).unwrap();
+            });
             // The recorded pattern replays its own matrix.
-            let mut ws = LuWorkspace::with_symbolic(sym.unwrap());
             ws.factorize(&a).unwrap();
             assert_eq!(ws.last_op(), Some(LuOp::Replay));
-            count
+            recording - plain
         })
         .collect();
     assert_eq!(counts[0], counts[1], "n = 5 vs n = 132");
